@@ -12,11 +12,15 @@
 # sweep over multi-tier fabrics (goodput and top-tier ingress bytes at
 # 1/2/3 tiers, partition-invariance pinned), bench-churn the four
 # production-churn timelines (crash/failover, re-election, hot-key
-# churn, rolling reconfig) scored against SLOs.
+# churn, rolling reconfig) scored against SLOs. bench-e2e is the
+# repository's benchmark (BENCHMARK.json, bench/README.md): every
+# workload, every end-to-end metric; bench-pair is the paired
+# comparison a performance claim rests on — the working tree against
+# OLD over N alternating pairs of workload W (tools/benchpair).
 
 GO ?= go
 
-.PHONY: all tier1 tier2 race bench bench-reliability bench-loadgen bench-host bench-ctrl bench-netsim bench-netsim-smoke bench-fabric bench-fabric-smoke bench-churn bench-churn-smoke examples clean
+.PHONY: all tier1 tier2 race bench bench-e2e bench-pair bench-reliability bench-loadgen bench-host bench-ctrl bench-netsim bench-netsim-smoke bench-fabric bench-fabric-smoke bench-churn bench-churn-smoke examples clean
 
 all: tier1
 
@@ -32,6 +36,15 @@ bench:
 	$(GO) test -run TestCompiledBurstAllocs -v ./internal/bmv2
 	$(GO) test -run xxx -bench BenchmarkInterpHotPath -benchmem .
 	$(GO) run ./cmd/nclbench -interp -out BENCH_interp.json
+
+bench-e2e:
+	bash bench/run.sh
+
+OLD ?= HEAD
+W ?=
+N ?= 10
+bench-pair:
+	$(GO) run ./tools/benchpair -old $(OLD) -w "$(W)" -n $(N)
 
 bench-reliability:
 	$(GO) run ./cmd/nclbench -reliability -out BENCH_reliability.json
@@ -70,5 +83,9 @@ examples:
 	$(GO) run ./examples/kvcache
 	$(GO) run ./examples/paxos
 
+# clean removes what the targets above leave behind and git does not
+# track: the smoke outputs, the reliability table and the benchmark's
+# build directory. The other BENCH_*.json files are committed.
 clean:
-	rm -f BENCH_reliability.json BENCH_interp.json BENCH_loadgen.json BENCH_hostpath.json BENCH_ctrl.json BENCH_netsim_smoke.json BENCH_fabric_smoke.json BENCH_churn_smoke.json
+	rm -f BENCH_reliability.json BENCH_netsim_smoke.json BENCH_fabric_smoke.json BENCH_churn_smoke.json
+	rm -rf .bench_build

@@ -18,8 +18,8 @@ package bmv2
 // best-scoring rule alive there.
 //
 // Eligibility is conservative and checked twice: at build time every
-// key expression must have a statically-known width (staticBits
-// mirrors the ops.go width rules) and every rule must expand to a
+// key expression must have a statically-known width (staticBits in
+// compile.go mirrors the ops.go width rules) and every rule must expand to a
 // bounded set of intervals per field (ternary masks with many
 // free high bits explode combinatorially); at match time the runtime
 // key widths must equal the assumed ones, else the walk bails and the
@@ -74,15 +74,19 @@ func (f *fdd) match(keys []val, ents []centry) (*centry, bool) {
 			return nil, false
 		}
 		nd := &f.nodes[n]
-		v := keys[lvl].wrapped()
-		lo, hi := 0, len(nd.starts)-1
-		for lo < hi {
-			mid := int(uint(lo+hi+1) >> 1)
-			if nd.starts[mid] <= v {
-				lo = mid
-			} else {
-				hi = mid - 1
-			}
+		v := keys[lvl].v
+		// Branch-free halving to the last interval starting at or below v
+		// (starts[0] is 0): per step, lo += half when starts[lo+half] <= v,
+		// as arithmetic on the borrow of v - starts[lo+half] — the
+		// compiler emits a jump for the if-statement form, which random
+		// keys mispredict every other step.
+		starts := nd.starts
+		lo := 0
+		for w := len(starts); w > 1; {
+			half := w >> 1
+			_, below := bits.Sub64(v, starts[lo+half], 0)
+			lo += half & (int(below) - 1)
+			w -= half
 		}
 		n = nd.next[lo]
 	}
@@ -333,72 +337,4 @@ func memoKey(level int, alive []int32) string {
 		buf = append(buf, byte(r), byte(r>>8), byte(r>>16), byte(r>>24))
 	}
 	return string(buf)
-}
-
-// Static key widths -----------------------------------------------------
-
-// staticBits computes the statically-known width of a table-key
-// expression, mirroring the runtime width rules of ops.go and the
-// evaluators: comparisons/logicals yield bit<1>, shifts keep the left
-// operand's width, other binary operators widen to the larger operand
-// (0 promoting to 64), casts fix their width, field references take
-// their declared width. ok=false means the width can depend on runtime
-// state (undeclared names pick up the width of whatever was last
-// assigned), which makes the table FDD-ineligible; match-time width
-// checks make any residual misjudgment here harmless.
-func (cc *compiler) staticBits(e p4.Expr) (int, bool) {
-	switch x := e.(type) {
-	case *p4.IntLit:
-		if x.Bits == 0 {
-			return 64, true
-		}
-		return x.Bits, true
-	case *p4.FieldRef:
-		// Table keys compile at apply-level scope (no action frames),
-		// so the name is a global; declared widths are sticky on every
-		// assignment path, undeclared names are dynamically typed.
-		if b := cc.s.fields[x.String()]; b != 0 {
-			return b, true
-		}
-		return 0, false
-	case *p4.Bin:
-		switch x.Op {
-		case "==", "!=", "<", "<=", ">", ">=", "s<", "s<=", "s>", "s>=", "&&", "||":
-			return 1, true
-		case "<<", ">>", "s>>":
-			return cc.staticBits(x.X)
-		default:
-			xb, xok := cc.staticBits(x.X)
-			yb, yok := cc.staticBits(x.Y)
-			if !xok || !yok {
-				return 0, false
-			}
-			return combinedBits(val{bits: xb}, val{bits: yb}), true
-		}
-	case *p4.Un:
-		if x.Op == "!" {
-			return 1, true
-		}
-		return cc.staticBits(x.X)
-	case *p4.Cast:
-		return x.Bits, true
-	case *p4.TernaryExpr:
-		ab, aok := cc.staticBits(x.A)
-		bb, bok := cc.staticBits(x.B)
-		if aok && bok && ab == bb {
-			return ab, true
-		}
-		return 0, false
-	case *p4.CallExpr:
-		if x.Method == "isValid" {
-			return 1, true
-		}
-		// Hash gets always yield the declared width; every other call
-		// has an error path of a different width (val{0,32}).
-		if h := cc.hashDecl(x.Recv); h != nil && x.Method == "get" {
-			return h.Bits, true
-		}
-		return 0, false
-	}
-	return 0, false
 }

@@ -10,6 +10,7 @@ package bmv2
 // pooled).
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync/atomic"
 )
@@ -17,6 +18,7 @@ import (
 // machine is pooled per-packet execution state.
 type machine struct {
 	sw      *Switch
+	prog    *cprog
 	gen     *generation // rule-set generation pinned for this packet
 	frame   []val
 	valid   []bool
@@ -29,24 +31,9 @@ type machine struct {
 	exited  bool
 }
 
-// run executes a compiled statement list, honoring exit like the
-// reference stmts loop (checked before every statement).
-func (m *machine) run(fns []stmtFn) error {
-	for _, fn := range fns {
-		if m.exited {
-			return nil
-		}
-		if err := fn(m); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // getMachine checks a reset machine out of the pool.
 func (p *cprog) getMachine() *machine {
 	m := p.pool.Get().(*machine)
-	m.sw = p.sw
 	// One atomic load pins the whole rule set for this packet (or for
 	// the whole burst): every table applied reads the same generation,
 	// so a concurrently committed batch is either fully visible or not
@@ -57,13 +44,14 @@ func (p *cprog) getMachine() *machine {
 }
 
 // reset readies the machine for the next packet of a burst without
-// re-pinning the generation or touching the pool.
+// re-pinning the generation or touching the pool. Only the global
+// prefix of the frame needs its initial values back: every later slot
+// (constants, parameters, temporaries) is read-only or written before
+// it is read.
 func (m *machine) reset(p *cprog) {
-	copy(m.frame, p.initFrame)
-	for i := range m.valid {
-		m.valid[i] = false
-		m.emitted[i] = false
-	}
+	copy(m.frame[:p.nGlobal], p.initFrame)
+	clear(m.valid)
+	clear(m.emitted)
 	m.ordered = m.ordered[:0]
 	m.payload = nil
 	m.exited = false
@@ -79,15 +67,16 @@ func (p *cprog) putMachine(m *machine) {
 // reporting whether the packet was dropped. Counter updates are left
 // to the caller so bursts can batch them.
 func (p *cprog) run1(m *machine, data []byte, inPort int, res *Result) (bool, error) {
-	m.frame[p.inPortSlot] = val{uint64(inPort), m.frame[p.inPortSlot].bits}
+	// Masked at store, like every other write of a declared name.
+	m.frame[p.inPortSlot] = val{uint64(inPort) & maskOf(p.inPortBits), p.inPortBits}
 	if err := m.parse(p, data); err != nil {
 		return false, err
 	}
-	if err := m.run(p.ingress.body); err != nil {
+	if err := m.exec(p.ingress.body.start, p.ingress.body.end); err != nil {
 		return false, err
 	}
 	if p.egress != nil && !m.exited {
-		if err := m.run(p.egress.body); err != nil {
+		if err := m.exec(p.egress.body.start, p.egress.body.end); err != nil {
 			return false, err
 		}
 	}
@@ -96,10 +85,10 @@ func (p *cprog) run1(m *machine, data []byte, inPort int, res *Result) (bool, er
 	// instead of allocating per packet. Dropped packets leave Data nil.
 	scratch := res.Data
 	*res = Result{
-		Port:  int(m.frame[p.portSlot].wrapped()),
-		Mcast: int(m.frame[p.mcastSlot].wrapped()),
+		Port:  int(m.frame[p.portSlot].v),
+		Mcast: int(m.frame[p.mcastSlot].v),
 	}
-	if m.frame[p.dropSlot].wrapped() != 0 {
+	if m.frame[p.dropSlot].v != 0 {
 		res.Dropped = true
 		return true, nil
 	}
@@ -195,53 +184,72 @@ func (p *cprog) processBurst(pkts [][]byte, ports []int, res []Result, errs []er
 // semantics: floor-byte header length check, bit-level extraction that
 // may read past the header into the remaining bytes for unaligned
 // tails, unconditional ordered append, and the 64-step loop guard.
+// Each state is one flat extract plan; byte-aligned fields (always
+// inside the length-checked header) are fixed-width big-endian loads.
 func (m *machine) parse(p *cprog, data []byte) error {
+	f := m.frame
 	rest := data
-	si := p.startIdx
+	si := p.start
 	for steps := 0; ; steps++ {
 		if steps > 64 {
 			return fmt.Errorf("parser loop")
 		}
 		st := &p.states[si]
-		for _, hi := range st.extracts {
-			h := &p.headers[hi]
-			if len(rest) < h.nbytes {
-				return fmt.Errorf("packet too short for header %q (%d < %d)", h.name, len(rest), h.nbytes)
-			}
-			for fi := range h.fields {
-				f := &h.fields[fi]
-				if f.aligned && f.byteOff+f.nbytes <= len(rest) {
-					var v uint64
-					for _, b := range rest[f.byteOff : f.byteOff+f.nbytes] {
-						v = v<<8 | uint64(b)
-					}
-					m.frame[f.slot] = val{v, f.bits}
-				} else {
-					m.frame[f.slot] = val{extractBits(rest, f.bitOff, f.bits), f.bits}
+		var hdr []byte // the header being extracted, open-ended
+		for i := range st.plan {
+			x := &st.plan[i]
+			switch x.kind {
+			case fHdr:
+				if len(rest) < int(x.nbytes) {
+					return fmt.Errorf("packet too short for header %q (%d < %d)", p.headers[x.off].name, len(rest), x.nbytes)
 				}
+				hdr, rest = rest, rest[x.nbytes:]
+				m.valid[x.off] = true
+				m.ordered = append(m.ordered, int(x.off))
+			case f1:
+				for j := int32(0); j < x.run; j++ {
+					f[x.slot+j] = val{uint64(hdr[x.off+j]), 8}
+				}
+			case f2:
+				for j := int32(0); j < x.run; j++ {
+					f[x.slot+j] = val{uint64(binary.BigEndian.Uint16(hdr[x.off+2*j:])), 16}
+				}
+			case f4:
+				for j := int32(0); j < x.run; j++ {
+					f[x.slot+j] = val{uint64(binary.BigEndian.Uint32(hdr[x.off+4*j:])), 32}
+				}
+			case f8:
+				for j := int32(0); j < x.run; j++ {
+					f[x.slot+j] = val{binary.BigEndian.Uint64(hdr[x.off+8*j:]), 64}
+				}
+			case fN:
+				var v uint64
+				for _, b := range hdr[x.off : x.off+x.nbytes] {
+					v = v<<8 | uint64(b)
+				}
+				f[x.slot] = val{v, int(x.bits)}
+			default:
+				f[x.slot] = val{extractBits(hdr, int(x.off), int(x.bits)), int(x.bits)}
 			}
-			rest = rest[h.nbytes:]
-			m.valid[hi] = true
-			m.ordered = append(m.ordered, hi)
 		}
-		next := stateAccept
-		if st.sel != nil {
-			key := st.sel.key(m).wrapped()
-			next = st.sel.def
-			for i := range st.sel.cases {
-				c := &st.sel.cases[i]
-				if c.mask != 0 {
-					if key&c.mask == c.value&c.mask {
-						next = c.next
-						break
-					}
-				} else if key == c.value {
+		next := st.next
+		if st.key.end > st.key.start {
+			if err := m.exec(st.key.start, st.key.end); err != nil {
+				return err
+			}
+		}
+		key := f[st.keySlot].v
+		for i := range st.cases {
+			c := &st.cases[i]
+			if c.mask != 0 {
+				if key&c.mask == c.value&c.mask {
 					next = c.next
 					break
 				}
+			} else if key == c.value {
+				next = c.next
+				break
 			}
-		} else {
-			next = st.next
 		}
 		switch next {
 		case stateAccept:
@@ -255,9 +263,11 @@ func (m *machine) parse(p *cprog, data []byte) error {
 }
 
 // deparseInto emits valid headers (extraction order, then program
-// order) plus payload, appending into scratch[:0]. The caller owns
-// scratch and must not pass a buffer aliasing the input packet (the
-// payload is copied from it); a nil scratch allocates exact-sized.
+// order) plus payload into scratch[:0]. The caller owns scratch and
+// must not pass a buffer aliasing the input packet (the payload is
+// copied from it); a nil scratch allocates exact-sized. The buffer is
+// sized once and written by offset: fixed-width big-endian stores for
+// byte-aligned headers, the reference bit-packing loop for the rest.
 func (m *machine) deparseInto(p *cprog, scratch []byte) []byte {
 	m.emitOrd = m.emitOrd[:0]
 	size := 0
@@ -275,18 +285,43 @@ func (m *machine) deparseInto(p *cprog, scratch []byte) []byte {
 			size += p.headers[hi].nbytes
 		}
 	}
+	total := size + len(m.payload)
 	out := scratch[:0]
-	if cap(out) < size+len(m.payload) {
-		out = make([]byte, 0, size+len(m.payload))
+	if cap(out) < total {
+		out = make([]byte, 0, total)
 	}
+	out = out[:total]
+	f := m.frame
+	at := 0
 	for _, hi := range m.emitOrd {
 		h := &p.headers[hi]
+		hdr := out[at : at+h.nbytes]
+		at += h.nbytes
 		if h.allAligned {
-			for fi := range h.fields {
-				f := &h.fields[fi]
-				v := m.frame[f.slot].wrapped()
-				for i := f.nbytes - 1; i >= 0; i-- {
-					out = append(out, byte(v>>(8*uint(i))))
+			for i := range h.plan {
+				x := &h.plan[i]
+				switch x.kind {
+				case f1:
+					for j := int32(0); j < x.run; j++ {
+						hdr[x.off+j] = byte(f[x.slot+j].v)
+					}
+				case f2:
+					for j := int32(0); j < x.run; j++ {
+						binary.BigEndian.PutUint16(hdr[x.off+2*j:], uint16(f[x.slot+j].v))
+					}
+				case f4:
+					for j := int32(0); j < x.run; j++ {
+						binary.BigEndian.PutUint32(hdr[x.off+4*j:], uint32(f[x.slot+j].v))
+					}
+				case f8:
+					for j := int32(0); j < x.run; j++ {
+						binary.BigEndian.PutUint64(hdr[x.off+8*j:], f[x.slot+j].v)
+					}
+				default:
+					v := f[x.slot].v
+					for i := x.nbytes - 1; i >= 0; i-- {
+						hdr[x.off+x.nbytes-1-i] = byte(v >> (8 * uint(i)))
+					}
 				}
 			}
 			continue
@@ -294,25 +329,27 @@ func (m *machine) deparseInto(p *cprog, scratch []byte) []byte {
 		// Bit-packing path, byte-for-byte the reference emit loop:
 		// full bytes flush, a trailing partial byte is dropped.
 		var cur uint64
-		curBits := 0
-		for fi := range h.fields {
-			f := &h.fields[fi]
-			v := m.frame[f.slot]
-			remaining := f.bits
+		curBits, n := 0, 0
+		for i := range h.fields {
+			x := &h.fields[i]
+			v := f[x.slot].v
+			remaining := int(x.bits)
 			for remaining > 0 {
 				take := 8 - curBits
 				if take > remaining {
 					take = remaining
 				}
-				cur = cur<<uint(take) | (v.wrapped()>>uint(remaining-take))&((1<<uint(take))-1)
+				cur = cur<<uint(take) | (v>>uint(remaining-take))&((1<<uint(take))-1)
 				curBits += take
 				remaining -= take
 				if curBits == 8 {
-					out = append(out, byte(cur))
+					hdr[n] = byte(cur)
+					n++
 					cur, curBits = 0, 0
 				}
 			}
 		}
 	}
-	return append(out, m.payload...)
+	copy(out[at:], m.payload)
+	return out
 }

@@ -1,10 +1,12 @@
 package bmv2
 
 // ops.go holds the operator semantics of the P4 subset as a table of
-// pure functions over typed vals. Both engines — the reference
-// tree-walker's evalBin/eval and the compiled engine's closure trees —
-// dispatch through this single table, so arithmetic behavior cannot
-// diverge between them.
+// pure functions over typed vals. The reference tree-walker's
+// evalBin/eval and the compiled engine's un-specialized opcodes
+// dispatch through this single table; the compiled engine's
+// width-static opcodes (instr.go) restate the common operators for
+// operands of known width and are pinned to this table by the
+// expression differential fuzzer.
 
 // maskOf returns the value mask of a width (bits<=0 or >=64: full).
 func maskOf(bits int) uint64 {

@@ -16,6 +16,10 @@ package bmv2
 // observes either the pre-batch or the post-batch rules of every table
 // — never a mix (the transactional guarantee of Switch.Write).
 //
+// A table's keys are a plan, not closures: the slot each key value
+// sits in (with its static width, when it has one), after a small code
+// block for key expressions that are more than a field or a cast.
+//
 // Exact tables are updated incrementally: their snapshot holds a
 // persistent map (pmap.go), so applying a one-entry delta costs
 // O(log n) path copies instead of an O(table) rebuild. LPM and linear
@@ -46,10 +50,10 @@ const maxExactKeys = 4
 type centry struct {
 	e        *p4.Entry
 	act      *caction // nil for NoAction / missing action call
-	args     []val
-	unknown  string // non-empty: action name that failed to resolve
-	eligible bool   // len(e.Keys) matches the table's key count
-	plen     int    // clamped prefix length (LPM sort key)
+	args     []uint64
+	unknown  bool // the entry's action name failed to resolve
+	eligible bool // len(e.Keys) matches the table's key count
+	plen     int  // clamped prefix length (LPM sort key)
 }
 
 // tsnap is one immutable published matcher state. Everything the data
@@ -69,8 +73,9 @@ type tsnap struct {
 	dd     *fdd     // decision diagram over ents (fdd.go); nil = walk/scan
 
 	defAct     *caction
-	defArgs    []val
-	defUnknown string
+	defArgs    []uint64
+	defUnknown bool   // the default action name failed to resolve
+	defName    string // its name, for the error text
 
 	owner *powner // batch that may still edit this snapshot
 }
@@ -97,14 +102,18 @@ type generation struct {
 
 // ctable is a compiled match-action table.
 type ctable struct {
-	name   string
-	sw     *Switch
-	ctl    *cctl
-	t      *p4.Table
-	keyFns []evalFn
-	kinds  []p4.MatchKind
-	kind   tkind
-	gslot  int // index of this table's snapshot in a generation
+	name string
+	sw   *Switch
+	ctl  *cctl
+	t    *p4.Table
+	// Key plan: keyCode evaluates the key expressions that are more
+	// than a field or a cast of one (empty otherwise); keys then names
+	// the slot each key value sits in and, when static, its width.
+	keyCode span
+	keys    []tkey
+	kinds   []p4.MatchKind
+	kind    tkind
+	gslot   int // index of this table's snapshot in a generation
 
 	// kbits/kstatic: statically inferred key widths (fdd.go). The
 	// decision diagram is built only when every key width is static.
@@ -116,22 +125,37 @@ type ctable struct {
 	builds uint64
 }
 
-// table compiles the static shape of one table (key closures at
+// tkey is one table key operand.
+type tkey struct {
+	slot int32
+	bits int32 // static width, or -1: the slot's run-time width
+}
+
+// table compiles the static shape of one table (key plan at
 // apply-level scope, matcher choice). Entries are materialized later
 // by build, once action instances exist.
 func (cc *compiler) table(ctl *cctl, t *p4.Table) (*ctable, error) {
 	tb := &ctable{name: t.Name, sw: cc.s, ctl: ctl, t: t, kstatic: true}
-	for _, k := range t.Keys {
-		f, err := cc.expr(ctl.c, nil, k.Expr)
-		if err != nil {
-			return nil, err
-		}
-		tb.keyFns = append(tb.keyFns, f)
-		tb.kinds = append(tb.kinds, k.Match)
-		kb, ok := cc.staticBits(k.Expr)
-		tb.kbits = append(tb.kbits, kb)
-		tb.kstatic = tb.kstatic && ok
+	tb.keyCode.start = cc.here()
+	exprs := make([]p4.Expr, len(t.Keys))
+	for i, k := range t.Keys {
+		exprs[i] = k.Expr
 	}
+	keys, err := cc.operands(ctl.c, nil, exprs)
+	if err != nil {
+		return nil, err
+	}
+	for i, o := range keys {
+		tk := tkey{slot: o.slot, bits: -1}
+		if o.static {
+			tk.bits = int32(o.bits)
+		}
+		tb.keys = append(tb.keys, tk)
+		tb.kinds = append(tb.kinds, t.Keys[i].Match)
+		tb.kbits = append(tb.kbits, o.bits)
+		tb.kstatic = tb.kstatic && o.static
+	}
+	tb.keyCode.end = cc.here()
 	switch {
 	case len(t.Keys) >= 1 && len(t.Keys) <= maxExactKeys && t.AllExact():
 		tb.kind = tExact
@@ -166,7 +190,7 @@ func tupleOfVals(vals []uint64) [maxExactKeys]uint64 {
 // compileEntry resolves one entry against the control's apply-level
 // action instances.
 func (tb *ctable) compileEntry(e *p4.Entry) centry {
-	ce := centry{e: e, eligible: len(e.Keys) == len(tb.keyFns)}
+	ce := centry{e: e, eligible: len(e.Keys) == len(tb.keys)}
 	if tb.kind == tLPM && ce.eligible {
 		plen := e.Keys[0].PrefixLen
 		if plen < 0 {
@@ -177,12 +201,9 @@ func (tb *ctable) compileEntry(e *p4.Entry) centry {
 	if e.Action != nil && e.Action.Name != "NoAction" {
 		a := tb.ctl.actions[e.Action.Name]
 		if a == nil {
-			ce.unknown = e.Action.Name
+			ce.unknown = true
 		} else {
-			ce.act = a
-			for _, v := range e.Action.Args {
-				ce.args = append(ce.args, val{v, 64})
-			}
+			ce.act, ce.args = a, e.Action.Args
 		}
 	}
 	return ce
@@ -190,16 +211,13 @@ func (tb *ctable) compileEntry(e *p4.Entry) centry {
 
 // compileDefault resolves the table's current default action into sn.
 func (tb *ctable) compileDefault(sn *tsnap) {
-	sn.defAct, sn.defArgs, sn.defUnknown = nil, nil, ""
+	sn.defAct, sn.defArgs, sn.defUnknown, sn.defName = nil, nil, false, ""
 	if d := tb.t.Default; d != nil && d.Name != "NoAction" {
 		a := tb.ctl.actions[d.Name]
 		if a == nil {
-			sn.defUnknown = d.Name
+			sn.defUnknown, sn.defName = true, d.Name
 		} else {
-			sn.defAct = a
-			for _, v := range d.Args {
-				sn.defArgs = append(sn.defArgs, val{v, 64})
-			}
+			sn.defAct, sn.defArgs = a, d.Args
 		}
 	}
 }
@@ -299,7 +317,7 @@ func (tb *ctable) deltaDelete(old *tsnap, keyVals []uint64, o *powner) *tsnap {
 	if tb.kind != tExact {
 		return nil
 	}
-	if len(keyVals) != len(tb.keyFns) {
+	if len(keyVals) != len(tb.keys) {
 		return old // arity mismatch only ever hits ineligible entries
 	}
 	t := tupleOfVals(keyVals)
@@ -339,27 +357,36 @@ func (tb *ctable) deltaDefault(old *tsnap) *tsnap {
 // reading the matcher snapshot pinned in the machine's generation.
 func (tb *ctable) apply(m *machine) (bool, error) {
 	sn := m.gen.snaps[tb.gslot]
-	keys := m.keys[:0]
-	for _, kf := range tb.keyFns {
-		keys = append(keys, kf(m))
+	if tb.keyCode.end > tb.keyCode.start {
+		// Key expressions fold their own errors; nothing surfaces here.
+		if err := m.exec(tb.keyCode.start, tb.keyCode.end); err != nil {
+			return false, err
+		}
 	}
-	m.keys = keys
 
 	var ce *centry
-	switch tb.kind {
-	case tExact:
+	if tb.kind == tExact {
 		var tk [maxExactKeys]uint64
-		for i := range keys {
-			tk[i] = keys[i].wrapped()
+		for i, k := range tb.keys {
+			tk[i] = m.frame[k.slot].v
 		}
 		ce = pget(sn.pm, phash(tk), tk)
-	default:
+	} else {
+		keys := m.keys[:0]
+		for _, k := range tb.keys {
+			v := m.frame[k.slot]
+			if k.bits >= 0 {
+				v.bits = int(k.bits)
+			}
+			keys = append(keys, v)
+		}
+		m.keys = keys
 		authoritative := false
 		if sn.dd != nil {
 			ce, authoritative = sn.dd.match(keys, sn.ents)
 		}
 		if !authoritative && tb.kind == tLPM {
-			kval := keys[0].wrapped()
+			kval := keys[0].v
 			bits := keys[0].bits
 			for _, idx := range sn.lpmIdx {
 				e := &sn.ents[idx]
@@ -379,8 +406,8 @@ func (tb *ctable) apply(m *machine) (bool, error) {
 	}
 
 	if ce == nil {
-		if sn.defUnknown != "" {
-			return false, fmt.Errorf("unknown default action %q", sn.defUnknown)
+		if sn.defUnknown {
+			return false, fmt.Errorf("unknown default action %q", sn.defName)
 		}
 		if sn.defAct != nil {
 			if err := sn.defAct.invoke(m, sn.defArgs); err != nil {
@@ -389,8 +416,8 @@ func (tb *ctable) apply(m *machine) (bool, error) {
 		}
 		return false, nil
 	}
-	if ce.unknown != "" {
-		return false, fmt.Errorf("unknown action %q", ce.unknown)
+	if ce.unknown {
+		return false, fmt.Errorf("unknown action %q", ce.e.Action.Name)
 	}
 	if ce.act != nil {
 		if err := ce.act.invoke(m, ce.args); err != nil {
@@ -416,7 +443,7 @@ func (tb *ctable) scan(sn *tsnap, keys []val) *centry {
 		score := 0
 		for ki := range ce.e.Keys {
 			kv := &ce.e.Keys[ki]
-			kval := keys[ki].wrapped()
+			kval := keys[ki].v
 			switch tb.kinds[ki] {
 			case p4.MatchExact:
 				if kval != kv.Value {
