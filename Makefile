@@ -12,7 +12,10 @@
 # sweep over multi-tier fabrics (goodput and top-tier ingress bytes at
 # 1/2/3 tiers, partition-invariance pinned), bench-churn the four
 # production-churn timelines (crash/failover, re-election, hot-key
-# churn, rolling reconfig) scored against SLOs. bench-e2e is the
+# churn, rolling reconfig) scored against SLOs. fuzz-smoke runs the
+# two native fuzz targets (netsim's event-queue differential, runtime's
+# Pack/Unpack round trip) for 20 s each from their checked-in corpora
+# (testdata/fuzz); a failing input is written there. bench-e2e is the
 # repository's benchmark (BENCHMARK.json, bench/README.md): every
 # workload, every end-to-end metric; bench-pair is the paired
 # comparison a performance claim rests on — the working tree against
@@ -20,7 +23,7 @@
 
 GO ?= go
 
-.PHONY: all tier1 tier2 race bench bench-e2e bench-pair bench-reliability bench-loadgen bench-host bench-ctrl bench-netsim bench-netsim-smoke bench-fabric bench-fabric-smoke bench-churn bench-churn-smoke examples clean
+.PHONY: all tier1 tier2 race fuzz-smoke bench bench-e2e bench-pair bench-reliability bench-loadgen bench-host bench-ctrl bench-netsim bench-netsim-smoke bench-fabric bench-fabric-smoke bench-churn bench-churn-smoke examples clean
 
 all: tier1
 
@@ -31,6 +34,13 @@ tier2: race
 
 race:
 	$(GO) vet ./... && $(GO) test -race ./...
+
+# A short -fuzzminimizetime keeps the 20 s on new inputs: by default
+# the fuzzer may spend a minute shrinking each one that adds coverage.
+FUZZTIME ?= 20s
+fuzz-smoke:
+	$(GO) test ./internal/netsim -run '^$$' -fuzz '^FuzzEventQueueOrder$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/runtime -run '^$$' -fuzz '^FuzzPackUnpackRoundTrip$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 
 bench:
 	$(GO) test -run TestCompiledBurstAllocs -v ./internal/bmv2

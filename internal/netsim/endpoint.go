@@ -70,12 +70,16 @@ func (t simTransport) SendBatch(msgs [][]byte) error {
 }
 
 // Recv pops the inbox, running the simulator forward until a message
-// arrives or simulated time reaches the deadline.
+// arrives or simulated time reaches the deadline. The whole pump is one
+// ExecWall interval, not one per event.
 func (t simTransport) Recv(timeout time.Duration) ([]byte, error) {
 	ep := t.ep
 	deadline := ep.n.Now() + Time(timeout)
+	if len(ep.inbox) == 0 {
+		defer ep.n.addWall(time.Now())
+	}
 	for len(ep.inbox) == 0 {
-		ran, err := ep.n.StepNext(deadline)
+		ran, err := ep.n.step(deadline)
 		if err != nil {
 			ep.err = err
 			return nil, err

@@ -240,19 +240,23 @@ func (n *Network) RunParallel(until Time) error {
 		// Global next-event time.
 		t := Time(math.Inf(1))
 		for _, p := range n.parts {
-			if len(p.sim.q) > 0 && p.sim.q[0].at < t {
-				t = p.sim.q[0].at
+			if at, ok := p.sim.nextAt(); ok && at < t {
+				t = at
 			}
 		}
 		if math.IsInf(float64(t), 1) || (until > 0 && t > until) {
 			break
 		}
 		wEnd := t + n.lookahead
+		// A partition may spend all that is left of the event budget in its
+		// window; the sum after the barrier reports the overrun.
+		left := n.limit() - min(n.limit(), n.TotalProcessed())
 		for _, p := range n.parts {
+			limit := p.sim.Processed + left
 			wg.Add(1)
 			go func(p *part) {
 				defer wg.Done()
-				p.sim.runWindow(wEnd, until)
+				p.sim.runWindow(wEnd, until, limit)
 			}(p)
 		}
 		wg.Wait()
@@ -269,6 +273,11 @@ func (n *Network) RunParallel(until Time) error {
 					dst.sim.postAbs(box[i])
 				}
 				src.outbox[di] = box[:0]
+			}
+		}
+		for _, p := range n.parts {
+			if p.sim.bad != nil {
+				return p.sim.bad
 			}
 		}
 		if n.MaxEvents > 0 && n.TotalProcessed() > n.MaxEvents {
