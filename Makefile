@@ -13,8 +13,9 @@
 # 1/2/3 tiers, partition-invariance pinned), bench-churn the four
 # production-churn timelines (crash/failover, re-election, hot-key
 # churn, rolling reconfig) scored against SLOs. fuzz-smoke runs the
-# two native fuzz targets (netsim's event-queue differential, runtime's
-# Pack/Unpack round trip) for 20 s each from their checked-in corpora
+# three native fuzz targets (netsim's event-queue differential,
+# runtime's Pack/Unpack round trip and its UDP_GRO control-message
+# parser) for 20 s each from their checked-in corpora
 # (testdata/fuzz); a failing input is written there. bench-e2e is the
 # repository's benchmark (BENCHMARK.json, bench/README.md): every
 # workload, every end-to-end metric; bench-pair is the paired
@@ -41,6 +42,7 @@ FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test ./internal/netsim -run '^$$' -fuzz '^FuzzEventQueueOrder$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/runtime -run '^$$' -fuzz '^FuzzPackUnpackRoundTrip$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/runtime -run '^$$' -fuzz '^FuzzGROControl$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 
 bench:
 	$(GO) test -run TestCompiledBurstAllocs -v ./internal/bmv2

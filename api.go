@@ -195,22 +195,6 @@ func Dial(cfg DialConfig) (*HostConn, error) {
 	return runtime.Dial(cfg)
 }
 
-// ServeUDPDevice starts a device process on a UDP address.
-//
-// Deprecated: use ServeDevice with a DeviceConfig, which also carries
-// the fault-injection knobs.
-func ServeUDPDevice(id uint16, addr string, prog *p4.Program) (*UDPDevice, error) {
-	return runtime.ServeUDPDevice(id, addr, prog)
-}
-
-// DialUDP opens a host endpoint targeting a device address.
-//
-// Deprecated: use Dial with a DialConfig, which also carries the
-// reliability knobs.
-func DialUDP(id uint16, local, device string) (*HostConn, error) {
-	return runtime.DialUDP(id, local, device)
-}
-
 // Evaluation applications (§VII), exposed for examples and tools.
 type (
 	// App is one of the paper's evaluation applications.

@@ -3,6 +3,7 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -15,10 +16,16 @@ import (
 // keeps a sliding window of up to Window unacknowledged messages in
 // flight over the same Transport and the same wire trailer. Pending
 // sends live in a fixed per-seq slot table serviced by a single
-// retransmission pass sharing one timer: each entry keeps its own
-// exponential backoff and retry budget, due entries are resent
-// together (batched when the transport supports it), and the earliest
-// deadline bounds how long the channel blocks in the transport.
+// service pass sharing one timer: each entry keeps its own exponential
+// backoff and retry budget, and the earliest deadline bounds how long
+// the channel blocks in the transport. That pass is the one place a
+// message is sent: admitting stages it, and the pass a pump runs before
+// it waits sends what was staged and what is due for retransmission as
+// one batch — a window fill is one SendBatch, a stop-and-wait Call still
+// one send and one receive. A read that carries several messages is
+// dispatched whole before the pump looks at its condition again, so a
+// caller working through a window's replies re-admits a window's worth
+// before anything is sent (DESIGN.md §9).
 //
 // Three completion styles cover the host-side protocols:
 //
@@ -63,6 +70,7 @@ type ChannelConfig struct {
 // ChannelStats counts channel events. All counters are cumulative.
 type ChannelStats struct {
 	Sent         uint64 // entries admitted to the window
+	Flushes      uint64 // transport send operations of the service pass; Sent/Flushes is the batch size
 	Retransmits  uint64 // timeout-driven resends
 	Timeouts     uint64 // per-entry attempt expiries
 	Completed    uint64 // entries completed successfully
@@ -86,13 +94,13 @@ const (
 // pendEntry is one window slot.
 type pendEntry struct {
 	used     bool
+	staged   bool // admitted, not yet transmitted
 	kind     uint8
 	seq      uint32
 	token    uint64
-	buf      *[]byte // pooled backing store, held until completion
-	msg      []byte  // trailered wire message (aliases *buf)
-	sentAt   time.Duration
-	deadline time.Duration // next retransmission due
+	buf      *[]byte       // pooled backing store, held until completion
+	msg      []byte        // trailered wire message (aliases *buf)
+	deadline time.Duration // next retransmission due (set at first transmission)
 	per      time.Duration // current per-attempt timeout
 	attempts int           // retransmissions so far
 	p        *Pending      // completion observer (Call/SendReliable)
@@ -112,7 +120,7 @@ type Pending struct {
 type Channel struct {
 	t    Transport
 	bt   BatchTransport // non-nil when t batches sends
-	br   BufRecver      // non-nil when t receives into caller buffers
+	br   BatchRecver    // non-nil when a read of t may carry several messages
 	cfg  ChannelConfig
 	rcfg ReliabilityConfig
 
@@ -126,8 +134,9 @@ type Channel struct {
 	sticky   error // first retry-budget failure, returned by Recv/Drain
 	stats    ChannelStats
 
-	scratch []byte   // BufRecver receive buffer (pump-owned)
-	sendq   [][]byte // retransmission batch staging
+	staged []*pendEntry // admitted since the last service pass, in order
+	sendq  [][]byte     // the service pass's batch
+	one    [1][]byte    // a single-message receive as a read of one
 
 	gaugeInFlight *metrics.Gauge
 	gaugeRetrans  *metrics.Gauge
@@ -160,10 +169,7 @@ func NewChannel(t Transport, cfg ChannelConfig) *Channel {
 		gaugeRetrans:  set.Gauge(cfg.Name + ".retransmits"),
 	}
 	c.bt, _ = t.(BatchTransport)
-	if br, ok := t.(BufRecver); ok {
-		c.br = br
-		c.scratch = make([]byte, 65536)
-	}
+	c.br, _ = t.(BatchRecver)
 	return c
 }
 
@@ -185,8 +191,8 @@ func (c *Channel) Err() error {
 	return c.sticky
 }
 
-// Close abandons pending entries and releases their buffers. Pendings
-// still being waited on observe ErrWindowClosed.
+// Close abandons pending entries, sent or still staged, and releases
+// their buffers. Pendings still being waited on observe ErrWindowClosed.
 func (c *Channel) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -194,10 +200,11 @@ func (c *Channel) Close() error {
 		return nil
 	}
 	c.closed = true
+	now := c.t.Now()
 	for i := range c.ents {
 		e := &c.ents[i]
 		if e.used {
-			c.finishLocked(e, nil, ErrWindowClosed)
+			c.finishLocked(e, nil, ErrWindowClosed, now)
 		}
 	}
 	return nil
@@ -205,7 +212,7 @@ func (c *Channel) Close() error {
 
 // admit blocks (pumping the channel) until a window slot is free, then
 // fills it with msg plus a fresh seq trailer in a pooled buffer and
-// transmits it. The caller keeps ownership of msg.
+// stages it for the next service pass. The caller keeps msg.
 func (c *Channel) admit(kind uint8, token uint64, flags uint8, msg []byte, p *Pending) error {
 	err := c.pump(0, func() bool { return c.inFlight < len(c.ents) })
 	if err != nil {
@@ -231,16 +238,11 @@ func (c *Channel) admit(kind uint8, token uint64, flags uint8, msg []byte, p *Pe
 	wireMsg := append(*buf, msg...)
 	wireMsg = wire.Seq{Seq: c.seq, Flags: flags}.AppendTo(wireMsg)
 	*buf = wireMsg
-	now := c.t.Now()
 	*e = pendEntry{
-		used: true, kind: kind, seq: c.seq, token: token,
-		buf: buf, msg: wireMsg,
-		sentAt: now, per: c.rcfg.Timeout, deadline: now + c.rcfg.Timeout,
-		p: p,
+		used: true, staged: true, kind: kind, seq: c.seq, token: token,
+		buf: buf, msg: wireMsg, per: c.rcfg.Timeout, p: p,
 	}
-	if p != nil {
-		p.sentAt = now
-	}
+	c.staged = append(c.staged, e)
 	c.inFlight++
 	c.stats.Sent++
 	c.stats.InFlight = c.inFlight
@@ -248,7 +250,7 @@ func (c *Channel) admit(kind uint8, token uint64, flags uint8, msg []byte, p *Pe
 		c.stats.PeakInFlight = c.inFlight
 	}
 	c.gaugeInFlight.Add(1)
-	return c.t.Send(wireMsg)
+	return nil
 }
 
 // CallAsync admits msg to the window as a request and returns its
@@ -297,7 +299,7 @@ func (c *Channel) Complete(token uint64) bool {
 	for i := range c.ents {
 		e := &c.ents[i]
 		if e.used && e.kind == entryPost && e.token == token {
-			c.finishLocked(e, nil, nil)
+			c.finishLocked(e, nil, nil, 0) // no Pending to time
 			return true
 		}
 	}
@@ -384,40 +386,38 @@ const externalPoll = time.Millisecond
 // loops re-check their deadline at this granularity.
 const idlePoll = 100 * time.Millisecond
 
-// pump drives the channel until cond holds (checked under the lock):
-// due retransmissions are sent, inbound messages dispatched, and the
-// transport wait bounded by the earliest pending deadline. deadline 0
-// means no caller deadline.
+// pump drives the channel until cond holds (checked under the lock).
+// Each pass runs the service pass, waits in the transport, bounded by
+// the earliest pending deadline, and dispatches every message of the
+// read it got before looking at cond again; the transport clock is read
+// once per pass. deadline 0 means no caller deadline.
 func (c *Channel) pump(deadline time.Duration, cond func() bool) error {
-	for {
-		c.mu.Lock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for now := time.Duration(-1); ; {
 		if cond() {
-			c.mu.Unlock()
 			return nil
 		}
 		if c.closed {
-			c.mu.Unlock()
 			return ErrChannelClosed
 		}
-		now := c.t.Now()
+		if now < 0 {
+			now = c.t.Now()
+		}
 		next, hasPost, err := c.serviceLocked(now)
-		// The retransmission pass may itself satisfy the condition (an
-		// entry failing its budget completes it) — re-check before
-		// blocking in the transport.
-		done := cond()
-		c.mu.Unlock()
 		if err != nil {
 			return err
 		}
-		if done {
+		// The service pass may itself satisfy the condition (an entry
+		// failing its budget completes it) — re-check before blocking.
+		if cond() {
 			return nil
 		}
-		// The transport wait: bounded by the caller deadline, the next
-		// retransmission, and the polling caps.
-		now = c.t.Now()
 		if deadline > 0 && now >= deadline {
 			return ErrTimeout
 		}
+		// The transport wait: bounded by the caller deadline, the next
+		// retransmission, and the polling caps.
 		wait := idlePoll
 		if hasPost && externalPoll < wait {
 			wait = externalPoll
@@ -431,35 +431,51 @@ func (c *Channel) pump(deadline time.Duration, cond func() bool) error {
 		if wait <= 0 {
 			wait = time.Microsecond
 		}
-		m, owned, err := c.recv(wait)
-		if err != nil {
-			if IsTimeout(err) {
-				continue
+		c.mu.Unlock()
+		msgs, owned, err := c.recv(wait)
+		now = c.t.Now()
+		c.mu.Lock()
+		switch {
+		case err == nil:
+			for _, m := range msgs {
+				c.dispatchLocked(m, owned, now)
 			}
+		case err == errBadRead:
+			c.stats.Stray++
+		case !IsTimeout(err):
 			return err
 		}
-		c.dispatch(m, owned)
 	}
 }
 
-// recv pulls one raw message; owned reports whether the caller may
-// retain it (scratch-backed receives must be copied before they
+// recv pulls one read's raw messages; owned reports whether the channel
+// may retain them (transport-backed ones must be copied before they
 // escape).
-func (c *Channel) recv(timeout time.Duration) ([]byte, bool, error) {
+func (c *Channel) recv(timeout time.Duration) ([][]byte, bool, error) {
 	if c.br != nil {
-		m, err := c.br.RecvBuf(c.scratch, timeout)
-		return m, false, err
+		msgs, err := c.br.RecvBatch(timeout)
+		return msgs, false, err
 	}
 	m, err := c.t.Recv(timeout)
-	return m, true, err
+	c.one[0] = m
+	return c.one[:], true, err
 }
 
-// serviceLocked runs the single retransmission pass: every due entry
-// backs off and resends (batched), entries over budget fail. It
-// returns the earliest pending deadline (0 when the window is empty)
+// serviceLocked is the single send pass: staged entries are armed and
+// transmitted for the first time, every due entry backs off and
+// resends, entries over budget fail, and it all leaves as one batch.
+// It returns the earliest pending deadline (0 when the window is empty)
 // and whether any application-completed entries remain.
 func (c *Channel) serviceLocked(now time.Duration) (next time.Duration, hasPost bool, err error) {
 	batch := c.sendq[:0]
+	for _, e := range c.staged {
+		e.staged, e.deadline = false, now+e.per
+		if e.p != nil {
+			e.p.sentAt = now
+		}
+		batch = append(batch, e.msg)
+	}
+	c.staged = c.staged[:0]
 	for i := range c.ents {
 		e := &c.ents[i]
 		if !e.used {
@@ -469,7 +485,7 @@ func (c *Channel) serviceLocked(now time.Duration) (next time.Duration, hasPost 
 			c.stats.Timeouts++
 			if e.attempts >= c.rcfg.MaxRetries {
 				c.finishLocked(e, nil, fmt.Errorf("%w (seq %d, %d attempts)",
-					ErrRetryBudget, e.seq, e.attempts+1))
+					ErrRetryBudget, e.seq, e.attempts+1), now)
 				continue
 			}
 			e.attempts++
@@ -479,13 +495,11 @@ func (c *Channel) serviceLocked(now time.Duration) (next time.Duration, hasPost 
 			c.gaugeRetrans.Add(1)
 			batch = append(batch, e.msg)
 		}
-		if e.used {
-			if next == 0 || e.deadline < next {
-				next = e.deadline
-			}
-			if e.kind == entryPost {
-				hasPost = true
-			}
+		if next == 0 || e.deadline < next {
+			next = e.deadline
+		}
+		if e.kind == entryPost {
+			hasPost = true
 		}
 	}
 	c.sendq = batch[:0]
@@ -493,9 +507,11 @@ func (c *Channel) serviceLocked(now time.Duration) (next time.Duration, hasPost 
 		return next, hasPost, nil
 	}
 	if c.bt != nil {
+		c.stats.Flushes++
 		return next, hasPost, c.bt.SendBatch(batch)
 	}
 	for _, m := range batch {
+		c.stats.Flushes++
 		if err := c.t.Send(m); err != nil {
 			return next, hasPost, err
 		}
@@ -503,14 +519,12 @@ func (c *Channel) serviceLocked(now time.Duration) (next time.Duration, hasPost 
 	return next, hasPost, nil
 }
 
-// dispatch routes one inbound message: acks complete ack entries,
+// dispatchLocked routes one inbound message: acks complete ack entries,
 // seq-matched responses complete call entries, WantAck traffic is
 // acknowledged, duplicates are suppressed, and everything else is
 // delivered to the inbox. owned marks messages the channel may retain
 // without copying.
-func (c *Channel) dispatch(m []byte, owned bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+func (c *Channel) dispatchLocked(m []byte, owned bool, now time.Duration) {
 	body, sq, ok := wire.ParseSeq(m)
 	if !ok {
 		// Untrailered traffic passes through to the application.
@@ -520,7 +534,7 @@ func (c *Channel) dispatch(m []byte, owned bool) {
 	if sq.Flags&wire.SeqFlagAck != 0 {
 		c.stats.AcksReceived++
 		if e := c.entryLocked(sq.Seq); e != nil && e.kind == entryAck {
-			c.finishLocked(e, nil, nil)
+			c.finishLocked(e, nil, nil, now)
 		}
 		return
 	}
@@ -539,7 +553,7 @@ func (c *Channel) dispatch(m []byte, owned bool) {
 		if !owned {
 			resp = append(make([]byte, 0, len(body)), body...)
 		}
-		c.finishLocked(e, resp, nil)
+		c.finishLocked(e, resp, nil, now)
 		return
 	}
 	if len(body) >= wire.HeaderBytes && c.observeLocked(body, sq.Seq) {
@@ -589,9 +603,10 @@ func (c *Channel) ackLocked(body []byte, seq uint32) {
 	}
 }
 
-// finishLocked resolves an entry: the pooled send buffer recycles, the
-// slot frees, and any Pending observes the outcome.
-func (c *Channel) finishLocked(e *pendEntry, resp []byte, err error) {
+// finishLocked resolves an entry at time now: the pooled send buffer
+// recycles, the slot frees (a staged entry is never sent), and any
+// Pending observes the outcome.
+func (c *Channel) finishLocked(e *pendEntry, resp []byte, err error, now time.Duration) {
 	if err != nil {
 		c.stats.Failures++
 		if c.sticky == nil && !errors.Is(err, ErrWindowClosed) {
@@ -604,7 +619,11 @@ func (c *Channel) finishLocked(e *pendEntry, resp []byte, err error) {
 		p.done = true
 		p.err = err
 		p.resp = resp
-		p.doneAt = c.t.Now()
+		p.doneAt = now
+	}
+	if e.staged {
+		i := slices.Index(c.staged, e)
+		c.staged = slices.Delete(c.staged, i, i+1)
 	}
 	PutBuf(e.buf)
 	*e = pendEntry{}

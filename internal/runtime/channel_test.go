@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -9,11 +10,44 @@ import (
 	"netcl/internal/wire"
 )
 
-// fakeBatchTransport is fakeTransport plus the batching extension, so
-// tests can observe retransmission batches.
+// fakeBatchTransport is fakeTransport plus both batching extensions, so
+// tests can observe what leaves in one send operation and hand the
+// channel a read that carries several messages.
 type fakeBatchTransport struct {
 	fakeTransport
 	batches [][]int // sizes of each SendBatch call
+}
+
+// RecvBatch returns the whole inbox as one read.
+func (f *fakeBatchTransport) RecvBatch(timeout time.Duration) ([][]byte, error) {
+	if err := f.readErr; err != nil {
+		f.readErr = nil
+		return nil, err
+	}
+	if len(f.inbox) == 0 {
+		f.now += timeout
+		return nil, ErrTimeout
+	}
+	f.now += time.Microsecond
+	msgs := f.inbox
+	f.inbox = nil
+	return msgs, nil
+}
+
+// sizes flattens the recorded batch sizes.
+func (f *fakeBatchTransport) sizes() []int {
+	var out []int
+	for _, b := range f.batches {
+		out = append(out, b[0])
+	}
+	return out
+}
+
+// echoBatchTransport reflects every message back, like echoTransport.
+func echoBatchTransport() *fakeBatchTransport {
+	ft := &fakeBatchTransport{}
+	ft.onSend = func(f *fakeTransport, msg []byte) { f.inbox = append(f.inbox, msg) }
+	return ft
 }
 
 func (f *fakeBatchTransport) SendBatch(msgs [][]byte) error {
@@ -285,17 +319,11 @@ func TestChannelBatchedRetransmits(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Advance past the shared deadline: all three retransmit as one
-	// batch (initial transmissions go out individually from admit).
+	// The first pass sends the three staged messages as one batch; past
+	// the shared deadline all three retransmit as one more.
 	ch.Drain(0)
-	found := false
-	for _, b := range ft.batches {
-		if b[0] == 3 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("no 3-message retransmission batch; batches %v", ft.batches)
+	if got := ft.sizes(); !slices.Equal(got, []int{3, 3}) {
+		t.Errorf("batches %v, want [3 3]", got)
 	}
 	if st := ch.Stats(); st.Retransmits != 3 {
 		t.Errorf("stats %+v", st)
@@ -351,5 +379,148 @@ func TestChannelGauges(t *testing.T) {
 	}
 	if g.Peak() < 1 || g.Peak() > 3 {
 		t.Errorf("in-flight peak %d, want within (0,3]", g.Peak())
+	}
+}
+
+// TestChannelWindowFillIsOneFlush: admitting stages; the service pass of
+// the first pumping call sends the whole window as one SendBatch.
+func TestChannelWindowFillIsOneFlush(t *testing.T) {
+	ft := echoBatchTransport()
+	ch := NewChannel(ft, ChannelConfig{Window: 8})
+	defer ch.Close()
+	pend := make([]*Pending, 8)
+	for i := range pend {
+		var err error
+		if pend[i], err = ch.CallAsync(testMsg(1, 2, byte(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ft.sends != 0 {
+		t.Fatalf("%d messages sent by admit alone", ft.sends)
+	}
+	for i, p := range pend {
+		if resp, err := p.Wait(0); err != nil || resp[wire.HeaderBytes] != byte(i) {
+			t.Fatalf("call %d: %x %v", i, resp, err)
+		}
+	}
+	if got := ft.sizes(); !slices.Equal(got, []int{8}) {
+		t.Errorf("batches %v, want one of 8", got)
+	}
+	if st := ch.Stats(); st.Sent != 8 || st.Flushes != 1 {
+		t.Errorf("stats %+v, want Sent 8 in 1 flush", st)
+	}
+}
+
+// TestChannelCallIsOneMessagePerFlush: stop-and-wait pays no batching
+// delay — every Call is one send of one message, then one receive.
+func TestChannelCallIsOneMessagePerFlush(t *testing.T) {
+	ft := echoBatchTransport()
+	ch := NewChannel(ft, ChannelConfig{Window: 1})
+	defer ch.Close()
+	for i := 0; i < 5; i++ {
+		if _, err := ch.Call(testMsg(1, 2, byte(i)), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := ft.sizes(); !slices.Equal(got, []int{1, 1, 1, 1, 1}) {
+		t.Errorf("batches %v, want five of 1", got)
+	}
+}
+
+// TestChannelReadDispatchedWholeBeforeFlush pins the batch size of the
+// closed-loop ring (wait for the oldest, admit one more): the k replies
+// of one read complete k entries before the pump looks at its condition
+// again, so the k re-admissions that follow are staged while the later
+// Waits return at once, and leave together. A pump that returned after
+// the first reply of a read would send batches of one.
+func TestChannelReadDispatchedWholeBeforeFlush(t *testing.T) {
+	const window, rounds = 4, 3
+	ft := echoBatchTransport()
+	ch := NewChannel(ft, ChannelConfig{Window: window})
+	defer ch.Close()
+	ring := make([]*Pending, window)
+	for i := 0; i < (rounds+1)*window; i++ {
+		if p := ring[i%window]; p != nil {
+			if _, err := p.Wait(0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if i < rounds*window {
+			var err error
+			if ring[i%window], err = ch.CallAsync(testMsg(1, 2, byte(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := ft.sizes(); !slices.Equal(got, []int{window, window, window}) {
+		t.Errorf("batches %v, want %d of %d", got, rounds, window)
+	}
+}
+
+// TestChannelCloseReleasesStaged: entries admitted but never sent are
+// abandoned like any other, and nothing of them is sent afterwards.
+func TestChannelCloseReleasesStaged(t *testing.T) {
+	ft := &fakeBatchTransport{}
+	ch := NewChannel(ft, ChannelConfig{Window: 4})
+	p, err := ch.CallAsync(testMsg(1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ch.Post(9, testMsg(1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	ch.Close()
+	if _, err := p.Wait(0); !errors.Is(err, ErrWindowClosed) {
+		t.Errorf("staged call after Close: %v", err)
+	}
+	if st := ch.Stats(); st.InFlight != 0 || st.Failures != 2 || len(ch.staged) != 0 {
+		t.Errorf("stats %+v, %d staged", st, len(ch.staged))
+	}
+	if ft.sends != 0 {
+		t.Errorf("%d messages sent", ft.sends)
+	}
+}
+
+// TestChannelCompleteBeforeFlush: a posted entry completed before any
+// pump ran is never sent, and its slot is reusable at once.
+func TestChannelCompleteBeforeFlush(t *testing.T) {
+	ft := &fakeBatchTransport{}
+	ch := NewChannel(ft, ChannelConfig{Window: 2})
+	defer ch.Close()
+	for i := 0; i < 10; i++ {
+		if err := ch.Post(uint64(i), testMsg(1, 2, byte(i))); err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 0 && !ch.Complete(uint64(i)) {
+			t.Fatalf("token %d not pending", i)
+		}
+		if i%2 == 1 {
+			if err := ch.Post(100, testMsg(1, 2, 0xFF)); err != nil {
+				t.Fatal(err)
+			}
+			ch.Complete(uint64(i))
+			ch.Complete(100)
+		}
+	}
+	if err := ch.Drain(0); err != nil {
+		t.Fatal(err)
+	}
+	if len(ch.staged) != 0 || ft.sends != 0 {
+		t.Errorf("%d staged, %d sent, want none", len(ch.staged), ft.sends)
+	}
+}
+
+// TestChannelBadReadIsStray: a read the transport refuses to split is
+// counted and the pump carries on to the reply behind it.
+func TestChannelBadReadIsStray(t *testing.T) {
+	ft := echoBatchTransport()
+	ft.readErr = errBadRead
+	ch := NewChannel(ft, ChannelConfig{Window: 1})
+	defer ch.Close()
+	if _, err := ch.Call(testMsg(1, 2, 7), 0); err != nil {
+		t.Fatal(err)
+	}
+	if st := ch.Stats(); st.Stray != 1 || st.Completed != 1 {
+		t.Errorf("stats %+v", st)
 	}
 }

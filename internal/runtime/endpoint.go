@@ -37,22 +37,22 @@ type Transport interface {
 }
 
 // BatchTransport is an optional Transport extension: SendBatch
-// transmits several messages in one operation. The simulator amortizes
-// the per-send host processing cost over the batch; the UDP backend
-// bursts the datagrams through one writer pass. Senders with more than
-// one message due (a window fill, a retransmission sweep) use it when
-// available.
+// transmits several messages, in order, as one operation. The simulator
+// pays the per-send host processing cost once for the batch; the UDP
+// backend writes each run of equal-length messages as one segmented
+// datagram (one kernel crossing; see segConn). The Channel sends what
+// was admitted since its last pass and what is due again together.
 type BatchTransport interface {
 	SendBatch(msgs [][]byte) error
 }
 
-// BufRecver is an optional Transport extension for allocation-free
-// receiving: the datagram lands in buf (which must be large enough for
-// the transport's MTU) and the returned slice aliases it. Callers that
-// own a scratch buffer — the Channel's pump is single-threaded by
-// design — avoid the per-datagram allocation of Recv.
-type BufRecver interface {
-	RecvBuf(buf []byte, timeout time.Duration) ([]byte, error)
+// BatchRecver is an optional Transport extension: RecvBatch waits up to
+// timeout for one read of the transport and returns every message it
+// carried, in arrival order. The slices alias transport-owned memory
+// until the next receive: the Channel's pump, single-threaded by
+// design, dispatches the whole read and copies only what it keeps.
+type BatchRecver interface {
+	RecvBatch(timeout time.Duration) ([][]byte, error)
 }
 
 // SendTo packs and sends a message over any endpoint (ncl::pack +

@@ -198,6 +198,10 @@ func (r *Reliability) confirm(t Transport, req []byte, seq uint32, timeout time.
 				break
 			}
 			m, err := t.Recv(rem)
+			if err == errBadRead {
+				r.stats.strayMessages.Add(1)
+				continue
+			}
 			if err != nil {
 				if IsTimeout(err) {
 					break
@@ -264,6 +268,10 @@ func (r *Reliability) Recv(t Transport, timeout time.Duration) ([]byte, error) {
 			}
 		}
 		m, err := t.Recv(rem)
+		if err == errBadRead {
+			r.stats.strayMessages.Add(1)
+			continue
+		}
 		if err != nil {
 			return nil, err
 		}

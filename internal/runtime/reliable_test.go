@@ -17,6 +17,8 @@ type fakeTransport struct {
 	inbox  [][]byte
 	onSend func(f *fakeTransport, msg []byte)
 	sends  int
+	// readErr is returned once by the next receive.
+	readErr error
 }
 
 func (f *fakeTransport) Send(msg []byte) error {
@@ -28,6 +30,10 @@ func (f *fakeTransport) Send(msg []byte) error {
 }
 
 func (f *fakeTransport) Recv(timeout time.Duration) ([]byte, error) {
+	if err := f.readErr; err != nil {
+		f.readErr = nil
+		return nil, err
+	}
 	if len(f.inbox) == 0 {
 		f.now += timeout
 		return nil, ErrTimeout
@@ -197,5 +203,24 @@ func TestRecvPassthrough(t *testing.T) {
 	}
 	if string(got) != string(plain) {
 		t.Errorf("passthrough mangled: %x vs %x", got, plain)
+	}
+}
+
+// TestBadReadIsStrayNotFatal: a read the transport refuses to split is
+// counted; the call and the receive behind it carry on.
+func TestBadReadIsStrayNotFatal(t *testing.T) {
+	ft := echoTransport()
+	ft.readErr = errBadRead
+	r := NewReliability(ReliabilityConfig{Timeout: time.Millisecond})
+	if _, err := r.Call(ft, testMsg(1, 2, 7), 0); err != nil {
+		t.Fatal(err)
+	}
+	ft.readErr = errBadRead
+	ft.inbox = append(ft.inbox, testMsg(3, 1, 9))
+	if m, err := r.Recv(ft, time.Millisecond); err != nil || m[wire.HeaderBytes] != 9 {
+		t.Fatalf("recv: %x, %v", m, err)
+	}
+	if st := r.Stats(); st.StrayMessages != 2 {
+		t.Errorf("stats %+v, want 2 stray", st)
 	}
 }

@@ -320,7 +320,7 @@ func TestManagedTxnWriteCombining(t *testing.T) {
 }
 
 func TestHostConnTimeout(t *testing.T) {
-	h, err := DialUDP(1, "127.0.0.1:0", "127.0.0.1:9")
+	h, err := Dial(DialConfig{ID: 1, Local: "127.0.0.1:0", Device: "127.0.0.1:9"})
 	if err != nil {
 		t.Fatal(err)
 	}

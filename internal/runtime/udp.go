@@ -1,8 +1,10 @@
 package runtime
 
 import (
+	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,9 +17,10 @@ import (
 
 // UDPDevice runs a behavioral-model switch behind a real UDP socket:
 // the deployment analogue of the paper's UDP communication backend
-// (§VI-C). NetCL messages arrive as UDP payloads, are framed in place
-// inside pooled receive buffers, pushed through the P4 pipeline, and
-// forwarded to the UDP address of the next-hop node. With Workers > 1
+// (§VI-C). NetCL messages arrive as UDP payloads — all the datagrams
+// of one read at once (see segConn) — are framed, pushed through the P4
+// pipeline as one burst, and forwarded to the UDP address of the
+// next-hop node, a run to one address in one write. With Workers > 1
 // the pipeline is a flow-sharded worker pool (bmv2.Sharded) with
 // bounded queues: a full queue drops the datagram and counts it in
 // QueueFull, the UDP analogue of a line-rate device shedding load.
@@ -30,15 +33,22 @@ type UDPDevice struct {
 	mu      sync.Mutex
 	sw      *bmv2.Switch
 	sharded *bmv2.Sharded // nil when Workers <= 1 (serialized legacy path)
-	conn    *net.UDPConn
-	addrs   map[uint16]*net.UDPAddr
-	ports   map[string]int // source UDP address -> ingress port (node id)
+	sock    *segConn
+	addrs   map[uint16]netip.AddrPort
+	ports   map[netip.AddrPort]int // source UDP address -> ingress port (node id)
 	mcast   map[int][]uint16
-	done    chan struct{}
 	wg      sync.WaitGroup
 	faults  *faultInjector
 	paused  bool
 	bufs    sync.Pool
+
+	// One read's burst, reused (owner: the receive loop).
+	arena []byte
+	pkts  [][]byte
+	inPts []int
+	res   []bmv2.Result
+	errs  []error
+	outs  []outMsg // deparsed messages and where they go
 
 	// Counters are updated atomically; read them via Stats, or
 	// directly once the device is closed.
@@ -53,9 +63,15 @@ type UDPDevice struct {
 	FaultDuplicated uint64
 }
 
-// dbuf is a pooled datagram buffer: FrameOverhead bytes of headroom
-// for in-place framing plus a max-size UDP payload.
+// dbuf is a pooled datagram buffer (Workers > 1, where a packet
+// outlives the read): FrameOverhead bytes of headroom for in-place
+// framing plus a max-size UDP payload.
 type dbuf struct{ b []byte }
+
+type outMsg struct {
+	dst netip.AddrPort
+	msg []byte
+}
 
 // DeviceConfig parameterizes a UDP device process.
 type DeviceConfig struct {
@@ -96,11 +112,10 @@ func ServeDevice(cfg DeviceConfig) (*UDPDevice, error) {
 	d := &UDPDevice{
 		ID:     cfg.ID,
 		sw:     bmv2.New(cfg.Prog),
-		conn:   conn,
-		addrs:  map[uint16]*net.UDPAddr{},
-		ports:  map[string]int{},
+		sock:   newSegConn(conn),
+		addrs:  map[uint16]netip.AddrPort{},
+		ports:  map[netip.AddrPort]int{},
 		mcast:  map[int][]uint16{},
-		done:   make(chan struct{}),
 		faults: newFaultInjector(cfg.Faults),
 	}
 	d.bufs.New = func() any { return &dbuf{b: make([]byte, FrameOverhead+65536)} }
@@ -120,14 +135,6 @@ func ServeDevice(cfg DeviceConfig) (*UDPDevice, error) {
 	return d, nil
 }
 
-// ServeUDPDevice starts a device on a UDP address ("127.0.0.1:0").
-//
-// Deprecated: use ServeDevice with a DeviceConfig, which also carries
-// the fault-injection knobs.
-func ServeUDPDevice(id uint16, addr string, prog *p4.Program) (*UDPDevice, error) {
-	return ServeDevice(DeviceConfig{ID: id, Addr: addr, Prog: prog})
-}
-
 // Pause makes the device drop every datagram until Restart: the
 // chaos-testing analogue of a crashed or rebooting switch. Register
 // and table state is preserved across the outage.
@@ -145,13 +152,12 @@ func (d *UDPDevice) Restart() {
 }
 
 // Addr returns the device's UDP address.
-func (d *UDPDevice) Addr() string { return d.conn.LocalAddr().String() }
+func (d *UDPDevice) Addr() string { return d.sock.LocalAddr().String() }
 
 // Close stops the device: the receive loop exits, queued packets
 // drain, and the workers stop.
 func (d *UDPDevice) Close() error {
-	close(d.done)
-	err := d.conn.Close()
+	err := d.sock.Close()
 	d.wg.Wait()
 	if d.sharded != nil {
 		d.sharded.Close()
@@ -167,6 +173,11 @@ type DeviceStats struct {
 	FaultDropped    uint64
 	FaultDuplicated uint64
 	Workers         int
+	// Reads and Writes count socket operations: Processed/Reads is the
+	// burst size. Offload is "on" while they move whole runs (UDP_GRO /
+	// UDP_SEGMENT), else "off: " and the error that turned it off.
+	Reads, Writes uint64
+	Offload       string
 }
 
 // Stats snapshots the device counters (safe while traffic is flowing).
@@ -178,6 +189,9 @@ func (d *UDPDevice) Stats() DeviceStats {
 		FaultDropped:    atomic.LoadUint64(&d.FaultDropped),
 		FaultDuplicated: atomic.LoadUint64(&d.FaultDuplicated),
 		Workers:         1,
+		Reads:           d.sock.reads.Load(),
+		Writes:          d.sock.writes.Load(),
+		Offload:         d.sock.offload(),
 	}
 	if d.sharded != nil {
 		st.Workers = d.sharded.Shards()
@@ -193,12 +207,13 @@ func (d *UDPDevice) SetNodeAddr(id uint16, addr string) error {
 	if err != nil {
 		return err
 	}
+	ap := unmap(ua.AddrPort())
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.addrs[id] = ua
+	d.addrs[id] = ap
 	// Nodes send from the conn they registered, so the datagram source
 	// address identifies the sender: its id becomes the ingress port.
-	d.ports[ua.String()] = int(id)
+	d.ports[ap] = int(id)
 	return d.sw.InsertEntry("netcl_fwd", &p4.Entry{
 		Keys:   []p4.KeyValue{{Value: uint64(id), PrefixLen: -1}},
 		Action: &p4.ActionCall{Name: "set_port", Args: []uint64{uint64(id)}},
@@ -212,65 +227,113 @@ func (d *UDPDevice) SetMulticastGroup(gid int, members []uint16) {
 	d.mcast[gid] = append([]uint16(nil), members...)
 }
 
+// unmap strips the IPv4-in-IPv6 form, so an address compares equal
+// whichever socket family reported it.
+func unmap(ap netip.AddrPort) netip.AddrPort {
+	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
+}
+
 func (d *UDPDevice) loop() {
 	defer d.wg.Done()
 	for {
-		db := d.bufs.Get().(*dbuf)
-		// Datagrams land at offset FrameOverhead so the encapsulation
-		// headers can be written in place: no per-packet allocation and
-		// no payload copy on the receive path.
-		n, raddr, err := d.conn.ReadFromUDP(db.b[FrameOverhead:])
-		if err != nil {
-			d.bufs.Put(db)
-			select {
-			case <-d.done:
-				return
-			default:
-				continue
-			}
+		segs, from, err := d.sock.read()
+		switch {
+		case err == nil:
+			d.receive(segs, unmap(from))
+		case err == errBadRead:
+			atomic.AddUint64(&d.Dropped, 1)
+		case errors.Is(err, net.ErrClosed): // Close, or the socket died
+			return
+		default: // not ours to fix, and not worth a core: look again shortly
+			time.Sleep(time.Millisecond)
 		}
-		pkt := FrameInPlace(db.b[:FrameOverhead+n], uint64(d.ID), 0)
-		d.mu.Lock()
-		paused := d.paused
-		inPort := 0
-		if raddr != nil {
-			inPort = d.ports[raddr.String()] // 0 when the sender is unregistered
-		}
-		d.mu.Unlock()
+	}
+}
+
+var frameRoom [FrameOverhead]byte
+
+// receive takes one read — k datagrams from one source, in order —
+// through pause and the ingress fault injector per datagram, and runs
+// the survivors as one burst or hands each to its flow's worker.
+func (d *UDPDevice) receive(segs [][]byte, from netip.AddrPort) {
+	d.mu.Lock()
+	paused := d.paused
+	inPort := d.ports[from] // 0 when the sender is unregistered
+	d.mu.Unlock()
+	arena, pkts := d.arena[:0], d.pkts[:0]
+	for _, seg := range segs {
 		if paused || d.faults.drop() {
 			atomic.AddUint64(&d.FaultDropped, 1)
-			d.bufs.Put(db)
 			continue
 		}
-		dup := d.faults.dup()
-		if dup {
+		copies := 1
+		if d.faults.dup() {
 			atomic.AddUint64(&d.FaultDuplicated, 1)
+			copies = 2
 		}
-		if d.sharded != nil {
-			if dup {
-				// The duplicate needs its own buffer: the original is
-				// released by its completion callback.
-				db2 := d.bufs.Get().(*dbuf)
-				pkt2 := db2.b[:len(pkt)]
-				copy(pkt2, pkt)
-				d.submit(pkt2, inPort, db2)
+		for ; copies > 0; copies-- {
+			if d.sharded != nil {
+				// The packet outlives this read: it is framed in a pooled
+				// buffer that its completion releases.
+				db := d.bufs.Get().(*dbuf)
+				n := FrameOverhead + copy(db.b[FrameOverhead:], seg)
+				d.submit(FrameInPlace(db.b[:n], uint64(d.ID), 0), inPort, db)
+				continue
 			}
-			d.submit(pkt, inPort, db)
-			continue
+			// Growing the arena strands earlier frames in the old one,
+			// intact; a duplicate is framed twice.
+			at := len(arena)
+			arena = append(append(arena, frameRoom[:]...), seg...)
+			pkts = append(pkts, FrameInPlace(arena[at:], uint64(d.ID), 0))
 		}
-		d.processInline(pkt, inPort)
-		if dup {
-			d.processInline(pkt, inPort)
-		}
-		d.bufs.Put(db)
 	}
+	d.arena, d.pkts = arena, pkts
+	if len(pkts) == 0 {
+		return
+	}
+
+	// The serialized path (Workers <= 1): one d.mu hold runs the burst
+	// and resolves where each output goes, ordered with control-plane
+	// calls; the outputs then leave in order, coalesced.
+	if n := len(pkts); len(d.res) < n {
+		d.res, d.errs, d.inPts = make([]bmv2.Result, n), make([]error, n), make([]int, n)
+	}
+	ports := d.inPts[:len(pkts)]
+	for i := range ports {
+		ports[i] = inPort
+	}
+	outs := d.outs[:0]
+	d.mu.Lock()
+	d.sw.ProcessBurst(pkts, ports, d.res, d.errs)
+	for i := range pkts {
+		outs = d.routeLocked(outs, &d.res[i], d.errs[i])
+	}
+	d.mu.Unlock()
+	d.outs = outs
+	for _, o := range outs {
+		if d.faults.drop() {
+			atomic.AddUint64(&d.FaultDropped, 1)
+		} else {
+			_ = d.sock.queue(o.dst, o.msg) // a refused datagram is a lost one: the hosts retransmit
+		}
+	}
+	_ = d.sock.flush()
 }
 
 // submit hands a framed packet to its flow's worker; a full queue
 // sheds the packet (open-loop backpressure).
 func (d *UDPDevice) submit(pkt []byte, inPort int, db *dbuf) {
 	ok := d.sharded.SubmitPort(pkt, inPort, func(res *bmv2.Result, err error) {
-		d.emit(res, err)
+		d.mu.Lock()
+		outs := d.routeLocked(nil, res, err)
+		d.mu.Unlock()
+		for _, o := range outs {
+			if d.faults.drop() {
+				atomic.AddUint64(&d.FaultDropped, 1)
+			} else {
+				_ = d.sock.write1(o.dst, o.msg) // a refused datagram is a lost one: the hosts retransmit
+			}
+		}
 		d.bufs.Put(db)
 	})
 	if !ok {
@@ -280,53 +343,30 @@ func (d *UDPDevice) submit(pkt []byte, inPort int, db *dbuf) {
 	}
 }
 
-// processInline is the serialized path (Workers <= 1): processing
-// holds d.mu, preserving the seed behavior of one packet at a time,
-// strictly ordered with control-plane calls.
-func (d *UDPDevice) processInline(pkt []byte, inPort int) {
-	d.mu.Lock()
-	res, err := d.sw.Process(pkt, inPort)
-	d.mu.Unlock()
-	d.emit(res, err)
-}
-
-// emit counts one processed packet and forwards its output, if any.
-// Safe from any worker goroutine: the maps are read under d.mu and
-// net.UDPConn writes are concurrency-safe.
-func (d *UDPDevice) emit(res *bmv2.Result, err error) {
+// routeLocked counts one processed packet and appends its message to
+// outs per destination; one that goes nowhere counts in Dropped.
+func (d *UDPDevice) routeLocked(outs []outMsg, res *bmv2.Result, err error) []outMsg {
 	atomic.AddUint64(&d.Processed, 1)
-	if err != nil || res.Dropped {
-		atomic.AddUint64(&d.Dropped, 1)
-		return
+	n := len(outs)
+	msg, ok := []byte(nil), err == nil && !res.Dropped
+	if ok {
+		msg, ok = Deframe(res.Data)
 	}
-	out, ok := Deframe(res.Data)
-	if !ok {
-		atomic.AddUint64(&d.Dropped, 1)
-		return
-	}
-	var dests []*net.UDPAddr
-	d.mu.Lock()
-	if res.Mcast != 0 {
-		for _, m := range d.mcast[res.Mcast] {
-			if a := d.addrs[m]; a != nil {
-				dests = append(dests, a)
+	if ok {
+		ids := d.mcast[res.Mcast]
+		if res.Mcast == 0 {
+			ids = []uint16{uint16(res.Port)}
+		}
+		for _, id := range ids {
+			if a, ok := d.addrs[id]; ok {
+				outs = append(outs, outMsg{a, msg})
 			}
 		}
-	} else if a := d.addrs[uint16(res.Port)]; a != nil {
-		dests = append(dests, a)
 	}
-	d.mu.Unlock()
-	if len(dests) == 0 {
+	if len(outs) == n {
 		atomic.AddUint64(&d.Dropped, 1)
-		return
 	}
-	for _, a := range dests {
-		if d.faults.drop() {
-			atomic.AddUint64(&d.FaultDropped, 1)
-			continue
-		}
-		d.conn.WriteToUDP(out, a)
-	}
+	return outs
 }
 
 // Control-plane Client implementation. On the serialized path every
@@ -405,10 +445,15 @@ func (d *UDPDevice) DeleteEntry(table string, keys ...uint64) (int, error) {
 // the reliability protocol (seq, retransmit, backoff).
 type HostConn struct {
 	ID     uint16
-	conn   *net.UDPConn
-	device *net.UDPAddr
+	sock   *segConn
+	device netip.AddrPort
 	rel    *Reliability
 	start  time.Time
+
+	wmu   sync.Mutex // SendBatch: the socket's run
+	rmu   sync.Mutex // recv: the socket's read buffer and:
+	pend  [][]byte   // datagrams of the last read not yet handed out
+	timed bool       // a read deadline is set on the socket
 }
 
 // DialConfig parameterizes a host endpoint.
@@ -430,75 +475,91 @@ func Dial(cfg DialConfig) (*HostConn, error) {
 	if err != nil {
 		return nil, err
 	}
+	da, err := net.ResolveUDPAddr("udp", cfg.Device)
+	if err != nil {
+		return nil, err
+	}
 	conn, err := net.ListenUDP("udp", la)
 	if err != nil {
 		return nil, err
 	}
-	da, err := net.ResolveUDPAddr("udp", cfg.Device)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
 	return &HostConn{
-		ID: cfg.ID, conn: conn, device: da,
+		ID: cfg.ID, sock: newSegConn(conn), device: unmap(da.AddrPort()),
 		rel: NewReliability(cfg.Reliability), start: time.Now(),
 	}, nil
 }
 
-// DialUDP opens a host endpoint bound to local, targeting the device.
-//
-// Deprecated: use Dial with a DialConfig, which also carries the
-// reliability knobs.
-func DialUDP(id uint16, local, device string) (*HostConn, error) {
-	return Dial(DialConfig{ID: id, Local: local, Device: device})
-}
-
 // Addr returns the host's UDP address.
-func (h *HostConn) Addr() string { return h.conn.LocalAddr().String() }
+func (h *HostConn) Addr() string { return h.sock.LocalAddr().String() }
 
 // Close releases the socket.
-func (h *HostConn) Close() error { return h.conn.Close() }
+func (h *HostConn) Close() error { return h.sock.Close() }
 
 // Stats returns the endpoint's reliability counters.
 func (h *HostConn) Stats() RelStats { return h.rel.Stats() }
 
-// hostTransport adapts the raw socket to the reliability layer.
+// hostTransport adapts the socket to the reliability layer and the
+// Channel.
 type hostTransport struct{ h *HostConn }
 
-func (t hostTransport) Send(msg []byte) error {
-	_, err := t.h.conn.WriteToUDP(msg, t.h.device)
-	return err
-}
+func (t hostTransport) Send(msg []byte) error { return t.h.sock.write1(t.h.device, msg) }
 
-func (t hostTransport) Recv(timeout time.Duration) ([]byte, error) {
-	return t.RecvBuf(make([]byte, 65536), timeout)
-}
-
-// RecvBuf receives one datagram into the caller's buffer (the
-// allocation-free path; see BufRecver).
-func (t hostTransport) RecvBuf(buf []byte, timeout time.Duration) ([]byte, error) {
-	if timeout > 0 {
-		if err := t.h.conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
-			return nil, err
-		}
-	}
-	n, _, err := t.h.conn.ReadFromUDP(buf)
-	if err != nil {
-		return nil, err
-	}
-	return buf[:n], nil
-}
-
-// SendBatch bursts several datagrams to the device in one writer
-// pass: one deadline-free loop over the socket, amortizing the
-// per-send interface dispatch of the retransmission sweep.
+// SendBatch writes msgs to the device in order, each run of
+// equal-length messages as one segmented datagram (see segConn.queue).
 func (t hostTransport) SendBatch(msgs [][]byte) error {
+	h := t.h
+	h.wmu.Lock()
+	defer h.wmu.Unlock()
 	for _, m := range msgs {
-		if _, err := t.h.conn.WriteToUDP(m, t.h.device); err != nil {
+		if err := h.sock.queue(h.device, m); err != nil {
 			return err
 		}
 	}
-	return nil
+	return h.sock.flush()
+}
+
+// recv hands out the datagrams of the last read — all of them, or just
+// the next — first waiting up to timeout (0: until something arrives)
+// for a read when none is left. They alias the socket's buffer. The
+// socket's deadline is touched only to set one or to clear a stale one.
+func (h *HostConn) recv(timeout time.Duration, all bool) (msgs [][]byte, err error) {
+	h.rmu.Lock()
+	defer h.rmu.Unlock()
+	if len(h.pend) == 0 {
+		if timeout > 0 || h.timed {
+			var at time.Time
+			if timeout > 0 {
+				at = time.Now().Add(timeout)
+			}
+			if err := h.sock.SetReadDeadline(at); err != nil {
+				return nil, err
+			}
+			h.timed = timeout > 0
+		}
+		if h.pend, _, err = h.sock.read(); err != nil {
+			return nil, err
+		}
+	}
+	n := 1
+	if all {
+		n = len(h.pend)
+	}
+	msgs, h.pend = h.pend[:n], h.pend[n:]
+	return msgs, nil
+}
+
+// Recv returns the next datagram in a buffer of its own.
+func (t hostTransport) Recv(timeout time.Duration) ([]byte, error) {
+	m, err := t.h.recv(timeout, false)
+	if err != nil {
+		return nil, err
+	}
+	return append([]byte(nil), m[0]...), nil
+}
+
+// RecvBatch returns every datagram of one read (see BatchRecver).
+func (t hostTransport) RecvBatch(timeout time.Duration) ([][]byte, error) {
+	return t.h.recv(timeout, true)
 }
 
 func (t hostTransport) Now() time.Duration { return time.Since(t.h.start) }

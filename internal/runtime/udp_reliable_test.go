@@ -14,7 +14,7 @@ import (
 // Compile-time check: both backends present the same Endpoint surface.
 var _ Endpoint = (*HostConn)(nil)
 
-func echoUDP(t *testing.T, faults FaultSpec) (*UDPDevice, *HostConn, *MessageSpec) {
+func echoUDP(t testing.TB, faults FaultSpec) (*UDPDevice, *HostConn, *MessageSpec) {
 	t.Helper()
 	prog, _, err := testutil.CompileOne(testutil.EchoKernel, passes.TargetTNA, 5)
 	if err != nil {

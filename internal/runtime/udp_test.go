@@ -18,13 +18,13 @@ func TestUDPDeviceEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev, err := ServeUDPDevice(5, "127.0.0.1:0", prog)
+	dev, err := ServeDevice(DeviceConfig{ID: 5, Addr: "127.0.0.1:0", Prog: prog})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dev.Close()
 
-	host, err := DialUDP(1, "127.0.0.1:0", dev.Addr())
+	host, err := Dial(DialConfig{ID: 1, Local: "127.0.0.1:0", Device: dev.Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,7 @@ func TestUDPDeviceWorkers(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make(chan error, hosts)
 	for h := 0; h < hosts; h++ {
-		host, err := DialUDP(uint16(1+h), "127.0.0.1:0", dev.Addr())
+		host, err := Dial(DialConfig{ID: uint16(1 + h), Local: "127.0.0.1:0", Device: dev.Addr()})
 		if err != nil {
 			t.Fatal(err)
 		}
