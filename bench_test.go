@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"netcl/internal/apps"
-	"netcl/internal/bmv2"
 	"netcl/internal/metrics"
 	"netcl/internal/p4c"
 	"netcl/internal/passes"
@@ -272,101 +271,4 @@ func BenchmarkInterpreterCachePacket(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// Interpreter hot path ---------------------------------------------------
-
-// BenchmarkInterpHotPath measures per-packet cost of both bmv2
-// engines on each evaluation app's packet stream (the nclbench -interp
-// comparison, as sub-benchmarks with allocation reporting).
-func BenchmarkInterpHotPath(b *testing.B) {
-	rows := []struct {
-		app    string
-		device uint16
-	}{{"AGG", 1}, {"CACHE", 1}, {"PACC", apps.PaxosAcceptor1}, {"CALC", 1}, {"ACL", 1}}
-	for _, r := range rows {
-		w, err := apps.NewInterpWorkload(r.app, r.device, 256)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, eng := range []struct {
-			name   string
-			engine bmv2.Engine
-		}{{"reference", bmv2.EngineReference}, {"compiled", bmv2.EngineCompiled}} {
-			b.Run(r.app+"/"+eng.name, func(b *testing.B) {
-				sw, err := w.Switch(eng.engine)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := w.Run(sw); err != nil {
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					pkt := w.Packets[i%len(w.Packets)]
-					if _, err := sw.Process(pkt, 1); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-		b.Run(r.app+"/compiled-burst32", func(b *testing.B) {
-			sw, err := w.Switch(bmv2.EngineCompiled)
-			if err != nil {
-				b.Fatal(err)
-			}
-			res := make([]bmv2.Result, bmv2.MaxBurst)
-			errs := make([]error, bmv2.MaxBurst)
-			if err := w.RunBurst(sw, bmv2.MaxBurst, res, errs); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i += len(w.Packets) {
-				if err := w.RunBurst(sw, bmv2.MaxBurst, res, errs); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkHostSendPath measures the channel send path (pooled pack +
-// post + complete over a null transport) — the `make bench-host`
-// counterpart of the BENCH_hostpath.json sweep. Run with -benchmem:
-// the steady state must stay allocation-free.
-func BenchmarkHostSendPath(b *testing.B) {
-	send, closeFn, err := apps.HostpathSender()
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer closeFn()
-	for i := 0; i < 64; i++ { // warm the buffer pool
-		if err := send(i); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := send(i); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// TestHostSendPathAllocs is the tier-2 allocation gate: the channel
-// send path must average at most 2 heap allocations per message (the
-// pooled steady state is 0; the bound leaves headroom for pool
-// refills under GC pressure).
-func TestHostSendPathAllocs(t *testing.T) {
-	allocs, err := apps.HostpathSendAllocs(8192)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if allocs > 2 {
-		t.Errorf("channel send path allocates %.2f allocs/msg, want <= 2", allocs)
-	}
-	t.Logf("send path: %.3f allocs/msg", allocs)
 }

@@ -1,65 +1,10 @@
 // Command nclbench regenerates every table and figure of the paper's
 // evaluation (§VII) and prints them in one report; EXPERIMENTS.md is a
-// recorded run of this tool.
-//
-// With -reliability it instead runs the goodput-under-loss sweep (the
-// AGG workload at several seeded loss rates) and writes the result as
-// JSON:
-//
-//	nclbench -reliability -out BENCH_reliability.json
-//
-// With -interp it benchmarks the bmv2 interpreter hot path — the
-// compiled slot-indexed engine against the reference tree-walker on
-// each evaluation app — plus the netsim event-engine counters:
-//
-//	nclbench -interp -out BENCH_interp.json
-//
-// With -loadgen it sweeps the flow-sharded data plane over shard
-// counts {1,2,4,8} under the many-pool AGG workload, verifying
-// per-flow results against a single-shard replay at every point:
-//
-//	nclbench -loadgen -out BENCH_loadgen.json
-//
-// With -hostpath it sweeps the pipelined host channel over window
-// sizes {1,4,16,64} on the simulated network (deterministic simulated
-// time) and probes send-path allocations:
-//
-//	nclbench -hostpath -out BENCH_hostpath.json
-//
-// With -ctrl it benchmarks the transactional control plane — batched
-// write throughput against single-op CRUD on a 100k-entry table
-// (in-process and over TCP), and data-path p99 while the control plane
-// storms:
-//
-//	nclbench -ctrl -out BENCH_ctrl.json
-//
-// With -netsim it sweeps the partitioned network simulator over host
-// counts {10k, 100k, 1M} × partition counts {1, 2, 4} under the
-// chained-AGG scale scenario (-smoke restricts to the quick 10k-host
-// CI variant):
-//
-//	nclbench -netsim -out BENCH_netsim.json
-//
-// With -fabric it sweeps hierarchical in-network aggregation over
-// multi-tier fabrics — tiers {1,2,3} × worker counts — reporting
-// aggregate goodput and top-tier ingress bytes, and pinning the
-// partitioned runs (k ∈ {2,4}) to the serial delivery hash chain
-// (-smoke restricts the sweep for CI):
-//
-//	nclbench -fabric -out BENCH_fabric.json
-//
-// With -churn it runs the four production-churn timelines — aggregator
-// crash with pool-state failover, coordinator re-election, hot-key
-// churn, rolling reconfig — under live load, scored against SLOs and
-// pinned to the serial hash chain under partitioned execution
-// (-smoke shrinks every scenario for CI):
-//
-//	nclbench -churn -out BENCH_churn.json
+// recorded run of this tool. It takes no flags: performance is
+// measured by the repository's benchmark (bench/README.md).
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
 
@@ -67,147 +12,10 @@ import (
 )
 
 func main() {
-	var (
-		reliability = flag.Bool("reliability", false, "run the goodput-under-loss sweep instead of the paper report")
-		interp      = flag.Bool("interp", false, "benchmark the interpreter hot path instead of the paper report")
-		loadgen     = flag.Bool("loadgen", false, "sweep the flow-sharded data plane over shard counts")
-		hostpath    = flag.Bool("hostpath", false, "sweep the pipelined host channel over window sizes")
-		ctrl        = flag.Bool("ctrl", false, "benchmark the transactional control plane")
-		netsim      = flag.Bool("netsim", false, "sweep the partitioned network simulator over host counts")
-		fabric      = flag.Bool("fabric", false, "sweep hierarchical aggregation over multi-tier fabrics")
-		churn       = flag.Bool("churn", false, "run the production-churn timeline scenarios under SLO")
-		smoke       = flag.Bool("smoke", false, "netsim/fabric/churn: quick CI variant")
-		out         = flag.String("out", "", "output JSON path (default BENCH_<mode>.json)")
-		workers     = flag.Int("workers", 4, "reliability: AGG workers")
-		chunks      = flag.Int("chunks", 48, "reliability: chunks per worker")
-		seed        = flag.Int64("seed", 1, "reliability: fault-injection seed")
-		pkts        = flag.Int("pkts", 20000, "interp: packets per app per engine")
-		flowPkts    = flag.Int("flowpkts", 256, "loadgen: packets per flow")
-		ops         = flag.Int("ops", 512, "hostpath: CALC calls per window size")
-		updates     = flag.Int("updates", 4000, "ctrl: CRUD ops per (transport, mode) point")
-	)
-	flag.Parse()
-
-	if *churn {
-		if *out == "" {
-			*out = "BENCH_churn.json"
-		}
-		rep, err := netcl.BenchChurn(*smoke)
-		check(err)
-		data, err := json.MarshalIndent(rep, "", "  ")
-		check(err)
-		check(os.WriteFile(*out, append(data, '\n'), 0o644))
-		fmt.Print(netcl.FormatChurn(rep))
-		fmt.Println("wrote", *out)
-		return
-	}
-
-	if *fabric {
-		if *out == "" {
-			*out = "BENCH_fabric.json"
-		}
-		rep, err := netcl.BenchFabric(*smoke)
-		check(err)
-		data, err := json.MarshalIndent(rep, "", "  ")
-		check(err)
-		check(os.WriteFile(*out, append(data, '\n'), 0o644))
-		fmt.Print(netcl.FormatFabric(rep))
-		fmt.Println("wrote", *out)
-		return
-	}
-
-	if *netsim {
-		if *out == "" {
-			*out = "BENCH_netsim.json"
-		}
-		rep, err := netcl.BenchNetsim(*smoke)
-		check(err)
-		data, err := json.MarshalIndent(rep, "", "  ")
-		check(err)
-		check(os.WriteFile(*out, append(data, '\n'), 0o644))
-		fmt.Print(netcl.FormatNetsim(rep))
-		fmt.Println("wrote", *out)
-		return
-	}
-
-	if *ctrl {
-		if *out == "" {
-			*out = "BENCH_ctrl.json"
-		}
-		rep, err := netcl.BenchCtrl(*updates)
-		check(err)
-		data, err := json.MarshalIndent(rep, "", "  ")
-		check(err)
-		check(os.WriteFile(*out, append(data, '\n'), 0o644))
-		fmt.Print(netcl.FormatCtrl(rep))
-		fmt.Println("wrote", *out)
-		return
-	}
-
-	if *hostpath {
-		if *out == "" {
-			*out = "BENCH_hostpath.json"
-		}
-		rep, err := netcl.BenchHostpath(*ops)
-		check(err)
-		data, err := json.MarshalIndent(rep, "", "  ")
-		check(err)
-		check(os.WriteFile(*out, append(data, '\n'), 0o644))
-		fmt.Print(netcl.FormatHostpath(rep))
-		fmt.Println("wrote", *out)
-		return
-	}
-
-	if *loadgen {
-		if *out == "" {
-			*out = "BENCH_loadgen.json"
-		}
-		rep, err := netcl.BenchLoadgen(*flowPkts)
-		check(err)
-		data, err := json.MarshalIndent(rep, "", "  ")
-		check(err)
-		check(os.WriteFile(*out, append(data, '\n'), 0o644))
-		fmt.Print(netcl.FormatLoadgen(rep))
-		fmt.Println("wrote", *out)
-		return
-	}
-
-	if *interp {
-		if *out == "" {
-			*out = "BENCH_interp.json"
-		}
-		rep, err := netcl.BenchInterp(*pkts)
-		check(err)
-		data, err := json.MarshalIndent(rep, "", "  ")
-		check(err)
-		check(os.WriteFile(*out, append(data, '\n'), 0o644))
-		fmt.Print(netcl.FormatInterp(rep))
-		fmt.Println("wrote", *out)
-		return
-	}
-
-	if *reliability {
-		if *out == "" {
-			*out = "BENCH_reliability.json"
-		}
-		rep, err := netcl.BenchReliability(nil, *workers, *chunks, *seed)
-		check(err)
-		data, err := json.MarshalIndent(rep, "", "  ")
-		check(err)
-		check(os.WriteFile(*out, append(data, '\n'), 0o644))
-		fmt.Print(netcl.FormatReliability(rep))
-		fmt.Println("wrote", *out)
-		return
-	}
-
 	report, err := netcl.FormatAll()
-	check(err)
-	fmt.Print(report)
-}
-
-func check(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "nclbench:", err)
 		os.Exit(1)
 	}
+	fmt.Print(report)
 }

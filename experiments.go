@@ -7,7 +7,6 @@ import (
 
 	"netcl/internal/apps"
 	"netcl/internal/metrics"
-	"netcl/internal/netsim"
 	"netcl/internal/p4"
 	"netcl/internal/p4c"
 	"netcl/internal/passes"
@@ -376,81 +375,6 @@ func Fig14Cache(cachedKeys []int, totalKeys, requests int) ([]Fig14CachePoint, e
 		})
 	}
 	return out, nil
-}
-
-// Reliability benchmark ------------------------------------------------------
-
-// ReliabilityPoint is one loss-rate sample of the AGG workload under
-// seeded fault injection: goodput (only completed slots count) and the
-// recovery counters.
-type ReliabilityPoint struct {
-	LossRate        float64 `json:"loss_rate"`
-	GoodputATE      float64 `json:"goodput_ate_per_worker"`
-	Completed       int     `json:"completed_slots"`
-	Retransmissions int     `json:"retransmissions"`
-	PacketsLost     uint64  `json:"packets_lost"`
-	Duplicates      int     `json:"duplicates"`
-	MeanChunkUs     float64 `json:"mean_chunk_us"`
-}
-
-// ReliabilityReport is the goodput-under-loss sweep emitted as
-// BENCH_reliability.json by `nclbench -reliability`.
-type ReliabilityReport struct {
-	Workers int                `json:"workers"`
-	Chunks  int                `json:"chunks"`
-	Seed    int64              `json:"seed"`
-	Points  []ReliabilityPoint `json:"points"`
-}
-
-// BenchReliability sweeps injected loss rates over the AGG workload on
-// the simulated network. The seed makes the whole sweep reproducible.
-func BenchReliability(lossRates []float64, workers, chunks int, seed int64) (*ReliabilityReport, error) {
-	if len(lossRates) == 0 {
-		lossRates = []float64{0, 0.001, 0.01, 0.05}
-	}
-	if workers <= 0 {
-		workers = 4
-	}
-	if chunks <= 0 {
-		chunks = 48
-	}
-	if seed == 0 {
-		seed = 1
-	}
-	rep := &ReliabilityReport{Workers: workers, Chunks: chunks, Seed: seed}
-	for _, lr := range lossRates {
-		res, err := apps.RunAgg(apps.AggConfig{
-			Workers: workers, Chunks: chunks, Window: 4, Target: passes.TargetTNA,
-			Faults: netsim.FaultConfig{LossRate: lr, Seed: seed},
-		})
-		if err != nil {
-			return nil, fmt.Errorf("loss %.3f: %w", lr, err)
-		}
-		rep.Points = append(rep.Points, ReliabilityPoint{
-			LossRate:        lr,
-			GoodputATE:      res.ATEPerWorker,
-			Completed:       res.Completed,
-			Retransmissions: res.Retransmissions,
-			PacketsLost:     res.PacketsLost,
-			Duplicates:      res.Duplicates,
-			MeanChunkUs:     res.MeanChunkNs / 1e3,
-		})
-	}
-	return rep, nil
-}
-
-// FormatReliability renders the sweep as text.
-func FormatReliability(rep *ReliabilityReport) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "RELIABILITY — AGG goodput under injected loss (%d workers, %d chunks, seed %d)\n",
-		rep.Workers, rep.Chunks, rep.Seed)
-	fmt.Fprintf(&b, "%-9s %14s %10s %12s %8s %8s %12s\n",
-		"LOSS", "GOODPUT(ATE/s)", "COMPLETED", "RETRANSMITS", "LOST", "DUPS", "CHUNK(µs)")
-	for _, p := range rep.Points {
-		fmt.Fprintf(&b, "%-9.3f %14.0f %10d %12d %8d %8d %12.1f\n",
-			p.LossRate, p.GoodputATE, p.Completed, p.Retransmissions, p.PacketsLost, p.Duplicates, p.MeanChunkUs)
-	}
-	return b.String()
 }
 
 // Report formatting -----------------------------------------------------

@@ -46,9 +46,7 @@ type ChurnConfig struct {
 	// Partitions arms partitioned execution (0 = serial).
 	Partitions int
 	// Trace enables delivery hash chains (the determinism witness).
-	Trace bool
-	// Smoke shrinks the run for CI.
-	Smoke  bool
+	Trace  bool
 	Target passes.Target
 }
 
@@ -136,9 +134,6 @@ func restoreBatch(snap map[string][]uint64) *bmv2.WriteBatch {
 func RunChurnAggFailover(cfg ChurnConfig) (*ChurnResult, error) {
 	cfg.defaults()
 	rounds := 40
-	if cfg.Smoke {
-		rounds = 14
-	}
 	const (
 		rootID      = 100
 		collectorID = 0xF000
@@ -448,9 +443,6 @@ const paxosStandby = 6
 func RunChurnPaxosReelect(cfg ChurnConfig) (*ChurnResult, error) {
 	cfg.defaults()
 	commands := 90
-	if cfg.Smoke {
-		commands = 30
-	}
 	app := ByName("PAXOS")
 	var specs map[uint8]*runtime.MessageSpec
 	prog := func(i int, id uint16) *p4.Program {
@@ -927,9 +919,6 @@ func (f *cacheChurnFabric) finishCacheRun(res *ChurnResult, eventStart, eventEnd
 func RunChurnCacheChurn(cfg ChurnConfig) (*ChurnResult, error) {
 	cfg.defaults()
 	perClient := 220
-	if cfg.Smoke {
-		perClient = 70
-	}
 	f, err := buildCacheChurnFabric(cfg.Target)
 	if err != nil {
 		return nil, err
@@ -1007,9 +996,6 @@ func RunChurnCacheChurn(cfg ChurnConfig) (*ChurnResult, error) {
 func RunChurnRolling(cfg ChurnConfig) (*ChurnResult, error) {
 	cfg.defaults()
 	perClient := 160
-	if cfg.Smoke {
-		perClient = 60
-	}
 	f, err := buildCacheChurnFabric(cfg.Target)
 	if err != nil {
 		return nil, err

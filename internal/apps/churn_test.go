@@ -18,11 +18,24 @@ import (
 	"netcl/internal/runtime"
 )
 
-func TestChurnAggFailover(t *testing.T) {
-	res, err := RunChurnAggFailover(ChurnConfig{Smoke: true})
+// runChurn runs one scenario at its one size and logs the result row,
+// so `go test -v` shows the numbers behind the assertions.
+func runChurn(t *testing.T, run func(ChurnConfig) (*ChurnResult, error)) *ChurnResult {
+	t.Helper()
+	res, err := run(ChurnConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	slo := res.SLO
+	t.Logf("%s: %d requests, %d completed, %d lost, %d errors; availability %.3f before / %.3f during / %.3f after; p99 during %.0f ns, recovery %.1f µs",
+		res.Name, res.Requests, res.Completed, res.Lost, res.Errors,
+		slo.BaselineAvailability, slo.DuringAvailability, slo.AfterAvailability,
+		slo.During.P99Ns, slo.RecoveryNs/1000)
+	return res
+}
+
+func TestChurnAggFailover(t *testing.T) {
+	res := runChurn(t, RunChurnAggFailover)
 	if res.Errors != 0 {
 		t.Fatalf("failover corrupted %d rounds (pool state did not move)", res.Errors)
 	}
@@ -45,10 +58,7 @@ func TestChurnAggFailover(t *testing.T) {
 }
 
 func TestChurnPaxosReelect(t *testing.T) {
-	res, err := RunChurnPaxosReelect(ChurnConfig{Smoke: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runChurn(t, RunChurnPaxosReelect)
 	if res.Errors != 0 {
 		t.Fatalf("%d errors: duplicate instances or bad values (allocator did not move)", res.Errors)
 	}
@@ -64,10 +74,7 @@ func TestChurnPaxosReelect(t *testing.T) {
 }
 
 func TestChurnCacheChurn(t *testing.T) {
-	res, err := RunChurnCacheChurn(ChurnConfig{Smoke: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runChurn(t, RunChurnCacheChurn)
 	if res.Errors != 0 {
 		t.Fatalf("%d wrong values under churn", res.Errors)
 	}
@@ -87,10 +94,7 @@ func TestChurnCacheChurn(t *testing.T) {
 }
 
 func TestChurnRolling(t *testing.T) {
-	res, err := RunChurnRolling(ChurnConfig{Smoke: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runChurn(t, RunChurnRolling)
 	if res.Errors != 0 {
 		t.Fatalf("%d torn or stale responses during rolling reconfig", res.Errors)
 	}
@@ -118,7 +122,7 @@ func TestChurnPartitionIdentity(t *testing.T) {
 		{"agg-failover", RunChurnAggFailover},
 		{"cache-churn", RunChurnCacheChurn},
 	} {
-		serial, err := sc.run(ChurnConfig{Smoke: true, Trace: true})
+		serial, err := sc.run(ChurnConfig{Trace: true})
 		if err != nil {
 			t.Fatalf("%s serial: %v", sc.name, err)
 		}
@@ -126,7 +130,7 @@ func TestChurnPartitionIdentity(t *testing.T) {
 			t.Fatalf("%s: empty trace", sc.name)
 		}
 		for _, k := range []int{2, 4} {
-			got, err := sc.run(ChurnConfig{Smoke: true, Trace: true, Partitions: k})
+			got, err := sc.run(ChurnConfig{Trace: true, Partitions: k})
 			if err != nil {
 				t.Fatalf("%s k=%d: %v", sc.name, k, err)
 			}

@@ -98,6 +98,14 @@ type AggConfig struct {
 	RetryBudget int
 }
 
+// SimStats reports the netsim event-engine counters of one end-to-end
+// run.
+type SimStats struct {
+	Events       uint64  `json:"events"`
+	PeakQueue    int     `json:"peak_queue"`
+	EventsPerSec float64 `json:"events_per_sec"`
+}
+
 // AggResult reports aggregation throughput.
 type AggResult struct {
 	// ATEPerWorker is aggregated tensor elements per second per worker

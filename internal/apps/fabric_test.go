@@ -5,36 +5,52 @@ import (
 )
 
 func TestFabricAggTiers(t *testing.T) {
-	// 16 workers, every tier depth: all rounds complete with correct
-	// sums, and each added aggregation tier cuts the traffic entering
-	// the top tier by its fan-in.
-	byTier := map[int]*FabricAggResult{}
-	for _, tiers := range []int{1, 2, 3} {
-		res, err := RunFabricAgg(FabricAggConfig{Tiers: tiers, Rounds: 4})
-		if err != nil {
-			t.Fatalf("tiers=%d: %v", tiers, err)
+	// 4 leaves of 2, 4 and 16 workers, every tier depth: all rounds
+	// complete with correct sums, and each added aggregation tier cuts
+	// the traffic entering the top tier by its fan-in. At 64 workers the
+	// flat placement is over its 16-bit contribution bitmap and must
+	// refuse; the hierarchy keeps going.
+	const leaves = 4
+	for _, perLeaf := range []int{2, 4, 16} {
+		byTier := map[int]*FabricAggResult{}
+		for _, tiers := range []int{1, 2, 3} {
+			res, err := RunFabricAgg(FabricAggConfig{Tiers: tiers, Leaves: leaves, WorkersPerLeaf: perLeaf, Rounds: 4})
+			if tiers == 1 && leaves*perLeaf > 16 {
+				if err == nil {
+					t.Fatalf("perLeaf=%d: flat placement accepted %d workers", perLeaf, leaves*perLeaf)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("perLeaf=%d tiers=%d: %v", perLeaf, tiers, err)
+			}
+			t.Logf("perLeaf=%d tiers=%d: %d workers, %d devices, %.0f elems/s, %d B into the top tier, %d events",
+				perLeaf, tiers, res.Workers, res.Devices, res.GoodputElems, res.RootIngressBytes, res.Events)
+			if res.Completed != res.Expected || res.Mismatches != 0 {
+				t.Fatalf("perLeaf=%d tiers=%d: %d/%d rounds completed, %d mismatches",
+					perLeaf, tiers, res.Completed, res.Expected, res.Mismatches)
+			}
+			if res.RootIngressBytes == 0 {
+				t.Fatalf("perLeaf=%d tiers=%d: no bytes entered the top tier", perLeaf, tiers)
+			}
+			byTier[tiers] = res
 		}
-		if res.Completed != res.Expected || res.Mismatches != 0 {
-			t.Fatalf("tiers=%d: %d/%d rounds completed, %d mismatches",
-				tiers, res.Completed, res.Expected, res.Mismatches)
+		// Flat: every worker packet converges on the root each round.
+		// Two-tier: the 4 leaves each forward one partial — a reduction
+		// in root-ingress traffic by the leaf fan-in at equal host count.
+		if flat := byTier[1]; flat != nil {
+			ratio := float64(flat.RootIngressBytes) / float64(byTier[2].RootIngressBytes)
+			fanin := float64(perLeaf)
+			if ratio < fanin*0.875 || ratio > fanin*1.125 {
+				t.Fatalf("perLeaf=%d: 2-tier root ingress reduction %.2f×, want ≈%.0f× (fan-in): flat=%d hier=%d",
+					perLeaf, ratio, fanin, flat.RootIngressBytes, byTier[2].RootIngressBytes)
+			}
 		}
-		if res.RootIngressBytes == 0 {
-			t.Fatalf("tiers=%d: no bytes entered the top tier", tiers)
+		// Three-tier: the 2 group switches each forward one partial.
+		if byTier[3].RootIngressBytes >= byTier[2].RootIngressBytes {
+			t.Fatalf("perLeaf=%d: 3-tier root ingress %d not below 2-tier %d",
+				perLeaf, byTier[3].RootIngressBytes, byTier[2].RootIngressBytes)
 		}
-		byTier[tiers] = res
-	}
-	// Flat: 16 worker packets converge on the root per round. Two-tier:
-	// the 4 leaves each forward one partial — a 4× (= leaf fan-in)
-	// reduction in root-ingress traffic at equal host count.
-	ratio := float64(byTier[1].RootIngressBytes) / float64(byTier[2].RootIngressBytes)
-	if ratio < 3.5 || ratio > 4.5 {
-		t.Fatalf("2-tier root ingress reduction %.2f×, want ≈4× (fan-in): flat=%d hier=%d",
-			ratio, byTier[1].RootIngressBytes, byTier[2].RootIngressBytes)
-	}
-	// Three-tier: the 2 group switches each forward one partial.
-	if byTier[3].RootIngressBytes >= byTier[2].RootIngressBytes {
-		t.Fatalf("3-tier root ingress %d not below 2-tier %d",
-			byTier[3].RootIngressBytes, byTier[2].RootIngressBytes)
 	}
 }
 

@@ -1,17 +1,15 @@
 package apps
 
-// hostpath.go measures the pipelined host runtime on the simulator
+// hostpath.go runs the pipelined host runtime on the simulator
 // backend: a host issues CALC request/response calls through a
-// runtime.Channel at several window sizes, so the sweep isolates what
-// the sliding window buys over stop-and-wait (window 1) with the
-// network model held fixed. Time is simulated time, which makes the
-// msgs/sec numbers deterministic and machine-independent; the
-// allocation probe runs the same send path against a null transport
-// with wall-clock allocations counted.
+// runtime.Channel of a given window, so two runs that differ only in
+// the window show what it buys over stop-and-wait (window 1) with the
+// network model held fixed, and must produce the same result hash.
+// Time is simulated time, which makes the msgs/sec numbers
+// deterministic and machine-independent.
 
 import (
 	"fmt"
-	gort "runtime"
 	"time"
 
 	"netcl/internal/netsim"
@@ -136,81 +134,4 @@ func RunHostpath(cfg HostpathConfig) (*HostpathResult, error) {
 	res.Duplicates = st.Duplicates
 	res.PeakInFlight = st.PeakInFlight
 	return res, nil
-}
-
-// nullTransport sinks sends instantly: the harness for measuring the
-// host send path alone (pack + admit + complete), without a network.
-type nullTransport struct{ now time.Duration }
-
-func (t *nullTransport) Send([]byte) error { return nil }
-func (t *nullTransport) Recv(time.Duration) ([]byte, error) {
-	return nil, runtime.ErrTimeout
-}
-func (t *nullTransport) Now() time.Duration {
-	t.now += time.Microsecond
-	return t.now
-}
-
-// HostpathSender builds the channel send-path closure used by the
-// allocation probe and the benchmark: each call packs one CALC message
-// into a pooled buffer, posts it to a window-64 channel over a null
-// transport, and completes it. The second return closes the channel.
-func HostpathSender() (func(i int) error, func(), error) {
-	_, specs, err := CompileApp(ByName("CALC"), passes.TargetTNA, 1)
-	if err != nil {
-		return nil, nil, err
-	}
-	spec := specs[1]
-	ch := runtime.NewChannel(&nullTransport{}, runtime.ChannelConfig{Window: 64})
-
-	hdr := runtime.Message{Src: 7, Dst: 7, Device: 1, Comp: 1}.Header()
-	op := []uint64{1}
-	a := []uint64{0}
-	b := []uint64{0}
-	send := func(i int) error {
-		buf := runtime.GetBuf()
-		a[0], b[0] = uint64(i), uint64(2*i)
-		msg, err := runtime.PackAppend(*buf, spec, hdr, [][]uint64{op, a, b, nil})
-		if err == nil {
-			*buf = msg
-			err = ch.Post(uint64(i), msg)
-		}
-		runtime.PutBuf(buf)
-		if err != nil {
-			return err
-		}
-		ch.Complete(uint64(i))
-		return nil
-	}
-	return send, func() { ch.Close() }, nil
-}
-
-// HostpathSendAllocs measures steady-state heap allocations per
-// message on the channel send path (pooled pack + Post + Complete)
-// over a null transport. The first few iterations warm the buffer
-// pool before counting starts.
-func HostpathSendAllocs(ops int) (float64, error) {
-	if ops <= 0 {
-		ops = 4096
-	}
-	send, closeFn, err := HostpathSender()
-	if err != nil {
-		return 0, err
-	}
-	defer closeFn()
-	for i := 0; i < 64; i++ { // warm the pool
-		if err := send(i); err != nil {
-			return 0, err
-		}
-	}
-	var before, after gort.MemStats
-	gort.GC()
-	gort.ReadMemStats(&before)
-	for i := 0; i < ops; i++ {
-		if err := send(i); err != nil {
-			return 0, err
-		}
-	}
-	gort.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / float64(ops), nil
 }

@@ -366,52 +366,3 @@ func RunNetsimScale(cfg NetsimConfig) (*NetsimResult, error) {
 	}
 	return res, nil
 }
-
-// seed-layout model for the bytes-per-host comparison: the pre-slab
-// simulator kept one map entry, one Host struct and one Link struct
-// (with interface{}-boxed ends) per host. The map key was uint16, so
-// the seed could not even address more than 65536 hosts — size the
-// baseline at min(hosts, 65536).
-
-type seedEnd struct {
-	node interface{}
-	port int
-}
-
-type seedLink struct {
-	LatencyNs, BandwidthGbps float64
-	DropNth                  int
-	Dropped, crossed         uint64
-	busyUntil                [2]float64
-	ends                     [2]seedEnd
-}
-
-type seedHost struct {
-	ID           uint16
-	net          *seedLink // stand-ins with the seed's pointer sizes
-	lnk          *seedLink
-	Receive      func(*seedHost, []byte)
-	ProcessingNs float64
-	Sent, Recvd  uint64
-}
-
-// BaselineBytesPerHost measures the seed's per-host heap footprint
-// (host struct + uplink + map entry) at min(hosts, 65536) hosts.
-func BaselineBytesPerHost(hosts int) (bytesPerHost float64, measuredHosts int) {
-	if hosts > 65536 {
-		hosts = 65536
-	}
-	before, _ := readMem()
-	m := make(map[uint16]*seedHost, hosts)
-	for i := 0; i < hosts; i++ {
-		l := &seedLink{LatencyNs: 1000, BandwidthGbps: 100}
-		h := &seedHost{ID: uint16(i), lnk: l, ProcessingNs: 2000}
-		l.ends[0] = seedEnd{node: h}
-		m[uint16(i)] = h
-	}
-	after, _ := readMem()
-	if len(m) == 0 {
-		return 0, hosts
-	}
-	return float64(after-before) / float64(hosts), hosts
-}

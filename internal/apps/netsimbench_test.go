@@ -62,13 +62,3 @@ func TestNetsimScalePartitionsMatch(t *testing.T) {
 		}
 	}
 }
-
-func TestNetsimBaselineBytes(t *testing.T) {
-	b, n := BaselineBytesPerHost(1 << 20)
-	if n != 65536 {
-		t.Errorf("baseline measured %d hosts, want 65536", n)
-	}
-	if b <= 0 {
-		t.Errorf("baseline bytes/host = %f", b)
-	}
-}

@@ -286,7 +286,6 @@ func TestShardedBurstEquivalence(t *testing.T) {
 
 // TestCompiledBurstAllocs pins the burst-mode allocation budget: at
 // most one allocation per packet (the escaping deparse buffer).
-// Wired into `make bench` so perf regressions surface outside CI too.
 func TestCompiledBurstAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime perturbs allocation accounting")
