@@ -1,14 +1,15 @@
 # NetCL build and test entry points.
 #
-# tier1 is the fast correctness gate (vet + build + test); tier2 and
-# race run the race detector over the concurrent code (sharded engine,
-# UDP backend, drivers, chaos tests). fuzz-smoke runs the three native
-# fuzz targets (netsim's event-queue differential, runtime's
-# Pack/Unpack round trip and its UDP_GRO control-message parser) for
-# 20 s each from their checked-in corpora (testdata/fuzz); a failing
-# input is written there. bench-e2e is the repository's benchmark
-# (BENCHMARK.json, bench/README.md): every workload, every end-to-end
-# metric; bench-smoke is the same with one-second runs — every
+# tier1 is the fast correctness gate (gofmt + vet + build + test);
+# tier2 and race run the race detector over the concurrent code
+# (sharded engine, UDP backend, drivers, chaos tests). fuzz-smoke runs
+# the four native fuzz targets (netsim's event-queue differential,
+# runtime's Pack/Unpack round trip, its raw-bytes UnpackInto and its
+# UDP_GRO control-message parser) for 20 s each from their checked-in
+# corpora (testdata/fuzz); a failing input is written there. bench-e2e
+# is the repository's benchmark (BENCHMARK.json, bench/README.md):
+# every workload, every end-to-end metric; bench-smoke is the same
+# with one-second runs — every
 # workload and every benchmark-owned oracle, non-zero exit if one
 # fails (the CI job); bench-pair is the paired comparison a
 # performance claim rests on — the working tree against OLD over N
@@ -20,7 +21,9 @@ GO ?= go
 
 all: tier1
 
+# gofmt -l exits 0 whatever it finds: the gate is its output being empty.
 tier1:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l . is not empty:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./... && $(GO) build ./... && $(GO) test ./...
 
 tier2: race
@@ -34,6 +37,7 @@ FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test ./internal/netsim -run '^$$' -fuzz '^FuzzEventQueueOrder$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/runtime -run '^$$' -fuzz '^FuzzPackUnpackRoundTrip$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/runtime -run '^$$' -fuzz '^FuzzUnpackIntoRaw$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/runtime -run '^$$' -fuzz '^FuzzGROControl$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 
 bench-e2e:

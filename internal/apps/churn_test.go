@@ -159,7 +159,7 @@ func TestChurnFailoverRuleConsistency(t *testing.T) {
 	}
 	spec := specs[1]
 	sw := bmv2.New(prog)
-	if !sw.Compiled() {
+	if sw.CompileErr() != nil {
 		t.Fatalf("not compiled: %v", sw.CompileErr())
 	}
 

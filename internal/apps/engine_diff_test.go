@@ -12,16 +12,15 @@ import (
 	"netcl/internal/runtime"
 )
 
-// enginePair builds two switches over the same program — one on the
-// compiled slot-indexed engine, one on the reference tree-walker — and
-// requires the program to actually compile (no silent fallback).
+// enginePair builds two switches over the same program — fast runs
+// its packets, slow lends its state to the reference tree-walker — and
+// requires the program to compile.
 func enginePair(t *testing.T, name string, prog *p4.Program) (fast, slow *bmv2.Switch) {
 	t.Helper()
 	fast = bmv2.New(prog)
 	slow = bmv2.New(prog)
-	slow.SetEngine(bmv2.EngineReference)
-	if !fast.Compiled() {
-		t.Fatalf("%s: compiled engine fell back: %v", name, fast.CompileErr())
+	if err := fast.CompileErr(); err != nil {
+		t.Fatalf("%s: compile refused: %v", name, err)
 	}
 	return fast, slow
 }
@@ -57,10 +56,12 @@ func randMsg(t *testing.T, spec *runtime.MessageSpec, rng *rand.Rand, device uin
 }
 
 // diffStream feeds an identical packet stream — valid messages, random
-// garbage, truncations — to both engines and asserts byte-identical
-// results, identical errors, and identical counters.
+// garbage, truncations — to the engine on fast and the reference
+// interpreter over slow, and asserts byte-identical results, identical
+// errors, and identical counters.
 func diffStream(t *testing.T, name string, fast, slow *bmv2.Switch, spec *runtime.MessageSpec, device uint16, seed int64) {
 	t.Helper()
+	ref := bmv2.NewReference(slow)
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < 250; i++ {
 		var pkt []byte
@@ -76,7 +77,7 @@ func diffStream(t *testing.T, name string, fast, slow *bmv2.Switch, spec *runtim
 		}
 		inPort := rng.Intn(4)
 		fr, ferr := fast.Process(pkt, inPort)
-		sr, serr := slow.Process(pkt, inPort)
+		sr, serr := ref.Process(pkt, inPort)
 		if (ferr == nil) != (serr == nil) ||
 			(ferr != nil && ferr.Error() != serr.Error()) {
 			t.Fatalf("%s pkt %d: error mismatch: compiled=%v reference=%v", name, i, ferr, serr)

@@ -46,15 +46,15 @@ const (
 // Op is one batch operation. All fields are exported so a batch
 // gob-encodes as-is onto the p4rt wire.
 type Op struct {
-	Kind  OpKind
-	Table string     // OpInsert/OpModify/OpDelete/OpSetDefault
-	Entry *p4.Entry  // OpInsert/OpModify
-	Keys  []uint64   // OpDelete: full key tuple
-	Reg   string     // OpRegisterWrite
-	Idx   int        // OpRegisterWrite
-	Val   uint64     // OpRegisterWrite
+	Kind   OpKind
+	Table  string    // OpInsert/OpModify/OpDelete/OpSetDefault
+	Entry  *p4.Entry // OpInsert/OpModify
+	Keys   []uint64  // OpDelete: full key tuple
+	Reg    string    // OpRegisterWrite
+	Idx    int       // OpRegisterWrite
+	Val    uint64    // OpRegisterWrite
 	Action string    // OpSetDefault
-	Args  []uint64   // OpSetDefault
+	Args   []uint64  // OpSetDefault
 }
 
 // regCell identifies one register cell for write-combining.
@@ -320,7 +320,7 @@ func entryKeyVals(e *p4.Entry) []uint64 {
 
 // staging tracks one compiled table's pending snapshot during a batch.
 // Exact tables accumulate O(delta) persistent-map updates in snap;
-// kinds that cannot delta (LPM/linear) set dirty and get one full
+// non-exact tables cannot delta: they set dirty and get one full
 // build at commit.
 type staging struct {
 	snap  *tsnap
@@ -331,9 +331,9 @@ type staging struct {
 // instead of a heap-allocated closure; on failure the log replays in
 // reverse.
 const (
-	uInsert = iota // unInsert(idx, k)
-	uDelete        // unDelete(rm)
-	uDefault       // t.Default = old
+	uInsert  = iota // unInsert(idx, k)
+	uDelete         // unDelete(rm)
+	uDefault        // t.Default = old
 )
 
 // undoRec reverses one applied op on rollback.
@@ -353,10 +353,10 @@ type undoRec struct {
 // the returned error is a *BatchError naming the eject op, the store
 // is rolled back, registers are untouched, and nothing is published.
 //
-// Safe to call concurrently with packet processing on the compiled
-// engine. Batches containing register writes additionally require the
-// data path to be quiesced when packets are in flight (Sharded.Write
-// does this), because register cells are plain memory.
+// Safe to call concurrently with packet processing. Batches containing
+// register writes additionally require the data path to be quiesced
+// when packets are in flight (Sharded.Write does this), because
+// register cells are plain memory.
 func (s *Switch) Write(b *WriteBatch) (*WriteResult, error) {
 	if b == nil || len(b.Ops) == 0 {
 		return &WriteResult{}, nil

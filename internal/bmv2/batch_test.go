@@ -30,7 +30,7 @@ func TestBatchRollback(t *testing.T) {
 		entry("set_out", 100, 0, kv(1), kv(2)),
 	}}
 	sw := New(matcherProgReg(ents))
-	if !sw.Compiled() {
+	if sw.CompileErr() != nil {
 		t.Fatalf("not compiled: %v", sw.CompileErr())
 	}
 
@@ -91,7 +91,7 @@ func TestBatchModify(t *testing.T) {
 		entry("set_out", 200, 0, kv(1), kv(3)),
 	}}
 	sw := New(matcherProgReg(ents))
-	if !sw.Compiled() {
+	if sw.CompileErr() != nil {
 		t.Fatalf("not compiled: %v", sw.CompileErr())
 	}
 
@@ -133,7 +133,7 @@ func TestBatchModify(t *testing.T) {
 // what commits.
 func TestBatchRegisterCombining(t *testing.T) {
 	sw := New(matcherProgReg(nil))
-	if !sw.Compiled() {
+	if sw.CompileErr() != nil {
 		t.Fatalf("not compiled: %v", sw.CompileErr())
 	}
 	b := NewWriteBatch()
@@ -204,7 +204,7 @@ func pairProg() *p4.Program {
 // this also exercises the publication path for data races.
 func TestBatchAtomicity(t *testing.T) {
 	sw := New(pairProg())
-	if !sw.Compiled() {
+	if sw.CompileErr() != nil {
 		t.Fatalf("not compiled: %v", sw.CompileErr())
 	}
 	seed := NewWriteBatch().
@@ -293,7 +293,7 @@ func TestBatchODeltaGuard(t *testing.T) {
 			ents[i] = entry("set_out", uint64(i), 0, kv(uint64(i)), kv(uint64(i&0xFFFF)))
 		}
 		sw := New(matcherProg(map[string][]*p4.Entry{"ex2": ents}))
-		if !sw.Compiled() {
+		if sw.CompileErr() != nil {
 			t.Fatalf("not compiled: %v", sw.CompileErr())
 		}
 		const updates = 2000
@@ -329,7 +329,7 @@ func TestBatchODeltaGuard(t *testing.T) {
 // error.
 func TestRegisterDrain(t *testing.T) {
 	sw := New(matcherProgReg(nil))
-	if !sw.Compiled() {
+	if sw.CompileErr() != nil {
 		t.Fatalf("not compiled: %v", sw.CompileErr())
 	}
 

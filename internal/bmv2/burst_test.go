@@ -60,7 +60,7 @@ func TestBurstMatchesSingle(t *testing.T) {
 	ents := randMatcherEntries(rng)
 	single := New(matcherProg(ents))
 	burst := New(matcherProg(ents))
-	if !single.Compiled() || !burst.Compiled() {
+	if single.CompileErr() != nil || burst.CompileErr() != nil {
 		t.Fatalf("not compiled: %v", single.CompileErr())
 	}
 
@@ -127,26 +127,27 @@ func portEchoProg() *p4.Program {
 	return pp
 }
 
-// TestIngressPortVisible: both engines must expose the same
-// meta.ingress_port to the program — the compiled engine used to
-// silently drop it. Covers Process, ProcessBurst, and the sharded
-// SubmitPort path.
+// TestIngressPortVisible: the engine and the reference interpreter
+// must expose the same meta.ingress_port to the program — the engine
+// used to silently drop it. Covers Process, ProcessBurst, and the
+// sharded SubmitPort path.
 func TestIngressPortVisible(t *testing.T) {
 	comp := New(portEchoProg())
-	if !comp.Compiled() {
+	if comp.CompileErr() != nil {
 		t.Fatalf("not compiled: %v", comp.CompileErr())
 	}
-	ref := New(portEchoProg())
-	ref.SetEngine(EngineReference)
+	ref := NewReference(New(portEchoProg()))
 
 	for _, port := range []int{0, 1, 7, 300, 65535} {
-		for _, sw := range []*Switch{comp, ref} {
-			res, err := sw.Process(matcherPkt(1, 0, 0), port)
+		for name, process := range map[string]func([]byte, int) (*Result, error){
+			"engine": comp.Process, "reference": ref.Process,
+		} {
+			res, err := process(matcherPkt(1, 0, 0), port)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := matcherOut(t, res); got != uint32(port) {
-				t.Fatalf("engine compiled=%v: port %d echoed as %d", sw.Compiled(), port, got)
+				t.Fatalf("%s: port %d echoed as %d", name, port, got)
 			}
 		}
 	}
@@ -293,7 +294,7 @@ func TestCompiledBurstAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ents := randMatcherEntries(rng)
 	sw := New(matcherProg(ents))
-	if !sw.Compiled() {
+	if sw.CompileErr() != nil {
 		t.Fatalf("not compiled: %v", sw.CompileErr())
 	}
 	pkts := make([][]byte, MaxBurst)

@@ -11,9 +11,9 @@ package bmv2
 // the program per packet and run a pre-compiled form instead.
 //
 // Compilation is conservative: any construct whose compiled semantics
-// could diverge from the reference tree-walker (see interp.go) aborts
-// with an error and the Switch falls back to the reference engine, so
-// observable behavior is always identical to the seed interpreter.
+// could diverge from the reference tree-walker (reference.go) aborts
+// with an error, which the Switch then returns from every Process
+// call — a refused program does not run.
 
 import (
 	"fmt"
@@ -267,7 +267,7 @@ func staticWidth(bits int) bool { return bits >= 1 && bits <= 64 }
 
 // compileProgram builds the slot-indexed form of s.Prog. A nil error
 // guarantees the compiled engine reproduces the reference interpreter
-// exactly; any doubt returns an error and the Switch falls back.
+// exactly; any doubt returns an error and the Switch runs nothing.
 func compileProgram(s *Switch) (*cprog, error) {
 	prog := s.Prog
 	if prog.Ingress == nil || prog.Parser == nil {
@@ -963,8 +963,7 @@ func (cc *compiler) stmt(c *p4.Control, sc *cscope, st p4.Stmt) error {
 // control's actions, register actions, or table keys may be bound in
 // the enclosing scope chain: the reference interpreter would resolve
 // such names through its dynamic frame stack, which apply-level slot
-// resolution cannot reproduce, so we refuse to compile and the whole
-// switch falls back to the reference engine.
+// resolution cannot reproduce, so we refuse to compile the program.
 func (cc *compiler) applyGuard(c *p4.Control, sc *cscope, name string) (*ctable, error) {
 	ctl := cc.ctlOf(c)
 	tb, ok := ctl.tables[name]

@@ -2,32 +2,25 @@ package bmv2
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 
 	"netcl/internal/p4"
 )
 
-// TestCompiledEngineSelected: the shared test program must compile and
-// run on the slot-indexed engine (the rest of interp_test.go then
-// exercises it implicitly).
+// TestCompiledEngineSelected: the shared test program must compile
+// (the rest of interp_test.go then exercises the engine, there being
+// nothing else for it to run on).
 func TestCompiledEngineSelected(t *testing.T) {
-	sw := New(prog())
-	if err := sw.CompileErr(); err != nil {
+	if err := New(prog()).CompileErr(); err != nil {
 		t.Fatalf("compile refused: %v", err)
-	}
-	if !sw.Compiled() {
-		t.Fatal("compiled engine not selected")
-	}
-	sw.SetEngine(EngineReference)
-	if sw.Compiled() {
-		t.Fatal("reference engine not selected")
 	}
 }
 
-// matcherProg builds a program exercising every matcher kind: a
-// two-key exact table (hash index), a single-key LPM table
-// (sorted-prefix), and ternary/range tables (linear scan). The sel
+// matcherProg builds a program exercising both snapshot shapes: a
+// two-key exact table (hash trie) and single-key LPM, ternary and
+// range tables (entries + decision diagram, or the scan). The sel
 // field picks the table; each action writes a distinct out value.
 func matcherProg(entries map[string][]*p4.Entry) *p4.Program {
 	pp := &p4.Program{Name: "m", Target: p4.TargetTNA}
@@ -106,7 +99,7 @@ func TestExactIndexHitMiss(t *testing.T) {
 		entry("set_out", 888, 0, p4.KeyValue{Value: 1, PrefixLen: -1}),
 	}}
 	sw := New(matcherProg(ents))
-	if !sw.Compiled() {
+	if sw.CompileErr() != nil {
 		t.Fatalf("not compiled: %v", sw.CompileErr())
 	}
 	check := func(k1 uint32, k2 uint16, want uint32) {
@@ -171,7 +164,7 @@ func TestLPMLongestPrefixTieBreak(t *testing.T) {
 		entry("set_out", 40, 0, p4.KeyValue{Value: 0x0A000100, PrefixLen: 40}),
 	}}
 	sw := New(matcherProg(ents))
-	if !sw.Compiled() {
+	if sw.CompileErr() != nil {
 		t.Fatalf("not compiled: %v", sw.CompileErr())
 	}
 	check := func(k1 uint32, want uint32) {
@@ -195,7 +188,7 @@ func TestTernaryPriorityOrdering(t *testing.T) {
 		entry("set_out", 2, 1, p4.KeyValue{Value: 0x12, Mask: 0xFF}),
 		// A priority past 2^30 used to underflow the old sentinel and
 		// lose to "nothing matched"; it must still beat a miss.
-		entry("set_out", 3, 1 << 31, p4.KeyValue{Value: 0x80, Mask: 0xFF}),
+		entry("set_out", 3, 1<<31, p4.KeyValue{Value: 0x80, Mask: 0xFF}),
 	}}
 	sw := New(matcherProg(ents))
 	check := func(k1 uint32, want uint32) {
@@ -238,10 +231,13 @@ func TestRangeBounds(t *testing.T) {
 }
 
 // TestMatcherDifferentialFuzz drives random entries and keys through
-// the specialized matchers and the reference linear scan, asserting
-// byte-identical outputs. Entries include wrong arity, duplicate
-// tuples, out-of-range prefix lengths, overlapping masks and ranges,
-// and extreme priorities.
+// the engine's matchers and the reference interpreter, asserting
+// byte-identical outputs, and holds each diagram to the scan over its
+// own snapshot. Entries include wrong arity, duplicate tuples,
+// out-of-range prefix lengths, overlapping masks and ranges, and
+// extreme priorities. The ternary masks sit in the low byte of a
+// 32-bit key — 24 free bits above them — so tern1 is the table that
+// runs on the scan here.
 func TestMatcherDifferentialFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xC0FFEE))
 	kv := func(v uint64) p4.KeyValue { return p4.KeyValue{Value: v, PrefixLen: -1} }
@@ -276,10 +272,13 @@ func TestMatcherDifferentialFuzz(t *testing.T) {
 		}
 		pp := matcherProg(ents)
 		fast := New(pp)
-		slow := New(pp)
-		slow.SetEngine(EngineReference)
-		if !fast.Compiled() {
+		slowSw := New(pp)
+		slow := NewReference(slowSw)
+		if fast.CompileErr() != nil {
 			t.Fatalf("trial %d not compiled: %v", trial, fast.CompileErr())
+		}
+		if snapFor(t, fast, "tern1").dd != nil {
+			t.Fatalf("trial %d: tern1 built a diagram; nothing here runs on the scan", trial)
 		}
 		for i := 0; i < 300; i++ {
 			sel := uint8(1 + rng.Intn(4))
@@ -288,6 +287,12 @@ func TestMatcherDifferentialFuzz(t *testing.T) {
 				k1 = rng.Uint32() // wide keys for LPM
 			}
 			k2 := uint16(rng.Intn(80))
+			switch sel {
+			case 2:
+				diagramVsScan(t, "lpm1", fast, "lpm1", uint64(k1))
+			case 4:
+				diagramVsScan(t, "rng1", fast, "rng1", uint64(k2))
+			}
 			pkt := matcherPkt(sel, k1, k2)
 			fr, ferr := fast.Process(pkt, 0)
 			sr, serr := slow.Process(pkt, 0)
@@ -309,12 +314,12 @@ func TestMatcherDifferentialFuzz(t *testing.T) {
 			if err := fast.InsertEntry("ex2", e); err != nil {
 				t.Fatal(err)
 			}
-			if err := slow.InsertEntry("ex2", e); err != nil {
+			if err := slowSw.InsertEntry("ex2", e); err != nil {
 				t.Fatal(err)
 			}
 		}
 		delK1, delK2 := uint64(rng.Intn(8)), uint64(rng.Intn(4))
-		if nf, ns := fast.DeleteEntry("ex2", delK1, delK2), slow.DeleteEntry("ex2", delK1, delK2); nf != ns {
+		if nf, ns := fast.DeleteEntry("ex2", delK1, delK2), slowSw.DeleteEntry("ex2", delK1, delK2); nf != ns {
 			t.Fatalf("trial %d: delete count %d vs %d", trial, nf, ns)
 		}
 		for i := 0; i < 100; i++ {
@@ -331,11 +336,12 @@ func TestMatcherDifferentialFuzz(t *testing.T) {
 	}
 }
 
-// TestDynamicScopingFallsBack: a table applied inside an action whose
+// TestDynamicScopingRefused: a table applied inside an action whose
 // parameter name is read by the table's own actions needs dynamic
-// scoping; the compiler must refuse and the switch must still process
-// packets on the reference engine.
-func TestDynamicScopingFallsBack(t *testing.T) {
+// scoping; the compiler must refuse, and a refused switch must answer
+// every packet entry point and NewSharded with that error — it runs
+// nothing, so it counts nothing.
+func TestDynamicScopingRefused(t *testing.T) {
 	pp := &p4.Program{Name: "dyn", Target: p4.TargetTNA}
 	pp.Headers = []*p4.HeaderDecl{{Name: "h", Fields: []*p4.Field{{Name: "x", Bits: 8}}}}
 	pp.Metadata = []*p4.Field{{Name: "egress_port", Bits: 16}, {Name: "mcast_grp", Bits: 16}, {Name: "drop_flag", Bits: 1}}
@@ -343,7 +349,7 @@ func TestDynamicScopingFallsBack(t *testing.T) {
 	ctl := &p4.Control{Name: "In"}
 	ctl.Actions = []*p4.ActionDecl{
 		{Name: "leaf", Body: []p4.Stmt{
-			// Reads "p": under the reference engine this resolves to the
+			// Reads "p": the reference interpreter resolves this to the
 			// calling action's parameter through the frame stack.
 			&p4.Assign{LHS: p4.FR("hdr", "h", "x"), RHS: p4.FR("p")},
 		}},
@@ -363,15 +369,38 @@ func TestDynamicScopingFallsBack(t *testing.T) {
 	}
 	pp.Ingress = ctl
 	sw := New(pp)
-	if sw.Compiled() {
+	cerr := sw.CompileErr()
+	if cerr == nil {
 		t.Fatal("dynamic-scoping program must not compile")
 	}
-	res, err := sw.Process([]byte{0x00}, 0)
+	pkt := []byte{0x00}
+	if _, err := sw.Process(pkt, 0); !errors.Is(err, cerr) {
+		t.Errorf("Process: %v, want the compile error", err)
+	}
+	if err := sw.ProcessInto(pkt, 0, &Result{}); !errors.Is(err, cerr) {
+		t.Errorf("ProcessInto: %v, want the compile error", err)
+	}
+	res, errs := make([]Result, 3), make([]error, 3)
+	sw.ProcessBurst([][]byte{pkt, pkt, pkt}, nil, res, errs)
+	for i := range errs {
+		if !errors.Is(errs[i], cerr) || res[i].Data != nil {
+			t.Errorf("ProcessBurst slot %d: %+v, %v, want the compile error", i, res[i], errs[i])
+		}
+	}
+	if _, err := NewSharded(sw, ShardedConfig{Shards: 2}); !errors.Is(err, cerr) {
+		t.Errorf("NewSharded: %v, want the compile error", err)
+	}
+	if sw.PacketsIn != 0 || sw.PacketsOut != 0 || sw.PacketsDropped != 0 {
+		t.Errorf("refused packets were counted: in/out/drop %d/%d/%d", sw.PacketsIn, sw.PacketsOut, sw.PacketsDropped)
+	}
+	// What the program means is still defined: the oracle, asked
+	// explicitly, resolves "p" through its frame stack.
+	ref, err := NewReference(sw).Process(pkt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Data) != 1 || res.Data[0] != 7 {
-		t.Fatalf("reference fallback produced %v", res.Data)
+	if len(ref.Data) != 1 || ref.Data[0] != 7 {
+		t.Fatalf("reference interpreter produced %v", ref.Data)
 	}
 }
 
@@ -379,7 +408,7 @@ func TestDynamicScopingFallsBack(t *testing.T) {
 // O(1) — the Result struct and its exact-sized data buffer.
 func TestCompiledAllocsPerPacket(t *testing.T) {
 	sw := New(prog())
-	if !sw.Compiled() {
+	if sw.CompileErr() != nil {
 		t.Fatalf("not compiled: %v", sw.CompileErr())
 	}
 	pkt := mkPkt(1, 10)

@@ -4,8 +4,8 @@ package bmv2
 // engine (instr.go) to the operator table of ops.go: seeded random
 // programs — expression trees over every operator token, casts,
 // ternaries, calls, operands of every width class and scope — run on
-// both engines over random packets and must agree on output bytes,
-// register contents and Result.
+// the engine and on the reference interpreter over random packets and
+// must agree on output bytes, register contents and Result.
 
 import (
 	"bytes"
@@ -326,12 +326,14 @@ func fuzzPacket(rng *rand.Rand, h *p4.HeaderDecl) []byte {
 	return out
 }
 
-// diffEngines runs one packet on the compiled and the reference switch
-// and demands the same error text, Result and register contents.
+// diffEngines runs one packet through comp and through the reference
+// interpreter over ref — a second switch, so each side steps its own
+// registers — and demands the same error text, Result and register
+// contents.
 func diffEngines(t *testing.T, what string, comp, ref *Switch, pkt []byte, port int) {
 	t.Helper()
 	cr, cerr := comp.Process(append([]byte(nil), pkt...), port)
-	rr, rerr := ref.Process(append([]byte(nil), pkt...), port)
+	rr, rerr := NewReference(ref).Process(append([]byte(nil), pkt...), port)
 	if fmt.Sprint(cerr) != fmt.Sprint(rerr) {
 		t.Fatalf("%s: error mismatch on pkt %x:\n  compiled:  %v\n  reference: %v", what, pkt, cerr, rerr)
 	}
@@ -362,10 +364,9 @@ func TestExprDifferentialFuzz(t *testing.T) {
 		g := &exprGen{rng: rand.New(rand.NewSource(int64(seed)))}
 		pp := g.program()
 		comp, ref := New(pp), New(pp)
-		if !comp.Compiled() {
+		if comp.CompileErr() != nil {
 			t.Fatalf("seed %d: compile refused: %v\n%s", seed, comp.CompileErr(), p4.Print(pp))
 		}
-		ref.SetEngine(EngineReference)
 		what := fmt.Sprintf("seed %d", seed)
 		// The control plane may leave a cell wider than its register.
 		for _, r := range pp.Ingress.Registers {

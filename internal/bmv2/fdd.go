@@ -5,9 +5,8 @@ package bmv2
 // key field, each node a sorted list of disjoint intervals covering
 // the field's whole domain, each leaf the precomputed winning entry.
 // A match is then one walk — a binary search per key — instead of the
-// per-entry linear scan or the prefix-by-prefix lpmIdx walk, so
-// ternary/range/LPM/priority tables match in O(levels · log edges)
-// regardless of entry count.
+// per-entry linear scan, so ternary/range/LPM/priority tables match in
+// O(levels · log edges) regardless of entry count.
 //
 // The diagram can be built ahead of time because the winner of the
 // reference scoring loop depends only on WHICH rules match, never on
@@ -17,14 +16,16 @@ package bmv2
 // rule therefore carries one static score, and a leaf's winner is the
 // best-scoring rule alive there.
 //
-// Eligibility is conservative and checked twice: at build time every
+// Eligibility is conservative and decided once, at build time: every
 // key expression must have a statically-known width (staticBits in
-// compile.go mirrors the ops.go width rules) and every rule must expand to a
-// bounded set of intervals per field (ternary masks with many
-// free high bits explode combinatorially); at match time the runtime
-// key widths must equal the assumed ones, else the walk bails and the
-// caller falls back to the scan/lpmIdx paths, which stay materialized
-// in every snapshot as the semantic safety net.
+// compile.go mirrors the ops.go width rules; ctable.apply stamps that
+// width on each key it matches, so the width a diagram was built for
+// is the width it is walked with) and every rule must expand to a
+// bounded set of intervals per field (ternary masks with many free
+// high bits explode combinatorially). A table that fails either gets
+// no diagram and matches by ctable.scan. Where a diagram exists its
+// leaf is the answer, as in the NetKAT compiler; the fuzzers in
+// fdd_test.go hold it to scan and to the reference interpreter.
 
 import (
 	"math/bits"
@@ -58,21 +59,14 @@ type fnode struct {
 
 // fdd is the compiled diagram of one table's rule set.
 type fdd struct {
-	kbits []int // assumed static width per key level
 	nodes []fnode
 	root  int32 // node index or leaf code (rule-free tables)
 }
 
-// match walks the diagram. The bool result distinguishes an
-// authoritative answer (true; *centry may still be nil = miss) from a
-// bail because a runtime key width diverged from the build-time
-// assumption (false; caller must fall back).
-func (f *fdd) match(keys []val, ents []centry) (*centry, bool) {
+// match walks the diagram to the winning entry, or nil on a miss.
+func (f *fdd) match(keys []val, ents []centry) *centry {
 	n := f.root
 	for lvl := 0; n >= 0; lvl++ {
-		if keys[lvl].bits != f.kbits[lvl] {
-			return nil, false
-		}
 		nd := &f.nodes[n]
 		v := keys[lvl].v
 		// Branch-free halving to the last interval starting at or below v
@@ -91,9 +85,9 @@ func (f *fdd) match(keys []val, ents []centry) (*centry, bool) {
 		n = nd.next[lo]
 	}
 	if n == fddMiss {
-		return nil, true
+		return nil
 	}
-	return &ents[-n-2], true
+	return &ents[-n-2]
 }
 
 // fddIval is one closed interval [lo, hi] of key values.
@@ -109,8 +103,7 @@ type fddRule struct {
 }
 
 type fddBuilder struct {
-	kbits []int
-	dmask []uint64
+	dmask []uint64 // domain mask per key level
 	rules []fddRule
 	nodes []fnode
 	work  int
@@ -126,7 +119,6 @@ func buildFDD(tb *ctable, sn *tsnap) *fdd {
 		return nil
 	}
 	b := &fddBuilder{
-		kbits: tb.kbits,
 		dmask: make([]uint64, len(tb.kbits)),
 		memo:  map[string]int32{},
 	}
@@ -163,7 +155,7 @@ func buildFDD(tb *ctable, sn *tsnap) *fdd {
 	if !ok {
 		return nil
 	}
-	return &fdd{kbits: b.kbits, nodes: b.nodes, root: root}
+	return &fdd{nodes: b.nodes, root: root}
 }
 
 // projIvals projects one rule key onto its field domain as disjoint
@@ -244,7 +236,7 @@ func projIvals(kind p4.MatchKind, kv *p4.KeyValue, kbits, prio int, score *int) 
 // isomorphic subtrees into a DAG, which is what keeps diagrams of
 // overlapping rules compact.
 func (b *fddBuilder) node(level int, alive []int32) (int32, bool) {
-	if level == len(b.kbits) {
+	if level == len(b.dmask) {
 		return b.leaf(alive), true
 	}
 	key := memoKey(level, alive)

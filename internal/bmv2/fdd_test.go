@@ -1,14 +1,15 @@
 package bmv2
 
 // fdd_test.go proves the decision-diagram matcher (fdd.go) equivalent
-// to both fallbacks: the linear scan / sorted-prefix walk of the
-// compiled engine and the reference interpreter's applyTable. Entry
-// sets and probe keys are fuzzed across every non-exact match kind,
-// priorities, sloppy prefixes, and holed masks; runtime mutations are
-// applied mid-fuzz so rebuilt diagrams are exercised too. The tests
-// assert that diagrams actually materialized (sn.dd != nil), so a
-// regression that silently stops building them fails loudly instead of
-// passing vacuously through the scan fallback.
+// to both of its oracles: the engine's own linear scan, run over the
+// same snapshot and keys the diagram is walked with, and the reference
+// interpreter's applyTable, run over a second switch. Entry sets and
+// probe keys are fuzzed across every non-exact match kind, priorities,
+// sloppy prefixes, and holed masks; runtime mutations are applied
+// mid-fuzz so rebuilt diagrams are exercised too. The tests assert
+// that diagrams actually materialized (sn.dd != nil), so a regression
+// that silently stops building them fails loudly instead of passing
+// vacuously through the scan.
 
 import (
 	"bytes"
@@ -115,34 +116,48 @@ func probeKeys(rng *rand.Rand, ents map[string][]*p4.Entry) (k1s []uint32, k2s [
 	return k1s, k2s
 }
 
-// diffOne runs one packet through every engine variant and demands
-// byte-identical results.
-func diffOne(t *testing.T, stage string, sws []*Switch, pkt []byte) {
+// diffOne runs one packet through the engine and through the reference
+// interpreter (over its own switch) and demands byte-identical results.
+func diffOne(t *testing.T, stage string, sw *Switch, ref *Reference, pkt []byte) {
 	t.Helper()
-	var ref *Result
-	var refErr error
-	for i, sw := range sws {
-		res, err := sw.Process(append([]byte(nil), pkt...), 1)
-		if i == 0 {
-			ref, refErr = res, err
-			continue
-		}
-		if (err == nil) != (refErr == nil) {
-			t.Fatalf("%s: engine %d error mismatch: %v vs %v (pkt %x)", stage, i, err, refErr, pkt)
-		}
-		if err != nil {
-			continue
-		}
-		if !bytes.Equal(res.Data, ref.Data) || res.Port != ref.Port ||
-			res.Dropped != ref.Dropped || res.Mcast != ref.Mcast {
-			t.Fatalf("%s: engine %d diverged on pkt %x:\n  fdd: %+v\n  got: %+v", stage, i, pkt, ref, res)
-		}
+	got, err := sw.Process(append([]byte(nil), pkt...), 1)
+	want, refErr := ref.Process(append([]byte(nil), pkt...), 1)
+	if (err == nil) != (refErr == nil) {
+		t.Fatalf("%s: error mismatch: %v vs reference %v (pkt %x)", stage, err, refErr, pkt)
+	}
+	if err != nil {
+		return
+	}
+	if !bytes.Equal(got.Data, want.Data) || got.Port != want.Port ||
+		got.Dropped != want.Dropped || got.Mcast != want.Mcast {
+		t.Fatalf("%s: diverged on pkt %x:\n  engine:    %+v\n  reference: %+v", stage, pkt, got, want)
 	}
 }
 
-// TestFDDDifferentialFuzz: FDD-on vs FDD-off (scan / prefix walk) vs
-// the reference interpreter over random single-key rule sets of every
-// non-exact kind, before and after runtime mutations.
+// diagramVsScan walks the table's published diagram and scans the same
+// snapshot with the same keys — stamped with the table's static widths,
+// as apply stamps them — and demands the same entry, or a miss from
+// both. A table without a diagram fails: the comparison would be the
+// scan against itself.
+func diagramVsScan(t *testing.T, stage string, sw *Switch, table string, vals ...uint64) {
+	t.Helper()
+	tb := tableFor(t, sw, table)
+	sn := sw.prog.gen.Load().snaps[tb.gslot]
+	if sn.dd == nil {
+		t.Fatalf("%s: %s: no decision diagram built", stage, table)
+	}
+	keys := make([]val, len(vals))
+	for i, v := range vals {
+		keys[i] = val{v, tb.kbits[i]}
+	}
+	if got, want := sn.dd.match(keys, sn.ents), tb.scan(sn, keys); got != want {
+		t.Fatalf("%s: %s%v: diagram picked %+v, scan %+v", stage, table, vals, got, want)
+	}
+}
+
+// TestFDDDifferentialFuzz: the diagram vs the scan over the same
+// snapshot vs the reference interpreter, over random single-key rule
+// sets of every non-exact kind, before and after runtime mutations.
 func TestFDDDifferentialFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x5eedf))
 	rounds := 12
@@ -152,22 +167,12 @@ func TestFDDDifferentialFuzz(t *testing.T) {
 	for round := 0; round < rounds; round++ {
 		ents := randMatcherEntries(rng)
 		fddSw := New(matcherProg(ents))
-		scanSw := New(matcherProg(ents))
-		scanSw.SetFDD(false)
 		refSw := New(matcherProg(ents))
-		refSw.SetEngine(EngineReference)
-		if !fddSw.Compiled() {
+		ref := NewReference(refSw)
+		if fddSw.CompileErr() != nil {
 			t.Fatalf("not compiled: %v", fddSw.CompileErr())
 		}
-		for _, name := range []string{"lpm1", "tern1", "rng1"} {
-			if snapFor(t, fddSw, name).dd == nil {
-				t.Fatalf("round %d: %s: no decision diagram built", round, name)
-			}
-			if snapFor(t, scanSw, name).dd != nil {
-				t.Fatalf("round %d: %s: SetFDD(false) left a diagram", round, name)
-			}
-		}
-		sws := []*Switch{fddSw, scanSw, refSw}
+		sws := []*Switch{fddSw, refSw}
 
 		fuzz := func(stage string) {
 			k1s, k2s := probeKeys(rng, ents)
@@ -175,7 +180,10 @@ func TestFDDDifferentialFuzz(t *testing.T) {
 				sel := uint8(1 + rng.Intn(4))
 				k1 := k1s[rng.Intn(len(k1s))]
 				k2 := k2s[rng.Intn(len(k2s))]
-				diffOne(t, stage, sws, matcherPkt(sel, k1, k2))
+				diagramVsScan(t, stage, fddSw, "lpm1", uint64(k1))
+				diagramVsScan(t, stage, fddSw, "tern1", uint64(k1))
+				diagramVsScan(t, stage, fddSw, "rng1", uint64(k2))
+				diffOne(t, stage, fddSw, ref, matcherPkt(sel, k1, k2))
 			}
 		}
 		fuzz("static")
@@ -257,17 +265,10 @@ func TestFDDMixedKeysDifferential(t *testing.T) {
 				le.Keys[0], re.Keys[0], te.Keys[0]))
 		}
 		fddSw := New(mixProg(ents))
-		scanSw := New(mixProg(ents))
-		scanSw.SetFDD(false)
-		refSw := New(mixProg(ents))
-		refSw.SetEngine(EngineReference)
-		if !fddSw.Compiled() {
+		ref := NewReference(New(mixProg(ents)))
+		if fddSw.CompileErr() != nil {
 			t.Fatalf("not compiled: %v", fddSw.CompileErr())
 		}
-		if snapFor(t, fddSw, "mix4").dd == nil {
-			t.Fatalf("round %d: mix4: no decision diagram built", round)
-		}
-		sws := []*Switch{fddSw, scanSw, refSw}
 		k1s := []uint32{}
 		k2s := []uint16{}
 		for _, e := range ents {
@@ -284,36 +285,67 @@ func TestFDDMixedKeysDifferential(t *testing.T) {
 			if rng.Intn(3) == 0 {
 				k2 = uint16(rng.Intn(1 << 16))
 			}
-			diffOne(t, "mix4", sws, matcherPkt(sel, k1, k2))
+			diagramVsScan(t, "mix4", fddSw, "mix4", uint64(sel), uint64(k1), uint64(k2), uint64(k1))
+			diffOne(t, "mix4", fddSw, ref, matcherPkt(sel, k1, k2))
 		}
 	}
 }
 
-// TestFDDIneligibleFallsBack: a ternary mask with too many scattered
-// free bits must refuse the diagram (subset enumeration would explode)
-// and run on the scan fallback — still correctly.
+// TestFDDIneligibleFallsBack: the two rule sets a diagram is refused
+// for — a ternary mask with too many scattered free bits (subset
+// enumeration would explode) and a table over the build's work budget
+// (here a single-LPM table, which once had a matcher of its own) — get
+// a snapshot without one and match by the scan, still with the
+// reference interpreter's answers.
 func TestFDDIneligibleFallsBack(t *testing.T) {
-	ents := map[string][]*p4.Entry{"tern1": {
-		// 0xAAAAAAAA: 16 free high bits above the lowest set bit.
-		entry("set_out", 77, 0, p4.KeyValue{Value: 0x2AAA_AAAA, Mask: 0xAAAA_AAAA}),
-		entry("set_out", 88, 1, p4.KeyValue{Value: 0, Mask: 0}),
-	}}
-	sw := New(matcherProg(ents))
-	if !sw.Compiled() {
-		t.Fatalf("not compiled: %v", sw.CompileErr())
-	}
-	if snapFor(t, sw, "tern1").dd != nil {
-		t.Fatal("scattered-mask table unexpectedly built a diagram")
-	}
-	ref := New(matcherProg(ents))
-	ref.SetEngine(EngineReference)
 	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < 200; i++ {
-		k1 := rng.Uint32()
-		if i%2 == 0 {
-			k1 = (k1 & 0xAAAA_AAAA) | 0x2AAA_AAAA&0xAAAA_AAAA // force rule-0 hits
+	// More endpoints than fddMaxWork: distinct /32 hosts, under a few
+	// covering prefixes so that longest-prefix order still decides.
+	big := []*p4.Entry{
+		entry("set_out", 1, 0, p4.KeyValue{Value: 0, PrefixLen: 0}),
+		entry("set_out", 2, 0, p4.KeyValue{Value: 0x0A00_0000, PrefixLen: 8}),
+		entry("set_out", 3, 0, p4.KeyValue{Value: 0x0A00_0000, PrefixLen: 20}),
+	}
+	for i := 0; i <= fddMaxWork/2; i++ {
+		big = append(big, entry("set_out", uint64(100+i), 0,
+			p4.KeyValue{Value: 0x0A00_0000 + uint64(i)*3, PrefixLen: 32}))
+	}
+	for _, tc := range []struct {
+		table string
+		sel   uint8
+		ents  []*p4.Entry
+		probe func(i int) uint32
+	}{
+		{"tern1", 3, []*p4.Entry{
+			// 0xAAAAAAAA: 16 free high bits above the lowest set bit.
+			entry("set_out", 77, 0, p4.KeyValue{Value: 0x2AAA_AAAA, Mask: 0xAAAA_AAAA}),
+			entry("set_out", 88, 1, p4.KeyValue{Value: 0, Mask: 0}),
+		}, func(i int) uint32 {
+			k1 := rng.Uint32()
+			if i%2 == 0 {
+				k1 = (k1 & 0xAAAA_AAAA) | 0x2AAA_AAAA&0xAAAA_AAAA // force rule-0 hits
+			}
+			return k1
+		}},
+		{"lpm1", 2, big, func(i int) uint32 {
+			if i%4 == 0 {
+				return rng.Uint32()
+			}
+			return 0x0A00_0000 + uint32(rng.Intn(3*fddMaxWork/2+4096)) // hosts, gaps, past the /20
+		}},
+	} {
+		ents := map[string][]*p4.Entry{tc.table: tc.ents}
+		sw := New(matcherProg(ents))
+		if sw.CompileErr() != nil {
+			t.Fatalf("not compiled: %v", sw.CompileErr())
 		}
-		diffOne(t, "ineligible", []*Switch{sw, ref}, matcherPkt(3, k1, 0))
+		if snapFor(t, sw, tc.table).dd != nil {
+			t.Fatalf("%s: ineligible rule set unexpectedly built a diagram", tc.table)
+		}
+		ref := NewReference(New(matcherProg(ents)))
+		for i := 0; i < 200; i++ {
+			diffOne(t, "ineligible "+tc.table, sw, ref, matcherPkt(tc.sel, tc.probe(i), 0))
+		}
 	}
 }
 
@@ -325,7 +357,7 @@ func TestFDDIneligibleFallsBack(t *testing.T) {
 func TestBatchRebuildAmortized(t *testing.T) {
 	const n = 16
 	sw := New(matcherProg(nil))
-	if !sw.Compiled() {
+	if sw.CompileErr() != nil {
 		t.Fatalf("not compiled: %v", sw.CompileErr())
 	}
 	tb := tableFor(t, sw, "lpm1")

@@ -14,7 +14,7 @@ package bmv2
 // and mask as immediates. Where it is not (names the program never
 // declared, results of calls that may fold an error to val{0,32}) the
 // generic opcodes evaluate through the val/binOps semantics of ops.go,
-// which the reference engine uses too.
+// which the reference interpreter uses too.
 
 import "netcl/internal/p4"
 

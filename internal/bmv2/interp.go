@@ -2,7 +2,15 @@
 // the p4lang behavioral model: a software switch that runs any valid
 // program of our P4 subset. It serves as the testbed substrate for the
 // paper's end-to-end experiments (§VII) — both generated and
-// handwritten P4 run on this same interpreter.
+// handwritten P4 run on this same switch.
+//
+// interp.go is the Switch itself: construction, the control plane and
+// the three packet entry points. There is one engine — New compiles
+// the program to its slot-indexed form (compile.go) and packets run on
+// that — so a program the compiler refuses is an error from every
+// entry point, not a slower run. The tree-walking interpreter this
+// file is named after lives in reference.go, as the oracle tests
+// compare the engine against.
 package bmv2
 
 import (
@@ -37,34 +45,20 @@ func (x val) signed() int64 {
 	return int64(u)
 }
 
-// Engine selects the packet-processing implementation of a Switch.
-type Engine int
-
-// Engines. EngineCompiled is the slot-indexed prepare/execute engine
-// (compile.go); EngineReference is the original tree-walking
-// interpreter, kept both as the semantic oracle for differential tests
-// and as the fallback for programs the compiler refuses.
-const (
-	EngineCompiled Engine = iota
-	EngineReference
-)
-
 // Switch is an executable P4 switch instance with mutable runtime
 // state (registers, table entries, multicast groups).
 //
-// Concurrency: on the compiled engine, control-plane table mutations
-// (Write batches and the single-op wrappers InsertEntry/DeleteEntry/
-// ClearEntries/SetDefaultAction/SortEntriesByPriority) are safe to
-// call concurrently with packet processing — they serialize on the
-// writer mutex and publish immutable rule-set generations the data
+// Concurrency: control-plane table mutations (Write batches and the
+// single-op wrappers InsertEntry/DeleteEntry/SetDefaultAction) are
+// safe to call concurrently with packet processing — they serialize on
+// the writer mutex and publish immutable rule-set generations the data
 // path reads lock-free (RCU, see table.go and batch.go); a packet
 // pins one generation, so a batch is observed all-or-nothing.
 // Register cells are plain memory: concurrent packet processing is
 // safe only when packets touching the same cell run on the same
 // goroutine (the shard-by-flow invariant; see Sharded), and
 // control-plane register access against in-flight packets must
-// quiesce the data path (Sharded does). The reference engine is
-// single-goroutine only.
+// quiesce the data path (Sharded does).
 type Switch struct {
 	Prog *p4.Program
 
@@ -80,8 +74,6 @@ type Switch struct {
 
 	prog       *cprog // compiled form; nil when compilation was refused
 	compileErr error
-	engine     Engine
-	fddOff     bool // disables decision-diagram matchers (bench knob)
 
 	// Counters for observability and tests, updated atomically.
 	PacketsIn, PacketsOut, PacketsDropped uint64
@@ -137,40 +129,13 @@ func New(prog *p4.Program) *Switch {
 	}
 	// Prepare step: compile the program to its slot-indexed form. On
 	// refusal (constructs needing dynamic scoping, malformed graphs)
-	// the switch silently runs the reference engine instead.
+	// the switch keeps its control plane and processes no packets.
 	s.prog, s.compileErr = compileProgram(s)
 	return s
 }
 
-// SetEngine selects the processing engine. Selecting EngineCompiled on
-// a switch whose program failed to compile keeps the reference engine.
-func (s *Switch) SetEngine(e Engine) { s.engine = e }
-
-// Compiled reports whether packets run on the compiled engine.
-func (s *Switch) Compiled() bool { return s.prog != nil && s.engine == EngineCompiled }
-
-// SetFDD enables or disables the decision-diagram matchers (fdd.go)
-// and republishes every table snapshot accordingly. Diagrams are on by
-// default; the knob exists so benchmarks can isolate the FDD delta.
-// Safe to call concurrently with packet processing (RCU publication).
-func (s *Switch) SetFDD(on bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.fddOff == !on {
-		return
-	}
-	s.fddOff = !on
-	if s.prog == nil {
-		return
-	}
-	snaps := make([]*tsnap, len(s.prog.tabs))
-	for i, tb := range s.prog.tabs {
-		snaps[i] = tb.build()
-	}
-	s.prog.gen.Store(&generation{snaps: snaps})
-}
-
-// CompileErr returns the reason compilation was refused, or nil.
+// CompileErr returns the reason compilation was refused, or nil. A
+// refused switch answers every Process call with this error.
 func (s *Switch) CompileErr() error { return s.compileErr }
 
 // Control plane --------------------------------------------------------
@@ -292,43 +257,12 @@ func entryKeysEqual(e *p4.Entry, keyVals []uint64) bool {
 	return true
 }
 
-// ClearEntries removes all runtime entries of a table.
-func (s *Switch) ClearEntries(table string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if es := s.entries[table]; es != nil {
-		*es = entrySet{}
-	}
-	s.republishTables(table)
-}
-
 // SetDefaultAction overrides a table's default action (the control
 // plane configures e.g. the AGG baseline's worker count this way). A
 // single-op batch, kept for callers that don't need transactions.
 func (s *Switch) SetDefaultAction(table, action string, args []uint64) error {
 	_, err := s.Write(NewWriteBatch().SetDefault(table, action, args))
 	return unwrapBatch(err)
-}
-
-// republishTables fully rebuilds the snapshot of every compiled table
-// sharing the name and publishes one new generation. The O(table)
-// path, reserved for whole-table mutations (clear, sort); incremental
-// changes go through Write's O(delta) staging instead. Callers hold
-// s.mu (or run single-threaded at construction time).
-func (s *Switch) republishTables(table string) {
-	if s.prog == nil {
-		return
-	}
-	tbs := s.prog.tablesByName[table]
-	if len(tbs) == 0 {
-		return
-	}
-	cur := s.prog.gen.Load()
-	snaps := append([]*tsnap(nil), cur.snaps...)
-	for _, tb := range tbs {
-		snaps[tb.gslot] = tb.build()
-	}
-	s.prog.gen.Store(&generation{snaps: snaps})
 }
 
 // Entries returns a copy of a table's current entries (live entries
@@ -375,25 +309,14 @@ func (s *Switch) findTable(name string) *p4.Table {
 
 // Packet processing ----------------------------------------------------
 
-// exec carries per-packet state.
-type exec struct {
-	s       *Switch
-	env     map[string]val
-	valid   map[string]bool
-	ordered []string // extracted header order
-	payload []byte
-	exited  bool
-	frames  []map[string]val // action parameter frames
-}
-
-// Process runs one packet through parser, ingress, (egress,) deparser
-// on the selected engine. inPort is published to the program as
-// meta.ingress_port before parsing (both engines, identical widths).
+// Process runs one packet through parser, ingress, (egress,) deparser.
+// inPort is published to the program as meta.ingress_port before
+// parsing.
 func (s *Switch) Process(data []byte, inPort int) (*Result, error) {
-	if s.prog != nil && s.engine == EngineCompiled {
-		return s.prog.process(data, inPort)
+	if s.prog == nil {
+		return nil, s.compileErr
 	}
-	return s.processReference(data, inPort)
+	return s.prog.process(data, inPort)
 }
 
 // ProcessInto runs one packet like Process but fills a caller-owned
@@ -404,21 +327,10 @@ func (s *Switch) Process(data []byte, inPort int) (*Result, error) {
 // returns leave res unspecified. Semantics and counters otherwise
 // match Process exactly.
 func (s *Switch) ProcessInto(data []byte, inPort int, res *Result) error {
-	if s.prog != nil && s.engine == EngineCompiled {
-		return s.prog.processInto(data, inPort, res)
+	if s.prog == nil {
+		return s.compileErr
 	}
-	r, err := s.processReference(data, inPort)
-	if err != nil {
-		return err
-	}
-	d := res.Data
-	*res = *r
-	if r.Data != nil {
-		res.Data = append(d[:0], r.Data...)
-	} else {
-		res.Data = nil
-	}
-	return nil
+	return s.prog.processInto(data, inPort, res)
 }
 
 // MaxBurst is the largest batch ProcessBurst handles per machine
@@ -430,606 +342,25 @@ const MaxBurst = 32
 // outcome i into res[i]/errs[i] (res[i] is zeroed when errs[i] is
 // non-nil). ports may be nil (all packets enter on port 0). res and
 // errs must be at least len(pkts) long; bursts beyond MaxBurst are
-// processed in chunks. On the compiled engine a burst shares one
-// machine checkout and one rule-set generation pin and folds counter
-// updates into one atomic add per counter — per-packet semantics are
-// byte-identical to calling Process in a loop. Result slots belong to
-// the caller: reusing the slices across bursts is the zero-alloc
-// pattern (see Sharded's worker loop).
+// processed in chunks. A burst shares one machine checkout and one
+// rule-set generation pin and folds counter updates into one atomic
+// add per counter — per-packet semantics are byte-identical to calling
+// Process in a loop. Result slots belong to the caller: reusing the
+// slices across bursts is the zero-alloc pattern (see Sharded's worker
+// loop).
 func (s *Switch) ProcessBurst(pkts [][]byte, ports []int, res []Result, errs []error) {
-	if s.prog != nil && s.engine == EngineCompiled {
-		for len(pkts) > MaxBurst {
-			s.prog.processBurst(pkts[:MaxBurst], ports, res[:MaxBurst], errs[:MaxBurst])
-			pkts, res, errs = pkts[MaxBurst:], res[MaxBurst:], errs[MaxBurst:]
-			if ports != nil {
-				ports = ports[MaxBurst:]
-			}
+	if s.prog == nil {
+		for i := range pkts {
+			res[i], errs[i] = Result{}, s.compileErr
 		}
-		s.prog.processBurst(pkts, ports, res, errs)
 		return
 	}
-	for i, pkt := range pkts {
-		port := 0
+	for len(pkts) > MaxBurst {
+		s.prog.processBurst(pkts[:MaxBurst], ports, res[:MaxBurst], errs[:MaxBurst])
+		pkts, res, errs = pkts[MaxBurst:], res[MaxBurst:], errs[MaxBurst:]
 		if ports != nil {
-			port = ports[i]
-		}
-		r, err := s.processReference(pkt, port)
-		if err != nil {
-			res[i], errs[i] = Result{}, err
-			continue
-		}
-		res[i], errs[i] = *r, nil
-	}
-}
-
-// processReference is the original tree-walking interpreter: the
-// semantic oracle the compiled engine must match byte for byte.
-func (s *Switch) processReference(data []byte, inPort int) (*Result, error) {
-	atomic.AddUint64(&s.PacketsIn, 1)
-	ex := &exec{s: s, env: map[string]val{}, valid: map[string]bool{}}
-	for _, f := range s.Prog.Metadata {
-		ex.env["meta."+f.Name] = val{0, f.Bits}
-	}
-	// The ingress port is program-visible metadata, set before parsing
-	// (a parser select may read it). Width rules match the compiled
-	// engine exactly: the declared width, or dynamic when undeclared.
-	ex.env["meta.ingress_port"] = val{uint64(inPort), s.fields["meta.ingress_port"]}
-	if err := ex.parse(data); err != nil {
-		return nil, err
-	}
-	if err := ex.control(s.Prog.Ingress); err != nil {
-		return nil, err
-	}
-	if s.Prog.Egress != nil && !ex.exited {
-		if err := ex.control(s.Prog.Egress); err != nil {
-			return nil, err
+			ports = ports[MaxBurst:]
 		}
 	}
-	res := &Result{
-		Port:  int(ex.env["meta.egress_port"].wrapped()),
-		Mcast: int(ex.env["meta.mcast_grp"].wrapped()),
-	}
-	if ex.env["meta.drop_flag"].wrapped() != 0 {
-		res.Dropped = true
-		atomic.AddUint64(&s.PacketsDropped, 1)
-		return res, nil
-	}
-	res.Data = ex.deparse()
-	if res.Port == 0 && res.Mcast == 0 {
-		res.NoMatch = true
-	}
-	atomic.AddUint64(&s.PacketsOut, 1)
-	return res, nil
-}
-
-// parse walks the parser FSM.
-func (ex *exec) parse(data []byte) error {
-	rest := data
-	state := ex.s.Prog.Parser.StateByName("start")
-	for steps := 0; state != nil; steps++ {
-		if steps > 64 {
-			return fmt.Errorf("parser loop")
-		}
-		for _, hn := range state.Extracts {
-			h := ex.s.Prog.HeaderByName(hn)
-			if h == nil {
-				return fmt.Errorf("parser extracts unknown header %q", hn)
-			}
-			nbytes := h.Bits() / 8
-			if len(rest) < nbytes {
-				return fmt.Errorf("packet too short for header %q (%d < %d)", hn, len(rest), nbytes)
-			}
-			bitOff := 0
-			for _, f := range h.Fields {
-				v := extractBits(rest, bitOff, f.Bits)
-				ex.env["hdr."+hn+"."+f.Name] = val{v, f.Bits}
-				bitOff += f.Bits
-			}
-			rest = rest[nbytes:]
-			ex.valid[hn] = true
-			ex.ordered = append(ex.ordered, hn)
-		}
-		next := ""
-		if state.Select != nil {
-			key := ex.eval(state.Select.Key)
-			next = state.Select.Default
-			for _, c := range state.Select.Cases {
-				if c.Mask != 0 {
-					if key.wrapped()&c.Mask == c.Value&c.Mask {
-						next = c.State
-						break
-					}
-				} else if key.wrapped() == c.Value {
-					next = c.State
-					break
-				}
-			}
-		} else {
-			next = state.Next
-			if next == "" {
-				next = "accept"
-			}
-		}
-		switch next {
-		case "accept":
-			ex.payload = rest
-			return nil
-		case "reject":
-			return fmt.Errorf("parser rejected packet")
-		}
-		state = ex.s.Prog.Parser.StateByName(next)
-		if state == nil {
-			return fmt.Errorf("parser transition to unknown state %q", next)
-		}
-	}
-	return nil
-}
-
-func extractBits(b []byte, bitOff, bits int) uint64 {
-	var v uint64
-	for i := 0; i < bits; i++ {
-		byteIdx := (bitOff + i) / 8
-		bitIdx := 7 - (bitOff+i)%8
-		v <<= 1
-		if byteIdx < len(b) && b[byteIdx]>>(uint(bitIdx))&1 != 0 {
-			v |= 1
-		}
-	}
-	return v
-}
-
-// deparse emits valid headers in extraction order plus payload.
-func (ex *exec) deparse() []byte {
-	var out []byte
-	emitted := map[string]bool{}
-	emit := func(hn string) {
-		if emitted[hn] || !ex.valid[hn] {
-			return
-		}
-		emitted[hn] = true
-		h := ex.s.Prog.HeaderByName(hn)
-		var cur uint64
-		curBits := 0
-		for _, f := range h.Fields {
-			v := ex.env["hdr."+hn+"."+f.Name]
-			remaining := f.Bits
-			for remaining > 0 {
-				take := 8 - curBits
-				if take > remaining {
-					take = remaining
-				}
-				cur = cur<<uint(take) | (v.wrapped()>>(uint(remaining-take)))&((1<<uint(take))-1)
-				curBits += take
-				remaining -= take
-				if curBits == 8 {
-					out = append(out, byte(cur))
-					cur, curBits = 0, 0
-				}
-			}
-		}
-	}
-	for _, hn := range ex.ordered {
-		emit(hn)
-	}
-	// Headers made valid by the control (not extracted) follow program
-	// order.
-	for _, h := range ex.s.Prog.Headers {
-		emit(h.Name)
-	}
-	return append(out, ex.payload...)
-}
-
-// control runs a control block's apply body.
-func (ex *exec) control(c *p4.Control) error {
-	return ex.stmts(c, c.Apply)
-}
-
-func (ex *exec) stmts(c *p4.Control, body []p4.Stmt) error {
-	for _, st := range body {
-		if ex.exited {
-			return nil
-		}
-		if err := ex.stmt(c, st); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (ex *exec) stmt(c *p4.Control, st p4.Stmt) error {
-	switch x := st.(type) {
-	case *p4.Comment:
-		return nil
-	case *p4.Assign:
-		v := ex.eval(x.RHS)
-		ex.assign(x.LHS, v)
-		return nil
-	case *p4.If:
-		if ex.eval(x.Cond).wrapped() != 0 {
-			return ex.stmts(c, x.Then)
-		}
-		return ex.stmts(c, x.Else)
-	case *p4.ApplyTable:
-		hit, err := ex.applyTable(c, x.Table)
-		if err != nil {
-			return err
-		}
-		if x.HitVar != "" {
-			hv := uint64(0)
-			if hit {
-				hv = 1
-			}
-			ex.assign(p4.FR(x.HitVar), val{hv, 1})
-		}
-		return nil
-	case *p4.CallStmt:
-		return ex.callStmt(c, x)
-	case *p4.SetValid:
-		ex.valid[x.Header] = x.Valid
-		if x.Valid {
-			found := false
-			for _, hn := range ex.ordered {
-				if hn == x.Header {
-					found = true
-				}
-			}
-			if !found {
-				ex.ordered = append(ex.ordered, x.Header)
-			}
-		}
-		return nil
-	case *p4.Exit:
-		ex.exited = true
-		return nil
-	}
-	return fmt.Errorf("unsupported statement %T", st)
-}
-
-// assign writes a value through action frames, locals, or fields.
-func (ex *exec) assign(fr *p4.FieldRef, v val) {
-	name := fr.String()
-	if len(ex.frames) > 0 {
-		if _, ok := ex.frames[len(ex.frames)-1][name]; ok {
-			ex.frames[len(ex.frames)-1][name] = v
-			return
-		}
-	}
-	bits := ex.s.fields[name]
-	if bits == 0 {
-		bits = v.bits
-	}
-	ex.env[name] = val{v.wrapped(), bits}
-}
-
-func (ex *exec) callStmt(c *p4.Control, x *p4.CallStmt) error {
-	if x.Recv == "" {
-		// Plain action invocation.
-		a := c.ActionByName(x.Method)
-		if a == nil {
-			return fmt.Errorf("unknown action %q", x.Method)
-		}
-		var args []val
-		for _, e := range x.Args {
-			args = append(args, ex.eval(e))
-		}
-		return ex.runAction(c, a, args)
-	}
-	// Register primitives (v1model style).
-	if rf, ok := ex.s.regs[x.Recv]; ok {
-		switch x.Method {
-		case "read":
-			dst, ok := x.Args[0].(*p4.FieldRef)
-			if !ok {
-				return fmt.Errorf("register read destination must be a field")
-			}
-			idx := int(ex.eval(x.Args[1]).wrapped())
-			var v uint64
-			if idx >= 0 && idx < rf.size {
-				v = rf.load(idx)
-			}
-			ex.assign(dst, val{v, ex.s.fields[dst.String()]})
-			return nil
-		case "write":
-			idx := int(ex.eval(x.Args[0]).wrapped())
-			v := ex.eval(x.Args[1])
-			if idx >= 0 && idx < rf.size {
-				rf.store(idx, v.wrapped())
-			}
-			return nil
-		}
-	}
-	// RegisterAction.execute used as a statement (result discarded).
-	if ra := c.RegActByName(x.Recv); ra != nil && x.Method == "execute" {
-		_, err := ex.execRegAction(c, ra, x.Args)
-		return err
-	}
-	return fmt.Errorf("unsupported call %s.%s", x.Recv, x.Method)
-}
-
-func (ex *exec) runAction(c *p4.Control, a *p4.ActionDecl, args []val) error {
-	frame := map[string]val{}
-	for i, p := range a.Params {
-		var v val
-		if i < len(args) {
-			v = val{args[i].wrapped(), p.Bits}
-		} else {
-			v = val{0, p.Bits}
-		}
-		frame[p.Name] = v
-	}
-	ex.frames = append(ex.frames, frame)
-	err := ex.stmts(c, a.Body)
-	ex.frames = ex.frames[:len(ex.frames)-1]
-	return err
-}
-
-// applyTable matches and executes a table.
-func (ex *exec) applyTable(c *p4.Control, name string) (bool, error) {
-	t := c.TableByName(name)
-	if t == nil {
-		return false, fmt.Errorf("unknown table %q", name)
-	}
-	var keys []val
-	for _, k := range t.Keys {
-		keys = append(keys, ex.eval(k.Expr))
-	}
-	var entries []*p4.Entry
-	if es := ex.s.entries[name]; es != nil {
-		entries = es.ents
-	}
-	var best *p4.Entry
-	// "no match" is tracked explicitly rather than with a sentinel
-	// score: ternary/range priorities are subtracted from the score and
-	// a large priority would underflow any sentinel, making a matching
-	// entry lose to nothing.
-	bestScore := 0
-	matched := false
-	for _, e := range entries {
-		if e == nil || len(e.Keys) != len(keys) {
-			continue
-		}
-		ok := true
-		score := 0
-		for i, kv := range e.Keys {
-			kval := keys[i].wrapped()
-			switch t.Keys[i].Match {
-			case p4.MatchExact:
-				if kval != kv.Value {
-					ok = false
-				}
-			case p4.MatchTernary:
-				if kval&kv.Mask != kv.Value&kv.Mask {
-					ok = false
-				}
-				score -= e.Priority
-			case p4.MatchLPM:
-				bits := keys[i].bits
-				plen := kv.PrefixLen
-				if plen < 0 {
-					plen = 0
-				}
-				if plen > bits {
-					ok = false
-					break
-				}
-				shift := uint(bits - plen)
-				if plen == 0 || kval>>shift == kv.Value>>shift {
-					score = plen
-				} else {
-					ok = false
-				}
-			case p4.MatchRange:
-				if kval < kv.Value || kval > kv.Hi {
-					ok = false
-				}
-				score -= e.Priority
-			}
-			if !ok {
-				break
-			}
-		}
-		if ok && (!matched || score > bestScore) {
-			best = e
-			bestScore = score
-			matched = true
-		}
-	}
-	if best == nil {
-		if t.Default != nil && t.Default.Name != "NoAction" {
-			a := c.ActionByName(t.Default.Name)
-			if a == nil {
-				return false, fmt.Errorf("unknown default action %q", t.Default.Name)
-			}
-			var args []val
-			for _, v := range t.Default.Args {
-				args = append(args, val{v, 64})
-			}
-			if err := ex.runAction(c, a, args); err != nil {
-				return false, err
-			}
-		}
-		return false, nil
-	}
-	if best.Action.Name != "NoAction" {
-		a := c.ActionByName(best.Action.Name)
-		if a == nil {
-			return false, fmt.Errorf("unknown action %q", best.Action.Name)
-		}
-		var args []val
-		for _, v := range best.Action.Args {
-			args = append(args, val{v, 64})
-		}
-		if err := ex.runAction(c, a, args); err != nil {
-			return false, err
-		}
-	}
-	return true, nil
-}
-
-// execRegAction runs a SALU microprogram.
-func (ex *exec) execRegAction(c *p4.Control, ra *p4.RegisterAction, idxArgs []p4.Expr) (val, error) {
-	rf := ex.s.regs[ra.Register]
-	if rf == nil {
-		return val{}, fmt.Errorf("register action %q over unknown register", ra.Name)
-	}
-	reg := c.RegisterByName(ra.Register)
-	idx := 0
-	if len(idxArgs) > 0 {
-		idx = int(ex.eval(idxArgs[0]).wrapped())
-	}
-	var m uint64
-	if idx >= 0 && idx < rf.size {
-		m = rf.load(idx)
-	}
-	frame := map[string]val{
-		"m": {m, reg.Bits},
-		"o": {0, reg.Bits},
-	}
-	ex.frames = append(ex.frames, frame)
-	err := ex.stmts(c, ra.Body)
-	out := ex.frames[len(ex.frames)-1]
-	ex.frames = ex.frames[:len(ex.frames)-1]
-	if err != nil {
-		return val{}, err
-	}
-	if idx >= 0 && idx < rf.size {
-		rf.store(idx, out["m"].wrapped())
-	}
-	return out["o"], nil
-}
-
-// eval evaluates an expression.
-func (ex *exec) eval(e p4.Expr) val {
-	switch x := e.(type) {
-	case *p4.IntLit:
-		b := x.Bits
-		if b == 0 {
-			b = 64
-		}
-		return val{x.Val, b}
-	case *p4.FieldRef:
-		name := x.String()
-		// Innermost action frame first (params, m/o of reg actions).
-		for i := len(ex.frames) - 1; i >= 0; i-- {
-			if v, ok := ex.frames[i][name]; ok {
-				return v
-			}
-		}
-		if v, ok := ex.env[name]; ok {
-			return v
-		}
-		return val{0, ex.s.fields[name]}
-	case *p4.Bin:
-		return ex.evalBin(x)
-	case *p4.Un:
-		v := ex.eval(x.X)
-		if op, ok := unOps[x.Op]; ok {
-			return op(v)
-		}
-		return v
-	case *p4.Cast:
-		v := ex.eval(x.X)
-		if x.Signed && v.bits < x.Bits {
-			return val{uint64(v.signed()) & (val{bits: x.Bits}).mask(), x.Bits}
-		}
-		return val{v.wrapped() & (val{bits: x.Bits}).mask(), x.Bits}
-	case *p4.TernaryExpr:
-		if ex.eval(x.Cond).wrapped() != 0 {
-			return ex.eval(x.A)
-		}
-		return ex.eval(x.B)
-	case *p4.CallExpr:
-		v, err := ex.evalCall(x)
-		if err != nil {
-			// Errors inside expressions surface as zero; callers that
-			// care route through callStmt which propagates errors.
-			return val{0, 32}
-		}
-		return v
-	}
-	return val{}
-}
-
-func (ex *exec) evalCall(x *p4.CallExpr) (val, error) {
-	// Header validity.
-	if x.Method == "isValid" {
-		name := x.Recv
-		if len(name) > 4 && name[:4] == "hdr." {
-			name = name[4:]
-		}
-		if ex.valid[name] {
-			return val{1, 1}, nil
-		}
-		return val{0, 1}, nil
-	}
-	c := ex.s.Prog.Ingress
-	if ra := c.RegActByName(x.Recv); ra != nil && x.Method == "execute" {
-		return ex.execRegAction(c, ra, x.Args)
-	}
-	// Hash/random externs.
-	for _, h := range ex.hashDecls() {
-		if h.Name == x.Recv && x.Method == "get" {
-			if h.Algo == "random" {
-				r := ex.s.nextRand()
-				return val{r >> 17 & (val{bits: h.Bits}).mask(), h.Bits}, nil
-			}
-			var data []byte
-			for _, a := range x.Args {
-				v := ex.eval(a)
-				nb := (v.bits + 7) / 8
-				if nb == 0 {
-					nb = 4
-				}
-				for i := nb - 1; i >= 0; i-- {
-					data = append(data, byte(v.wrapped()>>(8*uint(i))))
-				}
-			}
-			hv := hashBytes(h.Algo, data)
-			return val{hv & (val{bits: h.Bits}).mask(), h.Bits}, nil
-		}
-	}
-	if x.Method == "apply_hit" {
-		hit, err := ex.applyTable(c, x.Recv)
-		if err != nil {
-			return val{}, err
-		}
-		if hit {
-			return val{1, 1}, nil
-		}
-		return val{0, 1}, nil
-	}
-	return val{}, fmt.Errorf("unsupported call expression %s.%s", x.Recv, x.Method)
-}
-
-func (ex *exec) hashDecls() []*p4.HashDecl {
-	if ex.s.Prog.Egress == nil {
-		return ex.s.Prog.Ingress.Hashes
-	}
-	// Copy: never append into the program's own backing array.
-	out := make([]*p4.HashDecl, 0, len(ex.s.Prog.Ingress.Hashes)+len(ex.s.Prog.Egress.Hashes))
-	out = append(out, ex.s.Prog.Ingress.Hashes...)
-	return append(out, ex.s.Prog.Egress.Hashes...)
-}
-
-func (ex *exec) evalBin(x *p4.Bin) val {
-	a := ex.eval(x.X)
-	b := ex.eval(x.Y)
-	if op, ok := binOps[x.Op]; ok {
-		return op(a, b)
-	}
-	return val{0, combinedBits(a, b)}
-}
-
-// SortEntriesByPriority orders a table's runtime entries (lowest
-// priority value first); useful after bulk inserts of ternary entries.
-func (s *Switch) SortEntriesByPriority(table string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	es := s.entries[table]
-	if es != nil {
-		es.compact() // drop tombstones so the sort sees only live entries
-		sort.SliceStable(es.ents, func(i, j int) bool { return es.ents[i].Priority < es.ents[j].Priority })
-		es.compact() // reindex byKey for the new order
-	}
-	s.republishTables(table)
+	s.prog.processBurst(pkts, ports, res, errs)
 }

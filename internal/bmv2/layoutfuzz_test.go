@@ -3,8 +3,8 @@ package bmv2
 // layoutfuzz_test.go pins the planned parser and deparser of the
 // compiled engine (machine.go) to the reference bit-by-bit loops:
 // seeded random header layouts and parse graphs, packets of every
-// length from empty to complete plus payload, and both engines must
-// produce the same bytes or the same error.
+// length from empty to complete plus payload, and the engine and the
+// reference interpreter must produce the same bytes or the same error.
 
 import (
 	"fmt"
@@ -165,10 +165,9 @@ func TestLayoutDifferentialFuzz(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		pp := layoutProgram(rng)
 		comp, ref := New(pp), New(pp)
-		if !comp.Compiled() {
+		if comp.CompileErr() != nil {
 			t.Fatalf("seed %d: compile refused: %v\n%s", seed, comp.CompileErr(), p4.Print(pp))
 		}
-		ref.SetEngine(EngineReference)
 		full := 0
 		for _, h := range pp.Headers {
 			full += (h.Bits() + 7) / 8
@@ -192,7 +191,8 @@ func TestLayoutDifferentialFuzz(t *testing.T) {
 }
 
 // TestParserStepGuard: the 64-step guard trips on the same visit in
-// both engines — a one-byte header re-extracted while it reads 1.
+// the engine and the interpreter — a one-byte header re-extracted
+// while it reads 1.
 func TestParserStepGuard(t *testing.T) {
 	pp := &p4.Program{Name: "loop", Target: p4.TargetTNA}
 	pp.Headers = []*p4.HeaderDecl{{Name: "b", Fields: []*p4.Field{{Name: "v", Bits: 8}}}}
@@ -203,10 +203,9 @@ func TestParserStepGuard(t *testing.T) {
 	}}}
 	pp.Ingress = &p4.Control{Name: "In"}
 	comp, ref := New(pp), New(pp)
-	if !comp.Compiled() {
+	if comp.CompileErr() != nil {
 		t.Fatalf("compile refused: %v", comp.CompileErr())
 	}
-	ref.SetEngine(EngineReference)
 	for ones := 62; ones <= 67; ones++ {
 		pkt := make([]byte, ones+1)
 		for i := 0; i < ones; i++ {

@@ -262,6 +262,21 @@ func (m *machine) parse(p *cprog, data []byte) error {
 	}
 }
 
+// extractBits reads a big-endian bit field; bits past the end of b
+// read as zero.
+func extractBits(b []byte, bitOff, bits int) uint64 {
+	var v uint64
+	for i := 0; i < bits; i++ {
+		byteIdx := (bitOff + i) / 8
+		bitIdx := 7 - (bitOff+i)%8
+		v <<= 1
+		if byteIdx < len(b) && b[byteIdx]>>(uint(bitIdx))&1 != 0 {
+			v |= 1
+		}
+	}
+	return v
+}
+
 // deparseInto emits valid headers (extraction order, then program
 // order) plus payload into scratch[:0]. The caller owns scratch and
 // must not pass a buffer aliasing the input packet (the payload is

@@ -91,12 +91,12 @@ type Sharded struct {
 	wg     sync.WaitGroup
 }
 
-// NewSharded wraps a compiled switch in an n-shard dispatcher. The
-// reference engine shares per-packet state maps across calls, so only
-// the compiled engine may be sharded.
+// NewSharded wraps a switch in an n-shard dispatcher. A switch whose
+// program the compiler refused has nothing to dispatch to: its compile
+// error comes back wrapped.
 func NewSharded(sw *Switch, cfg ShardedConfig) (*Sharded, error) {
-	if !sw.Compiled() {
-		return nil, fmt.Errorf("sharded: switch is not on the compiled engine (compile error: %v)", sw.CompileErr())
+	if err := sw.CompileErr(); err != nil {
+		return nil, fmt.Errorf("sharded: %w", err)
 	}
 	n := cfg.Shards
 	if n <= 0 {

@@ -100,7 +100,7 @@ func resultHash(h uint64, res *Result, err error) uint64 {
 func TestShardedPerFlowDeterminism(t *testing.T) {
 	const flows, perFlow = 32, 64
 	sw := New(shardProg())
-	if !sw.Compiled() {
+	if sw.CompileErr() != nil {
 		t.Fatalf("compile refused: %v", sw.CompileErr())
 	}
 	sh, err := NewSharded(sw, ShardedConfig{Shards: 4, QueueDepth: 16, FlowKey: shardFlowKey})
@@ -281,14 +281,4 @@ func TestShardedBackpressure(t *testing.T) {
 		t.Error("queue-full counter not incremented")
 	}
 	sh.Close()
-}
-
-// TestShardedRefusesReference: the reference engine shares per-packet
-// state and must not be sharded.
-func TestShardedRefusesReference(t *testing.T) {
-	sw := New(shardProg())
-	sw.SetEngine(EngineReference)
-	if _, err := NewSharded(sw, ShardedConfig{Shards: 2}); err == nil {
-		t.Fatal("NewSharded accepted a reference-engine switch")
-	}
 }

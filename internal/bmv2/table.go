@@ -1,13 +1,16 @@
 package bmv2
 
-// table.go specializes each match-action table into a matcher at
-// compile time: a persistent hash trie for all-exact-key tables (the
-// CACHE and CALC dispatch pattern) and a forwarding decision diagram
-// (fdd.go) for everything else — LPM, ternary, range, mixed — with
-// the sorted-prefix walk and the reference linear scan kept as the
-// fallback for FDD-ineligible tables and diverging runtime key
-// widths. The materialized matcher lives in an
-// immutable snapshot (tsnap) inside a program-wide generation behind
+// table.go gives each match-action table one matcher, in one of two
+// snapshot shapes. All-exact-key tables (the CACHE and CALC dispatch
+// pattern) hold a persistent hash trie. Everything else — LPM,
+// ternary, range, mixed — holds its compiled entries and a forwarding
+// decision diagram over them (fdd.go), whose leaf is the answer; when
+// no diagram can be built (scattered ternary masks, work-budget
+// overflow, dynamic key widths) the snapshot carries none and the
+// table matches by the linear scan, the reference loop restated over
+// compiled entries. That choice is made at build time, per snapshot,
+// by dd == nil; nothing is decided per packet. The snapshot (tsnap)
+// is immutable and lives inside a program-wide generation behind
 // one atomic pointer, RCU style: the data path pins the generation
 // with a single atomic read at packet start and never takes a lock,
 // while control-plane mutations build fresh snapshots under the
@@ -22,24 +25,14 @@ package bmv2
 //
 // Exact tables are updated incrementally: their snapshot holds a
 // persistent map (pmap.go), so applying a one-entry delta costs
-// O(log n) path copies instead of an O(table) rebuild. LPM and linear
+// O(log n) path copies instead of an O(table) rebuild. Non-exact
 // tables — small in practice — rebuild from the entry store.
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"netcl/internal/p4"
-)
-
-// tkind selects the matcher specialization.
-type tkind int
-
-const (
-	tLinear tkind = iota
-	tExact
-	tLPM
 )
 
 // maxExactKeys bounds the width of the exact-index tuple key.
@@ -53,13 +46,12 @@ type centry struct {
 	args     []uint64
 	unknown  bool // the entry's action name failed to resolve
 	eligible bool // len(e.Keys) matches the table's key count
-	plen     int  // clamped prefix length (LPM sort key)
 }
 
 // tsnap is one immutable published matcher state. Everything the data
 // path needs to match and act is in here; nothing in a published tsnap
 // is ever mutated again. Exact tables use the persistent map pm;
-// LPM/linear tables use the materialized entry slice.
+// the others use the materialized entry slice and its diagram.
 //
 // Before publication a snapshot staged by a batch carries that batch's
 // ownership token, letting later ops of the same batch update it in
@@ -67,10 +59,9 @@ type centry struct {
 // token reference on the caller side, so the next batch sees a foreign
 // owner and copies.
 type tsnap struct {
-	pm     *pnode   // exact: tuple -> compiled entry (persistent)
-	ents   []centry // LPM/linear: compiled entries in store order
-	lpmIdx []int    // entry indices, prefix length descending (stable)
-	dd     *fdd     // decision diagram over ents (fdd.go); nil = walk/scan
+	pm   *pnode   // exact: tuple -> compiled entry (persistent)
+	ents []centry // non-exact: compiled entries in store order
+	dd   *fdd     // decision diagram over ents (fdd.go); nil = scan
 
 	defAct     *caction
 	defArgs    []uint64
@@ -112,15 +103,15 @@ type ctable struct {
 	keyCode span
 	keys    []tkey
 	kinds   []p4.MatchKind
-	kind    tkind
-	gslot   int // index of this table's snapshot in a generation
+	exact   bool // snapshot shape: the hash trie, else entries + diagram
+	gslot   int  // index of this table's snapshot in a generation
 
 	// kbits/kstatic: statically inferred key widths (fdd.go). The
 	// decision diagram is built only when every key width is static.
 	kbits   []int
 	kstatic bool
 	// builds counts snapshot materializations — the amortization guard:
-	// a WriteBatch must cost one build per touched LPM/linear table, not
+	// a WriteBatch must cost one build per touched non-exact table, not
 	// one per op (pinned by TestBatchRebuildAmortized).
 	builds uint64
 }
@@ -156,14 +147,7 @@ func (cc *compiler) table(ctl *cctl, t *p4.Table) (*ctable, error) {
 		tb.kstatic = tb.kstatic && o.static
 	}
 	tb.keyCode.end = cc.here()
-	switch {
-	case len(t.Keys) >= 1 && len(t.Keys) <= maxExactKeys && t.AllExact():
-		tb.kind = tExact
-	case t.SingleLPM():
-		tb.kind = tLPM
-	default:
-		tb.kind = tLinear
-	}
+	tb.exact = len(t.Keys) >= 1 && len(t.Keys) <= maxExactKeys && t.AllExact()
 	tb.gslot = len(cc.p.tabs)
 	cc.p.tabs = append(cc.p.tabs, tb)
 	return tb, nil
@@ -191,13 +175,6 @@ func tupleOfVals(vals []uint64) [maxExactKeys]uint64 {
 // action instances.
 func (tb *ctable) compileEntry(e *p4.Entry) centry {
 	ce := centry{e: e, eligible: len(e.Keys) == len(tb.keys)}
-	if tb.kind == tLPM && ce.eligible {
-		plen := e.Keys[0].PrefixLen
-		if plen < 0 {
-			plen = 0
-		}
-		ce.plen = plen
-	}
 	if e.Action != nil && e.Action.Name != "NoAction" {
 		a := tb.ctl.actions[e.Action.Name]
 		if a == nil {
@@ -223,16 +200,15 @@ func (tb *ctable) compileDefault(sn *tsnap) {
 }
 
 // build materializes a fresh snapshot from the switch's current entry
-// store and the table's current default action. Called at compile
-// time and, under the switch's writer mutex, for O(table)-shaped
-// mutations (clear, sort, LPM/linear deltas) — never from the data
-// path. The caller publishes the result.
+// store and the table's current default action. It has two callers:
+// compile time, and Write's commit (under the switch's writer mutex)
+// for non-exact tables a batch touched — never the data path. The
+// caller publishes the result.
 func (tb *ctable) build() *tsnap {
 	atomic.AddUint64(&tb.builds, 1)
 	sn := &tsnap{}
 	es := tb.sw.entries[tb.name]
-	switch tb.kind {
-	case tExact:
+	if tb.exact {
 		if es != nil {
 			// One token for the whole build: every trie node is owned by
 			// this loop, so inserts edit in place instead of path-copying
@@ -253,7 +229,7 @@ func (tb *ctable) build() *tsnap {
 				sn.pm, _ = pinsert(sn.pm, 0, &pleaf{hash: phash(t), tuple: t, ce: ce}, false, o)
 			}
 		}
-	case tLPM:
+	} else {
 		if es != nil {
 			for _, e := range es.ents {
 				if e == nil {
@@ -262,29 +238,8 @@ func (tb *ctable) build() *tsnap {
 				sn.ents = append(sn.ents, tb.compileEntry(e))
 			}
 		}
-		for i := range sn.ents {
-			if sn.ents[i].eligible {
-				sn.lpmIdx = append(sn.lpmIdx, i)
-			}
-		}
-		// Stable: equal prefix lengths keep insertion order, so the
-		// walk finds the same winner the scan's strict > would.
-		sort.SliceStable(sn.lpmIdx, func(a, b int) bool {
-			return sn.ents[sn.lpmIdx[a]].plen > sn.ents[sn.lpmIdx[b]].plen
-		})
-	default:
-		if es != nil {
-			for _, e := range es.ents {
-				if e == nil {
-					continue
-				}
-				sn.ents = append(sn.ents, tb.compileEntry(e))
-			}
-		}
-	}
-	if tb.kind != tExact && !tb.sw.fddOff {
-		// The lpmIdx/ents fallback stays materialized alongside the
-		// diagram: match-time width checks may still reject the walk.
+		// nil when the rule set or the key widths rule a diagram out:
+		// apply then scans sn.ents.
 		sn.dd = buildFDD(tb, sn)
 	}
 	tb.compileDefault(sn)
@@ -295,7 +250,7 @@ func (tb *ctable) build() *tsnap {
 // tables path-copy the persistent map in O(log n); other kinds report
 // needing a full build by returning nil.
 func (tb *ctable) deltaInsert(old *tsnap, e *p4.Entry, o *powner) *tsnap {
-	if tb.kind != tExact {
+	if !tb.exact {
 		return nil
 	}
 	ce := tb.compileEntry(e)
@@ -314,7 +269,7 @@ func (tb *ctable) deltaInsert(old *tsnap, e *p4.Entry, o *powner) *tsnap {
 // the full key tuple. Exact tables path-copy in O(log n); other kinds
 // return nil to request a full build.
 func (tb *ctable) deltaDelete(old *tsnap, keyVals []uint64, o *powner) *tsnap {
-	if tb.kind != tExact {
+	if !tb.exact {
 		return nil
 	}
 	if len(keyVals) != len(tb.keys) {
@@ -331,7 +286,7 @@ func (tb *ctable) deltaDelete(old *tsnap, keyVals []uint64, o *powner) *tsnap {
 // deltaReplace rebinds a tuple to a fresh entry (the modify op). Exact
 // only; other kinds return nil to request a full build.
 func (tb *ctable) deltaReplace(old *tsnap, e *p4.Entry, o *powner) *tsnap {
-	if tb.kind != tExact {
+	if !tb.exact {
 		return nil
 	}
 	ce := tb.compileEntry(e)
@@ -365,7 +320,7 @@ func (tb *ctable) apply(m *machine) (bool, error) {
 	}
 
 	var ce *centry
-	if tb.kind == tExact {
+	if tb.exact {
 		var tk [maxExactKeys]uint64
 		for i, k := range tb.keys {
 			tk[i] = m.frame[k.slot].v
@@ -381,26 +336,9 @@ func (tb *ctable) apply(m *machine) (bool, error) {
 			keys = append(keys, v)
 		}
 		m.keys = keys
-		authoritative := false
 		if sn.dd != nil {
-			ce, authoritative = sn.dd.match(keys, sn.ents)
-		}
-		if !authoritative && tb.kind == tLPM {
-			kval := keys[0].v
-			bits := keys[0].bits
-			for _, idx := range sn.lpmIdx {
-				e := &sn.ents[idx]
-				plen := e.plen
-				if plen > bits {
-					continue
-				}
-				shift := uint(bits - plen)
-				if plen == 0 || kval>>shift == e.e.Keys[0].Value>>shift {
-					ce = e
-					break
-				}
-			}
-		} else if !authoritative {
+			ce = sn.dd.match(keys, sn.ents)
+		} else {
 			ce = tb.scan(sn, keys)
 		}
 	}
@@ -427,9 +365,10 @@ func (tb *ctable) apply(m *machine) (bool, error) {
 	return true, nil
 }
 
-// scan is the fallback linear matcher — semantically identical to the
-// reference applyTable loop, including the explicit matched flag that
-// separates "no match" from "matched with score 0".
+// scan is the linear matcher of snapshots without a diagram —
+// semantically identical to the reference applyTable loop, including
+// the explicit matched flag that separates "no match" from "matched
+// with score 0".
 func (tb *ctable) scan(sn *tsnap, keys []val) *centry {
 	var best *centry
 	bestScore := 0

@@ -463,12 +463,6 @@ func (t *Table) AllExact() bool {
 	return true
 }
 
-// SingleLPM reports whether the table has exactly one key, matched by
-// longest prefix — eligible for sorted-prefix dispatch.
-func (t *Table) SingleLPM() bool {
-	return len(t.Keys) == 1 && t.Keys[0].Match == MatchLPM
-}
-
 // Controls returns the program's control blocks in pipeline order
 // (ingress, then egress when present).
 func (p *Program) Controls() []*Control {

@@ -8,8 +8,8 @@
 // inserts/modifies/deletes, register writes, and default-action
 // changes as one all-or-nothing unit, applied atomically by the device
 // (a packet observes all of the batch or none of it) and carried over
-// the wire in a single versioned request frame. The legacy single-op
-// calls remain as thin wrappers around one-op batches.
+// the wire in a single versioned request frame. Write is the only way
+// to change device state: a single op is a one-op batch.
 package p4rt
 
 import (
@@ -19,7 +19,6 @@ import (
 	"sync"
 
 	"netcl/internal/bmv2"
-	"netcl/internal/p4"
 )
 
 // Batch vocabulary, shared with the switch implementation (bmv2 owns
@@ -50,18 +49,11 @@ const (
 func NewWriteBatch() *WriteBatch { return bmv2.NewWriteBatch() }
 
 // Client is the control-plane surface used by the host runtime:
-// register reads plus transactional write batches. The single-op
-// methods are deprecated wrappers — each is a one-op batch — kept so
-// existing drivers compile; new code should accumulate a WriteBatch
-// and call Write once.
+// register reads plus transactional write batches. A failed Write
+// returns a *BatchError naming the op, and nothing took effect.
 type Client interface {
 	RegisterRead(name string, idx int) (uint64, error)
 	Write(b *WriteBatch) (*WriteResult, error)
-
-	// Deprecated: single-op wrappers around Write.
-	RegisterWrite(name string, idx int, v uint64) error
-	InsertEntry(table string, e *p4.Entry) error
-	DeleteEntry(table string, keys ...uint64) (int, error)
 }
 
 // Direct is an in-process client bound to a behavioral-model switch.
@@ -83,28 +75,6 @@ func (d *Direct) Write(b *WriteBatch) (*WriteResult, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.SW.Write(b)
-}
-
-// RegisterWrite implements Client as a one-op batch.
-func (d *Direct) RegisterWrite(name string, idx int, v uint64) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.SW.RegisterWrite(name, idx, v)
-}
-
-// InsertEntry implements Client as a one-op batch.
-func (d *Direct) InsertEntry(table string, e *p4.Entry) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.SW.InsertEntry(table, e)
-}
-
-// DeleteEntry implements Client as a one-op batch: entries are removed
-// only when every key value matches the full tuple.
-func (d *Direct) DeleteEntry(table string, keys ...uint64) (int, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.SW.DeleteEntry(table, keys...), nil
 }
 
 // Wire protocol (gob-encoded request/response frames over TCP).
@@ -286,36 +256,4 @@ func (c *TCPClient) Write(b *WriteBatch) (*WriteResult, error) {
 		return nil, err
 	}
 	return &WriteResult{Removed: resp.Removed}, nil
-}
-
-// RegisterWrite implements Client as a one-op batch.
-func (c *TCPClient) RegisterWrite(name string, idx int, v uint64) error {
-	_, err := c.Write(NewWriteBatch().RegisterWrite(name, idx, v))
-	return unwrapBatch(err)
-}
-
-// InsertEntry implements Client as a one-op batch.
-func (c *TCPClient) InsertEntry(table string, e *p4.Entry) error {
-	_, err := c.Write(NewWriteBatch().Insert(table, e))
-	return unwrapBatch(err)
-}
-
-// DeleteEntry implements Client as a one-op batch: entries are removed
-// only when every key value matches the full tuple, so multi-key
-// deletes over TCP no longer match on the first key alone.
-func (c *TCPClient) DeleteEntry(table string, keys ...uint64) (int, error) {
-	res, err := c.Write(NewWriteBatch().Delete(table, keys...))
-	if err != nil {
-		return 0, unwrapBatch(err)
-	}
-	return res.Removed[0], nil
-}
-
-// unwrapBatch strips the op index off a single-op batch failure, so
-// the deprecated wrappers keep returning plain errors.
-func unwrapBatch(err error) error {
-	if be, ok := err.(*BatchError); ok {
-		return be.Err
-	}
-	return err
 }

@@ -22,12 +22,20 @@ func newSwitch(t *testing.T) *bmv2.Switch {
 	return bmv2.New(prog)
 }
 
+// mustWrite commits one batch through cl.
+func mustWrite(t *testing.T, cl Client, b *WriteBatch) *WriteResult {
+	t.Helper()
+	res, err := cl.Write(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestDirectClient(t *testing.T) {
 	sw := newSwitch(t)
 	var cl Client = &Direct{SW: sw}
-	if err := cl.RegisterWrite("reg_hits", 3, 42); err != nil {
-		t.Fatal(err)
-	}
+	mustWrite(t, cl, NewWriteBatch().RegisterWrite("reg_hits", 3, 42))
 	v, err := cl.RegisterRead("reg_hits", 3)
 	if err != nil || v != 42 {
 		t.Fatalf("read: %d %v", v, err)
@@ -35,15 +43,12 @@ func TestDirectClient(t *testing.T) {
 	if _, err := cl.RegisterRead("nope", 0); err == nil {
 		t.Error("unknown register must fail")
 	}
-	if err := cl.InsertEntry("netcl_fwd", &p4.Entry{
+	mustWrite(t, cl, NewWriteBatch().Insert("netcl_fwd", &p4.Entry{
 		Keys:   []p4.KeyValue{{Value: 5}},
 		Action: &p4.ActionCall{Name: "set_port", Args: []uint64{2}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	n, err := cl.DeleteEntry("netcl_fwd", 5)
-	if err != nil || n != 1 {
-		t.Fatalf("delete: %d %v", n, err)
+	}))
+	if n := mustWrite(t, cl, NewWriteBatch().Delete("netcl_fwd", 5)).Removed[0]; n != 1 {
+		t.Fatalf("delete: %d", n)
 	}
 }
 
@@ -61,9 +66,7 @@ func TestTCPControlPlane(t *testing.T) {
 	}
 	defer cl.Close()
 
-	if err := cl.RegisterWrite("reg_hits", 7, 1234); err != nil {
-		t.Fatal(err)
-	}
+	mustWrite(t, cl, NewWriteBatch().RegisterWrite("reg_hits", 7, 1234))
 	v, err := cl.RegisterRead("reg_hits", 7)
 	if err != nil || v != 1234 {
 		t.Fatalf("tcp read: %d %v", v, err)
@@ -73,19 +76,13 @@ func TestTCPControlPlane(t *testing.T) {
 		t.Error("remote error not propagated")
 	}
 	// Entries cross the wire (gob round trip of p4.Entry).
-	if err := cl.InsertEntry("netcl_fwd", &p4.Entry{
-		Keys:   []p4.KeyValue{{Value: 9, PrefixLen: -1}},
-		Action: &p4.ActionCall{Name: "set_port", Args: []uint64{4}},
-	}); err != nil {
-		t.Fatal(err)
-	}
+	mustWrite(t, cl, NewWriteBatch().Insert("netcl_fwd", fwdEntry(9, 4)))
 	got := sw.Entries("netcl_fwd")
 	if len(got) != 1 || got[0].Action.Args[0] != 4 {
 		t.Fatalf("entry did not arrive: %+v", got)
 	}
-	n, err := cl.DeleteEntry("netcl_fwd", 9)
-	if err != nil || n != 1 {
-		t.Fatalf("tcp delete: %d %v", n, err)
+	if n := mustWrite(t, cl, NewWriteBatch().Delete("netcl_fwd", 9)).Removed[0]; n != 1 {
+		t.Fatalf("tcp delete: %d", n)
 	}
 }
 
@@ -171,12 +168,12 @@ func TestTCPDeleteFullTuple(t *testing.T) {
 	defer cl.Close()
 
 	// Wrong arity removes nothing.
-	if n, err := cl.DeleteEntry("netcl_fwd", 5, 6); err != nil || n != 0 {
-		t.Fatalf("arity-mismatched delete: %d %v", n, err)
+	if n := mustWrite(t, cl, NewWriteBatch().Delete("netcl_fwd", 5, 6)).Removed[0]; n != 0 {
+		t.Fatalf("arity-mismatched delete: %d", n)
 	}
 	// Exact tuple removes the entry.
-	if n, err := cl.DeleteEntry("netcl_fwd", 5); err != nil || n != 1 {
-		t.Fatalf("full-tuple delete: %d %v", n, err)
+	if n := mustWrite(t, cl, NewWriteBatch().Delete("netcl_fwd", 5)).Removed[0]; n != 1 {
+		t.Fatalf("full-tuple delete: %d", n)
 	}
 }
 

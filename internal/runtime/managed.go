@@ -78,7 +78,8 @@ func (c *DeviceConnection) ManagedWrite(name string, idxs []int, v uint64) error
 	if !mem.Managed {
 		return fmt.Errorf("managed: memory %q is _net_ only; hosts cannot write it", name)
 	}
-	return c.CP.RegisterWrite(reg, flat, v)
+	_, err = c.CP.Write(p4rt.NewWriteBatch().RegisterWrite(reg, flat, v))
+	return err
 }
 
 // ManagedRead reads one element of managed memory (ncl::managed_read).
@@ -137,7 +138,11 @@ func (c *DeviceConnection) LookupDelete(name string, key uint64) (int, error) {
 	if mem == nil || !mem.IsLookup() || !mem.Managed {
 		return 0, fmt.Errorf("managed: %q is not managed lookup memory", name)
 	}
-	return c.CP.DeleteEntry("lu_"+name, key)
+	res, err := c.CP.Write(p4rt.NewWriteBatch().Delete("lu_"+name, key))
+	if err != nil {
+		return 0, err
+	}
+	return res.Removed[0], nil
 }
 
 // ManagedTxn accumulates managed-memory mutations — register writes,

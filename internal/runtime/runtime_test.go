@@ -225,24 +225,6 @@ func entryMatches(e *p4.Entry, keys []uint64) bool {
 	return true
 }
 
-func (f *fakeCP) RegisterWrite(name string, idx int, v uint64) error {
-	_, err := f.Write(p4rt.NewWriteBatch().RegisterWrite(name, idx, v))
-	return err
-}
-
-func (f *fakeCP) InsertEntry(table string, e *p4.Entry) error {
-	_, err := f.Write(p4rt.NewWriteBatch().Insert(table, e))
-	return err
-}
-
-func (f *fakeCP) DeleteEntry(table string, keys ...uint64) (int, error) {
-	res, err := f.Write(p4rt.NewWriteBatch().Delete(table, keys...))
-	if err != nil {
-		return 0, err
-	}
-	return res.Removed[0], nil
-}
-
 func TestManagedLookupEntries(t *testing.T) {
 	mems := []*ir.MemRef{
 		{Name: "cache", Elem: ir.U32, KeyType: ir.U32, Dims: []int{64},

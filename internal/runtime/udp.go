@@ -85,9 +85,7 @@ type DeviceConfig struct {
 	// for chaos testing (zero value = faultless).
 	Faults FaultSpec
 	// Workers > 1 processes packets on a flow-sharded worker pool.
-	// Requires the compiled engine (reference-engine programs fall
-	// back to the serialized path) and a FlowKey that honors the
-	// shard-by-flow invariant.
+	// Requires a FlowKey that honors the shard-by-flow invariant.
 	Workers int
 	// QueueDepth bounds each worker's queue (default 256).
 	QueueDepth int
@@ -99,8 +97,14 @@ type DeviceConfig struct {
 	Burst int
 }
 
-// ServeDevice starts a device process described by cfg.
+// ServeDevice starts a device process described by cfg. A program the
+// switch compiler refuses is an error here, for any worker count,
+// before any socket is bound.
 func ServeDevice(cfg DeviceConfig) (*UDPDevice, error) {
+	sw := bmv2.New(cfg.Prog)
+	if err := sw.CompileErr(); err != nil {
+		return nil, err
+	}
 	ua, err := net.ResolveUDPAddr("udp", cfg.Addr)
 	if err != nil {
 		return nil, err
@@ -111,7 +115,7 @@ func ServeDevice(cfg DeviceConfig) (*UDPDevice, error) {
 	}
 	d := &UDPDevice{
 		ID:     cfg.ID,
-		sw:     bmv2.New(cfg.Prog),
+		sw:     sw,
 		sock:   newSegConn(conn),
 		addrs:  map[uint16]netip.AddrPort{},
 		ports:  map[netip.AddrPort]int{},
@@ -119,7 +123,7 @@ func ServeDevice(cfg DeviceConfig) (*UDPDevice, error) {
 		faults: newFaultInjector(cfg.Faults),
 	}
 	d.bufs.New = func() any { return &dbuf{b: make([]byte, FrameOverhead+65536)} }
-	if cfg.Workers > 1 && d.sw.Compiled() {
+	if cfg.Workers > 1 {
 		sh, err := bmv2.NewSharded(d.sw, bmv2.ShardedConfig{
 			Shards: cfg.Workers, QueueDepth: cfg.QueueDepth,
 			FlowKey: cfg.FlowKey, Burst: cfg.Burst,
@@ -397,16 +401,6 @@ func (d *UDPDevice) RegisterRead(name string, idx int) (uint64, error) {
 	return d.sw.RegisterRead(name, idx)
 }
 
-// RegisterWrite implements p4rt.Client.
-func (d *UDPDevice) RegisterWrite(name string, idx int, v uint64) error {
-	if d.sharded != nil {
-		return d.sharded.RegisterWrite(name, idx, v)
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.sw.RegisterWrite(name, idx, v)
-}
-
 // SetDefaultAction configures a table's default action (operator
 // configuration, e.g. the baseline AGG worker count).
 func (d *UDPDevice) SetDefaultAction(table, action string, args []uint64) error {
@@ -416,27 +410,6 @@ func (d *UDPDevice) SetDefaultAction(table, action string, args []uint64) error 
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.sw.SetDefaultAction(table, action, args)
-}
-
-// InsertEntry implements p4rt.Client.
-func (d *UDPDevice) InsertEntry(table string, e *p4.Entry) error {
-	if d.sharded != nil {
-		return d.sharded.InsertEntry(table, e)
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.sw.InsertEntry(table, e)
-}
-
-// DeleteEntry implements p4rt.Client: entries are removed only when
-// every key value matches the full tuple.
-func (d *UDPDevice) DeleteEntry(table string, keys ...uint64) (int, error) {
-	if d.sharded != nil {
-		return d.sharded.DeleteEntry(table, keys...), nil
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.sw.DeleteEntry(table, keys...), nil
 }
 
 // HostConn is a host-side UDP endpoint for NetCL messages, mirroring

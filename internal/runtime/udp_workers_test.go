@@ -2,10 +2,13 @@ package runtime
 
 import (
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
 
+	"netcl/internal/bmv2"
+	"netcl/internal/p4"
 	"netcl/internal/passes"
 	"netcl/internal/testutil"
 	"netcl/internal/wire"
@@ -111,5 +114,41 @@ func TestUDPDeviceWorkers(t *testing.T) {
 	}
 	if st := dev.Stats(); st.Processed != hosts*perHost {
 		t.Errorf("processed %d, want %d (queuefull %d)", st.Processed, hosts*perHost, st.QueueFull)
+	}
+}
+
+// TestServeDeviceRefusedProgram: a program the switch compiler refuses
+// is ServeDevice's error for any worker count — Workers > 1 used to
+// serve it single-threaded on the interpreter — and no socket stays
+// bound to its address.
+func TestServeDeviceRefusedProgram(t *testing.T) {
+	prog := &p4.Program{Name: "noparser", Ingress: &p4.Control{Name: "In"}}
+	want := bmv2.New(prog).CompileErr()
+	if want == nil {
+		t.Fatal("a program without a parser compiled")
+	}
+	for _, workers := range []int{1, 4} {
+		// A free port with a name, so the test can bind it again.
+		probe, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr := probe.LocalAddr().String()
+		probe.Close()
+
+		dev, err := ServeDevice(DeviceConfig{ID: 5, Addr: addr, Prog: prog, Workers: workers})
+		if err == nil {
+			dev.Close()
+			t.Fatalf("workers=%d: refused program is being served", workers)
+		}
+		if err.Error() != want.Error() {
+			t.Errorf("workers=%d: error %q, want the compile error %q", workers, err, want)
+		}
+		ua, _ := net.ResolveUDPAddr("udp", addr)
+		again, err := net.ListenUDP("udp", ua)
+		if err != nil {
+			t.Fatalf("workers=%d: socket left open: %v", workers, err)
+		}
+		again.Close()
 	}
 }
