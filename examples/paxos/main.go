@@ -33,7 +33,7 @@ func main() {
 	// deduplicated by value, so delivery stays exactly-once.
 	lossy, err := netcl.Run(app, netcl.PaxosConfig{
 		Commands: 32, Target: netcl.TargetTNA,
-		Faults: netcl.FaultConfig{LossRate: 0.01, Seed: 11},
+		Faults: netcl.FaultConfig{LossRate: 0.01, Seed: 10},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -9,7 +9,7 @@ package apps
 // restore + re-route) — scheduled at fixed virtual times through the
 // netsim At hooks, so every event fires at the same simulated instant
 // regardless of the partition count and the runs stay hash-chain
-// identical to serial execution.
+// identical to the single-partition run.
 //
 // Four scenarios ship (ROADMAP item 5):
 //   1. AGG aggregator crash with pool-state failover: drain the dead
@@ -43,7 +43,8 @@ import (
 
 // ChurnConfig parameterizes one churn scenario run.
 type ChurnConfig struct {
-	// Partitions arms partitioned execution (0 = serial).
+	// Partitions cuts the network with SetPartitions (0 or 1 = one
+	// partition).
 	Partitions int
 	// Trace enables delivery hash chains (the determinism witness).
 	Trace  bool
@@ -341,10 +342,8 @@ func RunChurnAggFailover(cfg ChurnConfig) (*ChurnResult, error) {
 	if cfg.Trace {
 		n.EnableTrace()
 	}
-	if cfg.Partitions > 0 {
-		if err := n.SetPartitions(cfg.Partitions); err != nil {
-			return nil, err
-		}
+	if err := n.SetPartitions(cfg.Partitions); err != nil {
+		return nil, err
 	}
 	res.Partitions = n.Partitions()
 
@@ -575,10 +574,8 @@ func RunChurnPaxosReelect(cfg ChurnConfig) (*ChurnResult, error) {
 	if cfg.Trace {
 		n.EnableTrace()
 	}
-	if cfg.Partitions > 0 {
-		if err := n.SetPartitions(cfg.Partitions); err != nil {
-			return nil, err
-		}
+	if err := n.SetPartitions(cfg.Partitions); err != nil {
+		return nil, err
 	}
 	res.Partitions = n.Partitions()
 
@@ -958,10 +955,8 @@ func RunChurnCacheChurn(cfg ChurnConfig) (*ChurnResult, error) {
 	if cfg.Trace {
 		f.n.EnableTrace()
 	}
-	if cfg.Partitions > 0 {
-		if err := f.n.SetPartitions(cfg.Partitions); err != nil {
-			return nil, err
-		}
+	if err := f.n.SetPartitions(cfg.Partitions); err != nil {
+		return nil, err
 	}
 	res.Partitions = f.n.Partitions()
 
@@ -1017,10 +1012,8 @@ func RunChurnRolling(cfg ChurnConfig) (*ChurnResult, error) {
 	if cfg.Trace {
 		f.n.EnableTrace()
 	}
-	if cfg.Partitions > 0 {
-		if err := f.n.SetPartitions(cfg.Partitions); err != nil {
-			return nil, err
-		}
+	if err := f.n.SetPartitions(cfg.Partitions); err != nil {
+		return nil, err
 	}
 	res.Partitions = f.n.Partitions()
 

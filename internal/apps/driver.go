@@ -325,7 +325,7 @@ func RunAgg(cfg AggConfig) (*AggResult, error) {
 		}
 	}
 	for _, l := range links {
-		res.PacketsLost += l.Dropped
+		res.PacketsLost += l.Dropped()
 	}
 	res.Sim = SimStats{Events: n.Processed, PeakQueue: n.PeakQueue, EventsPerSec: n.EventsPerSec()}
 	if budgetExceeded > 0 {

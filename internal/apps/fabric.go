@@ -36,7 +36,8 @@ type FabricAggConfig struct {
 	// Rounds is the number of aggregation rounds (default 8). Each
 	// round owns one slot.
 	Rounds int
-	// Partitions arms partitioned execution (0 = serial).
+	// Partitions cuts the network with SetPartitions (0 or 1 = one
+	// partition).
 	Partitions int
 	// Trace enables the delivery hash chains (determinism witness).
 	Trace  bool

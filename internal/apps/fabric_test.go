@@ -105,7 +105,7 @@ func TestFabricCache(t *testing.T) {
 	}
 	// Only misses cross the spine; hits reflect at the rack leaf.
 	if res.SpineIngressBytes == 0 {
-		t.Fatal("no miss traffic crossed the spine")
+		t.Fatal("no miss traffic traversed the spine")
 	}
 }
 

@@ -34,8 +34,8 @@ type NetsimConfig struct {
 	// Devices is the chain length (default 16; at most 16, the wiring
 	// table budget).
 	Devices int
-	// Partitions arms partitioned execution with SetPartitions (0 =
-	// legacy serial regime).
+	// Partitions cuts the network with SetPartitions (0 = never call
+	// it, the same run as 1).
 	Partitions int
 	// Rounds is the aggregation rounds per sender pair (default 2).
 	Rounds int

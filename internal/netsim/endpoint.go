@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"errors"
 	"time"
 
 	"netcl/internal/runtime"
@@ -14,14 +15,20 @@ import (
 // uses, so reliability behavior is identical on both backends.
 //
 // The endpoint is single-threaded like the simulator itself: use it
-// from the goroutine that owns the network.
+// from the goroutine that owns the network. It pumps one event at a
+// time on partition 0, so it needs a network SetPartitions has not cut.
 type HostEndpoint struct {
 	h     *Host
 	n     *Network
 	rel   *runtime.Reliability
 	inbox [][]byte
-	err   error
 }
+
+// ErrPartitionedEndpoint is what a HostEndpoint's receive path returns
+// on a network cut into more than one partition: the single-event pump
+// would run partition 0 alone and never see the other partitions'
+// events, so every wait would end in a timeout the network did not cause.
+var ErrPartitionedEndpoint = errors.New("netsim: HostEndpoint needs a network of one partition")
 
 // NewEndpoint wraps host h in an Endpoint. It chains onto the host's
 // Receive callback, so an existing callback keeps firing.
@@ -74,6 +81,9 @@ func (t simTransport) SendBatch(msgs [][]byte) error {
 // ExecWall interval, not one per event.
 func (t simTransport) Recv(timeout time.Duration) ([]byte, error) {
 	ep := t.ep
+	if ep.n.Partitions() > 1 {
+		return nil, ErrPartitionedEndpoint
+	}
 	deadline := ep.n.Now() + Time(timeout)
 	if len(ep.inbox) == 0 {
 		defer ep.n.addWall(time.Now())
@@ -81,7 +91,6 @@ func (t simTransport) Recv(timeout time.Duration) ([]byte, error) {
 	for len(ep.inbox) == 0 {
 		ran, err := ep.n.step(deadline)
 		if err != nil {
-			ep.err = err
 			return nil, err
 		}
 		if !ran {

@@ -8,12 +8,11 @@ import (
 // events.go is the closure-free packet path: the dispatch switch that
 // gives typed event records their meaning, and the transmit step that
 // moves pooled buffers across links. Everything here runs in the
-// context of one partition (pt); unpartitioned networks use the
-// network's built-in serial partition.
+// context of one partition (pt); a network that is not cut runs in
+// its built-in partition 0.
 
 // dispatch executes one typed event. The per-kind scheduling order and
-// timing math replicate the original closure-based path exactly, so a
-// serial run is byte-identical to the pre-refactor simulator.
+// timing math are fixed, so equal inputs give byte-identical runs.
 func (pt *part) dispatch(e *event) {
 	n := pt.n
 	switch e.kind {
@@ -138,61 +137,21 @@ func (pt *part) hostDeliver(hi int32, pb *pbuf) {
 // direction dir: fault draws, per-direction serialization against
 // busyUntil, then an arrival event after the link latency plus jitter.
 //
-// Two regimes share the physics but differ in bookkeeping:
-//   - serial (default): the traversal counter spans both directions
-//     and fault randomness comes from the network's single seeded RNG
-//     — bit-for-bit the original simulator.
-//   - partitioned (any SetPartitions call): counters and fault RNG
-//     streams are per (link, direction), so the two directions can be
-//     driven by different partitions without sharing state, and the
-//     draw sequence seen by a packet stream is independent of the
-//     partition count — that is what makes k-partition runs hash-equal
-//     to 1-partition runs.
+// Traversal counters and fault streams are per (link, direction), so
+// the two directions can be driven by different partitions without
+// sharing state, and the draw sequence seen by a packet stream is
+// independent of the partition count — that is what makes k-partition
+// runs hash-equal to 1-partition runs.
 func (pt *part) transmit(l *Link, dir int, pb *pbuf) {
 	n := pt.n
 	if l.down[dir] {
-		// Down-direction drop happens before any traversal counter or
-		// fault draw in both regimes, so the per-(link,direction) RNG
-		// streams stay aligned between serial and partitioned runs.
+		// A down direction drops before any traversal counter or fault
+		// draw, so its stream stays aligned whatever the partition count.
 		pt.ctr.LinkDownDrops++
 		pt.ctr.PacketsDropped++
 		pt.pool.release(pb)
 		return
 	}
-	if !n.pmode {
-		l.crossed++
-		if l.DropNth > 0 && l.crossed%uint64(l.DropNth) == 0 {
-			l.Dropped++
-			pt.ctr.PacketsDropped++
-			pt.pool.release(pb)
-			return
-		}
-		if n.faults.loseOne() {
-			l.Dropped++
-			pt.ctr.PacketsDropped++
-			pt.ctr.FaultsDropped++
-			pt.pool.release(pb)
-			return
-		}
-		s := pt.sim
-		start := s.now
-		if l.busyUntil[dir] > start {
-			start = l.busyUntil[dir]
-		}
-		done := start + l.serialization(len(pb.b))
-		l.busyUntil[dir] = done
-		l.bytesDir[dir] += uint64(len(pb.b))
-		arr := event{kind: evArrive, link: l.idx, dir: uint8(dir), buf: pb}
-		s.post(done-s.now+l.LatencyNs+n.faults.jitterOne(), arr)
-		if n.faults.dupOne() {
-			pt.ctr.FaultsDuplicated++
-			pb.refs++
-			l.bytesDir[dir] += uint64(len(pb.b))
-			s.post(done-s.now+l.LatencyNs+n.faults.jitterOne(), arr)
-		}
-		return
-	}
-
 	l.crossedDir[dir]++
 	if l.DropNth > 0 && l.crossedDir[dir]%uint64(l.DropNth) == 0 {
 		l.droppedDir[dir]++
@@ -260,8 +219,8 @@ func (pt *part) transmit(l *Link, dir int, pb *pbuf) {
 // partOfEnd returns the partition owning a link end's node.
 func (pt *part) partOfEnd(e end) *part {
 	n := pt.n
-	if len(n.parts) == 0 {
-		return pt // pmode with a single serial partition
+	if len(n.parts) == 1 {
+		return pt
 	}
 	if e.isDevice() {
 		return n.parts[n.devs[e.deviceIdx()].part]
@@ -269,11 +228,5 @@ func (pt *part) partOfEnd(e end) *part {
 	return n.parts[n.hc.part[e.node]]
 }
 
-// partFor returns the execution context owning a host: the built-in
-// serial partition when unpartitioned.
-func (n *Network) partFor(hostIdx int32) *part {
-	if len(n.parts) == 0 {
-		return &n.serial
-	}
-	return n.parts[n.hc.part[hostIdx]]
-}
+// partFor returns the execution context owning a host.
+func (n *Network) partFor(hostIdx int32) *part { return n.parts[n.hc.part[hostIdx]] }

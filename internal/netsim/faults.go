@@ -1,16 +1,12 @@
 package netsim
 
-import "math/rand"
-
-// Probabilistic fault injection for chaos testing. In the default
-// serial regime all randomness comes from one seeded RNG owned by the
-// network, so a given seed reproduces the exact same loss/jitter/
-// duplication pattern — the simulator analogue of the UDP backend's
-// runtime.FaultSpec. Once partitioning is armed (SetPartitions), each
-// (link, direction) carries its own counter-seeded stream instead:
-// draws then depend only on the packet order over that direction —
-// which a single partition owns — so the fault pattern is identical
-// whatever the partition count.
+// Probabilistic fault injection for chaos testing. Each (link,
+// direction) carries its own counter-seeded stream: its draws depend
+// only on the fault seed, the link and the packet order over that
+// direction — which a single partition owns — so a given seed
+// reproduces the exact same loss/jitter/duplication pattern whatever
+// the partition count. It is the simulator analogue of the UDP
+// backend's runtime.FaultSpec.
 
 // FaultConfig describes the fault model applied to every link.
 type FaultConfig struct {
@@ -23,7 +19,7 @@ type FaultConfig struct {
 	// JitterNs adds a uniform random extra latency in [0, JitterNs)
 	// per traversal, which reorders packets relative to each other.
 	JitterNs Time
-	// Seed seeds the RNG (0 = a fixed default seed).
+	// Seed seeds the per-direction streams (0 = a fixed default seed).
 	Seed int64
 }
 
@@ -32,17 +28,11 @@ func (f FaultConfig) Active() bool {
 	return f.LossRate > 0 || f.DupRate > 0 || f.JitterNs > 0
 }
 
-type faults struct {
-	cfg FaultConfig
-	rng *rand.Rand
-}
-
 // InjectFaults arms probabilistic fault injection on every link of the
 // network (pass a zero FaultConfig to disarm). Deterministic per-link
 // DropNth injection keeps working independently.
 func (n *Network) InjectFaults(cfg FaultConfig) {
-	// Any reseed restarts the per-direction streams of the partitioned
-	// regime.
+	// Any reseed restarts the per-direction streams.
 	for i := int32(0); i < n.links.count; i++ {
 		l := n.links.at(i)
 		l.rng[0], l.rng[1] = 0, 0
@@ -51,37 +41,13 @@ func (n *Network) InjectFaults(cfg FaultConfig) {
 		n.faults = nil
 		return
 	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	n.faults = &faults{cfg: cfg, rng: rand.New(rand.NewSource(seed))}
+	n.faults = &cfg
 }
 
-// Serial-regime draws (one global stream, legacy order).
-
-// loseOne decides whether one traversal is dropped.
-func (f *faults) loseOne() bool {
-	return f != nil && f.cfg.LossRate > 0 && f.rng.Float64() < f.cfg.LossRate
-}
-
-// dupOne decides whether one traversal is duplicated.
-func (f *faults) dupOne() bool {
-	return f != nil && f.cfg.DupRate > 0 && f.rng.Float64() < f.cfg.DupRate
-}
-
-// jitterOne draws the extra latency for one traversal.
-func (f *faults) jitterOne() Time {
-	if f == nil || f.cfg.JitterNs <= 0 {
-		return 0
-	}
-	return Time(f.rng.Float64()) * f.cfg.JitterNs
-}
-
-// Partitioned-regime draws: one splitmix64 stream per (link,
-// direction), seeded from the fault seed and the link identity, lazily
-// on first use. Draw order per traversal matches the serial regime
-// (loss, arrival jitter, duplication, duplicate jitter).
+// The draws: one splitmix64 stream per (link, direction), seeded from
+// the fault seed and the link identity, lazily on first use. Per
+// traversal the order is loss, arrival jitter, duplication, duplicate
+// jitter.
 
 func splitmix64(s *uint64) uint64 {
 	*s += 0x9E3779B97F4A7C15
@@ -91,11 +57,11 @@ func splitmix64(s *uint64) uint64 {
 	return z ^ z>>31
 }
 
-func (f *faults) rand01(l *Link, dir int) float64 {
+func (f *FaultConfig) rand01(l *Link, dir int) float64 {
 	if l.rng[dir] == 0 {
 		seed := uint64(1)
-		if f.cfg.Seed != 0 {
-			seed = uint64(f.cfg.Seed)
+		if f.Seed != 0 {
+			seed = uint64(f.Seed)
 		}
 		s := seed*0x9E3779B97F4A7C15 ^ uint64(l.idx)<<1 ^ uint64(dir)
 		if s == 0 {
@@ -106,19 +72,19 @@ func (f *faults) rand01(l *Link, dir int) float64 {
 	return float64(splitmix64(&l.rng[dir])>>11) / (1 << 53)
 }
 
-func (f *faults) loseDir(l *Link, dir int) bool {
-	return f != nil && f.cfg.LossRate > 0 && f.rand01(l, dir) < f.cfg.LossRate
+func (f *FaultConfig) loseDir(l *Link, dir int) bool {
+	return f != nil && f.LossRate > 0 && f.rand01(l, dir) < f.LossRate
 }
 
-func (f *faults) dupDir(l *Link, dir int) bool {
-	return f != nil && f.cfg.DupRate > 0 && f.rand01(l, dir) < f.cfg.DupRate
+func (f *FaultConfig) dupDir(l *Link, dir int) bool {
+	return f != nil && f.DupRate > 0 && f.rand01(l, dir) < f.DupRate
 }
 
-func (f *faults) jitterDir(l *Link, dir int) Time {
-	if f == nil || f.cfg.JitterNs <= 0 {
+func (f *FaultConfig) jitterDir(l *Link, dir int) Time {
+	if f == nil || f.JitterNs <= 0 {
 		return 0
 	}
-	return Time(f.rand01(l, dir)) * f.cfg.JitterNs
+	return Time(f.rand01(l, dir)) * f.JitterNs
 }
 
 // Pause makes the device drop every packet until Restart: the

@@ -116,11 +116,16 @@ func TestEndpointRetryBudgetOnPausedDevice(t *testing.T) {
 }
 
 // TestInjectFaultsDisarm: a zero config removes the injector, and
-// deterministic per-link DropNth continues to work independently.
+// deterministic per-link DropNth continues to work independently. It
+// counts per direction: with DropNth = 2 on the echo link, every
+// second request (host→device) and every second reply (device→host)
+// is lost.
 func TestInjectFaultsDisarm(t *testing.T) {
 	n, h, _, spec := echoNet(t)
 	n.InjectFaults(FaultConfig{LossRate: 1})
 	n.InjectFaults(FaultConfig{}) // disarm
+	l := n.links.at(0)
+	l.DropNth = 2
 	delivered := 0
 	h.SetReceive(func(h *Host, msg []byte) { delivered++ })
 	msg, err := runtime.Pack(spec, runtime.Message{Src: 1, Dst: 2, Device: 9, Comp: 1}.Header(),
@@ -128,12 +133,46 @@ func TestInjectFaultsDisarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.Send(msg)
+	for i := 0; i < 8; i++ {
+		h.Send(msg)
+	}
 	if err := n.RunAll(); err != nil {
 		t.Fatal(err)
 	}
-	if delivered != 1 || n.FaultsDropped != 0 {
-		t.Errorf("disarmed injector still active: delivered=%d dropped=%d",
-			delivered, n.FaultsDropped)
+	if n.FaultsDropped != 0 {
+		t.Errorf("disarmed injector still active: dropped=%d", n.FaultsDropped)
+	}
+	// 8 requests lose 4; the 4 replies lose 2.
+	if l.droppedDir != [2]uint64{4, 2} || delivered != 2 {
+		t.Errorf("DropNth=2: dropped %v per direction, delivered %d; want [4 2] and 2",
+			l.droppedDir, delivered)
+	}
+	if l.Dropped() != 6 || n.PacketsDropped != 6 {
+		t.Errorf("Dropped()=%d PacketsDropped=%d, want both 6 (the per-direction sum)",
+			l.Dropped(), n.PacketsDropped)
+	}
+}
+
+// TestEndpointOnPartitionedNetwork: a HostEndpoint pumps partition 0
+// only, so on a network cut into several partitions its receive path
+// must fail with ErrPartitionedEndpoint instead of timing out on
+// replies the other partitions would produce.
+func TestEndpointOnPartitionedNetwork(t *testing.T) {
+	n, _ := chainNet(t, 1)
+	if err := n.SetPartitions(2); err != nil {
+		t.Fatal(err)
+	}
+	h := n.HostAt(0)
+	ep := n.NewEndpoint(h, runtime.ReliabilityConfig{Timeout: 50 * time.Microsecond, MaxRetries: 2})
+	spec := &runtime.MessageSpec{Comp: 1, Args: []runtime.ArgSpec{{Name: "x", Bytes: 4, Count: 1, Out: true}}}
+	x := make([]uint64, 1)
+	// Device 3 is two hops down the chain, in the other partition.
+	_, err := runtime.CallMessage(ep, spec, runtime.Message{Src: h.ID, Dst: h.ID, Device: 3, Comp: 1},
+		[][]uint64{{5}}, [][]uint64{x}, 0)
+	if !errors.Is(err, ErrPartitionedEndpoint) {
+		t.Fatalf("Call on a 2-partition network: got %v, want ErrPartitionedEndpoint", err)
+	}
+	if _, err := ep.Recv(time.Microsecond); !errors.Is(err, ErrPartitionedEndpoint) {
+		t.Errorf("Recv on a 2-partition network: got %v, want ErrPartitionedEndpoint", err)
 	}
 }

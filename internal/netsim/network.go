@@ -26,18 +26,17 @@ type Network struct {
 	hc        hostCols
 	links     linkSlab
 	devs      []*Device
-	faults    *faults
+	faults    *FaultConfig // armed fault model (nil = none)
 	// topo is the fabric last built on this network (nil when wired by
 	// hand); SetPartitions uses its locality order to cut partitions
 	// along rack/pod boundaries.
 	topo *Topo
 
-	// serial is the execution context of unpartitioned runs and
-	// doubles as partition 0 when partitions are armed.
-	serial    part
-	parts     []*part // nil or len 1 means serial execution
-	pmode     bool    // partitioned semantics armed (see SetPartitions)
-	lookahead Time
+	// p0 is partition 0: the execution context over the embedded Sim,
+	// and the only one until SetPartitions cuts the network.
+	p0        part
+	parts     []*part // never empty; parts[0] == &p0
+	lookahead Time    // +Inf while there is one partition
 
 	trace   bool
 	timerFn func(*Host)
@@ -73,8 +72,9 @@ func NewNetwork() *Network {
 		hostsByID: map[uint16]*Host{},
 		devsByID:  map[uint16]*Device{},
 	}
-	n.serial = part{n: n, sim: &n.Sim, ctr: &n.netCounters}
-	n.Sim.exec = func(e *event) { n.serial.dispatch(e) }
+	n.p0 = part{n: n, sim: &n.Sim, ctr: &n.netCounters}
+	n.Sim.exec = func(e *event) { n.p0.dispatch(e) }
+	n.unpartition()
 	return n
 }
 
@@ -84,35 +84,33 @@ type Link struct {
 	LatencyNs     Time
 	BandwidthGbps float64
 	// DropNth deterministically drops every Nth packet crossing the
-	// link (0 = lossless); used for failure injection. In partitioned
-	// mode the traversal count is kept per direction (two partitions
-	// may drive the two directions concurrently), so "every Nth"
-	// becomes every Nth per direction there.
+	// link in each direction (0 = lossless); used for failure
+	// injection. The count is kept per direction because two
+	// partitions may drive the two directions concurrently.
 	DropNth int
-	Dropped uint64
-	crossed uint64
 	// busyUntil per direction (0: ends[0]→ends[1], 1: reverse).
 	busyUntil [2]Time
 	ends      [2]end
 	idx       int32
-	// Partitioned-mode per-direction state: traversal/drop counters a
-	// single partition owns (folded into crossed/Dropped after a
-	// parallel run) and the per-direction fault RNG streams.
+	// Per-direction state, each owned by the partition driving that
+	// direction: traversal and drop counters and the fault RNG streams.
 	crossedDir [2]uint64
 	droppedDir [2]uint64
 	rng        [2]uint64
 	// bytesDir counts payload bytes actually put on the wire per
-	// direction (drops excluded, duplicates included). A direction is
-	// only ever driven by the partition owning its sending end, so one
-	// counter serves both execution regimes without folding.
+	// direction (drops excluded, duplicates included).
 	bytesDir [2]uint64
 	// down marks a direction administratively failed (FailLink events):
 	// packets offered to a down direction drop before any counter or
 	// fault-RNG draw, so flipping the flag at identical virtual times
 	// keeps the draw streams — and therefore k-partition hash identity —
-	// aligned with serial execution.
+	// aligned whatever the partition count.
 	down [2]bool
 }
+
+// Dropped returns the packets DropNth and probabilistic loss dropped
+// on the link, both directions.
+func (l *Link) Dropped() uint64 { return l.droppedDir[0] + l.droppedDir[1] }
 
 // Bytes returns the bytes transmitted in one direction (0: ends[0]→
 // ends[1], 1: reverse).
@@ -411,13 +409,13 @@ func frameInto(buf, msg []byte, src uint64) []byte {
 // StartTimer. fn runs in simulated time and may itself call At to
 // chain follow-up events.
 func (d *Device) At(delay Time, fn func()) {
-	pt := d.net.partForDev(d)
+	pt := d.net.parts[d.part]
 	pt.sim.post(delay, event{kind: evFunc, fn: fn})
 }
 
 // Now returns the simulated time in the host's partition: the clock a
-// receive or timer callback must read (the network-wide Sim clock only
-// advances for partition 0 once partitions are armed).
+// receive or timer callback must read (the network-wide Sim clock is
+// partition 0's, and the others' run ahead of it inside a window).
 func (h *Host) Now() Time { return h.net.partFor(h.idx).sim.now }
 
 // At schedules fn at now+delay in the partition owning this host —
@@ -426,14 +424,6 @@ func (h *Host) Now() Time { return h.net.partFor(h.idx).sim.now }
 func (h *Host) At(delay Time, fn func()) {
 	pt := h.net.partFor(h.idx)
 	pt.sim.post(delay, event{kind: evFunc, fn: fn})
-}
-
-// partForDev returns the execution context owning a device.
-func (n *Network) partForDev(d *Device) *part {
-	if len(n.parts) == 0 {
-		return &n.serial
-	}
-	return n.parts[d.part]
 }
 
 // SetPortDown administratively fails (or restores) the outgoing
@@ -462,9 +452,9 @@ func (d *Device) SetPortDown(port int, down bool) {
 func (n *Network) OnTimer(fn func(*Host)) { n.timerFn = fn }
 
 // StartTimer schedules the network's OnTimer callback for this host
-// after delay. In partitioned mode the timer lands in the host's own
-// partition, so it is safe to arm from setup code and from callbacks
-// running anywhere in that partition.
+// after delay. The timer lands in the host's own partition, so it is
+// safe to arm from setup code and from callbacks running anywhere in
+// that partition.
 func (h *Host) StartTimer(delay Time) {
 	pt := h.net.partFor(h.idx)
 	pt.sim.post(delay, event{kind: evTimer, node: h.idx})
@@ -474,7 +464,7 @@ func (h *Host) StartTimer(delay Time) {
 // folds (time, payload) into the host's chain, and TraceHash combines
 // the chains in host order. Two runs with equal hashes delivered the
 // same bytes at the same simulated times to every host — the
-// determinism witness used by the partitioned-vs-serial tests.
+// determinism witness the partition-count tests compare.
 func (n *Network) EnableTrace() { n.trace = true }
 
 // TraceHash folds the per-host delivery chains (host slab order) into

@@ -19,10 +19,13 @@ import (
 // land in per-destination mailboxes and are enqueued at the barrier,
 // in fixed (source, append) order, stamped with times the invariant
 // guarantees are at or beyond the next window's start.
+//
+// Every network runs this way. An uncut network is one partition with
+// no cross link, so L is +Inf and its whole run is a single window.
 
-// part is one partition's execution context. The network's built-in
-// serial context is a part too (id 0, sim = &n.Sim), so the dispatch
-// path is identical with and without partitioning.
+// part is one partition's execution context. Partition 0 is the
+// network's built-in context (sim = &n.Sim, ctr = &n.netCounters), so
+// an uncut network needs nothing beyond it.
 type part struct {
 	n      *Network
 	id     int32
@@ -37,28 +40,20 @@ type part struct {
 // their device). Call it after the topology is built and before
 // scheduling scenario events: pending events stay on partition 0.
 //
-// Any call — including k=1 — switches the network to partitioned
-// semantics permanently: per-(link,direction) fault streams and
-// traversal counters, so fault patterns and hash chains are
-// comparable across partition counts. Networks that never call
-// SetPartitions keep the original serial behavior bit for bit.
+// Fault streams and traversal counters are per (link, direction)
+// whatever k is, so fault patterns and delivery hash chains are equal
+// across partition counts; k ≤ 1 is the uncut network NewNetwork
+// builds.
 //
 // k is clamped to the device count. An error is reported when a
 // cross-partition link has no positive latency (the lookahead window
 // would be empty).
 func (n *Network) SetPartitions(k int) error {
-	n.pmode = true
 	if k > len(n.devs) {
 		k = len(n.devs)
 	}
 	if k <= 1 {
-		n.parts = nil
-		for i := range n.hc.part {
-			n.hc.part[i] = 0
-		}
-		for _, d := range n.devs {
-			d.part = 0
-		}
+		n.unpartition()
 		return nil
 	}
 
@@ -119,9 +114,8 @@ func (n *Network) SetPartitions(k int) error {
 	}
 
 	n.parts = make([]*part, k)
-	n.serial.id = 0
-	n.serial.outbox = make([][]event, k)
-	n.parts[0] = &n.serial
+	n.p0.outbox = make([][]event, k)
+	n.parts[0] = &n.p0
 	for i := 1; i < k; i++ {
 		p := &part{n: n, id: int32(i), sim: &Sim{}, ctr: &netCounters{}, outbox: make([][]event, k)}
 		p.sim.exec = func(e *event) { p.dispatch(e) }
@@ -129,6 +123,20 @@ func (n *Network) SetPartitions(k int) error {
 		n.parts[i] = p
 	}
 	return nil
+}
+
+// unpartition makes the network one partition: everything on p0 and
+// an infinite lookahead.
+func (n *Network) unpartition() {
+	for i := range n.hc.part {
+		n.hc.part[i] = 0
+	}
+	for _, d := range n.devs {
+		d.part = 0
+	}
+	n.p0.outbox = make([][]event, 1)
+	n.parts = []*part{&n.p0}
+	n.lookahead = Time(math.Inf(1))
 }
 
 // endPart returns the partition a link end belongs to.
@@ -140,21 +148,16 @@ func (n *Network) endPart(e end) int32 {
 }
 
 // Lookahead reports the conservative-lookahead window width (0 when
-// unpartitioned, +Inf when no link crosses partitions).
+// there is one partition, +Inf when no link crosses partitions).
 func (n *Network) Lookahead() Time {
-	if len(n.parts) <= 1 {
+	if len(n.parts) == 1 {
 		return 0
 	}
 	return n.lookahead
 }
 
-// Partitions reports the active partition count (1 when serial).
-func (n *Network) Partitions() int {
-	if len(n.parts) == 0 {
-		return 1
-	}
-	return len(n.parts)
-}
+// Partitions reports the partition count.
+func (n *Network) Partitions() int { return len(n.parts) }
 
 // PrewarmBuffers stocks the packet-buffer pools with count buffers of
 // the given byte capacity, split evenly across partitions. Call it
@@ -162,12 +165,8 @@ func (n *Network) Partitions() int {
 // in-flight working set stays under the prewarmed count allocates no
 // packet buffers at all.
 func (n *Network) PrewarmBuffers(count, size int) {
-	ps := n.parts
-	if len(ps) == 0 {
-		ps = []*part{&n.serial}
-	}
-	per := (count + len(ps) - 1) / len(ps)
-	for _, p := range ps {
+	per := (count + len(n.parts) - 1) / len(n.parts)
+	for _, p := range n.parts {
 		p.pool.prewarm(per, size)
 	}
 }
@@ -175,9 +174,6 @@ func (n *Network) PrewarmBuffers(count, size int) {
 // BufferPeak sums the per-partition high-water marks of checked-out
 // packet buffers: the run's buffer working set.
 func (n *Network) BufferPeak() int {
-	if len(n.parts) == 0 {
-		return n.serial.pool.peak
-	}
 	t := 0
 	for _, p := range n.parts {
 		t += p.pool.peak
@@ -187,9 +183,6 @@ func (n *Network) BufferPeak() int {
 
 // TotalProcessed sums executed events across all partitions.
 func (n *Network) TotalProcessed() uint64 {
-	if len(n.parts) == 0 {
-		return n.Sim.Processed
-	}
 	var t uint64
 	for _, p := range n.parts {
 		t += p.sim.Processed
@@ -200,9 +193,6 @@ func (n *Network) TotalProcessed() uint64 {
 // TotalPeakQueue sums the per-partition pending-event high-water
 // marks: the aggregate queue footprint of a run.
 func (n *Network) TotalPeakQueue() int {
-	if len(n.parts) == 0 {
-		return n.Sim.PeakQueue
-	}
 	t := 0
 	for _, p := range n.parts {
 		t += p.sim.PeakQueue
@@ -210,56 +200,43 @@ func (n *Network) TotalPeakQueue() int {
 	return t
 }
 
-// Run processes events up to the horizon (0 = until drained),
-// delegating to the partitioned engine when partitions are armed.
+// Run processes events up to the horizon (0 = until drained) in
+// conservative-lookahead windows, until every queue is drained or the
+// horizon is reached; with a horizon, every clock lands exactly on it.
+// An uncut network is one window, run inline. Otherwise each window
+// runs one goroutine per partition; on a single-CPU box the rounds
+// serialize and the win is memory locality only (the standing ROADMAP
+// note — record GOMAXPROCS when benchmarking).
 func (n *Network) Run(until Time) error {
-	if len(n.parts) > 1 {
-		return n.RunParallel(until)
-	}
-	err := n.Sim.Run(until)
-	if n.pmode {
-		n.foldLinks()
-	}
-	return err
-}
-
-// RunAll processes every pending event.
-func (n *Network) RunAll() error { return n.Run(0) }
-
-// RunParallel executes the partitioned simulation in conservative-
-// lookahead windows until every queue is drained or the horizon is
-// reached. One goroutine per partition per window; on a single-CPU
-// box the rounds serialize and the win is memory locality only (the
-// standing ROADMAP note — record GOMAXPROCS when benchmarking).
-func (n *Network) RunParallel(until Time) error {
-	if len(n.parts) <= 1 {
-		return n.Run(until)
-	}
-	var wg sync.WaitGroup
 	for {
 		// Global next-event time.
-		t := Time(math.Inf(1))
+		t, found := Time(0), false
 		for _, p := range n.parts {
-			if at, ok := p.sim.nextAt(); ok && at < t {
-				t = at
+			if at, ok := p.sim.nextAt(); ok && (!found || at < t) {
+				t, found = at, true
 			}
 		}
-		if math.IsInf(float64(t), 1) || (until > 0 && t > until) {
+		if !found || (until > 0 && t > until) {
 			break
 		}
 		wEnd := t + n.lookahead
 		// A partition may spend all that is left of the event budget in its
 		// window; the sum after the barrier reports the overrun.
 		left := n.limit() - min(n.limit(), n.TotalProcessed())
-		for _, p := range n.parts {
-			limit := p.sim.Processed + left
-			wg.Add(1)
-			go func(p *part) {
-				defer wg.Done()
-				p.sim.runWindow(wEnd, until, limit)
-			}(p)
+		if len(n.parts) == 1 {
+			n.Sim.runWindow(wEnd, until, n.Processed+left)
+		} else {
+			var wg sync.WaitGroup
+			for _, p := range n.parts {
+				limit := p.sim.Processed + left
+				wg.Add(1)
+				go func(p *part) {
+					defer wg.Done()
+					p.sim.runWindow(wEnd, until, limit)
+				}(p)
+			}
+			wg.Wait()
 		}
-		wg.Wait()
 		// Barrier: drain mailboxes in fixed (destination, source,
 		// append) order so cross-partition events get deterministic
 		// local scheduling numbers.
@@ -297,30 +274,13 @@ func (n *Network) RunParallel(until Time) error {
 			p.sim.now = endT
 		}
 	}
-	n.foldParallel()
+	// Fold the other partitions' counters into the public aggregate.
+	for _, p := range n.parts[1:] {
+		n.netCounters.fold(p.ctr)
+		*p.ctr = netCounters{}
+	}
 	return nil
 }
 
-// foldParallel folds per-partition counters and per-direction link
-// counters into the public aggregate fields.
-func (n *Network) foldParallel() {
-	for _, p := range n.parts {
-		if p.ctr != &n.netCounters {
-			n.netCounters.fold(p.ctr)
-			*p.ctr = netCounters{}
-		}
-	}
-	n.foldLinks()
-}
-
-// foldLinks rolls the partitioned regime's per-direction traversal and
-// drop counters into the historical whole-link fields.
-func (n *Network) foldLinks() {
-	for i := int32(0); i < n.links.count; i++ {
-		l := n.links.at(i)
-		l.crossed += l.crossedDir[0] + l.crossedDir[1]
-		l.Dropped += l.droppedDir[0] + l.droppedDir[1]
-		l.crossedDir[0], l.crossedDir[1] = 0, 0
-		l.droppedDir[0], l.droppedDir[1] = 0, 0
-	}
-}
+// RunAll processes every pending event.
+func (n *Network) RunAll() error { return n.Run(0) }

@@ -184,7 +184,7 @@ type chainRun struct {
 }
 
 // runChain executes the chain scenario under k partitions (0 = never
-// touch SetPartitions: the legacy serial regime).
+// call SetPartitions, which must be the same run as k = 1).
 func runChain(t *testing.T, k int, faults FaultConfig) chainRun {
 	t.Helper()
 	n, _ := chainNet(t, 3)
@@ -215,18 +215,17 @@ func runChain(t *testing.T, k int, faults FaultConfig) chainRun {
 }
 
 // TestPartitionedMatchesSerial: the partitioned engine must deliver
-// the same bytes at the same simulated times as the serial engine —
-// hash-chain equality across 1, 2 and 4 partitions, and (fault-free)
-// against the untouched legacy regime too.
+// the same bytes at the same simulated times as one partition —
+// hash-chain equality across 1, 2 and 4 partitions.
 func TestPartitionedMatchesSerial(t *testing.T) {
-	legacy := runChain(t, 0, FaultConfig{})
-	if legacy.delivered == 0 {
+	base := runChain(t, 1, FaultConfig{})
+	if base.delivered == 0 {
 		t.Fatal("chain scenario delivered nothing")
 	}
-	for _, k := range []int{1, 2, 4} {
+	for _, k := range []int{2, 4} {
 		got := runChain(t, k, FaultConfig{})
-		if got != legacy {
-			t.Errorf("k=%d diverged from legacy serial: %+v vs %+v", k, got, legacy)
+		if got != base {
+			t.Errorf("k=%d diverged from k=1: %+v vs %+v", k, got, base)
 		}
 	}
 }
@@ -234,7 +233,8 @@ func TestPartitionedMatchesSerial(t *testing.T) {
 // TestPartitionedChaosHashChain: under seeded loss/duplication/jitter,
 // partitioned runs must still hash-chain-match the single-partition
 // run — the per-(link,direction) fault streams make the draw sequence
-// independent of the partition count.
+// independent of the partition count. A network that never calls
+// SetPartitions (k=0) is the k=1 run too: there is one fault model.
 func TestPartitionedChaosHashChain(t *testing.T) {
 	cfg := FaultConfig{LossRate: 0.12, DupRate: 0.08, JitterNs: 300, Seed: 42}
 	base := runChain(t, 1, cfg)
@@ -244,7 +244,7 @@ func TestPartitionedChaosHashChain(t *testing.T) {
 	if base.delivered == 0 {
 		t.Fatal("chaos run delivered nothing")
 	}
-	for _, k := range []int{2, 4} {
+	for _, k := range []int{0, 2, 4} {
 		got := runChain(t, k, cfg)
 		if got != base {
 			t.Errorf("k=%d chaos run diverged from k=1: %+v vs %+v", k, got, base)
@@ -339,7 +339,7 @@ func runChainChurn(t *testing.T, k int, faults FaultConfig) (chainRun, uint64) {
 // TestPartitionedChurnHashChain: the chaos-chain determinism witness
 // extended with mid-run device crash/restore and a link flap. The
 // churn events fire at fixed virtual times in their owning partitions,
-// so k ∈ {2,4} must replay the k=1 run bit for bit — drops, restarts
+// so k ∈ {0,2,4} must replay the k=1 run bit for bit — drops, restarts
 // and all — while the timeline itself must visibly change the chain
 // versus the no-churn run.
 func TestPartitionedChurnHashChain(t *testing.T) {
@@ -358,7 +358,7 @@ func TestPartitionedChurnHashChain(t *testing.T) {
 	if base.delivered >= plain.delivered {
 		t.Errorf("crash+flap lost no deliveries: churn %d vs plain %d", base.delivered, plain.delivered)
 	}
-	for _, k := range []int{2, 4} {
+	for _, k := range []int{0, 2, 4} {
 		got, gotDrops := runChainChurn(t, k, cfg)
 		if got != base {
 			t.Errorf("k=%d churn run diverged from k=1: %+v vs %+v", k, got, base)

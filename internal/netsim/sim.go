@@ -432,14 +432,31 @@ func (s *Sim) addWall(start time.Time) { s.ExecWall += time.Since(start) }
 // semantics. It returns an error if MaxEvents is exceeded or an event
 // was scheduled at NaN time.
 func (s *Sim) Run(until Time) error {
+	if err := s.runWindow(Time(math.Inf(1)), until, s.limit()); err != nil {
+		return err
+	}
+	if until > s.now {
+		s.now = until
+	}
+	return nil
+}
+
+// RunAll processes every pending event.
+func (s *Sim) RunAll() error { return s.Run(0) }
+
+// runWindow processes events strictly before wEnd (and not beyond
+// until when until > 0): one conservative-lookahead round, and the one
+// run loop (Sim.Run is a single window of +Inf). limit caps Processed
+// at what is left of the network-wide MaxEvents, so an event that
+// re-posts itself into the window forever stops it. It returns the
+// error that stopped it; the network's coordinator instead sums
+// Processed and reads bad after the barrier.
+func (s *Sim) runWindow(wEnd, until Time, limit uint64) error {
 	defer s.addWall(time.Now())
-	limit := s.limit()
 	for s.bad == nil {
 		at, ok := s.nextAt()
-		if !ok || (until > 0 && at > until) {
-			if until > s.now {
-				s.now = until
-			}
+		// An infinite window admits events at +Inf too.
+		if !ok || (at >= wEnd && !math.IsInf(float64(wEnd), 1)) || (until > 0 && at > until) {
 			return nil
 		}
 		if err := s.step1(limit); err != nil {
@@ -447,24 +464,6 @@ func (s *Sim) Run(until Time) error {
 		}
 	}
 	return s.bad
-}
-
-// RunAll processes every pending event.
-func (s *Sim) RunAll() error { return s.Run(0) }
-
-// runWindow processes events strictly before wEnd (and not beyond
-// until when until > 0): one conservative-lookahead round. limit caps
-// this partition's Processed at what is left of the network-wide
-// MaxEvents, so an event that re-posts itself into the window forever
-// stops it; the coordinator sums Processed and reads bad afterwards.
-func (s *Sim) runWindow(wEnd, until Time, limit uint64) {
-	defer s.addWall(time.Now())
-	for s.bad == nil {
-		at, ok := s.nextAt()
-		if !ok || at >= wEnd || (until > 0 && at > until) || s.step1(limit) != nil {
-			return
-		}
-	}
 }
 
 // StepNext executes the next pending event if it is scheduled at or

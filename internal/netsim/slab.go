@@ -19,7 +19,7 @@ const (
 // steady-state event path reads or writes, indexed by Host.idx.
 type hostCols struct {
 	link   []int32 // attached link index + 1 (0 = unattached)
-	part   []int32 // owning partition (0 when unpartitioned)
+	part   []int32 // owning partition (0 while the network is uncut)
 	procNs []Time  // per-message host-side processing cost
 	sent   []uint64
 	recvd  []uint64

@@ -146,7 +146,7 @@ func (t *Topo) AttachHost(h *Host, d *Device, class LinkClass) (*Link, int) {
 	return l, p
 }
 
-// TierIngressBytes sums the bytes that crossed fabric links upward
+// TierIngressBytes sums the bytes that traversed fabric links upward
 // into the given tier (1 = first aggregation tier above the leaves).
 // This is the "spine-ingress bytes" of the fabric benchmark: the
 // traffic hierarchical in-network reduction is supposed to cut.

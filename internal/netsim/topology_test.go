@@ -190,7 +190,7 @@ func TestFabricEndToEnd(t *testing.T) {
 	if got != 42 {
 		t.Fatalf("echo through fabric: got %d, want 42", got)
 	}
-	// The round trip crossed the spine tier at least twice (up at leaf
+	// The round trip traversed the spine tier at least twice (up at leaf
 	// 1, and up again on the way back from leaf 2).
 	if b := topo.TierIngressBytes(1); b == 0 {
 		t.Fatal("no bytes counted entering the spine tier")
