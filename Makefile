@@ -13,7 +13,9 @@
 # workload and every benchmark-owned oracle, non-zero exit if one
 # fails (the CI job); bench-pair is the paired comparison a
 # performance claim rests on — the working tree against OLD over N
-# alternating pairs of workload W (tools/benchpair).
+# alternating pairs of workload W (tools/benchpair). examples runs the
+# four programs under examples/ and the nclsim workload CLI on each
+# simulated app plus one lossy UDP run; any non-zero exit fails it.
 
 GO ?= go
 
@@ -57,6 +59,10 @@ examples:
 	$(GO) run ./examples/allreduce
 	$(GO) run ./examples/kvcache
 	$(GO) run ./examples/paxos
+	$(GO) run ./cmd/nclsim -app agg
+	$(GO) run ./cmd/nclsim -app cache
+	$(GO) run ./cmd/nclsim -app paxos
+	$(GO) run ./cmd/nclsim -app agg -backend udp -loss 0.05 -seed 17
 
 # clean removes the benchmark's build directory, the one thing the
 # targets above leave behind that git does not track.

@@ -14,7 +14,7 @@ func TestAllAppsCompileAndFit(t *testing.T) {
 	for _, app := range All() {
 		for _, dev := range app.Devices {
 			for _, target := range []passes.Target{passes.TargetTNA, passes.TargetV1Model} {
-				prog, specs, err := CompileApp(app, target, dev)
+				prog, specs, _, err := CompileApp(app, target, dev)
 				if err != nil {
 					t.Fatalf("%s dev %d %s: %v", app.Name, dev, target, err)
 				}

@@ -270,7 +270,7 @@ func TestHostpathChannelChaosSim(t *testing.T) {
 // bodies in op order, the channel stats, and the device's drop count.
 func runCalcUDPChannel(t *testing.T, window, ops int, faults runtime.FaultSpec) ([][]byte, runtime.ChannelStats, uint64) {
 	t.Helper()
-	prog, specs, err := CompileApp(ByName("CALC"), passes.TargetTNA, 1)
+	prog, specs, _, err := CompileApp(ByName("CALC"), passes.TargetTNA, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,11 +8,13 @@ package apps
 // under concurrent control-plane writes (run with -race).
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"netcl/internal/bmv2"
+	"netcl/internal/netsim"
 	"netcl/internal/p4"
 	"netcl/internal/passes"
 	"netcl/internal/runtime"
@@ -70,6 +72,29 @@ func TestChurnPaxosReelect(t *testing.T) {
 	}
 	if !res.SLO.Recovered {
 		t.Error("never recovered")
+	}
+}
+
+// TestChurnWriteErrorSurfaces: a timeline write the switch refuses
+// fails the scenario with the switch's error instead of passing as a
+// quiet SLO miss.
+func TestChurnWriteErrorSurfaces(t *testing.T) {
+	t.Cleanup(func() { testHookReroute = nil })
+	testHookReroute = func(batches []netsim.DeviceBatch) {
+		batches[0].Batch.Insert("no_such_table", &p4.Entry{
+			Keys: []p4.KeyValue{{Value: 1, PrefixLen: -1}}, Action: &p4.ActionCall{Name: "fwd"},
+		})
+	}
+	for name, run := range map[string]func(ChurnConfig) (*ChurnResult, error){
+		"agg-failover":  RunChurnAggFailover,
+		"paxos-reelect": RunChurnPaxosReelect,
+	} {
+		_, err := run(ChurnConfig{})
+		if err == nil {
+			t.Errorf("%s: a refused re-route batch did not fail the run", name)
+		} else if !strings.Contains(err.Error(), "no_such_table") {
+			t.Errorf("%s: error %q does not name the refused table", name, err)
+		}
 	}
 }
 
@@ -153,7 +178,7 @@ func TestChurnPartitionIdentity(t *testing.T) {
 func TestChurnFailoverRuleConsistency(t *testing.T) {
 	// A transit switch from the failover fabric: neither probe id is
 	// local, so both packets take the netcl_fwd path.
-	prog, specs, err := fabricAggProg(aggNode{id: 10, fanin: 4, parent: 50}, 8, passes.TargetTNA)
+	prog, specs, _, err := CompileApp(hierAggApp(aggNode{fanin: 4, parent: 50}, 8), passes.TargetTNA, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"netcl/internal/codegen"
+	"netcl/internal/ir"
 	"netcl/internal/lang"
 	"netcl/internal/lower"
 	"netcl/internal/netsim"
@@ -16,27 +17,37 @@ import (
 )
 
 // CompileApp compiles an application's NetCL source for one device,
-// returning the P4 program and its message specs.
-func CompileApp(app *App, target passes.Target, device uint16) (*p4.Program, map[uint8]*runtime.MessageSpec, error) {
+// returning the P4 program, its message specs and the module's
+// memories (what a runtime.DeviceConnection resolves NetCL names
+// against). It is the one place a driver's target is chosen: "" means
+// TNA, as for netcl.Compile, and an unknown target is an error.
+func CompileApp(app *App, target passes.Target, device uint16) (*p4.Program, map[uint8]*runtime.MessageSpec, []*ir.MemRef, error) {
+	switch target {
+	case "":
+		target = passes.TargetTNA
+	case passes.TargetTNA, passes.TargetV1Model:
+	default:
+		return nil, nil, nil, fmt.Errorf("apps: unknown target %q (want %q or %q)", target, passes.TargetTNA, passes.TargetV1Model)
+	}
 	var diags lang.Diagnostics
 	file := lang.ParseFile(app.Name, app.NetCL, app.Defines, &diags)
 	prog := sema.Check(file, &diags)
 	if err := diags.Err(); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	mod := lower.Module(prog, device, lower.Options{}, &diags)
 	if err := diags.Err(); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	if _, err := passes.Run(mod, passes.DefaultOptions(target)); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	// ECMP is always compiled in for app deployments: the topology
 	// route installer spreads flows over equal-cost uplinks, and a
 	// program without the spreader cannot take ECMP route entries.
 	p4prog, err := codegen.Generate(mod, codegen.Options{Target: p4.Target(target), ECMP: true})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	specs := map[uint8]*runtime.MessageSpec{}
 	for comp, kernels := range prog.Computations {
@@ -53,28 +64,139 @@ func CompileApp(app *App, target passes.Target, device uint16) (*p4.Program, map
 		}
 		specs[comp] = spec
 	}
-	return p4prog, specs, nil
+	return p4prog, specs, mod.Mems, nil
 }
 
 // loadProgram returns the device program: either compiled from NetCL
 // or the handwritten baseline (parsed P4), which share wire formats.
-func loadProgram(app *App, target passes.Target, device uint16, baseline bool) (*p4.Program, map[uint8]*runtime.MessageSpec, error) {
-	prog, specs, err := CompileApp(app, target, device)
-	if err != nil {
-		return nil, nil, err
-	}
-	if !baseline {
-		return prog, specs, nil
+// The memories are the generated program's; a baseline has none.
+func loadProgram(app *App, target passes.Target, device uint16, baseline bool) (*p4.Program, *runtime.MessageSpec, []*ir.MemRef, error) {
+	prog, specs, mems, err := CompileApp(app, target, device)
+	if err != nil || !baseline {
+		return prog, specs[1], mems, err
 	}
 	src, err := app.Baseline()
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	bl, err := p4.Parse(app.Name+"-baseline", src)
-	if err != nil {
-		return nil, nil, err
+	return bl, specs[1], nil, err
+}
+
+// fabricProgs holds one compiled program per physical device of a
+// fabric, built before the topology so a compile error is returned,
+// not raised from inside a topology builder.
+type fabricProgs struct {
+	progs map[uint16]*p4.Program
+	mems  map[uint16][]*ir.MemRef
+	spec  *runtime.MessageSpec // computation 1, the same on every device
+}
+
+// compileFabric compiles appFor(id) for every physical id. logical maps
+// a standby's physical id to the logical id it is compiled as, so it
+// answers for that device once traffic is re-routed to it (nil: every
+// device is itself).
+func compileFabric(target passes.Target, logical map[uint16]uint16, appFor func(id uint16) *App, ids ...uint16) (*fabricProgs, error) {
+	f := &fabricProgs{progs: map[uint16]*p4.Program{}, mems: map[uint16][]*ir.MemRef{}}
+	for _, id := range ids {
+		lid := id
+		if l, ok := logical[id]; ok {
+			lid = l
+		}
+		prog, specs, mems, err := CompileApp(appFor(lid), target, lid)
+		if err != nil {
+			return nil, fmt.Errorf("device %d: %w", id, err)
+		}
+		f.progs[id], f.mems[id], f.spec = prog, mems, specs[1]
 	}
-	return bl, specs, nil
+	return f, nil
+}
+
+// prog is the topology builders' program callback.
+func (f *fabricProgs) prog(_ int, id uint16) *p4.Program { return f.progs[id] }
+
+// conn is the control-plane connection to dev, addressing its memories
+// by NetCL name.
+func (f *fabricProgs) conn(dev *netsim.Device) *runtime.DeviceConnection {
+	return &runtime.DeviceConnection{CP: &p4rt.Direct{SW: dev.SW}, Mems: f.mems[dev.ID]}
+}
+
+// partition enables the delivery hash chains when trace is set (the
+// determinism witness) and cuts n into k partitions, returning how many
+// it runs.
+func partition(n *netsim.Network, trace bool, k int) (int, error) {
+	if trace {
+		n.EnableTrace()
+	}
+	err := n.SetPartitions(k)
+	return n.Partitions(), err
+}
+
+// orDefault returns v, or def when v is not positive: a zero (or
+// negative) driver knob means its default.
+func orDefault[T ~int | ~int64 | ~float64](v, def T) T {
+	if v <= 0 {
+		return def
+	}
+	return v
+}
+
+// aggWith returns the AGG application with some compile-time
+// parameters overridden (ByName hands out a fresh copy).
+func aggWith(defines map[string]uint64) *App {
+	app := ByName("AGG")
+	for k, v := range defines {
+		app.Defines[k] = v
+	}
+	return app
+}
+
+// kernelArgs is reusable message scratch for one kernel: one slice per
+// parameter, found by its NetCL name, and a send buffer. Every driver
+// packs and unpacks through it, so each app's wire layout is written
+// once; a message it packs is valid until the next pack (netsim and
+// the channels copy what they send).
+type kernelArgs struct {
+	spec *runtime.MessageSpec
+	argv [][]uint64
+	buf  []byte
+}
+
+func newKernelArgs(spec *runtime.MessageSpec) *kernelArgs {
+	a := &kernelArgs{spec: spec, argv: make([][]uint64, len(spec.Args)), buf: make([]byte, 0, spec.Size())}
+	for i, arg := range spec.Args {
+		a.argv[i] = make([]uint64, arg.Count)
+	}
+	return a
+}
+
+// arg returns the named parameter's slice, nil if the kernel has none.
+func (a *kernelArgs) arg(name string) []uint64 {
+	for i, arg := range a.spec.Args {
+		if arg.Name == name {
+			return a.argv[i]
+		}
+	}
+	return nil
+}
+
+// zero clears every argument, so a pack carries only what is set after.
+func (a *kernelArgs) zero() {
+	for _, s := range a.argv {
+		clear(s)
+	}
+}
+
+// pack serializes the current argument values under hdr.
+func (a *kernelArgs) pack(hdr wire.Header) ([]byte, error) {
+	msg, err := runtime.PackAppend(a.buf[:0], a.spec, hdr, a.argv)
+	a.buf = msg[:0]
+	return msg, err
+}
+
+// unpack decodes msg into the argument slices.
+func (a *kernelArgs) unpack(msg []byte) (wire.Header, error) {
+	return runtime.UnpackInto(a.spec, msg, a.argv)
 }
 
 // AggConfig parameterizes the Figure 14 (left) experiment.
@@ -137,62 +259,58 @@ func (r *AggResult) Summary() string {
 		r.Completed, r.ATEPerWorker, r.P50ChunkNs/1e3, r.P99ChunkNs/1e3, r.Mismatches, r.Retransmissions, r.PacketsLost)
 }
 
+// finish derives the rates and latency quantiles once a run's
+// completions are in.
+func (r *AggResult) finish(workers int, hist *Hist) {
+	if r.DurationNs > 0 {
+		// Each completed slot aggregates AggSlotSize elements per worker.
+		totalPerWorker := float64(r.Completed/workers) * AggSlotSize
+		r.ATEPerWorker = totalPerWorker / (r.DurationNs / 1e9)
+	}
+	if r.Completed > 0 {
+		r.MeanChunkNs /= float64(r.Completed)
+		r.P50ChunkNs = float64(hist.Quantile(0.50))
+		r.P99ChunkNs = float64(hist.Quantile(0.99))
+	}
+}
+
 // RunAgg drives the SwitchML-style aggregation through the simulated
 // network: workers stream chunks into slots; the switch reduces and
 // multicasts completed slots back.
 func RunAgg(cfg AggConfig) (*AggResult, error) {
-	if cfg.Workers <= 0 {
-		cfg.Workers = 2
-	}
-	if cfg.Chunks <= 0 {
-		cfg.Chunks = 64
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = 4
-	}
-	app := ByName("AGG")
-	defines := map[string]uint64{}
-	for k, v := range app.Defines {
-		defines[k] = v
-	}
-	defines["NUM_WORKERS"] = uint64(cfg.Workers)
-	app = &App{Name: app.Name, NetCL: app.NetCL, Defines: defines,
-		Devices: app.Devices, BaselineFile: app.BaselineFile}
-
-	prog, specs, err := loadProgram(app, cfg.Target, 1, cfg.Baseline)
+	cfg.Workers = orDefault(cfg.Workers, 2)
+	cfg.Chunks = orDefault(cfg.Chunks, 64)
+	cfg.Window = orDefault(cfg.Window, 4)
+	prog, spec, _, err := loadProgram(aggWith(map[string]uint64{"NUM_WORKERS": uint64(cfg.Workers)}), cfg.Target, 1, cfg.Baseline)
 	if err != nil {
 		return nil, err
 	}
-	spec := specs[1]
 
-	if cfg.RetransmitNs == 0 {
-		cfg.RetransmitNs = 150 * netsim.Microsecond
-	}
-	if cfg.RetryBudget <= 0 {
-		cfg.RetryBudget = 64
-	}
+	cfg.RetransmitNs = orDefault(cfg.RetransmitNs, 150*netsim.Microsecond)
+	cfg.RetryBudget = orDefault(cfg.RetryBudget, 64)
 	lossy := cfg.LossEveryNth > 0 || cfg.Faults.Active()
 	n := netsim.NewNetwork()
 	n.MaxEvents = 10_000_000
 	n.InjectFaults(cfg.Faults)
 	dev := n.AddDevice(1, prog)
-	type workerState struct {
-		host        *netsim.Host
-		done        int          // completed slots observed
-		outstanding map[int]bool // sent chunks awaiting completion
-		retries     map[int]int  // retransmissions per chunk
-		sentAt      map[int]netsim.Time
-	}
-	workers := make([]*workerState, cfg.Workers)
+	res := &AggResult{}
+	var chunkHist Hist
+	workers := make([]*aggWorker, cfg.Workers)
+	hosts := make([]*netsim.Host, cfg.Workers)
 	var links []*netsim.Link
 	var mcastPorts []int
+	var sendChunk func(w, chunk, attempt int)
 	for w := 0; w < cfg.Workers; w++ {
-		h := n.AddHost(uint16(10 + w))
-		l := n.Connect(h, dev, w+1)
+		hosts[w] = n.AddHost(uint16(10 + w))
+		hosts[w].SetReceive(func(h *netsim.Host, msg []byte) {
+			if _, next := workers[w].complete(msg, float64(n.Now()), res, &chunkHist); next >= 0 {
+				sendChunk(w, next, 0)
+			}
+		})
+		l := n.Connect(hosts[w], dev, w+1)
 		l.DropNth = cfg.LossEveryNth
 		links = append(links, l)
-		workers[w] = &workerState{host: h, outstanding: map[int]bool{},
-			retries: map[int]int{}, sentAt: map[int]netsim.Time{}}
+		workers[w] = newAggWorker(spec, w, cfg.Workers, cfg.Window, cfg.Chunks)
 		mcastPorts = append(mcastPorts, w+1)
 	}
 	if err := n.AutoWire(); err != nil {
@@ -208,119 +326,45 @@ func RunAgg(cfg AggConfig) (*AggResult, error) {
 		}
 	}
 
-	res := &AggResult{}
-	var chunkHist Hist
-	numSlots := int(defines["NUM_SLOTS"])
-	slotSize := int(defines["SLOT_SIZE"])
 	budgetExceeded := 0
-
-	var sendChunk func(ws *workerState, w int, chunk int, retrans bool)
-	sendChunk = func(ws *workerState, w int, chunk int, retrans bool) {
-		slot := chunk % cfg.Window
-		ver := uint64(chunk/cfg.Window) % 2
-		vals := make([]uint64, slotSize)
-		for i := range vals {
-			vals[i] = uint64(chunk + i + w)
-		}
-		aggIdx := uint64(slot) + ver*uint64(numSlots)
-		msg, err := runtime.Pack(spec,
-			runtime.Message{Src: uint16(10 + w), Dst: 100, Device: 1, Comp: 1}.Header(),
-			[][]uint64{{ver}, {uint64(slot)}, {aggIdx}, {1 << uint(w)}, {uint64(chunk)}, vals})
+	sendChunk = func(w, chunk, attempt int) {
+		wk := workers[w]
+		msg, err := wk.pack(chunk, float64(n.Now()))
 		if err != nil {
 			return
 		}
-		ws.outstanding[chunk] = true
-		if retrans {
-			ws.retries[chunk]++
-			res.Retransmissions++
-		} else {
-			ws.sentAt[chunk] = n.Now()
-		}
-		ws.host.Send(msg)
+		hosts[w].Send(msg)
 		// Retransmission timer: resend while the slot is outstanding
 		// (the two-version scheme makes resends safe, §V-E). The retry
 		// budget bounds recovery so a partitioned run terminates.
 		if lossy {
 			n.At(cfg.RetransmitNs, func() {
-				if !ws.outstanding[chunk] {
+				if !wk.outstanding[chunk] {
 					return
 				}
-				if ws.retries[chunk] >= cfg.RetryBudget {
+				if attempt >= cfg.RetryBudget {
 					budgetExceeded++
 					return
 				}
-				sendChunk(ws, w, chunk, true)
+				res.Retransmissions++
+				sendChunk(w, chunk, attempt+1)
 			})
 		}
 	}
-
-	for w, ws := range workers {
-		w, ws := w, ws
-		ws.host.SetReceive(func(h *netsim.Host, msg []byte) {
-			ver := make([]uint64, 1)
-			slot := make([]uint64, 1)
-			vals := make([]uint64, slotSize)
-			if _, err := runtime.Unpack(spec, msg, [][]uint64{ver, slot, nil, nil, nil, vals}); err != nil {
-				return
-			}
-			// Identify the chunk from (slot, version): unique among the
-			// outstanding window.
-			chunk := -1
-			for c := range ws.outstanding {
-				if uint64(c%cfg.Window) == slot[0] && uint64(c/cfg.Window)%2 == ver[0] {
-					chunk = c
-					break
-				}
-			}
-			if chunk < 0 {
-				res.Duplicates++ // duplicate completion (multicast + reflect)
-				return
-			}
-			delete(ws.outstanding, chunk)
-			lat := n.Now() - ws.sentAt[chunk]
-			res.MeanChunkNs += float64(lat)
-			chunkHist.Record(uint64(lat))
-			for i := 0; i < slotSize; i++ {
-				want := uint64(cfg.Workers*(chunk+i)) + uint64(cfg.Workers*(cfg.Workers-1)/2)
-				if vals[i] != want {
-					res.Mismatches++
-					break
-				}
-			}
-			ws.done++
-			res.Completed++
-			// Per-slot self-clocking: reuse this slot only for its own
-			// next chunk. This keeps every worker within one slot of
-			// the others — the correctness requirement of the
-			// alternating-version scheme (§V-E).
-			if next := chunk + cfg.Window; next < cfg.Chunks {
-				sendChunk(ws, w, next, false)
-			}
-		})
-	}
 	// Prime the window.
-	for w, ws := range workers {
+	for w := range workers {
 		for c := 0; c < cfg.Window && c < cfg.Chunks; c++ {
-			sendChunk(ws, w, c, false)
+			sendChunk(w, c, 0)
 		}
 	}
 	if err := n.RunAll(); err != nil {
 		return nil, err
 	}
 	res.DurationNs = float64(n.Now())
-	if res.DurationNs > 0 {
-		// Each completed slot aggregates slotSize elements per worker.
-		totalPerWorker := float64(res.Completed/cfg.Workers) * float64(slotSize)
-		res.ATEPerWorker = totalPerWorker / (res.DurationNs / 1e9)
-	}
-	if res.Completed > 0 {
-		res.MeanChunkNs /= float64(res.Completed)
-		res.P50ChunkNs = float64(chunkHist.Quantile(0.50))
-		res.P99ChunkNs = float64(chunkHist.Quantile(0.99))
-	}
+	res.finish(cfg.Workers, &chunkHist)
 	// Every worker must observe every chunk's completion.
-	for _, ws := range workers {
-		if ws.done != cfg.Chunks {
+	for _, wk := range workers {
+		if wk.done != cfg.Chunks {
 			res.Mismatches++
 		}
 	}
@@ -383,31 +427,17 @@ func (r *CacheResult) Summary() string {
 // issues GETs over a key universe; the switch answers cached keys and
 // forwards misses to the KVS server host.
 func RunCache(cfg CacheConfig) (*CacheResult, error) {
-	if cfg.TotalKeys <= 0 {
-		cfg.TotalKeys = 64
-	}
-	if cfg.Requests <= 0 {
-		cfg.Requests = 256
-	}
-	if cfg.ServerNs == 0 {
-		// Calibrated to the paper's testbed observations: ~27µs mean
-		// response when every request misses, ~9.4µs when all hit.
-		cfg.ServerNs = 7600 * netsim.Nanosecond
-	}
-	if cfg.RetransmitNs == 0 {
-		cfg.RetransmitNs = 250 * netsim.Microsecond
-	}
-	if cfg.RetryBudget <= 0 {
-		cfg.RetryBudget = 64
-	}
-	lossy := cfg.Faults.Active()
-	app := ByName("CACHE")
-	prog, specs, err := loadProgram(app, cfg.Target, 1, cfg.Baseline)
+	cfg.TotalKeys = orDefault(cfg.TotalKeys, 64)
+	cfg.Requests = orDefault(cfg.Requests, 256)
+	// Calibrated to the paper's testbed observations: ~27µs mean
+	// response when every request misses, ~9.4µs when all hit.
+	cfg.ServerNs = orDefault(cfg.ServerNs, 7600*netsim.Nanosecond)
+	cfg.RetransmitNs = orDefault(cfg.RetransmitNs, 250*netsim.Microsecond)
+	cfg.RetryBudget = orDefault(cfg.RetryBudget, 64)
+	prog, spec, mems, err := loadProgram(ByName("CACHE"), cfg.Target, 1, cfg.Baseline)
 	if err != nil {
 		return nil, err
 	}
-	spec := specs[1]
-	words := CacheWords
 
 	n := netsim.NewNetwork()
 	n.MaxEvents = 10_000_000
@@ -426,155 +456,41 @@ func RunCache(cfg CacheConfig) (*CacheResult, error) {
 	valueOf := func(key uint64, w int) uint64 { return key*100 + uint64(w) }
 
 	// Operator/controller: install the cached keys through the control
-	// plane (managed lookup memory). Generated and handwritten programs
-	// expose different object names for the same state.
-	cp := &p4rt.Direct{SW: dev.SW}
-	idxAction, shareAction := "lu_Index_hit", "lu_Share_hit"
-	valReg := func(w int) string { return fmt.Sprintf("reg_Vals__%d", w) }
-	validReg := "reg_Valid"
+	// plane as one transaction, so packets start seeing cached keys only
+	// when every index entry and value word is in place.
+	cached := min(cfg.CachedKeys, cfg.TotalKeys)
 	if cfg.Baseline {
-		idxAction, shareAction = "idx_hit", "share_hit"
-		valReg = func(w int) string { return fmt.Sprintf("vals_%02d", w) }
-		validReg = "valid_bit"
+		err = baselineCacheFill(dev, 1, cached, valueOf)
+	} else {
+		conn := &runtime.DeviceConnection{CP: &p4rt.Direct{SW: dev.SW}, Mems: mems}
+		err = cacheFill(conn.Txn(), 1, cached, valueOf).Commit()
 	}
-	// The whole cache installs as one transaction: packets start seeing
-	// cached keys only when every index entry and value word is in place.
-	populate := p4rt.NewWriteBatch()
-	for k := 0; k < cfg.CachedKeys && k < cfg.TotalKeys; k++ {
-		key := uint64(k + 1)
-		idx := uint64(k)
-		populate.Insert("lu_Index", &p4.Entry{
-			Keys:   []p4.KeyValue{{Value: key, PrefixLen: -1}},
-			Action: &p4.ActionCall{Name: idxAction, Args: []uint64{idx}},
-		})
-		populate.Insert("lu_Share", &p4.Entry{
-			Keys:   []p4.KeyValue{{Value: key, PrefixLen: -1}},
-			Action: &p4.ActionCall{Name: shareAction, Args: []uint64{(1 << uint(words)) - 1}},
-		})
-		for w := 0; w < words; w++ {
-			populate.RegisterWrite(valReg(w), int(idx), valueOf(key, w))
-		}
-		populate.RegisterWrite(validReg, int(idx), 1)
-	}
-	if _, err := cp.Write(populate); err != nil {
+	if err != nil {
 		return nil, err
 	}
-
-	// KVS server: answer misses.
-	server.SetProcessingNs(cfg.ServerNs)
-	server.SetReceive(func(h *netsim.Host, msg []byte) {
-		key := make([]uint64, 1)
-		op := make([]uint64, 1)
-		hdr, err := runtime.Unpack(spec, msg, [][]uint64{op, key, nil, nil, nil})
-		if err != nil || op[0] != 1 {
-			return
-		}
-		vals := make([]uint64, words)
-		for w := range vals {
-			vals[w] = valueOf(key[0], w)
-		}
-		// Respond without requesting computation (to = none).
-		reply, err := runtime.Pack(spec, wire.Header{
-			Src: 2, Dst: hdr.Src, From: wire.None, To: wire.None, Comp: 1,
-		}, [][]uint64{op, key, vals, {0}, nil})
-		if err != nil {
-			return
-		}
-		h.Send(reply)
-	})
+	serveKVS(server, spec, cfg.ServerNs, valueOf)
 
 	res := &CacheResult{}
-	var rtHist Hist
-	var totalRT float64
-	outstandingKey := uint64(0)
-	answered := true
-	retries := 0
-	budgetExceeded := 0
-	var sentAt netsim.Time
-	reqSent := 0
-
-	// send transmits one GET; under faults it arms a retransmission
-	// timer (GETs are idempotent, so resends are safe).
-	var send func(key uint64)
-	send = func(key uint64) {
-		msg, err := runtime.Pack(spec,
-			runtime.Message{Src: 1, Dst: 2, Device: 1, Comp: 1}.Header(),
-			[][]uint64{{1}, {key}, nil, nil, nil})
-		if err != nil {
-			return
-		}
-		client.Send(msg)
-		if lossy {
-			n.At(cfg.RetransmitNs, func() {
-				if answered || outstandingKey != key {
-					return
-				}
-				if retries >= cfg.RetryBudget {
-					budgetExceeded++
-					return
-				}
-				retries++
-				res.Retransmissions++
-				send(key)
-			})
-		}
+	cl := (&cacheClient{h: client, dst: server.ID, device: 1, requests: cfg.Requests,
+		keyOf: func(i int) uint64 { return uint64(i%cfg.TotalKeys) + 1 },
+		value: valueOf, res: res, budget: cfg.RetryBudget}).attach(spec)
+	if cfg.Faults.Active() {
+		cl.retransmit = cfg.RetransmitNs
 	}
-	var issue func()
-	issue = func() {
-		if reqSent >= cfg.Requests {
-			return
-		}
-		key := uint64(reqSent%cfg.TotalKeys) + 1
-		outstandingKey = key
-		answered = false
-		retries = 0
-		sentAt = n.Now()
-		reqSent++
-		send(key)
-	}
-	client.SetReceive(func(h *netsim.Host, msg []byte) {
-		key := make([]uint64, 1)
-		vals := make([]uint64, words)
-		hit := make([]uint64, 1)
-		if _, err := runtime.Unpack(spec, msg, [][]uint64{nil, key, vals, hit, nil}); err != nil {
-			return
-		}
-		// Match the response to the outstanding GET: late duplicates
-		// from retransmitted requests are discarded.
-		if answered || key[0] != outstandingKey {
-			res.Duplicates++
-			return
-		}
-		answered = true
-		totalRT += float64(n.Now() - sentAt)
-		rtHist.Record(uint64(n.Now() - sentAt))
-		if hit[0] != 0 {
-			res.Hits++
-		} else {
-			res.Misses++
-		}
-		for w := 0; w < words; w++ {
-			if vals[w] != valueOf(outstandingKey, w) {
-				res.WrongValues++
-				break
-			}
-		}
-		issue()
-	})
-	issue()
+	cl.issue()
 	if err := n.RunAll(); err != nil {
 		return nil, err
 	}
 	done := res.Hits + res.Misses
 	if done > 0 {
-		res.MeanResponseNs = totalRT / float64(done)
-		res.P50ResponseNs = float64(rtHist.Quantile(0.50))
-		res.P99ResponseNs = float64(rtHist.Quantile(0.99))
+		res.MeanResponseNs /= float64(done)
+		res.P50ResponseNs = float64(cl.rt.Quantile(0.50))
+		res.P99ResponseNs = float64(cl.rt.Quantile(0.99))
 		res.HitRate = float64(res.Hits) / float64(done)
 	}
 	res.PacketsLost = n.FaultsDropped
 	res.Sim = SimStats{Events: n.Processed, PeakQueue: n.PeakQueue, EventsPerSec: n.EventsPerSec()}
-	if budgetExceeded > 0 {
+	if cl.exhausted > 0 {
 		return res, fmt.Errorf("cache: retry budget (%d) exhausted; %d/%d requests answered",
 			cfg.RetryBudget, done, cfg.Requests)
 	}
@@ -619,127 +535,42 @@ func (r *PaxosResult) Summary() string {
 // acceptors, learner) and submits client commands; the learner
 // delivers each chosen command to the application host.
 func RunPaxos(cfg PaxosConfig) (*PaxosResult, error) {
-	if cfg.Commands <= 0 {
-		cfg.Commands = 16
-	}
-	if cfg.RetransmitNs == 0 {
-		cfg.RetransmitNs = 400 * netsim.Microsecond
-	}
-	if cfg.RetryBudget <= 0 {
-		cfg.RetryBudget = 32
-	}
-	lossy := cfg.Faults.Active()
+	ids := []uint16{PaxosLeader, PaxosAcceptor1, PaxosAcceptor2, PaxosAcceptor3, PaxosLearner}
 	app := ByName("PAXOS")
+	fab, err := compileFabric(cfg.Target, nil, func(uint16) *App { return app }, ids...)
+	if err != nil {
+		return nil, err
+	}
 
 	n := netsim.NewNetwork()
 	n.MaxEvents = 10_000_000
 	n.InjectFaults(cfg.Faults)
-	var specs map[uint8]*runtime.MessageSpec
 	devs := map[uint16]*netsim.Device{}
-	for _, id := range []uint16{PaxosLeader, PaxosAcceptor1, PaxosAcceptor2, PaxosAcceptor3, PaxosLearner} {
-		prog, sp, err := CompileApp(app, cfg.Target, id)
-		if err != nil {
-			return nil, fmt.Errorf("device %d: %w", id, err)
-		}
-		specs = sp
-		devs[id] = n.AddDevice(id, prog)
+	for _, id := range ids {
+		devs[id] = n.AddDevice(id, fab.progs[id])
 	}
-	spec := specs[1]
-
-	client := n.AddHost(100)
-	appHost := n.AddHost(101)
+	client := n.AddHost(paxosClientID)
+	appHost := n.AddHost(paxosAppHostID)
 
 	// Star-of-stars topology: leader at the center feeding acceptors;
 	// acceptors feed the learner.
 	n.Connect(client, devs[PaxosLeader], 1)
-	n.ConnectDevices(devs[PaxosLeader], 2, devs[PaxosAcceptor1], 1)
-	n.ConnectDevices(devs[PaxosLeader], 3, devs[PaxosAcceptor2], 1)
-	n.ConnectDevices(devs[PaxosLeader], 4, devs[PaxosAcceptor3], 1)
-	n.ConnectDevices(devs[PaxosAcceptor1], 2, devs[PaxosLearner], 1)
-	n.ConnectDevices(devs[PaxosAcceptor2], 2, devs[PaxosLearner], 2)
-	n.ConnectDevices(devs[PaxosAcceptor3], 2, devs[PaxosLearner], 3)
+	accs := ids[1:4]
+	for i, acc := range accs {
+		n.ConnectDevices(devs[PaxosLeader], 2+i, devs[acc], 1)
+	}
+	for i, acc := range accs {
+		n.ConnectDevices(devs[acc], 2, devs[PaxosLearner], 1+i)
+	}
 	n.Connect(appHost, devs[PaxosLearner], 4)
 	if err := n.AutoWire(); err != nil {
 		return nil, err
 	}
 	// Multicast groups: leader's acceptor group, acceptors' learner group.
 	devs[PaxosLeader].SetMulticastGroup(20, []int{2, 3, 4})
-	devs[PaxosAcceptor1].SetMulticastGroup(30, []int{2})
-	devs[PaxosAcceptor2].SetMulticastGroup(30, []int{2})
-	devs[PaxosAcceptor3].SetMulticastGroup(30, []int{2})
+	for _, acc := range accs {
+		devs[acc].SetMulticastGroup(30, []int{2})
+	}
 
-	res := &PaxosResult{}
-	delivered := map[uint64]bool{}    // by instance
-	deliveredVal := map[uint64]bool{} // by command value (app-level dedup)
-	appHost.SetReceive(func(h *netsim.Host, msg []byte) {
-		typ := make([]uint64, 1)
-		inst := make([]uint64, 1)
-		v := make([]uint64, 8)
-		if _, err := runtime.Unpack(spec, msg, [][]uint64{typ, inst, nil, nil, nil, v}); err != nil {
-			return
-		}
-		if typ[0] != 4 { // DELIVER
-			return
-		}
-		if delivered[inst[0]] {
-			res.Duplicates++
-			return // at-most-once per instance
-		}
-		delivered[inst[0]] = true
-		// A retried command is chosen under a fresh instance; the
-		// application deduplicates by command value.
-		if deliveredVal[v[0]] {
-			res.Duplicates++
-			return
-		}
-		deliveredVal[v[0]] = true
-		res.Delivered++
-		if !lossy && v[0] != 1000+inst[0]-1 {
-			res.WrongValue++
-		}
-	})
-
-	// submit sends command c; under faults it arms a retransmission
-	// timer that resends until the learner delivers the value or the
-	// retry budget runs out.
-	var submit func(c, attempt int)
-	submit = func(c, attempt int) {
-		val := uint64(1000 + c)
-		if deliveredVal[val] {
-			return
-		}
-		if attempt > 0 {
-			res.Retries++
-		}
-		vals := make([]uint64, 8)
-		vals[0] = val
-		msg, err := runtime.Pack(spec,
-			runtime.Message{Src: 100, Dst: 101, Device: PaxosLeader, Comp: 1}.Header(),
-			[][]uint64{{1}, {0}, {0}, {0}, {0}, vals})
-		if err != nil {
-			return
-		}
-		client.Send(msg)
-		if lossy && attempt < cfg.RetryBudget {
-			n.At(cfg.RetransmitNs, func() { submit(c, attempt+1) })
-		}
-	}
-	for c := 0; c < cfg.Commands; c++ {
-		submit(c, 0)
-		res.Submitted++
-	}
-	if err := n.RunAll(); err != nil {
-		return nil, err
-	}
-	for c := 0; c < cfg.Commands; c++ {
-		if !deliveredVal[uint64(1000+c)] {
-			res.Undelivered++
-		}
-	}
-	res.PacketsLost = n.FaultsDropped
-	if lossy && res.Undelivered > 0 {
-		return res, fmt.Errorf("paxos: %d/%d commands undelivered after retry budget (%d)",
-			res.Undelivered, cfg.Commands, cfg.RetryBudget)
-	}
-	return res, nil
+	return runPaxosLoad(n, fab.spec, client, appHost, cfg)
 }

@@ -135,7 +135,7 @@ func TestEngineDifferentialAllApps(t *testing.T) {
 	}
 	for ri, r := range rows {
 		app := ByName(r.app)
-		gen, specs, err := CompileApp(app, passes.TargetTNA, r.device)
+		gen, specs, _, err := CompileApp(app, passes.TargetTNA, r.device)
 		if err != nil {
 			t.Fatalf("%s: %v", r.name, err)
 		}

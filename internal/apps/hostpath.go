@@ -9,7 +9,9 @@ package apps
 // deterministic and machine-independent.
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"time"
 
 	"netcl/internal/netsim"
@@ -53,17 +55,14 @@ type HostpathResult struct {
 // the simulated network and reports throughput and latency in
 // simulated time.
 func RunHostpath(cfg HostpathConfig) (*HostpathResult, error) {
-	if cfg.Window <= 0 {
-		cfg.Window = 1
-	}
-	if cfg.Ops <= 0 {
-		cfg.Ops = 512
-	}
-	prog, specs, err := CompileApp(ByName("CALC"), cfg.Target, 1)
+	cfg.Window = orDefault(cfg.Window, 1)
+	cfg.Ops = orDefault(cfg.Ops, 512)
+	prog, specs, _, err := CompileApp(ByName("CALC"), cfg.Target, 1)
 	if err != nil {
 		return nil, err
 	}
-	spec := specs[1]
+	calc := newKernelArgs(specs[1])
+	op, a, b, sum := calc.arg("op"), calc.arg("a"), calc.arg("b"), calc.arg("res")
 
 	n := netsim.NewNetwork()
 	n.MaxEvents = 10_000_000
@@ -84,45 +83,34 @@ func RunHostpath(cfg HostpathConfig) (*HostpathResult, error) {
 	res := &HostpathResult{Window: cfg.Window, Ops: cfg.Ops}
 	var hist Hist
 	pend := make([]*runtime.Pending, cfg.Ops)
-	args := make([]uint64, 1)
 	start := n.Now()
 	for i := 0; i < cfg.Ops; i++ {
-		buf := runtime.GetBuf()
-		a, b := uint64(i)&0xffffffff, uint64(3*i+1)&0xffffffff
-		args[0] = 1 // OP_ADD
-		msg, err := runtime.PackAppend(*buf, spec,
-			runtime.Message{Src: 7, Dst: 7, Device: 1, Comp: 1}.Header(),
-			[][]uint64{args, {a}, {b}, nil})
+		op[0], a[0], b[0], sum[0] = 1, uint64(i)&0xffffffff, uint64(3*i+1)&0xffffffff, 0 // OP_ADD
+		msg, err := calc.pack(runtime.Message{Src: 7, Dst: 7, Device: 1, Comp: 1}.Header())
 		if err == nil {
-			*buf = msg
 			pend[i], err = ch.CallAsync(msg)
 		}
-		runtime.PutBuf(buf)
 		if err != nil {
 			return nil, fmt.Errorf("hostpath: op %d: %w", i, err)
 		}
 	}
-	got := make([]uint64, 1)
-	const prime = 1099511628211
-	res.Results = 14695981039346656037 // FNV-1a offset basis
+	results := fnv.New64a()
 	for i, p := range pend {
 		resp, err := p.Wait(0)
-		if err != nil {
-			return nil, fmt.Errorf("hostpath: op %d: %w", i, err)
+		if err == nil {
+			_, err = calc.unpack(resp)
 		}
-		if _, err := runtime.UnpackInto(spec, resp, [][]uint64{nil, nil, nil, got}); err != nil {
+		if err != nil {
 			return nil, fmt.Errorf("hostpath: op %d: %w", i, err)
 		}
 		want := (uint64(i) + uint64(3*i+1)) & 0xffffffff
-		if got[0] != want {
+		if sum[0] != want {
 			res.Mismatches++
 		}
-		for s := 0; s < 64; s += 8 {
-			res.Results ^= (got[0] >> s) & 0xff
-			res.Results *= prime
-		}
+		results.Write(binary.LittleEndian.AppendUint64(nil, sum[0]))
 		hist.Record(uint64(p.Latency()))
 	}
+	res.Results = results.Sum64()
 	res.SimDurationNs = float64(n.Now() - start)
 	if res.SimDurationNs > 0 {
 		res.MsgsPerSec = float64(cfg.Ops) / (res.SimDurationNs / 1e9)

@@ -35,7 +35,7 @@ func TestHostSendPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
 	}
-	_, specs, err := CompileApp(ByName("CALC"), passes.TargetTNA, 1)
+	_, specs, _, err := CompileApp(ByName("CALC"), passes.TargetTNA, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func paxosShoot(t *testing.T, sw *bmv2.Switch, spec *runtime.MessageSpec, args [
 // safety).
 func TestAcceptorRoundDiscipline(t *testing.T) {
 	app := ByName("PAXOS")
-	prog, specs, err := CompileApp(app, passes.TargetTNA, PaxosAcceptor1)
+	prog, specs, _, err := CompileApp(app, passes.TargetTNA, PaxosAcceptor1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestAcceptorRoundDiscipline(t *testing.T) {
 // duplicates and later votes do not re-deliver.
 func TestLearnerQuorumAndExactlyOnce(t *testing.T) {
 	app := ByName("PAXOS")
-	prog, specs, err := CompileApp(app, passes.TargetTNA, PaxosLearner)
+	prog, specs, _, err := CompileApp(app, passes.TargetTNA, PaxosLearner)
 	if err != nil {
 		t.Fatal(err)
 	}

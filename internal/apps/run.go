@@ -1,6 +1,9 @@
 package apps
 
-import "fmt"
+import (
+	"fmt"
+	"reflect"
+)
 
 // Result is the uniform driver result: every experiment driver returns
 // a value with a one-line Summary, so callers can run any application
@@ -17,66 +20,29 @@ type Result interface {
 // the application the config drives (a guard against passing, say, a
 // CACHE config with the PAXOS app).
 func Run(app *App, cfg any) (Result, error) {
-	check := func(name string) error {
-		if app != nil && app.Name != name {
-			return fmt.Errorf("apps: config %T drives %s, but app is %s", cfg, name, app.Name)
-		}
-		return nil
+	if v := reflect.ValueOf(cfg); v.Kind() == reflect.Pointer && !v.IsNil() {
+		cfg = v.Elem().Interface()
 	}
+	var name string
+	var run func() (Result, error)
 	switch c := cfg.(type) {
 	case AggConfig:
-		if err := check("AGG"); err != nil {
-			return nil, err
-		}
-		return RunAgg(c)
-	case *AggConfig:
-		if err := check("AGG"); err != nil {
-			return nil, err
-		}
-		return RunAgg(*c)
+		name, run = "AGG", func() (Result, error) { return RunAgg(c) }
 	case AggUDPConfig:
-		if err := check("AGG"); err != nil {
-			return nil, err
-		}
-		return RunAggUDP(c)
-	case *AggUDPConfig:
-		if err := check("AGG"); err != nil {
-			return nil, err
-		}
-		return RunAggUDP(*c)
+		name, run = "AGG", func() (Result, error) { return RunAggUDP(c) }
 	case CacheConfig:
-		if err := check("CACHE"); err != nil {
-			return nil, err
-		}
-		return RunCache(c)
-	case *CacheConfig:
-		if err := check("CACHE"); err != nil {
-			return nil, err
-		}
-		return RunCache(*c)
+		name, run = "CACHE", func() (Result, error) { return RunCache(c) }
 	case PaxosConfig:
-		if err := check("PAXOS"); err != nil {
-			return nil, err
-		}
-		return RunPaxos(c)
-	case *PaxosConfig:
-		if err := check("PAXOS"); err != nil {
-			return nil, err
-		}
-		return RunPaxos(*c)
+		name, run = "PAXOS", func() (Result, error) { return RunPaxos(c) }
 	case PaxosUDPConfig:
-		if err := check("PAXOS"); err != nil {
-			return nil, err
-		}
-		return RunPaxosUDP(c)
-	case *PaxosUDPConfig:
-		if err := check("PAXOS"); err != nil {
-			return nil, err
-		}
-		return RunPaxosUDP(*c)
+		name, run = "PAXOS", func() (Result, error) { return RunPaxosUDP(c) }
 	case nil:
 		return nil, fmt.Errorf("apps: Run needs a config (AggConfig, CacheConfig, PaxosConfig, AggUDPConfig, or PaxosUDPConfig)")
 	default:
 		return nil, fmt.Errorf("apps: unsupported config type %T", cfg)
 	}
+	if app != nil && app.Name != name {
+		return nil, fmt.Errorf("apps: config %T drives %s, but app is %s", cfg, name, app.Name)
+	}
+	return run()
 }

@@ -101,7 +101,7 @@ func (w *window) available(cfg SLOConfig) bool {
 func (w *window) p99() float64 {
 	if len(w.rtts) == 0 {
 		if w.requests > 0 {
-			return inf()
+			return math.Inf(1)
 		}
 		return 0
 	}
@@ -109,22 +109,14 @@ func (w *window) p99() float64 {
 	return w.rtts[int(0.99*float64(len(w.rtts)-1))]
 }
 
-func inf() float64 { return math.Inf(1) }
-
 // ScoreSLO scores samples against the objective around one event span
 // [eventStartNs, eventEndNs). The three phase window counts always sum
 // to the total window count, wherever the event lands (the property
 // the accounting tests pin).
 func ScoreSLO(samples []Sample, eventStartNs, eventEndNs float64, cfg SLOConfig) *SLOReport {
-	if cfg.WindowNs <= 0 {
-		cfg.WindowNs = 100e3
-	}
-	if cfg.AvailFrac <= 0 {
-		cfg.AvailFrac = 0.9
-	}
-	if cfg.EpsilonP99 <= 0 {
-		cfg.EpsilonP99 = 0.25
-	}
+	cfg.WindowNs = orDefault(cfg.WindowNs, 100e3)
+	cfg.AvailFrac = orDefault(cfg.AvailFrac, 0.9)
+	cfg.EpsilonP99 = orDefault(cfg.EpsilonP99, 0.25)
 	rep := &SLOReport{}
 	if len(samples) == 0 {
 		rep.Availability = 1
@@ -137,21 +129,12 @@ func ScoreSLO(samples []Sample, eventStartNs, eventEndNs float64, cfg SLOConfig)
 	// first to the last issue exists, even if empty.
 	maxIssue := samples[0].IssueNs
 	for _, s := range samples {
-		if s.IssueNs > maxIssue {
-			maxIssue = s.IssueNs
-		}
+		maxIssue = max(maxIssue, s.IssueNs)
 	}
 	nw := int(maxIssue/cfg.WindowNs) + 1
 	ws := make([]window, nw)
 	for _, s := range samples {
-		wi := int(s.IssueNs / cfg.WindowNs)
-		if wi < 0 {
-			wi = 0
-		}
-		if wi >= nw {
-			wi = nw - 1
-		}
-		w := &ws[wi]
+		w := &ws[min(max(int(s.IssueNs/cfg.WindowNs), 0), nw-1)]
 		w.requests++
 		if !s.OK {
 			w.lost++
@@ -171,17 +154,11 @@ func ScoreSLO(samples []Sample, eventStartNs, eventEndNs float64, cfg SLOConfig)
 	for baseEnd < nw && float64(baseEnd+1)*cfg.WindowNs <= eventStartNs {
 		baseEnd++
 	}
-	baseP99 := inf()
-	{
-		var rtts []float64
-		for i := 0; i < baseEnd; i++ {
-			rtts = append(rtts, ws[i].rtts...)
-		}
-		if len(rtts) > 0 {
-			sort.Float64s(rtts)
-			baseP99 = rtts[int(0.99*float64(len(rtts)-1))]
-		}
+	base := window{requests: 1}
+	for i := 0; i < baseEnd; i++ {
+		base.rtts = append(base.rtts, ws[i].rtts...)
 	}
+	baseP99 := base.p99()
 
 	// Recovery: first window starting at/after the event's end that is
 	// both available and back within ε of the baseline p99.
@@ -197,10 +174,7 @@ func ScoreSLO(samples []Sample, eventStartNs, eventEndNs float64, cfg SLOConfig)
 	}
 	if recStart < nw {
 		rep.Recovered = true
-		rep.RecoveryNs = float64(recStart)*cfg.WindowNs - eventEndNs
-		if rep.RecoveryNs < 0 {
-			rep.RecoveryNs = 0
-		}
+		rep.RecoveryNs = max(float64(recStart)*cfg.WindowNs-eventEndNs, 0)
 	}
 	if recStart < baseEnd {
 		// The whole event span fell inside one baseline window (or the

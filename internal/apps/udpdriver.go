@@ -1,10 +1,12 @@
 package apps
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
 
+	"netcl/internal/p4"
 	"netcl/internal/p4rt"
 	"netcl/internal/passes"
 	"netcl/internal/runtime"
@@ -48,76 +50,32 @@ type AggUDPConfig struct {
 // outstanding chunks on timeout (the two-version scheme makes resends
 // safe, §V-E).
 func RunAggUDP(cfg AggUDPConfig) (*AggResult, error) {
-	if cfg.Workers <= 0 {
-		cfg.Workers = 2
-	}
-	if cfg.Chunks <= 0 {
-		cfg.Chunks = 32
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = 4
-	}
-	if cfg.RetransmitTimeout <= 0 {
-		cfg.RetransmitTimeout = 15 * time.Millisecond
-	}
-	if cfg.RetryBudget <= 0 {
-		cfg.RetryBudget = 64
-	}
-	app := ByName("AGG")
-	defines := map[string]uint64{}
-	for k, v := range app.Defines {
-		defines[k] = v
-	}
-	defines["NUM_WORKERS"] = uint64(cfg.Workers)
-	app = &App{Name: app.Name, NetCL: app.NetCL, Defines: defines,
-		Devices: app.Devices, BaselineFile: app.BaselineFile}
-
-	prog, specs, err := loadProgram(app, cfg.Target, 1, cfg.Baseline)
+	cfg.Workers = orDefault(cfg.Workers, 2)
+	cfg.Chunks = orDefault(cfg.Chunks, 32)
+	cfg.Window = orDefault(cfg.Window, 4)
+	cfg.RetransmitTimeout = orDefault(cfg.RetransmitTimeout, 15*time.Millisecond)
+	cfg.RetryBudget = orDefault(cfg.RetryBudget, 64)
+	prog, spec, _, err := loadProgram(aggWith(map[string]uint64{"NUM_WORKERS": uint64(cfg.Workers)}), cfg.Target, 1, cfg.Baseline)
 	if err != nil {
 		return nil, err
 	}
-	spec := specs[1]
-	numSlots := int(defines["NUM_SLOTS"])
-	slotSize := int(defines["SLOT_SIZE"])
 
-	dev, err := runtime.ServeDevice(runtime.DeviceConfig{
-		ID: 1, Addr: "127.0.0.1:0", Prog: prog, Faults: cfg.Faults,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Baseline {
-		cfgBatch := p4rt.NewWriteBatch().
-			SetDefault("cfg_workers", "set_target", []uint64{uint64(cfg.Workers - 1)})
-		if _, err := dev.Write(cfgBatch); err != nil {
-			dev.Close()
-			return nil, err
-		}
+	var dep udpDeployment
+	dev, err := dep.serve(1, prog, cfg.Faults)
+	if err == nil && cfg.Baseline {
+		_, err = dev.Write(p4rt.NewWriteBatch().
+			SetDefault("cfg_workers", "set_target", []uint64{uint64(cfg.Workers - 1)}))
 	}
 	conns := make([]*runtime.HostConn, cfg.Workers)
-	closeAll := func() {
-		for _, c := range conns {
-			if c != nil {
-				c.Close()
-			}
-		}
-		dev.Close()
-	}
 	var members []uint16
-	for w := 0; w < cfg.Workers; w++ {
+	for w := 0; err == nil && w < cfg.Workers; w++ {
 		id := uint16(10 + w)
-		conns[w], err = runtime.Dial(runtime.DialConfig{
-			ID: id, Local: "127.0.0.1:0", Device: dev.Addr(),
-		})
-		if err != nil {
-			closeAll()
-			return nil, err
-		}
-		if err := dev.SetNodeAddr(id, conns[w].Addr()); err != nil {
-			closeAll()
-			return nil, err
-		}
+		conns[w], err = dep.dial(id, dev)
 		members = append(members, id)
+	}
+	if err != nil {
+		dep.close()
+		return nil, err
 	}
 	dev.SetMulticastGroup(42, members)
 
@@ -125,37 +83,20 @@ func RunAggUDP(cfg AggUDPConfig) (*AggResult, error) {
 	var chunkHist Hist
 	var mu sync.Mutex
 	start := time.Now()
-	errCh := make(chan error, cfg.Workers)
+	errs := make([]error, cfg.Workers)
 	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		w := w
+	for w := range conns {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errCh <- aggUDPWorker(cfg, conns[w], spec, w, numSlots, slotSize, res, &chunkHist, &mu)
+			errs[w] = aggUDPWorker(cfg, conns[w], spec, w, start, res, &chunkHist, &mu)
 		}()
 	}
 	wg.Wait()
-	close(errCh)
 	res.DurationNs = float64(time.Since(start).Nanoseconds())
-	closeAll()
-	if res.DurationNs > 0 {
-		totalPerWorker := float64(res.Completed/cfg.Workers) * float64(slotSize)
-		res.ATEPerWorker = totalPerWorker / (res.DurationNs / 1e9)
-	}
-	if res.Completed > 0 {
-		res.MeanChunkNs /= float64(res.Completed)
-		res.P50ChunkNs = float64(chunkHist.Quantile(0.50))
-		res.P99ChunkNs = float64(chunkHist.Quantile(0.99))
-	}
-	// Close() joins the device loop, so the fault counters are settled.
-	res.PacketsLost = dev.FaultDropped
-	for e := range errCh {
-		if e != nil {
-			return res, e
-		}
-	}
-	return res, nil
+	res.PacketsLost = dep.close()
+	res.finish(cfg.Workers, &chunkHist)
+	return res, errors.Join(errs...)
 }
 
 // aggUDPWorker runs one worker's slot protocol until its chunks all
@@ -166,16 +107,9 @@ func RunAggUDP(cfg AggUDPConfig) (*AggResult, error) {
 // protocol semantics — it resolves a chunk with Complete only when the
 // matching slot completion arrives.
 func aggUDPWorker(cfg AggUDPConfig, conn *runtime.HostConn, spec *runtime.MessageSpec,
-	w, numSlots, slotSize int, res *AggResult, hist *Hist, mu *sync.Mutex) error {
-	ch := conn.NewChannel(runtime.ChannelConfig{
-		Window: cfg.Window,
-		Name:   fmt.Sprintf("agg.w%d", w),
-		Reliability: runtime.ReliabilityConfig{
-			Timeout:    cfg.RetransmitTimeout,
-			MaxRetries: cfg.RetryBudget,
-			Backoff:    1, // the slot protocol resends at a fixed cadence
-		},
-	})
+	w int, start time.Time, res *AggResult, hist *Hist, mu *sync.Mutex) error {
+	// The slot protocol resends at a fixed cadence.
+	ch := fixedCadence(conn, fmt.Sprintf("agg.w%d", w), cfg.Window, cfg.RetransmitTimeout, cfg.RetryBudget)
 	defer func() {
 		st := ch.Stats()
 		mu.Lock()
@@ -183,28 +117,13 @@ func aggUDPWorker(cfg AggUDPConfig, conn *runtime.HostConn, spec *runtime.Messag
 		mu.Unlock()
 		ch.Close()
 	}()
-	outstanding := map[int]bool{}
-	sentAt := map[int]time.Time{}
-	contrib := make([]uint64, slotSize)
-
+	wk := newAggWorker(spec, w, cfg.Workers, cfg.Window, cfg.Chunks)
+	now := func() float64 { return float64(time.Since(start).Nanoseconds()) }
 	send := func(chunk int) error {
-		slot := chunk % cfg.Window
-		ver := uint64(chunk/cfg.Window) % 2
-		for i := range contrib {
-			contrib[i] = uint64(chunk + i + w)
-		}
-		aggIdx := uint64(slot) + ver*uint64(numSlots)
-		buf := runtime.GetBuf()
-		defer runtime.PutBuf(buf)
-		msg, err := runtime.PackAppend(*buf, spec,
-			runtime.Message{Src: uint16(10 + w), Dst: 100, Device: 1, Comp: 1}.Header(),
-			[][]uint64{{ver}, {uint64(slot)}, {aggIdx}, {1 << uint(w)}, {uint64(chunk)}, contrib})
+		msg, err := wk.pack(chunk, now())
 		if err != nil {
 			return err
 		}
-		*buf = msg
-		outstanding[chunk] = true
-		sentAt[chunk] = time.Now()
 		return ch.Post(uint64(chunk), msg)
 	}
 
@@ -213,56 +132,23 @@ func aggUDPWorker(cfg AggUDPConfig, conn *runtime.HostConn, spec *runtime.Messag
 			return err
 		}
 	}
-	done := 0
-	ver := make([]uint64, 1)
-	slot := make([]uint64, 1)
-	vals := make([]uint64, slotSize)
-	for done < cfg.Chunks {
+	for wk.done < cfg.Chunks {
 		msg, err := ch.Recv(cfg.RetransmitTimeout)
 		if err != nil {
 			if runtime.IsTimeout(err) {
 				continue // the channel retransmits; keep waiting
 			}
 			return fmt.Errorf("agg-udp: worker %d: %w; %d/%d slots completed",
-				w, err, done, cfg.Chunks)
-		}
-		if _, err := runtime.UnpackInto(spec, msg, [][]uint64{ver, slot, nil, nil, nil, vals}); err != nil {
-			continue
-		}
-		chunk := -1
-		for c := range outstanding {
-			if uint64(c%cfg.Window) == slot[0] && uint64(c/cfg.Window)%2 == ver[0] {
-				chunk = c
-				break
-			}
-		}
-		if chunk < 0 {
-			mu.Lock()
-			res.Duplicates++ // duplicate completion (multicast + reflect)
-			mu.Unlock()
-			continue
-		}
-		delete(outstanding, chunk)
-		ch.Complete(uint64(chunk))
-		mismatch := false
-		for i := 0; i < slotSize; i++ {
-			want := uint64(cfg.Workers*(chunk+i)) + uint64(cfg.Workers*(cfg.Workers-1)/2)
-			if vals[i] != want {
-				mismatch = true
-				break
-			}
+				w, err, wk.done, cfg.Chunks)
 		}
 		mu.Lock()
-		lat := time.Since(sentAt[chunk]).Nanoseconds()
-		res.MeanChunkNs += float64(lat)
-		hist.Record(uint64(lat))
-		if mismatch {
-			res.Mismatches++
-		}
-		res.Completed++
+		chunk, next := wk.complete(msg, now(), res, hist)
 		mu.Unlock()
-		done++
-		if next := chunk + cfg.Window; next < cfg.Chunks {
+		if chunk < 0 {
+			continue
+		}
+		ch.Complete(uint64(chunk))
+		if next >= 0 {
 			if err := send(next); err != nil {
 				return err
 			}
@@ -295,222 +181,165 @@ type PaxosUDPConfig struct {
 // chosen under a fresh instance, so delivery is deduplicated by
 // command value.
 func RunPaxosUDP(cfg PaxosUDPConfig) (*PaxosResult, error) {
-	if cfg.Commands <= 0 {
-		cfg.Commands = 8
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = 1
-	}
-	if cfg.RetransmitTimeout <= 0 {
-		cfg.RetransmitTimeout = 20 * time.Millisecond
-	}
-	if cfg.RetryBudget <= 0 {
-		cfg.RetryBudget = 32
-	}
+	cfg.Commands = orDefault(cfg.Commands, 8)
+	cfg.Window = orDefault(cfg.Window, 1)
+	cfg.RetransmitTimeout = orDefault(cfg.RetransmitTimeout, 20*time.Millisecond)
+	cfg.RetryBudget = orDefault(cfg.RetryBudget, 32)
 	lossy := cfg.Faults.LossRate > 0 || cfg.Faults.DupRate > 0
-	app := ByName("PAXOS")
-
-	var spec *runtime.MessageSpec
 	ids := []uint16{PaxosLeader, PaxosAcceptor1, PaxosAcceptor2, PaxosAcceptor3, PaxosLearner}
-	devs := map[uint16]*runtime.UDPDevice{}
-	closeDevs := func() {
-		for _, d := range devs {
-			d.Close()
-		}
+	app := ByName("PAXOS")
+	fab, err := compileFabric(cfg.Target, nil, func(uint16) *App { return app }, ids...)
+	if err != nil {
+		return nil, err
 	}
+	var dep udpDeployment
+	devs := map[uint16]*runtime.UDPDevice{}
 	for _, id := range ids {
-		prog, sp, err := CompileApp(app, cfg.Target, id)
-		if err != nil {
-			closeDevs()
-			return nil, fmt.Errorf("device %d: %w", id, err)
-		}
-		spec = sp[1]
+		// Decorrelate the per-device RNG streams.
 		faults := cfg.Faults
-		if faults.LossRate > 0 || faults.DupRate > 0 {
-			// Decorrelate the per-device RNG streams.
-			faults.Seed = faults.Seed + int64(id)
-		}
-		devs[id], err = runtime.ServeDevice(runtime.DeviceConfig{
-			ID: id, Addr: "127.0.0.1:0", Prog: prog, Faults: faults,
-		})
-		if err != nil {
-			closeDevs()
+		faults.Seed += int64(id)
+		if devs[id], err = dep.serve(id, fab.progs[id], faults); err != nil {
+			dep.close()
 			return nil, err
 		}
 	}
-
-	client, err := runtime.Dial(runtime.DialConfig{
-		ID: 100, Local: "127.0.0.1:0", Device: devs[PaxosLeader].Addr(),
-	})
-	if err != nil {
-		closeDevs()
-		return nil, err
+	client, err := dep.dial(paxosClientID, devs[PaxosLeader])
+	var appHost *runtime.HostConn
+	if err == nil {
+		appHost, err = dep.dial(paxosAppHostID, devs[PaxosLearner])
 	}
-	appHost, err := runtime.Dial(runtime.DialConfig{
-		ID: 101, Local: "127.0.0.1:0", Device: devs[PaxosLearner].Addr(),
-	})
-	if err != nil {
-		client.Close()
-		closeDevs()
-		return nil, err
-	}
-
 	// Operator wiring: leader multicasts to the acceptors, acceptors to
-	// the learner, the learner delivers to the application host.
-	wire := func() error {
-		for _, acc := range []uint16{PaxosAcceptor1, PaxosAcceptor2, PaxosAcceptor3} {
-			if err := devs[PaxosLeader].SetNodeAddr(acc, devs[acc].Addr()); err != nil {
-				return err
-			}
-			if err := devs[acc].SetNodeAddr(PaxosLearner, devs[PaxosLearner].Addr()); err != nil {
-				return err
-			}
-			devs[acc].SetMulticastGroup(30, []uint16{PaxosLearner})
+	// the learner (which delivers to the application host dialed to it).
+	for _, acc := range []uint16{PaxosAcceptor1, PaxosAcceptor2, PaxosAcceptor3} {
+		if err == nil {
+			err = devs[PaxosLeader].SetNodeAddr(acc, devs[acc].Addr())
 		}
-		devs[PaxosLeader].SetMulticastGroup(20, []uint16{PaxosAcceptor1, PaxosAcceptor2, PaxosAcceptor3})
-		return devs[PaxosLearner].SetNodeAddr(101, appHost.Addr())
+		if err == nil {
+			err = devs[acc].SetNodeAddr(PaxosLearner, devs[PaxosLearner].Addr())
+		}
+		devs[acc].SetMulticastGroup(30, []uint16{PaxosLearner})
 	}
-	if err := wire(); err != nil {
-		appHost.Close()
-		client.Close()
-		closeDevs()
+	devs[PaxosLeader].SetMulticastGroup(20, []uint16{PaxosAcceptor1, PaxosAcceptor2, PaxosAcceptor3})
+	if err != nil {
+		dep.close()
 		return nil, err
 	}
 
 	res := &PaxosResult{}
 	var mu sync.Mutex
-	delivered := map[uint64]bool{}    // by instance
-	deliveredVal := map[uint64]bool{} // by command value (app-level dedup)
+	log := newPaxosLog()
 
 	// The client submits through a pipelined channel: up to Window
 	// commands ride as posted entries that the channel retransmits on
 	// its timer (fixed cadence), and the listener below resolves them by
 	// command value when the learner delivers — a cross-socket
 	// completion, which is exactly what Post/Complete exists for.
-	ch := client.NewChannel(runtime.ChannelConfig{
-		Window: cfg.Window,
-		Name:   "paxos.client",
-		Reliability: runtime.ReliabilityConfig{
-			Timeout:    cfg.RetransmitTimeout,
-			MaxRetries: cfg.RetryBudget,
-			Backoff:    1,
-		},
-	})
+	ch := fixedCadence(client, "paxos.client", cfg.Window, cfg.RetransmitTimeout, cfg.RetryBudget)
 	defer ch.Close()
-	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		rx := newPaxosArgs(fab.spec)
 		for {
-			msg, err := appHost.Recv(2 * time.Millisecond)
+			// Blocks until a delivery arrives or appHost is closed.
+			msg, err := appHost.Recv(0)
 			if err != nil {
-				if runtime.IsTimeout(err) {
-					select {
-					case <-stop:
-						return
-					default:
-						continue
-					}
-				}
-				return // socket closed
+				return
 			}
-			typ := make([]uint64, 1)
-			inst := make([]uint64, 1)
-			v := make([]uint64, 8)
-			if _, err := runtime.Unpack(spec, msg, [][]uint64{typ, inst, nil, nil, nil, v}); err != nil {
-				continue
-			}
-			if typ[0] != 4 { // DELIVER
+			inst, val, err := rx.delivery(msg)
+			if err != nil {
 				continue
 			}
 			mu.Lock()
-			fresh := false
-			switch {
-			case delivered[inst[0]]:
-				res.Duplicates++ // at-most-once per instance
-			case deliveredVal[v[0]]:
-				delivered[inst[0]] = true
-				res.Duplicates++ // retried command, fresh instance
-			default:
-				delivered[inst[0]] = true
-				deliveredVal[v[0]] = true
-				res.Delivered++
-				fresh = true
-				// Serial submission chooses instances in command order;
-				// pipelined submission does not guarantee arrival order at
-				// the leader, so the check only applies at Window 1.
-				if !lossy && cfg.Window <= 1 && v[0] != 1000+inst[0]-1 {
-					res.WrongValue++
-				}
-			}
+			// Serial submission chooses instances in command order;
+			// pipelined submission does not guarantee arrival order at
+			// the leader, so the order check only applies at Window 1.
+			fresh := log.deliver(res, inst, val, !lossy && cfg.Window <= 1)
 			mu.Unlock()
 			if fresh {
-				ch.Complete(v[0])
+				ch.Complete(val)
 			}
 		}
 	}()
 
-	var firstErr error
-	vals := make([]uint64, 8)
-	for c := 0; c < cfg.Commands; c++ {
-		val := uint64(1000 + c)
+	tx := newPaxosArgs(fab.spec)
+	for c := 0; c < cfg.Commands && err == nil; c++ {
+		val := paxosValue(c)
 		res.Submitted++
-		for i := range vals {
-			vals[i] = 0
-		}
-		vals[0] = val
-		buf := runtime.GetBuf()
-		msg, err := runtime.PackAppend(*buf, spec,
-			runtime.Message{Src: 100, Dst: 101, Device: PaxosLeader, Comp: 1}.Header(),
-			[][]uint64{{1}, {0}, {0}, {0}, {0}, vals})
-		if err == nil {
-			*buf = msg
+		var msg []byte
+		if msg, err = tx.command(val); err == nil {
 			// Post blocks (retransmitting as it waits) until a window
 			// slot frees up; a command that exhausts its budget frees its
 			// slot and is counted below as undelivered.
 			err = ch.Post(val, msg)
 		}
-		runtime.PutBuf(buf)
-		if err != nil {
-			firstErr = err
-			break
-		}
 	}
-	if firstErr == nil {
+	if err == nil {
 		// Wait out the window: every posted command either completes via
 		// the listener or exhausts its retry budget. Budget exhaustion is
 		// accounted as Undelivered below, not surfaced as the run error.
 		ch.Drain(0)
 	}
-	st := ch.Stats()
-	mu.Lock()
-	res.Retries += int(st.Retransmits)
-	mu.Unlock()
-	close(stop)
 	appHost.Close()
 	wg.Wait()
-	client.Close()
-	mu.Lock()
-	for c := 0; c < cfg.Commands; c++ {
-		if !deliveredVal[uint64(1000+c)] {
-			res.Undelivered++
-		}
-	}
-	mu.Unlock()
-	// Close() joins each device loop, so the fault counters are settled.
-	for _, d := range devs {
-		d.Close()
-	}
-	for _, d := range devs {
-		res.PacketsLost += d.FaultDropped
-	}
-	if firstErr != nil {
-		return res, firstErr
+	res.Retries += int(ch.Stats().Retransmits)
+	res.Undelivered = log.undelivered(cfg.Commands)
+	res.PacketsLost = dep.close()
+	if err != nil {
+		return res, err
 	}
 	if res.Undelivered > 0 {
 		return res, fmt.Errorf("paxos-udp: %d/%d commands undelivered after retry budget (%d)",
 			res.Undelivered, cfg.Commands, cfg.RetryBudget)
 	}
 	return res, nil
+}
+
+// fixedCadence opens a pipelined channel on conn that resends stalled
+// entries every timeout, without backoff, up to budget times each.
+func fixedCadence(conn *runtime.HostConn, name string, window int, timeout time.Duration, budget int) *runtime.Channel {
+	return conn.NewChannel(runtime.ChannelConfig{Window: window, Name: name,
+		Reliability: runtime.ReliabilityConfig{Timeout: timeout, MaxRetries: budget, Backoff: 1}})
+}
+
+// udpDeployment is a set of loopback UDP devices and the host
+// connections dialed to them, torn down together.
+type udpDeployment struct {
+	devs  []*runtime.UDPDevice
+	hosts []*runtime.HostConn
+}
+
+// serve starts device id running prog.
+func (d *udpDeployment) serve(id uint16, prog *p4.Program, faults runtime.FaultSpec) (*runtime.UDPDevice, error) {
+	dev, err := runtime.ServeDevice(runtime.DeviceConfig{ID: id, Addr: "127.0.0.1:0", Prog: prog, Faults: faults})
+	if err == nil {
+		d.devs = append(d.devs, dev)
+	}
+	return dev, err
+}
+
+// dial connects host id to dev and registers the host's address there,
+// so the device can deliver to it.
+func (d *udpDeployment) dial(id uint16, dev *runtime.UDPDevice) (*runtime.HostConn, error) {
+	h, err := runtime.Dial(runtime.DialConfig{ID: id, Local: "127.0.0.1:0", Device: dev.Addr()})
+	if err != nil {
+		return nil, err
+	}
+	d.hosts = append(d.hosts, h)
+	return h, dev.SetNodeAddr(id, h.Addr())
+}
+
+// close closes every host, then every device, and returns the packets
+// the devices' fault injection dropped: a device's Close joins its
+// loop, so its counters are settled only after it.
+func (d *udpDeployment) close() (faultDropped uint64) {
+	for _, h := range d.hosts {
+		h.Close()
+	}
+	for _, dev := range d.devs {
+		dev.Close()
+		faultDropped += dev.FaultDropped
+	}
+	return faultDropped
 }

@@ -57,6 +57,29 @@ func (c *DeviceConnection) resolve(name string, idxs []int) (string, *ir.MemRef,
 	return "reg_" + mem.Name, mem, flat, nil
 }
 
+// Registers lists the device registers holding the named memories:
+// one for an unpartitioned memory, one per outer index when the
+// compiler partitioned it (Agg[4][N] is reg_Agg__0..3 on TNA, one
+// reg_Agg on v1model). Bulk state moves — draining a failed switch
+// into a standby — address memories by NetCL name through it.
+func (c *DeviceConnection) Registers(names ...string) ([]string, error) {
+	var regs []string
+	for _, name := range names {
+		if c.memByName(name) != nil {
+			regs = append(regs, "reg_"+name)
+			continue
+		}
+		n := len(regs)
+		for i := 0; c.memByName(fmt.Sprintf("%s__%d", name, i)) != nil; i++ {
+			regs = append(regs, fmt.Sprintf("reg_%s__%d", name, i))
+		}
+		if len(regs) == n {
+			return nil, fmt.Errorf("managed: no memory %q on this device", name)
+		}
+	}
+	return regs, nil
+}
+
 // memByName locates a memory object (following partition suffixes is
 // not needed for lookups, which are never partitioned).
 func (c *DeviceConnection) memByName(name string) *ir.MemRef {

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -164,6 +165,16 @@ func TestManagedResolution(t *testing.T) {
 	}
 	if _, err := c.ManagedRead("nosuch", nil); err == nil {
 		t.Error("unknown memory must fail")
+	}
+	// Bulk access: the registers behind a name, partitioned or not.
+	if regs, err := c.Registers("cms"); err != nil || !reflect.DeepEqual(regs, []string{"reg_cms__0", "reg_cms__1"}) {
+		t.Errorf("Registers(cms) = %v, %v", regs, err)
+	}
+	if regs, err := c.Registers("flat", "cms"); err != nil || !reflect.DeepEqual(regs, []string{"reg_flat", "reg_cms__0", "reg_cms__1"}) {
+		t.Errorf("Registers(flat, cms) = %v, %v", regs, err)
+	}
+	if _, err := c.Registers("flat", "nosuch"); err == nil {
+		t.Error("Registers of an unknown memory must fail")
 	}
 }
 
