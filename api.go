@@ -39,13 +39,12 @@ type (
 	// fire-and-forget, Recv suppresses duplicates, Call is a reliable
 	// request/response with retransmission and exponential backoff.
 	// Both the real-UDP HostConn and the simulator's HostEndpoint
-	// implement it.
+	// implement it, each on a Channel of window 1; their Stats are
+	// that channel's ChannelStats.
 	Endpoint = runtime.Endpoint
 	// ReliabilityConfig carries the retransmission knobs (timeout,
 	// retry budget, backoff, dedup window).
 	ReliabilityConfig = runtime.ReliabilityConfig
-	// RelStats counts reliability-layer events (retransmits, dups, acks).
-	RelStats = runtime.RelStats
 	// HostEndpoint adapts a simulated host to the Endpoint interface.
 	HostEndpoint = netsim.HostEndpoint
 	// FaultSpec injects seeded probabilistic loss/duplication into the
@@ -60,8 +59,9 @@ type (
 type (
 	// Channel slides a window of unacked reliable messages over an
 	// Endpoint's transport: one shared retransmit timer, per-entry
-	// exponential backoff, anti-replay dedup. Created with
-	// HostConn.NewChannel or HostEndpoint.NewChannel.
+	// exponential backoff, anti-replay dedup. It is the one
+	// reliability engine; at window 1 it is stop-and-wait. Created
+	// with HostConn.NewChannel or HostEndpoint.NewChannel.
 	Channel = runtime.Channel
 	// ChannelConfig sizes the window and names the metrics gauges.
 	ChannelConfig = runtime.ChannelConfig

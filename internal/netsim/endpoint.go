@@ -8,11 +8,12 @@ import (
 )
 
 // HostEndpoint adapts a simulated host to the runtime.Endpoint
-// interface: Send injects a message into the network, Recv drives the
-// event loop until a message is delivered to this host (or the
-// simulated-time deadline passes), and Call runs the shared
-// reliability protocol — the same policy object the real-UDP HostConn
-// uses, so reliability behavior is identical on both backends.
+// interface: Send injects a message into the network, and Call,
+// SendReliable and Recv run the reliability protocol on a window-1
+// runtime.Channel whose transport drives the event loop until a message
+// is delivered to this host (or the simulated-time deadline passes) —
+// the same engine the real-UDP HostConn uses, so reliability behavior
+// is identical on both backends.
 //
 // The endpoint is single-threaded like the simulator itself: use it
 // from the goroutine that owns the network. It pumps one event at a
@@ -20,7 +21,8 @@ import (
 type HostEndpoint struct {
 	h     *Host
 	n     *Network
-	rel   *runtime.Reliability
+	cfg   runtime.ReliabilityConfig
+	ch    *runtime.Channel // window 1: the engine behind Call, SendReliable and Recv
 	inbox [][]byte
 }
 
@@ -33,7 +35,8 @@ var ErrPartitionedEndpoint = errors.New("netsim: HostEndpoint needs a network of
 // NewEndpoint wraps host h in an Endpoint. It chains onto the host's
 // Receive callback, so an existing callback keeps firing.
 func (n *Network) NewEndpoint(h *Host, cfg runtime.ReliabilityConfig) *HostEndpoint {
-	ep := &HostEndpoint{h: h, n: n, rel: runtime.NewReliability(cfg)}
+	ep := &HostEndpoint{h: h, n: n, cfg: cfg}
+	ep.ch = runtime.NewChannel(simTransport{ep}, runtime.ChannelConfig{Window: 1, Reliability: cfg})
 	prev := h.ReceiveFn()
 	h.SetReceive(func(hh *Host, msg []byte) {
 		ep.inbox = append(ep.inbox, append([]byte(nil), msg...))
@@ -44,8 +47,9 @@ func (n *Network) NewEndpoint(h *Host, cfg runtime.ReliabilityConfig) *HostEndpo
 	return ep
 }
 
-// Stats returns the endpoint's reliability counters.
-func (ep *HostEndpoint) Stats() runtime.RelStats { return ep.rel.Stats() }
+// Stats returns the counters of the endpoint's window-1 channel: the
+// traffic of Call, SendReliable and Recv.
+func (ep *HostEndpoint) Stats() runtime.ChannelStats { return ep.ch.Stats() }
 
 // NewChannel opens a pipelined sliding-window channel over this
 // endpoint's transport (see runtime.Channel). A zero cfg.Reliability
@@ -54,7 +58,7 @@ func (ep *HostEndpoint) Stats() runtime.RelStats { return ep.rel.Stats() }
 // the network.
 func (ep *HostEndpoint) NewChannel(cfg runtime.ChannelConfig) *runtime.Channel {
 	if cfg.Reliability == (runtime.ReliabilityConfig{}) {
-		cfg.Reliability = ep.rel.Config()
+		cfg.Reliability = ep.cfg
 	}
 	return runtime.NewChannel(simTransport{ep}, cfg)
 }
@@ -109,27 +113,33 @@ func (t simTransport) Now() time.Duration { return time.Duration(t.ep.n.Now()) }
 // Send transmits one NetCL message, fire-and-forget.
 func (ep *HostEndpoint) Send(msg []byte) error { return simTransport{ep}.Send(msg) }
 
-// Recv waits up to timeout (simulated time) for one inbound message,
-// with duplicate suppression and trailer stripping.
-func (ep *HostEndpoint) Recv(timeout time.Duration) ([]byte, error) {
-	return ep.rel.Recv(simTransport{ep}, timeout)
-}
+// Recv waits up to timeout (simulated time; 0 waits until a message
+// arrives) for one inbound message, with duplicate suppression and
+// trailer stripping.
+func (ep *HostEndpoint) Recv(timeout time.Duration) ([]byte, error) { return ep.ch.Recv(timeout) }
 
 // Call sends msg and waits for the response carrying its sequence
 // number, retransmitting with exponential backoff within the retry
-// budget. Timeouts are simulated time.
+// budget. timeout, when positive, replaces the configured initial
+// per-attempt timeout. Timeouts are simulated time.
 func (ep *HostEndpoint) Call(msg []byte, timeout time.Duration) ([]byte, error) {
-	return ep.rel.Call(simTransport{ep}, msg, timeout)
+	return ep.ch.Call(msg, timeout)
 }
 
 // SendReliable transmits msg with an ack request, retransmitting until
-// the receiving host acknowledges it.
-func (ep *HostEndpoint) SendReliable(msg []byte, timeout time.Duration) error {
-	return ep.rel.SendReliable(simTransport{ep}, msg, timeout)
+// the receiving host acknowledges it or the retry budget runs out.
+func (ep *HostEndpoint) SendReliable(msg []byte) error {
+	p, err := ep.ch.SendReliable(msg)
+	if err == nil {
+		_, err = p.Wait(0)
+	}
+	return err
 }
 
-// Close detaches the endpoint from the host.
+// Close abandons a call still in flight and detaches the endpoint from
+// the host.
 func (ep *HostEndpoint) Close() error {
+	ep.ch.Close()
 	ep.h.SetReceive(nil)
 	return nil
 }

@@ -11,10 +11,12 @@ import (
 	"netcl/internal/wire"
 )
 
-// Channel is the pipelined reliable channel: where Reliability.confirm
-// holds one message in flight per caller (stop-and-wait), a Channel
-// keeps a sliding window of up to Window unacknowledged messages in
-// flight over the same Transport and the same wire trailer. Pending
+// Channel is the host runtime's one reliable-messaging engine: a
+// sliding window of up to Window unacknowledged messages in flight over
+// a Transport, each carrying the seq trailer of wire/seq.go. At Window
+// 1 it is the stop-and-wait protocol, and every Endpoint's Call,
+// SendReliable and Recv run on a window-1 Channel (HostConn,
+// netsim.HostEndpoint). Pending
 // sends live in a fixed per-seq slot table serviced by a single
 // service pass sharing one timer: each entry keeps its own exponential
 // backoff and retry budget, and the earliest deadline bounds how long
@@ -41,8 +43,8 @@ import (
 //     timer, backoff and budget, the application owns the semantics
 //     of "done".
 //
-// Receiver-side duplicate suppression uses the same fixed-size
-// anti-replay bitmaps as Reliability (see dedup.go) instead of a map.
+// Receiver-side duplicate suppression uses fixed-size anti-replay
+// bitmaps (see dedup.go) instead of a map.
 //
 // Like the simulator endpoint it runs over, a Channel is pumped: all
 // protocol progress happens inside the caller's Recv/Call/Wait/Drain,
@@ -131,7 +133,7 @@ type Channel struct {
 	inbox    [][]byte
 	dedup    *dedupTable
 	closed   bool
-	sticky   error // first retry-budget failure, returned by Recv/Drain
+	sticky   error // first retry-budget failure of a posted entry, returned by Recv/Drain
 	stats    ChannelStats
 
 	staged []*pendEntry // admitted since the last service pass, in order
@@ -183,8 +185,10 @@ func (c *Channel) Stats() ChannelStats {
 	return c.stats
 }
 
-// Err returns the sticky error: the first retry-budget failure, if
-// any. It is also returned by Recv and Drain.
+// Err returns the sticky error: the first retry-budget failure of a
+// posted entry, if any. It is also returned by Recv and Drain. A Call
+// or SendReliable entry that fails reports it to its Pending instead,
+// so one failed stop-and-wait call does not fail every later Recv.
 func (c *Channel) Err() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -212,8 +216,9 @@ func (c *Channel) Close() error {
 
 // admit blocks (pumping the channel) until a window slot is free, then
 // fills it with msg plus a fresh seq trailer in a pooled buffer and
-// stages it for the next service pass. The caller keeps msg.
-func (c *Channel) admit(kind uint8, token uint64, flags uint8, msg []byte, p *Pending) error {
+// stages it for the next service pass. The caller keeps msg. per, when
+// positive, replaces the configured initial per-attempt timeout.
+func (c *Channel) admit(kind uint8, token uint64, flags uint8, msg []byte, p *Pending, per time.Duration) error {
 	err := c.pump(0, func() bool { return c.inFlight < len(c.ents) })
 	if err != nil {
 		return err
@@ -233,6 +238,9 @@ func (c *Channel) admit(kind uint8, token uint64, flags uint8, msg []byte, p *Pe
 	if e == nil {
 		return fmt.Errorf("netcl/runtime: window accounting lost a slot")
 	}
+	if per <= 0 {
+		per = c.rcfg.Timeout
+	}
 	c.seq++
 	buf := GetBuf()
 	wireMsg := append(*buf, msg...)
@@ -240,7 +248,7 @@ func (c *Channel) admit(kind uint8, token uint64, flags uint8, msg []byte, p *Pe
 	*buf = wireMsg
 	*e = pendEntry{
 		used: true, staged: true, kind: kind, seq: c.seq, token: token,
-		buf: buf, msg: wireMsg, per: c.rcfg.Timeout, p: p,
+		buf: buf, msg: wireMsg, per: per, p: p,
 	}
 	c.staged = append(c.staged, e)
 	c.inFlight++
@@ -255,29 +263,33 @@ func (c *Channel) admit(kind uint8, token uint64, flags uint8, msg []byte, p *Pe
 
 // CallAsync admits msg to the window as a request and returns its
 // completion handle; the response is the message echoing the seq.
-func (c *Channel) CallAsync(msg []byte) (*Pending, error) {
-	p := &Pending{c: c}
-	if err := c.admit(entryCall, 0, 0, msg, p); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
+func (c *Channel) CallAsync(msg []byte) (*Pending, error) { return c.call(msg, 0) }
 
-// Call is the synchronous request/response round trip: CallAsync plus
-// Wait. With Window 1 it is exactly the stop-and-wait protocol.
+// Call is the synchronous request/response round trip, CallAsync plus
+// Wait(0): with Window 1 it is exactly the stop-and-wait protocol of
+// Endpoint.Call. timeout, when positive, replaces the configured
+// initial per-attempt timeout; the retry budget bounds the wait.
 func (c *Channel) Call(msg []byte, timeout time.Duration) ([]byte, error) {
-	p, err := c.CallAsync(msg)
+	p, err := c.call(msg, timeout)
 	if err != nil {
 		return nil, err
 	}
-	return p.Wait(timeout)
+	return p.Wait(0)
+}
+
+func (c *Channel) call(msg []byte, per time.Duration) (*Pending, error) {
+	p := &Pending{c: c}
+	if err := c.admit(entryCall, 0, 0, msg, p, per); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // SendReliable admits msg as acknowledged one-way delivery: the entry
 // retransmits until the receiving host acks.
 func (c *Channel) SendReliable(msg []byte) (*Pending, error) {
 	p := &Pending{c: c}
-	if err := c.admit(entryAck, 0, wire.SeqFlagWantAck, msg, p); err != nil {
+	if err := c.admit(entryAck, 0, wire.SeqFlagWantAck, msg, p, 0); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -288,7 +300,7 @@ func (c *Channel) SendReliable(msg []byte) (*Pending, error) {
 // windowed primitive for self-clocked protocols whose completions are
 // application events, not transport events.
 func (c *Channel) Post(token uint64, msg []byte) error {
-	return c.admit(entryPost, token, 0, msg, nil)
+	return c.admit(entryPost, token, 0, msg, nil, 0)
 }
 
 // Complete resolves the posted entry carrying token. It is safe from
@@ -320,7 +332,11 @@ func (c *Channel) Recv(timeout time.Duration) ([]byte, error) {
 	defer c.mu.Unlock()
 	if len(c.inbox) > 0 {
 		m := c.inbox[0]
-		c.inbox = c.inbox[1:]
+		// Shift instead of reslicing, so the backing array is reused and
+		// a receive loop allocates only the messages it returns.
+		n := copy(c.inbox, c.inbox[1:])
+		c.inbox[n] = nil
+		c.inbox = c.inbox[:n]
 		c.stats.Delivered++
 		return m, nil
 	}
@@ -609,7 +625,9 @@ func (c *Channel) ackLocked(body []byte, seq uint32) {
 func (c *Channel) finishLocked(e *pendEntry, resp []byte, err error, now time.Duration) {
 	if err != nil {
 		c.stats.Failures++
-		if c.sticky == nil && !errors.Is(err, ErrWindowClosed) {
+		// A Pending's Wait reports its own failure; a posted entry has
+		// no one else to tell.
+		if e.p == nil && c.sticky == nil && !errors.Is(err, ErrWindowClosed) {
 			c.sticky = err
 		}
 	} else {

@@ -133,8 +133,8 @@ func TestChannelBackoffBudget(t *testing.T) {
 	if st.Failures != 1 || st.Retransmits != 3 || st.Timeouts != 4 {
 		t.Errorf("stats %+v", st)
 	}
-	if ch.Err() == nil {
-		t.Error("budget failure did not stick")
+	if err := ch.Err(); err != nil {
+		t.Errorf("a failure its Wait returned also stuck: %v", err)
 	}
 }
 

@@ -8,8 +8,9 @@ import (
 
 // Endpoint is the backend-agnostic host-side messaging surface: the
 // real-UDP HostConn and the simulator's host endpoint both implement
-// it, so application code and the reliability policy do not care which
-// substrate carries the messages.
+// it, each with a window-1 Channel over its Transport, so application
+// code and the reliability protocol do not care which substrate
+// carries the messages.
 type Endpoint interface {
 	// Send transmits one NetCL message, fire-and-forget.
 	Send(msg []byte) error
@@ -20,13 +21,13 @@ type Endpoint interface {
 	// Call sends msg with a fresh sequence number and waits for the
 	// response carrying it, retransmitting with exponential backoff
 	// within the endpoint's retry budget. timeout overrides the
-	// configured per-attempt timeout when positive.
+	// configured initial per-attempt timeout when positive.
 	Call(msg []byte, timeout time.Duration) ([]byte, error)
 	// Close releases the endpoint.
 	Close() error
 }
 
-// Transport is the raw substrate under the reliability policy: an
+// Transport is the raw substrate under a Channel: an
 // unreliable datagram path plus a monotonic clock (wall time for UDP,
 // simulated time for netsim). Recv returns messages verbatim,
 // trailer included.

@@ -8,7 +8,7 @@ import (
 	"netcl/internal/wire"
 )
 
-// fakeTransport drives the reliability policy without sockets or
+// fakeTransport drives the reliability protocol without sockets or
 // timers: Send hands the message to a scripted responder, Recv pops
 // the inbox or advances a virtual clock by the timeout. Deterministic
 // and instant, whatever the configured timeouts.
@@ -51,6 +51,15 @@ func testMsg(src, dst uint16, data ...byte) []byte {
 	return append(h.Marshal(nil), data...)
 }
 
+// stopAndWait is the engine behind HostConn's and HostEndpoint's Call,
+// SendReliable and Recv: a Channel of window 1. The tests below pin the
+// Endpoint contract on it.
+func stopAndWait(t *testing.T, tr Transport, cfg ReliabilityConfig) *Channel {
+	ch := NewChannel(tr, ChannelConfig{Window: 1, Reliability: cfg})
+	t.Cleanup(func() { ch.Close() })
+	return ch
+}
+
 // TestCallRetransmitsUntilResponse drops the first two requests; the
 // third send is echoed back (a device reflect carries the trailer
 // untouched), and Call must deliver its body.
@@ -61,15 +70,15 @@ func TestCallRetransmitsUntilResponse(t *testing.T) {
 			f.inbox = append(f.inbox, msg) // device-style echo, trailer intact
 		}
 	}
-	r := NewReliability(ReliabilityConfig{Timeout: time.Millisecond})
-	body, err := r.Call(ft, testMsg(1, 2, 0xAB), 0)
+	ep := stopAndWait(t, ft, ReliabilityConfig{Timeout: time.Millisecond})
+	body, err := ep.Call(testMsg(1, 2, 0xAB), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(body) != wire.HeaderBytes+1 || body[wire.HeaderBytes] != 0xAB {
 		t.Errorf("body %x", body)
 	}
-	st := r.Stats()
+	st := ep.Stats()
 	if st.Retransmits != 2 || st.Timeouts != 2 || st.Sent != 1 {
 		t.Errorf("stats %+v", st)
 	}
@@ -82,38 +91,50 @@ func TestCallSuppressesDuplicateResponses(t *testing.T) {
 	ft.onSend = func(f *fakeTransport, msg []byte) {
 		f.inbox = append(f.inbox, msg, append([]byte(nil), msg...))
 	}
-	r := NewReliability(ReliabilityConfig{Timeout: time.Millisecond})
-	if _, err := r.Call(ft, testMsg(1, 2, 1), 0); err != nil {
-		t.Fatal(err)
+	ep := stopAndWait(t, ft, ReliabilityConfig{Timeout: time.Millisecond})
+	for i := byte(1); i <= 2; i++ {
+		body, err := ep.Call(testMsg(1, 2, i), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if body[wire.HeaderBytes] != i {
+			t.Fatalf("call %d answered by %x", i, body)
+		}
 	}
-	// The duplicate echo is still queued; a Recv must suppress it.
-	if _, err := r.Recv(ft, time.Millisecond); !errors.Is(err, ErrTimeout) {
+	// The second call's duplicate echo is still queued; Recv must
+	// suppress it.
+	if _, err := ep.Recv(time.Millisecond); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("duplicate leaked through Recv: %v", err)
 	}
-	if st := r.Stats(); st.Duplicates != 1 {
+	if st := ep.Stats(); st.Duplicates != 2 {
 		t.Errorf("stats %+v", st)
 	}
 }
 
 // TestCallExponentialBackoff checks the virtual-time spacing of
-// retransmissions: 1ms, 2ms, 4ms, capped by MaxTimeout at 5ms.
+// retransmissions: Call's timeout replaces the configured 1ms, then
+// 2, 4 and 8ms capped by MaxTimeout at 5ms. The failure is Call's
+// alone: it does not stick to the endpoint's later receives.
 func TestCallExponentialBackoff(t *testing.T) {
 	ft := &fakeTransport{}
-	r := NewReliability(ReliabilityConfig{
+	ep := stopAndWait(t, ft, ReliabilityConfig{
 		Timeout: time.Millisecond, MaxRetries: 3, MaxTimeout: 5 * time.Millisecond,
 	})
-	_, err := r.Call(ft, testMsg(1, 2), 0)
+	_, err := ep.Call(testMsg(1, 2), 2*time.Millisecond)
 	if !errors.Is(err, ErrRetryBudget) {
 		t.Fatalf("want ErrRetryBudget, got %v", err)
 	}
-	if want := (1 + 2 + 4 + 5) * time.Millisecond; ft.now != want {
+	if want := (2 + 4 + 5 + 5) * time.Millisecond; ft.now != want {
 		t.Errorf("virtual time %v, want %v", ft.now, want)
 	}
 	if ft.sends != 4 {
 		t.Errorf("%d sends, want 4", ft.sends)
 	}
-	if st := r.Stats(); st.Failures != 1 {
+	if st := ep.Stats(); st.Failures != 1 || st.InFlight != 0 {
 		t.Errorf("stats %+v", st)
+	}
+	if _, err := ep.Recv(time.Millisecond); !errors.Is(err, ErrTimeout) {
+		t.Errorf("Recv after a failed Call: %v, want ErrTimeout", err)
 	}
 }
 
@@ -129,11 +150,15 @@ func TestSendReliableAcked(t *testing.T) {
 		}
 		f.inbox = append(f.inbox, wire.Seq{Seq: sq.Seq, Flags: wire.SeqFlagAck}.Append(body))
 	}
-	r := NewReliability(ReliabilityConfig{Timeout: time.Millisecond})
-	if err := r.SendReliable(ft, testMsg(1, 2, 9), 0); err != nil {
+	ep := stopAndWait(t, ft, ReliabilityConfig{Timeout: time.Millisecond})
+	p, err := ep.SendReliable(testMsg(1, 2, 9))
+	if err == nil {
+		_, err = p.Wait(0)
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
-	st := r.Stats()
+	st := ep.Stats()
 	if st.AcksReceived != 1 || st.Retransmits != 0 {
 		t.Errorf("stats %+v", st)
 	}
@@ -143,8 +168,11 @@ func TestSendReliableAcked(t *testing.T) {
 // the retries and surface ErrRetryBudget.
 func TestSendReliableBudget(t *testing.T) {
 	ft := &fakeTransport{}
-	r := NewReliability(ReliabilityConfig{Timeout: time.Millisecond, MaxRetries: 2})
-	err := r.SendReliable(ft, testMsg(1, 2), 0)
+	ep := stopAndWait(t, ft, ReliabilityConfig{Timeout: time.Millisecond, MaxRetries: 2})
+	p, err := ep.SendReliable(testMsg(1, 2))
+	if err == nil {
+		_, err = p.Wait(0)
+	}
 	if !errors.Is(err, ErrRetryBudget) {
 		t.Fatalf("want ErrRetryBudget, got %v", err)
 	}
@@ -154,24 +182,32 @@ func TestSendReliableBudget(t *testing.T) {
 }
 
 // TestRecvAcksAndDedups: a WantAck message is delivered once and
-// acknowledged on every copy (the previous ack may be the one lost).
+// acknowledged on every copy (the previous ack may be the one lost),
+// also when the copies arrive while a Call is waiting for its reply.
 func TestRecvAcksAndDedups(t *testing.T) {
 	ft := &fakeTransport{}
 	var acks [][]byte
-	ft.onSend = func(f *fakeTransport, msg []byte) { acks = append(acks, msg) }
 	inbound := wire.Seq{Seq: 77, Flags: wire.SeqFlagWantAck}.Append(testMsg(3, 1, 5))
-	ft.inbox = append(ft.inbox, inbound, append([]byte(nil), inbound...))
-
-	r := NewReliability(ReliabilityConfig{})
-	body, err := r.Recv(ft, time.Millisecond)
+	ft.onSend = func(f *fakeTransport, msg []byte) {
+		if _, sq, ok := wire.ParseSeq(msg); ok && sq.Flags&wire.SeqFlagAck != 0 {
+			acks = append(acks, msg)
+			return
+		}
+		// A peer's message and its retransmission race the reply.
+		f.inbox = append(f.inbox, inbound, append([]byte(nil), inbound...), msg)
+	}
+	ep := stopAndWait(t, ft, ReliabilityConfig{})
+	if _, err := ep.Call(testMsg(1, 2, 4), 0); err != nil {
+		t.Fatal(err)
+	}
+	body, err := ep.Recv(time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if body[wire.HeaderBytes] != 5 {
 		t.Errorf("body %x", body)
 	}
-	// The duplicate copy: suppressed, but still acknowledged.
-	if _, err := r.Recv(ft, time.Millisecond); !errors.Is(err, ErrTimeout) {
+	if _, err := ep.Recv(time.Millisecond); !errors.Is(err, ErrTimeout) {
 		t.Fatalf("duplicate delivered: %v", err)
 	}
 	if len(acks) != 2 {
@@ -191,13 +227,19 @@ func TestRecvAcksAndDedups(t *testing.T) {
 }
 
 // TestRecvPassthrough: untrailered messages reach the application
-// unchanged — the pre-reliability wire format keeps working.
+// unchanged — the pre-reliability wire format keeps working — and one
+// arriving while a Call waits is kept for the next Recv, not dropped.
 func TestRecvPassthrough(t *testing.T) {
 	ft := &fakeTransport{}
 	plain := testMsg(3, 1, 1, 2, 3)
-	ft.inbox = append(ft.inbox, append([]byte(nil), plain...))
-	r := NewReliability(ReliabilityConfig{})
-	got, err := r.Recv(ft, time.Millisecond)
+	ft.onSend = func(f *fakeTransport, msg []byte) {
+		f.inbox = append(f.inbox, append([]byte(nil), plain...), msg)
+	}
+	ep := stopAndWait(t, ft, ReliabilityConfig{})
+	if _, err := ep.Call(testMsg(1, 2, 4), 0); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ep.Recv(time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,16 +253,16 @@ func TestRecvPassthrough(t *testing.T) {
 func TestBadReadIsStrayNotFatal(t *testing.T) {
 	ft := echoTransport()
 	ft.readErr = errBadRead
-	r := NewReliability(ReliabilityConfig{Timeout: time.Millisecond})
-	if _, err := r.Call(ft, testMsg(1, 2, 7), 0); err != nil {
+	ep := stopAndWait(t, ft, ReliabilityConfig{Timeout: time.Millisecond})
+	if _, err := ep.Call(testMsg(1, 2, 7), 0); err != nil {
 		t.Fatal(err)
 	}
 	ft.readErr = errBadRead
 	ft.inbox = append(ft.inbox, testMsg(3, 1, 9))
-	if m, err := r.Recv(ft, time.Millisecond); err != nil || m[wire.HeaderBytes] != 9 {
+	if m, err := ep.Recv(time.Millisecond); err != nil || m[wire.HeaderBytes] != 9 {
 		t.Fatalf("recv: %x, %v", m, err)
 	}
-	if st := r.Stats(); st.StrayMessages != 2 {
+	if st := ep.Stats(); st.Stray != 2 {
 		t.Errorf("stats %+v, want 2 stray", st)
 	}
 }

@@ -414,13 +414,16 @@ func (d *UDPDevice) SetDefaultAction(table, action string, args []uint64) error 
 
 // HostConn is a host-side UDP endpoint for NetCL messages, mirroring
 // the socket code of the paper's Figure 6. It implements Endpoint:
-// Send is fire-and-forget, Recv suppresses duplicates, and Call runs
-// the reliability protocol (seq, retransmit, backoff).
+// Send is fire-and-forget; Call, SendReliable and Recv run the
+// reliability protocol (seq, retransmit, backoff, dedup) on a window-1
+// Channel over the socket, so like any Channel one goroutine at a time
+// may be inside them.
 type HostConn struct {
 	ID     uint16
 	sock   *segConn
 	device netip.AddrPort
-	rel    *Reliability
+	cfg    ReliabilityConfig
+	ep     *Channel // window 1: the engine behind Call, SendReliable and Recv
 	start  time.Time
 
 	wmu   sync.Mutex // SendBatch: the socket's run
@@ -456,23 +459,28 @@ func Dial(cfg DialConfig) (*HostConn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &HostConn{
+	h := &HostConn{
 		ID: cfg.ID, sock: newSegConn(conn), device: unmap(da.AddrPort()),
-		rel: NewReliability(cfg.Reliability), start: time.Now(),
-	}, nil
+		cfg: cfg.Reliability, start: time.Now(),
+	}
+	h.ep = NewChannel(hostTransport{h}, ChannelConfig{Window: 1, Reliability: cfg.Reliability})
+	return h, nil
 }
 
 // Addr returns the host's UDP address.
 func (h *HostConn) Addr() string { return h.sock.LocalAddr().String() }
 
-// Close releases the socket.
-func (h *HostConn) Close() error { return h.sock.Close() }
+// Close abandons a call still in flight and releases the socket.
+func (h *HostConn) Close() error {
+	h.ep.Close()
+	return h.sock.Close()
+}
 
-// Stats returns the endpoint's reliability counters.
-func (h *HostConn) Stats() RelStats { return h.rel.Stats() }
+// Stats returns the counters of the endpoint's window-1 channel: the
+// traffic of Call, SendReliable and Recv.
+func (h *HostConn) Stats() ChannelStats { return h.ep.Stats() }
 
-// hostTransport adapts the socket to the reliability layer and the
-// Channel.
+// hostTransport adapts the socket to the Channel.
 type hostTransport struct{ h *HostConn }
 
 func (t hostTransport) Send(msg []byte) error { return t.h.sock.write1(t.h.device, msg) }
@@ -521,7 +529,8 @@ func (h *HostConn) recv(timeout time.Duration, all bool) (msgs [][]byte, err err
 	return msgs, nil
 }
 
-// Recv returns the next datagram in a buffer of its own.
+// Recv returns the next datagram in a buffer of its own. (A Channel
+// reads through RecvBatch; Recv completes the Transport.)
 func (t hostTransport) Recv(timeout time.Duration) ([]byte, error) {
 	m, err := t.h.recv(timeout, false)
 	if err != nil {
@@ -547,33 +556,38 @@ func (h *HostConn) SendMessage(spec *MessageSpec, m Message, args [][]uint64) er
 
 // NewChannel opens a pipelined sliding-window channel over this
 // connection's socket (see Channel). A zero cfg.Reliability inherits
-// the connection's reliability knobs. The channel and the stop-and-
-// wait methods share the socket — use one or the other, not both.
+// the connection's reliability knobs. The channel and the endpoint's
+// own Call, SendReliable and Recv share the socket — use one or the
+// other, not both.
 func (h *HostConn) NewChannel(cfg ChannelConfig) *Channel {
 	if cfg.Reliability == (ReliabilityConfig{}) {
-		cfg.Reliability = h.rel.Config()
+		cfg.Reliability = h.cfg
 	}
 	return NewChannel(hostTransport{h}, cfg)
 }
 
 // SendReliable transmits msg with an ack request, retransmitting until
 // the receiving host acknowledges it or the retry budget runs out.
-func (h *HostConn) SendReliable(msg []byte, timeout time.Duration) error {
-	return h.rel.SendReliable(hostTransport{h}, msg, timeout)
+func (h *HostConn) SendReliable(msg []byte) error {
+	p, err := h.ep.SendReliable(msg)
+	if err == nil {
+		_, err = p.Wait(0)
+	}
+	return err
 }
 
-// Recv waits up to timeout for a NetCL message. Acks are consumed,
-// duplicates suppressed, and the reliability trailer stripped;
-// untrailered messages pass through unchanged.
-func (h *HostConn) Recv(timeout time.Duration) ([]byte, error) {
-	return h.rel.Recv(hostTransport{h}, timeout)
-}
+// Recv waits up to timeout (0: until a message arrives) for a NetCL
+// message. Acks are consumed, duplicates suppressed, and the
+// reliability trailer stripped; untrailered messages pass through
+// unchanged.
+func (h *HostConn) Recv(timeout time.Duration) ([]byte, error) { return h.ep.Recv(timeout) }
 
 // Call sends msg and waits for the response carrying its sequence
 // number, retransmitting with exponential backoff within the
-// configured retry budget.
+// configured retry budget. timeout, when positive, replaces the
+// configured initial per-attempt timeout.
 func (h *HostConn) Call(msg []byte, timeout time.Duration) ([]byte, error) {
-	return h.rel.Call(hostTransport{h}, msg, timeout)
+	return h.ep.Call(msg, timeout)
 }
 
 // CallMessage packs m, Calls, and unpacks the response into out.

@@ -200,7 +200,7 @@ func TestUDPSendReliableHostToHost(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := h1.SendReliable(msg, 0); err != nil {
+		if err := h1.SendReliable(msg); err != nil {
 			t.Fatalf("send %d: %v", i, err)
 		}
 	}
