@@ -14,12 +14,16 @@
 # fails (the CI job); bench-pair is the paired comparison a
 # performance claim rests on — the working tree against OLD over N
 # alternating pairs of workload W (tools/benchpair). examples runs the
-# four programs under examples/ and the nclsim workload CLI on each
-# simulated app plus one lossy UDP run; any non-zero exit fails it.
+# four programs under examples/, the nclsim workload CLI on each
+# simulated app plus one lossy UDP run, and nclbench (the paper's
+# tables); any non-zero exit fails it. experiments rewrites
+# EXPERIMENTS.md's generated tables from the code (TestExperimentsGolden
+# -update); on a clean checkout it leaves git diff empty, and tier1
+# fails whenever it would not.
 
 GO ?= go
 
-.PHONY: all tier1 tier2 race fuzz-smoke bench-e2e bench-smoke bench-pair examples clean
+.PHONY: all tier1 tier2 race fuzz-smoke bench-e2e bench-smoke bench-pair examples experiments clean
 
 all: tier1
 
@@ -63,6 +67,10 @@ examples:
 	$(GO) run ./cmd/nclsim -app cache
 	$(GO) run ./cmd/nclsim -app paxos
 	$(GO) run ./cmd/nclsim -app agg -backend udp -loss 0.05 -seed 17
+	$(GO) run ./cmd/nclbench
+
+experiments:
+	$(GO) test . -run '^TestExperimentsGolden$$' -update
 
 # clean removes the benchmark's build directory, the one thing the
 # targets above leave behind that git does not track.

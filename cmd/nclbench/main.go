@@ -1,7 +1,11 @@
 // Command nclbench regenerates every table and figure of the paper's
-// evaluation (§VII) and prints them in one report; EXPERIMENTS.md is a
-// recorded run of this tool. It takes no flags: performance is
-// measured by the repository's benchmark (bench/README.md).
+// evaluation (§VII) and the §VI-B flag ablations, and prints them as
+// one Markdown report (netcl.FormatAll). Each table sits between
+// marker comments; EXPERIMENTS.md holds the same blocks byte for byte
+// (TestExperimentsGolden; make experiments rewrites them), except
+// Table IV, whose wall-clock times only this report prints. It takes
+// no flags: performance is measured by the repository's benchmark
+// (bench/README.md).
 package main
 
 import (

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"netcl/internal/bmv2"
-	"netcl/internal/p4"
 	"netcl/internal/p4c"
 	"netcl/internal/runtime"
 	"netcl/internal/wire"
@@ -89,14 +88,7 @@ func compileFig4(t *testing.T, target Target) (*Artifact, *bmv2.Switch) {
 	sw := bmv2.New(dev.P4)
 	// Operator configuration: next hops for host 1 (client, port 1)
 	// and host 2 (the KVS server, port 2).
-	for hostID, port := range map[uint64]uint64{1: 1, 2: 2} {
-		if err := sw.InsertEntry("netcl_fwd", &p4.Entry{
-			Keys:   []p4.KeyValue{{Value: hostID}},
-			Action: &p4.ActionCall{Name: "set_port", Args: []uint64{port}},
-		}); err != nil {
-			t.Fatalf("insert: %v", err)
-		}
-	}
+	route(t, sw, map[uint64]uint64{1: 1, 2: 2})
 	return art, sw
 }
 
@@ -157,6 +149,18 @@ func testCacheSemantics(t *testing.T, target Target) {
 func TestCacheSemanticsTNA(t *testing.T)     { testCacheSemantics(t, TargetTNA) }
 func TestCacheSemanticsV1Model(t *testing.T) { testCacheSemantics(t, TargetV1Model) }
 
+// route installs one netcl_fwd entry per host ID, sending it to a port.
+func route(t *testing.T, sw *Switch, ports map[uint64]uint64) {
+	t.Helper()
+	b := NewWriteBatch()
+	for host, port := range ports {
+		b.Insert("netcl_fwd", &TableEntry{Keys: []KeyValue{{Value: host}}, Action: &ActionCall{Name: "set_port", Args: []uint64{port}}})
+	}
+	if _, err := sw.Write(b); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestManagedMemoryControlPlane(t *testing.T) {
 	art, sw := compileFig4(t, TargetTNA)
 	_ = art
@@ -164,7 +168,7 @@ func TestManagedMemoryControlPlane(t *testing.T) {
 	if sw.RegisterSize("reg_cms__0") != 4096 {
 		t.Fatalf("reg_cms__0 size: %d", sw.RegisterSize("reg_cms__0"))
 	}
-	if err := sw.RegisterWrite("reg_cms__0", 7, 123); err != nil {
+	if _, err := sw.Write(NewWriteBatch().RegisterWrite("reg_cms__0", 7, 123)); err != nil {
 		t.Fatal(err)
 	}
 	v, err := sw.RegisterRead("reg_cms__0", 7)
@@ -224,14 +228,7 @@ func testAllReduce(t *testing.T, target Target) {
 	spec := art.Specs[1]
 	// Operator configuration: worker hosts 10-12 on ports 1-3, the
 	// nominal destination host 100 on port 9.
-	for hostID, port := range map[uint64]uint64{10: 1, 11: 2, 12: 3, 100: 9} {
-		if err := sw.InsertEntry("netcl_fwd", &p4.Entry{
-			Keys:   []p4.KeyValue{{Value: hostID}},
-			Action: &p4.ActionCall{Name: "set_port", Args: []uint64{port}},
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	route(t, sw, map[uint64]uint64{10: 1, 11: 2, 12: 3, 100: 9})
 
 	send := func(worker int, ver, slot uint64, vals []uint64) (*bmv2.Result, wire.Header, [][]uint64) {
 		hdr := runtime.Message{Src: uint16(10 + worker), Dst: 100, Device: 1, Comp: 1}.Header()

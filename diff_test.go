@@ -13,7 +13,6 @@ import (
 	"testing/quick"
 
 	"netcl/internal/bmv2"
-	"netcl/internal/p4"
 	"netcl/internal/runtime"
 	"netcl/internal/wire"
 )
@@ -29,18 +28,7 @@ func twin(t *testing.T, src string) (*bmv2.Switch, *bmv2.Switch, *MessageSpec) {
 			t.Fatalf("%s: %v", target, err)
 		}
 		sw := bmv2.New(art.Device(1).P4)
-		if err := sw.InsertEntry("netcl_fwd", &p4.Entry{
-			Keys:   []p4.KeyValue{{Value: 1}},
-			Action: &p4.ActionCall{Name: "set_port", Args: []uint64{1}},
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if err := sw.InsertEntry("netcl_fwd", &p4.Entry{
-			Keys:   []p4.KeyValue{{Value: 2}},
-			Action: &p4.ActionCall{Name: "set_port", Args: []uint64{2}},
-		}); err != nil {
-			t.Fatal(err)
-		}
+		route(t, sw, map[uint64]uint64{1: 1, 2: 2})
 		sws = append(sws, sw)
 		spec = art.Specs[1]
 	}

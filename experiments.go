@@ -12,11 +12,13 @@ import (
 	"netcl/internal/passes"
 )
 
-// This file regenerates the paper's evaluation (§VII): one exported
-// function per table and figure. Absolute numbers come from our
-// simulated substrate, so they differ from the authors' testbed; the
-// shapes (who wins, by what order of magnitude, where the differences
-// lie) are the reproduction targets recorded in EXPERIMENTS.md.
+// This file regenerates the paper's evaluation (§VII) and the §VI-B
+// flag ablations: one exported function per table and figure, and
+// FormatAll, the one renderer of them all. Absolute numbers come from
+// our simulated substrate, so they differ from the authors' testbed;
+// the shapes (who wins, by what order of magnitude, where the
+// differences lie) are the reproduction targets. EXPERIMENTS.md holds
+// FormatAll's tables, pinned by TestExperimentsGolden.
 
 // experimentRow pairs a Table III row with its sources and programs.
 type experimentRow struct {
@@ -30,35 +32,26 @@ type experimentRow struct {
 // rows returns the evaluation rows in Table III order.
 func rows() ([]experimentRow, error) {
 	var out []experimentRow
-	agg := apps.ByName("AGG")
-	aggBl, err := agg.Baseline()
-	if err != nil {
-		return nil, err
+	add := func(name, src, baselineFile string, app *apps.App, dev uint16) error {
+		bl, err := (&apps.App{BaselineFile: baselineFile}).Baseline()
+		out = append(out, experimentRow{name, src, bl, app, dev})
+		return err
 	}
-	out = append(out, experimentRow{"AGG", agg.NetCL, aggBl, agg, 1})
-
-	cache := apps.ByName("CACHE")
-	cacheBl, err := cache.Baseline()
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, experimentRow{"CACHE", cache.NetCL, cacheBl, cache, 1})
-
-	paxos := apps.ByName("PAXOS")
-	for _, role := range apps.PaxosRoleBaselines {
-		bl, err := (&apps.App{BaselineFile: role.File}).Baseline()
-		if err != nil {
+	for _, name := range []string{"AGG", "CACHE"} {
+		app := apps.ByName(name)
+		if err := add(name, app.NetCL, app.BaselineFile, app, 1); err != nil {
 			return nil, err
 		}
-		out = append(out, experimentRow{role.Row, paxosRoleSource(role.Row), bl, paxos, role.DeviceID})
 	}
-
+	for _, role := range apps.PaxosRoleBaselines {
+		if err := add(role.Row, paxosRoleSource(role.Row), role.File, apps.ByName("PAXOS"), role.DeviceID); err != nil {
+			return nil, err
+		}
+	}
 	calc := apps.ByName("CALC")
-	calcBl, err := calc.Baseline()
-	if err != nil {
+	if err := add("CALC", calc.NetCL, calc.BaselineFile, calc, 1); err != nil {
 		return nil, err
 	}
-	out = append(out, experimentRow{"CALC", calc.NetCL, calcBl, calc, 1})
 	return out, nil
 }
 
@@ -99,14 +92,25 @@ func paxosRoleSource(row string) string {
 	return strings.Join(out, "\n")
 }
 
-// compileRow compiles the NetCL side of a row for TNA.
-func compileRow(r experimentRow) (*Artifact, error) {
-	return Compile(r.Name, r.App.NetCL, Options{
-		Target:  TargetTNA,
-		Defines: r.App.Defines,
-		Devices: []uint16{r.DeviceID},
-	})
+// tnaDevice compiles src for TNA and returns its first device's
+// artifact: with o.Devices set, the device it names.
+func tnaDevice(name, src string, o Options) (*DeviceArtifact, error) {
+	o.Target = TargetTNA
+	art, err := Compile(name, src, o)
+	if err != nil {
+		return nil, err
+	}
+	return art.Devices[0], nil
 }
+
+// compileRow compiles the NetCL side of a row for TNA.
+func compileRow(r experimentRow) (*DeviceArtifact, error) {
+	return tnaDevice(r.Name, r.App.NetCL, Options{Defines: r.App.Defines, Devices: []uint16{r.DeviceID}})
+}
+
+// emptyKernel is the EMPTY row of Tables IV–VI: the base program and
+// the NetCL runtime alone, with no kernel logic.
+const emptyKernel = "_kernel(1) void noop(uint32_t x) {}"
 
 // Table III ------------------------------------------------------------
 
@@ -197,25 +201,24 @@ func Table4() ([]Table4Row, error) {
 		row.P4Fit = time.Since(start).Seconds()
 
 		start = time.Now()
-		art, err := compileRow(r)
+		dev, err := compileRow(r)
 		if err != nil {
 			return nil, err
 		}
 		row.Ncc = time.Since(start).Seconds()
 		start = time.Now()
-		p4c.Fit(art.Device(r.DeviceID).P4, p4c.Tofino1())
+		p4c.Fit(dev.P4, p4c.Tofino1())
 		row.NetCLFit = time.Since(start).Seconds()
 		out = append(out, row)
 	}
-	// The EMPTY program (only the base program and runtime).
 	start := time.Now()
-	art, err := Compile("empty", "_kernel(1) void noop(uint32_t x) {}", Options{Target: TargetTNA})
+	dev, err := tnaDevice("empty", emptyKernel, Options{})
 	if err != nil {
 		return nil, err
 	}
 	ncc := time.Since(start).Seconds()
 	start = time.Now()
-	p4c.Fit(art.Devices[0].P4, p4c.Tofino1())
+	p4c.Fit(dev.P4, p4c.Tofino1())
 	out = append(out, Table4Row{App: "EMPTY", Ncc: ncc, NetCLFit: time.Since(start).Seconds()})
 	return out, nil
 }
@@ -230,10 +233,6 @@ type Usage struct {
 	TCAMPct   float64
 	SALUPct   float64
 	VLIWPct   float64
-	WorstSRAM float64
-	WorstTCAM float64
-	WorstSALU float64
-	WorstVLIW float64
 	LatencyNs float64
 	PHVPct    float64
 	LocalBits int
@@ -248,19 +247,17 @@ func usageOf(prog *p4.Program) Usage {
 		Fits: rep.Fits, Stages: rep.StagesUsed,
 		SRAMPct: rep.SRAMPct, TCAMPct: rep.TCAMPct,
 		SALUPct: rep.SALUPct, VLIWPct: rep.VLIWPct,
-		WorstSRAM: rep.WorstSRAMPct, WorstTCAM: rep.WorstTCAMPct,
-		WorstSALU: rep.WorstSALUPct, WorstVLIW: rep.WorstVLIWPct,
 		LatencyNs: rep.LatencyNs, PHVPct: rep.PHVPct,
 		LocalBits: lm.LocalVarBits, HdrBits: lm.HeaderBits, MetaBits: lm.MetadataBits,
 	}
 }
 
 // Table5Row compares resource usage of handwritten and generated P4.
+// Table VI and Fig. 13 are views over the same rows.
 type Table5Row struct {
-	App    string
-	P4     Usage
-	NetCL  Usage
-	Deltas struct{ Stages int }
+	App   string
+	P4    Usage
+	NetCL Usage
 }
 
 // Table5 computes Tofino resource utilization for both program versions
@@ -277,25 +274,14 @@ func Table5() ([]Table5Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		art, err := compileRow(r)
+		dev, err := compileRow(r)
 		if err != nil {
 			return nil, err
 		}
-		row := Table5Row{App: r.Name, P4: usageOf(bl), NetCL: usageOf(art.Device(r.DeviceID).P4)}
-		row.Deltas.Stages = row.NetCL.Stages - row.P4.Stages
-		out = append(out, row)
+		out = append(out, Table5Row{App: r.Name, P4: usageOf(bl), NetCL: usageOf(dev.P4)})
 	}
 	return out, nil
 }
-
-// Table VI and Figure 13 are views over the same fitting reports.
-
-// Table6 returns the local-memory/PHV rows (paper Table VI).
-func Table6() ([]Table5Row, error) { return Table5() }
-
-// Fig13 returns the device packet-processing latency rows (paper
-// Fig. 13: NetCL within ~9% of handwritten, all below 1µs).
-func Fig13() ([]Table5Row, error) { return Table5() }
 
 // Figure 14 -----------------------------------------------------------------
 
@@ -308,22 +294,19 @@ type Fig14AggPoint struct {
 	BaselineErrs int
 }
 
-// Fig14Agg sweeps worker counts (paper Fig. 14 left: per-worker
-// throughput stays flat as workers are added; NetCL equals handwritten).
-func Fig14Agg(workers []int, chunks int) ([]Fig14AggPoint, error) {
-	if len(workers) == 0 {
-		workers = []int{2, 4, 6}
-	}
-	if chunks <= 0 {
-		chunks = 48
-	}
+// Fig14Agg runs AGG at 2, 4 and 6 workers (paper Fig. 14 left:
+// per-worker throughput stays flat as workers are added; NetCL equals
+// handwritten).
+func Fig14Agg() ([]Fig14AggPoint, error) {
 	var out []Fig14AggPoint
-	for _, w := range workers {
-		gen, err := apps.RunAgg(apps.AggConfig{Workers: w, Chunks: chunks, Window: 4, Target: passes.TargetTNA})
+	for _, w := range []int{2, 4, 6} {
+		cfg := apps.AggConfig{Workers: w, Chunks: 48, Window: 4, Target: passes.TargetTNA}
+		gen, err := apps.RunAgg(cfg)
 		if err != nil {
 			return nil, err
 		}
-		base, err := apps.RunAgg(apps.AggConfig{Workers: w, Chunks: chunks, Window: 4, Target: passes.TargetTNA, Baseline: true})
+		cfg.Baseline = true
+		base, err := apps.RunAgg(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -345,26 +328,19 @@ type Fig14CachePoint struct {
 	BaselineWrng int
 }
 
-// Fig14Cache sweeps the number of cached keys (paper Fig. 14 right:
-// ~27µs all-miss vs ~9.4µs all-hit mean response times, NetCL within a
-// few percent of handwritten).
-func Fig14Cache(cachedKeys []int, totalKeys, requests int) ([]Fig14CachePoint, error) {
-	if totalKeys <= 0 {
-		totalKeys = 32
-	}
-	if requests <= 0 {
-		requests = 128
-	}
-	if len(cachedKeys) == 0 {
-		cachedKeys = []int{0, totalKeys / 4, totalKeys / 2, 3 * totalKeys / 4, totalKeys}
-	}
+// Fig14Cache caches 0, 8, 16, 24 and 32 of 32 keys (paper Fig. 14
+// right: ~27µs all-miss vs ~9.4µs all-hit mean response times, NetCL
+// within a few percent of handwritten).
+func Fig14Cache() ([]Fig14CachePoint, error) {
 	var out []Fig14CachePoint
-	for _, ck := range cachedKeys {
-		gen, err := apps.RunCache(apps.CacheConfig{CachedKeys: ck, TotalKeys: totalKeys, Requests: requests, Target: passes.TargetTNA})
+	for _, ck := range []int{0, 8, 16, 24, 32} {
+		cfg := apps.CacheConfig{CachedKeys: ck, TotalKeys: 32, Requests: 128, Target: passes.TargetTNA}
+		gen, err := apps.RunCache(cfg)
 		if err != nil {
 			return nil, err
 		}
-		base, err := apps.RunCache(apps.CacheConfig{CachedKeys: ck, TotalKeys: totalKeys, Requests: requests, Target: passes.TargetTNA, Baseline: true})
+		cfg.Baseline = true
+		base, err := apps.RunCache(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -377,119 +353,271 @@ func Fig14Cache(cachedKeys []int, totalKeys, requests int) ([]Fig14CachePoint, e
 	return out, nil
 }
 
-// Report formatting -----------------------------------------------------
+// Ablations of the §VI-B compiler flags ------------------------------------
 
-// FormatAll renders every table and figure as text (used by the
-// nclbench tool and recorded in EXPERIMENTS.md).
-func FormatAll() (string, error) {
-	var b strings.Builder
+// twoPathLookup touches one _lookup_ array on two exclusive paths. P4
+// applies a table once per packet, so it compiles only with lookup
+// duplication on.
+const twoPathLookup = `
+_net_ _lookup_ ncl::kv<unsigned,unsigned> tbl[65536];
+_kernel(1) void k(unsigned a, unsigned b, unsigned &x, unsigned &y) {
+  unsigned v1 = 0, v2 = 0;
+  if (a > b) { ncl::lookup(tbl, a, v1); x = v1; }
+  else       { ncl::lookup(tbl, b, v2); y = v2; }
+}
+`
 
-	t3, geo, err := Table3()
-	if err != nil {
-		return "", err
-	}
-	b.WriteString("TABLE III — lines of code\n")
-	fmt.Fprintf(&b, "%-8s %8s %8s %10s\n", "APP", "NETCL", "P4", "REDUCTION")
-	for _, r := range t3 {
-		fmt.Fprintf(&b, "%-8s %8d %8d %9.2fx\n", r.App, r.NetCL, r.P4, r.Reduction)
-	}
-	fmt.Fprintf(&b, "GEOMEAN reduction: %.2fx\n\n", geo)
+// dynamicCompare is one ordered compare of two packet fields.
+const dynamicCompare = `_kernel(1) void k(uint16_t a, uint16_t b, uint8_t &lt) { lt = a < b; }`
 
-	f12, err := Fig12()
-	if err != nil {
-		return "", err
-	}
-	b.WriteString("FIGURE 12 — breakdown of handwritten P4 code (%)\n")
-	cats := []metrics.Category{metrics.CatHeadersParsing, metrics.CatMATs, metrics.CatRegActions, metrics.CatControl, metrics.CatOther}
-	fmt.Fprintf(&b, "%-8s", "APP")
-	for _, c := range cats {
-		fmt.Fprintf(&b, " %20s", c)
-	}
-	b.WriteByte('\n')
-	for _, r := range f12 {
-		fmt.Fprintf(&b, "%-8s", r.App)
-		for _, c := range cats {
-			fmt.Fprintf(&b, " %19.1f%%", r.Pct[c])
+// AblationResult holds the §VI-B flag ablations.
+type AblationResult struct {
+	// AGG's stages with speculation on and off, and the instructions
+	// speculation moved.
+	SpecStagesOn, SpecStagesOff, Speculated int
+	// twoPathLookup with lookup duplication on: whether it fits, and
+	// its SRAM blocks. DupOffErr is the compiler's refusal with it off.
+	DupOnFits     bool
+	DupSRAMBlocks int
+	DupOffErr     error
+	// dynamicCompare's compares rewritten with cmp-to-sub on and off.
+	CmpRewritesOn, CmpRewritesOff int
+}
+
+// Ablations compiles each §VI-B flag both ways (paper: speculation
+// "allowed one of the major programs in our evaluation to fit Tofino";
+// lookup duplication trades SRAM for compilability; cmp-to-sub turns
+// an ordered compare into a subtract and an MSB check).
+func Ablations() (*AblationResult, error) {
+	agg := apps.ByName("AGG")
+	var a AblationResult
+	for _, spec := range []bool{true, false} {
+		dev, err := tnaDevice("agg", agg.NetCL, Options{Defines: agg.Defines, Devices: []uint16{1}, DisableSpeculation: !spec})
+		if err != nil {
+			return nil, err
 		}
-		b.WriteByte('\n')
+		if stages := p4c.Fit(dev.P4, p4c.Tofino1()).StagesUsed; spec {
+			a.SpecStagesOn, a.Speculated = stages, dev.Stats.Speculated
+		} else {
+			a.SpecStagesOff = stages
+		}
 	}
-	b.WriteByte('\n')
+	dev, err := tnaDevice("dup-on", twoPathLookup, Options{})
+	if err != nil {
+		return nil, err
+	}
+	rep := p4c.Fit(dev.P4, p4c.Tofino1())
+	a.DupOnFits, a.DupSRAMBlocks = rep.Fits, rep.SRAMBlocks
+	_, a.DupOffErr = tnaDevice("dup-off", twoPathLookup, Options{DisableLookupDup: true})
+	for _, on := range []bool{true, false} {
+		dev, err := tnaDevice("cmp", dynamicCompare, Options{EnableCmpRewrite: on})
+		if err != nil {
+			return nil, err
+		}
+		if on {
+			a.CmpRewritesOn = dev.Stats.CmpRewrites
+		} else {
+			a.CmpRewritesOff = dev.Stats.CmpRewrites
+		}
+	}
+	return &a, nil
+}
 
-	t4, err := Table4()
+// Report ---------------------------------------------------------------------
+
+// section is one block of the report: a Markdown table under a title.
+// A timed section holds wall-clock numbers: nclbench prints it, but
+// EXPERIMENTS.md does not store it.
+type section struct {
+	name, title, body string
+	timed             bool
+}
+
+// Block markers: EXPERIMENTS.md holds each untimed section's body
+// between them.
+func beginMarker(name string) string { return "<!-- nclbench:" + name + " -->\n" }
+func endMarker(name string) string   { return "<!-- /nclbench:" + name + " -->\n" }
+
+// FormatAll renders every section of the evaluation as a Markdown
+// table between its block markers: the nclbench report, and
+// EXPERIMENTS.md's tables byte for byte.
+func FormatAll() (string, error) {
+	secs, err := sections()
 	if err != nil {
 		return "", err
 	}
-	b.WriteString("TABLE IV — compilation times (seconds)\n")
-	fmt.Fprintf(&b, "%-8s %12s %12s %12s\n", "APP", "P4-fit", "ncc", "NetCL-fit")
-	for _, r := range t4 {
-		fmt.Fprintf(&b, "%-8s %12.4f %12.4f %12.4f\n", r.App, r.P4Fit, r.Ncc, r.NetCLFit)
-	}
-	b.WriteByte('\n')
-
-	t5, err := Table5()
-	if err != nil {
-		return "", err
-	}
-	b.WriteString("TABLE V — Tofino resource utilization (handwritten | generated)\n")
-	fmt.Fprintf(&b, "%-8s %10s %15s %15s %15s %15s\n", "APP", "STAGES", "SRAM", "TCAM", "SALUS", "VLIW")
-	for _, r := range t5 {
-		fmt.Fprintf(&b, "%-8s %4d | %2d  %5.1f%% | %4.1f%% %5.1f%% | %4.1f%% %5.1f%% | %4.1f%% %5.1f%% | %4.1f%%\n",
-			r.App, r.P4.Stages, r.NetCL.Stages,
-			r.P4.SRAMPct, r.NetCL.SRAMPct, r.P4.TCAMPct, r.NetCL.TCAMPct,
-			r.P4.SALUPct, r.NetCL.SALUPct, r.P4.VLIWPct, r.NetCL.VLIWPct)
-	}
-	b.WriteByte('\n')
-
-	// The EMPTY row of Tables V/VI: the base program and NetCL runtime
-	// alone (no kernel logic).
-	emptyArt, err := Compile("empty", "_kernel(1) void noop(uint32_t x) {}", Options{Target: TargetTNA})
-	if err != nil {
-		return "", err
-	}
-	empty := usageOf(emptyArt.Devices[0].P4)
-	fmt.Fprintf(&b, "%-8s %4d |      %5.1f%% |        %5.1f%% |        %5.1f%% |        %5.1f%%   (base program only)\n",
-		"EMPTY", empty.Stages, empty.SRAMPct, empty.TCAMPct, empty.SALUPct, empty.VLIWPct)
-	b.WriteByte('\n')
-
-	b.WriteString("TABLE VI — local memory and worst-case PHV\n")
-	fmt.Fprintf(&b, "%-8s %22s %22s %18s\n", "APP", "P4 locals/hdr/meta", "NetCL locals/hdr/meta", "PHV P4 | NetCL")
-	for _, r := range t5 {
-		fmt.Fprintf(&b, "%-8s %8db %6db %5db %8db %6db %5db %8.1f%% | %5.1f%%\n",
-			r.App, r.P4.LocalBits, r.P4.HdrBits, r.P4.MetaBits,
-			r.NetCL.LocalBits, r.NetCL.HdrBits, r.NetCL.MetaBits,
-			r.P4.PHVPct, r.NetCL.PHVPct)
-	}
-	fmt.Fprintf(&b, "%-8s %8s %6s %5s %8db %6db %5db %8s | %5.1f%%   (base program only)\n",
-		"EMPTY", "-", "-", "-", empty.LocalBits, empty.HdrBits, empty.MetaBits, "-", empty.PHVPct)
-	b.WriteByte('\n')
-
-	b.WriteString("FIGURE 13 — device packet-processing latency (ns)\n")
-	fmt.Fprintf(&b, "%-8s %12s %12s %8s\n", "APP", "P4", "NetCL", "DELTA")
-	for _, r := range t5 {
-		delta := 100 * (r.NetCL.LatencyNs - r.P4.LatencyNs) / r.P4.LatencyNs
-		fmt.Fprintf(&b, "%-8s %12.0f %12.0f %+7.1f%%\n", r.App, r.P4.LatencyNs, r.NetCL.LatencyNs, delta)
-	}
-	b.WriteByte('\n')
-
-	agg, err := Fig14Agg(nil, 0)
-	if err != nil {
-		return "", err
-	}
-	b.WriteString("FIGURE 14 (left) — AGG throughput (ATE/s per worker)\n")
-	fmt.Fprintf(&b, "%-8s %15s %15s\n", "WORKERS", "NetCL", "handwritten")
-	for _, p := range agg {
-		fmt.Fprintf(&b, "%-8d %15.0f %15.0f\n", p.Workers, p.NetCLATE, p.BaselineATE)
-	}
-	b.WriteByte('\n')
-
-	cache, err := Fig14Cache(nil, 0, 0)
-	if err != nil {
-		return "", err
-	}
-	b.WriteString("FIGURE 14 (right) — CACHE mean response time (µs)\n")
-	fmt.Fprintf(&b, "%-10s %8s %12s %12s\n", "CACHED", "HITRATE", "NetCL", "handwritten")
-	for _, p := range cache {
-		fmt.Fprintf(&b, "%-10d %7.0f%% %12.2f %12.2f\n", p.CachedKeys, 100*p.HitRate, p.NetCLMeanUs, p.BaselineUs)
+	var b strings.Builder
+	for _, s := range secs {
+		fmt.Fprintf(&b, "## %s\n\n%s%s%s\n", s.title, beginMarker(s.name), s.body, endMarker(s.name))
 	}
 	return b.String(), nil
+}
+
+// markdownTable renders rows[0] as the header, the first column left-
+// and the others right-aligned.
+func markdownTable(rows [][]string) string {
+	var b strings.Builder
+	for i, row := range rows {
+		b.WriteString("| " + strings.Join(row, " | ") + " |\n")
+		if i == 0 {
+			b.WriteString("|:--" + strings.Repeat("|--:", len(row)-1) + "|\n")
+		}
+	}
+	return b.String()
+}
+
+func pct(v float64) string { return fmt.Sprintf("%.1f%%", v) }
+
+// sections renders the report in EXPERIMENTS.md's order.
+func sections() ([]section, error) {
+	t3, geo, err := Table3()
+	if err != nil {
+		return nil, err
+	}
+	f12, err := Fig12()
+	if err != nil {
+		return nil, err
+	}
+	t4, err := Table4()
+	if err != nil {
+		return nil, err
+	}
+	t5, err := Table5()
+	if err != nil {
+		return nil, err
+	}
+	emptyDev, err := tnaDevice("empty", emptyKernel, Options{})
+	if err != nil {
+		return nil, err
+	}
+	empty := usageOf(emptyDev.P4)
+	aggPts, err := Fig14Agg()
+	if err != nil {
+		return nil, err
+	}
+	cachePts, err := Fig14Cache()
+	if err != nil {
+		return nil, err
+	}
+	abl, err := Ablations()
+	if err != nil {
+		return nil, err
+	}
+
+	var secs []section
+	add := func(name, title string, rows [][]string) {
+		secs = append(secs, section{name: name, title: title, body: markdownTable(rows)})
+	}
+
+	rows := [][]string{{"App", "NetCL", "P4 (handwritten)", "Reduction"}}
+	for _, r := range t3 {
+		rows = append(rows, []string{r.App, fmt.Sprint(r.NetCL), fmt.Sprint(r.P4), fmt.Sprintf("%.2f×", r.Reduction)})
+	}
+	add("table3", "Table III — lines of code", append(rows, []string{"**Geomean**", "", "", fmt.Sprintf("**%.2f×**", geo)}))
+
+	// Packet processing is headers+parsing, MATs and register actions.
+	cats := []metrics.Category{metrics.CatHeadersParsing, metrics.CatMATs, metrics.CatRegActions, metrics.CatControl, metrics.CatOther}
+	rows = [][]string{{"App"}}
+	for _, c := range cats {
+		rows[0] = append(rows[0], string(c))
+	}
+	rows[0] = append(rows[0], "packet processing")
+	mean := make([]float64, len(cats)+1)
+	for _, r := range f12 {
+		vals := make([]float64, 0, len(mean))
+		for _, c := range cats {
+			vals = append(vals, r.Pct[c])
+		}
+		vals = append(vals, vals[0]+vals[1]+vals[2])
+		row := []string{r.App}
+		for i, v := range vals {
+			row = append(row, pct(v))
+			mean[i] += v / float64(len(f12))
+		}
+		rows = append(rows, row)
+	}
+	row := []string{"**Mean**"}
+	for _, v := range mean {
+		row = append(row, "**"+pct(v)+"**")
+	}
+	add("fig12", "Figure 12 — breakdown of handwritten P4 (% of lines)", append(rows, row))
+
+	ms := func(s float64) string { return fmt.Sprintf("%.2f", 1e3*s) }
+	rows = [][]string{{"App", "P4 fit", "ncc", "NetCL fit"}}
+	for _, r := range t4 {
+		p4fit := ms(r.P4Fit)
+		if r.App == "EMPTY" {
+			p4fit = "–"
+		}
+		rows = append(rows, []string{r.App, p4fit, ms(r.Ncc), ms(r.NetCLFit)})
+	}
+	add("table4", "Table IV — compilation times (ms)", rows)
+	secs[len(secs)-1].timed = true // wall clock: printed, never stored
+
+	res := func(u Usage) []string {
+		return []string{fmt.Sprint(u.Stages), pct(u.SRAMPct), pct(u.TCAMPct), pct(u.SALUPct), pct(u.VLIWPct)}
+	}
+	arrows := func(app string, p, n []string) []string {
+		for i := range n {
+			n[i] = p[i] + " → " + n[i]
+		}
+		return append([]string{app}, n...)
+	}
+	rows = [][]string{{"App", "Stages", "SRAM", "TCAM", "SALUs", "VLIW"}}
+	for _, r := range t5 {
+		rows = append(rows, arrows(r.App, res(r.P4), res(r.NetCL)))
+	}
+	dash := []string{"–", "–", "–", "–", "–"}
+	add("table5", "Table V — Tofino resource utilization (handwritten → generated)",
+		append(rows, arrows("EMPTY (base program only)", dash, res(empty))))
+
+	bits := func(u Usage) string { return fmt.Sprintf("%d / %d / %d", u.LocalBits, u.HdrBits, u.MetaBits) }
+	rows = [][]string{{"App", "P4 locals / hdr / meta (bits)", "NetCL locals / hdr / meta (bits)", "Worst-case PHV", "Δ PHV (points)"}}
+	for _, r := range t5 {
+		rows = append(rows, []string{r.App, bits(r.P4), bits(r.NetCL),
+			pct(r.P4.PHVPct) + " → " + pct(r.NetCL.PHVPct), fmt.Sprintf("%+.1f", r.NetCL.PHVPct-r.P4.PHVPct)})
+	}
+	add("table6", "Table VI — local memory and worst-case PHV",
+		append(rows, []string{"EMPTY (base program only)", "–", bits(empty), "– → " + pct(empty.PHVPct), "–"}))
+
+	rows = [][]string{{"App", "P4 (ns)", "NetCL (ns)", "Δ"}}
+	var meanDelta float64
+	for _, r := range t5 {
+		delta := 100 * (r.NetCL.LatencyNs - r.P4.LatencyNs) / r.P4.LatencyNs
+		meanDelta += delta / float64(len(t5))
+		rows = append(rows, []string{r.App, fmt.Sprintf("%.0f", r.P4.LatencyNs), fmt.Sprintf("%.0f", r.NetCL.LatencyNs), fmt.Sprintf("%+.1f%%", delta)})
+	}
+	add("fig13", "Figure 13 — device packet-processing latency", append(rows, []string{"**Mean**", "", "", fmt.Sprintf("**%+.1f%%**", meanDelta)}))
+
+	rows = [][]string{{"Workers", "NetCL (ATE/s per worker)", "handwritten (ATE/s per worker)", "Mismatches (NetCL / handwritten)"}}
+	for _, p := range aggPts {
+		rows = append(rows, []string{fmt.Sprint(p.Workers), fmt.Sprintf("%.0f", p.NetCLATE), fmt.Sprintf("%.0f", p.BaselineATE),
+			fmt.Sprintf("%d / %d", p.NetCLErrors, p.BaselineErrs)})
+	}
+	add("fig14-agg", "Figure 14 (left) — AGG throughput", rows)
+
+	rows = [][]string{{"Cached keys", "Hit rate", "NetCL (µs)", "handwritten (µs)", "Wrong values (NetCL / handwritten)"}}
+	for _, p := range cachePts {
+		rows = append(rows, []string{fmt.Sprint(p.CachedKeys), fmt.Sprintf("%.0f%%", 100*p.HitRate),
+			fmt.Sprintf("%.2f", p.NetCLMeanUs), fmt.Sprintf("%.2f", p.BaselineUs), fmt.Sprintf("%d / %d", p.NetCLWrong, p.BaselineWrng)})
+	}
+	add("fig14-cache", "Figure 14 (right) — CACHE mean response time", rows)
+
+	fits, dupOff := "fits", "refused by the compiler"
+	if !abl.DupOnFits {
+		fits = "does not fit"
+	}
+	if abl.DupOffErr == nil {
+		dupOff = "compiles"
+	}
+	add("ablations", "Ablations — §VI-B compiler flags", [][]string{
+		{"Flag", "Program", "On", "Off"},
+		{"speculation (`DisableSpeculation`)", "AGG",
+			fmt.Sprintf("%d stages, %d instructions speculated", abl.SpecStagesOn, abl.Speculated), fmt.Sprintf("%d stages", abl.SpecStagesOff)},
+		{"lookup duplication (`DisableLookupDup`)", "one `_lookup_` array on two exclusive paths",
+			fmt.Sprintf("%s, %d SRAM blocks", fits, abl.DupSRAMBlocks), dupOff},
+		{"cmp-to-sub (`EnableCmpRewrite`)", "`lt = a < b` on `uint16_t`",
+			fmt.Sprintf("%d rewritten", abl.CmpRewritesOn), fmt.Sprintf("%d rewritten", abl.CmpRewritesOff)},
+	})
+	return secs, nil
 }

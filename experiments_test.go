@@ -1,6 +1,8 @@
 package netcl
 
 import (
+	"flag"
+	"os"
 	"strings"
 	"testing"
 
@@ -9,7 +11,55 @@ import (
 
 // These tests pin the *shapes* of the paper's evaluation results:
 // which side wins, by roughly what factor, and where the crossovers
-// fall. Absolute numbers live in EXPERIMENTS.md.
+// fall. TestExperimentsGolden pins the numbers themselves: every
+// untimed section of FormatAll against its block in EXPERIMENTS.md.
+
+var update = flag.Bool("update", false, "rewrite EXPERIMENTS.md's generated blocks from FormatAll")
+
+// TestExperimentsGolden compares every untimed report section byte for
+// byte with its block in EXPERIMENTS.md. Regenerate the blocks with
+//
+//	go test . -run TestExperimentsGolden -update
+//
+// (make experiments) and review the diff.
+func TestExperimentsGolden(t *testing.T) {
+	secs, err := sections()
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(raw)
+	blocks := 0
+	for _, s := range secs {
+		if s.timed {
+			continue
+		}
+		blocks++
+		begin, end := beginMarker(s.name), endMarker(s.name)
+		i, j := strings.Index(doc, begin), strings.Index(doc, end)
+		if i < 0 || j < i {
+			t.Errorf("EXPERIMENTS.md has no %s block: add %q and %q lines", s.name, begin, end)
+			continue
+		}
+		i += len(begin)
+		if *update {
+			doc = doc[:i] + s.body + doc[j:]
+		} else if got := doc[i:j]; got != s.body {
+			t.Errorf("EXPERIMENTS.md block %s drifted (make experiments rewrites it):\n got:\n%s\nwant:\n%s", s.name, got, s.body)
+		}
+	}
+	if n := strings.Count(doc, "\n<!-- nclbench:"); n != blocks {
+		t.Errorf("EXPERIMENTS.md has %d blocks, the report generates %d", n, blocks)
+	}
+	if *update {
+		if err := os.WriteFile("EXPERIMENTS.md", []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
 
 func TestTable3Shape(t *testing.T) {
 	rows, geo, err := Table3()
@@ -77,7 +127,9 @@ func TestTable5And6Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	byApp := map[string]Table5Row{}
 	for _, r := range rows {
+		byApp[r.App] = r
 		if !r.P4.Fits || !r.NetCL.Fits {
 			t.Errorf("%s: must fit a 12-stage pipe (P4 %v, NetCL %v)", r.App, r.P4.Fits, r.NetCL.Fits)
 		}
@@ -101,13 +153,19 @@ func TestTable5And6Shape(t *testing.T) {
 		}
 	}
 	// AGG is the SALU-heaviest program (paper Table V shape).
-	if rows[0].App != "AGG" || rows[0].NetCL.SALUPct < rows[5].NetCL.SALUPct {
-		t.Error("AGG should dominate SALU usage")
+	agg, ok := byApp["AGG"]
+	if !ok {
+		t.Fatal("no AGG row")
+	}
+	for _, r := range rows {
+		if r.NetCL.SALUPct > agg.NetCL.SALUPct {
+			t.Errorf("%s uses more SALUs than AGG: %.1f%% > %.1f%%", r.App, r.NetCL.SALUPct, agg.NetCL.SALUPct)
+		}
 	}
 }
 
 func TestFig14AggShape(t *testing.T) {
-	pts, err := Fig14Agg([]int{2, 4, 6}, 24)
+	pts, err := Fig14Agg()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,23 +180,26 @@ func TestFig14AggShape(t *testing.T) {
 	}
 	// Adding workers must not degrade per-worker throughput by more
 	// than a few percent (paper: flat).
-	if r := pts[2].NetCLATE / pts[0].NetCLATE; r < 0.90 {
-		t.Errorf("per-worker throughput degraded: 6w/2w = %.3f", r)
+	first, last := pts[0], pts[len(pts)-1]
+	if r := last.NetCLATE / first.NetCLATE; r < 0.90 {
+		t.Errorf("per-worker throughput degraded: %dw/%dw = %.3f", last.Workers, first.Workers, r)
 	}
 }
 
 func TestFig14CacheShape(t *testing.T) {
-	pts, err := Fig14Cache([]int{0, 16, 32}, 32, 64)
+	pts, err := Fig14Cache()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 3 {
-		t.Fatal("points")
+	allMiss, allHit := pts[0], pts[len(pts)-1]
+	if allMiss.HitRate != 0 || allHit.HitRate != 1 {
+		t.Fatalf("sweep ends at hit rates %.2f and %.2f, want 0 and 1", allMiss.HitRate, allHit.HitRate)
 	}
-	allMiss, half, allHit := pts[0], pts[1], pts[2]
-	if !(allMiss.NetCLMeanUs > half.NetCLMeanUs && half.NetCLMeanUs > allHit.NetCLMeanUs) {
-		t.Errorf("response time must fall with hit rate: %.1f %.1f %.1f",
-			allMiss.NetCLMeanUs, half.NetCLMeanUs, allHit.NetCLMeanUs)
+	for i := 1; i < len(pts); i++ {
+		if pts[i].NetCLMeanUs >= pts[i-1].NetCLMeanUs {
+			t.Errorf("response time must fall with hit rate: %.1fµs at %d cached, %.1fµs at %d",
+				pts[i-1].NetCLMeanUs, pts[i-1].CachedKeys, pts[i].NetCLMeanUs, pts[i].CachedKeys)
+		}
 	}
 	// Paper: ~27µs all-miss, ~9.4µs all-hit; require the same band.
 	if allMiss.NetCLMeanUs < 20 || allMiss.NetCLMeanUs > 35 {
@@ -148,20 +209,37 @@ func TestFig14CacheShape(t *testing.T) {
 		t.Errorf("all-hit %.1fµs outside [6,13]", allHit.NetCLMeanUs)
 	}
 	for _, p := range pts {
+		if p.NetCLWrong != 0 || p.BaselineWrng != 0 {
+			t.Errorf("cached=%d: wrong values", p.CachedKeys)
+		}
 		if r := p.NetCLMeanUs / p.BaselineUs; r < 0.95 || r > 1.05 {
 			t.Errorf("cached=%d NetCL/baseline %.3f", p.CachedKeys, r)
 		}
 	}
 }
 
-func TestFormatAllRuns(t *testing.T) {
-	s, err := FormatAll()
+// TestAblationShape pins the §VI-B claims themselves, which a
+// regenerated EXPERIMENTS.md block cannot paper over.
+func TestAblationShape(t *testing.T) {
+	a, err := Ablations()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"TABLE III", "FIGURE 12", "TABLE IV", "TABLE V", "TABLE VI", "FIGURE 13", "FIGURE 14"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("report missing %s", want)
-		}
+	// P4 applies a table once per packet: the two-path kernel needs
+	// lookup duplication to compile, and with it fits.
+	if a.DupOffErr == nil {
+		t.Error("two-path lookup compiled with lookup duplication off")
+	}
+	if !a.DupOnFits {
+		t.Error("two-path lookup does not fit with lookup duplication on")
+	}
+	if a.Speculated < 1 {
+		t.Error("speculation moved no AGG instruction")
+	}
+	if a.SpecStagesOn > a.SpecStagesOff {
+		t.Errorf("speculation costs stages: %d on, %d off", a.SpecStagesOn, a.SpecStagesOff)
+	}
+	if a.CmpRewritesOn < 1 || a.CmpRewritesOff != 0 {
+		t.Errorf("cmp-to-sub rewrote %d compares on, %d off; want ≥1 and 0", a.CmpRewritesOn, a.CmpRewritesOff)
 	}
 }

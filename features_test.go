@@ -159,12 +159,7 @@ _kernel(2) void peek(unsigned &n, uint8_t &flag) {
 		t.Fatal(err)
 	}
 	sw := NewSwitch(art.Devices[0].P4)
-	if err := sw.InsertEntry("netcl_fwd", &TableEntry{
-		Keys:   []KeyValue{{Value: 1}},
-		Action: &ActionCall{Name: "set_port", Args: []uint64{1}},
-	}); err != nil {
-		t.Fatal(err)
-	}
+	route(t, sw, map[uint64]uint64{1: 1})
 	send := func(comp uint8, args [][]uint64, spec *MessageSpec) [][]uint64 {
 		msg, err := Pack(spec, Message{Src: 1, Dst: 2, Device: 1, Comp: comp}.Header(), args)
 		if err != nil {
@@ -209,16 +204,7 @@ func TestCacheEvictionAtRuntime(t *testing.T) {
 		t.Fatal(err)
 	}
 	sw := NewSwitch(art.Device(1).P4)
-	if err := sw.InsertEntry("netcl_fwd", &TableEntry{
-		Keys: []KeyValue{{Value: 1}}, Action: &ActionCall{Name: "set_port", Args: []uint64{1}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.InsertEntry("netcl_fwd", &TableEntry{
-		Keys: []KeyValue{{Value: 2}}, Action: &ActionCall{Name: "set_port", Args: []uint64{2}},
-	}); err != nil {
-		t.Fatal(err)
-	}
+	route(t, sw, map[uint64]uint64{1: 1, 2: 2})
 	conn := Connect(DirectControlPlane(sw), art.Device(1))
 
 	// Controller installs key 7 at cache line 3 with full word share.
@@ -288,11 +274,7 @@ _kernel(1) void k(uint8_t &r) {
 			t.Fatal(err)
 		}
 		sw := NewSwitch(art.Devices[0].P4)
-		if err := sw.InsertEntry("netcl_fwd", &TableEntry{
-			Keys: []KeyValue{{Value: 1}}, Action: &ActionCall{Name: "set_port", Args: []uint64{1}},
-		}); err != nil {
-			t.Fatal(err)
-		}
+		route(t, sw, map[uint64]uint64{1: 1})
 		spec := art.Specs[1]
 		var out []uint64
 		for i := 0; i < 4; i++ {
@@ -339,11 +321,7 @@ _at(1,2) _kernel(1) void spmd(unsigned &x, uint16_t &who) {
 		prog, specs := compileFor(t, src, dev, nil)
 		spec := specs[1]
 		sw := NewSwitch(prog)
-		if err := sw.InsertEntry("netcl_fwd", &TableEntry{
-			Keys: []KeyValue{{Value: 9}}, Action: &ActionCall{Name: "set_port", Args: []uint64{1}},
-		}); err != nil {
-			t.Fatal(err)
-		}
+		route(t, sw, map[uint64]uint64{9: 1})
 		msg, _ := Pack(spec, Message{Src: 9, Dst: 9, Device: dev, Comp: 1}.Header(), [][]uint64{{5}, nil})
 		res, err := sw.Process(runtime.Frame(msg, 1, 2), 1)
 		if err != nil {
@@ -387,11 +365,7 @@ _kernel(1) void watch(unsigned v, uint8_t &alarm) {
 		t.Fatal(err)
 	}
 	sw := NewSwitch(art.Devices[0].P4)
-	if err := sw.InsertEntry("netcl_fwd", &TableEntry{
-		Keys: []KeyValue{{Value: 1}}, Action: &ActionCall{Name: "set_port", Args: []uint64{1}},
-	}); err != nil {
-		t.Fatal(err)
-	}
+	route(t, sw, map[uint64]uint64{1: 1})
 	conn := Connect(DirectControlPlane(sw), art.Devices[0])
 	// The paper's listing: ncl::managed_write(c, &thresh, 512).
 	if err := conn.ManagedWrite("thresh", nil, 512); err != nil {

@@ -321,7 +321,7 @@ func RunAgg(cfg AggConfig) (*AggResult, error) {
 		// The handwritten program takes the worker count from the
 		// control plane (a configurable default action), like the real
 		// SwitchML deployment.
-		if err := dev.SW.SetDefaultAction("cfg_workers", "set_target", []uint64{uint64(cfg.Workers - 1)}); err != nil {
+		if _, err := dev.SW.Write(p4rt.NewWriteBatch().SetDefault("cfg_workers", "set_target", []uint64{uint64(cfg.Workers - 1)})); err != nil {
 			return nil, err
 		}
 	}

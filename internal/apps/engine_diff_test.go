@@ -163,7 +163,7 @@ func TestEngineDifferentialAllApps(t *testing.T) {
 			wireFwd(t, fast, slow)
 			if r.name == "AGG" && pi == 1 {
 				for _, sw := range []*bmv2.Switch{fast, slow} {
-					if err := sw.SetDefaultAction("cfg_workers", "set_target", []uint64{AggNumWorkers - 1}); err != nil {
+					if _, err := sw.Write(bmv2.NewWriteBatch().SetDefault("cfg_workers", "set_target", []uint64{AggNumWorkers - 1})); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -190,28 +190,24 @@ func cacheEntries(t *testing.T, baseline bool, sws ...*bmv2.Switch) {
 		validReg = "valid_bit"
 	}
 	for _, sw := range sws {
+		b := bmv2.NewWriteBatch()
 		for k := 0; k < 4; k++ {
 			key, idx := uint64(k+1), uint64(k)
-			if err := sw.InsertEntry("lu_Index", &p4.Entry{
+			b.Insert("lu_Index", &p4.Entry{
 				Keys:   []p4.KeyValue{{Value: key, PrefixLen: -1}},
 				Action: &p4.ActionCall{Name: idxAction, Args: []uint64{idx}},
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if err := sw.InsertEntry("lu_Share", &p4.Entry{
+			})
+			b.Insert("lu_Share", &p4.Entry{
 				Keys:   []p4.KeyValue{{Value: key, PrefixLen: -1}},
 				Action: &p4.ActionCall{Name: shareAction, Args: []uint64{(1 << CacheWords) - 1}},
-			}); err != nil {
-				t.Fatal(err)
-			}
+			})
 			for w := 0; w < CacheWords; w++ {
-				if err := sw.RegisterWrite(valReg(w), int(idx), key*100+uint64(w)); err != nil {
-					t.Fatal(err)
-				}
+				b.RegisterWrite(valReg(w), int(idx), key*100+uint64(w))
 			}
-			if err := sw.RegisterWrite(validReg, int(idx), 1); err != nil {
-				t.Fatal(err)
-			}
+			b.RegisterWrite(validReg, int(idx), 1)
+		}
+		if _, err := sw.Write(b); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -13,6 +13,17 @@ import (
 
 func kv(v uint64) p4.KeyValue { return p4.KeyValue{Value: v, PrefixLen: -1} }
 
+// deleteEntry applies a one-op delete batch and returns how many
+// entries it removed.
+func deleteEntry(t testing.TB, sw *Switch, table string, keys ...uint64) int {
+	t.Helper()
+	res, err := sw.Write(NewWriteBatch().Delete(table, keys...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Removed[0]
+}
+
 // matcherProgReg is matcherProg plus a control-plane register, so batch
 // tests can mix table ops with register writes.
 func matcherProgReg(entries map[string][]*p4.Entry) *p4.Program {

@@ -124,7 +124,7 @@ func TestExactIndexHitMiss(t *testing.T) {
 	}
 	check(7, 8, 300)
 	// Full-tuple delete must drop it again (and only it).
-	if n := sw.DeleteEntry("ex2", 7, 8); n != 1 {
+	if n := deleteEntry(t, sw, "ex2", 7, 8); n != 1 {
 		t.Fatalf("delete removed %d", n)
 	}
 	check(7, 8, 0xFFFF_FFFF)
@@ -138,10 +138,10 @@ func TestDeleteEntryFullTuple(t *testing.T) {
 	}}
 	sw := New(matcherProg(ents))
 	// A bare first-key delete must not wipe every entry sharing k1=5.
-	if n := sw.DeleteEntry("ex2", 5); n != 0 {
+	if n := deleteEntry(t, sw, "ex2", 5); n != 0 {
 		t.Errorf("first-key-only delete removed %d entries", n)
 	}
-	if n := sw.DeleteEntry("ex2", 5, 2); n != 1 {
+	if n := deleteEntry(t, sw, "ex2", 5, 2); n != 1 {
 		t.Errorf("tuple delete removed %d", n)
 	}
 	res, err := sw.Process(matcherPkt(1, 5, 1), 0)
@@ -319,7 +319,7 @@ func TestMatcherDifferentialFuzz(t *testing.T) {
 			}
 		}
 		delK1, delK2 := uint64(rng.Intn(8)), uint64(rng.Intn(4))
-		if nf, ns := fast.DeleteEntry("ex2", delK1, delK2), slowSw.DeleteEntry("ex2", delK1, delK2); nf != ns {
+		if nf, ns := deleteEntry(t, fast, "ex2", delK1, delK2), deleteEntry(t, slowSw, "ex2", delK1, delK2); nf != ns {
 			t.Fatalf("trial %d: delete count %d vs %d", trial, nf, ns)
 		}
 		for i := 0; i < 100; i++ {

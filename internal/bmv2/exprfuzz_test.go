@@ -372,7 +372,7 @@ func TestExprDifferentialFuzz(t *testing.T) {
 		for _, r := range pp.Ingress.Registers {
 			idx, v := g.rng.Intn(r.Size), g.rng.Uint64()
 			for _, sw := range []*Switch{comp, ref} {
-				if err := sw.RegisterWrite(r.Name, idx, v); err != nil {
+				if _, err := sw.Write(NewWriteBatch().RegisterWrite(r.Name, idx, v)); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -210,7 +210,7 @@ func TestFDDDifferentialFuzz(t *testing.T) {
 		if n := len(ents["lpm1"]); n > 0 {
 			victim := ents["lpm1"][rng.Intn(n)]
 			for _, sw := range sws {
-				sw.DeleteEntry("lpm1", victim.Keys[0].Value)
+				deleteEntry(t, sw, "lpm1", victim.Keys[0].Value)
 			}
 		}
 		fuzz("mutated")

@@ -49,8 +49,7 @@ func (x val) signed() int64 {
 // state (registers, table entries, multicast groups).
 //
 // Concurrency: control-plane table mutations (Write batches and the
-// single-op wrappers InsertEntry/DeleteEntry/SetDefaultAction) are
-// safe to call concurrently with packet processing — they serialize on
+// single-op wrapper InsertEntry) are safe to call concurrently with packet processing — they serialize on
 // the writer mutex and publish immutable rule-set generations the data
 // path reads lock-free (RCU, see table.go and batch.go); a packet
 // pins one generation, so a batch is observed all-or-nothing.
@@ -156,23 +155,6 @@ func (s *Switch) RegisterRead(name string, idx int) (uint64, error) {
 	return rf.load(idx), nil
 }
 
-// RegisterWrite sets a register cell. Serialized against other
-// control-plane calls; concurrent in-flight packets must be quiesced
-// by the caller (Sharded.RegisterWrite does).
-func (s *Switch) RegisterWrite(name string, idx int, v uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rf, ok := s.regs[name]
-	if !ok {
-		return fmt.Errorf("no register %q", name)
-	}
-	if idx < 0 || idx >= rf.size {
-		return fmt.Errorf("register %q index %d out of range", name, idx)
-	}
-	rf.store(idx, v)
-	return nil
-}
-
 // ReadRegisters returns a snapshot of every cell of one register file:
 // the bulk drain used by failover (read the crashed device's pool
 // state once, replay it into a standby via one WriteBatch) instead of
@@ -222,18 +204,6 @@ func (s *Switch) InsertEntry(table string, e *p4.Entry) error {
 	return unwrapBatch(err)
 }
 
-// DeleteEntry removes entries whose key values equal the given tuple:
-// an entry is deleted only when every key value matches, so multi-key
-// tables are no longer mass-deleted by a first-key collision. A
-// single-op batch, kept for callers that don't need transactions.
-func (s *Switch) DeleteEntry(table string, keyVals ...uint64) int {
-	res, err := s.Write(NewWriteBatch().Delete(table, keyVals...))
-	if err != nil {
-		return 0 // delete ops never fail a batch; defensive only
-	}
-	return res.Removed[0]
-}
-
 // unwrapBatch strips the op index off a single-op batch failure, so
 // deprecated wrappers keep returning their historical error text.
 func unwrapBatch(err error) error {
@@ -255,14 +225,6 @@ func entryKeysEqual(e *p4.Entry, keyVals []uint64) bool {
 		}
 	}
 	return true
-}
-
-// SetDefaultAction overrides a table's default action (the control
-// plane configures e.g. the AGG baseline's worker count this way). A
-// single-op batch, kept for callers that don't need transactions.
-func (s *Switch) SetDefaultAction(table, action string, args []uint64) error {
-	_, err := s.Write(NewWriteBatch().SetDefault(table, action, args))
-	return unwrapBatch(err)
 }
 
 // Entries returns a copy of a table's current entries (live entries

@@ -199,10 +199,10 @@ func TestRuntimeEntriesAndDefaults(t *testing.T) {
 	if got := outOf(t, res.Data); got != 4242 {
 		t.Errorf("runtime entry: out=%d", got)
 	}
-	if n := sw.DeleteEntry("exact_t", 42); n != 1 {
+	if n := deleteEntry(t, sw, "exact_t", 42); n != 1 {
 		t.Errorf("delete removed %d", n)
 	}
-	if err := sw.SetDefaultAction("exact_t", "set_out", []uint64{7}); err != nil {
+	if _, err := sw.Write(NewWriteBatch().SetDefault("exact_t", "set_out", []uint64{7})); err != nil {
 		t.Fatal(err)
 	}
 	res, _ = sw.Process(mkPkt(1, 42), 1)
@@ -212,7 +212,7 @@ func TestRuntimeEntriesAndDefaults(t *testing.T) {
 	if err := sw.InsertEntry("nosuch", &p4.Entry{}); err == nil {
 		t.Error("unknown table must error")
 	}
-	if err := sw.SetDefaultAction("nosuch", "a", nil); err == nil {
+	if _, err := sw.Write(NewWriteBatch().SetDefault("nosuch", "a", nil)); err == nil {
 		t.Error("unknown table default must error")
 	}
 }

@@ -55,7 +55,7 @@ func TestRegfileLazyAllocation(t *testing.T) {
 	}
 
 	// One write materializes exactly one page.
-	if err := s.RegisterWrite("reg_r", size/2, 7); err != nil {
+	if _, err := s.Write(NewWriteBatch().RegisterWrite("reg_r", size/2, 7)); err != nil {
 		t.Fatal(err)
 	}
 	if _, alloc = s.RegisterFileBytes(); alloc != regPageSize*8 {
@@ -94,13 +94,13 @@ func TestRegfileInitValues(t *testing.T) {
 func TestRegfileOddSize(t *testing.T) {
 	// A register smaller than one page still works edge to edge.
 	s := New(progWithRegister(3, nil))
-	if err := s.RegisterWrite("reg_r", 2, 5); err != nil {
+	if _, err := s.Write(NewWriteBatch().RegisterWrite("reg_r", 2, 5)); err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := s.RegisterRead("reg_r", 2); v != 5 {
 		t.Fatalf("read back %d, want 5", v)
 	}
-	if err := s.RegisterWrite("reg_r", 3, 1); err == nil {
+	if _, err := s.Write(NewWriteBatch().RegisterWrite("reg_r", 3, 1)); err == nil {
 		t.Fatal("out-of-range write succeeded")
 	}
 	if _, err := s.RegisterRead("reg_r", -1); err == nil {

@@ -25,8 +25,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-
-	"netcl/internal/p4"
 )
 
 // FlowKeyFunc extracts a packet's flow identity — the header fields
@@ -329,25 +327,4 @@ func (sh *Sharded) Write(b *WriteBatch) (res *WriteResult, err error) {
 func (sh *Sharded) RegisterRead(name string, idx int) (v uint64, err error) {
 	sh.quiesce(func() { v, err = sh.sw.RegisterRead(name, idx) })
 	return v, err
-}
-
-// RegisterWrite writes a register cell with the data path quiesced.
-func (sh *Sharded) RegisterWrite(name string, idx int, v uint64) (err error) {
-	sh.quiesce(func() { err = sh.sw.RegisterWrite(name, idx, v) })
-	return err
-}
-
-// InsertEntry publishes a table entry (lock-free for the data path).
-func (sh *Sharded) InsertEntry(table string, e *p4.Entry) error {
-	return sh.sw.InsertEntry(table, e)
-}
-
-// DeleteEntry removes entries matching the full key tuple.
-func (sh *Sharded) DeleteEntry(table string, keyVals ...uint64) int {
-	return sh.sw.DeleteEntry(table, keyVals...)
-}
-
-// SetDefaultAction replaces a table's default action.
-func (sh *Sharded) SetDefaultAction(table, action string, args []uint64) error {
-	return sh.sw.SetDefaultAction(table, action, args)
 }

@@ -206,10 +206,10 @@ func TestShardedConcurrentControlPlane(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 60; i++ {
 			flow := uint64(i % 50)
-			if err := sh.InsertEntry("fwd", &p4.Entry{
+			if _, err := sh.Write(NewWriteBatch().Insert("fwd", &p4.Entry{
 				Keys:   []p4.KeyValue{{Value: flow, PrefixLen: -1}},
 				Action: &p4.ActionCall{Name: "set_port", Args: []uint64{flow + 1}},
-			}); err != nil {
+			})); err != nil {
 				t.Error(err)
 				return
 			}
@@ -217,15 +217,18 @@ func TestShardedConcurrentControlPlane(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if err := sh.RegisterWrite("acc", 900+i%10, uint64(i)); err != nil {
+			if _, err := sh.Write(NewWriteBatch().RegisterWrite("acc", 900+i%10, uint64(i))); err != nil {
 				t.Error(err)
 				return
 			}
 			if i%3 == 0 {
-				sh.DeleteEntry("fwd", flow)
+				if _, err := sh.Write(NewWriteBatch().Delete("fwd", flow)); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 			if i%7 == 0 {
-				if err := sh.SetDefaultAction("fwd", "set_port", []uint64{uint64(7 + i%2)}); err != nil {
+				if _, err := sh.Write(NewWriteBatch().SetDefault("fwd", "set_port", []uint64{uint64(7 + i%2)})); err != nil {
 					t.Error(err)
 					return
 				}

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"netcl/internal/metrics"
 	"netcl/internal/wire"
 )
 
@@ -62,10 +61,8 @@ type ChannelConfig struct {
 	// per-entry timeout, backoff factor and cap, retry budget, and the
 	// dedup window size.
 	Reliability ReliabilityConfig
-	// Metrics optionally registers the channel's gauges (occupancy,
-	// peak in-flight, retransmits) in a shared set under Name.
-	Metrics *metrics.Set
-	// Name prefixes the gauge names (default "chan").
+	// Name labels the channel. The channel itself never reads it; it
+	// stays only because bench/calc_udp.go sets it.
 	Name string
 }
 
@@ -139,9 +136,6 @@ type Channel struct {
 	staged []*pendEntry // admitted since the last service pass, in order
 	sendq  [][]byte     // the service pass's batch
 	one    [1][]byte    // a single-message receive as a read of one
-
-	gaugeInFlight *metrics.Gauge
-	gaugeRetrans  *metrics.Gauge
 }
 
 // ErrChannelClosed reports use of a closed channel.
@@ -155,20 +149,11 @@ func NewChannel(t Transport, cfg ChannelConfig) *Channel {
 	if cfg.Window <= 0 {
 		cfg.Window = 32
 	}
-	if cfg.Name == "" {
-		cfg.Name = "chan"
-	}
 	cfg.Reliability = cfg.Reliability.withDefaults()
-	set := cfg.Metrics
-	if set == nil {
-		set = metrics.NewSet()
-	}
 	c := &Channel{
 		t: t, cfg: cfg, rcfg: cfg.Reliability,
-		ents:          make([]pendEntry, cfg.Window),
-		dedup:         newDedupTable(cfg.Reliability.DedupWindow),
-		gaugeInFlight: set.Gauge(cfg.Name + ".inflight"),
-		gaugeRetrans:  set.Gauge(cfg.Name + ".retransmits"),
+		ents:  make([]pendEntry, cfg.Window),
+		dedup: newDedupTable(cfg.Reliability.DedupWindow),
 	}
 	c.bt, _ = t.(BatchTransport)
 	c.br, _ = t.(BatchRecver)
@@ -257,7 +242,6 @@ func (c *Channel) admit(kind uint8, token uint64, flags uint8, msg []byte, p *Pe
 	if c.inFlight > c.stats.PeakInFlight {
 		c.stats.PeakInFlight = c.inFlight
 	}
-	c.gaugeInFlight.Add(1)
 	return nil
 }
 
@@ -508,7 +492,6 @@ func (c *Channel) serviceLocked(now time.Duration) (next time.Duration, hasPost 
 			e.per = nextBackoff(e.per, c.rcfg.Backoff, c.rcfg.MaxTimeout)
 			e.deadline = now + e.per
 			c.stats.Retransmits++
-			c.gaugeRetrans.Add(1)
 			batch = append(batch, e.msg)
 		}
 		if next == 0 || e.deadline < next {
@@ -647,5 +630,4 @@ func (c *Channel) finishLocked(e *pendEntry, resp []byte, err error, now time.Du
 	*e = pendEntry{}
 	c.inFlight--
 	c.stats.InFlight = c.inFlight
-	c.gaugeInFlight.Add(-1)
 }

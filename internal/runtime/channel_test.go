@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"netcl/internal/metrics"
 	"netcl/internal/wire"
 )
 
@@ -351,13 +350,11 @@ func TestChannelCloseAbandons(t *testing.T) {
 	}
 }
 
-// TestChannelGauges: the in-flight gauge tracks occupancy and peak in
-// a shared metrics set under the channel's name.
+// TestChannelGauges: Stats tracks window occupancy and its peak.
 func TestChannelGauges(t *testing.T) {
 	ft := echoTransport()
-	set := metrics.NewSet()
 	ch := NewChannel(ft, ChannelConfig{
-		Window: 3, Name: "test", Metrics: set,
+		Window:      3,
 		Reliability: ReliabilityConfig{Timeout: time.Millisecond},
 	})
 	defer ch.Close()
@@ -373,12 +370,12 @@ func TestChannelGauges(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	g := set.Gauge("test.inflight")
-	if g.Value() != 0 {
-		t.Errorf("in-flight gauge %d after drain, want 0", g.Value())
+	st := ch.Stats()
+	if st.InFlight != 0 {
+		t.Errorf("in flight %d after drain, want 0", st.InFlight)
 	}
-	if g.Peak() < 1 || g.Peak() > 3 {
-		t.Errorf("in-flight peak %d, want within (0,3]", g.Peak())
+	if st.PeakInFlight < 1 || st.PeakInFlight > 3 {
+		t.Errorf("in-flight peak %d, want within (0,3]", st.PeakInFlight)
 	}
 }
 

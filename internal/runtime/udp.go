@@ -401,17 +401,6 @@ func (d *UDPDevice) RegisterRead(name string, idx int) (uint64, error) {
 	return d.sw.RegisterRead(name, idx)
 }
 
-// SetDefaultAction configures a table's default action (operator
-// configuration, e.g. the baseline AGG worker count).
-func (d *UDPDevice) SetDefaultAction(table, action string, args []uint64) error {
-	if d.sharded != nil {
-		return d.sharded.SetDefaultAction(table, action, args)
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.sw.SetDefaultAction(table, action, args)
-}
-
 // HostConn is a host-side UDP endpoint for NetCL messages, mirroring
 // the socket code of the paper's Figure 6. It implements Endpoint:
 // Send is fire-and-forget; Call, SendReliable and Recv run the
