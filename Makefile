@@ -2,7 +2,7 @@
 #
 # tier1 is the fast correctness gate (gofmt + vet + build + test);
 # tier2 and race run the race detector over the concurrent code
-# (sharded engine, UDP backend, drivers, chaos tests). fuzz-smoke runs
+# (UDP backend, partitioned simulator, drivers, chaos tests). fuzz-smoke runs
 # the four native fuzz targets (netsim's event-queue differential,
 # runtime's Pack/Unpack round trip, its raw-bytes UnpackInto and its
 # UDP_GRO control-message parser) for 20 s each from their checked-in
@@ -14,9 +14,10 @@
 # fails (the CI job); bench-pair is the paired comparison a
 # performance claim rests on — the working tree against OLD over N
 # alternating pairs of workload W (tools/benchpair). examples runs the
-# four programs under examples/, the nclsim workload CLI on each
-# simulated app plus one lossy UDP run, and nclbench (the paper's
-# tables); any non-zero exit fails it. experiments rewrites
+# four programs under examples/, the ncc compiler CLI on calc.ncl for
+# both targets, the nclsim workload CLI on each simulated app plus one
+# lossy UDP run, and nclbench (the paper's tables); any non-zero exit
+# fails it. experiments rewrites
 # EXPERIMENTS.md's generated tables from the code (TestExperimentsGolden
 # -update); on a clean checkout it leaves git diff empty, and tier1
 # fails whenever it would not.
@@ -63,6 +64,8 @@ examples:
 	$(GO) run ./examples/allreduce
 	$(GO) run ./examples/kvcache
 	$(GO) run ./examples/paxos
+	$(GO) run ./cmd/ncc -print examples/src/calc.ncl
+	$(GO) run ./cmd/ncc -print -target v1model examples/src/calc.ncl
 	$(GO) run ./cmd/nclsim -app agg
 	$(GO) run ./cmd/nclsim -app cache
 	$(GO) run ./cmd/nclsim -app paxos

@@ -43,7 +43,7 @@ type (
 	// that channel's ChannelStats.
 	Endpoint = runtime.Endpoint
 	// ReliabilityConfig carries the retransmission knobs (timeout,
-	// retry budget, backoff, dedup window).
+	// retry budget, backoff and its cap).
 	ReliabilityConfig = runtime.ReliabilityConfig
 	// HostEndpoint adapts a simulated host to the Endpoint interface.
 	HostEndpoint = netsim.HostEndpoint
@@ -63,7 +63,8 @@ type (
 	// reliability engine; at window 1 it is stop-and-wait. Created
 	// with HostConn.NewChannel or HostEndpoint.NewChannel.
 	Channel = runtime.Channel
-	// ChannelConfig sizes the window and names the metrics gauges.
+	// ChannelConfig sizes the window and carries its reliability
+	// knobs.
 	ChannelConfig = runtime.ChannelConfig
 	// ChannelStats snapshots the channel counters (sent, completed,
 	// retransmits, duplicates, peak in-flight).

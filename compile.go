@@ -39,22 +39,19 @@ const (
 type Options struct {
 	// Defines injects object-like preprocessor constants (-DNAME=V).
 	Defines map[string]uint64
-	// Target selects the backend (default TNA).
+	// Target selects the backend: TargetTNA (the default) or
+	// TargetV1Model. Anything else is an error.
 	Target Target
 	// Devices lists the device IDs to compile for. Empty means the
 	// program's explicit locations, or device 1 for location-less
 	// programs.
 	Devices []uint16
-	// MaxUnroll bounds loop unrolling (default 4096).
-	MaxUnroll int
 	// DisableSpeculation turns off aggressive speculation (§VI-B flag).
 	DisableSpeculation bool
 	// DisableLookupDup turns off lookup-memory duplication (§VI-B flag).
 	DisableLookupDup bool
 	// EnableCmpRewrite turns on the dynamic-compare → sub+MSB rewrite.
 	EnableCmpRewrite bool
-	// CondDepthThreshold tunes the Tofino memory distance check.
-	CondDepthThreshold int
 }
 
 // DeviceArtifact is the compilation result for one device location.
@@ -97,9 +94,11 @@ func (a *Artifact) Device(id uint16) *DeviceArtifact {
 // Compile parses, checks, lowers, optimizes, and generates P4 for
 // every device location of the program.
 func Compile(name, src string, opts Options) (*Artifact, error) {
-	if opts.Target == "" {
-		opts.Target = TargetTNA
+	target, err := passes.ResolveTarget(opts.Target)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", name, err)
 	}
+	opts.Target = target
 	start := time.Now()
 	var diags lang.Diagnostics
 	file := lang.ParseFile(name+".ncl", src, opts.Defines, &diags)
@@ -136,12 +135,9 @@ func Compile(name, src string, opts Options) (*Artifact, error) {
 		popts.DuplicateLookups = false
 	}
 	popts.CmpToSubMSB = opts.EnableCmpRewrite
-	if opts.CondDepthThreshold > 0 {
-		popts.CondDepthThreshold = opts.CondDepthThreshold
-	}
 
 	for _, dev := range devices {
-		mod := lower.Module(prog, dev, lower.Options{MaxUnroll: opts.MaxUnroll}, &diags)
+		mod := lower.Module(prog, dev, lower.Options{}, &diags)
 		if err := diags.Err(); err != nil {
 			return nil, err
 		}

@@ -108,6 +108,12 @@ _kernel(1) void k(unsigned a, unsigned b, unsigned &x, unsigned &y) {
 }
 `, tna, "managed")
 	})
+
+	t.Run("unknown target", func(t *testing.T) {
+		// A valid kernel: the target alone must be refused, not
+		// compiled to v1model under another name.
+		compileErr(t, `_kernel(1) void k(int x) {}`, Options{Target: "bogus"}, `unknown target "bogus"`)
+	})
 }
 
 // TestV1ModelIsMorePermissive compiles a program that violates the

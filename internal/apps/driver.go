@@ -22,12 +22,9 @@ import (
 // against). It is the one place a driver's target is chosen: "" means
 // TNA, as for netcl.Compile, and an unknown target is an error.
 func CompileApp(app *App, target passes.Target, device uint16) (*p4.Program, map[uint8]*runtime.MessageSpec, []*ir.MemRef, error) {
-	switch target {
-	case "":
-		target = passes.TargetTNA
-	case passes.TargetTNA, passes.TargetV1Model:
-	default:
-		return nil, nil, nil, fmt.Errorf("apps: unknown target %q (want %q or %q)", target, passes.TargetTNA, passes.TargetV1Model)
+	target, err := passes.ResolveTarget(target)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("apps: %w", err)
 	}
 	var diags lang.Diagnostics
 	file := lang.ParseFile(app.Name, app.NetCL, app.Defines, &diags)
@@ -212,13 +209,14 @@ type AggConfig struct {
 	// Faults injects seeded probabilistic loss/jitter/duplication on
 	// every link (zero value = faultless).
 	Faults netsim.FaultConfig
-	// RetransmitNs is the worker retransmission timeout (default 150µs).
-	RetransmitNs netsim.Time
 	// RetryBudget bounds retransmissions per chunk (default 64); an
 	// exhausted budget aborts the run with an error instead of
 	// retransmitting forever.
 	RetryBudget int
 }
+
+// aggRetransmitNs is the AGG worker retransmission timeout.
+const aggRetransmitNs = 150 * netsim.Microsecond
 
 // SimStats reports the netsim event-engine counters of one end-to-end
 // run.
@@ -286,7 +284,6 @@ func RunAgg(cfg AggConfig) (*AggResult, error) {
 		return nil, err
 	}
 
-	cfg.RetransmitNs = orDefault(cfg.RetransmitNs, 150*netsim.Microsecond)
 	cfg.RetryBudget = orDefault(cfg.RetryBudget, 64)
 	lossy := cfg.LossEveryNth > 0 || cfg.Faults.Active()
 	n := netsim.NewNetwork()
@@ -338,7 +335,7 @@ func RunAgg(cfg AggConfig) (*AggResult, error) {
 		// (the two-version scheme makes resends safe, §V-E). The retry
 		// budget bounds recovery so a partitioned run terminates.
 		if lossy {
-			n.At(cfg.RetransmitNs, func() {
+			n.At(aggRetransmitNs, func() {
 				if !wk.outstanding[chunk] {
 					return
 				}
@@ -386,16 +383,21 @@ type CacheConfig struct {
 	Requests   int
 	Target     passes.Target
 	Baseline   bool
-	// ServerNs is the KVS server's per-request processing time.
-	ServerNs netsim.Time
 	// Faults injects seeded probabilistic loss/jitter/duplication.
 	Faults netsim.FaultConfig
-	// RetransmitNs is the client's GET retransmission timeout under
-	// faults (default 250µs).
-	RetransmitNs netsim.Time
 	// RetryBudget bounds retransmissions per request (default 64).
 	RetryBudget int
 }
+
+const (
+	// cacheServerNs is the KVS server's per-request processing time,
+	// calibrated to the paper's testbed observations: ~27µs mean
+	// response when every request misses, ~9.4µs when all hit.
+	cacheServerNs = 7600 * netsim.Nanosecond
+	// cacheRetransmitNs is the client's GET retransmission timeout
+	// under faults.
+	cacheRetransmitNs = 250 * netsim.Microsecond
+)
 
 // CacheResult reports KVS response times.
 type CacheResult struct {
@@ -429,10 +431,6 @@ func (r *CacheResult) Summary() string {
 func RunCache(cfg CacheConfig) (*CacheResult, error) {
 	cfg.TotalKeys = orDefault(cfg.TotalKeys, 64)
 	cfg.Requests = orDefault(cfg.Requests, 256)
-	// Calibrated to the paper's testbed observations: ~27µs mean
-	// response when every request misses, ~9.4µs when all hit.
-	cfg.ServerNs = orDefault(cfg.ServerNs, 7600*netsim.Nanosecond)
-	cfg.RetransmitNs = orDefault(cfg.RetransmitNs, 250*netsim.Microsecond)
 	cfg.RetryBudget = orDefault(cfg.RetryBudget, 64)
 	prog, spec, mems, err := loadProgram(ByName("CACHE"), cfg.Target, 1, cfg.Baseline)
 	if err != nil {
@@ -468,14 +466,14 @@ func RunCache(cfg CacheConfig) (*CacheResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	serveKVS(server, spec, cfg.ServerNs, valueOf)
+	serveKVS(server, spec, cacheServerNs, valueOf)
 
 	res := &CacheResult{}
 	cl := (&cacheClient{h: client, dst: server.ID, device: 1, requests: cfg.Requests,
 		keyOf: func(i int) uint64 { return uint64(i%cfg.TotalKeys) + 1 },
 		value: valueOf, res: res, budget: cfg.RetryBudget}).attach(spec)
 	if cfg.Faults.Active() {
-		cl.retransmit = cfg.RetransmitNs
+		cl.retransmit = cacheRetransmitNs
 	}
 	cl.issue()
 	if err := n.RunAll(); err != nil {
@@ -504,9 +502,6 @@ type PaxosConfig struct {
 	// Faults injects seeded probabilistic loss/jitter/duplication on
 	// every link (client, inter-device, and learner links included).
 	Faults netsim.FaultConfig
-	// RetransmitNs is the client's command retransmission timeout
-	// under faults (default 400µs).
-	RetransmitNs netsim.Time
 	// RetryBudget bounds retransmissions per command (default 32).
 	RetryBudget int
 }

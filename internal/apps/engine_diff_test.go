@@ -104,10 +104,10 @@ func wireFwd(t *testing.T, sws ...*bmv2.Switch) {
 	t.Helper()
 	for _, sw := range sws {
 		for id := 1; id <= 4; id++ {
-			if err := sw.InsertEntry("netcl_fwd", &p4.Entry{
+			if _, err := sw.Write(bmv2.NewWriteBatch().Insert("netcl_fwd", &p4.Entry{
 				Keys:   []p4.KeyValue{{Value: uint64(id), PrefixLen: -1}},
 				Action: &p4.ActionCall{Name: "set_port", Args: []uint64{uint64(id)}},
-			}); err != nil {
+			})); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -24,6 +24,10 @@ const (
 	paxosAppHostID = 101
 )
 
+// paxosRetransmitNs is the client's command retransmission timeout
+// under faults.
+const paxosRetransmitNs = 400 * netsim.Microsecond
+
 // paxosValue is command c's value: the learner delivers instance i+1
 // with command i when submission is serial and nothing is lost.
 func paxosValue(c int) uint64 { return uint64(1000 + c) }
@@ -121,7 +125,6 @@ func (l *paxosLog) undelivered(n int) int {
 // retry budget runs out.
 func runPaxosLoad(n *netsim.Network, spec *runtime.MessageSpec, client, appHost *netsim.Host, cfg PaxosConfig) (*PaxosResult, error) {
 	cfg.Commands = orDefault(cfg.Commands, 16)
-	cfg.RetransmitNs = orDefault(cfg.RetransmitNs, 400*netsim.Microsecond)
 	cfg.RetryBudget = orDefault(cfg.RetryBudget, 32)
 	lossy := cfg.Faults.Active()
 	res := &PaxosResult{}
@@ -147,7 +150,7 @@ func runPaxosLoad(n *netsim.Network, spec *runtime.MessageSpec, client, appHost 
 		}
 		client.Send(msg)
 		if lossy && attempt < cfg.RetryBudget {
-			n.At(cfg.RetransmitNs, func() { submit(c, attempt+1) })
+			n.At(paxosRetransmitNs, func() { submit(c, attempt+1) })
 		}
 	}
 	for c := 0; c < cfg.Commands; c++ {

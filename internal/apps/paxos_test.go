@@ -101,10 +101,10 @@ func TestLearnerQuorumAndExactlyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	sw := bmv2.New(prog)
-	if err := sw.InsertEntry("netcl_fwd", &p4.Entry{
+	if _, err := sw.Write(bmv2.NewWriteBatch().Insert("netcl_fwd", &p4.Entry{
 		Keys:   []p4.KeyValue{{Value: 101}},
 		Action: &p4.ActionCall{Name: "set_port", Args: []uint64{4}},
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	spec := specs[1]

@@ -97,8 +97,8 @@ func TestBurstMatchesSingle(t *testing.T) {
 			// range), so outputs stay comparable, but the insert still
 			// forces a diagram rebuild under live bursts.
 			mutated = true
-			if err := burst.InsertEntry("rng1", entry("set_out", 9999, 0,
-				p4.KeyValue{Value: 5, Hi: 1})); err != nil {
+			if _, err := burst.Write(NewWriteBatch().Insert("rng1", entry("set_out", 9999, 0,
+				p4.KeyValue{Value: 5, Hi: 1}))); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -118,8 +118,8 @@ func TestExactIndexHitMiss(t *testing.T) {
 	check(1, 4, 0xFFFF_FFFF) // second key differs -> miss
 
 	// Runtime insert must land in the hash index without a rebuild.
-	if err := sw.InsertEntry("ex2", entry("set_out", 300, 0,
-		p4.KeyValue{Value: 7, PrefixLen: -1}, p4.KeyValue{Value: 8, PrefixLen: -1})); err != nil {
+	if _, err := sw.Write(NewWriteBatch().Insert("ex2", entry("set_out", 300, 0,
+		p4.KeyValue{Value: 7, PrefixLen: -1}, p4.KeyValue{Value: 8, PrefixLen: -1}))); err != nil {
 		t.Fatal(err)
 	}
 	check(7, 8, 300)
@@ -311,10 +311,10 @@ func TestMatcherDifferentialFuzz(t *testing.T) {
 		// Mutate entries at runtime and re-verify coherence on both.
 		for i := 0; i < 6; i++ {
 			e := entry("set_out", uint64(5000+i), rng.Intn(4), kv(uint64(rng.Intn(8))), kv(uint64(rng.Intn(4))))
-			if err := fast.InsertEntry("ex2", e); err != nil {
+			if _, err := fast.Write(NewWriteBatch().Insert("ex2", e)); err != nil {
 				t.Fatal(err)
 			}
-			if err := slowSw.InsertEntry("ex2", e); err != nil {
+			if _, err := slowSw.Write(NewWriteBatch().Insert("ex2", e)); err != nil {
 				t.Fatal(err)
 			}
 		}

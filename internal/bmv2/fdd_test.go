@@ -202,7 +202,7 @@ func TestFDDDifferentialFuzz(t *testing.T) {
 			}
 			ents[table] = append(ents[table], e)
 			for _, sw := range sws {
-				if err := sw.InsertEntry(table, e); err != nil {
+				if _, err := sw.Write(NewWriteBatch().Insert(table, e)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -380,7 +380,7 @@ func TestBatchRebuildAmortized(t *testing.T) {
 
 	before = tb.builds
 	for i := 0; i < n; i++ {
-		if err := sw.InsertEntry("lpm1", randLPMEntry(rng, uint64(100+i))); err != nil {
+		if _, err := sw.Write(NewWriteBatch().Insert("lpm1", randLPMEntry(rng, uint64(100+i)))); err != nil {
 			t.Fatal(err)
 		}
 	}

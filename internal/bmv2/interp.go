@@ -48,8 +48,8 @@ func (x val) signed() int64 {
 // Switch is an executable P4 switch instance with mutable runtime
 // state (registers, table entries, multicast groups).
 //
-// Concurrency: control-plane table mutations (Write batches and the
-// single-op wrapper InsertEntry) are safe to call concurrently with packet processing — they serialize on
+// Concurrency: control-plane table mutations (Write batches) are safe
+// to call concurrently with packet processing — they serialize on
 // the writer mutex and publish immutable rule-set generations the data
 // path reads lock-free (RCU, see table.go and batch.go); a packet
 // pins one generation, so a batch is observed all-or-nothing.
@@ -197,15 +197,17 @@ func (s *Switch) RegisterSize(name string) int {
 	return -1
 }
 
-// InsertEntry adds a runtime table entry: a single-op batch, kept for
-// callers that don't need transactions.
+// InsertEntry adds a runtime table entry as a one-op Write batch. Its
+// only callers are bench/calc_udp.go and bench/layers.go; everything
+// else writes batches. It goes when those two do (ROADMAP 1(g)).
 func (s *Switch) InsertEntry(table string, e *p4.Entry) error {
 	_, err := s.Write(NewWriteBatch().Insert(table, e))
 	return unwrapBatch(err)
 }
 
-// unwrapBatch strips the op index off a single-op batch failure, so
-// deprecated wrappers keep returning their historical error text.
+// unwrapBatch strips the op index off InsertEntry's one-op batch
+// failure, so it keeps returning its historical error text for the
+// two bench/ callers it serves (ROADMAP 1(g)).
 func unwrapBatch(err error) error {
 	if be, ok := err.(*BatchError); ok {
 		return be.Err

@@ -189,10 +189,10 @@ func TestShortPacketRejected(t *testing.T) {
 
 func TestRuntimeEntriesAndDefaults(t *testing.T) {
 	sw := New(prog())
-	if err := sw.InsertEntry("exact_t", &p4.Entry{
+	if _, err := sw.Write(NewWriteBatch().Insert("exact_t", &p4.Entry{
 		Keys:   []p4.KeyValue{{Value: 42}},
 		Action: &p4.ActionCall{Name: "set_out", Args: []uint64{4242}},
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	res, _ := sw.Process(mkPkt(1, 42), 1)
@@ -209,7 +209,7 @@ func TestRuntimeEntriesAndDefaults(t *testing.T) {
 	if got := outOf(t, res.Data); got != 7 {
 		t.Errorf("new default: out=%d", got)
 	}
-	if err := sw.InsertEntry("nosuch", &p4.Entry{}); err == nil {
+	if _, err := sw.Write(NewWriteBatch().Insert("nosuch", &p4.Entry{})); err == nil {
 		t.Error("unknown table must error")
 	}
 	if _, err := sw.Write(NewWriteBatch().SetDefault("nosuch", "a", nil)); err == nil {

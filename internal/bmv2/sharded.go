@@ -20,6 +20,11 @@ package bmv2
 // The flow key function is the caller's contract: two packets that may
 // touch the same register cell must map to the same key. A nil key
 // function serializes everything on shard 0, which is always safe.
+//
+// Nothing outside this package's tests runs Sharded but the benchmark's
+// bmv2.sharded1_ns probe (bench/layers.go), which builds a one-shard
+// engine and feeds it through SubmitPort. The engine goes with that
+// probe (ROADMAP 1(g), 12).
 
 import (
 	"fmt"
@@ -33,7 +38,8 @@ import (
 // to the same key.
 type FlowKeyFunc func(pkt []byte) uint64
 
-// ShardedConfig parameterizes a sharded engine.
+// ShardedConfig parameterizes a sharded engine. Only the
+// bmv2.sharded1_ns benchmark probe sets it (ROADMAP 1(g)).
 type ShardedConfig struct {
 	// Shards is the number of worker goroutines (default 1).
 	Shards int
@@ -91,7 +97,8 @@ type Sharded struct {
 
 // NewSharded wraps a switch in an n-shard dispatcher. A switch whose
 // program the compiler refused has nothing to dispatch to: its compile
-// error comes back wrapped.
+// error comes back wrapped. Its one caller outside tests is the
+// bmv2.sharded1_ns benchmark probe (ROADMAP 1(g)).
 func NewSharded(sw *Switch, cfg ShardedConfig) (*Sharded, error) {
 	if err := sw.CompileErr(); err != nil {
 		return nil, fmt.Errorf("sharded: %w", err)
@@ -227,7 +234,8 @@ func (sh *Sharded) Submit(pkt []byte, done func(*Result, error)) bool {
 }
 
 // SubmitPort is Submit with an explicit ingress port, published to the
-// program as meta.ingress_port.
+// program as meta.ingress_port. Its one caller outside tests is the
+// bmv2.sharded1_ns benchmark probe (ROADMAP 1(g)).
 func (sh *Sharded) SubmitPort(pkt []byte, inPort int, done func(*Result, error)) bool {
 	if sh.closed.Load() {
 		return false

@@ -13,7 +13,9 @@ import (
 	"netcl/internal/sema"
 )
 
-// Options controls lowering.
+// Options controls lowering. Only this package's tests set MaxUnroll;
+// every other caller passes the zero value. The type stays while
+// bench/pipeline.go passes it (ROADMAP 1(f)).
 type Options struct {
 	// MaxUnroll bounds total loop iterations per loop (default 4096).
 	MaxUnroll int

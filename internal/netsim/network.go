@@ -317,10 +317,10 @@ func (n *Network) AutoWire() error {
 		}
 		sort.Ints(ids)
 		for _, id := range ids {
-			err := d.SW.InsertEntry("netcl_fwd", &p4.Entry{
+			_, err := d.SW.Write(bmv2.NewWriteBatch().Insert("netcl_fwd", &p4.Entry{
 				Keys:   []p4.KeyValue{{Value: uint64(id), PrefixLen: -1}},
 				Action: &p4.ActionCall{Name: "set_port", Args: []uint64{uint64(nexthopPort[uint16(id)])}},
-			})
+			}))
 			if err != nil {
 				return fmt.Errorf("device %d: %w", d.ID, err)
 			}

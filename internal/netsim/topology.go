@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"sort"
 
+	"netcl/internal/bmv2"
 	"netcl/internal/p4"
 	"netcl/internal/wire"
 )
@@ -481,7 +482,7 @@ func (t *Topo) InstallRoutes(opts RouteOptions) error {
 			continue
 		}
 		for _, re := range pd.entries {
-			if err := d.SW.InsertEntry(re.table, re.e); err != nil {
+			if _, err := d.SW.Write(bmv2.NewWriteBatch().Insert(re.table, re.e)); err != nil {
 				return fmt.Errorf("netsim: device %d: %w", d.ID, err)
 			}
 		}

@@ -19,6 +19,8 @@ import (
 )
 
 // Options describes the target pipeline (defaults model Tofino 1).
+// Every caller outside this package's tests passes Tofino1(); the
+// parameter stays while bench/pipeline.go passes it (ROADMAP 1(f)).
 type Options struct {
 	// Stages is the number of match-action stages per pipe.
 	Stages int

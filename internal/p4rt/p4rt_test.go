@@ -153,7 +153,7 @@ func TestTCPDeleteFullTuple(t *testing.T) {
 		t.Fatal(err)
 	}
 	sw := bmv2.New(prog)
-	if err := sw.InsertEntry("netcl_fwd", fwdEntry(5, 1)); err != nil {
+	if _, err := sw.Write(bmv2.NewWriteBatch().Insert("netcl_fwd", fwdEntry(5, 1))); err != nil {
 		t.Fatal(err)
 	}
 	srv, err := Serve("127.0.0.1:0", &Direct{SW: sw})

@@ -1,6 +1,7 @@
 package passes
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -333,7 +334,7 @@ _kernel(1) void a(int x, int &out) { out = ncl::atomic_read(&m[0]) + ncl::atomic
 		Mem2Reg(f)
 		Simplify(f)
 	}
-	errs := CheckMemory(mod, MemCheckOptions{})
+	errs := CheckMemory(mod)
 	if len(errs) == 0 || errs[0].Kind != "multi-access" {
 		t.Fatalf("expected multi-access error, got %v", errs)
 	}
@@ -352,7 +353,7 @@ _kernel(1) void b(int x, int &out) {
 		Mem2Reg(f)
 		Simplify(f)
 	}
-	if errs := CheckMemory(mod, MemCheckOptions{}); len(errs) != 0 {
+	if errs := CheckMemory(mod); len(errs) != 0 {
 		t.Fatalf("unexpected errors: %v", errs[0])
 	}
 }
@@ -370,7 +371,7 @@ _kernel(1) void a(int x, int &out) {
 		Mem2Reg(f)
 		Simplify(f)
 	}
-	errs := CheckMemory(mod, MemCheckOptions{})
+	errs := CheckMemory(mod)
 	found := false
 	for _, e := range errs {
 		if e.Kind == "order" {
@@ -395,7 +396,7 @@ _kernel(1) void b(int x, int &out) {
 		Mem2Reg(f)
 		Simplify(f)
 	}
-	for _, e := range CheckMemory(mod, MemCheckOptions{}) {
+	for _, e := range CheckMemory(mod) {
 		if e.Kind == "order" {
 			t.Fatalf("reorderable accesses flagged: %v", e)
 		}
@@ -502,34 +503,47 @@ func TestPipelineStatsAblation(t *testing.T) {
 	}
 }
 
+// TestMemCheckDistance: two accesses of one object condDepthThreshold
+// (3) conditional levels apart share a stage; one level more violates
+// the distance rule.
 func TestMemCheckDistance(t *testing.T) {
-	// Accesses many conditional levels apart violate the distance rule.
-	src := `
+	for _, tc := range []struct {
+		distance int
+		want     bool // a distance error
+	}{{3, false}, {4, true}} {
+		// m[0] sits one level deep, m[1] 1+distance levels deep, each
+		// level on a parameter of its own.
+		var params, nested string
+		for i := 0; i < tc.distance; i++ {
+			params += fmt.Sprintf("int b%d, ", i)
+			nested += fmt.Sprintf("if (b%d > 0) { ", i)
+		}
+		nested += "out = ncl::atomic_read(&m[1]); " + strings.Repeat("} ", tc.distance)
+		src := `
 _net_ int m[4];
-_kernel(1) void k(int a, int b, int c, int d, int e, int &out) {
+_kernel(1) void k(int a, ` + params + `int &out) {
   if (a > 0) {
     out = ncl::atomic_read(&m[0]);
   } else {
-    if (b > 0) { if (c > 0) { if (d > 0) { if (e > 0) {
-      out = ncl::atomic_read(&m[1]);
-    } } } }
+    ` + nested + `
   }
 }
 `
-	mod := buildModule(t, src, 1, nil)
-	for _, f := range mod.Funcs {
-		Mem2Reg(f)
-		Simplify(f)
-	}
-	errs := CheckMemory(mod, MemCheckOptions{CondDepthThreshold: 2})
-	found := false
-	for _, e := range errs {
-		if e.Kind == "distance" {
-			found = true
+		mod := buildModule(t, src, 1, nil)
+		for _, f := range mod.Funcs {
+			Mem2Reg(f)
+			Simplify(f)
 		}
-	}
-	if !found {
-		t.Fatalf("expected distance error, got %v", errs)
+		errs := CheckMemory(mod)
+		found := false
+		for _, e := range errs {
+			if e.Kind == "distance" {
+				found = true
+			}
+		}
+		if found != tc.want {
+			t.Errorf("distance %d: distance error %v, want %v (errors %v)", tc.distance, found, tc.want, errs)
+		}
 	}
 }
 

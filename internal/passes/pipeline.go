@@ -16,6 +16,19 @@ const (
 	TargetV1Model Target = "v1model"
 )
 
+// ResolveTarget maps the zero value to TargetTNA and refuses a target
+// no backend exists for: the pass pipeline and code generation treat
+// anything that is not TNA as v1model.
+func ResolveTarget(t Target) (Target, error) {
+	switch t {
+	case "":
+		return TargetTNA, nil
+	case TargetTNA, TargetV1Model:
+		return t, nil
+	}
+	return "", fmt.Errorf("unknown target %q (want %q or %q)", t, TargetTNA, TargetV1Model)
+}
+
 // Options control the device pass pipeline. The toggles correspond to
 // the compiler flags described in §VI-B: programmers can disable
 // speculation or lookup duplication and recompile when the P4 compiler
@@ -31,19 +44,16 @@ type Options struct {
 	// CmpToSubMSB rewrites dynamic ordered compares into sub+MSB
 	// checks (default off; a fitting workaround, see §VI-B).
 	CmpToSubMSB bool
-	// CondDepthThreshold for the memory distance check (default 3).
-	CondDepthThreshold int
 }
 
 // DefaultOptions returns the default pipeline configuration for a
 // target.
 func DefaultOptions(t Target) Options {
 	return Options{
-		Target:             t,
-		Speculate:          t == TargetTNA,
-		DuplicateLookups:   t == TargetTNA,
-		CmpToSubMSB:        false,
-		CondDepthThreshold: 3,
+		Target:           t,
+		Speculate:        t == TargetTNA,
+		DuplicateLookups: t == TargetTNA,
+		CmpToSubMSB:      false,
 	}
 }
 
@@ -67,9 +77,6 @@ type Stats struct {
 // for all targets so code generation never sees φ-nodes.
 func Run(mod *ir.Module, opts Options) (Stats, error) {
 	var st Stats
-	if opts.CondDepthThreshold == 0 {
-		opts.CondDepthThreshold = 3
-	}
 
 	// Common stage: guarantees the program compiles for v1model.
 	for _, f := range mod.Funcs {
@@ -97,7 +104,7 @@ func Run(mod *ir.Module, opts Options) (Stats, error) {
 			}
 			Simplify(f)
 		}
-		if errs := CheckMemory(mod, MemCheckOptions{CondDepthThreshold: opts.CondDepthThreshold}); len(errs) > 0 {
+		if errs := CheckMemory(mod); len(errs) > 0 {
 			return st, fmt.Errorf("%s", errs[0].Msg)
 		}
 	}

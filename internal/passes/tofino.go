@@ -155,13 +155,10 @@ func retargetLookupVals(mod *ir.Module, lk *ir.Instr, mem *ir.MemRef) {
 	}
 }
 
-// MemCheckOptions tunes the Tofino memory legality checks.
-type MemCheckOptions struct {
-	// CondDepthThreshold is the maximum difference in conditional-branch
-	// depth between two accesses of the same object (§VI-B's
-	// "approximate distance check").
-	CondDepthThreshold int
-}
+// condDepthThreshold is the maximum difference in conditional-branch
+// depth between two accesses of the same object (§VI-B's "approximate
+// distance check").
+const condDepthThreshold = 3
 
 // MemCheckError describes a Tofino memory legality violation.
 type MemCheckError struct {
@@ -187,13 +184,10 @@ func (e *MemCheckError) Error() string { return e.Msg }
 //     are normalized to a canonical order);
 //  4. managed lookup memory cannot be duplicated, so it admits only a
 //     single access.
-func CheckMemory(mod *ir.Module, opts MemCheckOptions) []*MemCheckError {
-	if opts.CondDepthThreshold == 0 {
-		opts.CondDepthThreshold = 3
-	}
+func CheckMemory(mod *ir.Module) []*MemCheckError {
 	var errs []*MemCheckError
 	for _, f := range mod.Funcs {
-		errs = append(errs, checkFuncMemory(f, opts)...)
+		errs = append(errs, checkFuncMemory(f)...)
 	}
 	// Managed lookup objects: one access per module.
 	for _, mem := range mod.Mems {
@@ -216,7 +210,7 @@ type access struct {
 	pos   int // canonical position within the block
 }
 
-func checkFuncMemory(f *ir.Func, opts MemCheckOptions) []*MemCheckError {
+func checkFuncMemory(f *ir.Func) []*MemCheckError {
 	var errs []*MemCheckError
 	depth := condDepths(f)
 	reach := blockReach(f)
@@ -266,10 +260,10 @@ func checkFuncMemory(f *ir.Func, opts MemCheckOptions) []*MemCheckError {
 				if d < 0 {
 					d = -d
 				}
-				if d > opts.CondDepthThreshold {
+				if d > condDepthThreshold {
 					errs = append(errs, &MemCheckError{
 						Func: f.Name, Mem: m.Name, Kind: "distance",
-						Msg: fmt.Sprintf("kernel %q: accesses to %q are %d conditional levels apart (max %d); they cannot share a pipeline stage", f.Name, m.Name, d, opts.CondDepthThreshold),
+						Msg: fmt.Sprintf("kernel %q: accesses to %q are %d conditional levels apart (max %d); they cannot share a pipeline stage", f.Name, m.Name, d, condDepthThreshold),
 					})
 				}
 			}

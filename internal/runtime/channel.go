@@ -58,11 +58,10 @@ type ChannelConfig struct {
 	// flight (default 32).
 	Window int
 	// Reliability carries the shared retransmission knobs: initial
-	// per-entry timeout, backoff factor and cap, retry budget, and the
-	// dedup window size.
+	// per-entry timeout, backoff factor and cap, and retry budget.
 	Reliability ReliabilityConfig
 	// Name labels the channel. The channel itself never reads it; it
-	// stays only because bench/calc_udp.go sets it.
+	// stays only because bench/calc_udp.go sets it (ROADMAP 1(f)).
 	Name string
 }
 
@@ -153,7 +152,7 @@ func NewChannel(t Transport, cfg ChannelConfig) *Channel {
 	c := &Channel{
 		t: t, cfg: cfg, rcfg: cfg.Reliability,
 		ents:  make([]pendEntry, cfg.Window),
-		dedup: newDedupTable(cfg.Reliability.DedupWindow),
+		dedup: newDedupTable(dedupWindow),
 	}
 	c.bt, _ = t.(BatchTransport)
 	c.br, _ = t.(BatchRecver)

@@ -3,7 +3,6 @@ package runtime
 import (
 	"errors"
 	"net"
-	"sync/atomic"
 	"time"
 
 	"netcl/internal/wire"
@@ -41,10 +40,11 @@ type ReliabilityConfig struct {
 	Backoff float64
 	// MaxTimeout caps the backed-off per-attempt timeout (default 1s).
 	MaxTimeout time.Duration
-	// DedupWindow is how many sequence numbers per source the receiver
-	// remembers for duplicate suppression (default 1024).
-	DedupWindow int
 }
+
+// dedupWindow is how many sequence numbers per source a receiver
+// remembers for duplicate suppression.
+const dedupWindow = 1024
 
 func (c ReliabilityConfig) withDefaults() ReliabilityConfig {
 	if c.Timeout <= 0 {
@@ -61,9 +61,6 @@ func (c ReliabilityConfig) withDefaults() ReliabilityConfig {
 	}
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = time.Second
-	}
-	if c.DedupWindow <= 0 {
-		c.DedupWindow = 1024
 	}
 	return c
 }
@@ -123,13 +120,12 @@ type FaultSpec struct {
 
 func (f FaultSpec) active() bool { return f.LossRate > 0 || f.DupRate > 0 }
 
-// faultInjector is the seeded RNG behind FaultSpec decisions. The
-// stream is a splitmix64 counter generator advanced with one atomic
-// add, so concurrent device workers draw decisions without sharing a
-// lock (and without touching the global math/rand source); for a fixed
-// seed the serial decision sequence is reproducible.
+// faultInjector is the seeded RNG behind FaultSpec decisions: a
+// splitmix64 counter generator owned by the device's receive loop, so
+// for a fixed seed the decision sequence is reproducible (and the
+// global math/rand source is never touched).
 type faultInjector struct {
-	state atomic.Uint64
+	state uint64
 	spec  FaultSpec
 }
 
@@ -141,14 +137,13 @@ func newFaultInjector(spec FaultSpec) *faultInjector {
 	if seed == 0 {
 		seed = 1
 	}
-	f := &faultInjector{spec: spec}
-	f.state.Store(uint64(seed))
-	return f
+	return &faultInjector{state: uint64(seed), spec: spec}
 }
 
 // next draws a uniform value in [0, 1).
 func (f *faultInjector) next() float64 {
-	z := f.state.Add(0x9E3779B97F4A7C15) // splitmix64
+	f.state += 0x9E3779B97F4A7C15 // splitmix64
+	z := f.state
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	z ^= z >> 31

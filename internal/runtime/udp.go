@@ -20,27 +20,20 @@ import (
 // (§VI-C). NetCL messages arrive as UDP payloads — all the datagrams
 // of one read at once (see segConn) — are framed, pushed through the P4
 // pipeline as one burst, and forwarded to the UDP address of the
-// next-hop node, a run to one address in one write. With Workers > 1
-// the pipeline is a flow-sharded worker pool (bmv2.Sharded) with
-// bounded queues: a full queue drops the datagram and counts it in
-// QueueFull, the UDP analogue of a line-rate device shedding load.
-// The device also implements the control-plane Client interface; on
-// the sharded path register access quiesces the workers while table
-// updates publish RCU snapshots without stalling them.
+// next-hop node, a run to one address in one write. The device also
+// implements the control-plane Client interface.
 type UDPDevice struct {
 	ID uint16
 
-	mu      sync.Mutex
-	sw      *bmv2.Switch
-	sharded *bmv2.Sharded // nil when Workers <= 1 (serialized legacy path)
-	sock    *segConn
-	addrs   map[uint16]netip.AddrPort
-	ports   map[netip.AddrPort]int // source UDP address -> ingress port (node id)
-	mcast   map[int][]uint16
-	wg      sync.WaitGroup
-	faults  *faultInjector
-	paused  bool
-	bufs    sync.Pool
+	mu     sync.Mutex
+	sw     *bmv2.Switch
+	sock   *segConn
+	addrs  map[uint16]netip.AddrPort
+	ports  map[netip.AddrPort]int // source UDP address -> ingress port (node id)
+	mcast  map[int][]uint16
+	wg     sync.WaitGroup
+	faults *faultInjector
+	paused bool
 
 	// One read's burst, reused (owner: the receive loop).
 	arena []byte
@@ -54,19 +47,12 @@ type UDPDevice struct {
 	// directly once the device is closed.
 	Processed uint64
 	Dropped   uint64
-	// QueueFull counts datagrams shed because a worker queue was full.
-	QueueFull uint64
 	// FaultDropped counts datagrams discarded by the fault injector or
 	// while the device was paused (chaos testing).
 	FaultDropped uint64
 	// FaultDuplicated counts datagrams duplicated by the injector.
 	FaultDuplicated uint64
 }
-
-// dbuf is a pooled datagram buffer (Workers > 1, where a packet
-// outlives the read): FrameOverhead bytes of headroom for in-place
-// framing plus a max-size UDP payload.
-type dbuf struct{ b []byte }
 
 type outMsg struct {
 	dst netip.AddrPort
@@ -84,22 +70,11 @@ type DeviceConfig struct {
 	// Faults optionally injects seeded probabilistic loss/duplication
 	// for chaos testing (zero value = faultless).
 	Faults FaultSpec
-	// Workers > 1 processes packets on a flow-sharded worker pool.
-	// Requires a FlowKey that honors the shard-by-flow invariant.
-	Workers int
-	// QueueDepth bounds each worker's queue (default 256).
-	QueueDepth int
-	// FlowKey extracts the flow identity from a framed packet. nil
-	// serializes all packets on one worker (always safe).
-	FlowKey bmv2.FlowKeyFunc
-	// Burst caps how many queued packets a worker drains per wakeup
-	// into one burst execution (default bmv2.MaxBurst; 1 disables).
-	Burst int
 }
 
 // ServeDevice starts a device process described by cfg. A program the
-// switch compiler refuses is an error here, for any worker count,
-// before any socket is bound.
+// switch compiler refuses is an error here, before any socket is
+// bound.
 func ServeDevice(cfg DeviceConfig) (*UDPDevice, error) {
 	sw := bmv2.New(cfg.Prog)
 	if err := sw.CompileErr(); err != nil {
@@ -121,18 +96,6 @@ func ServeDevice(cfg DeviceConfig) (*UDPDevice, error) {
 		ports:  map[netip.AddrPort]int{},
 		mcast:  map[int][]uint16{},
 		faults: newFaultInjector(cfg.Faults),
-	}
-	d.bufs.New = func() any { return &dbuf{b: make([]byte, FrameOverhead+65536)} }
-	if cfg.Workers > 1 {
-		sh, err := bmv2.NewSharded(d.sw, bmv2.ShardedConfig{
-			Shards: cfg.Workers, QueueDepth: cfg.QueueDepth,
-			FlowKey: cfg.FlowKey, Burst: cfg.Burst,
-		})
-		if err != nil {
-			conn.Close()
-			return nil, err
-		}
-		d.sharded = sh
 	}
 	d.wg.Add(1)
 	go d.loop()
@@ -158,25 +121,24 @@ func (d *UDPDevice) Restart() {
 // Addr returns the device's UDP address.
 func (d *UDPDevice) Addr() string { return d.sock.LocalAddr().String() }
 
-// Close stops the device: the receive loop exits, queued packets
-// drain, and the workers stop.
+// Close stops the device: the receive loop finishes the read in hand
+// and exits.
 func (d *UDPDevice) Close() error {
 	err := d.sock.Close()
 	d.wg.Wait()
-	if d.sharded != nil {
-		d.sharded.Close()
-	}
 	return err
 }
 
 // DeviceStats is a consistent snapshot of the device counters.
 type DeviceStats struct {
-	Processed       uint64
-	Dropped         uint64
+	Processed uint64
+	Dropped   uint64
+	// QueueFull is always 0: the device has no queue to overflow. It
+	// stays while the benchmark's calc_udp workload reports it (ROADMAP
+	// 1(f)).
 	QueueFull       uint64
 	FaultDropped    uint64
 	FaultDuplicated uint64
-	Workers         int
 	// Reads and Writes count socket operations: Processed/Reads is the
 	// burst size. Offload is "on" while they move whole runs (UDP_GRO /
 	// UDP_SEGMENT), else "off: " and the error that turned it off.
@@ -186,21 +148,15 @@ type DeviceStats struct {
 
 // Stats snapshots the device counters (safe while traffic is flowing).
 func (d *UDPDevice) Stats() DeviceStats {
-	st := DeviceStats{
+	return DeviceStats{
 		Processed:       atomic.LoadUint64(&d.Processed),
 		Dropped:         atomic.LoadUint64(&d.Dropped),
-		QueueFull:       atomic.LoadUint64(&d.QueueFull),
 		FaultDropped:    atomic.LoadUint64(&d.FaultDropped),
 		FaultDuplicated: atomic.LoadUint64(&d.FaultDuplicated),
-		Workers:         1,
 		Reads:           d.sock.reads.Load(),
 		Writes:          d.sock.writes.Load(),
 		Offload:         d.sock.offload(),
 	}
-	if d.sharded != nil {
-		st.Workers = d.sharded.Shards()
-	}
-	return st
 }
 
 // SetNodeAddr registers the UDP address of a node (host or device) and
@@ -218,10 +174,11 @@ func (d *UDPDevice) SetNodeAddr(id uint16, addr string) error {
 	// Nodes send from the conn they registered, so the datagram source
 	// address identifies the sender: its id becomes the ingress port.
 	d.ports[ap] = int(id)
-	return d.sw.InsertEntry("netcl_fwd", &p4.Entry{
+	_, err = d.sw.Write(bmv2.NewWriteBatch().Insert("netcl_fwd", &p4.Entry{
 		Keys:   []p4.KeyValue{{Value: uint64(id), PrefixLen: -1}},
 		Action: &p4.ActionCall{Name: "set_port", Args: []uint64{uint64(id)}},
-	})
+	}))
+	return err
 }
 
 // SetMulticastGroup maps a group id to member node ids.
@@ -258,7 +215,7 @@ var frameRoom [FrameOverhead]byte
 
 // receive takes one read — k datagrams from one source, in order —
 // through pause and the ingress fault injector per datagram, and runs
-// the survivors as one burst or hands each to its flow's worker.
+// the survivors as one burst.
 func (d *UDPDevice) receive(segs [][]byte, from netip.AddrPort) {
 	d.mu.Lock()
 	paused := d.paused
@@ -276,14 +233,6 @@ func (d *UDPDevice) receive(segs [][]byte, from netip.AddrPort) {
 			copies = 2
 		}
 		for ; copies > 0; copies-- {
-			if d.sharded != nil {
-				// The packet outlives this read: it is framed in a pooled
-				// buffer that its completion releases.
-				db := d.bufs.Get().(*dbuf)
-				n := FrameOverhead + copy(db.b[FrameOverhead:], seg)
-				d.submit(FrameInPlace(db.b[:n], uint64(d.ID), 0), inPort, db)
-				continue
-			}
 			// Growing the arena strands earlier frames in the old one,
 			// intact; a duplicate is framed twice.
 			at := len(arena)
@@ -296,9 +245,9 @@ func (d *UDPDevice) receive(segs [][]byte, from netip.AddrPort) {
 		return
 	}
 
-	// The serialized path (Workers <= 1): one d.mu hold runs the burst
-	// and resolves where each output goes, ordered with control-plane
-	// calls; the outputs then leave in order, coalesced.
+	// One d.mu hold runs the burst and resolves where each output goes,
+	// ordered with control-plane calls; the outputs then leave in order,
+	// coalesced.
 	if n := len(pkts); len(d.res) < n {
 		d.res, d.errs, d.inPts = make([]bmv2.Result, n), make([]error, n), make([]int, n)
 	}
@@ -322,29 +271,6 @@ func (d *UDPDevice) receive(segs [][]byte, from netip.AddrPort) {
 		}
 	}
 	_ = d.sock.flush()
-}
-
-// submit hands a framed packet to its flow's worker; a full queue
-// sheds the packet (open-loop backpressure).
-func (d *UDPDevice) submit(pkt []byte, inPort int, db *dbuf) {
-	ok := d.sharded.SubmitPort(pkt, inPort, func(res *bmv2.Result, err error) {
-		d.mu.Lock()
-		outs := d.routeLocked(nil, res, err)
-		d.mu.Unlock()
-		for _, o := range outs {
-			if d.faults.drop() {
-				atomic.AddUint64(&d.FaultDropped, 1)
-			} else {
-				_ = d.sock.write1(o.dst, o.msg) // a refused datagram is a lost one: the hosts retransmit
-			}
-		}
-		d.bufs.Put(db)
-	})
-	if !ok {
-		atomic.AddUint64(&d.QueueFull, 1)
-		atomic.AddUint64(&d.Dropped, 1)
-		d.bufs.Put(db)
-	}
 }
 
 // routeLocked counts one processed packet and appends its message to
@@ -373,19 +299,12 @@ func (d *UDPDevice) routeLocked(outs []outMsg, res *bmv2.Result, err error) []ou
 	return outs
 }
 
-// Control-plane Client implementation. On the serialized path every
-// call holds d.mu, which also serializes it with inline processing. On
-// the sharded path register access quiesces the workers (registers are
-// plain memory owned by the data path) while table mutations publish
-// RCU snapshots and never stall a worker. Write batches apply
-// transactionally: in-flight packets observe the whole batch or none
-// of it.
+// Control-plane Client implementation. Every call holds d.mu, which
+// orders it with the processing of a whole burst: a burst observes a
+// Write batch entirely or not at all.
 
 // Write implements p4rt.Client: one all-or-nothing batch.
 func (d *UDPDevice) Write(b *p4rt.WriteBatch) (*p4rt.WriteResult, error) {
-	if d.sharded != nil {
-		return d.sharded.Write(b)
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.sw.Write(b)
@@ -393,9 +312,6 @@ func (d *UDPDevice) Write(b *p4rt.WriteBatch) (*p4rt.WriteResult, error) {
 
 // RegisterRead implements p4rt.Client.
 func (d *UDPDevice) RegisterRead(name string, idx int) (uint64, error) {
-	if d.sharded != nil {
-		return d.sharded.RegisterRead(name, idx)
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.sw.RegisterRead(name, idx)
