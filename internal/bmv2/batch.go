@@ -320,8 +320,8 @@ func entryKeyVals(e *p4.Entry) []uint64 {
 
 // staging tracks one compiled table's pending snapshot during a batch.
 // Exact tables accumulate O(delta) persistent-map updates in snap;
-// non-exact tables cannot delta: they set dirty and get one full
-// build at commit.
+// non-exact tables set dirty, and the commit brings their diagram up
+// to the store once, building only the nodes the batch changed.
 type staging struct {
 	snap  *tsnap
 	dirty bool

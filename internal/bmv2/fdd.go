@@ -28,15 +28,17 @@ package bmv2
 // fdd_test.go hold it to scan and to the reference interpreter.
 
 import (
+	"cmp"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"netcl/internal/p4"
 )
 
 const (
-	// fddMaxWork bounds total interval edges examined during a build;
-	// overflow abandons the diagram (scan fallback), never the table.
+	// fddMaxWork bounds the elementary intervals of the whole reachable
+	// diagram, summed over its nodes before adjacent ones merge; over
+	// it the table loses its diagram (scan fallback), never its entries.
 	fddMaxWork = 1 << 16
 	// fddMaxFreeBits bounds non-contiguous ternary masks: a rule may
 	// enumerate at most 2^fddMaxFreeBits intervals per field.
@@ -45,7 +47,8 @@ const (
 
 // Leaf codes share the child namespace with node indices: child >= 0
 // is a node, fddMiss is "no entry matched", and any other negative
-// value encodes a winning entry index as -(idx)-2.
+// value encodes a winning entry's index in tsnap.ents (its rule id) as
+// -(idx)-2.
 const fddMiss = int32(-1)
 
 // fnode is one decision level: starts[i] opens the half-open
@@ -93,69 +96,228 @@ func (f *fdd) match(keys []val, ents []centry) *centry {
 // fddIval is one closed interval [lo, hi] of key values.
 type fddIval struct{ lo, hi uint64 }
 
-// fddRule is one diagram-eligible entry: its store index, the static
-// score the reference loop would assign it, and its per-level interval
-// expansion.
+// fddRule is one store entry as the diagram sees it: the static score
+// the reference loop would assign it and its per-level interval
+// expansion. iv is nil for an entry that can never match (wrong arity,
+// a key outside its domain); unrep marks a key no diagram can
+// represent, which sends the whole table to the scan while it lives.
 type fddRule struct {
-	ent   int32
 	score int
 	iv    [][]fddIval
+	unrep bool
 }
 
+// fddKey is a memo key: a level and the additive hash of a rule-id set
+// (fddMix). A hit is verified against the node's stored set.
+type fddKey struct {
+	level int32
+	h     uint64
+}
+
+// fddMeta is the writer-side record of one arena node: its level, its
+// rule set sets[off:off+n], and the elementary intervals it cost.
+type fddMeta struct{ level, off, n, work int }
+
+// fddEvent is a sweep endpoint: the rule at position p of the node's
+// set enters the active set at `at`, or leaves it there when p < 0
+// (as ^p).
+type fddEvent struct {
+	at uint64
+	p  int32
+}
+
+// fddScratch is one level's sweep buffers, reused across nodes.
+type fddScratch struct {
+	ev    []fddEvent
+	words []uint64
+	sub   []int32
+	cs    []uint64
+	cn    []int32
+}
+
+// fddBuilder is a non-exact table's writer-side diagram state. It
+// lives across commits and changes only in commit, under Switch.mu,
+// after a batch has validated. Rule ids number the store's entries in
+// insertion order since the last reset, so the lower id wins a tie
+// exactly as the earlier store index does. The memo maps (level, rule
+// set) to a node of the arena: a commit changes the live set and asks
+// for the root again, and every subtree whose set did not change is a
+// memo hit, shared with the previous generation. The arena only grows:
+// a published generation holds a prefix of it, which later commits
+// never write, so publishing stays one pointer store. Once dead nodes
+// outnumber the reachable ones the arena and memo are dropped, and once
+// dead ids outnumber live entries the rules go too; the next commit
+// then builds cold, through the same code.
 type fddBuilder struct {
-	dmask []uint64 // domain mask per key level
-	rules []fddRule
+	tb    *ctable
+	dmask []uint64  // domain mask per key level
+	rules []fddRule // by id
+	ents  []centry  // by id, zero once dead; a leaf code names one
+	live  []int32   // ids of the store's live entries, ascending
+	unrep int       // live rules with an unrepresentable key
+
 	nodes []fnode
-	work  int
-	memo  map[string]int32
+	meta  []fddMeta // per node
+	sets  []int32   // the nodes' rule sets, back to back
+	memo  map[fddKey]int32
+	work  int // elementary intervals of the nodes built this commit
+	reach int // nodes reachable from the root this commit published
+
+	scr   []fddScratch // per level
+	alive []int32      // the root's rule set
+	mark  []bool       // reached's visited set
 }
 
-// buildFDD compiles sn.ents into a diagram, or returns nil when the
-// table is ineligible (dynamic key widths, unrepresentable masks,
-// work-budget overflow). Called from ctable.build under the writer
-// mutex; the result is immutable once published.
-func buildFDD(tb *ctable, sn *tsnap) *fdd {
-	if !tb.kstatic {
-		return nil
+func newFDDBuilder(tb *ctable) *fddBuilder {
+	b := &fddBuilder{tb: tb, scr: make([]fddScratch, len(tb.kbits)), memo: map[fddKey]int32{}}
+	for _, kb := range tb.kbits {
+		b.dmask = append(b.dmask, maskOf(kb))
 	}
-	b := &fddBuilder{
-		dmask: make([]uint64, len(tb.kbits)),
-		memo:  map[string]int32{},
+	return b
+}
+
+// commit brings the diagram up to the table's entry store and returns
+// the snapshot's matcher state: the entries by id — dead ones zero, so
+// ineligible to the scan — and their diagram, or nil when the rule set
+// rules one out (unrepresentable masks, work-budget overflow).
+func (b *fddBuilder) commit() ([]centry, *fdd) {
+	b.sync()
+	dd := b.diagram()
+	ents := slices.Clone(b.ents)
+	if len(b.rules) > 2*len(b.live) {
+		b.rules, b.ents, b.live, b.unrep = nil, nil, nil, 0
+		b.dropNodes()
+	} else if len(b.nodes) > 2*b.reach {
+		b.dropNodes()
 	}
-	for i, kb := range tb.kbits {
-		b.dmask[i] = maskOf(kb)
-	}
-	for i := range sn.ents {
-		ce := &sn.ents[i]
-		if !ce.eligible {
-			continue
+	return ents, dd
+}
+
+func (b *fddBuilder) dropNodes() {
+	b.nodes, b.meta, b.sets, b.memo, b.reach = nil, nil, nil, map[fddKey]int32{}, 0
+}
+
+// sync makes live the store's live entries. A batch only tombstones
+// and appends, so the entries that stayed are the old live list minus
+// the dropped ones, in the same order, and the rest follow: a merge by
+// entry pointer, in place. (An entry pointer that left and came back
+// in one batch keeps its id: same key, same action, and still later
+// than every entry before it.)
+func (b *fddBuilder) sync() {
+	old, live, i := b.live, b.live[:0], 0
+	drop := func(id int32) {
+		if b.rules[id].unrep {
+			b.unrep--
 		}
-		r := fddRule{ent: int32(i), iv: make([][]fddIval, len(tb.kbits))}
-		dead := false
-		for ki := range ce.e.Keys {
-			ivs, ok := projIvals(tb.kinds[ki], &ce.e.Keys[ki], tb.kbits[ki], ce.e.Priority, &r.score)
-			if !ok {
-				return nil // unrepresentable: whole table falls back
+		b.rules[id], b.ents[id] = fddRule{}, centry{}
+	}
+	if es := b.tb.sw.entries[b.tb.name]; es != nil {
+		for _, e := range es.ents {
+			if e == nil {
+				continue
 			}
-			if len(ivs) == 0 {
-				dead = true // this rule can never match
-				break
+			for i < len(old) && b.ents[old[i]].e != e {
+				drop(old[i])
+				i++
 			}
-			r.iv[ki] = ivs
+			if i < len(old) {
+				live = append(live, old[i])
+				i++
+				continue
+			}
+			ce := b.tb.compileEntry(e)
+			r := b.project(&ce)
+			if r.unrep {
+				b.unrep++
+			}
+			live = append(live, int32(len(b.rules)))
+			b.rules, b.ents = append(b.rules, r), append(b.ents, ce)
 		}
-		if !dead {
-			b.rules = append(b.rules, r)
+	}
+	for ; i < len(old); i++ {
+		drop(old[i])
+	}
+	b.live = live
+}
+
+// project expands one compiled entry into its per-level intervals.
+func (b *fddBuilder) project(ce *centry) (r fddRule) {
+	if !ce.eligible {
+		return r
+	}
+	tb := b.tb
+	iv := make([][]fddIval, len(tb.kbits))
+	for ki := range ce.e.Keys {
+		ivs, ok := projIvals(tb.kinds[ki], &ce.e.Keys[ki], tb.kbits[ki], ce.e.Priority, &r.score)
+		if !ok {
+			r.unrep = true
+			return r
+		}
+		if len(ivs) == 0 {
+			return r // this rule can never match
+		}
+		iv[ki] = ivs
+	}
+	r.iv = iv
+	return r
+}
+
+// diagram asks the memo for the root of the live rule set and checks
+// the whole reachable diagram against the work budget, so that whether
+// a table has a diagram depends on its rule set, never on its history.
+// Without one, the arena is dropped: the next commit starts cold. A
+// table with a dynamic key width never has one.
+func (b *fddBuilder) diagram() *fdd {
+	b.reach = 0
+	if b.unrep == 0 && b.tb.kstatic {
+		var h uint64
+		b.alive = b.alive[:0]
+		for _, id := range b.live {
+			if b.rules[id].iv != nil {
+				b.alive = append(b.alive, id)
+				h += fddMix(id)
+			}
+		}
+		b.work = 0
+		root, ok := b.child(0, b.alive, h)
+		if ok {
+			b.mark = append(b.mark[:0], make([]bool, len(b.nodes))...)
+			var work int
+			b.reach, work = b.reached(root)
+			if work <= fddMaxWork {
+				return &fdd{nodes: b.nodes[:len(b.nodes):len(b.nodes)], root: root}
+			}
 		}
 	}
-	alive := make([]int32, len(b.rules))
-	for i := range alive {
-		alive[i] = int32(i)
+	b.dropNodes()
+	return nil
+}
+
+// reached counts the nodes reachable from n and sums their work.
+func (b *fddBuilder) reached(n int32) (nodes, work int) {
+	if n < 0 || b.mark[n] {
+		return 0, 0
 	}
-	root, ok := b.node(0, alive)
-	if !ok {
-		return nil
+	b.mark[n] = true
+	m := &b.meta[n]
+	nodes, work = 1, m.work
+	if m.level+1 < len(b.dmask) {
+		for _, c := range b.nodes[n].next {
+			cn, cw := b.reached(c)
+			nodes, work = nodes+cn, work+cw
+		}
 	}
-	return &fdd{nodes: b.nodes, root: root}
+	return nodes, work
+}
+
+// fddMix spreads a rule id over 64 bits (the splitmix64 finalizer); a
+// set's memo hash is the sum over its ids, so a sweep updates it in
+// O(1) as rules enter and leave.
+func fddMix(id int32) uint64 {
+	z := uint64(id) + 0x9E3779B97F4A7C15
+	z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
+	z = (z ^ z>>27) * 0x94D049BB133111EB
+	return z ^ z>>31
 }
 
 // projIvals projects one rule key onto its field domain as disjoint
@@ -231,102 +393,105 @@ func projIvals(kind p4.MatchKind, kv *p4.KeyValue, kbits, prio int, score *int) 
 	return nil, false
 }
 
-// node builds (or reuses, via the memo) the decision node for the
-// alive rule set at one level. Memoization on (level, alive) merges
-// isomorphic subtrees into a DAG, which is what keeps diagrams of
-// overlapping rules compact.
-func (b *fddBuilder) node(level int, alive []int32) (int32, bool) {
+// child returns the node for a rule set one level down — from the
+// memo when a commit since the last reset built it, else freshly — or,
+// past the last level, the set's leaf. h is the set's hash.
+func (b *fddBuilder) child(level int, set []int32, h uint64) (int32, bool) {
 	if level == len(b.dmask) {
-		return b.leaf(alive), true
+		return b.leaf(set), true
 	}
-	key := memoKey(level, alive)
-	if id, ok := b.memo[key]; ok {
-		return id, true
+	k := fddKey{int32(level), h}
+	if id, ok := b.memo[k]; ok {
+		if m := &b.meta[id]; slices.Equal(b.sets[m.off:m.off+m.n], set) {
+			return id, true
+		}
 	}
-	// Elementary interval boundaries: 0 plus every alive endpoint.
-	starts := []uint64{0}
-	for _, r := range alive {
-		for _, iv := range b.rules[r].iv[level] {
-			starts = append(starts, iv.lo)
+	id, ok := b.node(level, set)
+	if ok {
+		b.memo[k] = id
+	}
+	return id, ok
+}
+
+// node builds the decision node of one level's rule set by a sweep over
+// its sorted interval endpoints: the rules active in each elementary
+// interval are that interval's child set, and adjacent intervals with
+// the same child merge.
+func (b *fddBuilder) node(level int, alive []int32) (int32, bool) {
+	sc := &b.scr[level]
+	ev := sc.ev[:0]
+	for p, id := range alive {
+		for _, iv := range b.rules[id].iv[level] {
+			ev = append(ev, fddEvent{iv.lo, int32(p)})
 			if iv.hi < b.dmask[level] {
-				starts = append(starts, iv.hi+1)
+				ev = append(ev, fddEvent{iv.hi + 1, ^int32(p)})
 			}
 		}
 	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-	starts = dedupU64(starts)
-	b.work += len(starts)
-	if b.work > fddMaxWork {
+	slices.SortFunc(ev, func(x, y fddEvent) int { return cmp.Compare(x.at, y.at) })
+	sc.ev = ev
+	work := 1 // elementary intervals: one at 0, one per other distinct endpoint
+	for i := range ev {
+		if ev[i].at != 0 && (i == 0 || ev[i].at != ev[i-1].at) {
+			work++
+		}
+	}
+	if b.work += work; b.work > fddMaxWork {
 		return 0, false
 	}
-	var cs []uint64
-	var cn []int32
-	var sub []int32
-	for _, s := range starts {
-		sub = sub[:0]
-		for _, r := range alive {
-			if ivalsContain(b.rules[r].iv[level], s) {
-				sub = append(sub, r)
+	// The active set is a bitset over positions in alive, so it reads
+	// out in id order; a rule's intervals are disjoint, so its events
+	// toggle it, whatever their order within one endpoint.
+	words := append(sc.words[:0], make([]uint64, (len(alive)+63)/64)...)
+	sc.words = words
+	cs, cn := sc.cs[:0], sc.cn[:0]
+	var h uint64
+	for i, at := 0, uint64(0); ; at = ev[i].at {
+		for ; i < len(ev) && ev[i].at == at; i++ {
+			if p := ev[i].p; p >= 0 {
+				h += fddMix(alive[p])
+				words[p>>6] ^= 1 << (p & 63)
+			} else {
+				h -= fddMix(alive[^p])
+				words[^p>>6] ^= 1 << (^p & 63)
 			}
 		}
-		child, ok := b.node(level+1, sub)
+		sub := sc.sub[:0]
+		for wi, w := range words {
+			for ; w != 0; w &= w - 1 {
+				sub = append(sub, alive[wi<<6|bits.TrailingZeros64(w)])
+			}
+		}
+		sc.sub = sub
+		child, ok := b.child(level+1, sub, h)
 		if !ok {
 			return 0, false
 		}
-		if len(cn) > 0 && cn[len(cn)-1] == child {
-			continue // merge adjacent intervals with identical children
+		if len(cn) == 0 || cn[len(cn)-1] != child {
+			cs, cn = append(cs, at), append(cn, child)
 		}
-		cs = append(cs, s)
-		cn = append(cn, child)
+		if i == len(ev) {
+			break
+		}
 	}
+	sc.cs, sc.cn = cs, cn
 	id := int32(len(b.nodes))
-	b.nodes = append(b.nodes, fnode{starts: cs, next: cn})
-	b.memo[key] = id
+	b.nodes = append(b.nodes, fnode{starts: slices.Clone(cs), next: slices.Clone(cn)})
+	b.meta = append(b.meta, fddMeta{level: level, off: len(b.sets), n: len(alive), work: work})
+	b.sets = append(b.sets, alive...)
+	b.tb.builds++
 	return id, true
 }
 
 // leaf picks the winner among the alive rules: best static score,
-// earliest store index on ties — exactly the scan's matched-flag loop
-// with its strict > comparison.
+// lowest id on ties — exactly the scan's matched-flag loop with its
+// strict > comparison.
 func (b *fddBuilder) leaf(alive []int32) int32 {
-	win := fddMiss
-	best := 0
-	matched := false
-	for _, r := range alive {
-		if sc := b.rules[r].score; !matched || sc > best {
-			matched = true
-			best = sc
-			win = -b.rules[r].ent - 2
+	win, best := fddMiss, 0
+	for _, id := range alive {
+		if sc := b.rules[id].score; win == fddMiss || sc > best {
+			win, best = -id-2, sc
 		}
 	}
 	return win
-}
-
-func ivalsContain(ivs []fddIval, v uint64) bool {
-	for _, iv := range ivs {
-		if v >= iv.lo && v <= iv.hi {
-			return true
-		}
-	}
-	return false
-}
-
-func dedupU64(s []uint64) []uint64 {
-	out := s[:1]
-	for _, v := range s[1:] {
-		if v != out[len(out)-1] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// memoKey encodes (level, alive set) compactly.
-func memoKey(level int, alive []int32) string {
-	buf := make([]byte, 0, 1+4*len(alive))
-	buf = append(buf, byte(level))
-	for _, r := range alive {
-		buf = append(buf, byte(r), byte(r>>8), byte(r>>16), byte(r>>24))
-	}
-	return string(buf)
 }

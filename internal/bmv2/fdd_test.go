@@ -349,11 +349,13 @@ func TestFDDIneligibleFallsBack(t *testing.T) {
 	}
 }
 
-// TestBatchRebuildAmortized pins the control-plane cost model: one
-// WriteBatch touching a non-exact table N times materializes exactly
-// one snapshot (and one diagram) for it, while N single-op inserts
-// cost N builds. A regression to per-op rebuilds turns control-plane
-// bursts quadratic and fails here.
+// TestBatchRebuildAmortized pins the control-plane cost model: a
+// commit builds the diagram nodes whose rule set changed, once per
+// batch whatever its op count. lpm1 has one level, so every changed
+// rule set is its root's: one WriteBatch touching it N times builds one
+// node, while N single-op inserts build N. A regression to per-op
+// rebuilds turns control-plane bursts quadratic and fails here;
+// TestBatchNodesODelta pins the multi-level half.
 func TestBatchRebuildAmortized(t *testing.T) {
 	const n = 16
 	sw := New(matcherProg(nil))
@@ -372,7 +374,7 @@ func TestBatchRebuildAmortized(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := tb.builds - before; got != 1 {
-		t.Fatalf("batched %d inserts cost %d builds, want 1", n, got)
+		t.Fatalf("batched %d inserts built %d nodes, want 1", n, got)
 	}
 	if snapFor(t, sw, "lpm1").dd == nil {
 		t.Fatal("batch commit did not build the diagram")
@@ -385,6 +387,6 @@ func TestBatchRebuildAmortized(t *testing.T) {
 		}
 	}
 	if got := tb.builds - before; got != n {
-		t.Fatalf("%d single inserts cost %d builds, want %d", n, got, n)
+		t.Fatalf("%d single inserts built %d nodes, want %d", n, got, n)
 	}
 }

@@ -23,14 +23,16 @@ package bmv2
 // sits in (with its static width, when it has one), after a small code
 // block for key expressions that are more than a field or a cast.
 //
-// Exact tables are updated incrementally: their snapshot holds a
+// Both shapes are updated incrementally. An exact snapshot holds a
 // persistent map (pmap.go), so applying a one-entry delta costs
-// O(log n) path copies instead of an O(table) rebuild. Non-exact
-// tables — small in practice — rebuild from the entry store.
+// O(log n) path copies instead of an O(table) rebuild. A non-exact
+// table keeps its diagram builder across commits (fdd.go): a batch
+// marks it dirty, and the commit re-derives only the diagram nodes
+// whose rule set the batch changed, sharing the rest with the previous
+// generation.
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"netcl/internal/p4"
 )
@@ -60,7 +62,7 @@ type centry struct {
 // owner and copies.
 type tsnap struct {
 	pm   *pnode   // exact: tuple -> compiled entry (persistent)
-	ents []centry // non-exact: compiled entries in store order
+	ents []centry // non-exact: compiled entries by rule id (store order; dead ids zero)
 	dd   *fdd     // decision diagram over ents (fdd.go); nil = scan
 
 	defAct     *caction
@@ -108,11 +110,14 @@ type ctable struct {
 
 	// kbits/kstatic: statically inferred key widths (fdd.go). The
 	// decision diagram is built only when every key width is static.
+	// fb holds a non-exact table's entries and diagram across commits.
 	kbits   []int
 	kstatic bool
-	// builds counts snapshot materializations — the amortization guard:
-	// a WriteBatch must cost one build per touched non-exact table, not
-	// one per op (pinned by TestBatchRebuildAmortized).
+	fb      *fddBuilder
+	// builds counts the diagram nodes built — the cost model of a
+	// non-exact commit: one batch commits once, whatever its op count,
+	// and builds only the nodes whose rule set it changed (pinned by
+	// TestBatchRebuildAmortized and TestBatchNodesODelta).
 	builds uint64
 }
 
@@ -148,6 +153,9 @@ func (cc *compiler) table(ctl *cctl, t *p4.Table) (*ctable, error) {
 	}
 	tb.keyCode.end = cc.here()
 	tb.exact = len(t.Keys) >= 1 && len(t.Keys) <= maxExactKeys && t.AllExact()
+	if !tb.exact {
+		tb.fb = newFDDBuilder(tb)
+	}
 	tb.gslot = len(cc.p.tabs)
 	cc.p.tabs = append(cc.p.tabs, tb)
 	return tb, nil
@@ -205,7 +213,6 @@ func (tb *ctable) compileDefault(sn *tsnap) {
 // for non-exact tables a batch touched — never the data path. The
 // caller publishes the result.
 func (tb *ctable) build() *tsnap {
-	atomic.AddUint64(&tb.builds, 1)
 	sn := &tsnap{}
 	es := tb.sw.entries[tb.name]
 	if tb.exact {
@@ -230,17 +237,7 @@ func (tb *ctable) build() *tsnap {
 			}
 		}
 	} else {
-		if es != nil {
-			for _, e := range es.ents {
-				if e == nil {
-					continue
-				}
-				sn.ents = append(sn.ents, tb.compileEntry(e))
-			}
-		}
-		// nil when the rule set or the key widths rule a diagram out:
-		// apply then scans sn.ents.
-		sn.dd = buildFDD(tb, sn)
+		sn.ents, sn.dd = tb.fb.commit()
 	}
 	tb.compileDefault(sn)
 	return sn

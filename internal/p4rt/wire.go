@@ -57,12 +57,6 @@ func (ops opList) GobEncode() ([]byte, error) {
 func (ops *opList) GobDecode(b []byte) error {
 	d := wireReader{b: b}
 	n := d.uvarint()
-	if n <= uint64(len(d.b)) { // each op costs at least one byte
-		// Entries and tuples for the whole batch come from shared
-		// arenas: a few allocations per frame instead of four per op.
-		d.ents = make([]p4.Entry, 0, n)
-		d.acts = make([]p4.ActionCall, 0, n)
-	}
 	out := make([]Op, 0, n)
 	for i := uint64(0); i < n && d.err == nil; i++ {
 		op := Op{Kind: OpKind(d.byte())}
@@ -72,7 +66,7 @@ func (ops *opList) GobDecode(b []byte) error {
 			op.Entry = d.entry()
 		case OpDelete:
 			op.Table = d.name()
-			op.Keys = d.u64s()
+			op.Keys = d.u64s(false)
 		case OpRegisterWrite:
 			op.Reg = d.name()
 			op.Idx = int(d.uvarint())
@@ -80,7 +74,7 @@ func (ops *opList) GobDecode(b []byte) error {
 		case OpSetDefault:
 			op.Table = d.name()
 			op.Action = d.name()
-			op.Args = d.u64s()
+			op.Args = d.u64s(true)
 		default:
 			if d.err == nil {
 				d.err = fmt.Errorf("p4rt: decode unknown op kind %d", op.Kind)
@@ -128,52 +122,16 @@ func appendEntry(b []byte, e *p4.Entry) []byte {
 }
 
 // wireReader decodes the packed form, latching the first error so the
-// per-op code stays straight-line. The arenas batch-allocate the
-// decoded object graph; growing one reallocates, which is safe because
-// already-handed-out subslices keep the old backing array alive and
-// nothing mutates a decoded value afterwards.
+// per-op code stays straight-line. What the switch keeps — an entry
+// with its keys and action, a default action's arguments — is
+// allocated on its own, so a long-lived entry holds only its own
+// memory. Delete tuples, which die with the batch, come from one
+// shared arena: a few allocations per frame instead of one per op.
 type wireReader struct {
 	b   []byte
 	err error
 
-	ents []p4.Entry
-	acts []p4.ActionCall
-	kvs  []p4.KeyValue
 	u64a []uint64
-}
-
-func (d *wireReader) keyvals(n int) []p4.KeyValue {
-	if cap(d.kvs)-len(d.kvs) < n {
-		d.kvs = make([]p4.KeyValue, 0, max(64, n))
-	}
-	s := len(d.kvs)
-	d.kvs = d.kvs[:s+n]
-	return d.kvs[s : s+n : s+n]
-}
-
-func (d *wireReader) uint64s(n int) []uint64 {
-	if cap(d.u64a)-len(d.u64a) < n {
-		d.u64a = make([]uint64, 0, max(64, n))
-	}
-	s := len(d.u64a)
-	d.u64a = d.u64a[:s+n]
-	return d.u64a[s : s+n : s+n]
-}
-
-func (d *wireReader) newEntry() *p4.Entry {
-	if len(d.ents) == cap(d.ents) {
-		d.ents = make([]p4.Entry, 0, max(8, 2*cap(d.ents)))
-	}
-	d.ents = d.ents[:len(d.ents)+1]
-	return &d.ents[len(d.ents)-1]
-}
-
-func (d *wireReader) newAction() *p4.ActionCall {
-	if len(d.acts) == cap(d.acts) {
-		d.acts = make([]p4.ActionCall, 0, max(8, 2*cap(d.acts)))
-	}
-	d.acts = d.acts[:len(d.acts)+1]
-	return &d.acts[len(d.acts)-1]
 }
 
 func (d *wireReader) fail() {
@@ -230,7 +188,8 @@ func (d *wireReader) name() string {
 	return s
 }
 
-func (d *wireReader) u64s() []uint64 {
+// u64s decodes a tuple; keep gives it its own allocation.
+func (d *wireReader) u64s(keep bool) []uint64 {
 	n := d.uvarint()
 	if d.err != nil || n == 0 {
 		return nil
@@ -239,7 +198,17 @@ func (d *wireReader) u64s() []uint64 {
 		d.fail()
 		return nil
 	}
-	out := d.uint64s(int(n))
+	var out []uint64
+	if keep {
+		out = make([]uint64, n)
+	} else {
+		if cap(d.u64a)-len(d.u64a) < int(n) {
+			d.u64a = make([]uint64, 0, max(64, int(n)))
+		}
+		s := len(d.u64a)
+		d.u64a = d.u64a[:s+int(n)]
+		out = d.u64a[s:len(d.u64a):len(d.u64a)]
+	}
 	for i := range out {
 		out[i] = d.uvarint()
 	}
@@ -250,14 +219,19 @@ func (d *wireReader) entry() *p4.Entry {
 	if d.byte() == 0 {
 		return nil
 	}
-	e := d.newEntry()
+	// One allocation for the entry and its action.
+	box := &struct {
+		e p4.Entry
+		a p4.ActionCall
+	}{}
+	e := &box.e
 	nk := d.uvarint()
 	if d.err != nil || nk > uint64(len(d.b)) {
 		d.fail()
 		return e
 	}
 	if nk > 0 {
-		e.Keys = d.keyvals(int(nk))
+		e.Keys = make([]p4.KeyValue, nk)
 		for i := range e.Keys {
 			k := &e.Keys[i]
 			k.Value = d.uvarint()
@@ -268,10 +242,9 @@ func (d *wireReader) entry() *p4.Entry {
 	}
 	e.Priority = int(d.varint())
 	if d.byte() == 1 {
-		a := d.newAction()
-		a.Name = d.name()
-		a.Args = d.u64s()
-		e.Action = a
+		box.a.Name = d.name()
+		box.a.Args = d.u64s(true)
+		e.Action = &box.a
 	}
 	return e
 }
