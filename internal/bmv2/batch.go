@@ -12,9 +12,10 @@ package bmv2
 //
 // The op types live here (not in p4rt) because p4rt imports bmv2;
 // p4rt re-exports them by alias so wire clients and the in-process
-// Direct client share one vocabulary and one gob encoding.
+// Direct client share one vocabulary and one wire encoding.
 
 import (
+	"errors"
 	"fmt"
 
 	"netcl/internal/p4"
@@ -43,8 +44,7 @@ const (
 	OpSetDefault
 )
 
-// Op is one batch operation. All fields are exported so a batch
-// gob-encodes as-is onto the p4rt wire.
+// Op is one batch operation.
 type Op struct {
 	Kind   OpKind
 	Table  string    // OpInsert/OpModify/OpDelete/OpSetDefault
@@ -139,6 +139,17 @@ type WriteResult struct {
 	// replaced by OpModify); zero for other kinds.
 	Removed []int
 }
+
+// The closed set of failures Write and RegisterRead report. Each
+// returned error wraps one of them; p4rt carries the set across TCP.
+var (
+	ErrNoTable       = errors.New("no table")
+	ErrNoRegister    = errors.New("no register")
+	ErrRegisterRange = errors.New("out of range")
+	ErrNilEntry      = errors.New("nil entry")
+	ErrNoMatch       = errors.New("no entry matches key tuple")
+	ErrUnknownOp     = errors.New("unknown op kind")
+)
 
 // BatchError reports which op failed a Write. The batch had no effect.
 type BatchError struct {
@@ -439,12 +450,12 @@ func (s *Switch) Write(b *WriteBatch) (*WriteResult, error) {
 		switch op.Kind {
 		case OpInsert:
 			if op.Entry == nil {
-				return fail(i, fmt.Errorf("insert into %q: nil entry", op.Table))
+				return fail(i, fmt.Errorf("insert into %q: %w", op.Table, ErrNilEntry))
 			}
 			es := s.entries[op.Table]
 			if es == nil {
 				if s.findTable(op.Table) == nil {
-					return fail(i, fmt.Errorf("no table %q", op.Table))
+					return fail(i, fmt.Errorf("%w %q", ErrNoTable, op.Table))
 				}
 				es = &entrySet{}
 				s.entries[op.Table] = es
@@ -459,11 +470,11 @@ func (s *Switch) Write(b *WriteBatch) (*WriteResult, error) {
 
 		case OpModify:
 			if op.Entry == nil {
-				return fail(i, fmt.Errorf("modify in %q: nil entry", op.Table))
+				return fail(i, fmt.Errorf("modify in %q: %w", op.Table, ErrNilEntry))
 			}
 			es := s.entries[op.Table]
 			if es == nil {
-				return fail(i, fmt.Errorf("no table %q", op.Table))
+				return fail(i, fmt.Errorf("%w %q", ErrNoTable, op.Table))
 			}
 			e := op.Entry
 			kvBuf = appendKeyVals(kvBuf[:0], e)
@@ -471,7 +482,7 @@ func (s *Switch) Write(b *WriteBatch) (*WriteResult, error) {
 			rmArena = es.deleteKey(rmArena, kvBuf)
 			rm := rmArena[start:len(rmArena):len(rmArena)]
 			if len(rm) == 0 {
-				return fail(i, fmt.Errorf("modify in %q: no entry matches key tuple %v", op.Table, kvBuf))
+				return fail(i, fmt.Errorf("modify in %q: %w %v", op.Table, ErrNoMatch, kvBuf))
 			}
 			idx, k := es.insert(e)
 			// Two records so reverse replay un-inserts before un-deleting.
@@ -506,10 +517,10 @@ func (s *Switch) Write(b *WriteBatch) (*WriteResult, error) {
 		case OpRegisterWrite:
 			rf, ok := s.regs[op.Reg]
 			if !ok {
-				return fail(i, fmt.Errorf("no register %q", op.Reg))
+				return fail(i, fmt.Errorf("%w %q", ErrNoRegister, op.Reg))
 			}
 			if op.Idx < 0 || op.Idx >= rf.size {
-				return fail(i, fmt.Errorf("register %q index %d out of range", op.Reg, op.Idx))
+				return fail(i, fmt.Errorf("register %q index %d %w", op.Reg, op.Idx, ErrRegisterRange))
 			}
 			// Staged: register memory is touched only once the whole
 			// batch has validated.
@@ -518,7 +529,7 @@ func (s *Switch) Write(b *WriteBatch) (*WriteResult, error) {
 		case OpSetDefault:
 			t := s.findTable(op.Table)
 			if t == nil {
-				return fail(i, fmt.Errorf("no table %q", op.Table))
+				return fail(i, fmt.Errorf("%w %q", ErrNoTable, op.Table))
 			}
 			old := t.Default
 			t.Default = &p4.ActionCall{Name: op.Action, Args: op.Args}
@@ -528,7 +539,7 @@ func (s *Switch) Write(b *WriteBatch) (*WriteResult, error) {
 			})
 
 		default:
-			return fail(i, fmt.Errorf("unknown op kind %d", op.Kind))
+			return fail(i, fmt.Errorf("%w %d", ErrUnknownOp, op.Kind))
 		}
 	}
 

@@ -147,10 +147,10 @@ func (s *Switch) RegisterRead(name string, idx int) (uint64, error) {
 	defer s.mu.Unlock()
 	rf, ok := s.regs[name]
 	if !ok {
-		return 0, fmt.Errorf("no register %q", name)
+		return 0, fmt.Errorf("%w %q", ErrNoRegister, name)
 	}
 	if idx < 0 || idx >= rf.size {
-		return 0, fmt.Errorf("register %q index %d out of range", name, idx)
+		return 0, fmt.Errorf("register %q index %d %w", name, idx, ErrRegisterRange)
 	}
 	return rf.load(idx), nil
 }
@@ -167,7 +167,7 @@ func (s *Switch) ReadRegisters(name string) ([]uint64, error) {
 	defer s.mu.Unlock()
 	rf, ok := s.regs[name]
 	if !ok {
-		return nil, fmt.Errorf("no register %q", name)
+		return nil, fmt.Errorf("%w %q", ErrNoRegister, name)
 	}
 	out := make([]uint64, rf.size)
 	for i := range out {
@@ -197,18 +197,11 @@ func (s *Switch) RegisterSize(name string) int {
 	return -1
 }
 
-// InsertEntry adds a runtime table entry as a one-op Write batch. Its
-// only callers are bench/calc_udp.go and bench/layers.go; everything
-// else writes batches. It goes when those two do (ROADMAP 1(g)).
+// InsertEntry adds a runtime table entry as a one-op Write batch and
+// returns the op's error without its index. Its only callers are
+// bench/calc_udp.go and bench/layers.go; it goes with them (ROADMAP 1(g)).
 func (s *Switch) InsertEntry(table string, e *p4.Entry) error {
 	_, err := s.Write(NewWriteBatch().Insert(table, e))
-	return unwrapBatch(err)
-}
-
-// unwrapBatch strips the op index off InsertEntry's one-op batch
-// failure, so it keeps returning its historical error text for the
-// two bench/ callers it serves (ROADMAP 1(g)).
-func unwrapBatch(err error) error {
 	if be, ok := err.(*BatchError); ok {
 		return be.Err
 	}

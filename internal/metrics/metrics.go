@@ -94,15 +94,6 @@ func Breakdown(prog *p4.Program) map[Category]float64 {
 	return out
 }
 
-// ComputePct returns the percentage of compute-related code: register
-// actions plus control logic plus the action halves of MATs — the
-// paper reports "only 52% of the P4 code is spent on compute-related
-// functionality".
-func ComputePct(prog *p4.Program) float64 {
-	bd := Breakdown(prog)
-	return bd[CatRegActions] + bd[CatControl] + bd[CatMATs]/2
-}
-
 // Geomean computes the geometric mean of positive values.
 func Geomean(vals []float64) float64 {
 	if len(vals) == 0 {

@@ -156,11 +156,8 @@ func (h *Host) SetReceive(fn func(h *Host, msg []byte)) { h.net.hc.recv[h.idx] =
 // ReceiveFn returns the currently installed receive callback.
 func (h *Host) ReceiveFn() func(h *Host, msg []byte) { return h.net.hc.recv[h.idx] }
 
-// ProcessingNs returns the per-message host-side cost (socket wakeup,
+// SetProcessingNs sets the per-message host-side cost (socket wakeup,
 // packing); applied before Receive runs and on each Send.
-func (h *Host) ProcessingNs() Time { return h.net.hc.procNs[h.idx] }
-
-// SetProcessingNs sets the per-message host-side cost.
 func (h *Host) SetProcessingNs(t Time) { h.net.hc.procNs[h.idx] = t }
 
 // Sent returns the number of frames the host transmitted.

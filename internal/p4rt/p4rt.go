@@ -8,13 +8,13 @@
 // inserts/modifies/deletes, register writes, and default-action
 // changes as one all-or-nothing unit, applied atomically by the device
 // (a packet observes all of the batch or none of it) and carried over
-// the wire in a single versioned request frame. Write is the only way
-// to change device state: a single op is a one-op batch.
+// the wire in a single versioned request frame (wire.go). Write is the
+// only way to change device state: a single op is a one-op batch.
 package p4rt
 
 import (
-	"encoding/gob"
-	"fmt"
+	"bufio"
+	"errors"
 	"net"
 	"sync"
 
@@ -57,54 +57,19 @@ type Client interface {
 }
 
 // Direct is an in-process client bound to a behavioral-model switch.
+// The switch serializes control-plane calls itself.
 type Direct struct {
 	SW *bmv2.Switch
-	mu sync.Mutex
 }
 
 // RegisterRead implements Client.
 func (d *Direct) RegisterRead(name string, idx int) (uint64, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return d.SW.RegisterRead(name, idx)
 }
 
 // Write implements Client: the batch applies transactionally on the
 // switch and publishes one rule-set generation.
-func (d *Direct) Write(b *WriteBatch) (*WriteResult, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.SW.Write(b)
-}
-
-// Wire protocol (gob-encoded request/response frames over TCP).
-//
-// Version 2 made a request either a register read or one whole write
-// batch — the entire transaction rides in a single frame, so a
-// NetCache-scale churn burst costs one round trip instead of one per
-// op. Version 3 packs the op list itself (see wire.go): the frame is
-// still gob, but the batch crosses as one varint-packed byte string
-// instead of reflection-encoded structs. Versioning is explicit; a
-// server rejects frames whose version it does not speak instead of
-// misreading them.
-
-// wireVersion is the protocol revision this package speaks.
-const wireVersion = 3
-
-type request struct {
-	Ver  int
-	Op   string // "rread", "write"
-	Name string // rread: register name
-	Idx  int    // rread: cell index
-	Ops  opList // write: the batch
-}
-
-type response struct {
-	Val      uint64 // rread result
-	Removed  []int  // write: per-op removed counts
-	FailedOp int    // write: index of the failed op, -1 otherwise
-	Err      string
-}
+func (d *Direct) Write(b *WriteBatch) (*WriteResult, error) { return d.SW.Write(b) }
 
 // Server exposes a switch's control plane on a TCP listener.
 type Server struct {
@@ -150,56 +115,46 @@ func (s *Server) loop() {
 	}
 }
 
+// handle serves one connection; a bad frame gets its typed error, then a close.
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
+	r := bufio.NewReader(conn)
+	var d wireReader
+	var out []byte
 	for {
-		var req request
-		if err := dec.Decode(&req); err != nil {
-			return
+		req, err := d.read(r, kindRRead, kindWrite)
+		bad := errors.Is(err, ErrMalformedFrame) || errors.Is(err, ErrUnsupportedVersion)
+		if err != nil && !bad {
+			return // the peer hung up
 		}
-		resp := response{FailedOp: -1}
+		resp := msg{kind: kindResp}
 		switch {
-		case req.Ver != wireVersion:
-			resp.Err = fmt.Sprintf("unsupported wire version %d (speak %d)", req.Ver, wireVersion)
-		case req.Op == "rread":
-			v, err := s.cl.RegisterRead(req.Name, req.Idx)
-			resp.Val = v
-			resp.Err = errString(err)
-		case req.Op == "write":
-			res, err := s.cl.Write(&WriteBatch{Ops: []Op(req.Ops)})
-			if err != nil {
-				resp.Err = errString(err)
-				if be, ok := err.(*BatchError); ok {
-					resp.FailedOp = be.Index
-					resp.Err = errString(be.Err)
-				}
-			} else {
-				resp.Removed = res.Removed
-			}
+		case bad:
+		case req.kind == kindRRead:
+			resp.val, err = s.cl.RegisterRead(req.reg, req.idx)
 		default:
-			resp.Err = fmt.Sprintf("unknown op %q", req.Op)
+			var res *WriteResult
+			if res, err = s.cl.Write(&WriteBatch{Ops: req.ops}); err == nil {
+				resp.removed = res.Removed
+			}
 		}
-		if err := enc.Encode(&resp); err != nil {
+		if err != nil {
+			resp.setErr(err)
+		}
+		out, _ = appendFrame(out[:0], &resp) // only a write frame can fail to encode
+		if _, err := conn.Write(out); err != nil || bad {
 			return
 		}
 	}
-}
-
-func errString(err error) string {
-	if err == nil {
-		return ""
-	}
-	return err.Error()
 }
 
 // TCPClient is a Client over a TCP control-plane connection.
 type TCPClient struct {
 	mu   sync.Mutex
 	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
+	r    *bufio.Reader
+	d    wireReader
+	out  []byte
 }
 
 // Dial connects to a device control plane.
@@ -208,40 +163,34 @@ func Dial(addr string) (*TCPClient, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &TCPClient{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}, nil
+	return &TCPClient{conn: conn, r: bufio.NewReader(conn)}, nil
 }
 
 // Close closes the connection.
 func (c *TCPClient) Close() error { return c.conn.Close() }
 
-func (c *TCPClient) roundTrip(req *request) (*response, error) {
-	req.Ver = wireVersion
+// roundTrip sends one request and returns the response and its error.
+func (c *TCPClient) roundTrip(req *msg) (msg, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.enc.Encode(req); err != nil {
-		return nil, err
+	var err error
+	if c.out, err = appendFrame(c.out[:0], req); err != nil {
+		return msg{}, err
 	}
-	var resp response
-	if err := c.dec.Decode(&resp); err != nil {
-		return nil, err
+	if _, err := c.conn.Write(c.out); err != nil {
+		return msg{}, err
 	}
-	if resp.Err != "" {
-		err := fmt.Errorf("%s", resp.Err)
-		if resp.FailedOp >= 0 {
-			err = &BatchError{Index: resp.FailedOp, Err: err}
-		}
-		return &resp, err
+	resp, err := c.d.read(c.r, kindResp)
+	if err != nil {
+		return msg{}, err
 	}
-	return &resp, nil
+	return *resp, resp.err()
 }
 
 // RegisterRead implements Client.
 func (c *TCPClient) RegisterRead(name string, idx int) (uint64, error) {
-	resp, err := c.roundTrip(&request{Op: "rread", Name: name, Idx: idx})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Val, nil
+	resp, err := c.roundTrip(&msg{kind: kindRRead, reg: name, idx: idx})
+	return resp.val, err
 }
 
 // Write implements Client: the whole batch crosses the wire in one
@@ -251,9 +200,9 @@ func (c *TCPClient) Write(b *WriteBatch) (*WriteResult, error) {
 	if b == nil || len(b.Ops) == 0 {
 		return &WriteResult{}, nil
 	}
-	resp, err := c.roundTrip(&request{Op: "write", Ops: opList(b.Ops)})
+	resp, err := c.roundTrip(&msg{kind: kindWrite, ops: b.Ops})
 	if err != nil {
 		return nil, err
 	}
-	return &WriteResult{Removed: resp.Removed}, nil
+	return &WriteResult{Removed: resp.removed}, nil
 }

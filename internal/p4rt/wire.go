@@ -1,100 +1,145 @@
 package p4rt
 
-// wire.go is the compact encoding of a write batch's op list. The
-// request/response frames stay gob (self-describing, versioned), but a
-// batch's ops ride inside the frame as one hand-packed byte string:
-// gob's per-field reflection over []Op — five struct types deep — cost
-// about half the per-op budget of a batched TCP write, and all of it
-// is avoidable because the op vocabulary is closed. Varint packing
-// also shrinks NetCache-scale churn frames several-fold on the wire.
+// wire.go is the p4rt wire protocol, one hand-packed frame for both
+// directions. A body is uvarints, varints (signed fields) and strings (a
+// uvarint length and the bytes):
 //
-// Table, register, and action names repeat in every op of a control
-// stream, so the decoder interns them: a 10k-op churn burst allocates
-// each name once, not 10k times.
+//	frame    = u32 length (big-endian, of what follows) · version byte · kind byte · body
+//	rread    = name · varint index
+//	write    = count · op*  (op = kind · its fields, as appendOp writes them)
+//	response = code · varint failed-op index · detail · value · count · removed*
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"sync"
+	"io"
+	"slices"
 
+	"netcl/internal/bmv2"
 	"netcl/internal/p4"
 )
 
-// opList carries request.Ops through gob via the custom codec below.
-type opList []Op
+// wireVersion is the revision spoken: 4 is the frame above; 3 was gob.
+const wireVersion = 4
 
-// GobEncode packs the op list into one byte string.
-func (ops opList) GobEncode() ([]byte, error) {
-	// Sized for small key/arg tuples; AppendUvarint grows as needed.
-	b := make([]byte, 0, 16+24*len(ops))
-	b = binary.AppendUvarint(b, uint64(len(ops)))
-	for i := range ops {
-		op := &ops[i]
-		b = append(b, byte(op.Kind))
-		switch op.Kind {
-		case OpInsert, OpModify:
-			b = appendStr(b, op.Table)
-			b = appendEntry(b, op.Entry)
-		case OpDelete:
-			b = appendStr(b, op.Table)
-			b = appendU64s(b, op.Keys)
-		case OpRegisterWrite:
-			b = appendStr(b, op.Reg)
-			b = binary.AppendUvarint(b, uint64(op.Idx))
-			b = binary.AppendUvarint(b, op.Val)
-		case OpSetDefault:
-			b = appendStr(b, op.Table)
-			b = appendStr(b, op.Action)
-			b = appendU64s(b, op.Args)
-		default:
-			return nil, fmt.Errorf("p4rt: encode unknown op kind %d", op.Kind)
-		}
+const kindRRead, kindWrite, kindResp byte = 1, 2, 3 // frame kinds
+
+// maxFrame caps a frame's length: a frame is held whole and decoding
+// inflates it at most ~45× (a 3-byte delete becomes a 128-byte Op), so
+// one frame costs the server at most ~45 MiB. 1 MiB still carries a
+// 10k-op churn burst at under 50 bytes per op.
+const maxFrame = 1 << 20
+
+// Transport failures: the frame, not the device, is at fault.
+var (
+	ErrUnsupportedVersion = errors.New("p4rt: unsupported wire version")
+	ErrMalformedFrame     = errors.New("p4rt: malformed frame")
+)
+
+// codes is the closed set of errors that cross the wire, indexed by
+// code (0: success; codeOther: any other error, as its text only). The
+// client rebuilds each so errors.Is, *BatchError and the text match Direct.
+var codes = [...]error{nil,
+	bmv2.ErrNoTable, bmv2.ErrNoRegister, bmv2.ErrRegisterRange,
+	bmv2.ErrNilEntry, bmv2.ErrNoMatch, bmv2.ErrUnknownOp,
+	ErrUnsupportedVersion, ErrMalformedFrame,
+	nil, // codeOther
+}
+
+const codeOther = uint64(len(codes) - 1)
+
+// remoteError is a device's error text rebuilt around its code.
+type remoteError struct {
+	msg  string
+	code error
+}
+
+func (e *remoteError) Error() string { return e.msg }
+func (e *remoteError) Unwrap() error { return e.code }
+
+// msg is one frame: a request (kindRRead, kindWrite) or a response.
+type msg struct {
+	kind    byte
+	reg     string // rread
+	idx     int    // rread
+	ops     []Op   // write
+	code    uint64 // response: 0 or the error's code
+	index   int    // response: the failed op, -1 when the error names none
+	detail  string // response: the error's text
+	val     uint64 // response to rread
+	removed []int  // response to write
+}
+
+// setErr records err in a response.
+func (m *msg) setErr(err error) {
+	m.index = -1
+	if be, ok := err.(*BatchError); ok {
+		m.index, err = be.Index, be.Err
 	}
+	c := slices.IndexFunc(codes[1:], func(c error) bool { return c == nil || errors.Is(err, c) })
+	m.code, m.detail = uint64(c+1), err.Error() // codeOther's nil matches any error
+}
+
+// err rebuilds the error a response carries.
+func (m *msg) err() error {
+	if m.code == 0 {
+		return nil
+	}
+	var err error = &remoteError{m.detail, codes[m.code]}
+	if m.index >= 0 {
+		err = &BatchError{Index: m.index, Err: err}
+	}
+	return err
+}
+
+// appendFrame appends m as one frame. An op of unknown kind fails its
+// batch here, with the error Switch.Write would return for it.
+func appendFrame(b []byte, m *msg) ([]byte, error) {
+	at := len(b)
+	b = append(b, 0, 0, 0, 0, wireVersion, m.kind)
+	switch m.kind {
+	case kindRRead:
+		b = binary.AppendVarint(appendStr(b, m.reg), int64(m.idx))
+	case kindWrite:
+		b = binary.AppendUvarint(b, uint64(len(m.ops)))
+		for i := range m.ops {
+			if b = appendOp(b, &m.ops[i]); b == nil {
+				return nil, &BatchError{Index: i, Err: fmt.Errorf("%w %d", bmv2.ErrUnknownOp, m.ops[i].Kind)}
+			}
+		}
+	default:
+		b = appendStr(binary.AppendVarint(binary.AppendUvarint(b, m.code), int64(m.index)), m.detail)
+		b = appendUvarints(binary.AppendUvarint(b, m.val), m.removed)
+	}
+	binary.BigEndian.PutUint32(b[at:], uint32(len(b)-at-4))
 	return b, nil
 }
 
-// GobDecode unpacks an op list; it is the inverse of GobEncode.
-func (ops *opList) GobDecode(b []byte) error {
-	d := wireReader{b: b}
-	n := d.uvarint()
-	out := make([]Op, 0, n)
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		op := Op{Kind: OpKind(d.byte())}
-		switch op.Kind {
-		case OpInsert, OpModify:
-			op.Table = d.name()
-			op.Entry = d.entry()
-		case OpDelete:
-			op.Table = d.name()
-			op.Keys = d.u64s(false)
-		case OpRegisterWrite:
-			op.Reg = d.name()
-			op.Idx = int(d.uvarint())
-			op.Val = d.uvarint()
-		case OpSetDefault:
-			op.Table = d.name()
-			op.Action = d.name()
-			op.Args = d.u64s(true)
-		default:
-			if d.err == nil {
-				d.err = fmt.Errorf("p4rt: decode unknown op kind %d", op.Kind)
-			}
-		}
-		out = append(out, op)
+// appendOp appends one op, or returns nil for an unknown kind.
+func appendOp(b []byte, op *Op) []byte {
+	b = binary.AppendUvarint(b, uint64(op.Kind))
+	switch op.Kind {
+	case OpInsert, OpModify:
+		return appendEntry(appendStr(b, op.Table), op.Entry)
+	case OpDelete:
+		return appendUvarints(appendStr(b, op.Table), op.Keys)
+	case OpRegisterWrite:
+		return binary.AppendUvarint(binary.AppendVarint(appendStr(b, op.Reg), int64(op.Idx)), op.Val)
+	case OpSetDefault:
+		return appendUvarints(appendStr(appendStr(b, op.Table), op.Action), op.Args)
 	}
-	*ops = out
-	return d.err
+	return nil
 }
 
 func appendStr(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
-func appendU64s(b []byte, vs []uint64) []byte {
+func appendUvarints[T int | uint64](b []byte, vs []T) []byte {
 	b = binary.AppendUvarint(b, uint64(len(vs)))
 	for _, v := range vs {
-		b = binary.AppendUvarint(b, v)
+		b = binary.AppendUvarint(b, uint64(v))
 	}
 	return b
 }
@@ -103,170 +148,171 @@ func appendEntry(b []byte, e *p4.Entry) []byte {
 	if e == nil {
 		return append(b, 0)
 	}
-	b = append(b, 1)
-	b = binary.AppendUvarint(b, uint64(len(e.Keys)))
-	for i := range e.Keys {
-		k := &e.Keys[i]
-		b = binary.AppendUvarint(b, k.Value)
-		b = binary.AppendUvarint(b, k.Mask)
-		b = binary.AppendUvarint(b, k.Hi)
+	b = binary.AppendUvarint(append(b, 1), uint64(len(e.Keys)))
+	for _, k := range e.Keys {
+		b = binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(b, k.Value), k.Mask), k.Hi)
 		b = binary.AppendVarint(b, int64(k.PrefixLen))
 	}
 	b = binary.AppendVarint(b, int64(e.Priority))
 	if e.Action == nil {
 		return append(b, 0)
 	}
-	b = append(b, 1)
-	b = appendStr(b, e.Action.Name)
-	return appendU64s(b, e.Action.Args)
+	return appendUvarints(appendStr(append(b, 1), e.Action.Name), e.Action.Args)
 }
 
-// wireReader decodes the packed form, latching the first error so the
-// per-op code stays straight-line. What the switch keeps — an entry
-// with its keys and action, a default action's arguments — is
-// allocated on its own, so a long-lived entry holds only its own
-// memory. Delete tuples, which die with the batch, come from one
-// shared arena: a few allocations per frame instead of one per op.
+const maxStrs = 32 // well above one program's table, register and action names
+
+// wireReader decodes the frames of one connection. It trusts nothing:
+// a frame over maxFrame is refused unread, every count is checked
+// before anything is allocated, and the first error is latched so the
+// per-op code stays straight-line. No decoded value aliases the frame.
 type wireReader struct {
-	b   []byte
-	err error
-
-	u64a []uint64
+	buf  []byte // the connection's frame buffer
+	b    []byte // what is left of the frame being decoded
+	err  error
+	strs []string // interned: a control stream repeats a few names
 }
 
-func (d *wireReader) fail() {
+// read reads one frame of a wanted kind; a clean end of stream is io.EOF.
+func (d *wireReader) read(r io.Reader, kinds ...byte) (*msg, error) {
+	var hdr [4]byte
+	_, err := io.ReadFull(r, hdr[:])
+	if n := binary.BigEndian.Uint32(hdr[:]); err == nil && (n < 2 || n > maxFrame) {
+		return nil, fmt.Errorf("%w: frame length %d outside [2, %d]", ErrMalformedFrame, n, maxFrame)
+	} else if err == nil {
+		d.buf = slices.Grow(d.buf[:0], int(n))[:n]
+		if _, err = io.ReadFull(r, d.buf); err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+	}
+	if err == io.ErrUnexpectedEOF {
+		return nil, fmt.Errorf("%w: truncated frame", ErrMalformedFrame)
+	} else if err != nil {
+		return nil, err
+	}
+	if d.buf[0] != wireVersion {
+		return nil, fmt.Errorf("%w %d (speak %d)", ErrUnsupportedVersion, d.buf[0], wireVersion)
+	}
+	m := &msg{kind: d.buf[1]}
+	if !slices.Contains(kinds, m.kind) {
+		return nil, fmt.Errorf("%w: unexpected kind %d", ErrMalformedFrame, m.kind)
+	}
+	d.b, d.err = d.buf[2:], nil
+	switch m.kind {
+	case kindRRead:
+		m.reg, m.idx = d.str(), int(d.varint())
+	case kindWrite:
+		m.ops = d.ops()
+	default:
+		m.code, m.index, m.detail, m.val = d.uvarint(), int(d.varint()), d.str(), d.uvarint()
+		m.removed = uvarints[int](d)
+		if m.code > codeOther {
+			d.failf("unknown error code %d", m.code)
+		}
+	}
+	if d.err == nil && len(d.b) > 0 {
+		d.failf("%d trailing bytes", len(d.b))
+	}
+	return m, d.err
+}
+
+func (d *wireReader) failf(format string, args ...any) {
 	if d.err == nil {
-		d.err = fmt.Errorf("p4rt: truncated op list")
+		d.err = fmt.Errorf("%w: "+format, append([]any{ErrMalformedFrame}, args...)...)
 	}
 }
 
-func (d *wireReader) byte() byte {
-	if d.err != nil || len(d.b) == 0 {
-		d.fail()
-		return 0
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v
-}
-
-func (d *wireReader) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b)
+// skip consumes an n-byte field; n ≤ 0 means the frame ended inside it.
+func (d *wireReader) skip(n int) {
 	if n <= 0 {
-		d.fail()
-		return 0
+		d.failf("truncated body")
+		return
 	}
 	d.b = d.b[n:]
-	return v
 }
 
-func (d *wireReader) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b)
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
+func (d *wireReader) uvarint() uint64 { v, n := binary.Uvarint(d.b); d.skip(n); return v }
+func (d *wireReader) varint() int64   { v, n := binary.Varint(d.b); d.skip(n); return v }
 
-// name decodes a string through the intern pool.
-func (d *wireReader) name() string {
+// count reads an element count and checks that the rest of the frame
+// holds that many elements of at least min bytes each.
+func (d *wireReader) count(min int) int {
 	n := d.uvarint()
-	if d.err != nil || uint64(len(d.b)) < n {
-		d.fail()
-		return ""
+	if n > uint64(len(d.b)/min) {
+		d.failf("count %d exceeds the %d bytes left", n, len(d.b))
+		return 0
 	}
-	s := internName(d.b[:n])
+	return int(n)
+}
+
+// str decodes a string, interning the connection's first maxStrs.
+func (d *wireReader) str() string {
+	n := d.count(1)
+	b := d.b[:n]
 	d.b = d.b[n:]
+	if i := slices.IndexFunc(d.strs, func(s string) bool { return s == string(b) }); i >= 0 {
+		return d.strs[i]
+	}
+	s := string(b)
+	if len(d.strs) < maxStrs {
+		d.strs = append(d.strs, s)
+	}
 	return s
 }
 
-// u64s decodes a tuple; keep gives it its own allocation.
-func (d *wireReader) u64s(keep bool) []uint64 {
-	n := d.uvarint()
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	if n > uint64(len(d.b)) { // each value costs at least one byte
-		d.fail()
-		return nil
-	}
-	var out []uint64
-	if keep {
-		out = make([]uint64, n)
-	} else {
-		if cap(d.u64a)-len(d.u64a) < int(n) {
-			d.u64a = make([]uint64, 0, max(64, int(n)))
+func (d *wireReader) ops() []Op {
+	out := make([]Op, d.count(3)) // an op takes at least a kind and two counts
+	for i := 0; i < len(out) && d.err == nil; i++ {
+		op := &out[i]
+		op.Kind = OpKind(d.uvarint())
+		switch op.Kind {
+		case OpInsert, OpModify:
+			op.Table, op.Entry = d.str(), d.entry()
+		case OpDelete:
+			op.Table, op.Keys = d.str(), uvarints[uint64](d)
+		case OpRegisterWrite:
+			op.Reg, op.Idx, op.Val = d.str(), int(d.varint()), d.uvarint()
+		case OpSetDefault:
+			op.Table, op.Action, op.Args = d.str(), d.str(), uvarints[uint64](d)
+		default:
+			d.failf("op %d: unknown op kind %d", i, op.Kind)
 		}
-		s := len(d.u64a)
-		d.u64a = d.u64a[:s+int(n)]
-		out = d.u64a[s:len(d.u64a):len(d.u64a)]
+	}
+	return out
+}
+
+// uvarints decodes a counted tuple.
+func uvarints[T int | uint64](d *wireReader) []T {
+	var out []T
+	if n := d.count(1); n > 0 {
+		out = make([]T, n)
 	}
 	for i := range out {
-		out[i] = d.uvarint()
+		out[i] = T(d.uvarint())
 	}
 	return out
 }
 
 func (d *wireReader) entry() *p4.Entry {
-	if d.byte() == 0 {
+	if d.uvarint() == 0 {
 		return nil
 	}
-	// One allocation for the entry and its action.
-	box := &struct {
+	box := &struct { // one allocation for the entry and its action
 		e p4.Entry
 		a p4.ActionCall
 	}{}
 	e := &box.e
-	nk := d.uvarint()
-	if d.err != nil || nk > uint64(len(d.b)) {
-		d.fail()
-		return e
-	}
-	if nk > 0 {
-		e.Keys = make([]p4.KeyValue, nk)
+	if n := d.count(4); n > 0 { // a key is four varints
+		e.Keys = make([]p4.KeyValue, n)
 		for i := range e.Keys {
 			k := &e.Keys[i]
-			k.Value = d.uvarint()
-			k.Mask = d.uvarint()
-			k.Hi = d.uvarint()
-			k.PrefixLen = int(d.varint())
+			k.Value, k.Mask, k.Hi, k.PrefixLen = d.uvarint(), d.uvarint(), d.uvarint(), int(d.varint())
 		}
 	}
 	e.Priority = int(d.varint())
-	if d.byte() == 1 {
-		box.a.Name = d.name()
-		box.a.Args = d.u64s(true)
+	if d.uvarint() != 0 {
+		box.a = p4.ActionCall{Name: d.str(), Args: uvarints[uint64](d)}
 		e.Action = &box.a
 	}
 	return e
-}
-
-// internName returns a canonical string for b. Control streams repeat
-// the same few table/register/action names in every op; the pool is
-// bounded by the number of distinct names the programs use.
-var (
-	internMu sync.RWMutex
-	interned = map[string]string{}
-)
-
-func internName(b []byte) string {
-	internMu.RLock()
-	s, ok := interned[string(b)] // no alloc: map lookup keyed by []byte
-	internMu.RUnlock()
-	if ok {
-		return s
-	}
-	s = string(b)
-	internMu.Lock()
-	interned[s] = s
-	internMu.Unlock()
-	return s
 }

@@ -91,12 +91,3 @@ func CallMessage(e Endpoint, spec *MessageSpec, m Message, args, out [][]uint64,
 	}
 	return UnpackInto(spec, reply, out)
 }
-
-// RecvFrom receives and unpacks one message from any endpoint.
-func RecvFrom(e Endpoint, spec *MessageSpec, out [][]uint64, timeout time.Duration) (wire.Header, error) {
-	msg, err := e.Recv(timeout)
-	if err != nil {
-		return wire.Header{}, err
-	}
-	return Unpack(spec, msg, out)
-}

@@ -66,9 +66,6 @@ func (b *Basic) Bits() int { return basicInfo[b.Kind].bits }
 // Signed reports whether the type is a signed integer.
 func (b *Basic) Signed() bool { return basicInfo[b.Kind].signed }
 
-// IsInteger reports whether the type is an integer (incl. bool storage).
-func (b *Basic) IsInteger() bool { return b.Kind >= Bool && b.Kind <= U64 }
-
 // Singleton basic types, comparable by pointer.
 var (
 	VoidType = &Basic{Kind: Void}
