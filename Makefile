@@ -3,7 +3,8 @@
 # tier1 is the fast correctness gate (gofmt + vet + build + test);
 # tier2 and race run the race detector over the concurrent code
 # (UDP backend, partitioned simulator, drivers, chaos tests). fuzz-smoke runs
-# the six native fuzz targets (netsim's event-queue differential,
+# the seven native fuzz targets (netsim's event-queue differential and
+# its route planner on random fabrics against a hop-by-hop walk oracle,
 # runtime's Pack/Unpack round trip, its raw-bytes UnpackInto and its
 # UDP_GRO control-message parser, bmv2's write batches against a naive
 # table model, p4rt's frame decoders on raw bytes) for 20 s each from their checked-in corpora
@@ -44,6 +45,7 @@ race:
 FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test ./internal/netsim -run '^$$' -fuzz '^FuzzEventQueueOrder$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/netsim -run '^$$' -fuzz '^FuzzRoutes$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/runtime -run '^$$' -fuzz '^FuzzPackUnpackRoundTrip$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/runtime -run '^$$' -fuzz '^FuzzUnpackIntoRaw$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/runtime -run '^$$' -fuzz '^FuzzGROControl$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s

@@ -402,9 +402,8 @@ func RunChurnPaxosReelect(cfg ChurnConfig) (*ChurnResult, error) {
 	tre := td + 20000.25
 
 	reroute, err := bed.topo.RerouteBatches(netsim.RerouteOptions{
-		Dead:       []*netsim.Device{leader},
-		Redirect:   map[uint16]*netsim.Device{PaxosLeader: standby},
-		HostRoutes: true,
+		Dead:     []*netsim.Device{leader},
+		Redirect: map[uint16]*netsim.Device{PaxosLeader: standby},
 	})
 	if err != nil {
 		return nil, err

@@ -1,9 +1,7 @@
 package netsim
 
 import (
-	"fmt"
 	"math"
-	"sort"
 
 	"netcl/internal/bmv2"
 	"netcl/internal/p4"
@@ -260,70 +258,15 @@ func (d *Device) SetMulticastGroup(gid int, ports []int) {
 	d.mcast[gid] = append([]int(nil), ports...)
 }
 
-// AutoWire installs netcl_fwd entries on every device: each node id is
-// mapped to the local egress port on the shortest path toward it. This
-// plays the role of the paper's operator-managed deployment step
-// (§III: "the assumed topology gets mapped to the real network").
-// Iteration is fully ordered — devices by id, ports ascending, entry
-// installation by node id — so equal-cost tie-breaks and the resulting
-// table contents are identical run to run.
+// AutoWire installs netcl_fwd entries on every device, hand-wired
+// networks included: each device and host id maps to the lowest local
+// egress port on a shortest path toward it (routes.go). Each device's
+// entries commit as one WriteBatch. A device that cannot reach some
+// node fails the call before anything is written. AutoWire leaves the
+// network without a Topo, so SetPartitions cuts it in id order.
 func (n *Network) AutoWire() error {
-	devs := append([]*Device(nil), n.devs...)
-	sort.Slice(devs, func(i, j int) bool { return devs[i].ID < devs[j].ID })
-	for _, d := range devs {
-		// BFS from d over the device graph, port numbers ascending.
-		nexthopPort := map[uint16]int{}
-		type item struct {
-			dev  *Device
-			port int // first-hop port at d
-		}
-		visited := map[*Device]bool{d: true}
-		var queue []item
-		expand := func(from *Device, firstHop func(p int) int) {
-			for p := range from.ports {
-				li := from.ports[p]
-				if li == 0 {
-					continue
-				}
-				l := n.links.at(li - 1)
-				peer := l.peerOf(from, p)
-				if peer.isDevice() {
-					pd := n.devs[peer.deviceIdx()]
-					if !visited[pd] {
-						visited[pd] = true
-						nexthopPort[pd.ID] = firstHop(p)
-						queue = append(queue, item{dev: pd, port: firstHop(p)})
-					}
-				} else {
-					ph := n.hs.at(peer.node)
-					if _, ok := nexthopPort[ph.ID]; !ok {
-						nexthopPort[ph.ID] = firstHop(p)
-					}
-				}
-			}
-		}
-		expand(d, func(p int) int { return p })
-		for len(queue) > 0 {
-			it := queue[0]
-			queue = queue[1:]
-			expand(it.dev, func(int) int { return it.port })
-		}
-		ids := make([]int, 0, len(nexthopPort))
-		for id := range nexthopPort {
-			ids = append(ids, int(id))
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			_, err := d.SW.Write(bmv2.NewWriteBatch().Insert("netcl_fwd", &p4.Entry{
-				Keys:   []p4.KeyValue{{Value: uint64(id), PrefixLen: -1}},
-				Action: &p4.ActionCall{Name: "set_port", Args: []uint64{uint64(nexthopPort[uint16(id)])}},
-			}))
-			if err != nil {
-				return fmt.Errorf("device %d: %w", d.ID, err)
-			}
-		}
-	}
-	return nil
+	pl := newPlanner(n.devs, nil, false)
+	return pl.install(append(pl.devRoutes, pl.hosts...), false)
 }
 
 // peerOf returns the far end of the link as seen from device d's

@@ -2,19 +2,16 @@ package netsim
 
 // topology.go is the fabric layer: declarative builders for multi-tier
 // switch topologies (chain, leaf/spine, three-tier fat-tree) with
-// per-class link latency/bandwidth, plus a shortest-path route
-// installer that programs every device's netcl_fwd table — spreading
-// over equal-cost uplinks with ECMP groups when asked. It replaces the
-// hand-keyed per-scenario transit wiring: a scenario names the shape
-// and attaches hosts; ports, links and tables fall out deterministically.
+// per-class link latency/bandwidth. A scenario names the shape and
+// attaches hosts; ports and links fall out deterministically, and
+// InstallRoutes hands the fabric to the one route planner (routes.go)
+// to program every device's netcl_fwd table, spreading over
+// equal-cost uplinks with ECMP groups when asked.
 
 import (
 	"fmt"
-	"sort"
 
-	"netcl/internal/bmv2"
 	"netcl/internal/p4"
-	"netcl/internal/wire"
 )
 
 // LinkClass parameterizes one class of links (host-facing, or one
@@ -298,194 +295,16 @@ type RouteOptions struct {
 }
 
 // InstallRoutes programs every fabric device's forwarding tables with
-// shortest paths over the fabric graph. Iteration is fully ordered —
-// destinations by id, devices by id, candidate ports ascending, ECMP
-// group ids in first-use order — so rebuilding an identical topology
-// yields identical tables, entry for entry (the equal-cost tie-break
-// determinism the partitioned-run hash tests rely on).
+// shortest paths over the fabric graph (routes.go): device keys
+// always, host keys with HostRoutes, equal-cost next hops spread over
+// an ECMP group with ECMP. Each device's entries commit as one
+// WriteBatch, devices ascending by id, and planning finishes before
+// the first write, so an unreachable destination writes nothing.
 func (t *Topo) InstallRoutes(opts RouteOptions) error {
-	devs := t.Devices()
-	sort.Slice(devs, func(i, j int) bool { return devs[i].ID < devs[j].ID })
-	n := t.n
-
-	// dist holds, per destination, the hop count from every device
-	// (indexed by device slab idx), built by one BFS from the
-	// destination over the fabric adjacency.
-	adj := map[int32][]int32{}
-	for _, d := range devs {
-		for p := range d.ports {
-			li := d.ports[p]
-			if li == 0 {
-				continue
-			}
-			peer := n.links.at(li-1).peerOf(d, p)
-			if peer.isDevice() {
-				adj[d.idx] = append(adj[d.idx], peer.deviceIdx())
-			}
-		}
-	}
-	distTo := func(dst *Device) map[int32]int {
-		dist := map[int32]int{dst.idx: 0}
-		queue := []int32{dst.idx}
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
-			for _, nb := range adj[cur] {
-				if _, ok := dist[nb]; !ok {
-					dist[nb] = dist[cur] + 1
-					queue = append(queue, nb)
-				}
-			}
-		}
-		return dist
-	}
-
-	// nexthops returns d's equal-cost egress ports toward dst (ports
-	// ascending), given dst's distance field.
-	nexthops := func(d *Device, dist map[int32]int) []int {
-		dd, ok := dist[d.idx]
-		if !ok {
-			return nil
-		}
-		var ports []int
-		for p := range d.ports {
-			li := d.ports[p]
-			if li == 0 {
-				continue
-			}
-			peer := n.links.at(li-1).peerOf(d, p)
-			if !peer.isDevice() {
-				continue
-			}
-			if pd, ok := dist[peer.deviceIdx()]; ok && pd == dd-1 {
-				ports = append(ports, p)
-			}
-		}
-		return ports
-	}
-
-	type routeEntry struct {
-		table string
-		e     *p4.Entry
-	}
-	type pending struct {
-		dev     *Device
-		entries []routeEntry
-		groups  map[string]int // port-set key → gid
-		nextGid int
-	}
-	pend := map[int32]*pending{}
-	getPend := func(d *Device) *pending {
-		pd := pend[d.idx]
-		if pd == nil {
-			pd = &pending{dev: d, groups: map[string]int{}, nextGid: 1}
-			pend[d.idx] = pd
-		}
-		return pd
-	}
-
-	// install resolves one (device, destination-id, ports) decision
-	// into netcl_fwd (and netcl_ecmp) entries.
-	install := func(d *Device, id uint16, ports []int) {
-		pd := getPend(d)
-		if len(ports) == 1 || !opts.ECMP {
-			pd.entries = append(pd.entries, routeEntry{"netcl_fwd", &p4.Entry{
-				Keys:   []p4.KeyValue{{Value: uint64(id), PrefixLen: -1}},
-				Action: &p4.ActionCall{Name: "set_port", Args: []uint64{uint64(ports[0])}},
-			}})
-			return
-		}
-		key := fmt.Sprint(ports)
-		gid, ok := pd.groups[key]
-		if !ok {
-			gid = pd.nextGid
-			pd.nextGid++
-			pd.groups[key] = gid
-			for b := 0; b < wire.ECMPBuckets; b++ {
-				pd.entries = append(pd.entries, routeEntry{"netcl_ecmp", &p4.Entry{
-					Keys: []p4.KeyValue{
-						{Value: uint64(gid), PrefixLen: -1},
-						{Value: uint64(b), PrefixLen: -1},
-					},
-					Action: &p4.ActionCall{Name: "set_port", Args: []uint64{uint64(ports[b%len(ports)])}},
-				}})
-			}
-		}
-		pd.entries = append(pd.entries, routeEntry{"netcl_fwd", &p4.Entry{
-			Keys:   []p4.KeyValue{{Value: uint64(id), PrefixLen: -1}},
-			Action: &p4.ActionCall{Name: "set_ecmp_group", Args: []uint64{uint64(gid)}},
-		}})
-	}
-
-	// Device destinations, ascending id.
-	for _, dst := range devs {
-		dist := distTo(dst)
-		for _, d := range devs {
-			if d == dst {
-				continue
-			}
-			ports := nexthops(d, dist)
-			if len(ports) == 0 {
-				return fmt.Errorf("netsim: no route from device %d to device %d", d.ID, dst.ID)
-			}
-			install(d, dst.ID, ports)
-		}
-	}
-
-	// Host destinations: route to the attach device, except at the
-	// attach device itself where the host port wins.
+	pl := newPlanner(t.Devices(), nil, false)
+	routes := pl.devRoutes
 	if opts.HostRoutes {
-		type hostAt struct {
-			id   uint16
-			dev  *Device
-			port int
-		}
-		var hosts []hostAt
-		for _, d := range devs {
-			for p := range d.ports {
-				li := d.ports[p]
-				if li == 0 {
-					continue
-				}
-				peer := n.links.at(li-1).peerOf(d, p)
-				if !peer.isDevice() {
-					hosts = append(hosts, hostAt{id: n.hs.at(peer.node).ID, dev: d, port: p})
-				}
-			}
-		}
-		sort.Slice(hosts, func(i, j int) bool { return hosts[i].id < hosts[j].id })
-		for _, h := range hosts {
-			dist := distTo(h.dev)
-			for _, d := range devs {
-				if d == h.dev {
-					pd := getPend(d)
-					pd.entries = append(pd.entries, routeEntry{"netcl_fwd", &p4.Entry{
-						Keys:   []p4.KeyValue{{Value: uint64(h.id), PrefixLen: -1}},
-						Action: &p4.ActionCall{Name: "set_port", Args: []uint64{uint64(h.port)}},
-					}})
-					continue
-				}
-				ports := nexthops(d, dist)
-				if len(ports) == 0 {
-					return fmt.Errorf("netsim: no route from device %d to host %d", d.ID, h.id)
-				}
-				install(d, h.id, ports)
-			}
-		}
+		routes = append(routes, pl.hosts...)
 	}
-
-	// Commit: devices ascending, each device's entries in decision
-	// order.
-	for _, d := range devs {
-		pd := pend[d.idx]
-		if pd == nil {
-			continue
-		}
-		for _, re := range pd.entries {
-			if _, err := d.SW.Write(bmv2.NewWriteBatch().Insert(re.table, re.e)); err != nil {
-				return fmt.Errorf("netsim: device %d: %w", d.ID, err)
-			}
-		}
-	}
-	return nil
+	return pl.install(routes, opts.ECMP)
 }
