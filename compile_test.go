@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"netcl/internal/apps"
 	"netcl/internal/bmv2"
 	"netcl/internal/p4c"
 	"netcl/internal/runtime"
@@ -335,6 +336,29 @@ _at(20) _kernel(1) void kb(uint32_t &x) { x = ncl::atomic_add(&B, 2); }
 	if !strings.Contains(art.Device(10).Source, "reg_A") ||
 		strings.Contains(art.Device(10).Source, "reg_B") {
 		t.Error("device 10 should only contain A")
+	}
+}
+
+// TestCompileDeterministic: compiling the same source again gives the
+// same P4 text. Each registry app is compiled 20 times per target.
+func TestCompileDeterministic(t *testing.T) {
+	for _, app := range apps.All() {
+		for _, target := range []Target{TargetTNA, TargetV1Model} {
+			var want []string
+			for run := 0; run < 20; run++ {
+				art, err := Compile(app.Name, app.NetCL, Options{Target: target, Defines: app.Defines})
+				if err != nil {
+					t.Fatalf("%s/%s: %v", app.Name, target, err)
+				}
+				for n, d := range art.Devices {
+					if run == 0 {
+						want = append(want, d.Source)
+					} else if d.Source != want[n] {
+						t.Fatalf("%s/%s device %d: run %d printed different P4 than run 0", app.Name, target, d.DeviceID, run)
+					}
+				}
+			}
+		}
 	}
 }
 

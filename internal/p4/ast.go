@@ -6,7 +6,10 @@
 // input), and the bmv2-style interpreter (execution).
 package p4
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Target identifies the P4 architecture flavor of a program.
 type Target string
@@ -254,16 +257,7 @@ type FieldRef struct {
 }
 
 // String joins the path.
-func (f *FieldRef) String() string {
-	s := ""
-	for i, p := range f.Parts {
-		if i > 0 {
-			s += "."
-		}
-		s += p
-	}
-	return s
-}
+func (f *FieldRef) String() string { return strings.Join(f.Parts, ".") }
 
 // FR builds a FieldRef.
 func FR(parts ...string) *FieldRef { return &FieldRef{Parts: parts} }

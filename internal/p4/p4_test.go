@@ -230,3 +230,20 @@ func TestParseErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestParseRequiresParserAndIngress: a program without a parser or an
+// ingress control is refused with the line where the input ended,
+// rather than returned for Print or the engines to dereference.
+func TestParseRequiresParserAndIngress(t *testing.T) {
+	cases := []struct{ src, want string }{
+		{"", "bad: line 1: program has no parser"},
+		{"header x_t {\n bit<8> f;\n}\n", "bad: line 4: program has no parser"},
+		{"parser P() {\n state start { transition accept; }\n}", "bad: line 3: program has no ingress control"},
+	}
+	for _, c := range cases {
+		_, err := Parse("bad", c.src)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("Parse(%q) = %v, want %q", c.src, err, c.want)
+		}
+	}
+}

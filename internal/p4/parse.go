@@ -31,7 +31,7 @@ type pparser struct {
 	typedefs map[string]int
 }
 
-func (p *pparser) tok() tok { return p.toks[p.pos] }
+func (p *pparser) tok() *tok { return &p.toks[p.pos] }
 func (p *pparser) next() tok {
 	t := p.toks[p.pos]
 	if p.pos < len(p.toks)-1 {
@@ -40,13 +40,13 @@ func (p *pparser) next() tok {
 	return t
 }
 
-func (p *pparser) isIdent(s string) bool { return p.tok().kind == "ident" && p.tok().text == s }
-func (p *pparser) isPunct(s string) bool { return p.tok().kind == "punct" && p.tok().text == s }
+func (p *pparser) isIdent(s string) bool { return p.tok().kind == tokIdent && p.tok().text == s }
+func (p *pparser) isPunct(s string) bool { return p.tok().kind == tokPunct && p.tok().text == s }
 
 func (p *pparser) accept(s string) bool {
 	// Nested template closers lex as ">>" (e.g. bit<32>>); split them
 	// when a single ">" is requested.
-	if s == ">" && p.tok().kind == "punct" && p.tok().text == ">>" {
+	if s == ">" && p.tok().kind == tokPunct && p.tok().text == ">>" {
 		p.toks[p.pos].text = ">"
 		return true
 	}
@@ -65,7 +65,7 @@ func (p *pparser) expect(s string) error {
 }
 
 func (p *pparser) ident() (string, error) {
-	if p.tok().kind != "ident" {
+	if p.tok().kind != tokIdent {
 		return "", fmt.Errorf("line %d: expected identifier, found %q", p.tok().line, p.tok().text)
 	}
 	return p.next().text, nil
@@ -79,7 +79,7 @@ func (p *pparser) skipBalanced(open, close string) error {
 	}
 	depth := 1
 	for depth > 0 {
-		if p.tok().kind == "eof" {
+		if p.tok().kind == tokEOF {
 			return fmt.Errorf("unexpected EOF in %s%s group", open, close)
 		}
 		if p.isPunct(open) {
@@ -94,7 +94,7 @@ func (p *pparser) skipBalanced(open, close string) error {
 }
 
 func (p *pparser) skipToSemi() {
-	for p.tok().kind != "eof" && !p.isPunct(";") {
+	for p.tok().kind != tokEOF && !p.isPunct(";") {
 		p.next()
 	}
 	p.accept(";")
@@ -108,7 +108,7 @@ func (p *pparser) bitType() (int, error) {
 		if err := p.expect("<"); err != nil {
 			return 0, err
 		}
-		if p.tok().kind != "int" {
+		if p.tok().kind != tokInt {
 			return 0, fmt.Errorf("line %d: expected width", p.tok().line)
 		}
 		w := int(p.next().val)
@@ -132,7 +132,7 @@ func (p *pparser) bitType() (int, error) {
 }
 
 func (p *pparser) program(prog *Program) error {
-	for p.tok().kind != "eof" {
+	for p.tok().kind != tokEOF {
 		switch {
 		case p.isIdent("header"):
 			if err := p.header(prog); err != nil {
@@ -168,7 +168,7 @@ func (p *pparser) program(prog *Program) error {
 			p.skipToSemi()
 		case p.isIdent("error") || p.isIdent("enum"):
 			p.next()
-			for p.tok().kind != "eof" && !p.isPunct("{") {
+			for p.tok().kind != tokEOF && !p.isPunct("{") {
 				p.next()
 			}
 			if err := p.skipBalanced("{", "}"); err != nil {
@@ -177,6 +177,12 @@ func (p *pparser) program(prog *Program) error {
 		default:
 			return fmt.Errorf("line %d: unexpected top-level token %q", p.tok().line, p.tok().text)
 		}
+	}
+	if prog.Parser == nil {
+		return fmt.Errorf("line %d: program has no parser", p.tok().line)
+	}
+	if prog.Ingress == nil {
+		return fmt.Errorf("line %d: program has no ingress control", p.tok().line)
 	}
 	return nil
 }
@@ -256,7 +262,7 @@ func (p *pparser) parserDecl(prog *Program) error {
 	// Secondary parsers (egress) are skipped.
 	if prog.Parser != nil {
 		depth := 1
-		for depth > 0 && p.tok().kind != "eof" {
+		for depth > 0 && p.tok().kind != tokEOF {
 			if p.isPunct("{") {
 				depth++
 			}
@@ -336,13 +342,13 @@ func (p *pparser) parserDecl(prog *Program) error {
 							p.accept(";")
 							continue
 						}
-						if p.tok().kind != "int" {
+						if p.tok().kind != tokInt {
 							return fmt.Errorf("line %d: expected select case value", p.tok().line)
 						}
 						v := p.next().val
 						var mask uint64
 						if p.accept("&&&") {
-							if p.tok().kind != "int" {
+							if p.tok().kind != tokInt {
 								return fmt.Errorf("line %d: expected mask", p.tok().line)
 							}
 							mask = p.next().val
@@ -473,7 +479,7 @@ func (p *pparser) registerDecl(c *Control) error {
 	if err := p.expect("("); err != nil {
 		return err
 	}
-	if p.tok().kind != "int" {
+	if p.tok().kind != tokInt {
 		return fmt.Errorf("line %d: expected register size", p.tok().line)
 	}
 	size := int(p.next().val)
@@ -504,7 +510,7 @@ func (p *pparser) regActionDecl(c *Control) error {
 	depth := 1
 	for depth > 0 {
 		switch {
-		case p.tok().kind == "eof":
+		case p.tok().kind == tokEOF:
 			return fmt.Errorf("unexpected EOF in RegisterAction template arguments")
 		case p.isPunct("<"):
 			depth++
@@ -761,7 +767,7 @@ func (p *pparser) tableDecl(c *Control) error {
 			if err := p.expect("="); err != nil {
 				return err
 			}
-			if p.tok().kind != "int" {
+			if p.tok().kind != tokInt {
 				return fmt.Errorf("line %d: expected size", p.tok().line)
 			}
 			t.Size = int(p.next().val)
@@ -779,24 +785,24 @@ func (p *pparser) entry(ordinal int) (*Entry, error) {
 	e := &Entry{Priority: ordinal}
 	parseKV := func() (KeyValue, error) {
 		kv := KeyValue{PrefixLen: -1}
-		if p.tok().kind != "int" {
+		if p.tok().kind != tokInt {
 			return kv, fmt.Errorf("line %d: expected entry key", p.tok().line)
 		}
 		t := p.next()
 		kv.Value = t.val
 		switch {
 		case p.accept("&&&"):
-			if p.tok().kind != "int" {
+			if p.tok().kind != tokInt {
 				return kv, fmt.Errorf("line %d: expected mask", p.tok().line)
 			}
 			kv.Mask = p.next().val
 		case p.accept(".."):
-			if p.tok().kind != "int" {
+			if p.tok().kind != tokInt {
 				return kv, fmt.Errorf("line %d: expected range end", p.tok().line)
 			}
 			kv.Hi = p.next().val
 		case p.accept("/"):
-			if p.tok().kind != "int" {
+			if p.tok().kind != tokInt {
 				return kv, fmt.Errorf("line %d: expected prefix length", p.tok().line)
 			}
 			kv.PrefixLen = int(p.next().val)
@@ -839,7 +845,7 @@ func (p *pparser) actionCall() (*ActionCall, error) {
 	ac := &ActionCall{Name: name}
 	if p.accept("(") {
 		for !p.accept(")") {
-			if p.tok().kind != "int" {
+			if p.tok().kind != tokInt {
 				return nil, fmt.Errorf("line %d: action arguments in entries must be literals", p.tok().line)
 			}
 			ac.Args = append(ac.Args, p.next().val)

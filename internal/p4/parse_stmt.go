@@ -190,7 +190,7 @@ func (p *pparser) binExpr(minPrec int) (Expr, error) {
 		return nil, err
 	}
 	for {
-		if p.tok().kind != "punct" {
+		if p.tok().kind != tokPunct {
 			return lhs, nil
 		}
 		op := p.tok().text
@@ -223,7 +223,7 @@ func (p *pparser) unaryExpr() (Expr, error) {
 func (p *pparser) primaryExpr() (Expr, error) {
 	t := p.tok()
 	switch {
-	case t.kind == "int":
+	case t.kind == tokInt:
 		p.next()
 		return &IntLit{Val: t.val, Bits: t.bits}, nil
 	case p.isPunct("("):
@@ -256,7 +256,7 @@ func (p *pparser) primaryExpr() (Expr, error) {
 			return nil, err
 		}
 		return e, nil
-	case t.kind == "ident":
+	case t.kind == tokIdent:
 		path, err := p.fieldPath()
 		if err != nil {
 			return nil, err
@@ -322,7 +322,7 @@ func (p *pparser) fieldPath() (*FieldRef, error) {
 		// include them; callers split the last segment as needed.
 		save := p.pos
 		p.next()
-		if p.tok().kind != "ident" {
+		if p.tok().kind != tokIdent {
 			p.pos = save
 			break
 		}

@@ -1,7 +1,7 @@
 package p4
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -20,21 +20,54 @@ const (
 	CatBlank     LineCat = "blank"
 )
 
-// printer accumulates categorized lines.
+// printer appends the program text to one buffer, a line at a time,
+// and records each line's category. A line is begun by open or w and
+// ended by end or w; s, d, u, x and e append to the open line.
 type printer struct {
-	lines []string
-	cats  []LineCat
-	ind   int
+	buf  []byte
+	cats []LineCat
+	ind  int
 }
 
-func (pr *printer) w(cat LineCat, format string, args ...interface{}) {
-	pr.lines = append(pr.lines, strings.Repeat("    ", pr.ind)+fmt.Sprintf(format, args...))
+// open begins a line of category cat at the current indentation.
+func (pr *printer) open(cat LineCat, parts ...string) {
 	pr.cats = append(pr.cats, cat)
+	for n := 0; n < pr.ind; n++ {
+		pr.buf = append(pr.buf, "    "...)
+	}
+	pr.s(parts...)
 }
 
-func (pr *printer) blank() {
-	pr.lines = append(pr.lines, "")
-	pr.cats = append(pr.cats, CatBlank)
+// end finishes the open line.
+func (pr *printer) end(parts ...string) {
+	pr.s(parts...)
+	pr.buf = append(pr.buf, '\n')
+}
+
+// w writes one whole line.
+func (pr *printer) w(cat LineCat, parts ...string) {
+	pr.open(cat, parts...)
+	pr.end()
+}
+
+func (pr *printer) blank() { pr.w(CatBlank) }
+
+func (pr *printer) s(parts ...string) {
+	for _, p := range parts {
+		pr.buf = append(pr.buf, p...)
+	}
+}
+
+func (pr *printer) d(v int)    { pr.buf = strconv.AppendInt(pr.buf, int64(v), 10) }
+func (pr *printer) u(v uint64) { pr.buf = strconv.AppendUint(pr.buf, v, 10) }
+func (pr *printer) x(v uint64) { pr.buf = strconv.AppendUint(append(pr.buf, "0x"...), v, 16) }
+func (pr *printer) e(ex Expr)  { pr.buf = appendExpr(pr.buf, ex) }
+
+// bits appends "bit<n>".
+func (pr *printer) bits(n int) {
+	pr.s("bit<")
+	pr.d(n)
+	pr.s(">")
 }
 
 // Print renders the program as P4-16 source for its target.
@@ -46,8 +79,10 @@ func Print(p *Program) string {
 // PrintClassified renders the program and reports each line's
 // construct category (for the Figure 12 breakdown).
 func PrintClassified(p *Program) (string, []LineCat) {
-	pr := &printer{}
-	pr.w(CatOther, "// Generated or handwritten P4-16 program %q for %s.", p.Name, p.Target)
+	pr := &printer{buf: make([]byte, 0, 8192)}
+	pr.open(CatOther, "// Generated or handwritten P4-16 program ")
+	pr.buf = strconv.AppendQuote(pr.buf, p.Name)
+	pr.end(" for ", string(p.Target), ".")
 	pr.w(CatOther, "#include <core.p4>")
 	if p.Target == TargetTNA {
 		pr.w(CatOther, "#include <tna.p4>")
@@ -57,10 +92,12 @@ func PrintClassified(p *Program) (string, []LineCat) {
 	pr.blank()
 
 	for _, h := range p.Headers {
-		pr.w(CatHeader, "header %s_t {", h.Name)
+		pr.w(CatHeader, "header ", h.Name, "_t {")
 		pr.ind++
 		for _, f := range h.Fields {
-			pr.w(CatHeader, "bit<%d> %s;", f.Bits, f.Name)
+			pr.open(CatHeader)
+			pr.bits(f.Bits)
+			pr.end(" ", f.Name, ";")
 		}
 		pr.ind--
 		pr.w(CatHeader, "}")
@@ -70,14 +107,16 @@ func PrintClassified(p *Program) (string, []LineCat) {
 	pr.w(CatOther, "struct headers_t {")
 	pr.ind++
 	for _, h := range p.Headers {
-		pr.w(CatOther, "%s_t %s;", h.Name, h.Name)
+		pr.w(CatOther, h.Name, "_t ", h.Name, ";")
 	}
 	pr.ind--
 	pr.w(CatOther, "}")
 	pr.w(CatOther, "struct metadata_t {")
 	pr.ind++
 	for _, f := range p.Metadata {
-		pr.w(CatOther, "bit<%d> %s;", f.Bits, f.Name)
+		pr.open(CatOther)
+		pr.bits(f.Bits)
+		pr.end(" ", f.Name, ";")
 	}
 	pr.ind--
 	pr.w(CatOther, "}")
@@ -94,14 +133,12 @@ func PrintClassified(p *Program) (string, []LineCat) {
 	printDeparser(pr, p)
 	pr.blank()
 	if p.Target == TargetTNA {
-		pr.w(CatOther, "Pipeline(IgParser(), %s(), IgDeparser(), EgParser(), %s(), EgDeparser()) pipe;",
-			p.Ingress.Name, egressName(p))
+		pr.w(CatOther, "Pipeline(IgParser(), ", p.Ingress.Name, "(), IgDeparser(), EgParser(), ", egressName(p), "(), EgDeparser()) pipe;")
 		pr.w(CatOther, "Switch(pipe) main;")
 	} else {
-		pr.w(CatOther, "V1Switch(IgParser(), verifyChecksum(), %s(), %s(), computeChecksum(), IgDeparser()) main;",
-			p.Ingress.Name, egressName(p))
+		pr.w(CatOther, "V1Switch(IgParser(), verifyChecksum(), ", p.Ingress.Name, "(), ", egressName(p), "(), computeChecksum(), IgDeparser()) main;")
 	}
-	return strings.Join(pr.lines, "\n") + "\n", pr.cats
+	return string(pr.buf), pr.cats
 }
 
 func egressName(p *Program) string {
@@ -121,22 +158,28 @@ func printParser(pr *printer, p *Program) {
 	}
 	pr.ind++
 	for _, s := range p.Parser.States {
-		pr.w(CatParser, "state %s {", s.Name)
+		pr.w(CatParser, "state ", s.Name, " {")
 		pr.ind++
 		for _, ext := range s.Extracts {
-			pr.w(CatParser, "pkt.extract(hdr.%s);", ext)
+			pr.w(CatParser, "pkt.extract(hdr.", ext, ");")
 		}
 		if s.Select != nil {
-			pr.w(CatParser, "transition select(%s) {", exprString(s.Select.Key))
+			pr.open(CatParser, "transition select(")
+			pr.e(s.Select.Key)
+			pr.end(") {")
 			pr.ind++
 			for _, c := range s.Select.Cases {
+				pr.open(CatParser)
 				if c.Mask != 0 {
-					pr.w(CatParser, "0x%x &&& 0x%x : %s;", c.Value, c.Mask, c.State)
+					pr.x(c.Value)
+					pr.s(" &&& ")
+					pr.x(c.Mask)
 				} else {
-					pr.w(CatParser, "%d : %s;", c.Value, c.State)
+					pr.u(c.Value)
 				}
+				pr.end(" : ", c.State, ";")
 			}
-			pr.w(CatParser, "default : %s;", s.Select.Default)
+			pr.w(CatParser, "default : ", s.Select.Default, ";")
 			pr.ind--
 			pr.w(CatParser, "}")
 		} else {
@@ -144,7 +187,7 @@ func printParser(pr *printer, p *Program) {
 			if next == "" {
 				next = "accept"
 			}
-			pr.w(CatParser, "transition %s;", next)
+			pr.w(CatParser, "transition ", next, ";")
 		}
 		pr.ind--
 		pr.w(CatParser, "}")
@@ -159,7 +202,7 @@ func printDeparser(pr *printer, p *Program) {
 	pr.w(CatParser, "apply {")
 	pr.ind++
 	for _, h := range p.Headers {
-		pr.w(CatParser, "pkt.emit(hdr.%s);", h.Name)
+		pr.w(CatParser, "pkt.emit(hdr.", h.Name, ");")
 	}
 	pr.ind--
 	pr.w(CatParser, "}")
@@ -168,43 +211,60 @@ func printDeparser(pr *printer, p *Program) {
 }
 
 func printControl(pr *printer, p *Program, c *Control) {
+	pr.w(CatControl, "control ", c.Name, "(inout headers_t hdr, inout metadata_t meta,")
 	if p.Target == TargetTNA {
-		pr.w(CatControl, "control %s(inout headers_t hdr, inout metadata_t meta,", c.Name)
 		pr.w(CatControl, "        in ingress_intrinsic_metadata_t ig_intr_md,")
 		pr.w(CatControl, "        inout ingress_intrinsic_metadata_for_tm_t ig_tm_md) {")
 	} else {
-		pr.w(CatControl, "control %s(inout headers_t hdr, inout metadata_t meta,", c.Name)
 		pr.w(CatControl, "        inout standard_metadata_t standard_metadata) {")
 	}
 	pr.ind++
 	for _, l := range c.Locals {
-		pr.w(CatControl, "bit<%d> %s;", l.Bits, l.Name)
+		pr.open(CatControl)
+		pr.bits(l.Bits)
+		pr.end(" ", l.Name, ";")
 	}
 	for _, h := range c.Hashes {
 		if h.Algo == "random" {
-			pr.w(CatRegAction, "Random<bit<%d>>() %s;", h.Bits, h.Name)
-		} else if p.Target == TargetTNA {
-			pr.w(CatRegAction, "Hash<bit<%d>>(HashAlgorithm_t.%s) %s;", h.Bits, strings.ToUpper(h.Algo), h.Name)
+			pr.open(CatRegAction, "Random<")
+			pr.bits(h.Bits)
+			pr.end(">() ", h.Name, ";")
+			continue
+		}
+		pr.open(CatRegAction, "Hash<")
+		pr.bits(h.Bits)
+		if p.Target == TargetTNA {
+			pr.end(">(HashAlgorithm_t.", strings.ToUpper(h.Algo), ") ", h.Name, ";")
 		} else {
-			pr.w(CatRegAction, "Hash<bit<%d>>(HashAlgorithm.%s) %s;", h.Bits, h.Algo, h.Name)
+			pr.end(">(HashAlgorithm.", h.Algo, ") ", h.Name, ";")
 		}
 	}
 	for _, r := range c.Registers {
 		if p.Target == TargetTNA {
-			pr.w(CatRegAction, "Register<bit<%d>, bit<32>>(%d) %s;", r.Bits, r.Size, r.Name)
+			pr.open(CatRegAction, "Register<")
+			pr.bits(r.Bits)
+			pr.s(", bit<32>>(")
 		} else {
-			pr.w(CatRegAction, "register<bit<%d>>(%d) %s;", r.Bits, r.Size, r.Name)
+			pr.open(CatRegAction, "register<")
+			pr.bits(r.Bits)
+			pr.s(">(")
 		}
+		pr.d(r.Size)
+		pr.end(") ", r.Name, ";")
 	}
 	for _, ra := range c.RegActs {
 		printRegAct(pr, p, c, ra)
 	}
 	for _, a := range c.Actions {
-		var params []string
-		for _, f := range a.Params {
-			params = append(params, fmt.Sprintf("bit<%d> %s", f.Bits, f.Name))
+		pr.open(CatMAT, "action ", a.Name, "(")
+		for n, f := range a.Params {
+			if n > 0 {
+				pr.s(", ")
+			}
+			pr.bits(f.Bits)
+			pr.s(" ", f.Name)
 		}
-		pr.w(CatMAT, "action %s(%s) {", a.Name, strings.Join(params, ", "))
+		pr.end(") {")
 		pr.ind++
 		printStmts(pr, CatMAT, a.Body)
 		pr.ind--
@@ -223,97 +283,133 @@ func printControl(pr *printer, p *Program, c *Control) {
 }
 
 func printRegAct(pr *printer, p *Program, c *Control, ra *RegisterAction) {
-	reg := c.RegisterByName(ra.Register)
+	if p.Target != TargetTNA {
+		pr.w(CatRegAction, "// register action ", ra.Name, " over ", ra.Register, " (expanded to read/modify/write)")
+		return
+	}
 	bits := 32
-	if reg != nil {
+	if reg := c.RegisterByName(ra.Register); reg != nil {
 		bits = reg.Bits
 	}
-	if p.Target == TargetTNA {
-		pr.w(CatRegAction, "RegisterAction<bit<%d>, bit<32>, bit<%d>>(%s) %s = {", bits, bits, ra.Register, ra.Name)
-		pr.ind++
-		pr.w(CatRegAction, "void apply(inout bit<%d> m, out bit<%d> o) {", bits, bits)
-		pr.ind++
-		printStmts(pr, CatRegAction, ra.Body)
-		pr.ind--
-		pr.w(CatRegAction, "}")
-		pr.ind--
-		pr.w(CatRegAction, "};")
-	} else {
-		pr.w(CatRegAction, "// register action %s over %s (expanded to read/modify/write)", ra.Name, ra.Register)
-	}
+	pr.open(CatRegAction, "RegisterAction<")
+	pr.bits(bits)
+	pr.s(", bit<32>, ")
+	pr.bits(bits)
+	pr.end(">(", ra.Register, ") ", ra.Name, " = {")
+	pr.ind++
+	pr.open(CatRegAction, "void apply(inout ")
+	pr.bits(bits)
+	pr.s(" m, out ")
+	pr.bits(bits)
+	pr.end(" o) {")
+	pr.ind++
+	printStmts(pr, CatRegAction, ra.Body)
+	pr.ind--
+	pr.w(CatRegAction, "}")
+	pr.ind--
+	pr.w(CatRegAction, "};")
 }
 
 func printTable(pr *printer, t *Table) {
-	pr.w(CatMAT, "table %s {", t.Name)
+	pr.w(CatMAT, "table ", t.Name, " {")
 	pr.ind++
 	if len(t.Keys) > 0 {
 		pr.w(CatMAT, "key = {")
 		pr.ind++
 		for _, k := range t.Keys {
-			pr.w(CatMAT, "%s : %s;", exprString(k.Expr), k.Match)
+			pr.open(CatMAT)
+			pr.e(k.Expr)
+			pr.end(" : ", string(k.Match), ";")
 		}
 		pr.ind--
 		pr.w(CatMAT, "}")
 	}
-	pr.w(CatMAT, "actions = { %s; }", strings.Join(t.Actions, "; "))
+	pr.w(CatMAT, "actions = { ", strings.Join(t.Actions, "; "), "; }")
 	if len(t.Entries) > 0 {
 		kw := "entries"
 		if t.Const {
 			kw = "const entries"
 		}
-		pr.w(CatMAT, "%s = {", kw)
+		pr.w(CatMAT, kw, " = {")
 		pr.ind++
 		for _, e := range t.Entries {
-			pr.w(CatMAT, "%s : %s;", entryKeyString(e), actionCallString(e.Action))
+			pr.open(CatMAT)
+			pr.entryKey(e)
+			pr.s(" : ")
+			pr.actionCall(e.Action)
+			pr.end(";")
 		}
 		pr.ind--
 		pr.w(CatMAT, "}")
 	}
 	if t.Default != nil {
-		pr.w(CatMAT, "default_action = %s;", actionCallString(t.Default))
+		pr.open(CatMAT, "default_action = ")
+		pr.actionCall(t.Default)
+		pr.end(";")
 	}
 	if t.Size > 0 {
-		pr.w(CatMAT, "size = %d;", t.Size)
+		pr.open(CatMAT, "size = ")
+		pr.d(t.Size)
+		pr.end(";")
 	}
 	pr.ind--
 	pr.w(CatMAT, "}")
 }
 
-func entryKeyString(e *Entry) string {
-	var parts []string
-	for _, kv := range e.Keys {
+func (pr *printer) entryKey(e *Entry) {
+	if len(e.Keys) != 1 {
+		pr.s("(")
+	}
+	for n, kv := range e.Keys {
+		if n > 0 {
+			pr.s(", ")
+		}
 		switch {
 		case kv.Mask != 0:
-			parts = append(parts, fmt.Sprintf("0x%x &&& 0x%x", kv.Value, kv.Mask))
+			pr.x(kv.Value)
+			pr.s(" &&& ")
+			pr.x(kv.Mask)
 		case kv.Hi != 0 && kv.Hi != kv.Value:
-			parts = append(parts, fmt.Sprintf("%d..%d", kv.Value, kv.Hi))
+			pr.u(kv.Value)
+			pr.s("..")
+			pr.u(kv.Hi)
 		case kv.PrefixLen > 0:
-			parts = append(parts, fmt.Sprintf("0x%x/%d", kv.Value, kv.PrefixLen))
+			pr.x(kv.Value)
+			pr.s("/")
+			pr.d(kv.PrefixLen)
 		default:
-			parts = append(parts, fmt.Sprintf("%d", kv.Value))
+			pr.u(kv.Value)
 		}
 	}
-	if len(parts) == 1 {
-		return parts[0]
+	if len(e.Keys) != 1 {
+		pr.s(")")
 	}
-	return "(" + strings.Join(parts, ", ") + ")"
 }
 
-func actionCallString(a *ActionCall) string {
-	var args []string
-	for _, v := range a.Args {
-		args = append(args, fmt.Sprintf("%d", v))
+func (pr *printer) actionCall(a *ActionCall) {
+	pr.s(a.Name, "(")
+	for n, v := range a.Args {
+		if n > 0 {
+			pr.s(", ")
+		}
+		pr.u(v)
 	}
-	return fmt.Sprintf("%s(%s)", a.Name, strings.Join(args, ", "))
+	pr.s(")")
 }
 
 func printStmts(pr *printer, cat LineCat, body []Stmt) {
 	for _, s := range body {
 		switch st := s.(type) {
 		case *Assign:
-			pr.w(cat, "%s = %s;", st.LHS.String(), exprString(st.RHS))
+			pr.open(cat)
+			pr.e(st.LHS)
+			pr.s(" = ")
+			pr.e(st.RHS)
+			pr.end(";")
 		case *If:
-			pr.w(cat, "if (%s) {", exprString(st.Cond))
+			pr.open(cat, "if (")
+			pr.e(st.Cond)
+			pr.end(") {")
 			pr.ind++
 			printStmts(pr, cat, st.Then)
 			pr.ind--
@@ -326,63 +422,88 @@ func printStmts(pr *printer, cat LineCat, body []Stmt) {
 			pr.w(cat, "}")
 		case *ApplyTable:
 			if st.HitVar != "" {
-				pr.w(cat, "%s = (bit<1>)(%s.apply().hit ? 1w1 : 1w0);", st.HitVar, st.Table)
+				pr.w(cat, st.HitVar, " = (bit<1>)(", st.Table, ".apply().hit ? 1w1 : 1w0);")
 			} else {
-				pr.w(cat, "%s.apply();", st.Table)
+				pr.w(cat, st.Table, ".apply();")
 			}
 		case *CallStmt:
-			var args []string
-			for _, a := range st.Args {
-				args = append(args, exprString(a))
-			}
 			if st.Recv != "" {
-				pr.w(cat, "%s.%s(%s);", st.Recv, st.Method, strings.Join(args, ", "))
+				pr.open(cat, st.Recv, ".", st.Method, "(")
 			} else {
-				pr.w(cat, "%s(%s);", st.Method, strings.Join(args, ", "))
+				pr.open(cat, st.Method, "(")
 			}
+			pr.buf = appendArgs(pr.buf, st.Args)
+			pr.end(");")
 		case *SetValid:
 			m := "setInvalid"
 			if st.Valid {
 				m = "setValid"
 			}
-			pr.w(cat, "hdr.%s.%s();", st.Header, m)
+			pr.w(cat, "hdr.", st.Header, ".", m, "();")
 		case *Exit:
 			pr.w(cat, "exit;")
 		case *Comment:
-			pr.w(cat, "// %s", st.Text)
+			pr.w(cat, "// ", st.Text)
 		}
 	}
 }
 
-func exprString(e Expr) string {
+// appendExpr appends e as P4 source.
+func appendExpr(b []byte, e Expr) []byte {
 	switch x := e.(type) {
 	case *FieldRef:
-		return x.String()
+		for n, p := range x.Parts {
+			if n > 0 {
+				b = append(b, '.')
+			}
+			b = append(b, p...)
+		}
+		return b
 	case *IntLit:
 		if x.Bits > 0 {
-			return fmt.Sprintf("%dw%d", x.Bits, x.Val)
+			b = strconv.AppendInt(b, int64(x.Bits), 10)
+			b = append(b, 'w')
 		}
-		return fmt.Sprintf("%d", x.Val)
+		return strconv.AppendUint(b, x.Val, 10)
 	case *Bin:
-		return fmt.Sprintf("(%s %s %s)", exprString(x.X), x.Op, exprString(x.Y))
+		b = appendExpr(append(b, '('), x.X)
+		b = append(append(append(b, ' '), x.Op...), ' ')
+		return append(appendExpr(b, x.Y), ')')
 	case *Un:
-		return fmt.Sprintf("(%s%s)", x.Op, exprString(x.X))
+		b = append(append(b, '('), x.Op...)
+		return append(appendExpr(b, x.X), ')')
 	case *Cast:
+		b = append(b, "(bit<"...)
+		b = strconv.AppendInt(b, int64(x.Bits), 10)
+		b = append(b, ">)"...)
 		if x.Signed {
-			return fmt.Sprintf("(bit<%d>)(int<%d>)%s", x.Bits, x.Bits, exprString(x.X))
+			b = append(b, "(int<"...)
+			b = strconv.AppendInt(b, int64(x.Bits), 10)
+			b = append(b, ">)"...)
 		}
-		return fmt.Sprintf("(bit<%d>)%s", x.Bits, exprString(x.X))
+		return appendExpr(b, x.X)
 	case *CallExpr:
-		var args []string
-		for _, a := range x.Args {
-			args = append(args, exprString(a))
-		}
 		if x.Method == "apply_hit" {
-			return fmt.Sprintf("%s.apply().hit", x.Recv)
+			return append(append(b, x.Recv...), ".apply().hit"...)
 		}
-		return fmt.Sprintf("%s.%s(%s)", x.Recv, x.Method, strings.Join(args, ", "))
+		b = append(append(append(b, x.Recv...), '.'), x.Method...)
+		return append(appendArgs(append(b, '('), x.Args), ')')
 	case *TernaryExpr:
-		return fmt.Sprintf("(%s ? %s : %s)", exprString(x.Cond), exprString(x.A), exprString(x.B))
+		b = appendExpr(append(b, '('), x.Cond)
+		b = appendExpr(append(b, " ? "...), x.A)
+		b = appendExpr(append(b, " : "...), x.B)
+		return append(b, ')')
 	}
-	return "/*?*/"
+	return append(b, "/*?*/"...)
+}
+
+// appendArgs appends a comma-separated expression list.
+func appendArgs(b []byte, args []Expr) []byte {
+	for n, a := range args {
+		if n > 0 {
+			b = append(b, ", "...)
+		}
+		b = appendExpr(b, a)
+	}
+	return b
 }

@@ -216,8 +216,16 @@ type fitter struct {
 	opts Options
 	rep  *Report
 
-	// lastWrite maps field path -> stage of last writer.
+	// lastWrite maps field path -> stage of last writer. Every change
+	// goes through write, which logs the old value in undo so that a
+	// branch can be rolled back.
 	lastWrite map[string]int
+	undo      []fieldUndo
+	// thenWrites stacks, per enclosing if, the then-branch's final
+	// stage of each field it wrote; merged marks fields during a merge.
+	thenWrites []fieldStage
+	merged     map[string]int
+	mergeMark  int
 	// regStage pins each register to its single stage (Tofino memory
 	// is stage-local).
 	regStage map[string]int
@@ -316,17 +324,19 @@ func (f *fitter) stmt(c *p4.Control, st p4.Stmt, floor int) int {
 		// The condition itself occupies a VLIW decision in its stage.
 		condStage := maxInt(floor, f.readFloor(condReads))
 		inner := condStage
-		// Branches share the incoming state; writes merge as max.
-		saved := copyMap(f.lastWrite)
+		// Branches share the incoming state: the then-branch's writes
+		// are rolled back before the else-branch runs.
+		mark := len(f.undo)
 		thenMax := f.stmts(c, x.Then, inner)
-		thenWrites := f.lastWrite
-		f.lastWrite = copyMap(saved)
-		elseMax := f.stmts(c, x.Else, inner)
-		for k, v := range thenWrites {
-			if v > f.lastWrite[k] {
-				f.lastWrite[k] = v
-			}
+		from := len(f.thenWrites)
+		for _, u := range f.undo[mark:] {
+			f.thenWrites = append(f.thenWrites, fieldStage{u.field, f.lastWrite[u.field]})
 		}
+		to := len(f.thenWrites)
+		f.rollback(mark)
+		elseMax := f.stmts(c, x.Else, inner)
+		f.merge(f.thenWrites[from:to], mark)
+		f.thenWrites = f.thenWrites[:from]
 		m := maxInt(thenMax, elseMax)
 		return maxInt(m, condStage-1)
 	case *p4.ApplyTable:
@@ -337,12 +347,67 @@ func (f *fitter) stmt(c *p4.Control, st p4.Stmt, floor int) int {
 	return floor - 1
 }
 
-func copyMap(m map[string]int) map[string]int {
-	out := make(map[string]int, len(m))
-	for k, v := range m {
-		out[k] = v
+type fieldUndo struct {
+	field string
+	old   int
+	had   bool
+}
+
+type fieldStage struct {
+	field string
+	stage int
+}
+
+// write records that field's last writer is in stage.
+func (f *fitter) write(field string, stage int) {
+	old, had := f.lastWrite[field]
+	f.undo = append(f.undo, fieldUndo{field, old, had})
+	f.lastWrite[field] = stage
+}
+
+// rollback undoes every write logged since mark.
+func (f *fitter) rollback(mark int) {
+	for n := len(f.undo) - 1; n >= mark; n-- {
+		u := f.undo[n]
+		if u.had {
+			f.lastWrite[u.field] = u.old
+		} else {
+			delete(f.lastWrite, u.field)
+		}
 	}
-	return out
+	f.undo = f.undo[:mark]
+}
+
+// merge joins an if's branches once the else-branch, whose writes are
+// logged from mark, has run. A field takes the then-branch's stage when
+// that is greater than the else-branch's, a field the else-branch does
+// not know counting as stage 0; a field the then-branch did not write
+// has there its stage from before the if.
+func (f *fitter) merge(then []fieldStage, mark int) {
+	if f.merged == nil {
+		f.merged = map[string]int{}
+	}
+	f.mergeMark++
+	for _, w := range then {
+		f.merged[w.field] = f.mergeMark
+	}
+	end := len(f.undo)
+	for _, u := range f.undo[mark:end] {
+		if f.merged[u.field] == f.mergeMark {
+			continue
+		}
+		// The field's first write in the else-branch logged its stage
+		// from before the if.
+		f.merged[u.field] = f.mergeMark
+		if u.had && u.old > f.lastWrite[u.field] {
+			f.write(u.field, u.old)
+		}
+	}
+	for _, w := range then {
+		if w.stage > f.lastWrite[w.field] {
+			f.write(w.field, w.stage)
+		}
+	}
 }
 
 func maxInt(a, b int) int {
@@ -371,7 +436,7 @@ func (f *fitter) assign(c *p4.Control, a *p4.Assign, floor int) int {
 	st := f.stageAt(stage)
 	st.VLIWSlots++
 	st.Ops = append(st.Ops, a.LHS.String())
-	f.lastWrite[a.LHS.String()] = stage
+	f.write(a.LHS.String(), stage)
 	return stage
 }
 
@@ -530,7 +595,7 @@ func (f *fitter) placeTable(c *p4.Control, name string, want int) int {
 		if a := c.ActionByName(an); a != nil {
 			p4.Walk(a.Body, func(s p4.Stmt) {
 				if as, ok := s.(*p4.Assign); ok {
-					f.lastWrite[as.LHS.String()] = stage
+					f.write(as.LHS.String(), stage)
 				}
 			})
 		}
@@ -541,7 +606,7 @@ func (f *fitter) placeTable(c *p4.Control, name string, want int) int {
 func (f *fitter) applyTable(c *p4.Control, x *p4.ApplyTable, floor int) int {
 	stage := f.placeTable(c, x.Table, floor)
 	if x.HitVar != "" {
-		f.lastWrite[x.HitVar] = stage
+		f.write(x.HitVar, stage)
 	}
 	return stage
 }
@@ -586,7 +651,7 @@ func (f *fitter) callStmt(c *p4.Control, x *p4.CallStmt, floor int) int {
 		}
 		if x.Method == "read" {
 			if dst, ok := x.Args[0].(*p4.FieldRef); ok {
-				f.lastWrite[dst.String()] = stage
+				f.write(dst.String(), stage)
 			}
 		}
 		f.stageAt(stage).VLIWSlots++

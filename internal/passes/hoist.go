@@ -8,28 +8,24 @@ import (
 // sibling blocks up to their nearest common dominator, provided their
 // operands are available there (§VI-B "hoist instructions computing
 // the same value to a common dominator"). Returns hoisted count.
+//
+// Groups of equal pure instructions are visited in program order and
+// the first hoistable one is hoisted; then the scan starts over, since
+// a hoist can make an earlier group hoistable. The key index is built
+// once: a hoist changes only the keys of the replaced instruction's
+// users.
 func HoistCommon(f *ir.Func) int {
 	dt := ir.BuildDomTree(f)
+	ix := newHoistIndex(f)
 	moved := 0
 	for again := true; again; {
 		again = false
-		keyed := map[string][]*ir.Instr{}
-		blockOf := map[*ir.Instr]*ir.Block{}
-		for _, b := range f.Blocks {
-			for _, i := range b.Instrs {
-				if i.Pure() {
-					k := cseKey(i)
-					keyed[k] = append(keyed[k], i)
-					blockOf[i] = b
-				}
-			}
-		}
-		for _, group := range keyed {
-			if len(group) < 2 {
+		for _, g := range ix.order {
+			if len(g.members) < 2 {
 				continue
 			}
-			a, b := group[0], group[1]
-			ba, bb := blockOf[a], blockOf[b]
+			a, b := g.members[0], g.members[1]
+			ba, bb := ix.blk[a], ix.blk[b]
 			if ba == bb || dt.Dominates(ba, bb) || dt.Dominates(bb, ba) {
 				continue // CSE's job
 			}
@@ -41,7 +37,22 @@ func HoistCommon(f *ir.Func) int {
 			ba.Remove(a)
 			nca.InsertBeforeTerm(a)
 			nca.Adopt(a)
-			f.ReplaceAllUses(b, a)
+			ix.blk[a] = nca
+			g.members = append(g.members[:1], g.members[2:]...)
+			for _, blk := range f.Blocks {
+				for _, u := range blk.Instrs {
+					replaced := false
+					for n, arg := range u.Args {
+						if arg == b {
+							u.Args[n] = a
+							replaced = true
+						}
+					}
+					if replaced && u.Pure() {
+						ix.rekey(u)
+					}
+				}
+			}
 			bb.Remove(b)
 			moved++
 			again = true
@@ -49,6 +60,63 @@ func HoistCommon(f *ir.Func) int {
 		}
 	}
 	return moved
+}
+
+// hoistIndex groups a function's pure instructions by cseKey. Members
+// of a group are in program order as of the index's construction.
+type hoistIndex struct {
+	groups map[cseKey]*hoistGroup
+	order  []*hoistGroup // by first appearance
+	key    map[*ir.Instr]cseKey
+	pos    map[*ir.Instr]int
+	blk    map[*ir.Instr]*ir.Block
+}
+
+type hoistGroup struct{ members []*ir.Instr }
+
+func newHoistIndex(f *ir.Func) *hoistIndex {
+	ix := &hoistIndex{groups: map[cseKey]*hoistGroup{}, key: map[*ir.Instr]cseKey{},
+		pos: map[*ir.Instr]int{}, blk: map[*ir.Instr]*ir.Block{}}
+	for _, b := range f.Blocks {
+		for _, i := range b.Instrs {
+			if i.Pure() {
+				ix.pos[i] = len(ix.pos)
+				ix.blk[i] = b
+				ix.add(i, keyOf(i))
+			}
+		}
+	}
+	return ix
+}
+
+// add files i under k, keeping the group's members in program order.
+func (ix *hoistIndex) add(i *ir.Instr, k cseKey) {
+	ix.key[i] = k
+	g := ix.groups[k]
+	if g == nil {
+		g = &hoistGroup{}
+		ix.groups[k] = g
+		ix.order = append(ix.order, g)
+	}
+	n := len(g.members)
+	for n > 0 && ix.pos[g.members[n-1]] > ix.pos[i] {
+		n--
+	}
+	g.members = append(g.members, nil)
+	copy(g.members[n+1:], g.members[n:])
+	g.members[n] = i
+}
+
+// rekey moves i, whose operands changed, to the group of its new key.
+func (ix *hoistIndex) rekey(i *ir.Instr) {
+	g := ix.groups[ix.key[i]]
+	for n, m := range g.members {
+		if m == i {
+			g.members = append(g.members[:n], g.members[n+1:]...)
+			break
+		}
+	}
+	ix.add(i, keyOf(i))
 }
 
 // Speculate aggressively hoists pure instructions to the earliest

@@ -44,6 +44,36 @@ _kernel(1) void k(unsigned key, unsigned sel, unsigned &x) {
 	}
 }
 
+// TestHoistCommonCascade: hoisting the multiply makes the two adds
+// that use it equal, and they must be hoisted in turn.
+func TestHoistCommonCascade(t *testing.T) {
+	mod := buildModule(t, `
+_net_ unsigned A[256], B[256];
+_kernel(1) void k(unsigned key, unsigned sel, unsigned &x) {
+  if (sel > 0) { x = ncl::atomic_add(&A[(key * 31 + 5) & 255], 1); }
+  else         { x = ncl::atomic_add(&B[(key * 31 + 5) & 255], 1); }
+}
+`, 1, nil)
+	f := mod.Funcs[0]
+	Mem2Reg(f)
+	Simplify(f)
+	if n := HoistCommon(f); n < 3 {
+		t.Fatalf("hoisted %d instructions, want the multiply, the add and the and:\n%s", n, f)
+	}
+	f.Instrs(func(b *ir.Block, i *ir.Instr) bool {
+		switch i.Op {
+		case ir.OpMul, ir.OpAdd, ir.OpAnd:
+			if b != f.Entry() {
+				t.Errorf("%s left in %s:\n%s", i.Op, b.Name, f)
+			}
+		}
+		return true
+	})
+	if err := ir.Verify(f); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestSROAEligibility: dynamic indices block scalar replacement.
 func TestSROAEligibility(t *testing.T) {
 	mod := buildModule(t, `

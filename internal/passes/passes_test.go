@@ -225,12 +225,19 @@ _kernel(1) void k(uint32_t &out) {
 	}
 }
 
+// TestCSEMergesHashes: equal hashes merge, also over field lists longer
+// than the key's inline operands; lists that differ past the third
+// operand, in a constant or in a value, do not.
 func TestCSEMergesHashes(t *testing.T) {
 	mod := buildModule(t, `
-_net_ uint32_t A[256], B[256];
-_kernel(1) void k(uint32_t key, uint32_t &x, uint32_t &y) {
+_net_ uint32_t A[256], B[256], C[256], D[256], E[256], F[256];
+_kernel(1) void k(uint32_t key, uint32_t sel, uint32_t &x, uint32_t &y) {
   x = ncl::atomic_add(&A[ncl::crc16(key)], 1);
   y = ncl::atomic_add(&B[ncl::crc16(key)], 1);
+  x = ncl::atomic_add(&C[ncl::crc16(key, sel, 7, key, 3)], x);
+  y = ncl::atomic_add(&D[ncl::crc16(key, sel, 7, key, 3)], y);
+  x = ncl::atomic_add(&E[ncl::crc16(key, sel, 7, key, 4)], x);
+  y = ncl::atomic_add(&F[ncl::crc16(key, sel, 7, sel, 3)], y);
 }
 `, 1, nil)
 	f := mod.Funcs[0]
@@ -243,8 +250,8 @@ _kernel(1) void k(uint32_t key, uint32_t &x, uint32_t &y) {
 		}
 		return true
 	})
-	if hashes != 1 {
-		t.Errorf("identical hashes not CSEd: %d", hashes)
+	if hashes != 4 {
+		t.Errorf("hashes after CSE: %d, want 4", hashes)
 	}
 }
 

@@ -1,8 +1,8 @@
 package passes
 
 import (
-	"fmt"
-	"strings"
+	"reflect"
+	"strconv"
 
 	"netcl/internal/ir"
 )
@@ -546,16 +546,16 @@ func DCE(f *ir.Func) bool {
 // pure instructions. The paper's hoisting stage builds on this.
 func CSE(f *ir.Func) bool {
 	dt := ir.BuildDomTree(f)
-	avail := map[string]*ir.Instr{}
+	avail := map[cseKey]*ir.Instr{}
 	changed := false
 	var walk func(b *ir.Block)
 	walk = func(b *ir.Block) {
-		var added []string
+		var added []cseKey
 		for _, i := range append([]*ir.Instr(nil), b.Instrs...) {
 			if !i.Pure() {
 				continue
 			}
-			key := cseKey(i)
+			key := keyOf(i)
 			if prev, ok := avail[key]; ok {
 				f.ReplaceAllUses(i, prev)
 				b.Remove(i)
@@ -578,16 +578,57 @@ func CSE(f *ir.Func) bool {
 	return changed
 }
 
-func cseKey(i *ir.Instr) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d|%d|%v|%s|%s|%d", i.Op, i.Pred, i.Ty, i.HashKind, i.Field, i.Count)
-	for _, a := range i.Args {
-		switch v := a.(type) {
-		case *ir.Const:
-			fmt.Fprintf(&b, "|c%d:%v", v.Val, v.Ty)
-		default:
-			fmt.Fprintf(&b, "|p%p", a)
+// cseKey identifies the value a pure instruction computes: two pure
+// instructions with equal keys compute the same result. A constant
+// operand is keyed by value and type, any other operand by identity.
+type cseKey struct {
+	op       ir.Op
+	pred     ir.Pred
+	ty       ir.Type
+	hashKind string
+	field    string
+	count    int
+	nargs    int
+	args     [3]cseArg
+	// more encodes the operands past the third (long hash field lists).
+	more string
+}
+
+type cseArg struct {
+	v   ir.Value // nil for a constant
+	val int64
+	ty  ir.Type
+}
+
+func keyOf(i *ir.Instr) cseKey {
+	k := cseKey{op: i.Op, pred: i.Pred, ty: i.Ty, hashKind: i.HashKind,
+		field: i.Field, count: i.Count, nargs: len(i.Args)}
+	var more []byte
+	for n, a := range i.Args {
+		var ka cseArg
+		if c, ok := a.(*ir.Const); ok {
+			ka = cseArg{val: c.Val, ty: c.Ty}
+		} else {
+			ka = cseArg{v: a}
 		}
+		if n < len(k.args) {
+			k.args[n] = ka
+			continue
+		}
+		if ka.v != nil {
+			more = append(more, 'p')
+			more = strconv.AppendUint(more, uint64(reflect.ValueOf(ka.v).Pointer()), 16)
+		} else {
+			more = append(more, 'c')
+			more = strconv.AppendInt(more, ka.val, 10)
+			more = append(more, ':')
+			more = strconv.AppendInt(more, int64(ka.ty.Bits), 10)
+			if ka.ty.Signed {
+				more = append(more, 's')
+			}
+		}
+		more = append(more, '|')
 	}
-	return b.String()
+	k.more = string(more)
+	return k
 }

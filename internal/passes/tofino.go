@@ -353,74 +353,95 @@ func blockReach(f *ir.Func) map[*ir.Block]map[*ir.Block]bool {
 // access sequences compare equal across branches — the paper allows
 // reordering when no data dependence forces the order.
 func canonicalPositions(b *ir.Block) map[*ir.Instr]int {
-	var accs []*ir.Instr
-	index := map[*ir.Instr]int{}
+	var accs []int // positions in b.Instrs
 	for n, i := range b.Instrs {
-		index[i] = n
 		if i.Op == ir.OpAtomicRMW || i.Op == ir.OpLookup {
-			accs = append(accs, i)
+			accs = append(accs, n)
 		}
 	}
 	if len(accs) < 2 {
 		return nil
 	}
-	// dependsOn reports whether y transitively uses x within the block.
-	var dependsOn func(y *ir.Instr, x *ir.Instr, seen map[*ir.Instr]bool) bool
-	dependsOn = func(y, x *ir.Instr, seen map[*ir.Instr]bool) bool {
-		if seen[y] {
-			return false
-		}
-		seen[y] = true
-		for _, a := range y.Args {
-			ai, ok := a.(*ir.Instr)
-			if !ok {
-				continue
-			}
-			if ai == x {
-				return true
-			}
-			if _, inBlk := index[ai]; inBlk && dependsOn(ai, x, seen) {
-				return true
-			}
-		}
-		return false
+	index := make(map[*ir.Instr]int, len(b.Instrs))
+	bit := make([]int, len(b.Instrs)) // access number, or -1
+	for n, i := range b.Instrs {
+		index[i] = n
+		bit[n] = -1
 	}
-	// Topological sort of accesses with name-order tie-breaking.
-	remaining := append([]*ir.Instr(nil), accs...)
-	var orderResult []*ir.Instr
-	for len(remaining) > 0 {
-		// Candidates: accesses not depended on... pick the access with
-		// the smallest name whose predecessors (accesses it depends on)
-		// are already emitted.
-		best := -1
-		for k, cand := range remaining {
-			ready := true
-			for _, other := range remaining {
-				if other == cand {
+	for k, n := range accs {
+		bit[n] = k
+	}
+	// deps row n: the accesses b.Instrs[n] transitively uses through
+	// in-block operands. One pass in block order completes every row
+	// when operands precede their users; an operand that follows its
+	// user (a φ of a self-looping block) makes the pass repeat until
+	// nothing changes.
+	words := (len(accs) + 63) / 64
+	deps := make([]uint64, len(b.Instrs)*words)
+	row := func(n int) []uint64 { return deps[n*words : (n+1)*words] }
+	for again := true; again; {
+		back, changed := false, false
+		for n, i := range b.Instrs {
+			d := row(n)
+			for _, a := range i.Args {
+				ai, ok := a.(*ir.Instr)
+				if !ok {
 					continue
 				}
-				if dependsOn(cand, other, map[*ir.Instr]bool{}) {
+				m, in := index[ai]
+				if !in {
+					continue
+				}
+				back = back || m >= n
+				if k := bit[m]; k >= 0 && d[k/64]&(1<<(k%64)) == 0 {
+					d[k/64] |= 1 << (k % 64)
+					changed = true
+				}
+				for w, v := range row(m) {
+					if d[w]|v != d[w] {
+						d[w] |= v
+						changed = true
+					}
+				}
+			}
+		}
+		again = back && changed
+	}
+	// Topological selection with name-order tie-breaking: each round
+	// takes the smallest-named remaining access that uses no other
+	// remaining access.
+	remaining := make([]uint64, words)
+	for k := range accs {
+		remaining[k/64] |= 1 << (k % 64)
+	}
+	out := make(map[*ir.Instr]int, len(accs))
+	for pos := range accs {
+		best := -1
+		for k, n := range accs {
+			if remaining[k/64]&(1<<(k%64)) == 0 {
+				continue
+			}
+			ready := true
+			for w, v := range row(n) {
+				v &= remaining[w]
+				if w == k/64 {
+					v &^= 1 << (k % 64)
+				}
+				if v != 0 {
 					ready = false
 					break
 				}
 			}
-			if !ready {
-				continue
-			}
-			if best == -1 || nameLess(cand, remaining[best]) {
+			if ready && (best == -1 || nameLess(b.Instrs[n], b.Instrs[accs[best]])) {
 				best = k
 			}
 		}
 		if best == -1 {
-			// Cyclic (impossible in a block) — bail to source order.
+			// Cyclic (only through φs) — bail to source order.
 			return nil
 		}
-		orderResult = append(orderResult, remaining[best])
-		remaining = append(remaining[:best], remaining[best+1:]...)
-	}
-	out := map[*ir.Instr]int{}
-	for n, i := range orderResult {
-		out[i] = n
+		remaining[best/64] &^= 1 << (best % 64)
+		out[b.Instrs[accs[best]]] = pos
 	}
 	return out
 }
