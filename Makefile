@@ -3,11 +3,12 @@
 # tier1 is the fast correctness gate (gofmt + vet + build + test);
 # tier2 and race run the race detector over the concurrent code
 # (UDP backend, partitioned simulator, drivers, chaos tests). fuzz-smoke runs
-# the eight native fuzz targets (netsim's event-queue differential and
+# the nine native fuzz targets (netsim's event-queue differential and
 # its route planner on random fabrics against a hop-by-hop walk oracle,
 # runtime's Pack/Unpack round trip, its raw-bytes UnpackInto and its
 # UDP_GRO control-message parser, bmv2's write batches against a naive
-# table model, p4rt's frame decoders on raw bytes, the P4 text parser
+# table model and its parser/deparser on random header layouts against
+# the reference interpreter, p4rt's frame decoders on raw bytes, the P4 text parser
 # with Print and p4c.Fit on what it accepts) for 20 s each from their checked-in corpora
 # (testdata/fuzz); a failing input is written there. bench-e2e
 # is the repository's benchmark (BENCHMARK.json, bench/README.md):
@@ -51,6 +52,7 @@ fuzz-smoke:
 	$(GO) test ./internal/runtime -run '^$$' -fuzz '^FuzzUnpackIntoRaw$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/runtime -run '^$$' -fuzz '^FuzzGROControl$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/bmv2 -run '^$$' -fuzz '^FuzzWriteBatch$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/bmv2 -run '^$$' -fuzz '^FuzzLayout$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/p4rt -run '^$$' -fuzz '^FuzzP4RTFrame$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/p4 -run '^$$' -fuzz '^FuzzP4Parse$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 

@@ -28,7 +28,7 @@ func enginePair(t *testing.T, name string, prog *p4.Program) (fast, slow *bmv2.S
 // randMsg packs one wire message with random argument values. The
 // first scalar argument (opcode/type in every app) is kept small to
 // hit the dispatch branches.
-func randMsg(t *testing.T, spec *runtime.MessageSpec, rng *rand.Rand, device uint16) []byte {
+func randMsg(t testing.TB, spec *runtime.MessageSpec, rng *rand.Rand, device uint16) []byte {
 	t.Helper()
 	args := make([][]uint64, len(spec.Args))
 	for i, a := range spec.Args {
@@ -55,8 +55,24 @@ func randMsg(t *testing.T, spec *runtime.MessageSpec, rng *rand.Rand, device uin
 	return msg
 }
 
-// diffStream feeds an identical packet stream — valid messages, random
-// garbage, truncations — to the engine on fast and the reference
+// framedMsg wraps a randMsg in the Ethernet/IPv4/UDP frame hosts send.
+// In half of the frames the bytes no parser state selects on — the
+// Ethernet source, the IPv4 identification, TTL and checksum, the UDP
+// length and checksum, and the NetCL arg — are random, so a deparser
+// that drops or rewrites a field the program never touches shows.
+func framedMsg(t testing.TB, spec *runtime.MessageSpec, rng *rand.Rand, device uint16) []byte {
+	pkt := runtime.Frame(randMsg(t, spec, rng, device), uint64(rng.Intn(4)+1), uint64(rng.Intn(4)+1))
+	if rng.Intn(2) == 0 {
+		const netcl = runtime.FrameOverhead
+		for _, b := range [][2]int{{6, 12}, {18, 20}, {22, 23}, {24, 26}, {38, 42}, {netcl + 10, netcl + 12}} {
+			rng.Read(pkt[b[0]:b[1]])
+		}
+	}
+	return pkt
+}
+
+// diffStream feeds an identical packet stream — framed valid messages,
+// random garbage, truncations — to the engine on fast and the reference
 // interpreter over slow, and asserts byte-identical results, identical
 // errors, and identical counters.
 func diffStream(t *testing.T, name string, fast, slow *bmv2.Switch, spec *runtime.MessageSpec, device uint16, seed int64) {
@@ -70,10 +86,10 @@ func diffStream(t *testing.T, name string, fast, slow *bmv2.Switch, spec *runtim
 			pkt = make([]byte, rng.Intn(40))
 			rng.Read(pkt)
 		case 1: // truncated valid message
-			m := randMsg(t, spec, rng, device)
+			m := framedMsg(t, spec, rng, device)
 			pkt = m[:rng.Intn(len(m))]
 		default:
-			pkt = randMsg(t, spec, rng, device)
+			pkt = framedMsg(t, spec, rng, device)
 		}
 		inPort := rng.Intn(4)
 		fr, ferr := fast.Process(pkt, inPort)
@@ -100,7 +116,7 @@ func diffStream(t *testing.T, name string, fast, slow *bmv2.Switch, spec *runtim
 
 // wireFwd installs the same netcl_fwd entries AutoWire would, on both
 // switches, so messages route instead of all falling to no-match.
-func wireFwd(t *testing.T, sws ...*bmv2.Switch) {
+func wireFwd(t testing.TB, sws ...*bmv2.Switch) {
 	t.Helper()
 	for _, sw := range sws {
 		for id := 1; id <= 4; id++ {
@@ -179,7 +195,7 @@ func TestEngineDifferentialAllApps(t *testing.T) {
 // cacheEntries installs a few cached keys (lookup entries + value
 // registers) on both switches, mirroring RunCache's control plane, so
 // the cache-hit path is exercised.
-func cacheEntries(t *testing.T, baseline bool, sws ...*bmv2.Switch) {
+func cacheEntries(t testing.TB, baseline bool, sws ...*bmv2.Switch) {
 	t.Helper()
 	idxAction, shareAction := "lu_Index_hit", "lu_Share_hit"
 	valReg := func(w int) string { return fmt.Sprintf("reg_Vals__%d", w) }

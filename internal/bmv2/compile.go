@@ -17,6 +17,7 @@ package bmv2
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -31,9 +32,8 @@ const (
 
 // Field kinds of the extract/emit plans.
 const (
-	fHdr uint8 = iota // parser plans only: length check, advance, mark valid
-	f1                // byte-aligned fields of 1, 2, 4, 8 bytes:
-	f2                // one fixed-width big-endian load or store
+	f1 uint8 = iota // byte-aligned fields of 1, 2, 4, 8 bytes:
+	f2              // one fixed-width big-endian load or store
 	f4
 	f8
 	fN    // byte-aligned field of 3, 5, 6, 7 (or more than 8) bytes
@@ -41,9 +41,7 @@ const (
 )
 
 // cfield is one step of an extract or emit plan: a header field
-// resolved to its frame slot and byte layout. In a parser plan an fHdr
-// step precedes the fields of each extracted header (off is then the
-// header index and nbytes the header length). A step of a fixed-width
+// resolved to its frame slot and byte layout. A step of a fixed-width
 // kind covers run adjacent fields of that width in adjacent slots — an
 // array such as AGG's 32 values is one step.
 type cfield struct {
@@ -57,22 +55,31 @@ type cfield struct {
 
 // chdr is a compiled header declaration: its fields one by one (the
 // bit-packing emit loop walks these) and as a plan with runs merged.
+// planFields splits the fields by use into the plans live (read or
+// written), dead (the rest) and patch (written).
 type chdr struct {
 	name       string
 	fields     []cfield
 	plan       []cfield
+	live, dead []cfield
+	patch      []cfield
 	nbytes     int
 	allAligned bool
+	// patchable: every field byte-aligned, at most 64 bits wide and
+	// in a slot of its own, so the full emit of a field nothing wrote
+	// stores its input bytes.
+	patchable bool
 }
 
 // mergeRuns folds adjacent fixed-width fields of one header into one
-// step each (adjacent fields are adjacent bytes; their slots are
-// adjacent unless the header repeats a field name).
+// step each: fields next to each other in the header whose slots are
+// next to each other too (they are not when the header repeats a field
+// name, or when a field between them was dropped from the plan).
 func mergeRuns(fields []cfield) []cfield {
 	var plan []cfield
 	for _, f := range fields {
 		if n := len(plan); n > 0 && f.kind >= f1 && f.kind <= f8 {
-			if last := &plan[n-1]; last.kind == f.kind && f.slot == last.slot+last.run {
+			if last := &plan[n-1]; last.kind == f.kind && f.slot == last.slot+last.run && f.off == last.off+last.run*f.nbytes {
 				last.run++
 				continue
 			}
@@ -88,11 +95,12 @@ type ccase struct {
 	next        int
 }
 
-// cstate is a compiled parser state: one flat extract plan, then a
-// select on a slot (after running key, when the select expression is
-// more than a field) or an unconditional transition.
+// cstate is a compiled parser state: the headers it extracts (each
+// through its live plan), then a select on a slot (after running key,
+// when the select expression is more than a field) or an unconditional
+// transition.
 type cstate struct {
-	plan    []cfield
+	hdrs    []int32
 	key     span
 	keySlot int32
 	cases   []ccase
@@ -273,6 +281,13 @@ func compileProgram(s *Switch) (*cprog, error) {
 	if prog.Ingress == nil || prog.Parser == nil {
 		return nil, fmt.Errorf("compile: program lacks ingress or parser")
 	}
+	for _, c := range prog.Controls() {
+		for _, h := range c.Hashes {
+			if h.Algo != "random" && hashFn(h.Algo) == nil {
+				return nil, fmt.Errorf("compile: hash %q uses unknown algorithm %q", h.Name, h.Algo)
+			}
+		}
+	}
 	p := &cprog{
 		sw:           s,
 		initFrame:    make([]val, 0, 3*len(s.fields)+16),
@@ -301,7 +316,7 @@ func compileProgram(s *Switch) (*cprog, error) {
 			return nil, fmt.Errorf("compile: duplicate header %q", h.Name)
 		}
 		cc.hdrIdx[h.Name] = hi
-		ch := chdr{name: h.Name, nbytes: h.Bits() / 8, allAligned: true}
+		ch := chdr{name: h.Name, nbytes: h.Bits() / 8, allAligned: true, patchable: true}
 		bitOff := 0
 		for _, f := range h.Fields {
 			cf := cfield{
@@ -310,6 +325,9 @@ func compileProgram(s *Switch) (*cprog, error) {
 				bits: int32(f.Bits),
 				off:  int32(bitOff),
 				run:  1,
+			}
+			if f.Bits > 64 || slices.ContainsFunc(ch.fields, func(g cfield) bool { return g.slot == cf.slot }) {
+				ch.patchable = false
 			}
 			if bitOff%8 == 0 && f.Bits%8 == 0 {
 				cf.off, cf.nbytes = int32(bitOff/8), int32(f.Bits/8)
@@ -326,7 +344,7 @@ func compileProgram(s *Switch) (*cprog, error) {
 					cf.kind = fN
 				}
 			} else {
-				ch.allAligned = false
+				ch.allAligned, ch.patchable = false, false
 			}
 			ch.fields = append(ch.fields, cf)
 			bitOff += f.Bits
@@ -387,6 +405,7 @@ func compileProgram(s *Switch) (*cprog, error) {
 	if err := cc.parser(prog.Parser); err != nil {
 		return nil, err
 	}
+	p.planFields()
 
 	// Eager initial generation (static entries are already in
 	// s.entries; action instances resolved above).
@@ -406,6 +425,57 @@ func compileProgram(s *Switch) (*cprog, error) {
 		}
 	}
 	return p, nil
+}
+
+// planFields cuts each header's extract plan down to the fields the
+// program uses. A field is live when an instruction, a table key, a
+// hash argument or a select key reads it, or an instruction writes it;
+// nothing reads a dead field before the deparser, which either finds
+// it in the copied input packet or extracts it on its full path.
+func (p *cprog) planFields() {
+	read := make([]bool, p.nGlobal)
+	wrote := make([]bool, p.nGlobal)
+	mark := func(set []bool, slot int32) {
+		if slot >= 0 && int(slot) < len(set) {
+			set[slot] = true
+		}
+	}
+	for i := range p.code {
+		a, b, w := p.code[i].access()
+		mark(read, a)
+		mark(read, b)
+		mark(wrote, w)
+	}
+	for _, tb := range p.tabs {
+		for _, k := range tb.keys {
+			mark(read, k.slot)
+		}
+	}
+	for _, hs := range p.hashSites {
+		for _, a := range hs.args {
+			mark(read, a.slot)
+		}
+	}
+	for _, st := range p.states {
+		if len(st.cases) > 0 {
+			mark(read, st.keySlot)
+		}
+	}
+	for i := range p.headers {
+		h := &p.headers[i]
+		var live, dead, patch []cfield
+		for _, f := range h.fields {
+			switch {
+			case wrote[f.slot]:
+				live, patch = append(live, f), append(patch, f)
+			case read[f.slot]:
+				live = append(live, f)
+			default:
+				dead = append(dead, f)
+			}
+		}
+		h.live, h.dead, h.patch = mergeRuns(live), mergeRuns(dead), mergeRuns(patch)
+	}
 }
 
 func (p *cprog) controls() []*cctl {
@@ -808,9 +878,7 @@ func (cc *compiler) parser(ps *p4.Parser) error {
 			if !ok {
 				return fmt.Errorf("compile: parser extracts unknown header %q", hn)
 			}
-			h := &cc.p.headers[hi]
-			cs.plan = append(cs.plan, cfield{kind: fHdr, off: int32(hi), nbytes: int32(h.nbytes)})
-			cs.plan = append(cs.plan, h.plan...)
+			cs.hdrs = append(cs.hdrs, int32(hi))
 		}
 		var err error
 		if st.Select != nil {
@@ -1422,26 +1490,6 @@ func (cc *compiler) hashDecl(name string) *p4.HashDecl {
 		}
 	}
 	return nil
-}
-
-// hashFn resolves an algorithm name to its implementation once, so the
-// per-packet path skips the string dispatch of hashBytes.
-func hashFn(algo string) func([]byte) uint64 {
-	switch algo {
-	case "crc16":
-		return crc16
-	case "crc32":
-		return crc32IEEE
-	case "crc64":
-		return crc64ECMA
-	case "xor16":
-		return xor16
-	case "csum16", "csum16r":
-		return csum16
-	case "identity":
-		return identityHash
-	}
-	return crc32IEEE
 }
 
 // Static widths ---------------------------------------------------------

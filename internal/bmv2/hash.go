@@ -4,19 +4,74 @@ package bmv2
 // the concatenated big-endian byte representation of the input fields,
 // matching how P4 hash externs consume field lists.
 
+// hashFn resolves a name of the closed set p4.HashAlgos to its
+// implementation, once per program; nil for "random" (opRand) and for
+// any other name, which the compiler refuses.
+func hashFn(algo string) func([]byte) uint64 {
+	switch algo {
+	case "crc16":
+		return crc16
+	case "crc32":
+		return crc32IEEE
+	case "crc64":
+		return crc64ECMA
+	case "xor16":
+		return xor16
+	case "csum16", "csum16r":
+		return csum16
+	case "identity":
+		return identityHash
+	}
+	return nil
+}
+
+// The CRCs run one table lookup per input byte; each table entry is
+// the register after eight shift-and-xor steps of the bitwise
+// definition (hash_test.go keeps that definition as the oracle).
+var (
+	crc16Table = reflectedTable(0xA001)
+	crc32Table = reflectedTable(0xEDB88320)
+	crc64Table = func() *[256]uint64 {
+		const poly = 0x42F0E1EBA9EA3693
+		t := new([256]uint64)
+		for i := range t {
+			c := uint64(i) << 56
+			for k := 0; k < 8; k++ {
+				if c&(1<<63) != 0 {
+					c = c<<1 ^ poly
+				} else {
+					c <<= 1
+				}
+			}
+			t[i] = c
+		}
+		return t
+	}()
+)
+
+// reflectedTable builds the byte table of a reflected (LSB-first) CRC.
+func reflectedTable(poly uint32) *[256]uint32 {
+	t := new([256]uint32)
+	for i := range t {
+		c := uint32(i)
+		for k := 0; k < 8; k++ {
+			if c&1 != 0 {
+				c = c>>1 ^ poly
+			} else {
+				c >>= 1
+			}
+		}
+		t[i] = c
+	}
+	return t
+}
+
 // crc16 implements CRC-16/ARC (poly 0x8005, reflected), the default
 // "crc16" of P4 targets.
 func crc16(data []byte) uint64 {
-	var crc uint16
+	var crc uint32
 	for _, b := range data {
-		crc ^= uint16(b)
-		for i := 0; i < 8; i++ {
-			if crc&1 != 0 {
-				crc = crc>>1 ^ 0xA001
-			} else {
-				crc >>= 1
-			}
-		}
+		crc = crc>>8 ^ crc16Table[byte(crc)^b]
 	}
 	return uint64(crc)
 }
@@ -25,31 +80,16 @@ func crc16(data []byte) uint64 {
 func crc32IEEE(data []byte) uint64 {
 	crc := ^uint32(0)
 	for _, b := range data {
-		crc ^= uint32(b)
-		for i := 0; i < 8; i++ {
-			if crc&1 != 0 {
-				crc = crc>>1 ^ 0xEDB88320
-			} else {
-				crc >>= 1
-			}
-		}
+		crc = crc>>8 ^ crc32Table[byte(crc)^b]
 	}
 	return uint64(^crc)
 }
 
 // crc64ECMA implements CRC-64/ECMA-182 (unreflected).
 func crc64ECMA(data []byte) uint64 {
-	const poly = 0x42F0E1EBA9EA3693
 	var crc uint64
 	for _, b := range data {
-		crc ^= uint64(b) << 56
-		for i := 0; i < 8; i++ {
-			if crc&(1<<63) != 0 {
-				crc = crc<<1 ^ poly
-			} else {
-				crc <<= 1
-			}
-		}
+		crc = crc<<8 ^ crc64Table[byte(crc>>56)^b]
 	}
 	return crc
 }
@@ -88,24 +128,4 @@ func identityHash(data []byte) uint64 {
 		h = h<<8 | uint64(b)
 	}
 	return h
-}
-
-// hashBytes dispatches by algorithm name.
-func hashBytes(algo string, data []byte) uint64 {
-	switch algo {
-	case "crc16":
-		return crc16(data)
-	case "crc32":
-		return crc32IEEE(data)
-	case "crc64":
-		return crc64ECMA(data)
-	case "xor16":
-		return xor16(data)
-	case "csum16", "csum16r":
-		return csum16(data)
-	case "identity":
-		return identityHash(data)
-	}
-	// Unknown algorithms degrade to crc32 (mirrors target permissiveness).
-	return crc32IEEE(data)
 }

@@ -97,6 +97,27 @@ type instr struct {
 	imm       uint64
 }
 
+// access reports the frame slots an instruction reads (a, b) and
+// writes (w); -1 stands for none. The slots of a register site are
+// its own anonymous ones and are not reported.
+func (in *instr) access() (a, b, w int32) {
+	switch in.op {
+	case opJmp, opJvalid, opJinvalid, opExitChk, opExit, opSetValid, opSetInvalid, opRegStore, opFail:
+		return -1, -1, -1
+	case opJeq, opJne, opJlt, opJle, opJslt, opJsle, opRegWrite:
+		return in.a, in.b, -1
+	case opJz, opJnz, opRegLoad:
+		return in.a, -1, -1
+	case opApply:
+		return -1, -1, in.c
+	case opHash, opRand, opValid:
+		return -1, -1, in.dst
+	case opMov, opMovW, opSext, opCastS, opNot, opNeg, opLnot, opGen1, opRegRead:
+		return in.a, -1, in.dst
+	}
+	return in.a, in.b, in.dst
+}
+
 // span is a half-open range of cprog.code.
 type span struct{ start, end int32 }
 
@@ -270,7 +291,9 @@ func (m *machine) exec(pc, end int32) error {
 		case opSetValid:
 			m.setValid(int(in.imm))
 		case opSetInvalid:
-			m.valid[in.imm] = false
+			if m.valid[in.imm] {
+				m.valid[in.imm], m.full = false, true
+			}
 
 		case opRegLoad:
 			rs := &p.regSites[in.imm]
@@ -343,9 +366,13 @@ func (m *machine) exec(pc, end int32) error {
 }
 
 // setValid marks a header valid and, like the reference SetValid,
-// appends it to the emit order unless it is already there.
+// appends it to the emit order unless it is already there (a valid
+// header always is).
 func (m *machine) setValid(hi int) {
-	m.valid[hi] = true
+	if m.valid[hi] {
+		return
+	}
+	m.valid[hi], m.full = true, true
 	for _, o := range m.ordered {
 		if o == hi {
 			return

@@ -217,33 +217,6 @@ func TestRuntimeEntriesAndDefaults(t *testing.T) {
 	}
 }
 
-func TestHashKnownAnswers(t *testing.T) {
-	// CRC-16/ARC of "123456789" is 0xBB3D; CRC-32 is 0xCBF43926.
-	data := []byte("123456789")
-	if got := crc16(data); got != 0xBB3D {
-		t.Errorf("crc16 = %#x", got)
-	}
-	if got := crc32IEEE(data); got != 0xCBF43926 {
-		t.Errorf("crc32 = %#x", got)
-	}
-	if got := crc64ECMA(data); got != 0x6C40DF5F0B497347 {
-		t.Errorf("crc64 = %#x", got)
-	}
-	if xor16([]byte{0x12, 0x34, 0x56, 0x78}) != 0x124C^0x0000^(0x1234^0x5678) && false {
-		t.Error("unreachable")
-	}
-	if got := xor16([]byte{0x12, 0x34, 0x56, 0x78}); got != 0x1234^0x5678 {
-		t.Errorf("xor16 = %#x", got)
-	}
-	if got := identityHash([]byte{1, 2}); got != 0x0102 {
-		t.Errorf("identity = %#x", got)
-	}
-	// csum16 of zeros is all-ones complemented.
-	if got := csum16([]byte{0, 0}); got != 0xFFFF {
-		t.Errorf("csum16 = %#x", got)
-	}
-}
-
 func TestValBitsSemantics(t *testing.T) {
 	v := val{v: 0x1FF, bits: 8}
 	if v.wrapped() != 0xFF {

@@ -5,6 +5,9 @@ package bmv2
 // seeded random header layouts and parse graphs, packets of every
 // length from empty to complete plus payload, and the engine and the
 // reference interpreter must produce the same bytes or the same error.
+// Half the programs have only byte-aligned headers and half keep every
+// header's validity, so both deparse paths — copy-then-patch and the
+// full emit — run on every kind of plan.
 
 import (
 	"fmt"
@@ -20,20 +23,25 @@ import (
 // that re-align (3+13, 1+7, 4+12), single odd fields that leave the
 // rest of the header unaligned, a repeated field name now and then
 // (both fields share one slot), and sometimes a total width that is
-// not a whole number of bytes.
-func layoutHeader(rng *rand.Rand, name string) *p4.HeaderDecl {
+// not a whole number of bytes. An aligned header has only byte-aligned
+// fields of distinct names: one the copy path can patch.
+func layoutHeader(rng *rand.Rand, name string, aligned bool) *p4.HeaderDecl {
 	h := &p4.HeaderDecl{Name: name}
 	add := func(bits ...int) {
 		for _, b := range bits {
 			name := fmt.Sprintf("f%d", len(h.Fields))
-			if len(h.Fields) > 0 && rng.Intn(24) == 0 {
+			if len(h.Fields) > 0 && !aligned && rng.Intn(24) == 0 {
 				name = h.Fields[rng.Intn(len(h.Fields))].Name
 			}
 			h.Fields = append(h.Fields, &p4.Field{Name: name, Bits: b})
 		}
 	}
 	for n := 1 + rng.Intn(6); n > 0; n-- {
-		switch rng.Intn(9) {
+		g := rng.Intn(9)
+		if aligned {
+			g = []int{0, 8}[rng.Intn(2)]
+		}
+		switch g {
 		case 0, 1, 2, 3:
 			add([]int{8, 16, 24, 32, 40, 48, 64}[rng.Intn(7)])
 		case 8:
@@ -61,12 +69,14 @@ func layoutHeader(rng *rand.Rand, name string) *p4.HeaderDecl {
 }
 
 // layoutProgram draws headers, a parse graph over them and a control
-// that revalidates, invalidates and rewrites headers.
+// that revalidates, invalidates and rewrites headers (or, in half the
+// programs, only rewrites them).
 func layoutProgram(rng *rand.Rand) *p4.Program {
 	pp := &p4.Program{Name: "lay", Target: p4.TargetTNA}
 	nh := 2 + rng.Intn(4)
+	aligned, keepValid := rng.Intn(2) == 0, rng.Intn(2) == 0
 	for i := 0; i < nh; i++ {
-		pp.Headers = append(pp.Headers, layoutHeader(rng, fmt.Sprintf("h%d", i)))
+		pp.Headers = append(pp.Headers, layoutHeader(rng, fmt.Sprintf("h%d", i), aligned))
 	}
 	pp.Metadata = []*p4.Field{{Name: "egress_port", Bits: 16}, {Name: "mcast_grp", Bits: 16}, {Name: "drop_flag", Bits: 1}}
 	field := func(hi int) *p4.FieldRef {
@@ -139,7 +149,11 @@ func layoutProgram(rng *rand.Rand) *p4.Program {
 	ctl := &p4.Control{Name: "In"}
 	for n := rng.Intn(6); n > 0; n-- {
 		hi := rng.Intn(nh)
-		switch rng.Intn(3) {
+		op := rng.Intn(3)
+		if keepValid {
+			op = 2
+		}
+		switch op {
 		case 0:
 			ctl.Apply = append(ctl.Apply, &p4.SetValid{Header: pp.Headers[hi].Name, Valid: true})
 		case 1:
@@ -162,30 +176,45 @@ func TestLayoutDifferentialFuzz(t *testing.T) {
 		programs = 60
 	}
 	for seed := 0; seed < programs; seed++ {
-		rng := rand.New(rand.NewSource(int64(seed)))
-		pp := layoutProgram(rng)
-		comp, ref := New(pp), New(pp)
-		if comp.CompileErr() != nil {
-			t.Fatalf("seed %d: compile refused: %v\n%s", seed, comp.CompileErr(), p4.Print(pp))
-		}
-		full := 0
-		for _, h := range pp.Headers {
-			full += (h.Bits() + 7) / 8
-		}
-		what := fmt.Sprintf("seed %d", seed)
-		for n := 0; n <= full+3; n++ {
-			for rep := 0; rep < 3; rep++ {
-				pkt := make([]byte, n)
-				for i := range pkt {
-					// Small values keep select cases reachable; rep 2 is
-					// fully random.
-					pkt[i] = byte(rng.Intn(256))
-					if rep < 2 && rng.Intn(2) == 0 {
-						pkt[i] &= 0x13
-					}
+		checkLayout(t, int64(seed))
+	}
+}
+
+// FuzzLayout is TestLayoutDifferentialFuzz as a native fuzz target:
+// the input is the program seed.
+func FuzzLayout(f *testing.F) {
+	for seed := int64(0); seed < 8; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(checkLayout)
+}
+
+// checkLayout draws the program of one seed and runs packets of every
+// length from empty to complete plus three bytes through both engines.
+func checkLayout(t *testing.T, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	pp := layoutProgram(rng)
+	comp, ref := New(pp), New(pp)
+	if comp.CompileErr() != nil {
+		t.Fatalf("seed %d: compile refused: %v\n%s", seed, comp.CompileErr(), p4.Print(pp))
+	}
+	full := 0
+	for _, h := range pp.Headers {
+		full += (h.Bits() + 7) / 8
+	}
+	what := fmt.Sprintf("seed %d", seed)
+	for n := 0; n <= full+3; n++ {
+		for rep := 0; rep < 3; rep++ {
+			pkt := make([]byte, n)
+			for i := range pkt {
+				// Small values keep select cases reachable; rep 2 is
+				// fully random.
+				pkt[i] = byte(rng.Intn(256))
+				if rep < 2 && rng.Intn(2) == 0 {
+					pkt[i] &= 0x13
 				}
-				diffEngines(t, what, comp, ref, pkt, 0)
 			}
+			diffEngines(t, what, comp, ref, pkt, 0)
 		}
 	}
 }

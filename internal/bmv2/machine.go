@@ -4,10 +4,13 @@ package bmv2
 // per-packet state of the compiled engine. All dynamic name lookup was
 // resolved to slot indices at compile time, so a packet's entire
 // lifetime touches one flat []val frame plus a few flat scratch
-// slices, all pooled and reused across packets. Steady-state
-// allocations per packet are O(1): the Result struct and the exact-
-// sized deparse buffer (which escapes into the caller and cannot be
-// pooled).
+// slices, all pooled and reused across packets. A packet does only
+// the work its program needs: the parser loads the fields some
+// instruction reads or writes, and the deparser copies the input and
+// stores the written fields over it unless the packet changed shape.
+// Steady-state allocations per packet are O(1): the Result struct and
+// the exact-sized deparse buffer (which escapes into the caller and
+// cannot be pooled).
 
 import (
 	"encoding/binary"
@@ -23,13 +26,19 @@ type machine struct {
 	frame   []val
 	valid   []bool
 	emitted []bool
-	ordered []int // extracted/validated header indices, in order
-	emitOrd []int // deparse scratch: headers to emit, deduplicated
-	keys    []val // table-apply scratch
+	ordered []int     // extracted/validated header indices, in order
+	exts    []extract // every extraction, in order
+	emitOrd []int     // deparse scratch: headers to emit, deduplicated
+	keys    []val     // table-apply scratch
 	hashBuf []byte
 	payload []byte
 	exited  bool
+	full    bool // the deparser must emit every header (deparseInto)
 }
+
+// extract records one header extraction: the header and its offset
+// in the input packet.
+type extract struct{ hi, off int32 }
 
 // getMachine checks a reset machine out of the pool.
 func (p *cprog) getMachine() *machine {
@@ -51,10 +60,10 @@ func (p *cprog) getMachine() *machine {
 func (m *machine) reset(p *cprog) {
 	copy(m.frame[:p.nGlobal], p.initFrame)
 	clear(m.valid)
-	clear(m.emitted)
 	m.ordered = m.ordered[:0]
+	m.exts = m.exts[:0]
 	m.payload = nil
-	m.exited = false
+	m.exited, m.full = false, false
 }
 
 func (p *cprog) putMachine(m *machine) {
@@ -92,7 +101,7 @@ func (p *cprog) run1(m *machine, data []byte, inPort int, res *Result) (bool, er
 		res.Dropped = true
 		return true, nil
 	}
-	res.Data = m.deparseInto(p, scratch)
+	res.Data = m.deparseInto(p, data, scratch)
 	if res.Port == 0 && res.Mcast == 0 {
 		res.NoMatch = true
 	}
@@ -181,11 +190,9 @@ func (p *cprog) processBurst(pkts [][]byte, ports []int, res []Result, errs []er
 }
 
 // parse walks the compiled parser FSM, replicating the reference
-// semantics: floor-byte header length check, bit-level extraction that
-// may read past the header into the remaining bytes for unaligned
-// tails, unconditional ordered append, and the 64-step loop guard.
-// Each state is one flat extract plan; byte-aligned fields (always
-// inside the length-checked header) are fixed-width big-endian loads.
+// semantics: floor-byte header length check, unconditional ordered
+// append, and the 64-step loop guard. An extracted header loads only
+// its live fields (planFields) and records its input offset.
 func (m *machine) parse(p *cprog, data []byte) error {
 	f := m.frame
 	rest := data
@@ -195,42 +202,19 @@ func (m *machine) parse(p *cprog, data []byte) error {
 			return fmt.Errorf("parser loop")
 		}
 		st := &p.states[si]
-		var hdr []byte // the header being extracted, open-ended
-		for i := range st.plan {
-			x := &st.plan[i]
-			switch x.kind {
-			case fHdr:
-				if len(rest) < int(x.nbytes) {
-					return fmt.Errorf("packet too short for header %q (%d < %d)", p.headers[x.off].name, len(rest), x.nbytes)
-				}
-				hdr, rest = rest, rest[x.nbytes:]
-				m.valid[x.off] = true
-				m.ordered = append(m.ordered, int(x.off))
-			case f1:
-				for j := int32(0); j < x.run; j++ {
-					f[x.slot+j] = val{uint64(hdr[x.off+j]), 8}
-				}
-			case f2:
-				for j := int32(0); j < x.run; j++ {
-					f[x.slot+j] = val{uint64(binary.BigEndian.Uint16(hdr[x.off+2*j:])), 16}
-				}
-			case f4:
-				for j := int32(0); j < x.run; j++ {
-					f[x.slot+j] = val{uint64(binary.BigEndian.Uint32(hdr[x.off+4*j:])), 32}
-				}
-			case f8:
-				for j := int32(0); j < x.run; j++ {
-					f[x.slot+j] = val{binary.BigEndian.Uint64(hdr[x.off+8*j:]), 64}
-				}
-			case fN:
-				var v uint64
-				for _, b := range hdr[x.off : x.off+x.nbytes] {
-					v = v<<8 | uint64(b)
-				}
-				f[x.slot] = val{v, int(x.bits)}
-			default:
-				f[x.slot] = val{extractBits(hdr, int(x.off), int(x.bits)), int(x.bits)}
+		for _, hi := range st.hdrs {
+			h := &p.headers[hi]
+			if len(rest) < h.nbytes {
+				return fmt.Errorf("packet too short for header %q (%d < %d)", h.name, len(rest), h.nbytes)
 			}
+			// A second extraction of a header, or a header the copy
+			// path cannot patch, needs the full deparse.
+			m.full = m.full || m.valid[hi] || !h.patchable
+			m.exts = append(m.exts, extract{hi, int32(len(data) - len(rest))})
+			loadFields(f, rest, h.live)
+			rest = rest[h.nbytes:]
+			m.valid[hi] = true
+			m.ordered = append(m.ordered, int(hi))
 		}
 		next := st.next
 		if st.key.end > st.key.start {
@@ -262,6 +246,72 @@ func (m *machine) parse(p *cprog, data []byte) error {
 	}
 }
 
+// loadFields runs an extract plan over hdr, a header's bytes onwards:
+// byte-aligned fields, always inside the length-checked header, as
+// fixed-width big-endian loads; unaligned ones bit by bit, reading past
+// the header into the remaining bytes like the reference.
+func loadFields(f []val, hdr []byte, plan []cfield) {
+	for i := range plan {
+		x := &plan[i]
+		switch x.kind {
+		case f1:
+			for j := int32(0); j < x.run; j++ {
+				f[x.slot+j] = val{uint64(hdr[x.off+j]), 8}
+			}
+		case f2:
+			for j := int32(0); j < x.run; j++ {
+				f[x.slot+j] = val{uint64(binary.BigEndian.Uint16(hdr[x.off+2*j:])), 16}
+			}
+		case f4:
+			for j := int32(0); j < x.run; j++ {
+				f[x.slot+j] = val{uint64(binary.BigEndian.Uint32(hdr[x.off+4*j:])), 32}
+			}
+		case f8:
+			for j := int32(0); j < x.run; j++ {
+				f[x.slot+j] = val{binary.BigEndian.Uint64(hdr[x.off+8*j:]), 64}
+			}
+		case fN:
+			var v uint64
+			for _, b := range hdr[x.off : x.off+x.nbytes] {
+				v = v<<8 | uint64(b)
+			}
+			f[x.slot] = val{v, int(x.bits)}
+		default:
+			f[x.slot] = val{extractBits(hdr, int(x.off), int(x.bits)), int(x.bits)}
+		}
+	}
+}
+
+// storeFields runs an emit plan of byte-aligned fields into hdr.
+func storeFields(hdr []byte, plan []cfield, f []val) {
+	for i := range plan {
+		x := &plan[i]
+		switch x.kind {
+		case f1:
+			for j := int32(0); j < x.run; j++ {
+				hdr[x.off+j] = byte(f[x.slot+j].v)
+			}
+		case f2:
+			for j := int32(0); j < x.run; j++ {
+				binary.BigEndian.PutUint16(hdr[x.off+2*j:], uint16(f[x.slot+j].v))
+			}
+		case f4:
+			for j := int32(0); j < x.run; j++ {
+				binary.BigEndian.PutUint32(hdr[x.off+4*j:], uint32(f[x.slot+j].v))
+			}
+		case f8:
+			for j := int32(0); j < x.run; j++ {
+				binary.BigEndian.PutUint64(hdr[x.off+8*j:], f[x.slot+j].v)
+			}
+		default:
+			v := f[x.slot].v
+			for i := x.nbytes - 1; i >= 0; i-- {
+				hdr[x.off+x.nbytes-1-i] = byte(v >> (8 * uint(i)))
+			}
+		}
+	}
+}
+
 // extractBits reads a big-endian bit field; bits past the end of b
 // read as zero.
 func extractBits(b []byte, bitOff, bits int) uint64 {
@@ -277,13 +327,41 @@ func extractBits(b []byte, bitOff, bits int) uint64 {
 	return v
 }
 
+// sized returns scratch[:n], or a fresh exact-sized buffer when its
+// capacity is short.
+func sized(scratch []byte, n int) []byte {
+	if cap(scratch) < n {
+		return make([]byte, n)
+	}
+	return scratch[:n]
+}
+
 // deparseInto emits valid headers (extraction order, then program
 // order) plus payload into scratch[:0]. The caller owns scratch and
-// must not pass a buffer aliasing the input packet (the payload is
-// copied from it); a nil scratch allocates exact-sized. The buffer is
-// sized once and written by offset: fixed-width big-endian stores for
-// byte-aligned headers, the reference bit-packing loop for the rest.
-func (m *machine) deparseInto(p *cprog, scratch []byte) []byte {
+// must not pass a buffer aliasing the input packet data; a nil scratch
+// allocates exact-sized.
+//
+// When the packet kept the shape it was parsed with — every header
+// extracted once, no validity changed, each one patchable — the output
+// is the input with the written fields stored over it: one copy, then
+// the patch plan of each header at its input offset. Otherwise the
+// dead fields of every extraction are loaded from the input first, and
+// each header is emitted in full: fixed-width big-endian stores for a
+// byte-aligned header, the reference bit-packing loop for the rest.
+func (m *machine) deparseInto(p *cprog, data, scratch []byte) []byte {
+	f := m.frame
+	if !m.full {
+		out := sized(scratch, len(data))
+		copy(out, data)
+		for _, x := range m.exts {
+			storeFields(out[x.off:], p.headers[x.hi].patch, f)
+		}
+		return out
+	}
+	for _, x := range m.exts {
+		loadFields(f, data[x.off:], p.headers[x.hi].dead)
+	}
+	clear(m.emitted)
 	m.emitOrd = m.emitOrd[:0]
 	size := 0
 	for _, hi := range m.ordered {
@@ -300,45 +378,14 @@ func (m *machine) deparseInto(p *cprog, scratch []byte) []byte {
 			size += p.headers[hi].nbytes
 		}
 	}
-	total := size + len(m.payload)
-	out := scratch[:0]
-	if cap(out) < total {
-		out = make([]byte, 0, total)
-	}
-	out = out[:total]
-	f := m.frame
+	out := sized(scratch, size+len(m.payload))
 	at := 0
 	for _, hi := range m.emitOrd {
 		h := &p.headers[hi]
 		hdr := out[at : at+h.nbytes]
 		at += h.nbytes
 		if h.allAligned {
-			for i := range h.plan {
-				x := &h.plan[i]
-				switch x.kind {
-				case f1:
-					for j := int32(0); j < x.run; j++ {
-						hdr[x.off+j] = byte(f[x.slot+j].v)
-					}
-				case f2:
-					for j := int32(0); j < x.run; j++ {
-						binary.BigEndian.PutUint16(hdr[x.off+2*j:], uint16(f[x.slot+j].v))
-					}
-				case f4:
-					for j := int32(0); j < x.run; j++ {
-						binary.BigEndian.PutUint32(hdr[x.off+4*j:], uint32(f[x.slot+j].v))
-					}
-				case f8:
-					for j := int32(0); j < x.run; j++ {
-						binary.BigEndian.PutUint64(hdr[x.off+8*j:], f[x.slot+j].v)
-					}
-				default:
-					v := f[x.slot].v
-					for i := x.nbytes - 1; i >= 0; i-- {
-						hdr[x.off+x.nbytes-1-i] = byte(v >> (8 * uint(i)))
-					}
-				}
-			}
+			storeFields(hdr, h.plan, f)
 			continue
 		}
 		// Bit-packing path, byte-for-byte the reference emit loop:

@@ -547,8 +547,11 @@ func (ex *exec) evalCall(x *p4.CallExpr) (val, error) {
 					data = append(data, byte(v.wrapped()>>(8*uint(i))))
 				}
 			}
-			hv := hashBytes(h.Algo, data)
-			return val{hv & (val{bits: h.Bits}).mask(), h.Bits}, nil
+			fn := hashFn(h.Algo)
+			if fn == nil {
+				return val{}, fmt.Errorf("unknown hash algorithm %q", h.Algo)
+			}
+			return val{fn(data) & (val{bits: h.Bits}).mask(), h.Bits}, nil
 		}
 	}
 	if x.Method == "apply_hit" {

@@ -182,9 +182,14 @@ type RegisterAction struct {
 // HashDecl declares a hash extern instance.
 type HashDecl struct {
 	Name string
-	Algo string // crc16, crc32, xor16, identity, crc64, csum16
+	Algo string // one of HashAlgos
 	Bits int
 }
+
+// HashAlgos is the closed set of hash algorithms a HashDecl may name:
+// Parse refuses any other, and the behavioural switch refuses a
+// program that declares one.
+var HashAlgos = []string{"crc16", "crc32", "crc64", "xor16", "csum16", "csum16r", "identity", "random"}
 
 // ActionDecl is a P4 action.
 type ActionDecl struct {

@@ -33,10 +33,12 @@ func FuzzP4Parse(f *testing.F) {
 			}
 		}
 	}
-	// A program with no parser or ingress, and an accepted program
-	// whose printed text does not parse back (ROADMAP 8(c)).
+	// A program with no parser or ingress, an accepted program whose
+	// printed text does not parse back (ROADMAP 8(c)), and a hash
+	// algorithm outside the closed set.
 	f.Add("")
 	f.Add("parser A(){}control A(){apply{if(A()){}}}")
+	f.Add("parser A(){}control A(){Hash<bit<16>>(HashAlgorithm_t.CRC8) h;apply{}}")
 	f.Fuzz(func(t *testing.T, src string) {
 		prog, err := p4.Parse("fuzz", src)
 		if err != nil {

@@ -247,3 +247,31 @@ func TestParseRequiresParserAndIngress(t *testing.T) {
 		}
 	}
 }
+
+// TestParseRefusesUnknownHashAlgo: an algorithm outside HashAlgos is a
+// positioned error, not a hash that silently runs as some other one.
+func TestParseRefusesUnknownHashAlgo(t *testing.T) {
+	const src = "parser P() { state start { transition accept; } }\ncontrol In() {\n Hash<bit<16>>(HashAlgorithm_t.CRC8) h;\n apply {}\n}\n"
+	_, err := Parse("bad", src)
+	if want := `bad: line 3: unknown hash algorithm "CRC8"`; err == nil || err.Error() != want {
+		t.Errorf("Parse = %v, want %q", err, want)
+	}
+	for _, algo := range HashAlgos {
+		if algo == "random" {
+			continue
+		}
+		ok := strings.Replace(src, "CRC8", strings.ToUpper(algo), 1)
+		if _, err := Parse("ok", ok); err != nil {
+			t.Errorf("%s: %v", algo, err)
+		}
+	}
+}
+
+// TestParseStructEOF: a struct left open at the end of the input is a
+// positioned error; Parse used to loop forever skipping to a ";".
+func TestParseStructEOF(t *testing.T) {
+	_, err := Parse("bad", "struct headers_t {\n ethernet_t ethernet")
+	if want := "bad: line 2: unexpected EOF in struct headers_t"; err == nil || err.Error() != want {
+		t.Errorf("Parse = %v, want %q", err, want)
+	}
+}

@@ -2,6 +2,7 @@ package p4
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -226,6 +227,9 @@ func (p *pparser) structDecl(prog *Program) error {
 		return err
 	}
 	for !p.accept("}") {
+		if p.tok().kind == tokEOF {
+			return fmt.Errorf("line %d: unexpected EOF in struct %s", p.tok().line, name)
+		}
 		if name == "metadata_t" {
 			w, err := p.bitType()
 			if err != nil {
@@ -628,11 +632,14 @@ func (p *pparser) hashDecl(c *Control) error {
 		if err := p.expect("."); err != nil {
 			return err
 		}
+		line := p.tok().line
 		a, err := p.ident()
 		if err != nil {
 			return err
 		}
-		algo = strings.ToLower(a)
+		if algo = strings.ToLower(a); !slices.Contains(HashAlgos, algo) {
+			return fmt.Errorf("line %d: unknown hash algorithm %q", line, a)
+		}
 	}
 	if err := p.expect(")"); err != nil {
 		return err
