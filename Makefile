@@ -5,7 +5,8 @@
 # (UDP backend, partitioned simulator, drivers, chaos tests). fuzz-smoke runs
 # the nine native fuzz targets (netsim's event-queue differential and
 # its route planner on random fabrics against a hop-by-hop walk oracle,
-# runtime's Pack/Unpack round trip, its raw-bytes UnpackInto and its
+# runtime's pack/unpack round trip and its raw-bytes UnpackInto, both
+# against the byte-at-a-time oracle, and its
 # UDP_GRO control-message parser, bmv2's write batches against a naive
 # table model and its parser/deparser on random header layouts against
 # the reference interpreter, p4rt's frame decoders on raw bytes, the P4 text parser
@@ -15,7 +16,8 @@
 # every workload, every end-to-end metric; bench-smoke is the same
 # with one-second runs — every
 # workload and every benchmark-owned oracle, non-zero exit if one
-# fails (the CI job); bench-pair is the paired comparison a
+# fails (the CI job) — then every in-tree Go benchmark once
+# (-benchtime 1x), so that none of them rots unrun; bench-pair is the paired comparison a
 # performance claim rests on — the working tree against OLD over N
 # alternating pairs of workload W (tools/benchpair). examples runs the
 # four programs under examples/, the ncc compiler CLI on calc.ncl for
@@ -61,6 +63,7 @@ bench-e2e:
 
 bench-smoke:
 	bash bench/run.sh -seconds 1
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 OLD ?= HEAD
 W ?=

@@ -30,8 +30,10 @@ type (
 // Pack serializes a NetCL message (ncl::pack).
 var Pack = runtime.Pack
 
-// Unpack deserializes a NetCL message (ncl::unpack).
-var Unpack = runtime.Unpack
+// Unpack deserializes a NetCL message (ncl::unpack) into the caller's
+// argument slices. It allocates nothing and ignores bytes past the data
+// region, such as the reliable layer's seq trailer.
+var Unpack = runtime.UnpackInto
 
 // Reliable messaging (the Endpoint API).
 type (
@@ -78,8 +80,7 @@ type (
 // GetBuf/PutBuf scratch).
 var PackAppend = runtime.PackAppend
 
-// UnpackInto is Unpack without retained allocations; it also accepts
-// seq-trailered payloads from the reliable layer.
+// UnpackInto is Unpack under the runtime's name: the same function.
 var UnpackInto = runtime.UnpackInto
 
 // GetBuf and PutBuf recycle packing scratch through a pool.

@@ -66,7 +66,7 @@ func sendNetCL(t *testing.T, sw *bmv2.Switch, spec *runtime.MessageSpec, hdr wir
 	for i, a := range spec.Args {
 		outArgs[i] = make([]uint64, a.Count)
 	}
-	outHdr, err := runtime.Unpack(spec, out, outArgs)
+	outHdr, err := runtime.UnpackInto(spec, out, outArgs)
 	if err != nil {
 		t.Fatalf("unpack: %v", err)
 	}

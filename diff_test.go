@@ -58,7 +58,7 @@ func shoot(t *testing.T, sw *bmv2.Switch, spec *MessageSpec, args [][]uint64) ([
 	for i, a := range spec.Args {
 		vals[i] = make([]uint64, a.Count)
 	}
-	hdr, err := Unpack(spec, out, vals)
+	hdr, err := UnpackInto(spec, out, vals)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,7 @@ _at(STAGE2) _kernel(1) void second(unsigned &x, uint16_t &via) {
 	h4.SetReceive(func(h *netsim.Host, msg []byte) {
 		x := make([]uint64, 1)
 		via := make([]uint64, 1)
-		hdr, err := runtime.Unpack(spec, msg, [][]uint64{x, via})
+		hdr, err := runtime.UnpackInto(spec, msg, [][]uint64{x, via})
 		if err != nil {
 			t.Error(err)
 			return
@@ -120,7 +120,7 @@ _at(3) _kernel(1) void b(unsigned &x) { x = x + 10; return ncl::reflect_long(); 
 	got := uint64(0)
 	h1.SetReceive(func(h *netsim.Host, msg []byte) {
 		x := make([]uint64, 1)
-		if _, err := runtime.Unpack(spec, msg, [][]uint64{x}); err == nil {
+		if _, err := runtime.UnpackInto(spec, msg, [][]uint64{x}); err == nil {
 			got = x[0]
 		}
 	})
@@ -174,7 +174,7 @@ _kernel(2) void peek(unsigned &n, uint8_t &flag) {
 		for i, a := range spec.Args {
 			vals[i] = make([]uint64, a.Count)
 		}
-		if _, err := runtime.Unpack(spec, out, vals); err != nil {
+		if _, err := runtime.UnpackInto(spec, out, vals); err != nil {
 			t.Fatal(err)
 		}
 		return vals
@@ -235,7 +235,7 @@ func TestCacheEvictionAtRuntime(t *testing.T) {
 		out, _ := runtime.Deframe(res.Data)
 		val := make([]uint64, spec.Args[2].Count)
 		h := make([]uint64, 1)
-		if _, err := runtime.Unpack(spec, out, [][]uint64{nil, nil, val, h, nil}); err != nil {
+		if _, err := runtime.UnpackInto(spec, out, [][]uint64{nil, nil, val, h, nil}); err != nil {
 			t.Fatal(err)
 		}
 		return h[0], val[0]
@@ -285,7 +285,7 @@ _kernel(1) void k(uint8_t &r) {
 			}
 			raw, _ := runtime.Deframe(res.Data)
 			r := make([]uint64, 1)
-			if _, err := runtime.Unpack(spec, raw, [][]uint64{r}); err != nil {
+			if _, err := runtime.UnpackInto(spec, raw, [][]uint64{r}); err != nil {
 				t.Fatal(err)
 			}
 			if r[0] > 0xFF {
@@ -330,7 +330,7 @@ _at(1,2) _kernel(1) void spmd(unsigned &x, uint16_t &who) {
 		raw, _ := runtime.Deframe(res.Data)
 		x := make([]uint64, 1)
 		who := make([]uint64, 1)
-		if _, err := runtime.Unpack(spec, raw, [][]uint64{x, who}); err != nil {
+		if _, err := runtime.UnpackInto(spec, raw, [][]uint64{x, who}); err != nil {
 			t.Fatal(err)
 		}
 		if x[0] != 5+delta || who[0] != uint64(dev) {
@@ -384,7 +384,7 @@ _kernel(1) void watch(unsigned v, uint8_t &alarm) {
 		}
 		raw, _ := runtime.Deframe(res.Data)
 		alarm := make([]uint64, 1)
-		if _, err := runtime.Unpack(spec, raw, [][]uint64{nil, alarm}); err != nil {
+		if _, err := runtime.UnpackInto(spec, raw, [][]uint64{nil, alarm}); err != nil {
 			t.Fatal(err)
 		}
 		return alarm[0]

@@ -11,7 +11,7 @@ package apps
 // regardless of the partition count and the runs stay hash-chain
 // identical to the single-partition run.
 //
-// Four scenarios ship (ROADMAP item 5), one Run* function each below.
+// Four scenarios ship, one Run* function each below.
 
 import (
 	"fmt"

@@ -31,7 +31,7 @@ func paxosShoot(t *testing.T, sw *bmv2.Switch, spec *runtime.MessageSpec, args [
 	for i, a := range spec.Args {
 		vals[i] = make([]uint64, a.Count)
 	}
-	hdr, err := runtime.Unpack(spec, out, vals)
+	hdr, err := runtime.UnpackInto(spec, out, vals)
 	if err != nil {
 		t.Fatal(err)
 	}

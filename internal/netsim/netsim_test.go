@@ -137,7 +137,7 @@ func TestEchoThroughSimulatedNetwork(t *testing.T) {
 	var at []Time
 	h.SetReceive(func(h *Host, msg []byte) {
 		x := make([]uint64, 1)
-		hdr, err := runtime.Unpack(spec, msg, [][]uint64{x})
+		hdr, err := runtime.UnpackInto(spec, msg, [][]uint64{x})
 		if err != nil {
 			t.Errorf("unpack: %v", err)
 			return
@@ -218,7 +218,7 @@ _kernel(1) void fwd(unsigned &x) { x = x * 2; }
 	var got uint64
 	h2.SetReceive(func(h *Host, msg []byte) {
 		x := make([]uint64, 1)
-		if _, err := runtime.Unpack(spec, msg, [][]uint64{x}); err == nil {
+		if _, err := runtime.UnpackInto(spec, msg, [][]uint64{x}); err == nil {
 			got = x[0]
 		}
 	})

@@ -175,7 +175,7 @@ func TestFabricEndToEnd(t *testing.T) {
 	var got uint64
 	h1.SetReceive(func(h *Host, msg []byte) {
 		x := make([]uint64, 1)
-		if _, err := runtime.Unpack(spec, msg, [][]uint64{x}); err == nil {
+		if _, err := runtime.UnpackInto(spec, msg, [][]uint64{x}); err == nil {
 			got = x[0]
 		}
 	})

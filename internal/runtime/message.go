@@ -5,7 +5,9 @@
 package runtime
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"netcl/internal/wire"
 )
@@ -72,85 +74,122 @@ func (m Message) Header() wire.Header {
 // Count element values; a nil slice packs zeros (the ncl::pack NULL
 // convention that skips copying, §V-A).
 func Pack(spec *MessageSpec, hdr wire.Header, args [][]uint64) ([]byte, error) {
-	return PackAppend(make([]byte, 0, spec.Size()), spec, hdr, args)
+	return PackAppend(nil, spec, hdr, args)
+}
+
+// maxData bounds a message's kernel arguments so that the message fits
+// one UDP datagram over IPv4, whose 16-bit length FrameInPlace writes.
+const maxData = 1<<16 - 1 - ipv4Bytes - udpBytes - wire.HeaderBytes
+
+// check validates args against spec before any byte moves: the slot
+// count, each width and count, the data size and each non-nil slice's
+// length. It returns the data size, with errArgLen too, so that
+// UnpackInto can rank a short message first as the byte loops did.
+func (s *MessageSpec) check(args [][]uint64) (int, error) {
+	if len(args) != len(s.Args) {
+		return 0, errArgSlots
+	}
+	n, err := 0, error(nil)
+	for i, a := range s.Args {
+		// A negative count, or one whose product overflows, is over maxData as a uint.
+		n += a.Bytes * a.Count
+		if a.Bytes != 1 && a.Bytes != 2 && a.Bytes != 4 && a.Bytes != 8 || uint(a.Count) > maxData || n > maxData {
+			return 0, errBadSpec
+		}
+		if args[i] != nil && len(args[i]) != a.Count {
+			err = errArgLen
+		}
+	}
+	return n, err
 }
 
 // PackAppend serializes a NetCL message at the end of dst, growing it
-// like the append builtin. It performs no allocation when dst has
-// spec.Size() bytes of spare capacity, which makes it the zero-alloc
-// counterpart of Pack for pooled send buffers (see GetBuf/PutBuf).
+// like the append builtin. It allocates nothing when dst has spec.Size()
+// bytes of spare capacity (pooled send buffers, see GetBuf/PutBuf), and
+// a refused message returns dst with its spare capacity untouched.
 func PackAppend(dst []byte, spec *MessageSpec, hdr wire.Header, args [][]uint64) ([]byte, error) {
-	if len(args) != len(spec.Args) {
-		return dst, fmt.Errorf("pack: %d argument slots for %d-argument specification %s", len(args), len(spec.Args), spec)
+	n, err := spec.check(args)
+	if err != nil {
+		return dst, err
 	}
-	buf := hdr.Marshal(dst)
-	for i, a := range spec.Args {
-		vals := args[i]
-		if vals != nil && len(vals) != a.Count {
-			return dst, fmt.Errorf("pack: argument %d (%s) needs %d elements, got %d", i, a.Name, a.Count, len(vals))
-		}
-		for k := 0; k < a.Count; k++ {
-			var v uint64
-			if vals != nil {
-				v = vals[k]
+	buf := hdr.Marshal(slices.Grow(dst, wire.HeaderBytes+n))
+	for i := range spec.Args {
+		switch vals, w := args[i], spec.Args[i].Bytes; {
+		case vals == nil:
+			end := len(buf) + w*spec.Args[i].Count
+			clear(buf[len(buf):end]) // pooled buffers hold stale bytes
+			buf = buf[:end]
+		case w == 1:
+			for _, v := range vals {
+				buf = append(buf, byte(v))
 			}
-			for b := a.Bytes - 1; b >= 0; b-- {
-				buf = append(buf, byte(v>>(8*uint(b))))
+		case w == 2:
+			for _, v := range vals {
+				buf = binary.BigEndian.AppendUint16(buf, uint16(v))
+			}
+		case w == 4:
+			for _, v := range vals {
+				buf = binary.BigEndian.AppendUint32(buf, uint32(v))
+			}
+		default:
+			for _, v := range vals {
+				buf = binary.BigEndian.AppendUint64(buf, v)
 			}
 		}
 	}
 	return buf, nil
 }
 
-// Unpack parses a NetCL message. Non-nil arg slices receive the
+// UnpackInto parses a NetCL message. Non-nil arg slices receive the
 // corresponding element values (they must have the right length); nil
-// slices are skipped.
-func Unpack(spec *MessageSpec, data []byte, args [][]uint64) (wire.Header, error) {
-	return UnpackInto(spec, data, args)
-}
-
-// UnpackInto is Unpack under its zero-alloc contract: the element
-// values land in the caller-provided arg slices and no memory is
-// allocated on any path, success or error, so it is safe on hot
-// receive loops with preallocated scratch. Bytes past the data region
-// (the payload area, e.g. a reliability trailer) are ignored.
+// slices are skipped. It allocates nothing, a refused message leaves
+// every slice untouched, and bytes past the data region (e.g. a
+// reliability trailer) are ignored.
 func UnpackInto(spec *MessageSpec, data []byte, args [][]uint64) (wire.Header, error) {
 	var hdr wire.Header
 	rest, ok := hdr.Unmarshal(data)
 	if !ok {
 		return hdr, errUnpackShort
 	}
-	if len(args) != len(spec.Args) {
-		return hdr, errUnpackArgSlots
+	n, err := spec.check(args)
+	if len(rest) < n {
+		err = errUnpackDataShort
 	}
-	if len(rest) < spec.DataBytes() {
-		return hdr, errUnpackDataShort
+	if err != nil {
+		return hdr, err
 	}
-	off := 0
 	for i, a := range spec.Args {
-		vals := args[i]
-		if vals != nil && len(vals) != a.Count {
-			return hdr, errUnpackArgLen
-		}
-		for k := 0; k < a.Count; k++ {
-			var v uint64
-			for b := 0; b < a.Bytes; b++ {
-				v = v<<8 | uint64(rest[off+b])
+		vals, in := args[i], rest[:a.Bytes*a.Count]
+		rest = rest[len(in):]
+		switch {
+		case vals == nil:
+		case a.Bytes == 1:
+			for k := range vals {
+				vals[k] = uint64(in[k])
 			}
-			if vals != nil {
-				vals[k] = v
+		case a.Bytes == 2:
+			for k := range vals {
+				vals[k] = uint64(binary.BigEndian.Uint16(in[2*k:]))
 			}
-			off += a.Bytes
+		case a.Bytes == 4:
+			for k := range vals {
+				vals[k] = uint64(binary.BigEndian.Uint32(in[4*k:]))
+			}
+		default:
+			for k := range vals {
+				vals[k] = binary.BigEndian.Uint64(in[8*k:])
+			}
 		}
 	}
 	return hdr, nil
 }
 
-// Unpack error values are fixed instances so the parse path allocates
-// nothing even when rejecting malformed input.
+// The codec's error values are fixed instances, so pack and unpack
+// allocate nothing even when refusing a message.
 var (
 	errUnpackShort     = fmt.Errorf("unpack: short message")
-	errUnpackArgSlots  = fmt.Errorf("unpack: argument slot count does not match specification")
 	errUnpackDataShort = fmt.Errorf("unpack: message data shorter than specification")
-	errUnpackArgLen    = fmt.Errorf("unpack: argument slice length does not match element count")
+	errArgSlots        = fmt.Errorf("message: argument slot count does not match specification")
+	errArgLen          = fmt.Errorf("message: argument slice length does not match element count")
+	errBadSpec         = fmt.Errorf("message: malformed specification")
 )

@@ -36,7 +36,7 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 	op := make([]uint64, 1)
 	k := make([]uint64, 1)
 	v := make([]uint64, 4)
-	outHdr, err := Unpack(spec, buf, [][]uint64{op, k, v})
+	outHdr, err := UnpackInto(spec, buf, [][]uint64{op, k, v})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestPackNilSkipsArgument(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := make([]uint64, 1)
-	if _, err := Unpack(spec, buf, [][]uint64{nil, k, nil}); err != nil {
+	if _, err := UnpackInto(spec, buf, [][]uint64{nil, k, nil}); err != nil {
 		t.Fatal(err)
 	}
 	if k[0] != 0 {
@@ -73,7 +73,7 @@ func TestPackErrors(t *testing.T) {
 	if _, err := Pack(spec, hdr, [][]uint64{{1}, {2}, {3}}); err == nil {
 		t.Error("wrong element count must fail")
 	}
-	if _, err := Unpack(spec, make([]byte, 4), make([][]uint64, 3)); err == nil {
+	if _, err := UnpackInto(spec, make([]byte, 4), make([][]uint64, 3)); err == nil {
 		t.Error("short message must fail")
 	}
 }
@@ -91,7 +91,7 @@ func TestPackUnpackProperty(t *testing.T) {
 		}
 		a := make([]uint64, 3)
 		bb := make([]uint64, 1)
-		if _, err := Unpack(spec, buf, [][]uint64{a, bb}); err != nil {
+		if _, err := UnpackInto(spec, buf, [][]uint64{a, bb}); err != nil {
 			return false
 		}
 		return a[0] == uint64(a0) && a[1] == uint64(a1) && a[2] == uint64(a2) && bb[0] == b

@@ -506,7 +506,7 @@ func (h *HostConn) RecvMessage(spec *MessageSpec, args [][]uint64, timeout time.
 	if err != nil {
 		return wire.Header{}, err
 	}
-	hdr, err := Unpack(spec, msg, args)
+	hdr, err := UnpackInto(spec, msg, args)
 	if err != nil {
 		return hdr, fmt.Errorf("recv: %w", err)
 	}

@@ -217,7 +217,7 @@ func TestUDPSendReliableHostToHost(t *testing.T) {
 	}
 	for i, m := range got {
 		x := make([]uint64, 1)
-		if _, err := Unpack(spec, m, [][]uint64{x}); err != nil {
+		if _, err := UnpackInto(spec, m, [][]uint64{x}); err != nil {
 			t.Fatalf("msg %d: %v", i, err)
 		}
 		if x[0] != uint64(i) {
