@@ -1,6 +1,8 @@
 # NetCL build and test entry points.
 #
-# tier1 is the fast correctness gate (gofmt + vet + build + test);
+# tier1 is the fast correctness gate (gofmt + vet + build + test, then
+# the pinned per-packet instruction counts, TestInstrsPerPacket, in the
+# bmv2count build that counts them);
 # tier2 and race run the race detector over the concurrent code
 # (UDP backend, partitioned simulator, drivers, chaos tests). fuzz-smoke runs
 # the nine native fuzz targets (netsim's event-queue differential and
@@ -38,6 +40,7 @@ all: tier1
 tier1:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l . is not empty:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./... && $(GO) build ./... && $(GO) test ./...
+	$(GO) test -tags bmv2count ./internal/apps -run '^TestInstrsPerPacket$$'
 
 tier2: race
 

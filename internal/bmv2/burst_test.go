@@ -313,3 +313,44 @@ func TestCompiledBurstAllocs(t *testing.T) {
 		t.Fatalf("burst mode allocates %.2f/packet, budget is 1 (deparse buffer)", perPkt)
 	}
 }
+
+// TestDropKeepsDeparseBuffer: a dropped packet leaves Result.Data
+// empty with its capacity kept, so the next forwarded packet through
+// the same Result deparses into that buffer without allocating, in
+// ProcessInto and in ProcessBurst alike.
+func TestDropKeepsDeparseBuffer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime perturbs allocation accounting")
+	}
+	pp := prog()
+	pp.Ingress.Apply = append(pp.Ingress.Apply, &p4.If{
+		Cond: &p4.Bin{Op: "==", X: p4.FR("hdr", "h", "tag"), Y: &p4.IntLit{Val: 5, Bits: 8}},
+		Then: []p4.Stmt{&p4.Assign{LHS: p4.FR("meta", "drop_flag"), RHS: &p4.IntLit{Val: 1, Bits: 1}}},
+	})
+	sw := New(pp)
+	if sw.CompileErr() != nil {
+		t.Fatalf("not compiled: %v", sw.CompileErr())
+	}
+	drop, fwd := [][]byte{mkPkt(5, 10)}, [][]byte{mkPkt(1, 10)}
+	res, errs := []Result{{Data: make([]byte, 0, 64)}}, make([]error, 1)
+	check := func(what string, dropped bool) {
+		if errs[0] != nil || res[0].Dropped != dropped || (dropped && len(res[0].Data) != 0) || cap(res[0].Data) != 64 {
+			t.Fatalf("%s: %+v, %v", what, res[0], errs[0])
+		}
+	}
+	into := testing.AllocsPerRun(100, func() {
+		errs[0] = sw.ProcessInto(drop[0], 0, &res[0])
+		check("ProcessInto drop", true)
+		errs[0] = sw.ProcessInto(fwd[0], 0, &res[0])
+		check("ProcessInto forward", false)
+	})
+	burst := testing.AllocsPerRun(100, func() {
+		sw.ProcessBurst(drop, nil, res, errs)
+		check("ProcessBurst drop", true)
+		sw.ProcessBurst(fwd, nil, res, errs)
+		check("ProcessBurst forward", false)
+	})
+	if into != 0 || burst != 0 {
+		t.Errorf("a drop then a forward allocates %.1f (ProcessInto) and %.1f (ProcessBurst), want 0", into, burst)
+	}
+}

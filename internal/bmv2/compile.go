@@ -159,6 +159,8 @@ type cprog struct {
 	fn2       []func(a, b val) val
 	fn1       []func(v val) val
 	regSites  []regSite
+	vregSites []vregSite
+	maxLanes  int // the widest fused run: the length of machine.cells
 	hashSites []hashSite
 	errs      []error
 
@@ -406,6 +408,7 @@ func compileProgram(s *Switch) (*cprog, error) {
 		return nil, err
 	}
 	p.planFields()
+	p.fuse()
 
 	// Eager initial generation (static entries are already in
 	// s.entries; action instances resolved above).
@@ -422,6 +425,7 @@ func compileProgram(s *Switch) (*cprog, error) {
 			frame:   append([]val(nil), p.initFrame...),
 			valid:   make([]bool, len(p.headers)),
 			emitted: make([]bool, len(p.headers)),
+			cells:   make([]*uint64, p.maxLanes),
 		}
 	}
 	return p, nil

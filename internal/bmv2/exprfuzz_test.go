@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -276,6 +277,9 @@ func (g *exprGen) program() *p4.Program {
 	g.reads, g.writes, g.applyLevel = base, writable, true
 	ctl.Apply = g.stmts(4+g.rng.Intn(8), 3)
 	g.applyLevel = false
+	if g.rng.Intn(4) > 0 {
+		ctl.Apply = slices.Insert(ctl.Apply, g.rng.Intn(len(ctl.Apply)+1), g.specRun(h, ctl)...)
+	}
 	// Make the dynamically-typed names observable: value through a
 	// declared output, width through the byte count a hash consumes.
 	ctl.Apply = append(ctl.Apply,
@@ -286,6 +290,157 @@ func (g *exprGen) program() *p4.Program {
 	)
 	pp.Ingress = ctl
 	return pp
+}
+
+// Perturbations of a _spec run (specRun).
+const (
+	specOperand = iota // one lane reads another shared name at one operand
+	specIndex          // one lane indexes with another field
+	specSize           // one lane's register has another size
+	specCross          // every body reads the field the next lane writes
+	specVary           // every body branches on a per-lane field
+	specNone
+)
+
+// specRun declares a _spec(k)-shaped run in h and ctl and returns its
+// statements: k registers of one size and width, one register action
+// each, whose bodies are one random body over the lane's own fields
+// (h.v<i>, h.w<i>) and shared ones, executed back to back at one
+// index. NetCL lowers an array of k values (AGG's 32 aggregation
+// registers) to this shape, and bmv2 fuses it into lane-looped
+// instructions (fuse.go). Half of the runs are perturbed so that
+// fusing them would be wrong; the differential then checks that they
+// stay scalar.
+func (g *exprGen) specRun(h *p4.HeaderDecl, ctl *p4.Control) []p4.Stmt {
+	k := 2 + g.rng.Intn(5)
+	w := []int{8, 16, 32, 64}[g.rng.Intn(4)]
+	for _, f := range []string{"v", "w"} {
+		for i := 0; i <= k; i++ {
+			h.Fields = append(h.Fields, &p4.Field{Name: fmt.Sprintf("%s%d", f, i), Bits: w})
+		}
+	}
+	h.Fields = append(h.Fields, &p4.Field{Name: "u", Bits: w}) // shared, of the lanes' width
+	kind := specNone
+	if g.rng.Intn(2) == 0 {
+		kind = g.rng.Intn(specNone)
+	}
+	odd, seed, expr, other := g.rng.Intn(k), g.rng.Int63(), g.rng.Intn(2) == 0, g.rng.Intn(4) == 0
+	var run []p4.Stmt
+	for i := 0; i < k; i++ {
+		sg := &specGen{rng: rand.New(rand.NewSource(seed)), lane: i, w: w, flip: -1,
+			cross: kind == specCross, vary: kind == specVary, other: other}
+		size, idx := 8, "hdr.h.i3"
+		if i == odd {
+			switch kind {
+			case specOperand:
+				sg.flip = g.rng.Intn(4)
+			case specIndex:
+				idx = "hdr.h.i1"
+			case specSize:
+				size = 16
+			}
+		}
+		reg, ra := fmt.Sprintf("sr%d", i), fmt.Sprintf("sa%d", i)
+		ctl.Registers = append(ctl.Registers, &p4.Register{Name: reg, Bits: w, Size: size})
+		ctl.RegActs = append(ctl.RegActs, &p4.RegisterAction{Name: ra, Register: reg, Body: sg.stmts(1+sg.rng.Intn(4), 2)})
+		call := &p4.CallExpr{Recv: ra, Method: "execute", Args: []p4.Expr{fr(idx)}}
+		if expr {
+			run = append(run, &p4.Assign{LHS: fr(fmt.Sprintf("hdr.h.w%d", i)), RHS: call})
+		} else {
+			run = append(run, &p4.CallStmt{Recv: ra, Method: "execute", Args: call.Args})
+		}
+	}
+	return run
+}
+
+// specGen draws one lane's body of a _spec run. Every lane draws from
+// a source seeded alike, so the bodies have one shape: they differ
+// only in the lane's own field names, and at leaf flip when one lane
+// is perturbed.
+type specGen struct {
+	rng                *rand.Rand
+	lane, w            int
+	leaves             int
+	flip               int
+	cross, vary, other bool
+}
+
+func (s *specGen) field(f string, lane int) *p4.FieldRef {
+	return fr(fmt.Sprintf("hdr.h.%s%d", f, lane))
+}
+
+// leaf draws an operand: the register action's m or o, the lane's own
+// fields, names every lane shares, or a literal.
+func (s *specGen) leaf() p4.Expr {
+	c, v := s.rng.Intn(9), s.rng.Uint64()>>uint(s.rng.Intn(64))
+	n := s.leaves
+	s.leaves++
+	if n == s.flip {
+		c = 4 + (c+1)%2 // another shared name than lane 0 reads
+	}
+	switch c {
+	case 0, 1:
+		return fr(regactNames[c])
+	case 2:
+		return s.field("v", s.lane)
+	case 3:
+		return s.field("w", s.lane)
+	case 4:
+		return fr("hdr.h.i8")
+	case 5:
+		return fr("hdr.h.u")
+	case 6:
+		if s.cross {
+			return s.field("w", s.lane+1)
+		}
+	}
+	return &p4.IntLit{Val: v, Bits: s.w}
+}
+
+// specOps are the operators opLanes runs, then some it does not run,
+// which keep a run scalar when specGen.other allows them.
+var specOps = []string{"+", "-", "&", "|", "^", "<<", "*", "|+|"}
+
+func (s *specGen) expr(depth int) p4.Expr {
+	c, op := s.rng.Intn(8), s.rng.Intn(len(specOps))
+	if !s.other {
+		op %= 5
+	}
+	switch {
+	case depth <= 0 || c < 3:
+		return s.leaf()
+	case c == 3 && s.other:
+		return &p4.Un{Op: "~", X: s.expr(depth - 1)}
+	}
+	return &p4.Bin{Op: specOps[op], X: s.expr(depth - 1), Y: s.expr(depth - 1)}
+}
+
+func (s *specGen) stmts(n, depth int) []p4.Stmt {
+	var out []p4.Stmt
+	for i := 0; i < n; i++ {
+		c, dst := s.rng.Intn(6), s.rng.Intn(3)
+		switch {
+		case c < 3 || depth <= 0:
+			lhs := []*p4.FieldRef{fr("m"), fr("o"), s.field("w", s.lane)}[dst]
+			out = append(out, &p4.Assign{LHS: lhs, RHS: s.expr(2)})
+		case c < 5:
+			// Shared operands: every lane takes the branch alike,
+			// unless the run is perturbed to branch per lane.
+			var x p4.Expr = fr("hdr.h.i8")
+			if s.vary {
+				x = s.field("v", s.lane)
+			}
+			out = append(out, &p4.If{Cond: &p4.Bin{Op: "<", X: x, Y: fr("hdr.h.i16")}, Then: s.stmts(1+s.rng.Intn(2), depth-1)})
+		default:
+			// A copy through o that the coalescer must leave alone: o
+			// is read again after it is stored.
+			out = append(out,
+				&p4.Assign{LHS: fr("o"), RHS: fr("m")},
+				&p4.Assign{LHS: s.field("w", s.lane), RHS: fr("o")},
+				&p4.Assign{LHS: fr("m"), RHS: &p4.Bin{Op: "+", X: fr("o"), Y: &p4.IntLit{Val: 1, Bits: s.w}}})
+		}
+	}
+	return out
 }
 
 // fuzzValue draws a field value biased toward the corner cases of its
@@ -383,5 +538,21 @@ func TestExprDifferentialFuzz(t *testing.T) {
 				return
 			}
 		}
+	}
+}
+
+// TestSpecRunsFuse keeps TestExprDifferentialFuzz meaningful for
+// fuse.go: enough of its programs must fuse a _spec run that the
+// differential checks lane-looped code, not only the scalar fallback.
+func TestSpecRunsFuse(t *testing.T) {
+	fused := 0
+	for seed := 0; seed < 200; seed++ {
+		g := &exprGen{rng: rand.New(rand.NewSource(int64(seed)))}
+		if sw := New(g.program()); sw.CompileErr() == nil && len(sw.prog.vregSites) > 0 {
+			fused++
+		}
+	}
+	if fused < 40 {
+		t.Errorf("%d of the first 200 fuzz programs fuse a register run, want at least 40", fused)
 	}
 }

@@ -85,28 +85,36 @@ const (
 
 	opApply // table imm; hit -> slot c when c >= 0; error -> pc dst when dst >= 0
 	opFail  // abort the packet with errs[imm]
+
+	// A fused register run (fuse.go).
+	opRegLoadV  // vregSites[imm] at index a: one bounds check, each lane's cell into m
+	opRegStoreV // each lane's m back to its cell
+	opLanes     // opcode c for each lane l: dst+l = c(a + l*sa, b + l*sb)
 )
 
 // instr is one instruction. dst, a, b are frame slots unless the
-// opcode says otherwise; c is the hit slot of opApply.
+// opcode says otherwise; c is the hit slot of opApply. opLanes alone
+// uses lanes and the strides (1 per lane, 0 shared) sa and sb.
 type instr struct {
-	op        opcode
-	bits      int32
-	dst, a, b int32
-	c         int32
-	imm       uint64
+	op            opcode
+	lanes, sa, sb uint8
+	bits          int32
+	dst, a, b     int32
+	c             int32
+	imm           uint64
 }
 
 // access reports the frame slots an instruction reads (a, b) and
 // writes (w); -1 stands for none. The slots of a register site are
-// its own anonymous ones and are not reported.
+// its own anonymous ones and are not reported. opLanes reports the
+// first slot of each operand (b is -1 for a unary opcode).
 func (in *instr) access() (a, b, w int32) {
 	switch in.op {
-	case opJmp, opJvalid, opJinvalid, opExitChk, opExit, opSetValid, opSetInvalid, opRegStore, opFail:
+	case opJmp, opJvalid, opJinvalid, opExitChk, opExit, opSetValid, opSetInvalid, opRegStore, opRegStoreV, opFail:
 		return -1, -1, -1
 	case opJeq, opJne, opJlt, opJle, opJslt, opJsle, opRegWrite:
 		return in.a, in.b, -1
-	case opJz, opJnz, opRegLoad:
+	case opJz, opJnz, opRegLoad, opRegLoadV:
 		return in.a, -1, -1
 	case opApply:
 		return -1, -1, in.c
@@ -129,6 +137,16 @@ type regSite struct {
 	mask    uint64
 	m, o    int32
 	idxSlot int32 // holds the cell index between load and store; ^0 when out of range
+}
+
+// vregSite is the register site of a fused run: one register per
+// lane, all of one size and width, the lanes' m and o in blocks of
+// adjacent slots (o is -1 when nothing reads it).
+type vregSite struct {
+	rfs  []*regfile
+	bits int
+	mask uint64
+	m, o int32
 }
 
 // hashArg is one hash input: its slot and, when static, its width.
@@ -165,6 +183,9 @@ func (m *machine) exec(pc, end int32) error {
 	for pc < end {
 		in := &code[pc]
 		pc++
+		if countInstrs {
+			m.instrs++
+		}
 		switch in.op {
 		case opMov:
 			f[in.dst] = f[in.a]
@@ -360,10 +381,95 @@ func (m *machine) exec(pc, end int32) error {
 			}
 		case opFail:
 			return p.errs[in.imm]
+
+		case opLanes:
+			laneLoop(in, f)
+		case opRegLoadV:
+			m.regLoadV(&p.vregSites[in.imm], in.a)
+		case opRegStoreV:
+			m.regStoreV(&p.vregSites[in.imm])
 		}
 	}
 	return nil
 }
+
+// regLoadV runs opRegLoadV: one bounds check for all lanes, whose
+// registers have one size, then each lane's cell is resolved once,
+// for this load and for opRegStoreV's store through m.cells (nil when
+// the index is out of range). The page is materialized here, as the
+// store that always follows would do; its fast path is regfile.page's,
+// written out because page does not inline.
+func (m *machine) regLoadV(vs *vregSite, a int32) {
+	f, idx := m.frame, uint64(0)
+	if a >= 0 {
+		idx = f[a].v
+	}
+	cells, mb := m.cells[:len(vs.rfs)], f[vs.m:][:len(vs.rfs)]
+	mask, bits, in := vs.mask, vs.bits, idx < uint64(vs.rfs[0].size)
+	for l, rf := range vs.rfs {
+		cells[l], mb[l] = nil, val{0, bits}
+		if in {
+			pg := rf.pages[idx>>regPageShift].Load()
+			if pg == nil {
+				pg = rf.page(int(idx))
+			}
+			cells[l] = &pg[idx&regPageMask]
+			mb[l].v = *cells[l] & mask
+		}
+		if vs.o >= 0 {
+			f[vs.o+int32(l)] = val{0, bits}
+		}
+	}
+}
+
+// regStoreV runs opRegStoreV: each lane's m through its cell pointer.
+func (m *machine) regStoreV(vs *vregSite) {
+	if cells := m.cells[:len(vs.rfs)]; cells[0] != nil {
+		for l, v := range m.frame[vs.m:][:len(cells)] {
+			*cells[l] = v.v
+		}
+	}
+}
+
+// laneLoop runs opLanes like its scalar opcode c, lane by lane, in a
+// function of its own so that the loops get registers of their own.
+func laneLoop(in *instr, f []val) {
+	d, a, b := f[in.dst:][:in.lanes], f[in.a:], f[max(in.b, 0):]
+	imm, bits, sa, sb := in.imm, int(in.bits), int(in.sa), int(in.sb)
+	switch opcode(in.c) {
+	case opMov:
+		for l := range d {
+			d[l] = a[l*sa]
+		}
+	case opMovW:
+		for l := range d {
+			d[l] = val{a[l*sa].v & imm, bits}
+		}
+	case opAdd:
+		for l := range d {
+			d[l] = val{(a[l*sa].v + b[l*sb].v) & imm, bits}
+		}
+	case opSub:
+		for l := range d {
+			d[l] = val{(a[l*sa].v - b[l*sb].v) & imm, bits}
+		}
+	case opAnd:
+		for l := range d {
+			d[l] = val{a[l*sa].v & b[l*sb].v, bits}
+		}
+	case opOr:
+		for l := range d {
+			d[l] = val{a[l*sa].v | b[l*sb].v, bits}
+		}
+	case opXor:
+		for l := range d {
+			d[l] = val{a[l*sa].v ^ b[l*sb].v, bits}
+		}
+	}
+}
+
+// laneable reports the opcodes opLanes runs.
+func laneable(op opcode) bool { return op == opMov || op == opMovW || (op >= opAdd && op <= opXor) }
 
 // setValid marks a header valid and, like the reference SetValid,
 // appends it to the emit order unless it is already there (a valid

@@ -280,9 +280,9 @@ func (s *Switch) Process(data []byte, inPort int) (*Result, error) {
 // Result in place, reusing res.Data's capacity for the deparse output
 // instead of allocating a fresh buffer per packet. res.Data must not
 // alias the input packet (headers are rewritten before the payload is
-// copied out of the input). Dropped packets leave res.Data nil; error
-// returns leave res unspecified. Semantics and counters otherwise
-// match Process exactly.
+// copied out of the input). A dropped packet leaves res.Data empty,
+// its capacity kept for the next packet; error returns leave res
+// unspecified. Semantics and counters otherwise match Process exactly.
 func (s *Switch) ProcessInto(data []byte, inPort int, res *Result) error {
 	if s.prog == nil {
 		return s.compileErr

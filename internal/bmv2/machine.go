@@ -10,7 +10,7 @@ package bmv2
 // stores the written fields over it unless the packet changed shape.
 // Steady-state allocations per packet are O(1): the Result struct and
 // the exact-sized deparse buffer (which escapes into the caller and
-// cannot be pooled).
+// cannot be pooled); none when the caller's Result is reused.
 
 import (
 	"encoding/binary"
@@ -32,8 +32,10 @@ type machine struct {
 	keys    []val     // table-apply scratch
 	hashBuf []byte
 	payload []byte
+	cells   []*uint64 // a fused run's register cells, from opRegLoadV to opRegStoreV
 	exited  bool
-	full    bool // the deparser must emit every header (deparseInto)
+	full    bool  // the deparser must emit every header (deparseInto)
+	instrs  int64 // instructions dispatched, counted under the bmv2count tag
 }
 
 // extract records one header extraction: the header and its offset
@@ -69,6 +71,9 @@ func (m *machine) reset(p *cprog) {
 func (p *cprog) putMachine(m *machine) {
 	m.payload = nil // do not retain the caller's packet buffer
 	m.gen = nil     // do not pin a retired generation in the pool
+	if countInstrs {
+		m.flushInstrs()
+	}
 	p.pool.Put(m)
 }
 
@@ -91,14 +96,15 @@ func (p *cprog) run1(m *machine, data []byte, inPort int, res *Result) (bool, er
 	}
 	// Keep whatever capacity the caller left in res.Data so steady-state
 	// callers (netsim's device hot loop, burst pumps) reuse one buffer
-	// instead of allocating per packet. Dropped packets leave Data nil.
+	// instead of allocating per packet. A dropped packet leaves Data
+	// empty with that capacity kept, so the next packet still reuses it.
 	scratch := res.Data
 	*res = Result{
 		Port:  int(m.frame[p.portSlot].v),
 		Mcast: int(m.frame[p.mcastSlot].v),
 	}
 	if m.frame[p.dropSlot].v != 0 {
-		res.Dropped = true
+		res.Dropped, res.Data = true, scratch[:0]
 		return true, nil
 	}
 	res.Data = m.deparseInto(p, data, scratch)

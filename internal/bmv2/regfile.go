@@ -85,13 +85,6 @@ func (rf *regfile) store(idx int, v uint64) {
 	rf.page(idx)[idx&regPageMask] = v
 }
 
-// cell returns the address of a cell for read-modify-write sequences
-// (register actions), materializing its page: an RMW always writes the
-// memory operand back, so the page is needed regardless.
-func (rf *regfile) cell(idx int) *uint64 {
-	return &rf.page(idx)[idx&regPageMask]
-}
-
 // bytes reports (declared, allocated) cell bytes: declared is the full
 // architectural size, allocated what lazy paging actually materialized
 // (page granularity).
