@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"time"
 
+	"netcl/internal/apps"
 	"netcl/internal/codegen"
 	"netcl/internal/ir"
 	"netcl/internal/lang"
@@ -119,10 +120,7 @@ func Compile(name, src string, opts Options) (*Artifact, error) {
 		Name:    name,
 		Program: prog,
 		Target:  opts.Target,
-		Specs:   map[uint8]*runtime.MessageSpec{},
-	}
-	for comp, kernels := range prog.Computations {
-		art.Specs[comp] = specFor(comp, kernels[0])
+		Specs:   apps.MessageSpecs(prog),
 	}
 	art.FrontendTime = time.Since(start)
 
@@ -165,19 +163,4 @@ func Compile(name, src string, opts Options) (*Artifact, error) {
 	}
 	art.BackendTime = time.Since(backendStart)
 	return art, nil
-}
-
-// specFor derives the runtime message layout from a kernel.
-func specFor(comp uint8, k *sema.Function) *runtime.MessageSpec {
-	spec := &runtime.MessageSpec{Comp: comp}
-	ks := k.Spec()
-	for i := range ks.Counts {
-		spec.Args = append(spec.Args, runtime.ArgSpec{
-			Name:  k.Params[i].Name(),
-			Bytes: ks.Types[i].Bits() / 8,
-			Count: ks.Counts[i],
-			Out:   ks.Dirs[i] != sema.ByVal,
-		})
-	}
-	return spec
 }

@@ -46,6 +46,12 @@ func CompileApp(app *App, target passes.Target, device uint16) (*p4.Program, map
 	if err != nil {
 		return nil, nil, nil, err
 	}
+	return p4prog, MessageSpecs(prog), mod.Mems, nil
+}
+
+// MessageSpecs derives each computation's runtime message layout from
+// the specification of its first kernel.
+func MessageSpecs(prog *sema.Program) map[uint8]*runtime.MessageSpec {
 	specs := map[uint8]*runtime.MessageSpec{}
 	for comp, kernels := range prog.Computations {
 		k := kernels[0]
@@ -61,7 +67,7 @@ func CompileApp(app *App, target passes.Target, device uint16) (*p4.Program, map
 		}
 		specs[comp] = spec
 	}
-	return p4prog, specs, mod.Mems, nil
+	return specs
 }
 
 // loadProgram returns the device program: either compiled from NetCL

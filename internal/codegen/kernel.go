@@ -85,7 +85,7 @@ func (g *generator) genKernel(f *ir.Func) []p4.Stmt {
 		hdr:     dataHeaderName(f.Comp),
 		stored:  map[*ir.MsgParam]bool{},
 		skip:    map[*ir.Instr]bool{},
-		reach:   blockReach(f),
+		reach:   ir.Reach(f),
 		emitted: map[*ir.Block]bool{},
 	}
 	f.Instrs(func(b *ir.Block, i *ir.Instr) bool {
@@ -106,27 +106,6 @@ func (g *generator) genKernel(f *ir.Func) []p4.Stmt {
 
 // doneVar names the current kernel's return-predicate variable.
 func (g *generator) doneVar() string { return "done_" + g.curKernelTag }
-
-// blockReach computes strict reachability between blocks; entries
-// include the block itself only if a cycle exists (never, post-DAG).
-func blockReach(f *ir.Func) map[*ir.Block]map[*ir.Block]bool {
-	out := map[*ir.Block]map[*ir.Block]bool{}
-	for _, b := range f.Blocks {
-		seen := map[*ir.Block]bool{}
-		stack := append([]*ir.Block(nil), b.Succs()...)
-		for len(stack) > 0 {
-			x := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if seen[x] {
-				continue
-			}
-			seen[x] = true
-			stack = append(stack, x.Succs()...)
-		}
-		out[b] = seen
-	}
-	return out
-}
 
 func useCounts(f *ir.Func) map[ir.Value]int {
 	uses := map[ir.Value]int{}

@@ -296,3 +296,25 @@ func (t *PostDomTree) PostDominates(a, b *Block) bool {
 	}
 	return false
 }
+
+// Reach computes strict reachability between blocks: Reach(f)[a][b]
+// reports a path of one or more edges from a to b, so a block reaches
+// itself only on a cycle (never, once loops are unrolled).
+func Reach(f *Func) map[*Block]map[*Block]bool {
+	out := map[*Block]map[*Block]bool{}
+	for _, b := range f.Blocks {
+		seen := map[*Block]bool{}
+		stack := append([]*Block(nil), b.Succs()...)
+		for len(stack) > 0 {
+			x := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if seen[x] {
+				continue
+			}
+			seen[x] = true
+			stack = append(stack, x.Succs()...)
+		}
+		out[b] = seen
+	}
+	return out
+}

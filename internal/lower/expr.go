@@ -85,76 +85,45 @@ func (fl *fnLowerer) convert(v ir.Value, to ir.Type) ir.Value {
 	if from == to {
 		return v
 	}
-	if c, ok := v.(*ir.Const); ok {
-		return ir.ConstOf(to, c.Val)
-	}
+	op := ir.OpTrunc
 	switch {
 	case from.Bits == to.Bits:
-		// Same width, signedness change only: a no-op at the bit level.
-		// Reuse zext/trunc-free path by emitting a zero-width op; use
-		// OpZExt with equal widths as a "bitcast".
-		return fl.emit(&ir.Instr{Op: ir.OpZExt, Ty: to, Args: []ir.Value{v}})
+		// Same width, signedness change only: a no-op at the bit level,
+		// emitted as a same-width OpZExt ("bitcast").
+		op = ir.OpZExt
+	case from.Bits < to.Bits && from.Signed:
+		op = ir.OpSExt
 	case from.Bits < to.Bits:
-		op := ir.OpZExt
-		if from.Signed && from.Bits > 1 {
-			op = ir.OpSExt
-		}
-		return fl.emit(&ir.Instr{Op: op, Ty: to, Args: []ir.Value{v}})
-	default:
-		return fl.emit(&ir.Instr{Op: ir.OpTrunc, Ty: to, Args: []ir.Value{v}})
+		op = ir.OpZExt
 	}
+	return fl.value(&ir.Instr{Op: op, Ty: to, Args: []ir.Value{v}})
+}
+
+// value emits i, or returns the constant ir.Fold evaluates it to: all
+// constant arithmetic in lowering goes through the evaluator that
+// instsimplify uses.
+func (fl *fnLowerer) value(i *ir.Instr) ir.Value {
+	if c := ir.Fold(i); c != nil {
+		return c
+	}
+	return fl.emit(i)
 }
 
 // cond lowers e to an i1 value.
-func (fl *fnLowerer) cond(e lang.Expr) ir.Value {
-	v := fl.expr(e)
+func (fl *fnLowerer) cond(e lang.Expr) ir.Value { return fl.toI1(fl.expr(e)) }
+
+func (fl *fnLowerer) toI1(v ir.Value) ir.Value {
 	if v.Type() == ir.I1 {
 		return v
 	}
-	if c, ok := v.(*ir.Const); ok {
-		if c.Val != 0 {
-			return ir.ConstOf(ir.I1, 1)
-		}
-		return ir.ConstOf(ir.I1, 0)
-	}
-	return fl.emit(&ir.Instr{
-		Op: ir.OpICmp, Ty: ir.I1, Pred: ir.PredNE,
-		Args: []ir.Value{v, ir.ConstOf(v.Type(), 0)},
-	})
-}
-
-// commonType computes the arithmetic result type of two IR types.
-func commonType(a, b ir.Type) ir.Type {
-	if a == ir.I1 {
-		a = ir.U8
-	}
-	if b == ir.I1 {
-		b = ir.U8
-	}
-	switch {
-	case a.Bits > b.Bits:
-		return a
-	case b.Bits > a.Bits:
-		return b
-	case !a.Signed:
-		return a
-	default:
-		return b
-	}
+	return fl.value(&ir.Instr{Op: ir.OpICmp, Ty: ir.I1, Pred: ir.PredNE, Args: []ir.Value{v, ir.ConstOf(v.Type(), 0)}})
 }
 
 // expr lowers an expression to a value.
 func (fl *fnLowerer) expr(e lang.Expr) ir.Value {
 	switch x := e.(type) {
 	case *lang.IntLit:
-		t := ir.S32
-		if x.Val > 0x7FFFFFFF {
-			t = ir.S64
-		}
-		if x.Val > 0x7FFFFFFFFFFFFFFF {
-			t = ir.U64
-		}
-		return ir.ConstOf(t, int64(x.Val))
+		return ir.ConstOf(fl.semaType(x), int64(x.Val))
 	case *lang.BoolLit:
 		v := int64(0)
 		if x.Val {
@@ -264,165 +233,49 @@ func (fl *fnLowerer) memberValue(x *lang.MemberExpr) ir.Value {
 func (fl *fnLowerer) binary(x *lang.BinaryExpr) ir.Value {
 	a := fl.expr(x.X)
 	b := fl.expr(x.Y)
-	// Constant fold eagerly: unrolled loops produce heaps of constant
-	// arithmetic; folding here keeps the IR small before simplify runs.
-	if ca, ok := a.(*ir.Const); ok {
-		if cb, ok2 := b.(*ir.Const); ok2 {
-			if v, ok3 := foldBinary(x.Op, ca, cb); ok3 {
-				return v
-			}
-		}
-	}
 	switch x.Op {
 	case lang.AndAnd, lang.OrOr:
-		ai := fl.toI1(a)
-		bi := fl.toI1(b)
 		op := ir.OpAnd
 		if x.Op == lang.OrOr {
 			op = ir.OpOr
 		}
-		return fl.emit(&ir.Instr{Op: op, Ty: ir.I1, Args: []ir.Value{ai, bi}})
+		return fl.value(&ir.Instr{Op: op, Ty: ir.I1, Args: []ir.Value{fl.toI1(a), fl.toI1(b)}})
 	case lang.EqEq, lang.NotEq, lang.Lt, lang.Gt, lang.Le, lang.Ge:
-		ct := commonType(a.Type(), b.Type())
-		a = fl.convert(a, ct)
-		b = fl.convert(b, ct)
-		return fl.emit(&ir.Instr{Op: ir.OpICmp, Ty: ir.I1, Pred: cmpPred(x.Op, ct.Signed), Args: []ir.Value{a, b}})
-	case lang.Shl, lang.Shr:
-		t := a.Type()
-		if t == ir.I1 {
-			t = ir.U8
-			a = fl.convert(a, t)
-		}
-		b = fl.convert(b, t)
-		op := ir.OpShl
-		if x.Op == lang.Shr {
-			if t.Signed {
-				op = ir.OpAShr
-			} else {
-				op = ir.OpLShr
-			}
-		}
-		return fl.emit(&ir.Instr{Op: op, Ty: t, Args: []ir.Value{a, b}})
-	default:
-		ct := commonType(a.Type(), b.Type())
-		a = fl.convert(a, ct)
-		b = fl.convert(b, ct)
-		var op ir.Op
-		switch x.Op {
-		case lang.Plus:
-			op = ir.OpAdd
-		case lang.Minus:
-			op = ir.OpSub
-		case lang.Star:
-			op = ir.OpMul
-		case lang.Slash:
-			if ct.Signed {
-				op = ir.OpSDiv
-			} else {
-				op = ir.OpUDiv
-			}
-		case lang.Percent:
-			if ct.Signed {
-				op = ir.OpSRem
-			} else {
-				op = ir.OpURem
-			}
-		case lang.Amp:
-			op = ir.OpAnd
-		case lang.Pipe:
-			op = ir.OpOr
-		case lang.Caret:
-			op = ir.OpXor
-		default:
-			fl.errorf(x.OpPos, "unsupported binary operator %s", x.Op)
-			return ir.ConstOf(ct, 0)
-		}
-		return fl.emit(&ir.Instr{Op: op, Ty: ct, Args: []ir.Value{a, b}})
+		ct := irType(sema.Common(fl.semaBasic(x.X), fl.semaBasic(x.Y)))
+		return fl.value(&ir.Instr{Op: ir.OpICmp, Ty: ir.I1, Pred: cmpPred(x.Op, ct.Signed),
+			Args: []ir.Value{fl.convert(a, ct), fl.convert(b, ct)}})
 	}
+	t := fl.semaType(x)
+	op, ok := arithOp(x.Op, t)
+	if !ok {
+		fl.errorf(x.OpPos, "unsupported binary operator %s", x.Op)
+		return ir.ConstOf(t, 0)
+	}
+	return fl.value(&ir.Instr{Op: op, Ty: t, Args: []ir.Value{fl.convert(a, t), fl.convert(b, t)}})
 }
 
-func foldBinary(op lang.Kind, a, b *ir.Const) (ir.Value, bool) {
-	t := commonType(a.Ty, b.Ty)
-	av, bv := t.Wrap(a.Val), t.Wrap(b.Val)
-	bool1 := func(c bool) (ir.Value, bool) {
-		v := int64(0)
-		if c {
-			v = 1
-		}
-		return ir.ConstOf(ir.I1, v), true
+// arithOps maps each arithmetic operator and its compound assignment to
+// its IR op, unsigned and signed.
+var arithOps = map[lang.Kind][2]ir.Op{
+	lang.Plus: {ir.OpAdd, ir.OpAdd}, lang.PlusEq: {ir.OpAdd, ir.OpAdd},
+	lang.Minus: {ir.OpSub, ir.OpSub}, lang.MinusEq: {ir.OpSub, ir.OpSub},
+	lang.Star: {ir.OpMul, ir.OpMul}, lang.StarEq: {ir.OpMul, ir.OpMul},
+	lang.Slash: {ir.OpUDiv, ir.OpSDiv}, lang.SlashEq: {ir.OpUDiv, ir.OpSDiv},
+	lang.Percent: {ir.OpURem, ir.OpSRem}, lang.PercentEq: {ir.OpURem, ir.OpSRem},
+	lang.Amp: {ir.OpAnd, ir.OpAnd}, lang.AmpEq: {ir.OpAnd, ir.OpAnd},
+	lang.Pipe: {ir.OpOr, ir.OpOr}, lang.PipeEq: {ir.OpOr, ir.OpOr},
+	lang.Caret: {ir.OpXor, ir.OpXor}, lang.CaretEq: {ir.OpXor, ir.OpXor},
+	lang.Shl: {ir.OpShl, ir.OpShl}, lang.ShlEq: {ir.OpShl, ir.OpShl},
+	lang.Shr: {ir.OpLShr, ir.OpAShr}, lang.ShrEq: {ir.OpLShr, ir.OpAShr},
+}
+
+// arithOp returns the IR op of an arithmetic operator at type t.
+func arithOp(k lang.Kind, t ir.Type) (ir.Op, bool) {
+	ops, ok := arithOps[k]
+	if t.Signed {
+		return ops[1], ok
 	}
-	switch op {
-	case lang.Plus:
-		return ir.ConstOf(t, av+bv), true
-	case lang.Minus:
-		return ir.ConstOf(t, av-bv), true
-	case lang.Star:
-		return ir.ConstOf(t, av*bv), true
-	case lang.Slash:
-		if bv == 0 {
-			return nil, false
-		}
-		if t.Signed {
-			return ir.ConstOf(t, av/bv), true
-		}
-		return ir.ConstOf(t, int64(uint64(av)&t.Mask()/(uint64(bv)&t.Mask()))), true
-	case lang.Percent:
-		if bv == 0 {
-			return nil, false
-		}
-		if t.Signed {
-			return ir.ConstOf(t, av%bv), true
-		}
-		return ir.ConstOf(t, int64(uint64(av)&t.Mask()%(uint64(bv)&t.Mask()))), true
-	case lang.Amp:
-		return ir.ConstOf(t, av&bv), true
-	case lang.Pipe:
-		return ir.ConstOf(t, av|bv), true
-	case lang.Caret:
-		return ir.ConstOf(t, av^bv), true
-	case lang.Shl:
-		if bv < 0 || bv > 63 {
-			return nil, false
-		}
-		return ir.ConstOf(a.Ty, a.Val<<uint(bv)), true
-	case lang.Shr:
-		if bv < 0 || bv > 63 {
-			return nil, false
-		}
-		if a.Ty.Signed {
-			return ir.ConstOf(a.Ty, a.Val>>uint(bv)), true
-		}
-		return ir.ConstOf(a.Ty, int64(a.Uint()>>uint(bv))), true
-	case lang.EqEq:
-		return bool1(av == bv)
-	case lang.NotEq:
-		return bool1(av != bv)
-	case lang.Lt:
-		if t.Signed {
-			return bool1(av < bv)
-		}
-		return bool1(uint64(av)&t.Mask() < uint64(bv)&t.Mask())
-	case lang.Gt:
-		if t.Signed {
-			return bool1(av > bv)
-		}
-		return bool1(uint64(av)&t.Mask() > uint64(bv)&t.Mask())
-	case lang.Le:
-		if t.Signed {
-			return bool1(av <= bv)
-		}
-		return bool1(uint64(av)&t.Mask() <= uint64(bv)&t.Mask())
-	case lang.Ge:
-		if t.Signed {
-			return bool1(av >= bv)
-		}
-		return bool1(uint64(av)&t.Mask() >= uint64(bv)&t.Mask())
-	case lang.AndAnd:
-		return bool1(av != 0 && bv != 0)
-	case lang.OrOr:
-		return bool1(av != 0 || bv != 0)
-	}
-	return nil, false
+	return ops[0], ok
 }
 
 func cmpPred(op lang.Kind, signed bool) ir.Pred {
@@ -454,49 +307,19 @@ func cmpPred(op lang.Kind, signed bool) ir.Pred {
 	}
 }
 
-func (fl *fnLowerer) toI1(v ir.Value) ir.Value {
-	if v.Type() == ir.I1 {
-		return v
-	}
-	if c, ok := v.(*ir.Const); ok {
-		if c.Val != 0 {
-			return ir.ConstOf(ir.I1, 1)
-		}
-		return ir.ConstOf(ir.I1, 0)
-	}
-	return fl.emit(&ir.Instr{Op: ir.OpICmp, Ty: ir.I1, Pred: ir.PredNE, Args: []ir.Value{v, ir.ConstOf(v.Type(), 0)}})
-}
-
 func (fl *fnLowerer) unary(x *lang.UnaryExpr) ir.Value {
 	switch x.Op {
 	case lang.Minus:
-		v := fl.expr(x.X)
-		t := v.Type()
-		if t == ir.I1 {
-			t = ir.U8
-			v = fl.convert(v, t)
-		}
-		if c, ok := v.(*ir.Const); ok {
-			return ir.ConstOf(t, -c.Val)
-		}
-		return fl.emit(&ir.Instr{Op: ir.OpSub, Ty: t, Args: []ir.Value{ir.ConstOf(t, 0), v}})
+		t := fl.semaType(x)
+		v := fl.convert(fl.expr(x.X), t)
+		return fl.value(&ir.Instr{Op: ir.OpSub, Ty: t, Args: []ir.Value{ir.ConstOf(t, 0), v}})
 	case lang.Tilde:
-		v := fl.expr(x.X)
-		t := v.Type()
-		if t == ir.I1 {
-			t = ir.U8
-			v = fl.convert(v, t)
-		}
-		if c, ok := v.(*ir.Const); ok {
-			return ir.ConstOf(t, ^c.Val)
-		}
-		return fl.emit(&ir.Instr{Op: ir.OpXor, Ty: t, Args: []ir.Value{v, ir.ConstOf(t, -1)}})
+		t := fl.semaType(x)
+		v := fl.convert(fl.expr(x.X), t)
+		return fl.value(&ir.Instr{Op: ir.OpXor, Ty: t, Args: []ir.Value{v, ir.ConstOf(t, -1)}})
 	case lang.Not:
 		v := fl.cond(x.X)
-		if c, ok := v.(*ir.Const); ok {
-			return ir.ConstOf(ir.I1, 1-(c.Val&1))
-		}
-		return fl.emit(&ir.Instr{Op: ir.OpXor, Ty: ir.I1, Args: []ir.Value{v, ir.ConstOf(ir.I1, 1)}})
+		return fl.value(&ir.Instr{Op: ir.OpXor, Ty: ir.I1, Args: []ir.Value{v, ir.ConstOf(ir.I1, 1)}})
 	case lang.Inc, lang.Dec:
 		lv := fl.lvalue(x.X)
 		if lv == nil {
@@ -573,11 +396,9 @@ func (fl *fnLowerer) ternary(x *lang.CondExpr) ir.Value {
 		return fl.expr(x.Else)
 	}
 	if !fl.sideEffecting(x.Then) && !fl.sideEffecting(x.Else) {
-		a := fl.expr(x.Then)
-		b := fl.expr(x.Else)
-		ct := commonType(a.Type(), b.Type())
-		a = fl.convert(a, ct)
-		b = fl.convert(b, ct)
+		ct := fl.semaType(x)
+		a := fl.convert(fl.expr(x.Then), ct)
+		b := fl.convert(fl.expr(x.Else), ct)
 		return fl.emit(&ir.Instr{Op: ir.OpSelect, Ty: ct, Args: []ir.Value{cond, a, b}})
 	}
 	// Side-effecting arms: lower as a diamond through a temporary.
@@ -600,13 +421,14 @@ func (fl *fnLowerer) ternary(x *lang.CondExpr) ir.Value {
 }
 
 // semaType returns the IR type the checker assigned to e.
-func (fl *fnLowerer) semaType(e lang.Expr) ir.Type {
-	if t, ok := fl.l.prog.Types[e]; ok {
-		if b, ok2 := t.(*sema.Basic); ok2 {
-			return irType(b)
-		}
+func (fl *fnLowerer) semaType(e lang.Expr) ir.Type { return irType(fl.semaBasic(e)) }
+
+// semaBasic returns the scalar type the checker assigned to e.
+func (fl *fnLowerer) semaBasic(e lang.Expr) *sema.Basic {
+	if b, ok := fl.l.prog.Types[e].(*sema.Basic); ok {
+		return b
 	}
-	return ir.U32
+	return sema.U32Type
 }
 
 func (fl *fnLowerer) assign(x *lang.AssignExpr) ir.Value {
@@ -624,41 +446,8 @@ func (fl *fnLowerer) assign(x *lang.AssignExpr) ir.Value {
 	rhs := fl.expr(x.RHS)
 	t := lv.elem()
 	rhs = fl.convert(rhs, t)
-	var op ir.Op
-	switch x.Op {
-	case lang.PlusEq:
-		op = ir.OpAdd
-	case lang.MinusEq:
-		op = ir.OpSub
-	case lang.StarEq:
-		op = ir.OpMul
-	case lang.SlashEq:
-		if t.Signed {
-			op = ir.OpSDiv
-		} else {
-			op = ir.OpUDiv
-		}
-	case lang.PercentEq:
-		if t.Signed {
-			op = ir.OpSRem
-		} else {
-			op = ir.OpURem
-		}
-	case lang.AmpEq:
-		op = ir.OpAnd
-	case lang.PipeEq:
-		op = ir.OpOr
-	case lang.CaretEq:
-		op = ir.OpXor
-	case lang.ShlEq:
-		op = ir.OpShl
-	case lang.ShrEq:
-		if t.Signed {
-			op = ir.OpAShr
-		} else {
-			op = ir.OpLShr
-		}
-	default:
+	op, ok := arithOp(x.Op, t)
+	if !ok {
 		fl.errorf(x.OpPos, "unsupported compound assignment")
 		return old
 	}
@@ -766,22 +555,12 @@ func (fl *fnLowerer) flattenIndex(idxExprs []lang.Expr, dims []int) ir.Value {
 			stride *= d
 		}
 		if stride != 1 {
-			if c, ok := v.(*ir.Const); ok {
-				v = ir.ConstOf(ir.U32, c.Val*int64(stride))
-			} else {
-				v = fl.emit(&ir.Instr{Op: ir.OpMul, Ty: ir.U32, Args: []ir.Value{v, ir.ConstOf(ir.U32, int64(stride))}})
-			}
+			v = fl.value(&ir.Instr{Op: ir.OpMul, Ty: ir.U32, Args: []ir.Value{v, ir.ConstOf(ir.U32, int64(stride))}})
 		}
 		if total == nil {
 			total = v
 		} else {
-			ca, aok := total.(*ir.Const)
-			cb, bok := v.(*ir.Const)
-			if aok && bok {
-				total = ir.ConstOf(ir.U32, ca.Val+cb.Val)
-			} else {
-				total = fl.emit(&ir.Instr{Op: ir.OpAdd, Ty: ir.U32, Args: []ir.Value{total, v}})
-			}
+			total = fl.value(&ir.Instr{Op: ir.OpAdd, Ty: ir.U32, Args: []ir.Value{total, v}})
 		}
 	}
 	if total == nil {

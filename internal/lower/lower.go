@@ -373,9 +373,9 @@ func (fl *fnLowerer) forStmt(st *lang.ForStmt) {
 	fl.push()
 	defer fl.pop()
 
-	// Extract the induction variable.
+	// Extract the induction variable, typed as sema declared it.
 	var ivName string
-	var ivVal int64
+	var iv *ir.Const
 	switch init := st.Init.(type) {
 	case *lang.DeclStmt:
 		d := init.D
@@ -388,7 +388,7 @@ func (fl *fnLowerer) forStmt(st *lang.ForStmt) {
 			fl.errorf(d.Init.Pos(), "cannot unroll loop: initializer of %q is not compile-time constant", d.Name)
 			return
 		}
-		ivName, ivVal = d.Name, v
+		ivName, iv = d.Name, ir.ConstOf(irType(fl.l.prog.LocalOf[d].Elem), v)
 	case *lang.ExprStmt:
 		as, ok := init.X.(*lang.AssignExpr)
 		if !ok {
@@ -405,7 +405,7 @@ func (fl *fnLowerer) forStmt(st *lang.ForStmt) {
 			fl.errorf(as.RHS.Pos(), "cannot unroll loop: initializer is not compile-time constant")
 			return
 		}
-		ivName, ivVal = id.Name, v
+		ivName, iv = id.Name, ir.ConstOf(fl.semaType(id), v)
 	case nil:
 		fl.errorf(st.ForPos, "cannot unroll loop without an induction variable")
 		return
@@ -423,7 +423,7 @@ func (fl *fnLowerer) forStmt(st *lang.ForStmt) {
 	for {
 		// Bind the induction variable to its current constant value.
 		fl.push()
-		fl.bind(ivName, &constBinding{val: ivVal, ty: ir.S32})
+		fl.bind(ivName, &constBinding{val: iv.Val, ty: iv.Ty})
 		cont := true
 		if st.Cond != nil {
 			c, ok := fl.constEval(st.Cond)
@@ -445,12 +445,10 @@ func (fl *fnLowerer) forStmt(st *lang.ForStmt) {
 		}
 		fl.stmt(st.Body)
 		if st.Post != nil {
-			next, ok := fl.evalPost(st.Post, ivName, ivVal)
-			if !ok {
+			if iv = fl.evalPost(st.Post, ivName, iv); iv == nil {
 				fl.pop()
 				return
 			}
-			ivVal = next
 		} else if st.Cond != nil {
 			fl.errorf(st.ForPos, "cannot unroll loop without a post statement")
 			fl.pop()
@@ -463,59 +461,44 @@ func (fl *fnLowerer) forStmt(st *lang.ForStmt) {
 	}
 }
 
-// evalPost computes the next induction value from i++, ++i, i+=k,
-// i-=k, i--, or i = <const expr>.
-func (fl *fnLowerer) evalPost(post lang.Stmt, ivName string, cur int64) (int64, bool) {
-	es, ok := post.(*lang.ExprStmt)
-	if !ok {
-		fl.errorf(post.Pos(), "cannot unroll loop: unsupported post statement")
-		return 0, false
+// evalPost steps the induction variable cur by i++, ++i, i--, --i,
+// i op= <const expr> or i = <const expr>, evaluated at cur's type by
+// ir.Fold; nil (after reporting) for any other post statement.
+func (fl *fnLowerer) evalPost(post lang.Stmt, ivName string, cur *ir.Const) *ir.Const {
+	var target lang.Expr
+	op, step := lang.PlusEq, int64(1)
+	if es, ok := post.(*lang.ExprStmt); ok {
+		switch x := es.X.(type) {
+		case *lang.UnaryExpr:
+			if x.Op == lang.Inc || x.Op == lang.Dec {
+				target = x.X
+			}
+			if x.Op == lang.Dec {
+				op = lang.MinusEq
+			}
+		case *lang.PostfixExpr:
+			target = x.X
+			if x.Op == lang.Dec {
+				op = lang.MinusEq
+			}
+		case *lang.AssignExpr:
+			if v, ok := fl.constEval(x.RHS); ok {
+				target, op, step = x.LHS, x.Op, v
+			}
+		}
 	}
-	switch x := es.X.(type) {
-	case *lang.UnaryExpr:
-		if id, ok := x.X.(*lang.Ident); ok && id.Name == ivName {
-			switch x.Op {
-			case lang.Inc:
-				return cur + 1, true
-			case lang.Dec:
-				return cur - 1, true
+	if id, ok := target.(*lang.Ident); ok && id.Name == ivName {
+		if op == lang.Assign {
+			return ir.ConstOf(cur.Ty, step)
+		}
+		if irOp, ok := arithOp(op, cur.Ty); ok {
+			if next := ir.Fold(&ir.Instr{Op: irOp, Ty: cur.Ty, Args: []ir.Value{cur, ir.ConstOf(cur.Ty, step)}}); next != nil {
+				return next
 			}
-		}
-	case *lang.PostfixExpr:
-		if id, ok := x.X.(*lang.Ident); ok && id.Name == ivName {
-			switch x.Op {
-			case lang.Inc:
-				return cur + 1, true
-			case lang.Dec:
-				return cur - 1, true
-			}
-		}
-	case *lang.AssignExpr:
-		id, ok := x.LHS.(*lang.Ident)
-		if !ok || id.Name != ivName {
-			break
-		}
-		v, ok2 := fl.constEval(x.RHS)
-		if !ok2 {
-			break
-		}
-		switch x.Op {
-		case lang.Assign:
-			return v, true
-		case lang.PlusEq:
-			return cur + v, true
-		case lang.MinusEq:
-			return cur - v, true
-		case lang.StarEq:
-			return cur * v, true
-		case lang.ShlEq:
-			return cur << uint(v), true
-		case lang.ShrEq:
-			return cur >> uint(v), true
 		}
 	}
 	fl.errorf(post.Pos(), "cannot unroll loop: post statement must be a constant step of the induction variable")
-	return 0, false
+	return nil
 }
 
 func (fl *fnLowerer) whileStmt(st *lang.WhileStmt) {

@@ -335,3 +335,16 @@ _kernel(1) void k(unsigned key, unsigned &v, char &hit) {
 		t.Errorf("mem: %+v", m)
 	}
 }
+
+// TestLowerUnrollStepsAtDeclaredType: a uint8_t induction variable
+// wraps at 8 bits, so 250 + 10 is 4 and the loop runs once.
+func TestLowerUnrollStepsAtDeclaredType(t *testing.T) {
+	mod := lowerSrc(t, `
+_kernel(1) void k(uint32_t &x) {
+  for (uint8_t i = 250; i != 4; i += 10) x = x + 1;
+}
+`, 1)
+	if n := countOps(mod, ir.OpStoreMsg); n != 1 {
+		t.Errorf("loop body lowered %d times, want 1", n)
+	}
+}

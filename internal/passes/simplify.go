@@ -48,17 +48,15 @@ func constArg(i *ir.Instr, n int) (*ir.Const, bool) {
 
 // foldInstr returns a replacement value for i, or nil.
 func foldInstr(i *ir.Instr) ir.Value {
+	if c := ir.Fold(i); c != nil {
+		return c
+	}
 	switch i.Op {
 	case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpUDiv, ir.OpSDiv, ir.OpURem,
 		ir.OpSRem, ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpLShr,
 		ir.OpAShr, ir.OpSAddSat, ir.OpSSubSat, ir.OpMin, ir.OpMax:
 		a, aok := constArg(i, 0)
 		b, bok := constArg(i, 1)
-		if aok && bok {
-			if v, ok := evalBinConst(i.Op, i.Ty, a, b); ok {
-				return v
-			}
-		}
 		// !(a cmp b) → inverted compare (shortens condition chains).
 		if i.Op == ir.OpXor && i.Ty == ir.I1 && bok && b.Val == 1 {
 			if cmp, ok2 := i.Args[0].(*ir.Instr); ok2 && cmp.Op == ir.OpICmp {
@@ -72,11 +70,6 @@ func foldInstr(i *ir.Instr) ir.Value {
 		}
 		return foldIdentity(i, a, aok, b, bok)
 	case ir.OpICmp:
-		a, aok := constArg(i, 0)
-		b, bok := constArg(i, 1)
-		if aok && bok {
-			return ir.ConstOf(ir.I1, boolToInt(evalPred(i.Pred, i.Args[0].Type(), a.Val, b.Val)))
-		}
 		if i.Args[0] == i.Args[1] {
 			switch i.Pred {
 			case ir.PredEQ, ir.PredULE, ir.PredUGE, ir.PredSLE, ir.PredSGE:
@@ -96,13 +89,6 @@ func foldInstr(i *ir.Instr) ir.Value {
 			return i.Args[1]
 		}
 	case ir.OpZExt, ir.OpSExt, ir.OpTrunc:
-		if c, ok := constArg(i, 0); ok {
-			v := c.Val
-			if i.Op == ir.OpZExt {
-				v = int64(c.Uint())
-			}
-			return ir.ConstOf(i.Ty, v)
-		}
 		if i.Args[0].Type().Bits == i.Ty.Bits {
 			// Same-width conversion: a bit-level no-op.
 			return i.Args[0]
@@ -111,18 +97,6 @@ func foldInstr(i *ir.Instr) ir.Value {
 		if inner, ok := i.Args[0].(*ir.Instr); ok && inner.Op == i.Op &&
 			(i.Op == ir.OpZExt || i.Op == ir.OpSExt) {
 			i.Args[0] = inner.Args[0]
-		}
-	case ir.OpByteSwap:
-		if c, ok := constArg(i, 0); ok {
-			return ir.ConstOf(i.Ty, int64(bswapBits(c.Uint(), i.Ty.Bits)))
-		}
-	case ir.OpCLZ:
-		if c, ok := constArg(i, 0); ok {
-			return ir.ConstOf(i.Ty, int64(clzBits(c.Uint(), i.Ty.Bits)))
-		}
-	case ir.OpCTZ:
-		if c, ok := constArg(i, 0); ok {
-			return ir.ConstOf(i.Ty, int64(ctzBits(c.Uint(), i.Ty.Bits)))
 		}
 	}
 	return nil
@@ -203,158 +177,6 @@ func foldIdentity(i *ir.Instr, a *ir.Const, aok bool, b *ir.Const, bok bool) ir.
 		}
 	}
 	return nil
-}
-
-// evalBinConst folds a binary op over constants.
-func evalBinConst(op ir.Op, t ir.Type, a, b *ir.Const) (ir.Value, bool) {
-	av, bv := t.Wrap(a.Val), t.Wrap(b.Val)
-	au, bu := uint64(av)&t.Mask(), uint64(bv)&t.Mask()
-	switch op {
-	case ir.OpAdd:
-		return ir.ConstOf(t, av+bv), true
-	case ir.OpSub:
-		return ir.ConstOf(t, av-bv), true
-	case ir.OpMul:
-		return ir.ConstOf(t, av*bv), true
-	case ir.OpUDiv:
-		if bu == 0 {
-			return nil, false
-		}
-		return ir.ConstOf(t, int64(au/bu)), true
-	case ir.OpSDiv:
-		if bv == 0 {
-			return nil, false
-		}
-		return ir.ConstOf(t, av/bv), true
-	case ir.OpURem:
-		if bu == 0 {
-			return nil, false
-		}
-		return ir.ConstOf(t, int64(au%bu)), true
-	case ir.OpSRem:
-		if bv == 0 {
-			return nil, false
-		}
-		return ir.ConstOf(t, av%bv), true
-	case ir.OpAnd:
-		return ir.ConstOf(t, av&bv), true
-	case ir.OpOr:
-		return ir.ConstOf(t, av|bv), true
-	case ir.OpXor:
-		return ir.ConstOf(t, av^bv), true
-	case ir.OpShl:
-		if bu > 63 {
-			return ir.ConstOf(t, 0), true
-		}
-		return ir.ConstOf(t, av<<bu), true
-	case ir.OpLShr:
-		if bu > 63 {
-			return ir.ConstOf(t, 0), true
-		}
-		return ir.ConstOf(t, int64(au>>bu)), true
-	case ir.OpAShr:
-		if bu > 63 {
-			bu = 63
-		}
-		return ir.ConstOf(t, av>>bu), true
-	case ir.OpSAddSat:
-		s := au + bu
-		if s > t.Mask() {
-			s = t.Mask()
-		}
-		return ir.ConstOf(t, int64(s)), true
-	case ir.OpSSubSat:
-		if bu > au {
-			return ir.ConstOf(t, 0), true
-		}
-		return ir.ConstOf(t, int64(au-bu)), true
-	case ir.OpMin:
-		if t.Signed {
-			if av < bv {
-				return ir.ConstOf(t, av), true
-			}
-			return ir.ConstOf(t, bv), true
-		}
-		if au < bu {
-			return ir.ConstOf(t, int64(au)), true
-		}
-		return ir.ConstOf(t, int64(bu)), true
-	case ir.OpMax:
-		if t.Signed {
-			if av > bv {
-				return ir.ConstOf(t, av), true
-			}
-			return ir.ConstOf(t, bv), true
-		}
-		if au > bu {
-			return ir.ConstOf(t, int64(au)), true
-		}
-		return ir.ConstOf(t, int64(bu)), true
-	}
-	return nil, false
-}
-
-// evalPred evaluates a comparison over already-wrapped constants.
-func evalPred(p ir.Pred, t ir.Type, a, b int64) bool {
-	av, bv := t.Wrap(a), t.Wrap(b)
-	au, bu := uint64(av)&t.Mask(), uint64(bv)&t.Mask()
-	switch p {
-	case ir.PredEQ:
-		return av == bv
-	case ir.PredNE:
-		return av != bv
-	case ir.PredULT:
-		return au < bu
-	case ir.PredULE:
-		return au <= bu
-	case ir.PredUGT:
-		return au > bu
-	case ir.PredUGE:
-		return au >= bu
-	case ir.PredSLT:
-		return av < bv
-	case ir.PredSLE:
-		return av <= bv
-	case ir.PredSGT:
-		return av > bv
-	case ir.PredSGE:
-		return av >= bv
-	}
-	return false
-}
-
-func boolToInt(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-func bswapBits(v uint64, bits int) uint64 {
-	n := bits / 8
-	var out uint64
-	for i := 0; i < n; i++ {
-		out = out<<8 | (v>>(8*uint(i)))&0xFF
-	}
-	return out
-}
-
-func clzBits(v uint64, bits int) uint64 {
-	for i := bits - 1; i >= 0; i-- {
-		if v>>(uint(i))&1 != 0 {
-			return uint64(bits - 1 - i)
-		}
-	}
-	return uint64(bits)
-}
-
-func ctzBits(v uint64, bits int) uint64 {
-	for i := 0; i < bits; i++ {
-		if v>>(uint(i))&1 != 0 {
-			return uint64(i)
-		}
-	}
-	return uint64(bits)
 }
 
 // simplifyCFG folds constant branches, threads trivial jumps, and

@@ -213,7 +213,7 @@ type access struct {
 func checkFuncMemory(f *ir.Func) []*MemCheckError {
 	var errs []*MemCheckError
 	depth := condDepths(f)
-	reach := blockReach(f)
+	reach := ir.Reach(f)
 
 	// Collect accesses per object, with canonically normalized
 	// same-block positions.
@@ -325,27 +325,6 @@ func condDepths(f *ir.Func) map[*ir.Block]int {
 		}
 	}
 	return d
-}
-
-// blockReach computes strict reachability between blocks.
-func blockReach(f *ir.Func) map[*ir.Block]map[*ir.Block]bool {
-	reach := map[*ir.Block]map[*ir.Block]bool{}
-	for _, b := range f.Blocks {
-		seen := map[*ir.Block]bool{}
-		var stack []*ir.Block
-		stack = append(stack, b.Succs()...)
-		for len(stack) > 0 {
-			x := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if seen[x] {
-				continue
-			}
-			seen[x] = true
-			stack = append(stack, x.Succs()...)
-		}
-		reach[b] = seen
-	}
-	return reach
 }
 
 // canonicalPositions tries to renumber a block's independent global

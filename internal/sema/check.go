@@ -683,16 +683,19 @@ func (bc *bodyChecker) callExpr(x *lang.CallExpr, actionOK bool) Type {
 	case CatMath:
 		return bc.mathCall(x, b)
 	case CatHash, CatIntrinsic:
+		var args []*Basic
 		for _, a := range x.Args {
-			bc.scalarExpr(a)
+			args = append(args, bc.scalarExpr(a))
 		}
-		w := hashWidth(b.Op)
 		if len(x.TArgs) == 1 {
 			if v, err := EvalConst(x.TArgs[0], bc.c.constEnv); err == nil && v > 0 && v <= 64 {
-				w = int(v)
+				return basicByBits(int(v))
 			}
 		}
-		return basicByBits(w)
+		if b.Op == "identity" && len(args) > 0 {
+			return args[0]
+		}
+		return basicByBits(hashWidth(b.Op))
 	}
 	return U32Type
 }

@@ -417,3 +417,21 @@ _kernel(1) void k(unsigned i, uint8_t &old, uint8_t &nw) {
 		t.Fatal("nil program")
 	}
 }
+
+// TestCheckIdentityTakesArgumentType: identity without a width has its
+// first argument's type; a width argument still sets the result.
+func TestCheckIdentityTakesArgumentType(t *testing.T) {
+	p := checkOK(t, `
+_kernel(1) void k(uint64_t a, uint16_t b) {
+  auto h = ncl::identity(a);
+  auto g = ncl::identity(b, a);
+  auto w = ncl::identity<8>(a);
+}
+`)
+	want := map[string]*Basic{"h": U64Type, "g": U16Type, "w": U8Type}
+	for _, l := range p.LocalOf {
+		if l.Elem != want[l.Name()] {
+			t.Errorf("%s: %s, want %s", l.Name(), l.Elem, want[l.Name()])
+		}
+	}
+}
