@@ -383,3 +383,61 @@ func TestRegisterDrain(t *testing.T) {
 		t.Error("ReadRegisters on unknown name did not error")
 	}
 }
+
+// TestWriteKeepsNoCallerMemory: Write copies what it stores. Mutating
+// an entry after its batch committed, or mutating what Entries
+// returned, must change neither the data plane nor the store.
+func TestWriteKeepsNoCallerMemory(t *testing.T) {
+	sw := New(matcherProg(nil))
+	if sw.CompileErr() != nil {
+		t.Fatalf("not compiled: %v", sw.CompileErr())
+	}
+	ex := entry("set_out", 100, 0, kv(7), kv(8))
+	lpm := entry("set_out", 5, 0, p4.KeyValue{Value: 0x0A000000, PrefixLen: 8})
+	if _, err := sw.Write(NewWriteBatch().Insert("ex2", ex).Insert("lpm1", lpm)); err != nil {
+		t.Fatal(err)
+	}
+	probe := func(stage string, exWant, lpmWant uint32) {
+		t.Helper()
+		for _, c := range []struct {
+			pkt  []byte
+			want uint32
+		}{{matcherPkt(1, 7, 8), exWant}, {matcherPkt(2, 0x0A010203, 0), lpmWant}} {
+			res, err := sw.Process(c.pkt, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := matcherOut(t, res); got != c.want {
+				t.Fatalf("%s: pkt %x: out=%d want %d", stage, c.pkt, got, c.want)
+			}
+		}
+	}
+	probe("committed", 100, 5)
+
+	ex.Action.Args[0], lpm.Action.Args[0] = 555, 666
+	ex.Keys[0].Value, lpm.Keys[0].PrefixLen = 9, 32
+	ex.Action.Name = "miss_out"
+	probe("caller mutated its entries", 100, 5)
+	if got := sw.Entries("ex2"); len(got) != 1 || got[0].Keys[0].Value != 7 || got[0].Action.Name != "set_out" || got[0].Action.Args[0] != 100 {
+		t.Fatalf("Entries(ex2) after the caller's mutation: %+v", got[0])
+	}
+
+	for _, table := range []string{"ex2", "lpm1"} {
+		for _, e := range sw.Entries(table) {
+			e.Keys[0].Value, e.Keys[0].PrefixLen, e.Priority = 42, 1, 3
+			e.Action.Name, e.Action.Args[0] = "miss_out", 77
+		}
+	}
+	probe("Entries result mutated", 100, 5)
+	if got := sw.Entries("lpm1"); len(got) != 1 || got[0].Keys[0].Value != 0x0A000000 || got[0].Keys[0].PrefixLen != 8 || got[0].Action.Args[0] != 5 {
+		t.Fatalf("Entries(lpm1) after mutating an earlier result: %+v", got[0])
+	}
+
+	if n := deleteEntry(t, sw, "ex2", 9, 8); n != 0 {
+		t.Fatalf("delete by the caller's mutated key removed %d", n)
+	}
+	if n := deleteEntry(t, sw, "ex2", 7, 8); n != 1 {
+		t.Fatalf("delete by the committed key removed %d", n)
+	}
+	probe("deleted", 0xFFFF_FFFF, 5)
+}

@@ -348,3 +348,22 @@ _kernel(1) void k(uint32_t &x) {
 		t.Errorf("loop body lowered %d times, want 1", n)
 	}
 }
+
+// TestLowerUnrollCondAtDeclaredType: the loop condition compares at the
+// induction variable's declared type, as C does. For a uint32_t i,
+// -1 converts to 0xFFFFFFFF, so i > -1 never holds and the body is
+// never lowered; for an int32_t i the same loop runs four times.
+func TestLowerUnrollCondAtDeclaredType(t *testing.T) {
+	for _, c := range []struct {
+		loop string
+		want int
+	}{
+		{"for (uint32_t i = 1; i > -1; i--) x = x + 1;", 0},
+		{"for (int32_t i = 3; i > -1; i--) x = x + 1;", 4},
+	} {
+		mod := lowerSrc(t, "_kernel(1) void k(uint32_t &x) {\n  "+c.loop+"\n}\n", 1)
+		if n := countOps(mod, ir.OpStoreMsg); n != c.want {
+			t.Errorf("%s: body lowered %d times, want %d", c.loop, n, c.want)
+		}
+	}
+}
