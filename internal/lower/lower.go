@@ -426,13 +426,15 @@ func (fl *fnLowerer) forStmt(st *lang.ForStmt) {
 		fl.bind(ivName, &constBinding{val: iv.Val, ty: iv.Ty})
 		cont := true
 		if st.Cond != nil {
-			c, ok := fl.constEval(st.Cond)
+			// Lowered like any condition, so it compares at sema's types
+			// and folds through ir.Fold; only a constant can unroll.
+			c, ok := fl.cond(st.Cond).(*ir.Const)
 			if !ok {
 				fl.errorf(st.Cond.Pos(), "cannot unroll loop: condition is not compile-time evaluable")
 				fl.pop()
 				return
 			}
-			cont = c != 0
+			cont = c.Val != 0
 		}
 		if !cont {
 			fl.pop()
