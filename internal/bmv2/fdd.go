@@ -47,8 +47,8 @@ const (
 
 // Leaf codes share the child namespace with node indices: child >= 0
 // is a node, fddMiss is "no entry matched", and any other negative
-// value encodes a winning entry's index in tsnap.ents (its rule id) as
-// -(idx)-2.
+// value encodes a winning rule id — an index into tsnap.ents, which
+// names its record — as -(id)-2.
 const fddMiss = int32(-1)
 
 // fnode is one decision level: starts[i] opens the half-open
@@ -66,8 +66,8 @@ type fdd struct {
 	root  int32 // node index or leaf code (rule-free tables)
 }
 
-// match walks the diagram to the winning entry, or nil on a miss.
-func (f *fdd) match(keys []val, ents []centry) *centry {
+// match walks the diagram to the winning record, or -1 on a miss.
+func (f *fdd) match(keys []val, ents []int32) int32 {
 	n := f.root
 	for lvl := 0; n >= 0; lvl++ {
 		nd := &f.nodes[n]
@@ -88,23 +88,25 @@ func (f *fdd) match(keys []val, ents []centry) *centry {
 		n = nd.next[lo]
 	}
 	if n == fddMiss {
-		return nil
+		return -1
 	}
-	return &ents[-n-2]
+	return ents[-n-2]
 }
 
 // fddIval is one closed interval [lo, hi] of key values.
 type fddIval struct{ lo, hi uint64 }
 
-// fddRule is one store entry as the diagram sees it: the static score
-// the reference loop would assign it and its per-level interval
-// expansion. iv is nil for an entry that can never match (wrong arity,
+// fddRule is one store record as the diagram sees it: the static
+// score the reference loop would assign it and its per-level interval
+// expansion. iv is nil for a record that can never match (wrong arity,
 // a key outside its domain); unrep marks a key no diagram can
 // represent, which sends the whole table to the scan while it lives.
+// seq is the record's serial, which names it across compaction.
 type fddRule struct {
 	score int
 	iv    [][]fddIval
 	unrep bool
+	seq   uint32
 }
 
 // fddKey is a memo key: a level and the additive hash of a rule-id set
@@ -137,23 +139,24 @@ type fddScratch struct {
 
 // fddBuilder is a non-exact table's writer-side diagram state. It
 // lives across commits and changes only in commit, under Switch.mu,
-// after a batch has validated. Rule ids number the store's entries in
+// after a batch has validated. Rule ids number the store's records in
 // insertion order since the last reset, so the lower id wins a tie
-// exactly as the earlier store index does. The memo maps (level, rule
-// set) to a node of the arena: a commit changes the live set and asks
-// for the root again, and every subtree whose set did not change is a
-// memo hit, shared with the previous generation. The arena only grows:
-// a published generation holds a prefix of it, which later commits
-// never write, so publishing stays one pointer store. Once dead nodes
-// outnumber the reachable ones the arena and memo are dropped, and once
-// dead ids outnumber live entries the rules go too; the next commit
-// then builds cold, through the same code.
+// exactly as the earlier record does; they follow records by serial,
+// so the store's compaction, which moves records, keeps them. The memo
+// maps (level, rule set) to a node of the arena: a commit changes the
+// live set and asks for the root again, and every subtree whose set
+// did not change is a memo hit, shared with the previous generation.
+// The arena only grows: a published generation holds a prefix of it,
+// which later commits never write, so publishing stays one pointer
+// store. Once dead nodes outnumber the reachable ones the arena and
+// memo are dropped, and once dead ids outnumber live records the rules
+// go too; the next commit then builds cold, through the same code.
 type fddBuilder struct {
 	tb    *ctable
 	dmask []uint64  // domain mask per key level
 	rules []fddRule // by id
-	ents  []centry  // by id, zero once dead; a leaf code names one
-	live  []int32   // ids of the store's live entries, ascending
+	recs  []int32   // by id: the record's index, -1 once dead
+	live  []int32   // ids of the store's live records, ascending
 	unrep int       // live rules with an unrepresentable key
 
 	nodes []fnode
@@ -177,15 +180,15 @@ func newFDDBuilder(tb *ctable) *fddBuilder {
 }
 
 // commit brings the diagram up to the table's entry store and returns
-// the snapshot's matcher state: the entries by id — dead ones zero, so
-// ineligible to the scan — and their diagram, or nil when the rule set
+// the snapshot's matcher state: the records by id — dead ones -1,
+// skipped by the scan — and their diagram, or nil when the rule set
 // rules one out (unrepresentable masks, work-budget overflow).
-func (b *fddBuilder) commit() ([]centry, *fdd) {
+func (b *fddBuilder) commit() ([]int32, *fdd) {
 	b.sync()
 	dd := b.diagram()
-	ents := slices.Clone(b.ents)
+	ents := slices.Clone(b.recs)
 	if len(b.rules) > 2*len(b.live) {
-		b.rules, b.ents, b.live, b.unrep = nil, nil, nil, 0
+		b.rules, b.recs, b.live, b.unrep = nil, nil, nil, 0
 		b.dropNodes()
 	} else if len(b.nodes) > 2*b.reach {
 		b.dropNodes()
@@ -197,42 +200,41 @@ func (b *fddBuilder) dropNodes() {
 	b.nodes, b.meta, b.sets, b.memo, b.reach = nil, nil, nil, map[fddKey]int32{}, 0
 }
 
-// sync makes live the store's live entries. A batch only tombstones
-// and appends, so the entries that stayed are the old live list minus
-// the dropped ones, in the same order, and the rest follow: a merge by
-// entry pointer, in place. (An entry pointer that left and came back
-// in one batch keeps its id: same key, same action, and still later
-// than every entry before it.)
+// sync makes live the store's live records. A batch only deletes and
+// appends, and compaction keeps order, so the records that stayed are
+// the old live list minus the dropped ones, in the same order, and the
+// rest follow: a merge by serial, in place, that also re-reads each
+// record's index.
 func (b *fddBuilder) sync() {
+	es := b.tb.es
 	old, live, i := b.live, b.live[:0], 0
 	drop := func(id int32) {
 		if b.rules[id].unrep {
 			b.unrep--
 		}
-		b.rules[id], b.ents[id] = fddRule{}, centry{}
+		b.rules[id], b.recs[id] = fddRule{}, -1
 	}
-	if es := b.tb.sw.entries[b.tb.name]; es != nil {
-		for _, e := range es.ents {
-			if e == nil {
-				continue
-			}
-			for i < len(old) && b.ents[old[i]].e != e {
-				drop(old[i])
-				i++
-			}
-			if i < len(old) {
-				live = append(live, old[i])
-				i++
-				continue
-			}
-			ce := b.tb.compileEntry(e)
-			r := b.project(&ce)
-			if r.unrep {
-				b.unrep++
-			}
-			live = append(live, int32(len(b.rules)))
-			b.rules, b.ents = append(b.rules, r), append(b.ents, ce)
+	for ri := range es.recs {
+		if es.next[ri] == recDead {
+			continue
 		}
+		seq := es.recs[ri].seq
+		for i < len(old) && b.rules[old[i]].seq != seq {
+			drop(old[i])
+			i++
+		}
+		if i < len(old) {
+			b.recs[old[i]] = int32(ri)
+			live = append(live, old[i])
+			i++
+			continue
+		}
+		r := b.project(&es.arena, &es.recs[ri])
+		if r.seq = seq; r.unrep {
+			b.unrep++
+		}
+		live = append(live, int32(len(b.rules)))
+		b.rules, b.recs = append(b.rules, r), append(b.recs, int32(ri))
 	}
 	for ; i < len(old); i++ {
 		drop(old[i])
@@ -240,15 +242,16 @@ func (b *fddBuilder) sync() {
 	b.live = live
 }
 
-// project expands one compiled entry into its per-level intervals.
-func (b *fddBuilder) project(ce *centry) (r fddRule) {
-	if !ce.eligible {
+// project expands one record into its per-level intervals.
+func (b *fddBuilder) project(ar *arena, rec *erec) (r fddRule) {
+	tb := b.tb
+	if rec.nkeys != uint32(len(tb.keys)) {
 		return r
 	}
-	tb := b.tb
 	iv := make([][]fddIval, len(tb.kbits))
-	for ki := range ce.e.Keys {
-		ivs, ok := projIvals(tb.kinds[ki], &ce.e.Keys[ki], tb.kbits[ki], ce.e.Priority, &r.score)
+	for ki := range iv {
+		kv := ar.key(rec, ki)
+		ivs, ok := projIvals(tb.kinds[ki], &kv, tb.kbits[ki], int(rec.prio), &r.score)
 		if !ok {
 			r.unrep = true
 			return r

@@ -110,9 +110,7 @@ func New(prog *p4.Program) *Switch {
 				es = &entrySet{}
 				s.entries[t.Name] = es
 			}
-			for _, e := range t.Entries {
-				es.insert(e)
-			}
+			es.load(t.Entries)
 		}
 		for _, l := range c.Locals {
 			s.fields[l.Name] = l.Bits
@@ -208,22 +206,8 @@ func (s *Switch) InsertEntry(table string, e *p4.Entry) error {
 	return err
 }
 
-// entryKeysEqual reports whether the entry's key values equal the
-// tuple exactly (same arity, all values equal).
-func entryKeysEqual(e *p4.Entry, keyVals []uint64) bool {
-	if len(keyVals) == 0 || len(e.Keys) != len(keyVals) {
-		return false
-	}
-	for i, kv := range keyVals {
-		if e.Keys[i].Value != kv {
-			return false
-		}
-	}
-	return true
-}
-
-// Entries returns a copy of a table's current entries (live entries
-// in insertion order).
+// Entries returns a fresh copy of a table's current entries (live
+// entries in insertion order); the caller may keep or change it.
 func (s *Switch) Entries(table string) []*p4.Entry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -231,13 +215,7 @@ func (s *Switch) Entries(table string) []*p4.Entry {
 	if es == nil {
 		return nil
 	}
-	out := make([]*p4.Entry, 0, es.live)
-	for _, e := range es.ents {
-		if e != nil {
-			out = append(out, e)
-		}
-	}
-	return out
+	return es.entries()
 }
 
 // nextRand steps the random-extern LCG with a CAS loop: single-

@@ -338,7 +338,7 @@ func (ex *exec) applyTable(c *p4.Control, name string) (bool, error) {
 	}
 	var entries []*p4.Entry
 	if es := ex.s.entries[name]; es != nil {
-		entries = es.ents
+		entries = es.entries() // the copy Switch.Entries returns
 	}
 	var best *p4.Entry
 	// "no match" is tracked explicitly rather than with a sentinel
@@ -348,7 +348,7 @@ func (ex *exec) applyTable(c *p4.Control, name string) (bool, error) {
 	bestScore := 0
 	matched := false
 	for _, e := range entries {
-		if e == nil || len(e.Keys) != len(keys) {
+		if len(e.Keys) != len(keys) {
 			continue
 		}
 		ok := true
