@@ -268,17 +268,6 @@ func (p *Program) FuncByName(name string) *Function {
 	return nil
 }
 
-// KernelAt returns the kernel of computation comp placed at device id
-// (a kernel with an empty location set matches any device), or nil.
-func (p *Program) KernelAt(comp uint8, id uint16) *Function {
-	for _, k := range p.Computations[comp] {
-		if len(k.At) == 0 || k.At.Contains(id) {
-			return k
-		}
-	}
-	return nil
-}
-
 // Locations returns the union of all explicit location sets in the
 // program, sorted ascending; if no entity has an explicit location the
 // result is empty (single-device program).

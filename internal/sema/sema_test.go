@@ -18,6 +18,17 @@ func check(t *testing.T, src string) (*Program, *lang.Diagnostics) {
 	return p, &d
 }
 
+// KernelAt returns the kernel of computation comp placed at device id
+// (a kernel with an empty location set matches any device), or nil.
+func (p *Program) KernelAt(comp uint8, id uint16) *Function {
+	for _, k := range p.Computations[comp] {
+		if len(k.At) == 0 || k.At.Contains(id) {
+			return k
+		}
+	}
+	return nil
+}
+
 func checkOK(t *testing.T, src string) *Program {
 	t.Helper()
 	p, d := check(t, src)
