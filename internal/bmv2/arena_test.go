@@ -66,6 +66,8 @@ func TestNewExactFootprint(t *testing.T) {
 // flow table: 19 inserts of fresh flows, 19 deletes of live ones and
 // 18 modifies, pre-built, then the same batch's inverse so that the
 // table returns to its starting set after every pair of iterations.
+// The target is at most 50 KB/op: each op path-copies the trie nodes
+// it passes, the full ones as 8-byte child pointers (DESIGN.md §7).
 func BenchmarkWriteExact(b *testing.B) {
 	pp := flowProg(100_000)
 	sw := New(pp)

@@ -18,7 +18,10 @@ package bmv2
 // (pbuild) lays the whole trie out from its sorted leaves in slabs.
 // Tokens are dropped when the root is published, freezing the nodes.
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // powner is a mutation batch's identity. Must not be zero-sized: two
 // distinct tokens have to compare unequal by pointer.
@@ -45,20 +48,25 @@ func (k *pkey) chunk(lvl uint) uint64 {
 	return w << (lvl * 6) >> 58
 }
 
-// pchild is one slot of a node: an interior node, or (n == nil) a leaf
-// naming the record its tuple is bound to. The tuple itself is read
-// from the record.
+// pchild is what a node binds a chunk to: an interior node, or (n ==
+// nil) a leaf naming the record its tuple is bound to. The tuple itself
+// is read from the record.
 type pchild struct {
 	n   *pnode
 	rec int32
 }
 
-// pnode is an interior trie node: a 64-bit occupancy bitmap plus a
-// dense child array (popcount indexing).
+// pnode is an interior trie node. A chunk bound to an interior node has
+// its bit in nodes and its child in kids; one bound to a leaf has its
+// bit in leaves and its record in recs; both arrays are dense by the
+// popcount of their bitmap below the bit. Split this way, a path copy of
+// a full node moves 8-byte pointers, and of a node of leaves 4-byte
+// record indices.
 type pnode struct {
-	bitmap uint64
-	kids   []pchild
-	owner  *powner // mutation batch that may still edit this node
+	nodes, leaves uint64
+	kids          []*pnode
+	recs          []int32
+	owner         *powner // mutation batch that may still edit this node
 }
 
 // phash mixes a key tuple into the 64-bit trie hash. Zero-padded
@@ -72,70 +80,73 @@ func phash(t [maxExactKeys]uint64) uint64 {
 	return h
 }
 
+// below is the dense index of bit's slot under bitmap m.
+func below(m, bit uint64) int { return bits.OnesCount64(m & (bit - 1)) }
+
 // pget returns the record bound to k's tuple, or -1.
 func pget(n *pnode, k *pkey, ar *arena) int32 {
 	for lvl := uint(0); n != nil; lvl++ {
 		bit := uint64(1) << k.chunk(lvl)
-		if n.bitmap&bit == 0 {
-			return -1
-		}
-		c := &n.kids[bits.OnesCount64(n.bitmap&(bit-1))]
-		if c.n == nil {
-			if ar.tuple(c.rec) == k.t {
-				return c.rec
+		if n.leaves&bit != 0 {
+			if rec := n.recs[below(n.leaves, bit)]; ar.tuple(rec) == k.t {
+				return rec
 			}
 			return -1
 		}
-		n = c.n
+		if n.nodes&bit == 0 {
+			return -1
+		}
+		n = n.kids[below(n.nodes, bit)]
 	}
 	return -1
+}
+
+// own returns n when o owns it, else a copy that o owns.
+func (n *pnode) own(o *powner) *pnode {
+	if o != nil && n.owner == o {
+		return n
+	}
+	return &pnode{nodes: n.nodes, leaves: n.leaves, kids: slices.Clone(n.kids), recs: slices.Clone(n.recs), owner: o}
+}
+
+// drop unbinds the chunk bit of n, which the caller owns.
+func (n *pnode) drop(bit uint64) {
+	if n.nodes&bit != 0 {
+		i := below(n.nodes, bit)
+		n.kids, n.nodes = slices.Delete(n.kids, i, i+1), n.nodes&^bit
+	} else if n.leaves&bit != 0 {
+		i := below(n.leaves, bit)
+		n.recs, n.leaves = slices.Delete(n.recs, i, i+1), n.leaves&^bit
+	}
+}
+
+// put binds the chunk bit of n, which the caller owns, to c.
+func (n *pnode) put(bit uint64, c pchild) {
+	switch {
+	case c.n != nil && n.nodes&bit != 0:
+		n.kids[below(n.nodes, bit)] = c.n
+	case c.n == nil && n.leaves&bit != 0:
+		n.recs[below(n.leaves, bit)] = c.rec
+	case c.n != nil:
+		n.drop(bit)
+		n.kids, n.nodes = slices.Insert(n.kids, below(n.nodes, bit), c.n), n.nodes|bit
+	default:
+		n.drop(bit)
+		n.recs, n.leaves = slices.Insert(n.recs, below(n.leaves, bit), c.rec), n.leaves|bit
+	}
 }
 
 // psplit pushes two leaves with distinct keys down until their paths
 // diverge, building the intermediate single-child nodes.
 func psplit(a pchild, ak *pkey, b pchild, bk *pkey, lvl uint, o *powner) *pnode {
-	ai, bi := ak.chunk(lvl), bk.chunk(lvl)
-	if ai == bi {
-		return &pnode{bitmap: 1 << ai, kids: []pchild{{n: psplit(a, ak, b, bk, lvl+1, o)}}, owner: o}
+	n := &pnode{owner: o}
+	if ai, bi := ak.chunk(lvl), bk.chunk(lvl); ai == bi {
+		n.put(1<<ai, pchild{n: psplit(a, ak, b, bk, lvl+1, o)})
+	} else {
+		n.put(1<<ai, a)
+		n.put(1<<bi, b)
 	}
-	if ai > bi {
-		a, b, ai, bi = b, a, bi, ai
-	}
-	return &pnode{bitmap: 1<<ai | 1<<bi, kids: []pchild{a, b}, owner: o}
-}
-
-// kidsWith copies the child array with slot i replaced.
-func kidsWith(kids []pchild, i int, c pchild) []pchild {
-	out := make([]pchild, len(kids))
-	copy(out, kids)
-	out[i] = c
-	return out
-}
-
-// setKid replaces slot i, in place when n is owned by o.
-func setKid(n *pnode, i int, c pchild, o *powner) *pnode {
-	if o != nil && n.owner == o {
-		n.kids[i] = c
-		return n
-	}
-	return &pnode{bitmap: n.bitmap, kids: kidsWith(n.kids, i, c), owner: o}
-}
-
-// addKid inserts a new slot for bit at position i, in place when n is
-// owned by o.
-func addKid(n *pnode, bit uint64, i int, c pchild, o *powner) *pnode {
-	if o != nil && n.owner == o {
-		n.kids = append(n.kids, pchild{})
-		copy(n.kids[i+1:], n.kids[i:])
-		n.kids[i] = c
-		n.bitmap |= bit
-		return n
-	}
-	kids := make([]pchild, len(n.kids)+1)
-	copy(kids, n.kids[:i])
-	kids[i] = c
-	copy(kids[i+1:], n.kids[i:])
-	return &pnode{bitmap: n.bitmap | bit, kids: kids, owner: o}
+	return n
 }
 
 // pinsert binds k's tuple to record rec under token o, path-copying
@@ -145,29 +156,29 @@ func addKid(n *pnode, bit uint64, i int, c pchild, o *powner) *pnode {
 // overwritten. ar holds every record the trie names.
 func pinsert(n *pnode, lvl uint, k *pkey, rec int32, replace bool, o *powner, ar *arena) (root *pnode, changed bool) {
 	bit := uint64(1) << k.chunk(lvl)
-	if n == nil {
-		return &pnode{bitmap: bit, kids: []pchild{{rec: rec}}, owner: o}, true
-	}
-	i := bits.OnesCount64(n.bitmap & (bit - 1))
-	if n.bitmap&bit == 0 {
-		return addKid(n, bit, i, pchild{rec: rec}, o), true
-	}
-	c := n.kids[i]
-	if c.n != nil {
-		sub, changed := pinsert(c.n, lvl+1, k, rec, replace, o, ar)
+	c := pchild{rec: rec}
+	switch {
+	case n == nil:
+		return &pnode{leaves: bit, recs: []int32{rec}, owner: o}, true
+	case n.nodes&bit != 0:
+		sub, changed := pinsert(n.kids[below(n.nodes, bit)], lvl+1, k, rec, replace, o, ar)
 		if !changed {
 			return n, false
 		}
-		return setKid(n, i, pchild{n: sub}, o), true
-	}
-	ck := keyOf(ar.tuple(c.rec))
-	if ck.t == k.t {
-		if !replace {
+		c = pchild{n: sub}
+	case n.leaves&bit != 0:
+		old := n.recs[below(n.leaves, bit)]
+		ck := keyOf(ar.tuple(old))
+		if ck.t == k.t && !replace {
 			return n, false
 		}
-		return setKid(n, i, pchild{rec: rec}, o), true
+		if ck.t != k.t {
+			c = pchild{n: psplit(pchild{rec: old}, &ck, c, k, lvl+1, o)}
+		}
 	}
-	return setKid(n, i, pchild{n: psplit(c, &ck, pchild{rec: rec}, k, lvl+1, o)}, o), true
+	n = n.own(o)
+	n.put(bit, c)
+	return n, true
 }
 
 // pdelete removes the binding for k's tuple under token o, path-copying
@@ -179,43 +190,29 @@ func pdelete(n *pnode, lvl uint, k *pkey, o *powner, ar *arena) (root *pnode, re
 		return nil, false
 	}
 	bit := uint64(1) << k.chunk(lvl)
-	if n.bitmap&bit == 0 {
-		return n, false
-	}
-	i := bits.OnesCount64(n.bitmap & (bit - 1))
-	c := n.kids[i]
-	if c.n == nil {
-		if ar.tuple(c.rec) != k.t {
+	var sub *pnode
+	switch {
+	case n.leaves&bit != 0:
+		if ar.tuple(n.recs[below(n.leaves, bit)]) != k.t {
 			return n, false
 		}
-		return pdrop(n, bit, i, o), true
-	}
-	sub, removed := pdelete(c.n, lvl+1, k, o, ar)
-	if !removed {
+	case n.nodes&bit != 0:
+		if sub, removed = pdelete(n.kids[below(n.nodes, bit)], lvl+1, k, o, ar); !removed {
+			return n, false
+		}
+	default:
 		return n, false
 	}
+	if sub == nil && n.nodes|n.leaves == bit {
+		return nil, true
+	}
+	n = n.own(o)
 	if sub == nil {
-		return pdrop(n, bit, i, o), true
+		n.drop(bit)
+	} else {
+		n.put(bit, pchild{n: sub})
 	}
-	return setKid(n, i, pchild{n: sub}, o), true
-}
-
-// pdrop removes child slot i (in place when owned by o); an emptied
-// node becomes nil so parents collapse the path.
-func pdrop(n *pnode, bit uint64, i int, o *powner) *pnode {
-	if len(n.kids) == 1 {
-		return nil
-	}
-	if o != nil && n.owner == o {
-		copy(n.kids[i:], n.kids[i+1:])
-		n.kids = n.kids[:len(n.kids)-1]
-		n.bitmap &^= bit
-		return n
-	}
-	kids := make([]pchild, len(n.kids)-1)
-	copy(kids, n.kids[:i])
-	copy(kids[i:], n.kids[i+1:])
-	return &pnode{bitmap: n.bitmap &^ bit, kids: kids, owner: o}
+	return n, true
 }
 
 // pent is one leaf of a bulk build: a record and its tuple's hash.
@@ -230,18 +227,23 @@ type pent struct {
 // insert into it copies.
 type pslab struct {
 	nodes []pnode
-	kids  []pchild
+	kids  []*pnode
+	recs  []int32
 }
 
-func (s *pslab) node(kids int) *pnode {
+func (s *pslab) node(kids, recs int) *pnode {
 	if len(s.nodes) == 0 {
 		s.nodes = make([]pnode, 512)
 	}
 	if len(s.kids) < kids {
-		s.kids = make([]pchild, max(kids, 8192))
+		s.kids = make([]*pnode, max(kids, 4096))
+	}
+	if len(s.recs) < recs {
+		s.recs = make([]int32, max(recs, 8192))
 	}
 	n := &s.nodes[0]
-	n.kids, s.nodes, s.kids = s.kids[:0:kids], s.nodes[1:], s.kids[kids:]
+	n.kids, n.recs = s.kids[:0:kids], s.recs[:0:recs]
+	s.nodes, s.kids, s.recs = s.nodes[1:], s.kids[kids:], s.recs[recs:]
 	return n
 }
 
@@ -255,25 +257,29 @@ func pbuild(ls []pent, lvl uint, ar *arena, s *pslab) *pnode {
 		}
 		return k.chunk(lvl)
 	}
-	kids := 1
-	for i := 1; i < len(ls); i++ {
-		if chunk(ls[i]) != chunk(ls[i-1]) {
-			kids++
-		}
-	}
-	n := s.node(kids)
-	for i := 0; i < len(ls); {
-		c, j := chunk(ls[i]), i+1
+	end := func(i int) int { // the end of ls[i]'s run of one chunk
+		j, c := i+1, chunk(ls[i])
 		for j < len(ls) && chunk(ls[j]) == c {
 			j++
 		}
-		kid := pchild{rec: ls[i].rec}
-		if j-i > 1 {
-			kid = pchild{n: pbuild(ls[i:j], lvl+1, ar, s)}
+		return j
+	}
+	var nodes, leaves uint64
+	for i, j := 0, 0; i < len(ls); i = j {
+		if j = end(i); j-i > 1 {
+			nodes |= 1 << chunk(ls[i])
+		} else {
+			leaves |= 1 << chunk(ls[i])
 		}
-		n.bitmap |= 1 << c
-		n.kids = append(n.kids, kid)
-		i = j
+	}
+	n := s.node(bits.OnesCount64(nodes), bits.OnesCount64(leaves))
+	n.nodes, n.leaves = nodes, leaves
+	for i, j := 0, 0; i < len(ls); i = j {
+		if j = end(i); j-i > 1 {
+			n.kids = append(n.kids, pbuild(ls[i:j], lvl+1, ar, s))
+		} else {
+			n.recs = append(n.recs, ls[i].rec)
+		}
 	}
 	return n
 }
