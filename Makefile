@@ -12,7 +12,8 @@
 # UDP_GRO control-message parser, bmv2's write batches against a naive
 # table model and its parser/deparser on random header layouts against
 # the reference interpreter, p4rt's frame decoders on raw bytes, the P4 text parser
-# with Print and p4c.Fit on what it accepts) for 20 s each from their checked-in corpora
+# with Validate, Print and p4c.Fit on what it accepts, and on what Validate accepts
+# a Print-Parse-Validate round trip and bmv2.New) for 20 s each from their checked-in corpora
 # (testdata/fuzz); a failing input is written there. bench-e2e
 # is the repository's benchmark (BENCHMARK.json, bench/README.md):
 # every workload, every end-to-end metric; bench-smoke is the same

@@ -83,7 +83,7 @@ func compileFig4(t *testing.T, target Target) (*Artifact, *bmv2.Switch) {
 	if dev == nil {
 		t.Fatal("no artifact for device 1")
 	}
-	if err := dev.P4.Validate(); err != nil {
+	if _, err := dev.P4.Validate(); err != nil {
 		t.Fatalf("p4 validate: %v", err)
 	}
 	sw := bmv2.New(dev.P4)

@@ -24,7 +24,7 @@ func TestBaselinesParseAndFit(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", f, err)
 		}
-		if err := prog.Validate(); err != nil {
+		if _, err := prog.Validate(); err != nil {
 			t.Fatalf("%s: %v", f, err)
 		}
 		rep := p4c.Fit(prog, p4c.Tofino1())

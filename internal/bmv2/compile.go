@@ -5,10 +5,11 @@ package bmv2
 // p4.FieldRef path to an integer slot in a flat []val frame, every
 // action/table/register name to a direct pointer, and every statement
 // to a few flat instructions (instr.go) whose operands are slots and
-// whose result widths are constants, so the per-packet execute step
-// touches no maps, resolves no names and derives no masks. The
-// approach follows the NetKAT compiler lineage: stop re-interpreting
-// the program per packet and run a pre-compiled form instead.
+// whose result widths are constants — the widths p4.Validate decided
+// — so the per-packet execute step touches no maps, resolves no names
+// and derives no masks. The approach follows the NetKAT compiler
+// lineage: stop re-interpreting the program per packet and run a
+// pre-compiled form instead.
 //
 // Compilation is conservative: any construct whose compiled semantics
 // could diverge from the reference tree-walker (reference.go) aborts
@@ -18,6 +19,7 @@ package bmv2
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -148,7 +150,7 @@ type cprog struct {
 	sw        *Switch
 	initFrame []val
 	// nGlobal bounds the slots a packet may read before writing them
-	// (header fields, metadata, locals, undeclared names): reset copies
+	// (header fields, metadata, locals, intrinsics): reset copies
 	// only those. Constants, parameters and temporaries follow.
 	nGlobal int
 	headers []chdr
@@ -156,13 +158,10 @@ type cprog struct {
 	start   int
 
 	code      []instr
-	fn2       []func(a, b val) val
-	fn1       []func(v val) val
 	regSites  []regSite
 	vregSites []vregSite
 	maxLanes  int // the widest fused run: the length of machine.cells
 	hashSites []hashSite
-	errs      []error
 
 	ingress *cctl
 	egress  *cctl // nil when the program has no egress control
@@ -186,11 +185,12 @@ type cprog struct {
 type compiler struct {
 	p      *cprog
 	s      *Switch
+	w      p4.Widths      // every expression's width, from p4.Validate
 	slotOf map[string]int // global name -> frame slot
 	hdrIdx map[string]int // header name -> index in cprog.headers
 	depth  int            // action-nesting guard (P4 forbids recursion)
 	consts map[val]int32
-	refs   map[*p4.FieldRef]fref // field references resolved once per AST node
+	refs   map[*p4.FieldRef]string // each field reference's dotted path, joined once
 	// hasExit: the program contains an exit statement, so every
 	// statement is preceded by the reference loop's exited test.
 	hasExit bool
@@ -200,17 +200,17 @@ type compiler struct {
 	catch *[]int
 }
 
-// cvar is a name bound by a compile-time scope.
+// cvar is a name bound by a compile-time scope: its slot and declared
+// width.
 type cvar struct {
-	slot   int32
-	bits   int
-	static bool // every store to the name keeps the declared width
+	slot int32
+	bits int
 }
 
 // cscope is a compile-time frame: action params or register-action
-// m/o, chained exactly like the reference interpreter's frame stack.
-// A frame binds a handful of names, in declaration order; a repeated
-// name resolves to its last binding, like the reference's map.
+// m/o, chained like the reference interpreter's frame stack. A frame
+// binds a handful of names, in declaration order; a repeated name
+// resolves to its last binding, like the reference's map.
 type cscope struct {
 	parent *cscope
 	names  []string
@@ -226,63 +226,58 @@ func (sc *cscope) lookup(name string) (cvar, bool) {
 	return cvar{}, false
 }
 
-// resolve finds a field reference the way the reference eval does:
-// innermost frame outwards, then the global env.
-func (cc *compiler) resolve(sc *cscope, fr *p4.FieldRef) cvar {
-	r := cc.ref(fr)
-	if v, ok := sc.lookup(r.name); ok {
+// resolve finds a field reference as p4.Validate typed it: the
+// innermost frame, then the global env. The reference eval searches
+// every frame outwards, so a global read under an outer frame binding
+// its name (dynamic scoping) is refused.
+func (cc *compiler) resolve(sc *cscope, fr *p4.FieldRef) (cvar, error) {
+	name := cc.ref(fr)
+	if v, ok := sc.lookupInner(name); ok {
+		return v, nil
+	}
+	if _, ok := sc.lookup(name); ok {
+		return cvar{}, fmt.Errorf("compile: %q read under an outer scope binding it (dynamic scoping)", name)
+	}
+	return cc.global(name), nil
+}
+
+// place is the destination of a store to name: the innermost frame's
+// binding, else the global (the reference assign).
+func (cc *compiler) place(sc *cscope, name string) cvar {
+	if v, ok := sc.lookupInner(name); ok {
 		return v
 	}
-	return r.cvar
+	return cc.global(name)
 }
 
 func (sc *cscope) lookupInner(name string) (cvar, bool) {
-	if i := sc.index(name); i >= 0 {
-		return sc.vars[i], true
+	if sc != nil {
+		for i := len(sc.names) - 1; i >= 0; i-- {
+			if sc.names[i] == name {
+				return sc.vars[i], true
+			}
+		}
 	}
 	return cvar{}, false
 }
 
-func (sc *cscope) index(name string) int {
-	if sc != nil {
-		for i := len(sc.names) - 1; i >= 0; i-- {
-			if sc.names[i] == name {
-				return i
-			}
-		}
-	}
-	return -1
-}
-
 // operand locates the value of a compiled expression: the slot that
-// holds it once the code emitted so far has run.
+// holds it once the code emitted so far has run, and its width. The
+// slot's value never exceeds that width's mask.
 type operand struct {
 	slot int32
-	// static: the width is the compile-time constant bits (1..64);
-	// otherwise the slot's run-time val.bits is the width.
-	bits   int
-	static bool
-	// exact: the slot's run-time val.bits equals the operand's width.
-	// False only for a widening unsigned cast collapsed onto its source
-	// slot, which the un-specialized opcodes must materialize first.
-	exact bool
+	bits int
 	// owned: a temporary or constant that no program statement writes,
 	// so it may be read after later operands have run.
 	owned bool
 }
 
-// staticWidth reports whether a width is one the specialized opcodes
-// handle; anything else (undeclared 0, wider than 64) stays dynamic.
-func staticWidth(bits int) bool { return bits >= 1 && bits <= 64 }
-
-// compileProgram builds the slot-indexed form of s.Prog. A nil error
-// guarantees the compiled engine reproduces the reference interpreter
-// exactly; any doubt returns an error and the Switch runs nothing.
+// compileProgram builds the slot-indexed form of s.Prog, which
+// p4.Validate has checked. A nil error guarantees the compiled engine
+// reproduces the reference interpreter exactly; any doubt returns an
+// error and the Switch runs nothing.
 func compileProgram(s *Switch) (*cprog, error) {
 	prog := s.Prog
-	if prog.Ingress == nil || prog.Parser == nil {
-		return nil, fmt.Errorf("compile: program lacks ingress or parser")
-	}
 	for _, c := range prog.Controls() {
 		for _, h := range c.Hashes {
 			if h.Algo != "random" && hashFn(h.Algo) == nil {
@@ -297,11 +292,11 @@ func compileProgram(s *Switch) (*cprog, error) {
 		tablesByName: map[string][]*ctable{},
 	}
 	cc := &compiler{
-		p: p, s: s,
+		p: p, s: s, w: s.widths,
 		slotOf: make(map[string]int, len(s.fields)+8),
 		hdrIdx: map[string]int{},
 		consts: map[val]int32{},
-		refs:   make(map[*p4.FieldRef]fref, 2*len(s.fields)),
+		refs:   make(map[*p4.FieldRef]string, 2*len(s.fields)),
 	}
 
 	// Global slots in deterministic program order: control locals,
@@ -363,19 +358,15 @@ func compileProgram(s *Switch) (*cprog, error) {
 	inPort := cc.global("meta.ingress_port")
 	p.inPortSlot, p.inPortBits = int(inPort.slot), inPort.bits
 
-	// Controls: name scan first (every global slot allocated and every
-	// exit seen before the first instruction is emitted), then tables
-	// (they exist before bodies reference them, refNames fully
-	// populated before any guard runs), then apply-level action
-	// instances (table entries resolve into these), then bodies.
+	// Every global slot is allocated: the globals are one prefix of the
+	// frame. Controls: name scan first (every exit seen before the
+	// first instruction is emitted), then tables (they exist before
+	// bodies reference them, refNames fully populated before any guard
+	// runs), then apply-level action instances (table entries resolve
+	// into these), then bodies.
 	p.ingress = cc.scanControl(prog.Ingress)
 	if prog.Egress != nil {
 		p.egress = cc.scanControl(prog.Egress)
-	}
-	for _, st := range prog.Parser.States {
-		if st.Select != nil {
-			p4.ExprRefs(st.Select.Key, func(fr *p4.FieldRef) { cc.ref(fr) })
-		}
 	}
 	for _, ctl := range p.controls() {
 		for _, t := range ctl.c.Tables {
@@ -489,28 +480,20 @@ func (p *cprog) controls() []*cctl {
 	return []*cctl{p.ingress, p.egress}
 }
 
-// fref is what a field reference resolves to outside every scope: its
-// dotted path and the global of that name. Every pass over the program
-// asks, so the path is joined and looked up once per AST node.
-type fref struct {
-	name string
-	cvar
-}
-
-func (cc *compiler) ref(fr *p4.FieldRef) fref {
-	r, ok := cc.refs[fr]
+// ref is a field reference's dotted path. Every pass over the program
+// asks, so the path is joined once per AST node.
+func (cc *compiler) ref(fr *p4.FieldRef) string {
+	name, ok := cc.refs[fr]
 	if !ok {
-		r.name = fr.String()
-		r.cvar = cc.global(r.name)
-		cc.refs[fr] = r
+		name = fr.String()
+		cc.refs[fr] = name
 	}
-	return r
+	return name
 }
 
 // global returns (allocating its slot on first use) a global name:
-// header field, metadata, control local, or a dynamically-typed env
-// name the reference interpreter would create on first write. bits is
-// the declared width, 0 for an undeclared name.
+// header field, metadata, control local, or an intrinsic the program
+// never mentions (bits 0). p4.Validate admits no other global.
 func (cc *compiler) global(name string) cvar {
 	db := cc.s.fields[name]
 	i, ok := cc.slotOf[name]
@@ -520,7 +503,7 @@ func (cc *compiler) global(name string) cvar {
 		cc.p.initFrame = append(cc.p.initFrame, val{0, db})
 		cc.p.nGlobal = i + 1
 	}
-	return cvar{slot: int32(i), bits: db, static: staticWidth(db)}
+	return cvar{slot: int32(i), bits: db}
 }
 
 // newSlot allocates an anonymous frame slot (action params, m/o,
@@ -539,7 +522,7 @@ func (cc *compiler) konst(v val) operand {
 		cc.p.initFrame[slot] = v
 		cc.consts[v] = slot
 	}
-	return operand{slot: slot, bits: v.bits, static: staticWidth(v.bits), exact: true, owned: true}
+	return operand{slot: slot, bits: v.bits, owned: true}
 }
 
 // Emission -------------------------------------------------------------
@@ -567,22 +550,11 @@ func (cc *compiler) dest(hint int32) (slot int32, owned bool) {
 	return cc.newSlot(), true
 }
 
-// storeRaw emits dst = the operand's exact val, width included: the
-// reference store into an action frame or an undeclared name.
-func (cc *compiler) storeRaw(dst int32, o operand) {
-	switch {
-	case o.slot == dst && o.exact:
-	case o.static:
-		cc.emit(instr{op: opMovW, dst: dst, a: o.slot, bits: int32(o.bits), imm: maskOf(o.bits)})
-	default:
-		cc.emit(instr{op: opMov, dst: dst, a: o.slot})
-	}
-}
-
 // storeAs emits dst = val{operand & mask(bits), bits}: the reference
-// store into a declared name, and the unsigned cast.
+// store into a name, and the unsigned cast. An operand already in dst
+// fits when it is no wider.
 func (cc *compiler) storeAs(dst int32, bits int, o operand) {
-	if o.slot == dst && o.exact && o.static && o.bits == bits {
+	if o.slot == dst && o.bits <= bits {
 		return
 	}
 	cc.emit(instr{op: opMovW, dst: dst, a: o.slot, bits: int32(bits), imm: maskOf(bits)})
@@ -595,48 +567,32 @@ func (cc *compiler) stable(o operand) operand {
 		return o
 	}
 	t := cc.newSlot()
-	cc.storeRaw(t, o)
-	o.slot, o.exact, o.owned = t, true, true
+	cc.storeAs(t, o.bits, o)
+	o.slot, o.owned = t, true
 	return o
-}
-
-// asVal returns a slot whose run-time val is exactly the operand's
-// value and width, for the opcodes that work on whole vals.
-func (cc *compiler) asVal(o operand) int32 {
-	if o.exact {
-		return o.slot
-	}
-	t := cc.newSlot()
-	cc.storeRaw(t, o)
-	return t
 }
 
 // Controls, actions, register actions -----------------------------------
 
 // scanControl creates the cctl and walks every body of the control
 // once. It collects the referenced-name set of the action bodies,
-// register-action bodies and table keys; allocates the global slot of
-// every name mentioned anywhere, so that no global is created after
-// the first temporary and the globals stay one prefix of the frame;
-// and notes whether any statement is an exit.
+// register-action bodies and table keys, and notes whether any
+// statement is an exit.
 func (cc *compiler) scanControl(c *p4.Control) *cctl {
 	ctl := &cctl{c: c, actions: map[string]*caction{}, tables: map[string]*ctable{}, refNames: map[string]bool{}}
 	scan := func(body []p4.Stmt, refs bool) {
-		p4.WalkExprs(body, func(e p4.Expr) {
-			if fr, ok := e.(*p4.FieldRef); ok {
-				if name := cc.ref(fr).name; refs {
-					ctl.refNames[name] = true
+		if refs {
+			p4.WalkExprs(body, func(e p4.Expr) {
+				if fr, ok := e.(*p4.FieldRef); ok {
+					ctl.refNames[cc.ref(fr)] = true
 				}
-			}
-		})
+			})
+		}
 		p4.Walk(body, func(st p4.Stmt) {
 			switch x := st.(type) {
 			case *p4.ApplyTable:
-				if x.HitVar != "" {
-					cc.global(x.HitVar)
-					if refs {
-						ctl.refNames[x.HitVar] = true
-					}
+				if refs && x.HitVar != "" {
+					ctl.refNames[x.HitVar] = true
 				}
 			case *p4.Exit:
 				cc.hasExit = true
@@ -652,7 +608,7 @@ func (cc *compiler) scanControl(c *p4.Control) *cctl {
 	for _, t := range c.Tables {
 		for _, k := range t.Keys {
 			p4.ExprRefs(k.Expr, func(fr *p4.FieldRef) {
-				ctl.refNames[cc.ref(fr).name] = true
+				ctl.refNames[cc.ref(fr)] = true
 			})
 		}
 	}
@@ -661,45 +617,11 @@ func (cc *compiler) scanControl(c *p4.Control) *cctl {
 }
 
 // bindScope opens the frame of an action or register action over the
-// given names and declared widths. A name keeps its declared width as
-// a static fact only if every store to it in the body provably writes
-// that width (the reference stores the right-hand side as it is, so
-// `m = m |-| 1` leaves m 64 bits wide); the check iterates because one
-// name's width can depend on another's.
-func (cc *compiler) bindScope(sc *cscope, body []p4.Stmt, names []string, bits []int) *cscope {
+// given names and declared widths.
+func (cc *compiler) bindScope(sc *cscope, names []string, bits []int) *cscope {
 	child := &cscope{parent: sc, names: names, vars: make([]cvar, len(names))}
 	for i := range names {
-		child.vars[i] = cvar{slot: cc.newSlot(), bits: bits[i], static: staticWidth(bits[i])}
-	}
-	demote := func(name string) bool {
-		i := child.index(name)
-		if i < 0 || !child.vars[i].static {
-			return false
-		}
-		child.vars[i].static = false
-		return true
-	}
-	for changed := true; changed; {
-		changed = false
-		p4.Walk(body, func(st p4.Stmt) {
-			switch x := st.(type) {
-			case *p4.Assign:
-				name := cc.ref(x.LHS).name
-				if v, ok := child.lookupInner(name); ok && v.static {
-					if b, ok := cc.staticBits(child, x.RHS); !ok || b != v.bits {
-						changed = demote(name) || changed
-					}
-				}
-			case *p4.ApplyTable:
-				changed = demote(x.HitVar) || changed
-			case *p4.CallStmt:
-				if len(x.Args) > 0 && x.Method == "read" {
-					if fr, ok := x.Args[0].(*p4.FieldRef); ok {
-						changed = demote(cc.ref(fr).name) || changed
-					}
-				}
-			}
-		})
+		child.vars[i] = cvar{slot: cc.newSlot(), bits: bits[i]}
 	}
 	return child
 }
@@ -726,7 +648,7 @@ func (cc *compiler) paramScope(sc *cscope, a *p4.ActionDecl) *cscope {
 	for i, prm := range a.Params {
 		names[i], bits[i] = prm.Name, prm.Bits
 	}
-	return cc.bindScope(sc, a.Body, names, bits)
+	return cc.bindScope(sc, names, bits)
 }
 
 // inlineAction compiles a direct action call in place: each argument
@@ -766,20 +688,12 @@ var regactNames = []string{"m", "o"}
 // -> bounds check -> cell into m -> body over the m/o slots -> m back
 // to the cell, all in the caller's instruction stream. The body is
 // compiled against the caller's scope chain so free names resolve
-// exactly like the reference interpreter's dynamic frames. It returns
-// the operand holding o; inExpr selects the reference's expression
-// position, where an error inside the body is folded to val{0,32} and
-// the write-back skipped.
+// like the reference interpreter's frames. It returns the operand
+// holding o; inExpr selects the reference's expression position, where
+// an error inside the body (a table's) is folded to zero and the
+// write-back skipped.
 func (cc *compiler) regact(c *p4.Control, sc *cscope, ra *p4.RegisterAction, idxArgs []p4.Expr, inExpr bool) (operand, error) {
-	rf := cc.s.regs[ra.Register]
-	if rf == nil {
-		cc.fail(fmt.Errorf("register action %q over unknown register", ra.Name))
-		return operand{}, nil
-	}
-	reg := c.RegisterByName(ra.Register)
-	if reg == nil {
-		return operand{}, fmt.Errorf("compile: register action %q register %q not declared in control %q", ra.Name, ra.Register, c.Name)
-	}
+	rf, reg := cc.s.regs[ra.Register], c.RegisterByName(ra.Register)
 	if cc.depth > 32 {
 		return operand{}, fmt.Errorf("compile: register action nesting too deep at %q", ra.Name)
 	}
@@ -791,7 +705,7 @@ func (cc *compiler) regact(c *p4.Control, sc *cscope, ra *p4.RegisterAction, idx
 		}
 		idx = o.slot
 	}
-	child := cc.bindScope(sc, ra.Body, regactNames, []int{reg.Bits, reg.Bits})
+	child := cc.bindScope(sc, regactNames, []int{reg.Bits, reg.Bits})
 	mSlot, oSlot := child.vars[0].slot, child.vars[1].slot
 	site := uint64(len(cc.p.regSites))
 	cc.p.regSites = append(cc.p.regSites, regSite{
@@ -813,28 +727,17 @@ func (cc *compiler) regact(c *p4.Control, sc *cscope, ra *p4.RegisterAction, idx
 	}
 	cc.emit(instr{op: opRegStore, imm: site})
 
-	res := operand{slot: oSlot, exact: true, owned: true}
+	res := operand{slot: oSlot, bits: reg.Bits, owned: true}
 	if len(caught) > 0 {
-		// The body can fail: the result is o or the folded val{0,32}.
+		// The body can fail: the result is o or the folded zero.
 		res.slot = cc.newSlot()
 		cc.emit(instr{op: opMov, dst: res.slot, a: oSlot})
 		done := cc.emit(instr{op: opJmp})
 		cc.land(caught...)
-		cc.emit(instr{op: opMov, dst: res.slot, a: cc.konst(val{0, 32}).slot})
+		cc.emit(instr{op: opMov, dst: res.slot, a: cc.konst(val{0, reg.Bits}).slot})
 		cc.land(done)
 	}
 	return res, nil
-}
-
-// fail emits a statement-level error: abort the packet, or transfer to
-// the enclosing expression's handler.
-func (cc *compiler) fail(err error) {
-	if cc.catch != nil {
-		*cc.catch = append(*cc.catch, cc.emit(instr{op: opJmp}))
-		return
-	}
-	cc.p.errs = append(cc.p.errs, err)
-	cc.emit(instr{op: opFail, imm: uint64(len(cc.p.errs) - 1)})
 }
 
 // apply emits a table application; hit (when >= 0) receives
@@ -878,11 +781,7 @@ func (cc *compiler) parser(ps *p4.Parser) error {
 	for _, st := range ps.States {
 		var cs cstate
 		for _, hn := range st.Extracts {
-			hi, ok := cc.hdrIdx[hn]
-			if !ok {
-				return fmt.Errorf("compile: parser extracts unknown header %q", hn)
-			}
-			cs.hdrs = append(cs.hdrs, int32(hi))
+			cs.hdrs = append(cs.hdrs, int32(cc.hdrIdx[hn]))
 		}
 		var err error
 		if st.Select != nil {
@@ -907,11 +806,7 @@ func (cc *compiler) parser(ps *p4.Parser) error {
 		}
 		cc.p.states = append(cc.p.states, cs)
 	}
-	start, ok := idxOf["start"]
-	if !ok {
-		return fmt.Errorf("compile: parser has no start state")
-	}
-	cc.p.start = start
+	cc.p.start = idxOf["start"]
 	return nil
 }
 
@@ -936,44 +831,20 @@ func (cc *compiler) block(c *p4.Control, sc *cscope, body []p4.Stmt) error {
 	return nil
 }
 
-// assign emits the reference assign of an evaluated right-hand side:
-// the innermost frame if it binds the name (value stored as it is),
-// else the global env with the declared width (or the value's own
-// width when the name is undeclared).
-func (cc *compiler) assign(sc *cscope, dst fref, o operand) {
-	if v, ok := sc.lookupInner(dst.name); ok {
-		cc.storeRaw(v.slot, o)
-	} else if dst.bits != 0 {
-		cc.storeAs(dst.slot, dst.bits, o)
-	} else {
-		cc.storeRaw(dst.slot, o)
-	}
-}
-
-// assignHint is the slot the right-hand side of an assignment may
-// compute into directly: the destination itself, unless the store
-// would change the value (a declared name of another width than the
-// static width w of the right-hand side).
-func (cc *compiler) assignHint(sc *cscope, dst fref, w int, ok bool) int32 {
-	if v, inner := sc.lookupInner(dst.name); inner {
-		return v.slot
-	}
-	if dst.bits != 0 && !(ok && dst.bits == w) {
-		return -1
-	}
-	return dst.slot
-}
-
 func (cc *compiler) stmt(c *p4.Control, sc *cscope, st p4.Stmt) error {
 	switch x := st.(type) {
 	case *p4.Assign:
-		dst := cc.ref(x.LHS)
-		w, ok := cc.staticBits(sc, x.RHS)
-		o, err := cc.expr(c, sc, x.RHS, cc.assignHint(sc, dst, w, ok))
+		// The right-hand side computes straight into the destination
+		// when it has the destination's width.
+		dst, hint := cc.place(sc, cc.ref(x.LHS)), int32(-1)
+		if cc.w.Of(x.RHS) == dst.bits {
+			hint = dst.slot
+		}
+		o, err := cc.expr(c, sc, x.RHS, hint)
 		if err != nil {
 			return err
 		}
-		cc.assign(sc, dst, o)
+		cc.storeAs(dst.slot, dst.bits, o)
 		return nil
 	case *p4.If:
 		skip, err := cc.jumpIf(c, sc, x.Cond, false)
@@ -1002,26 +873,17 @@ func (cc *compiler) stmt(c *p4.Control, sc *cscope, st p4.Stmt) error {
 			return nil
 		}
 		// The hit flag is val{hit,1} stored by the reference assign.
-		if v, ok := sc.lookupInner(x.HitVar); ok {
-			cc.apply(tb, v.slot, 1)
-		} else if g := cc.global(x.HitVar); g.bits != 0 {
-			cc.apply(tb, g.slot, g.bits)
-		} else {
-			cc.apply(tb, g.slot, 1)
-		}
+		v := cc.place(sc, x.HitVar)
+		cc.apply(tb, v.slot, v.bits)
 		return nil
 	case *p4.CallStmt:
 		return cc.callStmt(c, sc, x)
 	case *p4.SetValid:
-		hi, ok := cc.hdrIdx[x.Header]
-		if !ok {
-			return fmt.Errorf("compile: setValid of unknown header %q", x.Header)
-		}
 		op := opSetInvalid
 		if x.Valid {
 			op = opSetValid
 		}
-		cc.emit(instr{op: op, imm: uint64(hi)})
+		cc.emit(instr{op: op, imm: uint64(cc.hdrIdx[x.Header])})
 		return nil
 	case *p4.Exit:
 		cc.emit(instr{op: opExit})
@@ -1038,10 +900,7 @@ func (cc *compiler) stmt(c *p4.Control, sc *cscope, st p4.Stmt) error {
 // resolution cannot reproduce, so we refuse to compile the program.
 func (cc *compiler) applyGuard(c *p4.Control, sc *cscope, name string) (*ctable, error) {
 	ctl := cc.ctlOf(c)
-	tb, ok := ctl.tables[name]
-	if !ok {
-		return nil, fmt.Errorf("compile: unknown table %q", name)
-	}
+	tb := ctl.tables[name]
 	if sc != nil {
 		for ref := range ctl.refNames {
 			if _, bound := sc.lookup(ref); bound {
@@ -1061,42 +920,23 @@ func (cc *compiler) ctlOf(c *p4.Control) *cctl {
 
 func (cc *compiler) callStmt(c *p4.Control, sc *cscope, x *p4.CallStmt) error {
 	if x.Recv == "" {
-		a := c.ActionByName(x.Method)
-		if a == nil {
-			return fmt.Errorf("compile: unknown action %q", x.Method)
-		}
-		return cc.inlineAction(c, sc, a, x.Args)
+		return cc.inlineAction(c, sc, c.ActionByName(x.Method), x.Args)
 	}
 	// Register primitives (v1model style) take precedence over
 	// register actions, mirroring the reference dispatch order.
 	if rf, ok := cc.s.regs[x.Recv]; ok {
 		switch x.Method {
 		case "read":
-			if len(x.Args) < 2 {
-				return fmt.Errorf("compile: register read needs destination and index")
-			}
-			dst, ok := x.Args[0].(*p4.FieldRef)
-			if !ok {
-				return fmt.Errorf("compile: register read destination must be a field")
-			}
 			idx, err := cc.expr(c, sc, x.Args[1], -1)
 			if err != nil {
 				return err
 			}
-			// The cell is read as val{v, declared width of dst} and then
-			// assigned; both steps reduce to one masked store.
-			d := cc.ref(dst)
-			slot := d.slot
-			if v, ok := sc.lookupInner(d.name); ok {
-				slot = v.slot
-			}
+			// The cell is read and assigned to dst: one masked store.
+			d := cc.place(sc, cc.ref(x.Args[0].(*p4.FieldRef)))
 			cc.p.regSites = append(cc.p.regSites, regSite{rf: rf, bits: d.bits, mask: maskOf(d.bits)})
-			cc.emit(instr{op: opRegRead, dst: slot, a: idx.slot, imm: uint64(len(cc.p.regSites) - 1)})
+			cc.emit(instr{op: opRegRead, dst: d.slot, a: idx.slot, imm: uint64(len(cc.p.regSites) - 1)})
 			return nil
 		case "write":
-			if len(x.Args) < 2 {
-				return fmt.Errorf("compile: register write needs index and value")
-			}
 			idx, v, err := cc.pair(c, sc, x.Args[0], x.Args[1])
 			if err != nil {
 				return err
@@ -1117,10 +957,10 @@ func (cc *compiler) callStmt(c *p4.Control, sc *cscope, x *p4.CallStmt) error {
 
 // jumpIf emits code that jumps when the truth of e equals want and
 // falls through otherwise; it returns the jumps for the caller to
-// land. Conditions never materialize a val: comparisons of static
-// operands become one compare-and-branch, && and || over a pure right
-// operand become branch chains (the reference evaluates both sides,
-// which only an impure operand can tell apart).
+// land. Conditions never materialize a val: comparisons become one
+// compare-and-branch, && and || over a pure right operand become
+// branch chains (the reference evaluates both sides, which only an
+// impure operand can tell apart).
 func (cc *compiler) jumpIf(c *p4.Control, sc *cscope, e p4.Expr, want bool) ([]int, error) {
 	switch x := e.(type) {
 	case *p4.Un:
@@ -1129,18 +969,11 @@ func (cc *compiler) jumpIf(c *p4.Control, sc *cscope, e p4.Expr, want bool) ([]i
 		}
 	case *p4.CallExpr:
 		if x.Method == "isValid" {
-			hi, ok := cc.hdrIdx[hdrName(x.Recv)]
-			if !ok { // never-declared headers are never valid
-				if want {
-					return nil, nil
-				}
-				return []int{cc.emit(instr{op: opJmp})}, nil
-			}
 			op := opJinvalid
 			if want {
 				op = opJvalid
 			}
-			return []int{cc.emit(instr{op: op, imm: uint64(hi)})}, nil
+			return []int{cc.emit(instr{op: op, imm: uint64(cc.hdrIdx[strings.TrimPrefix(x.Recv, "hdr.")])})}, nil
 		}
 	case *p4.Bin:
 		if (x.Op == "&&" || x.Op == "||") && pure(x.Y) {
@@ -1167,34 +1000,25 @@ func (cc *compiler) jumpIf(c *p4.Control, sc *cscope, e p4.Expr, want bool) ([]i
 			if err != nil {
 				return nil, err
 			}
-			if a.static && b.static {
-				if !want {
-					r = r.not()
-				}
-				return []int{cc.emit(cc.relInstr(r.jump(), r, a, b))}, nil
+			if !want {
+				r = r.not()
 			}
-			o := cc.binGeneric(x.Op, a, b, -1)
-			return cc.jumpOn(o, want), nil
+			return []int{cc.emit(cc.relInstr(r.jump(), r, a, b))}, nil
 		}
 	}
 	o, err := cc.expr(c, sc, e, -1)
 	if err != nil {
 		return nil, err
 	}
-	return cc.jumpOn(o, want), nil
-}
-
-// jumpOn branches on the truth of an evaluated operand.
-func (cc *compiler) jumpOn(o operand, want bool) []int {
 	op := opJz
 	if want {
 		op = opJnz
 	}
-	return []int{cc.emit(instr{op: op, a: o.slot})}
+	return []int{cc.emit(instr{op: op, a: o.slot})}, nil
 }
 
-// relInstr builds a comparison instruction (value or branch form) over
-// static operands; the signed forms carry both operand widths.
+// relInstr builds a comparison instruction (value or branch form); the
+// signed forms carry both operand widths.
 func (cc *compiler) relInstr(op opcode, r rel, a, b operand) instr {
 	if r.swap {
 		a, b = b, a
@@ -1241,121 +1065,71 @@ func (cc *compiler) operands(c *p4.Control, sc *cscope, es []p4.Expr) ([]operand
 	return out, nil
 }
 
-// binBits is the result-width rule of binary operators (ops.go):
-// comparisons yield bit<1>, shifts keep the left width, everything
-// else the wider operand.
-func binBits(op string, xb int, xok bool, yb int, yok bool) (int, bool) {
-	switch {
-	case isCompare(op):
-		return 1, true
-	case op == "<<" || op == ">>" || op == "s>>":
-		return xb, xok
-	case xok && yok:
-		return combinedBits(val{bits: xb}, val{bits: yb}), true
-	}
-	return 0, false
-}
-
-// unBits is the result-width rule of unary operators; unknown tokens
-// pass the operand through.
-func unBits(op string, xb int, xok bool) (int, bool) {
-	if op == "!" {
-		return 1, true
-	}
-	return xb, xok
-}
-
 // expr emits the code of an expression and returns where its value
-// is. hint >= 0 names a slot the caller wants the value in, and
-// guarantees that writing the expression's exact val there is right;
-// operators then compute straight into it. Expression-level errors
-// were already folded to val{0,32} by the reference semantics, so
-// expressions have no error path at run time.
+// is; its width is the one p4.Validate recorded. hint >= 0 names a
+// slot the caller wants the value in, and guarantees that writing the
+// value there is right; operators then compute straight into it.
+// Expression-level errors were already folded to zero by the
+// reference semantics, so expressions have no error path at run time.
 func (cc *compiler) expr(c *p4.Control, sc *cscope, e p4.Expr, hint int32) (operand, error) {
+	bits := cc.w.Of(e)
 	switch x := e.(type) {
 	case *p4.IntLit:
-		b := x.Bits
-		if b == 0 {
-			b = 64
-		}
-		return cc.konst(val{x.Val, b}), nil
+		return cc.konst(val{x.Val, bits}), nil
 	case *p4.FieldRef:
-		v := cc.resolve(sc, x)
-		return operand{slot: v.slot, bits: v.bits, static: v.static, exact: true}, nil
+		v, err := cc.resolve(sc, x)
+		return operand{slot: v.slot, bits: v.bits}, err
 	case *p4.Bin:
 		a, b, err := cc.pair(c, sc, x.X, x.Y)
 		if err != nil {
 			return operand{}, err
 		}
-		if a.static && b.static {
-			bits, _ := binBits(x.Op, a.bits, true, b.bits, true)
-			in := instr{bits: int32(bits), imm: maskOf(bits), a: a.slot, b: b.slot}
-			if op, ok := arithOps[x.Op]; ok {
-				in.op = op
-			} else if r, ok := rels[x.Op]; ok {
-				in = cc.relInstr(r.op, r, a, b)
-			} else if x.Op == "&&" {
-				in.op = opLand
-			} else if x.Op == "||" {
-				in.op = opLor
-			} else {
-				return cc.binGeneric(x.Op, a, b, hint), nil
-			}
-			var owned bool
-			in.dst, owned = cc.dest(hint)
-			cc.emit(in)
-			return operand{slot: in.dst, bits: bits, static: true, exact: true, owned: owned}, nil
+		in := instr{op: binOpcodes[x.Op], bits: int32(bits), imm: maskOf(bits), a: a.slot, b: b.slot}
+		if r, ok := rels[x.Op]; ok {
+			in = cc.relInstr(r.op, r, a, b)
+		} else if in.op == opSdiv || in.op == opSmod {
+			// Like the signed comparisons, they carry both operand widths.
+			in.bits, in.imm = int32(a.bits), uint64(b.bits)
 		}
-		return cc.binGeneric(x.Op, a, b, hint), nil
+		var owned bool
+		in.dst, owned = cc.dest(hint)
+		cc.emit(in)
+		return operand{slot: in.dst, bits: bits, owned: owned}, nil
 	case *p4.Un:
 		a, err := cc.expr(c, sc, x.X, -1)
-		if err != nil {
-			return operand{}, err
+		if err != nil || x.Op == "+" {
+			return a, err
 		}
-		fn, ok := unOps[x.Op]
-		if !ok {
-			return a, nil
-		}
-		bits, static := unBits(x.Op, a.bits, a.static)
 		dst, owned := cc.dest(hint)
-		switch {
-		case a.static && x.Op == "!":
+		switch x.Op {
+		case "!":
 			cc.emit(instr{op: opLnot, dst: dst, a: a.slot})
-		case a.static && x.Op == "~":
+		case "~":
 			cc.emit(instr{op: opNot, dst: dst, a: a.slot, bits: int32(bits), imm: maskOf(bits)})
-		case a.static && x.Op == "-":
-			cc.emit(instr{op: opNeg, dst: dst, a: a.slot, bits: int32(bits), imm: maskOf(bits)})
 		default:
-			cc.p.fn1 = append(cc.p.fn1, fn)
-			cc.emit(instr{op: opGen1, dst: dst, a: cc.asVal(a), imm: uint64(len(cc.p.fn1) - 1)})
+			cc.emit(instr{op: opNeg, dst: dst, a: a.slot, bits: int32(bits), imm: maskOf(bits)})
 		}
-		return operand{slot: dst, bits: bits, static: static, exact: true, owned: owned}, nil
+		return operand{slot: dst, bits: bits, owned: owned}, nil
 	case *p4.Cast:
 		a, err := cc.expr(c, sc, x.X, -1)
 		if err != nil {
 			return operand{}, err
 		}
-		static := staticWidth(x.Bits)
-		res := operand{bits: x.Bits, static: static, exact: true}
+		res := operand{bits: bits}
 		switch {
-		case x.Signed && a.static && static && a.bits < x.Bits:
+		case x.Signed && a.bits < bits:
 			res.slot, res.owned = cc.dest(hint)
-			cc.emit(instr{op: opSext, dst: res.slot, a: a.slot, b: int32(a.bits), bits: int32(x.Bits), imm: maskOf(x.Bits)})
-		case x.Signed && !(a.static && static):
-			res.slot, res.owned = cc.dest(hint)
-			cc.emit(instr{op: opCastS, dst: res.slot, a: cc.asVal(a), bits: int32(x.Bits), imm: maskOf(x.Bits)})
-		case a.static && static && a.bits <= x.Bits:
+			cc.emit(instr{op: opSext, dst: res.slot, a: a.slot, b: int32(a.bits), bits: int32(bits), imm: maskOf(bits)})
+		case a.bits <= bits:
 			// Widening an already-masked value changes nothing but the
 			// width: cast chains collapse onto the source slot.
-			res.slot, res.owned, res.exact = a.slot, a.owned, a.exact && a.bits == x.Bits
+			res.slot, res.owned = a.slot, a.owned
 		default:
 			res.slot, res.owned = cc.dest(hint)
-			cc.storeAs(res.slot, x.Bits, a)
+			cc.storeAs(res.slot, bits, a)
 		}
 		return res, nil
 	case *p4.TernaryExpr:
-		ab, aok := cc.staticBits(sc, x.A)
-		bb, bok := cc.staticBits(sc, x.B)
 		dst, owned := cc.dest(hint)
 		skip, err := cc.jumpIf(c, sc, x.Cond, false)
 		if err != nil {
@@ -1365,78 +1139,41 @@ func (cc *compiler) expr(c *p4.Control, sc *cscope, e p4.Expr, hint int32) (oper
 		if err != nil {
 			return operand{}, err
 		}
-		cc.storeRaw(dst, a)
+		cc.storeAs(dst, bits, a)
 		done := cc.emit(instr{op: opJmp})
 		cc.land(skip...)
 		b, err := cc.expr(c, sc, x.B, dst)
 		if err != nil {
 			return operand{}, err
 		}
-		cc.storeRaw(dst, b)
+		cc.storeAs(dst, bits, b)
 		cc.land(done)
-		return operand{slot: dst, bits: ab, static: aok && bok && ab == bb, exact: true, owned: owned}, nil
+		return operand{slot: dst, bits: bits, owned: owned}, nil
 	case *p4.CallExpr:
-		return cc.callExpr(c, sc, x, hint)
+		return cc.callExpr(c, sc, x, bits, hint)
 	}
 	return operand{}, fmt.Errorf("compile: unsupported expression %T", e)
 }
 
-// binGeneric emits the un-specialized binary operator: the ops.go
-// function over whole vals (a zero of the combined width for unknown
-// tokens, like the reference evalBin).
-func (cc *compiler) binGeneric(op string, a, b operand, hint int32) operand {
-	fn, ok := binOps[op]
-	if !ok {
-		fn = func(a, b val) val { return val{0, combinedBits(a, b)} }
-	}
-	cc.p.fn2 = append(cc.p.fn2, fn)
-	dst, owned := cc.dest(hint)
-	cc.emit(instr{op: opGen2, dst: dst, a: cc.asVal(a), b: cc.asVal(b), imm: uint64(len(cc.p.fn2) - 1)})
-	bits, static := binBits(op, a.bits, a.static, b.bits, b.static)
-	return operand{slot: dst, bits: bits, static: static && staticWidth(bits), exact: true, owned: owned}
-}
-
-func hdrName(recv string) string {
-	if len(recv) > 4 && recv[:4] == "hdr." {
-		return recv[4:]
-	}
-	return recv
-}
-
-// folded is the operand of a call the reference evaluates to an error,
-// which eval folds to val{0,32}. Its width counts as dynamic, like
-// every call result but isValid and hash.get (see staticBits).
-func (cc *compiler) folded() operand {
-	o := cc.konst(val{0, 32})
-	o.static = false
-	return o
-}
-
-func (cc *compiler) callExpr(c *p4.Control, sc *cscope, x *p4.CallExpr, hint int32) (operand, error) {
-	if x.Method == "isValid" {
-		hi, ok := cc.hdrIdx[hdrName(x.Recv)]
-		if !ok {
-			// Never-declared headers are never valid.
-			return cc.konst(val{0, 1}), nil
-		}
-		dst, owned := cc.dest(hint)
-		cc.emit(instr{op: opValid, dst: dst, imm: uint64(hi)})
-		return operand{slot: dst, bits: 1, static: true, exact: true, owned: owned}, nil
-	}
+func (cc *compiler) callExpr(c *p4.Control, sc *cscope, x *p4.CallExpr, bits int, hint int32) (operand, error) {
 	// Register actions and apply_hit resolve against the ingress
 	// control in expression position, mirroring the reference evalCall.
 	ing := cc.s.Prog.Ingress
 	if ra := ing.RegActByName(x.Recv); ra != nil && x.Method == "execute" {
-		if cc.s.regs[ra.Register] == nil {
-			return cc.folded(), nil
-		}
 		return cc.regact(ing, sc, ra, x.Args, true)
 	}
+	if x.Method == "apply_hit" && ing.TableByName(x.Recv) != nil {
+		return cc.applyHit(ing, sc, x.Recv)
+	}
+	dst, owned := cc.dest(hint)
+	res := operand{slot: dst, bits: bits, owned: owned}
+	if x.Method == "isValid" {
+		cc.emit(instr{op: opValid, dst: dst, imm: uint64(cc.hdrIdx[strings.TrimPrefix(x.Recv, "hdr.")])})
+		return res, nil
+	}
 	if h := cc.hashDecl(x.Recv); h != nil && x.Method == "get" {
-		dst, owned := cc.dest(hint)
-		res := operand{slot: dst, bits: h.Bits, static: staticWidth(h.Bits), exact: true, owned: owned}
 		if h.Algo == "random" {
-			cc.emit(instr{op: opRand, dst: dst, bits: int32(h.Bits), imm: maskOf(h.Bits)})
+			cc.emit(instr{op: opRand, dst: dst, bits: int32(bits), imm: maskOf(bits)})
 			return res, nil
 		}
 		// Every argument is evaluated before the hash runs (an argument
@@ -1447,105 +1184,42 @@ func (cc *compiler) callExpr(c *p4.Control, sc *cscope, x *p4.CallExpr, hint int
 		}
 		site := hashSite{fn: hashFn(h.Algo)}
 		for _, o := range args {
-			ha := hashArg{slot: o.slot, bits: -1}
-			if o.static {
-				ha.bits = int32(o.bits)
-			}
-			site.args = append(site.args, ha)
+			site.args = append(site.args, hashArg{slot: o.slot, bits: int32(o.bits)})
 		}
 		cc.p.hashSites = append(cc.p.hashSites, site)
-		cc.emit(instr{op: opHash, dst: dst, bits: int32(h.Bits), imm: maskOf(h.Bits), a: int32(len(cc.p.hashSites) - 1)})
+		cc.emit(instr{op: opHash, dst: dst, bits: int32(bits), imm: maskOf(bits), a: int32(len(cc.p.hashSites) - 1)})
 		return res, nil
 	}
-	if x.Method == "apply_hit" && ing.TableByName(x.Recv) != nil {
-		tb, err := cc.applyGuard(ing, sc, x.Recv)
-		if err != nil {
-			return operand{}, err
-		}
-		// val{hit,1}, or val{0,32} when the application fails.
-		dst := cc.newSlot()
-		outer := cc.catch
-		cc.catch = nil
-		pc := cc.apply(tb, dst, 1)
-		cc.catch = outer
-		done := cc.emit(instr{op: opJmp})
-		cc.land(pc)
-		cc.emit(instr{op: opMov, dst: dst, a: cc.konst(val{0, 32}).slot})
-		cc.land(done)
-		return operand{slot: dst, exact: true, owned: true}, nil
+	return operand{}, fmt.Errorf("compile: unsupported call %s.%s", x.Recv, x.Method)
+}
+
+// applyHit applies a table in expression position: the hit bit, or
+// zero when the application fails.
+func (cc *compiler) applyHit(c *p4.Control, sc *cscope, name string) (operand, error) {
+	tb, err := cc.applyGuard(c, sc, name)
+	if err != nil {
+		return operand{}, err
 	}
-	// Unknown table, unknown extern: the reference evalCall errors and
-	// eval folds it to val{0,32}.
-	return cc.folded(), nil
+	res := operand{slot: cc.newSlot(), bits: 1, owned: true}
+	outer := cc.catch
+	cc.catch = nil
+	pc := cc.apply(tb, res.slot, 1)
+	cc.catch = outer
+	done := cc.emit(instr{op: opJmp})
+	cc.land(pc)
+	cc.emit(instr{op: opMov, dst: res.slot, a: cc.konst(val{0, 1}).slot})
+	cc.land(done)
+	return res, nil
 }
 
 // hashDecl finds a hash extern by name, ingress declarations first.
 func (cc *compiler) hashDecl(name string) *p4.HashDecl {
-	for _, h := range cc.s.Prog.Ingress.Hashes {
-		if h.Name == name {
-			return h
-		}
-	}
-	if cc.s.Prog.Egress != nil {
-		for _, h := range cc.s.Prog.Egress.Hashes {
+	for _, c := range cc.s.Prog.Controls() {
+		for _, h := range c.Hashes {
 			if h.Name == name {
 				return h
 			}
 		}
 	}
 	return nil
-}
-
-// Static widths ---------------------------------------------------------
-
-// staticBits computes the statically-known width of an expression in a
-// scope, mirroring the runtime width rules of ops.go and the
-// evaluators: comparisons/logicals yield bit<1>, shifts keep the left
-// operand's width, other binary operators widen to the larger operand
-// (0 promoting to 64), casts fix their width, names take their
-// declared width. ok=false means the width can depend on runtime state
-// (undeclared names pick up the width of whatever was last assigned,
-// calls other than isValid and hash.get have an error path of width
-// 32) or lies outside 1..64; expr marks exactly those operands
-// dynamic, and the table matcher builds no decision diagram over them.
-func (cc *compiler) staticBits(sc *cscope, e p4.Expr) (int, bool) {
-	switch x := e.(type) {
-	case *p4.IntLit:
-		if x.Bits == 0 {
-			return 64, true
-		}
-		return x.Bits, staticWidth(x.Bits)
-	case *p4.FieldRef:
-		v := cc.resolve(sc, x)
-		return v.bits, v.static
-	case *p4.Bin:
-		xb, xok := cc.staticBits(sc, x.X)
-		yb, yok := cc.staticBits(sc, x.Y)
-		b, ok := binBits(x.Op, xb, xok, yb, yok)
-		return b, ok && staticWidth(b)
-	case *p4.Un:
-		xb, xok := cc.staticBits(sc, x.X)
-		if _, known := unOps[x.Op]; !known {
-			return xb, xok
-		}
-		return unBits(x.Op, xb, xok)
-	case *p4.Cast:
-		return x.Bits, staticWidth(x.Bits)
-	case *p4.TernaryExpr:
-		ab, aok := cc.staticBits(sc, x.A)
-		bb, bok := cc.staticBits(sc, x.B)
-		return ab, aok && bok && ab == bb
-	case *p4.CallExpr:
-		if x.Method == "isValid" {
-			return 1, true
-		}
-		ing := cc.s.Prog.Ingress
-		if ra := ing.RegActByName(x.Recv); ra != nil && x.Method == "execute" {
-			return 0, false
-		}
-		if h := cc.hashDecl(x.Recv); h != nil && x.Method == "get" {
-			return h.Bits, staticWidth(h.Bits)
-		}
-	}
-	return 0, false
 }

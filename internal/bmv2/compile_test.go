@@ -404,6 +404,28 @@ func TestDynamicScopingRefused(t *testing.T) {
 	}
 }
 
+// TestShadowedGlobalRefused: a program Validate accepts, in which an
+// action reads the control local l while its caller's parameter of the
+// same name is bound. Validate types the read as the local (static
+// scoping); the reference interpreter would find the parameter in its
+// frame stack, so the compiler refuses the program rather than differ.
+func TestShadowedGlobalRefused(t *testing.T) {
+	pp := matcherProg(nil)
+	ctl := pp.Ingress
+	ctl.Locals = append(ctl.Locals, &p4.Field{Name: "l", Bits: 32})
+	ctl.Actions = append(ctl.Actions,
+		&p4.ActionDecl{Name: "leaf", Body: []p4.Stmt{&p4.Assign{LHS: p4.FR("hdr", "h", "out"), RHS: p4.FR("l")}}},
+		&p4.ActionDecl{Name: "outer", Params: []*p4.Field{{Name: "l", Bits: 32}}, Body: []p4.Stmt{&p4.CallStmt{Method: "leaf"}}})
+	ctl.Apply = append(ctl.Apply, &p4.CallStmt{Method: "outer", Args: []p4.Expr{&p4.IntLit{Val: 7}}})
+	if _, err := pp.Validate(); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+	const want = `compile: "l" read under an outer scope binding it (dynamic scoping)`
+	if err := New(pp).CompileErr(); err == nil || err.Error() != want {
+		t.Fatalf("CompileErr = %v, want %q", err, want)
+	}
+}
+
 // TestCompiledAllocsPerPacket: steady-state allocations per packet are
 // O(1) — the Result struct and its exact-sized data buffer.
 func TestCompiledAllocsPerPacket(t *testing.T) {

@@ -5,10 +5,13 @@ package bmv2
 // programs — expression trees over every operator token, casts,
 // ternaries, calls, operands of every width class and scope — run on
 // the engine and on the reference interpreter over random packets and
-// must agree on output bytes, register contents and Result.
+// must agree on output bytes, register contents and Result. The same
+// generator, asked for one class of ill-typed construct, draws the
+// programs p4.Validate must refuse (TestIllTypedRefused).
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -23,9 +26,21 @@ import (
 // widths, and the two widths next to the 64-bit boundary.
 var fuzzWidths = []int{1, 3, 8, 9, 13, 16, 32, 48, 63, 64}
 
+// Classes of ill-typed construct exprGen draws when asked (exprGen.ill).
+const (
+	illName  = 1 << iota // names never declared: dyn0, dyn1, dyn_hit
+	illWidth             // cast widths 0 and 70
+	illOp                // the binary token **
+	illCall              // calls of undeclared methods and headers: frob, hdr.nosuch
+	illReg               // ra_bad, a register action over an undeclared register
+)
+
 // exprGen generates one random program.
 type exprGen struct {
 	rng *rand.Rand
+	// ill selects the ill-typed constructs drawn (none by default);
+	// drawn counts the ones drawn.
+	ill, drawn int
 	// reads are the names visible to an expression at the current
 	// point; writes the assignable ones. Scopes push and pop suffixes.
 	reads, writes []string
@@ -65,10 +80,20 @@ func (g *exprGen) lit() p4.Expr {
 var fuzzBinOps = []string{
 	"+", "-", "*", "/", "s/", "%", "s%", "&", "|", "^", "<<", ">>", "s>>", "|+|", "|-|",
 	"==", "!=", "<", "<=", ">", ">=", "s<", "s<=", "s>", "s>=", "&&", "||",
-	"**", // unknown token: zero of the combined width
+	"**", // outside the closed set: drawn only for illOp
 }
 
-var fuzzUnOps = []string{"~", "-", "!", "+"} // "+" is unknown: passes through
+var fuzzUnOps = []string{"~", "-", "!", "+"}
+
+// draw reports whether an ill-typed construct of class c is drawn, and
+// counts it.
+func (g *exprGen) draw(c int) bool {
+	if g.ill&c == 0 {
+		return false
+	}
+	g.drawn++
+	return true
+}
 
 func (g *exprGen) expr(depth int) p4.Expr {
 	if depth <= 0 || g.rng.Intn(5) == 0 {
@@ -79,19 +104,27 @@ func (g *exprGen) expr(depth int) p4.Expr {
 	}
 	switch g.rng.Intn(16) {
 	case 0, 1, 2, 3, 4, 5, 6:
-		return &p4.Bin{Op: fuzzBinOps[g.rng.Intn(len(fuzzBinOps))], X: g.expr(depth - 1), Y: g.expr(depth - 1)}
+		op := fuzzBinOps[g.rng.Intn(len(fuzzBinOps))]
+		if op == "**" && !g.draw(illOp) {
+			op = fuzzBinOps[g.rng.Intn(len(fuzzBinOps)-1)]
+		}
+		return &p4.Bin{Op: op, X: g.expr(depth - 1), Y: g.expr(depth - 1)}
 	case 7, 8:
 		return &p4.Un{Op: fuzzUnOps[g.rng.Intn(len(fuzzUnOps))], X: g.expr(depth - 1)}
 	case 9, 10, 11:
 		w := fuzzWidths[g.rng.Intn(len(fuzzWidths))]
-		if g.rng.Intn(12) == 0 {
-			w = []int{0, 70}[g.rng.Intn(2)] // widths outside the static range
+		if g.rng.Intn(12) == 0 && g.draw(illWidth) {
+			w = []int{0, 70}[g.rng.Intn(2)] // widths outside 1..64
 		}
 		return &p4.Cast{Bits: w, Signed: g.rng.Intn(2) == 0, X: g.expr(depth - 1)}
 	case 12:
 		return &p4.TernaryExpr{Cond: g.cond(depth - 1), A: g.expr(depth - 1), B: g.expr(depth - 1)}
 	case 13:
-		return &p4.CallExpr{Recv: g.pick([]string{"hdr.h", "hdr.g", "g", "hdr.nosuch"}), Method: "isValid"}
+		recv := g.pick([]string{"hdr.h", "hdr.g", "g", "hdr.nosuch"})
+		if recv == "hdr.nosuch" && !g.draw(illCall) {
+			recv = "hdr.h"
+		}
+		return &p4.CallExpr{Recv: recv, Method: "isValid"}
 	case 14:
 		n := 1 + g.rng.Intn(3)
 		args := make([]p4.Expr, n)
@@ -112,9 +145,13 @@ func (g *exprGen) call(depth int) p4.Expr {
 			return &p4.CallExpr{Recv: "t", Method: "apply_hit"}
 		}
 	case 1:
-		return &p4.CallExpr{Recv: g.pick([]string{"nosuch", "t"}), Method: "frob"} // folds to val{0,32}
+		if g.draw(illCall) {
+			return &p4.CallExpr{Recv: g.pick([]string{"nosuch", "t"}), Method: "frob"}
+		}
 	case 2:
-		return &p4.CallExpr{Recv: "ra_bad", Method: "execute", Args: []p4.Expr{g.expr(0)}}
+		if g.draw(illReg) {
+			return &p4.CallExpr{Recv: "ra_bad", Method: "execute", Args: []p4.Expr{g.expr(0)}}
+		}
 	}
 	if g.inRegact < 2 {
 		ra := "ra0"
@@ -188,14 +225,16 @@ func (g *exprGen) stmt(depth int) p4.Stmt {
 		}
 		return &p4.CallStmt{Method: "act", Args: args}
 	case k == 17 && g.applyLevel:
-		return &p4.ApplyTable{Table: "t", HitVar: g.pick([]string{"", "hit_l", "dyn_hit"})}
+		hit := g.pick([]string{"", "hit_l", "dyn_hit"})
+		if hit == "dyn_hit" && !g.draw(illName) {
+			hit = "hit_l"
+		}
+		return &p4.ApplyTable{Table: "t", HitVar: hit}
 	case k == 18:
 		return &p4.SetValid{Header: "g", Valid: g.rng.Intn(3) > 0}
 	case k == 19 && g.rng.Intn(6) == 0:
 		return &p4.Exit{}
-	case k == 19 && g.rng.Intn(6) == 0:
-		// Fails: aborts the packet, or is folded where the enclosing
-		// register action sits in an expression.
+	case k == 19 && g.rng.Intn(6) == 0 && g.draw(illReg):
 		return &p4.CallStmt{Recv: "ra_bad", Method: "execute"}
 	}
 	return &p4.Assign{LHS: fr(g.pick(g.writes)), RHS: g.expr(2)}
@@ -231,7 +270,10 @@ func (g *exprGen) program() *p4.Program {
 	ctl.Hashes = []*p4.HashDecl{{Name: "hx", Algo: "xor16", Bits: 16}, {Name: "hc", Algo: "crc32", Bits: 32}, {Name: "hi", Algo: "identity", Bits: 48},
 		{Name: "hr", Algo: "random", Bits: 13}}
 	locals := []string{"l8", "l33", "l64", "meta.m32", "meta.ingress_port", "hdr.g.a"}
-	dyn := []string{"dyn0", "dyn1", "dyn_hit"} // never declared: dynamically typed
+	var dyn []string
+	if g.draw(illName) {
+		dyn = []string{"dyn0", "dyn1", "dyn_hit"} // never declared
+	}
 	base = append(append(base, outs...), append(locals, dyn...)...)
 	writable := append(append(append([]string(nil), outs...), locals...), dyn...)
 
@@ -252,7 +294,9 @@ func (g *exprGen) program() *p4.Program {
 			Name: fmt.Sprintf("ra%d", i), Register: reg, Body: g.stmts(1+g.rng.Intn(4), 2),
 		})
 	}
-	ctl.RegActs = append(ctl.RegActs, &p4.RegisterAction{Name: "ra_bad", Register: "nosuch"})
+	if g.draw(illReg) {
+		ctl.RegActs = append(ctl.RegActs, &p4.RegisterAction{Name: "ra_bad", Register: "nosuch"})
+	}
 	g.inRegact = 0
 
 	g.writes = append([]string(nil), writable...)
@@ -280,14 +324,14 @@ func (g *exprGen) program() *p4.Program {
 	if g.rng.Intn(4) > 0 {
 		ctl.Apply = slices.Insert(ctl.Apply, g.rng.Intn(len(ctl.Apply)+1), g.specRun(h, ctl)...)
 	}
-	// Make the dynamically-typed names observable: value through a
-	// declared output, width through the byte count a hash consumes.
+	if len(dyn) > 0 {
+		ctl.Apply = append(ctl.Apply,
+			&p4.Assign{LHS: fr("hdr.h.o0"), RHS: &p4.Bin{Op: "^", X: fr("hdr.h.o0"), Y: fr("dyn0")}},
+			&p4.Assign{LHS: fr("hdr.h.o3"), RHS: &p4.Bin{Op: "^", X: fr("hdr.h.o3"),
+				Y: &p4.CallExpr{Recv: "hc", Method: "get", Args: []p4.Expr{fr("dyn0"), fr("dyn1"), fr("dyn_hit")}}}})
+	}
 	ctl.Apply = append(ctl.Apply,
-		&p4.Assign{LHS: fr("hdr.h.o0"), RHS: &p4.Bin{Op: "^", X: fr("hdr.h.o0"), Y: fr("dyn0")}},
-		&p4.Assign{LHS: fr("hdr.h.o3"), RHS: &p4.Bin{Op: "^", X: fr("hdr.h.o3"),
-			Y: &p4.CallExpr{Recv: "hc", Method: "get", Args: []p4.Expr{fr("dyn0"), fr("dyn1"), fr("dyn_hit")}}}},
-		&p4.Assign{LHS: fr("meta.egress_port"), RHS: &p4.Bin{Op: "|", X: fr("meta.egress_port"), Y: fr("l8")}},
-	)
+		&p4.Assign{LHS: fr("meta.egress_port"), RHS: &p4.Bin{Op: "|", X: fr("meta.egress_port"), Y: fr("l8")}})
 	pp.Ingress = ctl
 	return pp
 }
@@ -537,6 +581,51 @@ func TestExprDifferentialFuzz(t *testing.T) {
 			if t.Failed() {
 				return
 			}
+		}
+	}
+}
+
+// TestIllTypedRefused: the generator's ill-typed draws, one class at a
+// time, make programs that p4.Validate refuses with a *p4.CheckError
+// naming a construct of that class, and that New refuses with the
+// same error.
+func TestIllTypedRefused(t *testing.T) {
+	programs := 300
+	if testing.Short() {
+		programs = 60
+	}
+	for _, tc := range []struct {
+		class    int
+		prefixes []string
+	}{
+		{illName, []string{"name dyn"}},
+		{illWidth, []string{"cast"}},
+		{illOp, []string{"operator **"}},
+		{illCall, []string{"call nosuch.frob", "call t.frob", "header hdr.nosuch"}},
+		{illReg, []string{"register action ra_bad"}},
+	} {
+		refused := 0
+		for seed := 0; seed < programs; seed++ {
+			g := &exprGen{rng: rand.New(rand.NewSource(int64(seed))), ill: tc.class}
+			pp := g.program()
+			_, err := pp.Validate()
+			if g.drawn == 0 {
+				if err != nil {
+					t.Fatalf("class %d seed %d: well-typed program refused: %v", tc.class, seed, err)
+				}
+				continue
+			}
+			var ce *p4.CheckError
+			if !errors.As(err, &ce) || !slices.ContainsFunc(tc.prefixes, func(p string) bool { return strings.HasPrefix(ce.Construct, p) }) {
+				t.Fatalf("class %d seed %d: Validate = %v, want a refusal of %q\n%s", tc.class, seed, err, tc.prefixes, p4.Print(pp))
+			}
+			if cerr := New(pp).CompileErr(); cerr == nil || cerr.Error() != err.Error() {
+				t.Fatalf("class %d seed %d: New refused with %v, want %v", tc.class, seed, cerr, err)
+			}
+			refused++
+		}
+		if refused < programs/4 {
+			t.Errorf("class %d: %d of %d programs drew an ill-typed construct", tc.class, refused, programs)
 		}
 	}
 }

@@ -16,16 +16,15 @@ package bmv2
 // rule therefore carries one static score, and a leaf's winner is the
 // best-scoring rule alive there.
 //
-// Eligibility is conservative and decided once, at build time: every
-// key expression must have a statically-known width (staticBits in
-// compile.go mirrors the ops.go width rules; ctable.apply stamps that
-// width on each key it matches, so the width a diagram was built for
-// is the width it is walked with) and every rule must expand to a
-// bounded set of intervals per field (ternary masks with many free
-// high bits explode combinatorially). A table that fails either gets
-// no diagram and matches by ctable.scan. Where a diagram exists its
-// leaf is the answer, as in the NetKAT compiler; the fuzzers in
-// fdd_test.go hold it to scan and to the reference interpreter.
+// Every key width is static (p4.Validate decides it; ctable.apply
+// stamps it on each key it matches, so the width a diagram was built
+// for is the width it is walked with). Eligibility is decided at build
+// time: every rule must expand to a bounded set of intervals per field
+// (ternary masks with many free high bits explode combinatorially). A
+// table whose rules do not gets no diagram and matches by ctable.scan.
+// Where a diagram exists its leaf is the answer, as in the NetKAT
+// compiler; the fuzzers in fdd_test.go hold it to scan and to the
+// reference interpreter.
 
 import (
 	"cmp"
@@ -407,11 +406,10 @@ func (b *fddBuilder) project(ar *arena, rec *erec) (r fddRule) {
 // diagram asks the memo for the root of the live rule set and checks
 // the whole reachable diagram against the work budget, so that whether
 // a table has a diagram depends on its rule set, never on its history.
-// Without one, the arena is dropped: the next commit starts cold. A
-// table with a dynamic key width never has one.
+// Without one, the arena is dropped: the next commit starts cold.
 func (b *fddBuilder) diagram() *fdd {
 	b.reach = 0
-	if b.unrep == 0 && b.tb.kstatic {
+	if b.unrep == 0 {
 		var h uint64
 		b.alive = b.alive[:0]
 		for _, id := range b.live {

@@ -7,6 +7,7 @@ package bmv2
 // factor of the live diagram however long the churn runs.
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -357,6 +358,67 @@ func TestFDDHistoryIndependent(t *testing.T) {
 	}
 	if scans == 0 || resets == 0 {
 		t.Fatalf("vacuous: %d snapshots without a diagram, %d mix4 rule resets", scans, resets)
+	}
+}
+
+// TestFDDTieOrderAcrossCompaction: overlapping ternary rules of one
+// priority tie, and the earliest-inserted live one must win, before
+// and after id compactions renumber the rules. Each commit inserts two
+// such rules and deletes the oldest live ones, so the ids outrun the
+// live rules and compact every few commits; after each commit the
+// engine must answer every probe as the reference interpreter does.
+// The diagram breaks ties by store order, the scan by id, so the
+// second half keeps a rule no diagram can hold and runs on the scan,
+// and the live ids must stay in store order throughout.
+func TestFDDTieOrderAcrossCompaction(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	sw := New(matcherProg(nil))
+	if sw.CompileErr() != nil {
+		t.Fatalf("not compiled: %v", sw.CompileErr())
+	}
+	ref := NewReference(sw)
+	var live []*p4.Entry
+	compactions := [2]int{}
+	for c := 0; c < 40; c++ {
+		b := NewWriteBatch()
+		if c == 20 {
+			// An unrepresentable mask, of a priority that loses every tie.
+			b.Insert("tern1", entry("set_out", 1, 1, p4.KeyValue{Mask: 0x0000_FFFF}))
+		}
+		for i := 0; i < 2; i++ {
+			// Mask 0 matches every key; mask 1<<31 half of them.
+			e := entry("set_out", uint64(100+2*c+i), 0, p4.KeyValue{Value: uint64(2*c + i), Mask: uint64(rng.Intn(2)) << 31})
+			b.Insert("tern1", e)
+			live = append(live, e)
+		}
+		for len(live) > 6 {
+			b.Delete("tern1", entryKeyVals(live[0])...)
+			live = live[1:]
+		}
+		ids := len(tableFor(t, sw, "tern1").fb.rules)
+		if _, err := sw.Write(b); err != nil {
+			t.Fatal(err)
+		}
+		fb := tableFor(t, sw, "tern1").fb
+		if len(fb.rules) < ids {
+			compactions[c/20]++
+		}
+		// Ids follow store order, so that the scan's id order and the
+		// diagram's set order both give a tie to the earlier record.
+		for i := 1; i < len(fb.live); i++ {
+			if x, y := fb.live[i-1], fb.live[i]; x >= y || fb.rules[x].seq >= fb.rules[y].seq {
+				t.Fatalf("commit %d: live rule ids %v out of store order", c, fb.live)
+			}
+		}
+		if (snapFor(t, sw, "tern1").dd == nil) != (c >= 20) {
+			t.Fatalf("commit %d: diagram %v", c, snapFor(t, sw, "tern1").dd != nil)
+		}
+		for i := 0; i < 8; i++ {
+			diffOne(t, fmt.Sprintf("commit %d", c), sw, ref, matcherPkt(3, rng.Uint32(), 0))
+		}
+	}
+	if compactions[0] < 2 || compactions[1] < 2 {
+		t.Fatalf("vacuous: %v id compactions with and without a diagram", compactions)
 	}
 }
 

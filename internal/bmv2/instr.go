@@ -7,14 +7,10 @@ package bmv2
 // per operation instead of one indirect call per AST node.
 //
 // The width rule — masked at store, trusted at load: every val in the
-// frame has v already reduced to its own bits, so a load never
-// re-wraps. Where the width of an expression is a compile-time
-// constant (declared fields, literals, casts, action parameters,
-// register-action m/o) the specialized opcodes carry the result width
-// and mask as immediates. Where it is not (names the program never
-// declared, results of calls that may fold an error to val{0,32}) the
-// generic opcodes evaluate through the val/binOps semantics of ops.go,
-// which the reference interpreter uses too.
+// frame has v already reduced to its static width, so a load never
+// re-wraps. Every width is a compile-time constant (p4.Validate
+// decided it), and the opcodes carry the result width and mask as
+// immediates; no opcode reads a val's width at run time.
 
 import "netcl/internal/p4"
 
@@ -22,10 +18,9 @@ type opcode uint8
 
 const (
 	// Moves and casts.
-	opMov   opcode = iota // dst = a, width included
-	opMovW                // dst = val{a & imm, bits}: store to a declared width, unsigned cast
-	opSext                // dst = val{sext(a from b bits) & imm, bits}: signed cast, static source
-	opCastS               // signed cast whose source width is read at run time
+	opMov  opcode = iota // dst = a, width included
+	opMovW               // dst = val{a & imm, bits}: store to a declared width, unsigned cast
+	opSext               // dst = val{sext(a from b bits) & imm, bits}: signed cast
 
 	// Width-static arithmetic: dst = val{(a op b) & imm, bits}.
 	opAdd
@@ -35,6 +30,12 @@ const (
 	opXor
 	opShl
 	opShr
+	opSar // s>>: sign-extended from bits
+	opMul
+	opDiv // zero when b is zero, as % and the signed forms
+	opMod
+	opSdiv // the signed forms carry the width of a in bits and of b in imm
+	opSmod
 	opSatAdd
 	opSatSub
 	opNot // ~a
@@ -52,10 +53,6 @@ const (
 	opLor
 	opLnot
 	opValid // dst = header imm is valid
-
-	// Un-specialized operators: ops.go functions over whole vals.
-	opGen2 // dst = fn2[imm](a, b)
-	opGen1 // dst = fn1[imm](a)
 
 	// Control flow; the target pc is dst.
 	opJmp
@@ -84,7 +81,6 @@ const (
 	opRand
 
 	opApply // table imm; hit -> slot c when c >= 0; error -> pc dst when dst >= 0
-	opFail  // abort the packet with errs[imm]
 
 	// A fused register run (fuse.go).
 	opRegLoadV  // vregSites[imm] at index a: one bounds check, each lane's cell into m
@@ -110,7 +106,7 @@ type instr struct {
 // first slot of each operand (b is -1 for a unary opcode).
 func (in *instr) access() (a, b, w int32) {
 	switch in.op {
-	case opJmp, opJvalid, opJinvalid, opExitChk, opExit, opSetValid, opSetInvalid, opRegStore, opRegStoreV, opFail:
+	case opJmp, opJvalid, opJinvalid, opExitChk, opExit, opSetValid, opSetInvalid, opRegStore, opRegStoreV:
 		return -1, -1, -1
 	case opJeq, opJne, opJlt, opJle, opJslt, opJsle, opRegWrite:
 		return in.a, in.b, -1
@@ -120,7 +116,7 @@ func (in *instr) access() (a, b, w int32) {
 		return -1, -1, in.c
 	case opHash, opRand, opValid:
 		return -1, -1, in.dst
-	case opMov, opMovW, opSext, opCastS, opNot, opNeg, opLnot, opGen1, opRegRead:
+	case opMov, opMovW, opSext, opNot, opNeg, opLnot, opRegRead:
 		return in.a, -1, in.dst
 	}
 	return in.a, in.b, in.dst
@@ -149,10 +145,10 @@ type vregSite struct {
 	m, o int32
 }
 
-// hashArg is one hash input: its slot and, when static, its width.
+// hashArg is one hash input: its slot and width.
 type hashArg struct {
 	slot int32
-	bits int32 // -1: read the slot's run-time width
+	bits int32
 }
 
 type hashSite struct {
@@ -193,13 +189,6 @@ func (m *machine) exec(pc, end int32) error {
 			f[in.dst] = val{f[in.a].v & in.imm, int(in.bits)}
 		case opSext:
 			f[in.dst] = val{uint64(sext(f[in.a].v, uint(in.b))) & in.imm, int(in.bits)}
-		case opCastS:
-			v := f[in.a]
-			if v.bits < int(in.bits) {
-				f[in.dst] = val{uint64(v.signed()) & in.imm, int(in.bits)}
-			} else {
-				f[in.dst] = val{v.v & in.imm, int(in.bits)}
-			}
 
 		case opAdd:
 			f[in.dst] = val{(f[in.a].v + f[in.b].v) & in.imm, int(in.bits)}
@@ -215,6 +204,33 @@ func (m *machine) exec(pc, end int32) error {
 			f[in.dst] = val{(f[in.a].v << f[in.b].v) & in.imm, int(in.bits)}
 		case opShr:
 			f[in.dst] = val{f[in.a].v >> f[in.b].v, int(in.bits)}
+		case opSar:
+			f[in.dst] = val{uint64(sext(f[in.a].v, uint(in.bits))>>min(f[in.b].v, 63)) & in.imm, int(in.bits)}
+		case opMul:
+			f[in.dst] = val{(f[in.a].v * f[in.b].v) & in.imm, int(in.bits)}
+		case opDiv, opMod:
+			a, b := f[in.a].v, f[in.b].v
+			switch {
+			case b == 0:
+				a = 0
+			case in.op == opDiv:
+				a /= b
+			default:
+				a %= b
+			}
+			f[in.dst] = val{a, int(in.bits)}
+		case opSdiv, opSmod:
+			a, b := sext(f[in.a].v, uint(in.bits)), sext(f[in.b].v, uint(in.imm))
+			switch {
+			case b == 0:
+				a = 0
+			case in.op == opSdiv:
+				a /= b
+			default:
+				a %= b
+			}
+			w := max(int(in.bits), int(in.imm))
+			f[in.dst] = val{uint64(a) & maskOf(w), w}
 		case opSatAdd:
 			au := f[in.a].v
 			sum := au + f[in.b].v
@@ -254,11 +270,6 @@ func (m *machine) exec(pc, end int32) error {
 			f[in.dst] = val{b2u(f[in.a].v == 0), 1}
 		case opValid:
 			f[in.dst] = val{b2u(m.valid[in.imm]), 1}
-
-		case opGen2:
-			f[in.dst] = p.fn2[in.imm](f[in.a], f[in.b])
-		case opGen1:
-			f[in.dst] = p.fn1[in.imm](f[in.a])
 
 		case opJmp:
 			pc = in.dst
@@ -352,16 +363,9 @@ func (m *machine) exec(pc, end int32) error {
 			hs := &p.hashSites[in.a]
 			data := m.hashBuf[:0]
 			for _, a := range hs.args {
-				v := f[a.slot]
-				if a.bits >= 0 {
-					v.bits = int(a.bits)
-				}
-				nb := (v.bits + 7) / 8
-				if nb == 0 {
-					nb = 4
-				}
-				for i := nb - 1; i >= 0; i-- {
-					data = append(data, byte(v.v>>(8*uint(i))))
+				v := f[a.slot].v
+				for i := (a.bits+7)/8 - 1; i >= 0; i-- {
+					data = append(data, byte(v>>(8*uint(i))))
 				}
 			}
 			m.hashBuf = data
@@ -379,8 +383,6 @@ func (m *machine) exec(pc, end int32) error {
 			} else if in.c >= 0 {
 				f[in.c] = val{b2u(hit), int(in.bits)}
 			}
-		case opFail:
-			return p.errs[in.imm]
 
 		case opLanes:
 			laneLoop(in, f)
@@ -489,11 +491,13 @@ func (m *machine) setValid(hi int) {
 
 // Static operator selection -------------------------------------------
 
-// arithOps maps the binary operators that have a width-static opcode
-// of the form val{(a op b) & mask, bits}.
-var arithOps = map[string]opcode{
+// binOpcodes maps the binary operators other than the comparisons
+// (rels) to their opcodes.
+var binOpcodes = map[string]opcode{
 	"+": opAdd, "-": opSub, "&": opAnd, "|": opOr, "^": opXor,
-	"|+|": opSatAdd, "|-|": opSatSub, "<<": opShl, ">>": opShr,
+	"|+|": opSatAdd, "|-|": opSatSub, "<<": opShl, ">>": opShr, "s>>": opSar,
+	"*": opMul, "/": opDiv, "%": opMod, "s/": opSdiv, "s%": opSmod,
+	"&&": opLand, "||": opLor,
 }
 
 // rel is a comparison as one of the six value opcodes (opEq..opSle)
@@ -532,13 +536,6 @@ func (r rel) not() rel {
 func (r rel) jump() opcode { return r.op - opEq + opJeq }
 
 func (r rel) signed() bool { return r.op == opSlt || r.op == opSle }
-
-// isCompare reports operators whose result is bit<1> whatever the
-// operand widths.
-func isCompare(op string) bool {
-	_, ok := rels[op]
-	return ok || op == "&&" || op == "||"
-}
 
 // pure reports whether evaluating e has no effect besides its value:
 // no extern or table call (isValid aside). Pure operands may be

@@ -68,7 +68,8 @@ type Switch struct {
 
 	regs    map[string]*regfile
 	entries map[string]*entrySet
-	fields  map[string]int // field path -> bits (headers, metadata, locals, params)
+	fields  map[string]int // field path -> bits (headers, metadata, locals)
+	widths  p4.Widths      // every expression's width; nil when p4.Validate refused the program
 	rng     uint64         // updated via CAS: the random extern must stay race-free under sharding
 
 	prog       *cprog // compiled form; nil when compilation was refused
@@ -124,10 +125,13 @@ func New(prog *p4.Program) *Switch {
 	for _, f := range prog.Metadata {
 		s.fields["meta."+f.Name] = f.Bits
 	}
-	// Prepare step: compile the program to its slot-indexed form. On
-	// refusal (constructs needing dynamic scoping, malformed graphs)
-	// the switch keeps its control plane and processes no packets.
-	s.prog, s.compileErr = compileProgram(s)
+	// Prepare step: type-check the program, then compile it to its
+	// slot-indexed form. On refusal (a program Validate refuses,
+	// constructs needing dynamic scoping, malformed graphs) the switch
+	// keeps its control plane and processes no packets.
+	if s.widths, s.compileErr = prog.Validate(); s.compileErr == nil {
+		s.prog, s.compileErr = compileProgram(s)
+	}
 	return s
 }
 

@@ -1,6 +1,8 @@
 package bmv2
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
 	"netcl/internal/p4"
@@ -229,5 +231,64 @@ func TestValBitsSemantics(t *testing.T) {
 	u := val{v: 0x7F, bits: 8}
 	if u.signed() != 127 {
 		t.Error("positive signed")
+	}
+}
+
+// TestUntypedLiteralTakesOperandType pins P4-16's typing of an untyped
+// literal: it takes the other operand's type, so every saturating and
+// shift operator over a bit<8> x holding 255 computes at 8 bits, and
+// a wider destination receives the 8-bit result. The expected bytes
+// are worked out by hand, and both engines must produce them.
+func TestUntypedLiteralTakesOperandType(t *testing.T) {
+	lit := func(v uint64) p4.Expr { return &p4.IntLit{Val: v} }
+	x := p4.FR("hdr", "h", "x")
+	cases := []struct {
+		rhs  p4.Expr
+		want byte
+	}{
+		{&p4.Bin{Op: "|+|", X: x, Y: lit(1)}, 0xFF}, // saturates at 8 bits, not 0x100
+		{&p4.Bin{Op: "|+|", X: lit(1), Y: x}, 0xFF},
+		{&p4.Bin{Op: "|-|", X: x, Y: lit(1)}, 0xFE},
+		{&p4.Bin{Op: "|-|", X: lit(1), Y: x}, 0x00}, // saturates at zero
+		{&p4.Bin{Op: "<<", X: x, Y: lit(1)}, 0xFE},
+		{&p4.Bin{Op: ">>", X: x, Y: lit(1)}, 0x7F},
+		{&p4.Bin{Op: "s>>", X: x, Y: lit(1)}, 0xFF}, // -1 >> 1 is -1
+		{&p4.Bin{Op: "<<", X: x, Y: lit(8)}, 0x00},
+		{&p4.Bin{Op: "s>>", X: x, Y: lit(9)}, 0xFF},
+	}
+	pp := &p4.Program{Name: "lit", Target: p4.TargetTNA}
+	h := &p4.HeaderDecl{Name: "h", Fields: []*p4.Field{{Name: "x", Bits: 8}, {Name: "w", Bits: 16}}}
+	ctl := &p4.Control{Name: "In", Apply: []p4.Stmt{
+		// x |+| 1 is a bit<8> 255, whatever the destination's width.
+		&p4.Assign{LHS: p4.FR("hdr", "h", "w"), RHS: &p4.Bin{Op: "|+|", X: x, Y: lit(1)}},
+		&p4.Assign{LHS: p4.FR("meta", "egress_port"), RHS: lit(1)},
+	}}
+	want := []byte{0xFF, 0x00, 0xFF}
+	for i, c := range cases {
+		name := fmt.Sprintf("o%d", i)
+		h.Fields = append(h.Fields, &p4.Field{Name: name, Bits: 8})
+		ctl.Apply = append(ctl.Apply, &p4.Assign{LHS: p4.FR("hdr", "h", name), RHS: c.rhs})
+		want = append(want, c.want)
+	}
+	pp.Headers = []*p4.HeaderDecl{h}
+	pp.Metadata = []*p4.Field{{Name: "egress_port", Bits: 16}, {Name: "mcast_grp", Bits: 16}, {Name: "drop_flag", Bits: 1}}
+	pp.Parser = &p4.Parser{Name: "P", States: []*p4.ParserState{{Name: "start", Extracts: []string{"h"}, Next: "accept"}}}
+	pp.Ingress = ctl
+	sw := New(pp)
+	if sw.CompileErr() != nil {
+		t.Fatal(sw.CompileErr())
+	}
+	pkt := make([]byte, len(want))
+	pkt[0] = 0xFF
+	for name, process := range map[string]func([]byte, int) (*Result, error){
+		"engine": sw.Process, "reference": NewReference(New(pp)).Process,
+	} {
+		res, err := process(append([]byte(nil), pkt...), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(res.Data, want) {
+			t.Errorf("%s: % x, want % x", name, res.Data, want)
+		}
 	}
 }

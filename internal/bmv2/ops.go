@@ -1,11 +1,10 @@
 package bmv2
 
 // ops.go holds the operator semantics of the P4 subset as a table of
-// pure functions over typed vals. The reference tree-walker's
-// evalBin/eval and the compiled engine's un-specialized opcodes
-// dispatch through this single table; the compiled engine's
-// width-static opcodes (instr.go) restate the common operators for
-// operands of known width and are pinned to this table by the
+// pure functions over typed vals, one per token of p4.Validate's closed
+// operator set. The reference tree-walker dispatches through it; the
+// compiled engine's opcodes (instr.go) restate each operator for
+// operands of static width and are pinned to this table by the
 // expression differential fuzzer.
 
 // maskOf returns the value mask of a width (bits<=0 or >=64: full).
@@ -17,17 +16,8 @@ func maskOf(bits int) uint64 {
 }
 
 // combinedBits is the result-width rule of binary operators: the wider
-// operand, with width 0 promoting to 64.
-func combinedBits(a, b val) int {
-	bits := a.bits
-	if b.bits > bits {
-		bits = b.bits
-	}
-	if bits == 0 {
-		bits = 64
-	}
-	return bits
-}
+// operand (an untyped literal already took the other's width).
+func combinedBits(a, b val) int { return max(a.bits, b.bits) }
 
 func boolVal(c bool) val {
 	if c {
@@ -146,9 +136,9 @@ var binOps = map[string]func(a, b val) val{
 	"||":  func(a, b val) val { return boolVal(a.wrapped() != 0 || b.wrapped() != 0) },
 }
 
-// unOps maps a unary operator token to its semantics; unknown tokens
-// pass the operand through unchanged.
+// unOps maps a unary operator token to its semantics.
 var unOps = map[string]func(v val) val{
+	"+": func(v val) val { return v },
 	"~": func(v val) val { return val{^v.wrapped() & v.mask(), v.bits} },
 	"-": func(v val) val { return val{(0 - v.wrapped()) & v.mask(), v.bits} },
 	"!": func(v val) val { return boolVal(v.wrapped() == 0) },

@@ -1,15 +1,19 @@
 package bmv2
 
 // reference.go is the package's semantic oracle: the original
-// tree-walking interpreter, which resolves every name, width and table
-// per packet and is small enough to read as the definition of the P4
-// subset. The differential tests and fuzzers construct it explicitly
-// from a *Switch and hold the compiled engine to its output byte for
-// byte. Nothing on Switch reaches it: a program the compiler refuses is
-// an error (Switch.CompileErr), never a reason to run this instead.
+// tree-walking interpreter, which resolves every name and table per
+// packet and is small enough to read as the definition of the P4
+// subset. Where a value carries no width of its own (an untyped
+// literal, a ternary, a call folded to zero) it takes the one
+// p4.Validate recorded. The differential tests and fuzzers construct
+// it explicitly from a *Switch and hold the compiled engine to its
+// output byte for byte. Nothing on Switch reaches it: a program the
+// compiler refuses is an error (Switch.CompileErr), never a reason to
+// run this instead.
 
 import (
 	"fmt"
+	"strings"
 	"sync/atomic"
 
 	"netcl/internal/p4"
@@ -47,8 +51,8 @@ func (r *Reference) Process(data []byte, inPort int) (*Result, error) {
 		ex.env["meta."+f.Name] = val{0, f.Bits}
 	}
 	// The ingress port is program-visible metadata, set before parsing
-	// (a parser select may read it). Width rules match the compiled
-	// engine exactly: the declared width, or dynamic when undeclared.
+	// (a parser select may read it), at its declared width; a program
+	// that does not declare it does not mention it.
 	ex.env["meta.ingress_port"] = val{uint64(inPort), s.fields["meta.ingress_port"]}
 	if err := ex.parse(data); err != nil {
 		return nil, err
@@ -88,9 +92,6 @@ func (ex *exec) parse(data []byte) error {
 		}
 		for _, hn := range state.Extracts {
 			h := ex.s.Prog.HeaderByName(hn)
-			if h == nil {
-				return fmt.Errorf("parser extracts unknown header %q", hn)
-			}
 			nbytes := h.Bits() / 8
 			if len(rest) < nbytes {
 				return fmt.Errorf("packet too short for header %q (%d < %d)", hn, len(rest), nbytes)
@@ -248,49 +249,38 @@ func (ex *exec) stmt(c *p4.Control, st p4.Stmt) error {
 	return fmt.Errorf("unsupported statement %T", st)
 }
 
-// assign writes a value through action frames, locals, or fields.
+// assign writes a value, converted to the destination's declared
+// width, to the innermost action frame's name or else to the global.
 func (ex *exec) assign(fr *p4.FieldRef, v val) {
 	name := fr.String()
 	if len(ex.frames) > 0 {
-		if _, ok := ex.frames[len(ex.frames)-1][name]; ok {
-			ex.frames[len(ex.frames)-1][name] = v
+		if old, ok := ex.frames[len(ex.frames)-1][name]; ok {
+			ex.frames[len(ex.frames)-1][name] = val{v.wrapped(), old.bits}
 			return
 		}
 	}
-	bits := ex.s.fields[name]
-	if bits == 0 {
-		bits = v.bits
-	}
-	ex.env[name] = val{v.wrapped(), bits}
+	ex.env[name] = val{v.wrapped(), ex.s.fields[name]}
 }
 
 func (ex *exec) callStmt(c *p4.Control, x *p4.CallStmt) error {
 	if x.Recv == "" {
 		// Plain action invocation.
-		a := c.ActionByName(x.Method)
-		if a == nil {
-			return fmt.Errorf("unknown action %q", x.Method)
-		}
 		var args []val
 		for _, e := range x.Args {
 			args = append(args, ex.eval(e))
 		}
-		return ex.runAction(c, a, args)
+		return ex.runAction(c, c.ActionByName(x.Method), args)
 	}
 	// Register primitives (v1model style).
 	if rf, ok := ex.s.regs[x.Recv]; ok {
 		switch x.Method {
 		case "read":
-			dst, ok := x.Args[0].(*p4.FieldRef)
-			if !ok {
-				return fmt.Errorf("register read destination must be a field")
-			}
 			idx := int(ex.eval(x.Args[1]).wrapped())
 			var v uint64
 			if idx >= 0 && idx < rf.size {
 				v = rf.load(idx)
 			}
-			ex.assign(dst, val{v, ex.s.fields[dst.String()]})
+			ex.assign(x.Args[0].(*p4.FieldRef), val{v, 64})
 			return nil
 		case "write":
 			idx := int(ex.eval(x.Args[0]).wrapped())
@@ -329,9 +319,6 @@ func (ex *exec) runAction(c *p4.Control, a *p4.ActionDecl, args []val) error {
 // applyTable matches and executes a table.
 func (ex *exec) applyTable(c *p4.Control, name string) (bool, error) {
 	t := c.TableByName(name)
-	if t == nil {
-		return false, fmt.Errorf("unknown table %q", name)
-	}
 	var keys []val
 	for _, k := range t.Keys {
 		keys = append(keys, ex.eval(k.Expr))
@@ -431,11 +418,7 @@ func (ex *exec) applyTable(c *p4.Control, name string) (bool, error) {
 
 // execRegAction runs a SALU microprogram.
 func (ex *exec) execRegAction(c *p4.Control, ra *p4.RegisterAction, idxArgs []p4.Expr) (val, error) {
-	rf := ex.s.regs[ra.Register]
-	if rf == nil {
-		return val{}, fmt.Errorf("register action %q over unknown register", ra.Name)
-	}
-	reg := c.RegisterByName(ra.Register)
+	rf, reg := ex.s.regs[ra.Register], c.RegisterByName(ra.Register)
 	idx := 0
 	if len(idxArgs) > 0 {
 		idx = int(ex.eval(idxArgs[0]).wrapped())
@@ -465,11 +448,8 @@ func (ex *exec) execRegAction(c *p4.Control, ra *p4.RegisterAction, idxArgs []p4
 func (ex *exec) eval(e p4.Expr) val {
 	switch x := e.(type) {
 	case *p4.IntLit:
-		b := x.Bits
-		if b == 0 {
-			b = 64
-		}
-		return val{x.Val, b}
+		// An untyped literal (Bits 0) takes the width of its context.
+		return val{x.Val, ex.s.widths.Of(x)}
 	case *p4.FieldRef:
 		name := x.String()
 		// Innermost action frame first (params, m/o of reg actions).
@@ -483,13 +463,10 @@ func (ex *exec) eval(e p4.Expr) val {
 		}
 		return val{0, ex.s.fields[name]}
 	case *p4.Bin:
-		return ex.evalBin(x)
+		// Go evaluates the operands left to right, as P4 does.
+		return binOps[x.Op](ex.eval(x.X), ex.eval(x.Y))
 	case *p4.Un:
-		v := ex.eval(x.X)
-		if op, ok := unOps[x.Op]; ok {
-			return op(v)
-		}
-		return v
+		return unOps[x.Op](ex.eval(x.X))
 	case *p4.Cast:
 		v := ex.eval(x.X)
 		if x.Signed && v.bits < x.Bits {
@@ -497,16 +474,17 @@ func (ex *exec) eval(e p4.Expr) val {
 		}
 		return val{v.wrapped() & (val{bits: x.Bits}).mask(), x.Bits}
 	case *p4.TernaryExpr:
+		arm := x.B
 		if ex.eval(x.Cond).wrapped() != 0 {
-			return ex.eval(x.A)
+			arm = x.A
 		}
-		return ex.eval(x.B)
+		return val{ex.eval(arm).wrapped(), ex.s.widths.Of(x)}
 	case *p4.CallExpr:
 		v, err := ex.evalCall(x)
 		if err != nil {
 			// Errors inside expressions surface as zero; callers that
 			// care route through callStmt which propagates errors.
-			return val{0, 32}
+			return val{0, ex.s.widths.Of(x)}
 		}
 		return v
 	}
@@ -516,11 +494,7 @@ func (ex *exec) eval(e p4.Expr) val {
 func (ex *exec) evalCall(x *p4.CallExpr) (val, error) {
 	// Header validity.
 	if x.Method == "isValid" {
-		name := x.Recv
-		if len(name) > 4 && name[:4] == "hdr." {
-			name = name[4:]
-		}
-		if ex.valid[name] {
+		if ex.valid[strings.TrimPrefix(x.Recv, "hdr.")] {
 			return val{1, 1}, nil
 		}
 		return val{0, 1}, nil
@@ -539,11 +513,7 @@ func (ex *exec) evalCall(x *p4.CallExpr) (val, error) {
 			var data []byte
 			for _, a := range x.Args {
 				v := ex.eval(a)
-				nb := (v.bits + 7) / 8
-				if nb == 0 {
-					nb = 4
-				}
-				for i := nb - 1; i >= 0; i-- {
+				for i := (v.bits+7)/8 - 1; i >= 0; i-- {
 					data = append(data, byte(v.wrapped()>>(8*uint(i))))
 				}
 			}
@@ -567,21 +537,9 @@ func (ex *exec) evalCall(x *p4.CallExpr) (val, error) {
 	return val{}, fmt.Errorf("unsupported call expression %s.%s", x.Recv, x.Method)
 }
 
-func (ex *exec) hashDecls() []*p4.HashDecl {
-	if ex.s.Prog.Egress == nil {
-		return ex.s.Prog.Ingress.Hashes
+func (ex *exec) hashDecls() (out []*p4.HashDecl) {
+	for _, c := range ex.s.Prog.Controls() {
+		out = append(out, c.Hashes...)
 	}
-	// Copy: never append into the program's own backing array.
-	out := make([]*p4.HashDecl, 0, len(ex.s.Prog.Ingress.Hashes)+len(ex.s.Prog.Egress.Hashes))
-	out = append(out, ex.s.Prog.Ingress.Hashes...)
-	return append(out, ex.s.Prog.Egress.Hashes...)
-}
-
-func (ex *exec) evalBin(x *p4.Bin) val {
-	a := ex.eval(x.X)
-	b := ex.eval(x.Y)
-	if op, ok := binOps[x.Op]; ok {
-		return op(a, b)
-	}
-	return val{0, combinedBits(a, b)}
+	return out
 }

@@ -102,7 +102,7 @@ type ctable struct {
 	t    *p4.Table
 	// Key plan: keyCode evaluates the key expressions that are more
 	// than a field or a cast of one (empty otherwise); keys then names
-	// the slot each key value sits in and, when static, its width.
+	// the slot each key value sits in and its width.
 	keyCode span
 	keys    []tkey
 	kinds   []p4.MatchKind
@@ -110,12 +110,10 @@ type ctable struct {
 	gslot   int  // index of this table's snapshot in a generation
 	acts    []cact
 
-	// kbits/kstatic: statically inferred key widths (fdd.go). The
-	// decision diagram is built only when every key width is static.
-	// fb holds a non-exact table's entries and diagram across commits.
-	kbits   []int
-	kstatic bool
-	fb      *fddBuilder
+	// kbits: the key widths (fdd.go); fb holds a non-exact table's
+	// entries and diagram across commits.
+	kbits []int
+	fb    *fddBuilder
 	// builds counts the diagram nodes built — the cost model of a
 	// non-exact commit: one batch commits once, whatever its op count,
 	// and builds only the nodes whose rule set it changed (pinned by
@@ -126,14 +124,14 @@ type ctable struct {
 // tkey is one table key operand.
 type tkey struct {
 	slot int32
-	bits int32 // static width, or -1: the slot's run-time width
+	bits int32
 }
 
 // table compiles the static shape of one table (key plan at
 // apply-level scope, matcher choice). Entries are materialized later
 // by build, once action instances exist.
 func (cc *compiler) table(ctl *cctl, t *p4.Table) (*ctable, error) {
-	tb := &ctable{name: t.Name, es: cc.s.entries[t.Name], ctl: ctl, t: t, kstatic: true}
+	tb := &ctable{name: t.Name, es: cc.s.entries[t.Name], ctl: ctl, t: t}
 	tb.keyCode.start = cc.here()
 	exprs := make([]p4.Expr, len(t.Keys))
 	for i, k := range t.Keys {
@@ -144,14 +142,9 @@ func (cc *compiler) table(ctl *cctl, t *p4.Table) (*ctable, error) {
 		return nil, err
 	}
 	for i, o := range keys {
-		tk := tkey{slot: o.slot, bits: -1}
-		if o.static {
-			tk.bits = int32(o.bits)
-		}
-		tb.keys = append(tb.keys, tk)
+		tb.keys = append(tb.keys, tkey{slot: o.slot, bits: int32(o.bits)})
 		tb.kinds = append(tb.kinds, t.Keys[i].Match)
 		tb.kbits = append(tb.kbits, o.bits)
-		tb.kstatic = tb.kstatic && o.static
 	}
 	tb.keyCode.end = cc.here()
 	tb.exact = len(t.Keys) >= 1 && len(t.Keys) <= maxExactKeys && t.AllExact()
@@ -297,11 +290,7 @@ func (tb *ctable) apply(m *machine) (bool, error) {
 	} else {
 		keys := m.keys[:0]
 		for _, k := range tb.keys {
-			v := m.frame[k.slot]
-			if k.bits >= 0 {
-				v.bits = int(k.bits)
-			}
-			keys = append(keys, v)
+			keys = append(keys, val{m.frame[k.slot].v, int(k.bits)})
 		}
 		m.keys = keys
 		if sn.dd != nil {

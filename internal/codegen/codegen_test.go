@@ -31,7 +31,7 @@ func gen(t *testing.T, src string, target p4.Target) *p4.Program {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := out.Validate(); err != nil {
+	if _, err := out.Validate(); err != nil {
 		t.Fatalf("invalid program: %v", err)
 	}
 	return out

@@ -50,7 +50,7 @@ func Generate(mod *ir.Module, opts Options) (*p4.Program, error) {
 	if err := g.err; err != nil {
 		return nil, err
 	}
-	if err := g.prog.Validate(); err != nil {
+	if _, err := g.prog.Validate(); err != nil {
 		return nil, err
 	}
 	return g.prog, nil

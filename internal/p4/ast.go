@@ -6,10 +6,7 @@
 // input), and the bmv2-style interpreter (execution).
 package p4
 
-import (
-	"fmt"
-	"strings"
-)
+import "strings"
 
 // Target identifies the P4 architecture flavor of a program.
 type Target string
@@ -476,38 +473,6 @@ func (p *Program) HeaderByName(name string) *HeaderDecl {
 	for _, h := range p.Headers {
 		if h.Name == name {
 			return h
-		}
-	}
-	return nil
-}
-
-// Validate performs basic structural checks useful to codegen tests.
-func (p *Program) Validate() error {
-	if p.Ingress == nil {
-		return fmt.Errorf("%s: missing ingress control", p.Name)
-	}
-	if p.Parser == nil {
-		return fmt.Errorf("%s: missing parser", p.Name)
-	}
-	if p.Parser.StateByName("start") == nil {
-		return fmt.Errorf("%s: parser has no start state", p.Name)
-	}
-	controls := []*Control{p.Ingress}
-	if p.Egress != nil {
-		controls = append(controls, p.Egress)
-	}
-	for _, c := range controls {
-		for _, t := range c.Tables {
-			for _, an := range t.Actions {
-				if an != "NoAction" && c.ActionByName(an) == nil {
-					return fmt.Errorf("%s: table %s references unknown action %s", p.Name, t.Name, an)
-				}
-			}
-		}
-		for _, ra := range c.RegActs {
-			if c.RegisterByName(ra.Register) == nil {
-				return fmt.Errorf("%s: register action %s references unknown register %s", p.Name, ra.Name, ra.Register)
-			}
 		}
 	}
 	return nil

@@ -4,16 +4,19 @@ import (
 	"testing"
 
 	"netcl/internal/apps"
+	"netcl/internal/bmv2"
 	"netcl/internal/p4"
 	"netcl/internal/p4c"
 	"netcl/internal/passes"
 )
 
 // FuzzP4Parse feeds arbitrary text to the P4 parser. Parse must never
-// panic, and a program it accepts must go through Print and p4c.Fit
-// without panicking. The seeds are the six handwritten baselines, the
+// panic, and a program it accepts must go through Validate, Print and
+// p4c.Fit without panicking. A program Validate accepts must print to
+// text that parses and checks again (ROADMAP 8(c)), and bmv2.New must
+// not panic on it. The seeds are the six handwritten baselines, the
 // twelve generated programs (every registry app and device, TNA and
-// v1model) and two small edge cases.
+// v1model) and three small edge cases.
 func FuzzP4Parse(f *testing.F) {
 	for _, file := range []string{"agg.p4", "cache.p4", "pacc.p4", "plrn.p4", "pldr.p4", "calc.p4"} {
 		src, err := (&apps.App{BaselineFile: file}).Baseline()
@@ -33,9 +36,9 @@ func FuzzP4Parse(f *testing.F) {
 			}
 		}
 	}
-	// A program with no parser or ingress, an accepted program whose
-	// printed text does not parse back (ROADMAP 8(c)), and a hash
-	// algorithm outside the closed set.
+	// A program with no parser or ingress, a parsed program Validate
+	// refuses (its call of an undeclared action prints as text that
+	// does not parse back), and a hash algorithm outside the closed set.
 	f.Add("")
 	f.Add("parser A(){}control A(){apply{if(A()){}}}")
 	f.Add("parser A(){}control A(){Hash<bit<16>>(HashAlgorithm_t.CRC8) h;apply{}}")
@@ -44,7 +47,19 @@ func FuzzP4Parse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		p4.Print(prog)
+		_, verr := prog.Validate()
+		text := p4.Print(prog)
 		p4c.Fit(prog, p4c.Tofino1())
+		if verr != nil {
+			return
+		}
+		re, err := p4.Parse("fuzz", text)
+		if err != nil {
+			t.Fatalf("a checked program prints text that does not parse: %v\n%s", err, text)
+		}
+		if _, err := re.Validate(); err != nil {
+			t.Fatalf("a checked program prints text that does not check: %v\n%s", err, text)
+		}
+		bmv2.New(prog)
 	})
 }

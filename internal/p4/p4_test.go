@@ -1,6 +1,7 @@
 package p4
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -70,13 +71,63 @@ func small(target Target) *Program {
 }
 
 func TestValidate(t *testing.T) {
-	if err := small(TargetTNA).Validate(); err != nil {
+	if _, err := small(TargetTNA).Validate(); err != nil {
 		t.Fatal(err)
 	}
 	bad := small(TargetTNA)
 	bad.Ingress.Tables[0].Actions = append(bad.Ingress.Tables[0].Actions, "missing")
-	if err := bad.Validate(); err == nil {
+	if _, err := bad.Validate(); err == nil {
 		t.Error("expected validation error for unknown action")
+	}
+}
+
+// TestValidateWidths: the widths Validate records for untyped literals
+// in each kind of context, and its typed refusals.
+func TestValidateWidths(t *testing.T) {
+	lit := func() *IntLit { return &IntLit{Val: 1} }
+	l := [...]*IntLit{lit(), lit(), lit(), lit(), lit(), lit(), lit(), lit()}
+	shl := &Bin{Op: "<<", X: FR("hdr", "demo", "v"), Y: l[2]}
+	prog := small(TargetTNA)
+	prog.Ingress.Locals = append(prog.Ingress.Locals, &Field{Name: "x8", Bits: 8}, &Field{Name: "x16", Bits: 16})
+	prog.Ingress.Apply = append(prog.Ingress.Apply,
+		&Assign{LHS: FR("x16"), RHS: &Bin{Op: "|+|", X: FR("x8"), Y: l[0]}},                            // the other operand's: 8
+		&Assign{LHS: FR("x16"), RHS: &Bin{Op: "+", X: l[1], Y: lit()}},                                 // the place's: 16
+		&Assign{LHS: FR("tmp"), RHS: shl},                                                              // a shift amount: 64
+		&Assign{LHS: FR("x8"), RHS: &Cast{Bits: 16, X: l[3]}},                                          // the cast's: 16
+		&CallStmt{Method: "set_v", Args: []Expr{l[4]}},                                                 // the parameter's: 32
+		&Assign{LHS: FR("tmp"), RHS: &CallExpr{Recv: "ra_inc", Method: "execute", Args: []Expr{l[5]}}}, // an index: 32
+		&Assign{LHS: FR("x16"), RHS: &CallExpr{Recv: "h0", Method: "get", Args: []Expr{l[6]}}},         // nothing: 64
+		&If{Cond: &Bin{Op: "==", X: FR("x16"), Y: l[7]}},                                               // the other operand's: 16
+	)
+	w, err := prog.Validate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []int{8, 16, 64, 16, 32, 32, 64, 16} {
+		if w.Of(l[i]) != want {
+			t.Errorf("literal %d: width %d, want %d", i, w.Of(l[i]), want)
+		}
+	}
+	if w.Of(shl) != 32 {
+		t.Errorf("shift: width %d, want the left operand's 32", w.Of(shl))
+	}
+	for _, tc := range []struct {
+		stmt      Stmt
+		construct string
+	}{
+		{&Assign{LHS: FR("nosuch"), RHS: lit()}, "name nosuch"},
+		{&Assign{LHS: FR("tmp"), RHS: &Bin{Op: "**", X: lit(), Y: lit()}}, "operator **"},
+		{&Assign{LHS: FR("tmp"), RHS: &Cast{Bits: 70, X: lit()}}, "cast"},
+		{&Assign{LHS: FR("tmp"), RHS: &CallExpr{Recv: "kv", Method: "frob"}}, "call kv.frob"},
+		{&ApplyTable{Table: "nosuch"}, "table nosuch"},
+		{&SetValid{Header: "nosuch", Valid: true}, "header nosuch"},
+	} {
+		bad := small(TargetTNA)
+		bad.Ingress.Apply = append(bad.Ingress.Apply, tc.stmt)
+		var ce *CheckError
+		if _, err := bad.Validate(); !errors.As(err, &ce) || ce.Construct != tc.construct {
+			t.Errorf("Validate = %v, want a refusal of %q", err, tc.construct)
+		}
 	}
 }
 
@@ -121,7 +172,7 @@ func roundTrip(t *testing.T, prog *Program) {
 	if err != nil {
 		t.Fatalf("parse printed program: %v\n%s", err, text1)
 	}
-	if err := re.Validate(); err != nil {
+	if _, err := re.Validate(); err != nil {
 		t.Fatalf("reparsed program invalid: %v", err)
 	}
 	text2 := Print(re)

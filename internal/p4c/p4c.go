@@ -13,7 +13,6 @@ package p4c
 
 import (
 	"fmt"
-	"strings"
 
 	"netcl/internal/p4"
 )
@@ -94,10 +93,15 @@ type Report struct {
 	LatencyNs     float64
 }
 
-// Fit places the program onto the pipeline.
+// Fit places the program onto the pipeline. A program p4.Validate
+// refuses does not fit, for that reason.
 func Fit(prog *p4.Program, opts Options) *Report {
 	if opts.Stages == 0 {
 		opts = Tofino1()
+	}
+	widths, err := prog.Validate()
+	if err != nil {
+		return &Report{Reason: err.Error()}
 	}
 	// Registers and tables are pinned to single stages, but accesses on
 	// different control paths may demand different floors; iterate the
@@ -108,7 +112,7 @@ func Fit(prog *p4.Program, opts Options) *Report {
 	var f *fitter
 	for pass := 0; ; pass++ {
 		f = &fitter{
-			prog: prog, opts: opts,
+			prog: prog, widths: widths, opts: opts,
 			lastWrite: map[string]int{}, regStage: map[string]int{},
 			tblStage: map[string]int{}, regFloor: regFloor, tblFloor: tblFloor,
 			finalPass: pass >= 6,
@@ -212,9 +216,10 @@ func maxF(a, b float64) float64 {
 
 // fitter walks the apply body allocating operations to stages.
 type fitter struct {
-	prog *p4.Program
-	opts Options
-	rep  *Report
+	prog   *p4.Program
+	widths p4.Widths // from p4.Validate
+	opts   Options
+	rep    *Report
 
 	// lastWrite maps field path -> stage of last writer. Every change
 	// goes through write, which logs the old value in undo so that a
@@ -541,7 +546,7 @@ func (f *fitter) placeTable(c *p4.Control, name string, want int) int {
 	keyBits := 0
 	ternary := false
 	for _, k := range t.Keys {
-		keyBits += keyWidth(f.prog, c, k.Expr)
+		keyBits += f.widths.Of(k.Expr)
 		if k.Match == p4.MatchTernary || k.Match == p4.MatchRange || k.Match == p4.MatchLPM {
 			ternary = true
 		}
@@ -671,36 +676,6 @@ func (f *fitter) callStmt(c *p4.Control, x *p4.CallStmt, floor int) int {
 		return f.stmts(c, a.Body, floor)
 	}
 	return floor - 1
-}
-
-// keyWidth estimates the bit width of a key expression.
-func keyWidth(prog *p4.Program, c *p4.Control, e p4.Expr) int {
-	if fr, ok := e.(*p4.FieldRef); ok {
-		name := fr.String()
-		if strings.HasPrefix(name, "hdr.") {
-			rest := strings.TrimPrefix(name, "hdr.")
-			if i := strings.IndexByte(rest, '.'); i > 0 {
-				if h := prog.HeaderByName(rest[:i]); h != nil {
-					if fd := h.FieldByName(rest[i+1:]); fd != nil {
-						return fd.Bits
-					}
-				}
-			}
-		}
-		if strings.HasPrefix(name, "meta.") {
-			for _, m := range prog.Metadata {
-				if "meta."+m.Name == name {
-					return m.Bits
-				}
-			}
-		}
-		for _, l := range c.Locals {
-			if l.Name == name {
-				return l.Bits
-			}
-		}
-	}
-	return 32
 }
 
 // sramBlocks sizes a memory in 128b x 1024 SRAM blocks. Narrow entries
