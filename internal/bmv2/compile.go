@@ -2,7 +2,7 @@ package bmv2
 
 // compile.go implements the prepare half of the interpreter's
 // prepare/execute split. A one-time compile step resolves every
-// p4.FieldRef path to an integer slot in a flat []val frame, every
+// p4.FieldRef path to an integer slot in a flat frame of words, every
 // action/table/register name to a direct pointer, and every statement
 // to a few flat instructions (instr.go) whose operands are slots and
 // whose result widths are constants — the widths p4.Validate decided
@@ -11,10 +11,9 @@ package bmv2
 // lineage: stop re-interpreting the program per packet and run a
 // pre-compiled form instead.
 //
-// Compilation is conservative: any construct whose compiled semantics
-// could diverge from the reference tree-walker (reference.go) aborts
-// with an error, which the Switch then returns from every Process
-// call — a refused program does not run.
+// p4.Validate decides what is legal (names, widths, scope, recursion,
+// parser targets); compilation refuses only an AST node type it has no
+// case for. The Switch returns a refusal from every Process call.
 
 import (
 	"fmt"
@@ -126,7 +125,7 @@ func (a *caction) invoke(m *machine, args []uint64) error {
 		if i < len(args) {
 			v = args[i] & maskOf(a.bits[i])
 		}
-		m.frame[slot] = val{v, a.bits[i]}
+		m.frame[slot] = v
 	}
 	return m.exec(a.body.start, a.body.end)
 }
@@ -137,18 +136,12 @@ type cctl struct {
 	actions map[string]*caction // apply-level instances (table entries resolve here)
 	tables  map[string]*ctable
 	body    span
-	// refNames holds every field path referenced anywhere in the
-	// control's action bodies, register-action bodies, or table keys.
-	// Applying a table under a scope that binds one of these names
-	// would need dynamic scoping, which slot indexing cannot
-	// reproduce, so such programs are rejected (see applyGuard).
-	refNames map[string]bool
 }
 
 // cprog is the compiled program.
 type cprog struct {
 	sw        *Switch
-	initFrame []val
+	initFrame []uint64
 	// nGlobal bounds the slots a packet may read before writing them
 	// (header fields, metadata, locals, intrinsics): reset copies
 	// only those. Constants, parameters and temporaries follow.
@@ -176,8 +169,8 @@ type cprog struct {
 	portSlot   int
 	mcastSlot  int
 	dropSlot   int
-	inPortSlot int // meta.ingress_port, written per packet before parse
-	inPortBits int
+	inPortSlot int    // meta.ingress_port, written per packet before parse
+	inPortMask uint64 // the mask of its declared width
 	pool       sync.Pool
 }
 
@@ -188,8 +181,7 @@ type compiler struct {
 	w      p4.Widths      // every expression's width, from p4.Validate
 	slotOf map[string]int // global name -> frame slot
 	hdrIdx map[string]int // header name -> index in cprog.headers
-	depth  int            // action-nesting guard (P4 forbids recursion)
-	consts map[val]int32
+	consts map[uint64]int32
 	refs   map[*p4.FieldRef]string // each field reference's dotted path, joined once
 	// hasExit: the program contains an exit statement, so every
 	// statement is preceded by the reference loop's exited test.
@@ -207,58 +199,27 @@ type cvar struct {
 	bits int
 }
 
-// cscope is a compile-time frame: action params or register-action
-// m/o, chained like the reference interpreter's frame stack. A frame
-// binds a handful of names, in declaration order; a repeated name
-// resolves to its last binding, like the reference's map.
+// cscope is the compile-time frame of an action or register-action
+// body: its params, or m and o. Scope is lexical, as p4.Validate typed
+// it: a body sees its own frame and the globals, never its caller's. A
+// frame binds a handful of names, in declaration order; a repeated
+// name resolves to its last binding, like the reference's map.
 type cscope struct {
-	parent *cscope
-	names  []string
-	vars   []cvar
+	names []string
+	vars  []cvar
 }
 
-func (sc *cscope) lookup(name string) (cvar, bool) {
-	for s := sc; s != nil; s = s.parent {
-		if v, ok := s.lookupInner(name); ok {
-			return v, true
-		}
-	}
-	return cvar{}, false
-}
-
-// resolve finds a field reference as p4.Validate typed it: the
-// innermost frame, then the global env. The reference eval searches
-// every frame outwards, so a global read under an outer frame binding
-// its name (dynamic scoping) is refused.
-func (cc *compiler) resolve(sc *cscope, fr *p4.FieldRef) (cvar, error) {
-	name := cc.ref(fr)
-	if v, ok := sc.lookupInner(name); ok {
-		return v, nil
-	}
-	if _, ok := sc.lookup(name); ok {
-		return cvar{}, fmt.Errorf("compile: %q read under an outer scope binding it (dynamic scoping)", name)
-	}
-	return cc.global(name), nil
-}
-
-// place is the destination of a store to name: the innermost frame's
-// binding, else the global (the reference assign).
+// place is where a name lives: the body's frame binding, else the
+// global.
 func (cc *compiler) place(sc *cscope, name string) cvar {
-	if v, ok := sc.lookupInner(name); ok {
-		return v
-	}
-	return cc.global(name)
-}
-
-func (sc *cscope) lookupInner(name string) (cvar, bool) {
 	if sc != nil {
 		for i := len(sc.names) - 1; i >= 0; i-- {
 			if sc.names[i] == name {
-				return sc.vars[i], true
+				return sc.vars[i]
 			}
 		}
 	}
-	return cvar{}, false
+	return cc.global(name)
 }
 
 // operand locates the value of a compiled expression: the slot that
@@ -273,21 +234,13 @@ type operand struct {
 }
 
 // compileProgram builds the slot-indexed form of s.Prog, which
-// p4.Validate has checked. A nil error guarantees the compiled engine
-// reproduces the reference interpreter exactly; any doubt returns an
-// error and the Switch runs nothing.
+// p4.Validate has checked. The compiled engine reproduces the
+// reference interpreter exactly.
 func compileProgram(s *Switch) (*cprog, error) {
 	prog := s.Prog
-	for _, c := range prog.Controls() {
-		for _, h := range c.Hashes {
-			if h.Algo != "random" && hashFn(h.Algo) == nil {
-				return nil, fmt.Errorf("compile: hash %q uses unknown algorithm %q", h.Name, h.Algo)
-			}
-		}
-	}
 	p := &cprog{
 		sw:           s,
-		initFrame:    make([]val, 0, 3*len(s.fields)+16),
+		initFrame:    make([]uint64, 0, 3*len(s.fields)+16),
 		code:         make([]instr, 0, 6*len(s.fields)+16),
 		tablesByName: map[string][]*ctable{},
 	}
@@ -295,7 +248,7 @@ func compileProgram(s *Switch) (*cprog, error) {
 		p: p, s: s, w: s.widths,
 		slotOf: make(map[string]int, len(s.fields)+8),
 		hdrIdx: map[string]int{},
-		consts: map[val]int32{},
+		consts: map[uint64]int32{},
 		refs:   make(map[*p4.FieldRef]string, 2*len(s.fields)),
 	}
 
@@ -309,9 +262,6 @@ func compileProgram(s *Switch) (*cprog, error) {
 		}
 	}
 	for hi, h := range prog.Headers {
-		if _, dup := cc.hdrIdx[h.Name]; dup {
-			return nil, fmt.Errorf("compile: duplicate header %q", h.Name)
-		}
 		cc.hdrIdx[h.Name] = hi
 		ch := chdr{name: h.Name, nbytes: h.Bits() / 8, allAligned: true, patchable: true}
 		bitOff := 0
@@ -356,14 +306,13 @@ func compileProgram(s *Switch) (*cprog, error) {
 	p.mcastSlot = int(cc.global("meta.mcast_grp").slot)
 	p.dropSlot = int(cc.global("meta.drop_flag").slot)
 	inPort := cc.global("meta.ingress_port")
-	p.inPortSlot, p.inPortBits = int(inPort.slot), inPort.bits
+	p.inPortSlot, p.inPortMask = int(inPort.slot), maskOf(inPort.bits)
 
 	// Every global slot is allocated: the globals are one prefix of the
-	// frame. Controls: name scan first (every exit seen before the
+	// frame. Controls: exit scan first (every exit seen before the
 	// first instruction is emitted), then tables (they exist before
-	// bodies reference them, refNames fully populated before any guard
-	// runs), then apply-level action instances (table entries resolve
-	// into these), then bodies.
+	// bodies reference them), then apply-level action instances (table
+	// entries resolve into these), then bodies.
 	p.ingress = cc.scanControl(prog.Ingress)
 	if prog.Egress != nil {
 		p.egress = cc.scanControl(prog.Egress)
@@ -413,7 +362,7 @@ func compileProgram(s *Switch) (*cprog, error) {
 		return &machine{
 			sw:      s,
 			prog:    p,
-			frame:   append([]val(nil), p.initFrame...),
+			frame:   append([]uint64(nil), p.initFrame...),
 			valid:   make([]bool, len(p.headers)),
 			emitted: make([]bool, len(p.headers)),
 			cells:   make([]*uint64, p.maxLanes),
@@ -442,8 +391,8 @@ func (p *cprog) planFields() {
 		mark(wrote, w)
 	}
 	for _, tb := range p.tabs {
-		for _, k := range tb.keys {
-			mark(read, k.slot)
+		for _, slot := range tb.keys {
+			mark(read, slot)
 		}
 	}
 	for _, hs := range p.hashSites {
@@ -500,7 +449,7 @@ func (cc *compiler) global(name string) cvar {
 	if !ok {
 		i = len(cc.p.initFrame)
 		cc.slotOf[name] = i
-		cc.p.initFrame = append(cc.p.initFrame, val{0, db})
+		cc.p.initFrame = append(cc.p.initFrame, 0)
 		cc.p.nGlobal = i + 1
 	}
 	return cvar{slot: int32(i), bits: db}
@@ -509,20 +458,20 @@ func (cc *compiler) global(name string) cvar {
 // newSlot allocates an anonymous frame slot (action params, m/o,
 // temporaries): always written before it is read.
 func (cc *compiler) newSlot() int32 {
-	cc.p.initFrame = append(cc.p.initFrame, val{})
+	cc.p.initFrame = append(cc.p.initFrame, 0)
 	return int32(len(cc.p.initFrame) - 1)
 }
 
-// konst returns the read-only slot holding a constant.
-func (cc *compiler) konst(v val) operand {
-	v.v &= v.mask()
+// konst returns the read-only slot holding the constant v of a width.
+func (cc *compiler) konst(v uint64, bits int) operand {
+	v &= maskOf(bits)
 	slot, ok := cc.consts[v]
 	if !ok {
 		slot = cc.newSlot()
 		cc.p.initFrame[slot] = v
 		cc.consts[v] = slot
 	}
-	return operand{slot: slot, bits: v.bits, owned: true}
+	return operand{slot: slot, bits: bits, owned: true}
 }
 
 // Emission -------------------------------------------------------------
@@ -550,7 +499,7 @@ func (cc *compiler) dest(hint int32) (slot int32, owned bool) {
 	return cc.newSlot(), true
 }
 
-// storeAs emits dst = val{operand & mask(bits), bits}: the reference
+// storeAs emits dst = operand & mask(bits): the reference
 // store into a name, and the unsigned cast. An operand already in dst
 // fits when it is no wider.
 func (cc *compiler) storeAs(dst int32, bits int, o operand) {
@@ -574,52 +523,30 @@ func (cc *compiler) stable(o operand) operand {
 
 // Controls, actions, register actions -----------------------------------
 
-// scanControl creates the cctl and walks every body of the control
-// once. It collects the referenced-name set of the action bodies,
-// register-action bodies and table keys, and notes whether any
-// statement is an exit.
+// scanControl creates the cctl and notes whether any statement of
+// the control is an exit.
 func (cc *compiler) scanControl(c *p4.Control) *cctl {
-	ctl := &cctl{c: c, actions: map[string]*caction{}, tables: map[string]*ctable{}, refNames: map[string]bool{}}
-	scan := func(body []p4.Stmt, refs bool) {
-		if refs {
-			p4.WalkExprs(body, func(e p4.Expr) {
-				if fr, ok := e.(*p4.FieldRef); ok {
-					ctl.refNames[cc.ref(fr)] = true
-				}
-			})
-		}
+	scan := func(body []p4.Stmt) {
 		p4.Walk(body, func(st p4.Stmt) {
-			switch x := st.(type) {
-			case *p4.ApplyTable:
-				if refs && x.HitVar != "" {
-					ctl.refNames[x.HitVar] = true
-				}
-			case *p4.Exit:
+			if _, ok := st.(*p4.Exit); ok {
 				cc.hasExit = true
 			}
 		})
 	}
 	for _, a := range c.Actions {
-		scan(a.Body, true)
+		scan(a.Body)
 	}
 	for _, ra := range c.RegActs {
-		scan(ra.Body, true)
+		scan(ra.Body)
 	}
-	for _, t := range c.Tables {
-		for _, k := range t.Keys {
-			p4.ExprRefs(k.Expr, func(fr *p4.FieldRef) {
-				ctl.refNames[cc.ref(fr)] = true
-			})
-		}
-	}
-	scan(c.Apply, false)
-	return ctl
+	scan(c.Apply)
+	return &cctl{c: c, actions: map[string]*caction{}, tables: map[string]*ctable{}}
 }
 
 // bindScope opens the frame of an action or register action over the
 // given names and declared widths.
-func (cc *compiler) bindScope(sc *cscope, names []string, bits []int) *cscope {
-	child := &cscope{parent: sc, names: names, vars: make([]cvar, len(names))}
+func (cc *compiler) bindScope(names []string, bits []int) *cscope {
+	child := &cscope{names: names, vars: make([]cvar, len(names))}
 	for i := range names {
 		child.vars[i] = cvar{slot: cc.newSlot(), bits: bits[i]}
 	}
@@ -629,37 +556,32 @@ func (cc *compiler) bindScope(sc *cscope, names []string, bits []int) *cscope {
 // action compiles one apply-level action instance into its own block.
 func (cc *compiler) action(c *p4.Control, a *p4.ActionDecl) (*caction, error) {
 	inst := &caction{name: a.Name}
-	child := cc.paramScope(nil, a)
+	child := cc.paramScope(a)
 	for i, prm := range a.Params {
 		inst.params = append(inst.params, child.vars[i].slot)
 		inst.bits = append(inst.bits, prm.Bits)
 	}
 	inst.body.start = cc.here()
-	cc.depth++
 	err := cc.block(c, child, a.Body)
-	cc.depth--
 	inst.body.end = cc.here()
 	return inst, err
 }
 
-func (cc *compiler) paramScope(sc *cscope, a *p4.ActionDecl) *cscope {
+func (cc *compiler) paramScope(a *p4.ActionDecl) *cscope {
 	names := make([]string, len(a.Params))
 	bits := make([]int, len(a.Params))
 	for i, prm := range a.Params {
 		names[i], bits[i] = prm.Name, prm.Bits
 	}
-	return cc.bindScope(sc, names, bits)
+	return cc.bindScope(names, bits)
 }
 
 // inlineAction compiles a direct action call in place: each argument
 // is evaluated straight into its parameter slot (no other argument can
 // see that slot, so the reference order of effects is kept), then the
-// body follows in the caller's instruction stream.
+// body follows in the caller's instruction stream, over its own frame.
 func (cc *compiler) inlineAction(c *p4.Control, sc *cscope, a *p4.ActionDecl, args []p4.Expr) error {
-	if cc.depth > 32 {
-		return fmt.Errorf("compile: action nesting too deep at %q", a.Name)
-	}
-	child := cc.paramScope(sc, a)
+	child := cc.paramScope(a)
 	// Parameters beyond the arguments given read zero; arguments
 	// beyond the parameters are still evaluated for their effects.
 	for i, arg := range args {
@@ -672,12 +594,9 @@ func (cc *compiler) inlineAction(c *p4.Control, sc *cscope, a *p4.ActionDecl, ar
 		}
 	}
 	for i := len(args); i < len(a.Params); i++ {
-		cc.storeAs(child.vars[i].slot, a.Params[i].Bits, cc.konst(val{0, 64}))
+		cc.storeAs(child.vars[i].slot, a.Params[i].Bits, cc.konst(0, 64))
 	}
-	cc.depth++
-	err := cc.block(c, child, a.Body)
-	cc.depth--
-	return err
+	return cc.block(c, child, a.Body)
 }
 
 // regactNames are the names a register-action body binds: the memory
@@ -686,17 +605,13 @@ var regactNames = []string{"m", "o"}
 
 // regact inlines a register-action invocation at one call site: index
 // -> bounds check -> cell into m -> body over the m/o slots -> m back
-// to the cell, all in the caller's instruction stream. The body is
-// compiled against the caller's scope chain so free names resolve
-// like the reference interpreter's frames. It returns the operand
+// to the cell, all in the caller's instruction stream. The body sees
+// m, o and the globals; the index is the caller's. It returns the operand
 // holding o; inExpr selects the reference's expression position, where
 // an error inside the body (a table's) is folded to zero and the
 // write-back skipped.
 func (cc *compiler) regact(c *p4.Control, sc *cscope, ra *p4.RegisterAction, idxArgs []p4.Expr, inExpr bool) (operand, error) {
 	rf, reg := cc.s.regs[ra.Register], c.RegisterByName(ra.Register)
-	if cc.depth > 32 {
-		return operand{}, fmt.Errorf("compile: register action nesting too deep at %q", ra.Name)
-	}
 	idx := int32(-1)
 	if len(idxArgs) > 0 {
 		o, err := cc.expr(c, sc, idxArgs[0], -1)
@@ -705,11 +620,11 @@ func (cc *compiler) regact(c *p4.Control, sc *cscope, ra *p4.RegisterAction, idx
 		}
 		idx = o.slot
 	}
-	child := cc.bindScope(sc, regactNames, []int{reg.Bits, reg.Bits})
+	child := cc.bindScope(regactNames, []int{reg.Bits, reg.Bits})
 	mSlot, oSlot := child.vars[0].slot, child.vars[1].slot
 	site := uint64(len(cc.p.regSites))
 	cc.p.regSites = append(cc.p.regSites, regSite{
-		rf: rf, bits: reg.Bits, mask: maskOf(reg.Bits), m: mSlot, o: oSlot, idxSlot: cc.newSlot(),
+		rf: rf, mask: maskOf(reg.Bits), m: mSlot, o: oSlot, idxSlot: cc.newSlot(),
 	})
 	cc.emit(instr{op: opRegLoad, a: idx, imm: site})
 
@@ -718,9 +633,7 @@ func (cc *compiler) regact(c *p4.Control, sc *cscope, ra *p4.RegisterAction, idx
 	if inExpr {
 		cc.catch = &caught
 	}
-	cc.depth++
 	err := cc.block(c, child, ra.Body)
-	cc.depth--
 	cc.catch = outer
 	if err != nil {
 		return operand{}, err
@@ -734,75 +647,45 @@ func (cc *compiler) regact(c *p4.Control, sc *cscope, ra *p4.RegisterAction, idx
 		cc.emit(instr{op: opMov, dst: res.slot, a: oSlot})
 		done := cc.emit(instr{op: opJmp})
 		cc.land(caught...)
-		cc.emit(instr{op: opMov, dst: res.slot, a: cc.konst(val{0, reg.Bits}).slot})
+		cc.emit(instr{op: opMov, dst: res.slot, a: cc.konst(0, reg.Bits).slot})
 		cc.land(done)
 	}
 	return res, nil
 }
 
-// apply emits a table application; hit (when >= 0) receives
-// val{hit, bits}. Its error goes to the enclosing handler, if any.
-func (cc *compiler) apply(tb *ctable, hit int32, bits int) int {
-	pc := cc.emit(instr{op: opApply, imm: uint64(tb.gslot), c: hit, bits: int32(bits), dst: -1})
+// apply emits a table application; hit (when >= 0) receives the hit
+// bit. Its error goes to the enclosing handler, if any.
+func (cc *compiler) apply(tb *ctable, hit int32) int {
+	pc := cc.emit(instr{op: opApply, imm: uint64(tb.gslot), c: hit, dst: -1})
 	if cc.catch != nil {
 		*cc.catch = append(*cc.catch, pc)
 	}
 	return pc
 }
 
-// parser compiles the parse graph to indexed states.
+// parser compiles the parse graph to indexed states. p4.Validate
+// refused a target that names no state; an empty one is an
+// unconditional accept.
 func (cc *compiler) parser(ps *p4.Parser) error {
-	idxOf := map[string]int{}
+	idxOf := map[string]int{"": stateAccept, "accept": stateAccept, "reject": stateReject}
 	for i, st := range ps.States {
 		idxOf[st.Name] = i
 	}
-	// resolve maps a transition target; the empty string is legal only
-	// for an unconditional Next (the reference treats that as accept —
-	// an empty select default, by contrast, is a runtime error there,
-	// so compilation is refused in that position).
-	resolve := func(name string, emptyIsAccept bool) (int, error) {
-		switch name {
-		case "":
-			if emptyIsAccept {
-				return stateAccept, nil
-			}
-			return 0, fmt.Errorf("compile: empty select transition")
-		case "accept":
-			return stateAccept, nil
-		case "reject":
-			return stateReject, nil
-		}
-		i, ok := idxOf[name]
-		if !ok {
-			return 0, fmt.Errorf("compile: parser transition to unknown state %q", name)
-		}
-		return i, nil
-	}
 	for _, st := range ps.States {
-		var cs cstate
+		cs := cstate{next: idxOf[st.Next]}
 		for _, hn := range st.Extracts {
 			cs.hdrs = append(cs.hdrs, int32(cc.hdrIdx[hn]))
 		}
-		var err error
 		if st.Select != nil {
 			cs.key.start = cc.here()
 			key, err := cc.expr(cc.s.Prog.Ingress, nil, st.Select.Key, -1)
 			if err != nil {
 				return err
 			}
-			cs.key.end, cs.keySlot = cc.here(), key.slot
-			if cs.next, err = resolve(st.Select.Default, false); err != nil {
-				return err
-			}
+			cs.key.end, cs.keySlot, cs.next = cc.here(), key.slot, idxOf[st.Select.Default]
 			for _, c := range st.Select.Cases {
-				next, err := resolve(c.State, false)
-				if err != nil {
-					return err
-				}
-				cs.cases = append(cs.cases, ccase{value: c.Value, mask: c.Mask, next: next})
+				cs.cases = append(cs.cases, ccase{value: c.Value, mask: c.Mask, next: idxOf[c.State]})
 			}
-		} else if cs.next, err = resolve(st.Next, true); err != nil {
-			return err
 		}
 		cc.p.states = append(cc.p.states, cs)
 	}
@@ -864,17 +747,11 @@ func (cc *compiler) stmt(c *p4.Control, sc *cscope, st p4.Stmt) error {
 		cc.land(done)
 		return err
 	case *p4.ApplyTable:
-		tb, err := cc.applyGuard(c, sc, x.Table)
-		if err != nil {
-			return err
+		hit := int32(-1)
+		if x.HitVar != "" {
+			hit = cc.place(sc, x.HitVar).slot
 		}
-		if x.HitVar == "" {
-			cc.apply(tb, -1, 0)
-			return nil
-		}
-		// The hit flag is val{hit,1} stored by the reference assign.
-		v := cc.place(sc, x.HitVar)
-		cc.apply(tb, v.slot, v.bits)
+		cc.apply(cc.ctlOf(c).tables[x.Table], hit)
 		return nil
 	case *p4.CallStmt:
 		return cc.callStmt(c, sc, x)
@@ -890,25 +767,6 @@ func (cc *compiler) stmt(c *p4.Control, sc *cscope, st p4.Stmt) error {
 		return nil
 	}
 	return fmt.Errorf("compile: unsupported statement %T", st)
-}
-
-// applyGuard resolves a table application site. When the site sits
-// inside an action/register-action scope, nothing referenced by the
-// control's actions, register actions, or table keys may be bound in
-// the enclosing scope chain: the reference interpreter would resolve
-// such names through its dynamic frame stack, which apply-level slot
-// resolution cannot reproduce, so we refuse to compile the program.
-func (cc *compiler) applyGuard(c *p4.Control, sc *cscope, name string) (*ctable, error) {
-	ctl := cc.ctlOf(c)
-	tb := ctl.tables[name]
-	if sc != nil {
-		for ref := range ctl.refNames {
-			if _, bound := sc.lookup(ref); bound {
-				return nil, fmt.Errorf("compile: table %q applied under a scope binding %q (dynamic scoping)", name, ref)
-			}
-		}
-	}
-	return tb, nil
 }
 
 func (cc *compiler) ctlOf(c *p4.Control) *cctl {
@@ -933,7 +791,7 @@ func (cc *compiler) callStmt(c *p4.Control, sc *cscope, x *p4.CallStmt) error {
 			}
 			// The cell is read and assigned to dst: one masked store.
 			d := cc.place(sc, cc.ref(x.Args[0].(*p4.FieldRef)))
-			cc.p.regSites = append(cc.p.regSites, regSite{rf: rf, bits: d.bits, mask: maskOf(d.bits)})
+			cc.p.regSites = append(cc.p.regSites, regSite{rf: rf, mask: maskOf(d.bits)})
 			cc.emit(instr{op: opRegRead, dst: d.slot, a: idx.slot, imm: uint64(len(cc.p.regSites) - 1)})
 			return nil
 		case "write":
@@ -957,7 +815,7 @@ func (cc *compiler) callStmt(c *p4.Control, sc *cscope, x *p4.CallStmt) error {
 
 // jumpIf emits code that jumps when the truth of e equals want and
 // falls through otherwise; it returns the jumps for the caller to
-// land. Conditions never materialize a val: comparisons become one
+// land. Conditions never materialize a value: comparisons become one
 // compare-and-branch, && and || over a pure right operand become
 // branch chains (the reference evaluates both sides, which only an
 // impure operand can tell apart).
@@ -1075,10 +933,10 @@ func (cc *compiler) expr(c *p4.Control, sc *cscope, e p4.Expr, hint int32) (oper
 	bits := cc.w.Of(e)
 	switch x := e.(type) {
 	case *p4.IntLit:
-		return cc.konst(val{x.Val, bits}), nil
+		return cc.konst(x.Val, bits), nil
 	case *p4.FieldRef:
-		v, err := cc.resolve(sc, x)
-		return operand{slot: v.slot, bits: v.bits}, err
+		v := cc.place(sc, cc.ref(x))
+		return operand{slot: v.slot, bits: v.bits}, nil
 	case *p4.Bin:
 		a, b, err := cc.pair(c, sc, x.X, x.Y)
 		if err != nil {
@@ -1163,7 +1021,7 @@ func (cc *compiler) callExpr(c *p4.Control, sc *cscope, x *p4.CallExpr, bits int
 		return cc.regact(ing, sc, ra, x.Args, true)
 	}
 	if x.Method == "apply_hit" && ing.TableByName(x.Recv) != nil {
-		return cc.applyHit(ing, sc, x.Recv)
+		return cc.applyHit(cc.p.ingress.tables[x.Recv])
 	}
 	dst, owned := cc.dest(hint)
 	res := operand{slot: dst, bits: bits, owned: owned}
@@ -1195,19 +1053,15 @@ func (cc *compiler) callExpr(c *p4.Control, sc *cscope, x *p4.CallExpr, bits int
 
 // applyHit applies a table in expression position: the hit bit, or
 // zero when the application fails.
-func (cc *compiler) applyHit(c *p4.Control, sc *cscope, name string) (operand, error) {
-	tb, err := cc.applyGuard(c, sc, name)
-	if err != nil {
-		return operand{}, err
-	}
+func (cc *compiler) applyHit(tb *ctable) (operand, error) {
 	res := operand{slot: cc.newSlot(), bits: 1, owned: true}
 	outer := cc.catch
 	cc.catch = nil
-	pc := cc.apply(tb, res.slot, 1)
+	pc := cc.apply(tb, res.slot)
 	cc.catch = outer
 	done := cc.emit(instr{op: opJmp})
 	cc.land(pc)
-	cc.emit(instr{op: opMov, dst: res.slot, a: cc.konst(val{0, 1}).slot})
+	cc.emit(instr{op: opMov, dst: res.slot, a: cc.konst(0, 1).slot})
 	cc.land(done)
 	return res, nil
 }

@@ -336,12 +336,12 @@ func TestMatcherDifferentialFuzz(t *testing.T) {
 	}
 }
 
-// TestDynamicScopingRefused: a table applied inside an action whose
-// parameter name is read by the table's own actions needs dynamic
-// scoping; the compiler must refuse, and a refused switch must answer
-// every packet entry point and NewSharded with that error — it runs
-// nothing, so it counts nothing.
-func TestDynamicScopingRefused(t *testing.T) {
+// TestUndeclaredNameRefused: a table applied inside an action whose
+// parameter p the table's own action reads. Scope is lexical, so that
+// p is undeclared where it is read: p4.Validate refuses the program,
+// and a refused switch must answer every packet entry point and
+// NewSharded with that error — it runs nothing, so it counts nothing.
+func TestUndeclaredNameRefused(t *testing.T) {
 	pp := &p4.Program{Name: "dyn", Target: p4.TargetTNA}
 	pp.Headers = []*p4.HeaderDecl{{Name: "h", Fields: []*p4.Field{{Name: "x", Bits: 8}}}}
 	pp.Metadata = []*p4.Field{{Name: "egress_port", Bits: 16}, {Name: "mcast_grp", Bits: 16}, {Name: "drop_flag", Bits: 1}}
@@ -349,8 +349,6 @@ func TestDynamicScopingRefused(t *testing.T) {
 	ctl := &p4.Control{Name: "In"}
 	ctl.Actions = []*p4.ActionDecl{
 		{Name: "leaf", Body: []p4.Stmt{
-			// Reads "p": the reference interpreter resolves this to the
-			// calling action's parameter through the frame stack.
 			&p4.Assign{LHS: p4.FR("hdr", "h", "x"), RHS: p4.FR("p")},
 		}},
 		{Name: "outer", Params: []*p4.Field{{Name: "p", Bits: 8}}, Body: []p4.Stmt{
@@ -370,8 +368,9 @@ func TestDynamicScopingRefused(t *testing.T) {
 	pp.Ingress = ctl
 	sw := New(pp)
 	cerr := sw.CompileErr()
-	if cerr == nil {
-		t.Fatal("dynamic-scoping program must not compile")
+	var ce *p4.CheckError
+	if !errors.As(cerr, &ce) || ce.Construct != "name p" {
+		t.Fatalf("CompileErr = %v, want Validate's refusal of name p", cerr)
 	}
 	pkt := []byte{0x00}
 	if _, err := sw.Process(pkt, 0); !errors.Is(err, cerr) {
@@ -393,36 +392,56 @@ func TestDynamicScopingRefused(t *testing.T) {
 	if sw.PacketsIn != 0 || sw.PacketsOut != 0 || sw.PacketsDropped != 0 {
 		t.Errorf("refused packets were counted: in/out/drop %d/%d/%d", sw.PacketsIn, sw.PacketsOut, sw.PacketsDropped)
 	}
-	// What the program means is still defined: the oracle, asked
-	// explicitly, resolves "p" through its frame stack.
-	ref, err := NewReference(sw).Process(pkt, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ref.Data) != 1 || ref.Data[0] != 7 {
-		t.Fatalf("reference interpreter produced %v", ref.Data)
-	}
 }
 
-// TestShadowedGlobalRefused: a program Validate accepts, in which an
-// action reads the control local l while its caller's parameter of the
-// same name is bound. Validate types the read as the local (static
-// scoping); the reference interpreter would find the parameter in its
-// frame stack, so the compiler refuses the program rather than differ.
-func TestShadowedGlobalRefused(t *testing.T) {
-	pp := matcherProg(nil)
-	ctl := pp.Ingress
-	ctl.Locals = append(ctl.Locals, &p4.Field{Name: "l", Bits: 32})
-	ctl.Actions = append(ctl.Actions,
-		&p4.ActionDecl{Name: "leaf", Body: []p4.Stmt{&p4.Assign{LHS: p4.FR("hdr", "h", "out"), RHS: p4.FR("l")}}},
-		&p4.ActionDecl{Name: "outer", Params: []*p4.Field{{Name: "l", Bits: 32}}, Body: []p4.Stmt{&p4.CallStmt{Method: "leaf"}}})
-	ctl.Apply = append(ctl.Apply, &p4.CallStmt{Method: "outer", Args: []p4.Expr{&p4.IntLit{Val: 7}}})
-	if _, err := pp.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
+// TestLexicalScope: scope is lexical on both engines. outer(l = 7)
+// calls leaf, which reads the control local l (5), not its caller's
+// parameter, then applies table t, whose key l and action tact see
+// the local too, and reads its own l. The bytes are written out by
+// hand.
+func TestLexicalScope(t *testing.T) {
+	pp := &p4.Program{Name: "lex", Target: p4.TargetTNA}
+	pp.Headers = []*p4.HeaderDecl{{Name: "h", Fields: []*p4.Field{{Name: "x", Bits: 8}, {Name: "y", Bits: 8}, {Name: "z", Bits: 8}}}}
+	pp.Metadata = []*p4.Field{{Name: "egress_port", Bits: 16}, {Name: "mcast_grp", Bits: 16}, {Name: "drop_flag", Bits: 1}}
+	pp.Parser = &p4.Parser{Name: "P", States: []*p4.ParserState{{Name: "start", Extracts: []string{"h"}, Next: "accept"}}}
+	ctl := &p4.Control{Name: "In"}
+	ctl.Locals = []*p4.Field{{Name: "l", Bits: 8}}
+	ctl.Actions = []*p4.ActionDecl{
+		{Name: "tact", Body: []p4.Stmt{&p4.Assign{LHS: p4.FR("hdr", "h", "z"), RHS: p4.FR("l")}}},
+		{Name: "leaf", Body: []p4.Stmt{&p4.Assign{LHS: p4.FR("hdr", "h", "y"), RHS: p4.FR("l")}}},
+		{Name: "outer", Params: []*p4.Field{{Name: "l", Bits: 8}}, Body: []p4.Stmt{
+			&p4.CallStmt{Method: "leaf"},
+			&p4.ApplyTable{Table: "t"},
+			&p4.Assign{LHS: p4.FR("hdr", "h", "x"), RHS: p4.FR("l")},
+		}},
 	}
-	const want = `compile: "l" read under an outer scope binding it (dynamic scoping)`
-	if err := New(pp).CompileErr(); err == nil || err.Error() != want {
-		t.Fatalf("CompileErr = %v, want %q", err, want)
+	ctl.Tables = []*p4.Table{{
+		Name:    "t",
+		Keys:    []*p4.TableKey{{Expr: p4.FR("l"), Match: p4.MatchExact}},
+		Actions: []string{"tact"},
+		Entries: []*p4.Entry{{Keys: []p4.KeyValue{{Value: 5}}, Action: &p4.ActionCall{Name: "tact"}}},
+	}}
+	ctl.Apply = []p4.Stmt{
+		&p4.Assign{LHS: p4.FR("l"), RHS: &p4.IntLit{Val: 5}},
+		&p4.CallStmt{Method: "outer", Args: []p4.Expr{&p4.IntLit{Val: 7}}},
+		&p4.Assign{LHS: p4.FR("meta", "egress_port"), RHS: &p4.IntLit{Val: 1}},
+	}
+	pp.Ingress = ctl
+	want := []byte{7, 5, 5, 0xee}
+	for _, eng := range []struct {
+		name    string
+		process func([]byte, int) (*Result, error)
+	}{
+		{"compiled", New(pp).Process},
+		{"reference", NewReference(New(pp)).Process},
+	} {
+		res, err := eng.process([]byte{0, 0, 0, 0xee}, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", eng.name, err)
+		}
+		if !bytes.Equal(res.Data, want) || res.Port != 1 {
+			t.Errorf("%s: % x port %d, want % x port 1", eng.name, res.Data, res.Port, want)
+		}
 	}
 }
 

@@ -3,7 +3,8 @@ package bmv2
 // exprfuzz_test.go pins the width-static opcodes of the compiled
 // engine (instr.go) to the operator table of ops.go: seeded random
 // programs — expression trees over every operator token, casts,
-// ternaries, calls, operands of every width class and scope — run on
+// ternaries, calls, operands of every width class and scope, nested
+// action frames and a parameter shadowing a control local — run on
 // the engine and on the reference interpreter over random packets and
 // must agree on output bytes, register contents and Result. The same
 // generator, asked for one class of ill-typed construct, draws the
@@ -44,10 +45,11 @@ type exprGen struct {
 	// reads are the names visible to an expression at the current
 	// point; writes the assignable ones. Scopes push and pop suffixes.
 	reads, writes []string
-	// applyLevel: tables may be applied and actions called (inside
-	// action or register-action bodies either would recurse or need
-	// dynamic scoping).
+	// applyLevel: tables may be applied (t runs act, so inside an
+	// action body an apply would recurse). calls are the actions a
+	// statement may call: act and act2 at apply level, act2 inside act.
 	applyLevel bool
+	calls      []string
 	// inRegact bounds register-action nesting.
 	inRegact int
 }
@@ -217,13 +219,13 @@ func (g *exprGen) stmt(depth int) p4.Stmt {
 			return &p4.CallStmt{Recv: "r2", Method: "read", Args: []p4.Expr{fr(g.pick(g.writes)), g.index(1)}}
 		}
 		return &p4.CallStmt{Recv: "r2", Method: "write", Args: []p4.Expr{g.index(1), g.expr(2)}}
-	case k == 16 && g.applyLevel:
+	case k == 16 && len(g.calls) > 0:
 		n := g.rng.Intn(5) // fewer, as many, or more arguments than parameters
 		args := make([]p4.Expr, n)
 		for i := range args {
 			args[i] = g.expr(2)
 		}
-		return &p4.CallStmt{Method: "act", Args: args}
+		return &p4.CallStmt{Method: g.pick(g.calls), Args: args}
 	case k == 17 && g.applyLevel:
 		hit := g.pick([]string{"", "hit_l", "dyn_hit"})
 		if hit == "dyn_hit" && !g.draw(illName) {
@@ -240,7 +242,7 @@ func (g *exprGen) stmt(depth int) p4.Stmt {
 	return &p4.Assign{LHS: fr(g.pick(g.writes)), RHS: g.expr(2)}
 }
 
-// program builds a one-table, one-action program around random bodies.
+// program builds a one-table, two-action program around random bodies.
 func (g *exprGen) program() *p4.Program {
 	pp := &p4.Program{Name: "fz", Target: p4.TargetTNA}
 	h := &p4.HeaderDecl{Name: "h"}
@@ -299,13 +301,25 @@ func (g *exprGen) program() *p4.Program {
 	}
 	g.inRegact = 0
 
+	// Actions: act2 is a leaf whose parameter l8 shadows the local l8
+	// at another width; act, whose parameter l33 shadows the local l33,
+	// may call it. Each body runs over its own frame: act2 and the
+	// register actions it runs read the locals l33 and l8.
 	g.writes = append([]string(nil), writable...)
-	scoped("p8", "p16", "p33")
+	scoped("l8", "q5")
+	act2 := &p4.ActionDecl{
+		Name:   "act2",
+		Params: []*p4.Field{{Name: "l8", Bits: 16}, {Name: "q5", Bits: 5}},
+		Body:   g.stmts(1+g.rng.Intn(3), 2),
+	}
+	g.writes = append([]string(nil), writable...)
+	scoped("p8", "p16", "l33")
+	g.calls = []string{"act2"}
 	ctl.Actions = []*p4.ActionDecl{{
 		Name:   "act",
-		Params: []*p4.Field{{Name: "p8", Bits: 8}, {Name: "p16", Bits: 16}, {Name: "p33", Bits: 33}},
+		Params: []*p4.Field{{Name: "p8", Bits: 8}, {Name: "p16", Bits: 16}, {Name: "l33", Bits: 33}},
 		Body:   g.stmts(1+g.rng.Intn(4), 2),
-	}}
+	}, act2}
 	ctl.Tables = []*p4.Table{{
 		Name:    "t",
 		Keys:    []*p4.TableKey{{Expr: p4.FR("hdr", "h", "i3"), Match: p4.MatchExact}},
@@ -318,9 +332,9 @@ func (g *exprGen) program() *p4.Program {
 		},
 	}}
 
-	g.reads, g.writes, g.applyLevel = base, writable, true
+	g.reads, g.writes, g.applyLevel, g.calls = base, writable, true, []string{"act", "act2"}
 	ctl.Apply = g.stmts(4+g.rng.Intn(8), 3)
-	g.applyLevel = false
+	g.applyLevel, g.calls = false, nil
 	if g.rng.Intn(4) > 0 {
 		ctl.Apply = slices.Insert(ctl.Apply, g.rng.Intn(len(ctl.Apply)+1), g.specRun(h, ctl)...)
 	}

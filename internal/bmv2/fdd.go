@@ -66,11 +66,11 @@ type fdd struct {
 }
 
 // match walks the diagram to the winning record, or -1 on a miss.
-func (f *fdd) match(keys []val, ents []int32) int32 {
+func (f *fdd) match(keys []uint64, ents []int32) int32 {
 	n := f.root
 	for lvl := 0; n >= 0; lvl++ {
 		nd := &f.nodes[n]
-		v := keys[lvl].v
+		v := keys[lvl]
 		// Branch-free halving to the last interval starting at or below v
 		// (starts[0] is 0): per step, lo += half when starts[lo+half] <= v,
 		// as arithmetic on the borrow of v - starts[lo+half] — the

@@ -135,8 +135,8 @@ func diffOne(t *testing.T, stage string, sw *Switch, ref *Reference, pkt []byte)
 }
 
 // diagramVsScan walks the table's published diagram and scans the same
-// snapshot with the same keys — stamped with the table's static widths,
-// as apply stamps them — and demands the same entry, or a miss from
+// snapshot with the same key words, as apply reads them from the
+// frame, and demands the same entry, or a miss from
 // both. A table without a diagram fails: the comparison would be the
 // scan against itself.
 func diagramVsScan(t *testing.T, stage string, sw *Switch, table string, vals ...uint64) {
@@ -146,11 +146,7 @@ func diagramVsScan(t *testing.T, stage string, sw *Switch, table string, vals ..
 	if sn.dd == nil {
 		t.Fatalf("%s: %s: no decision diagram built", stage, table)
 	}
-	keys := make([]val, len(vals))
-	for i, v := range vals {
-		keys[i] = val{v, tb.kbits[i]}
-	}
-	if got, want := sn.dd.match(keys, sn.ents), tb.scan(sn, keys); got != want {
+	if got, want := sn.dd.match(vals, sn.ents), tb.scan(sn, vals); got != want {
 		t.Fatalf("%s: %s%v: diagram picked %+v, scan %+v", stage, table, vals, got, want)
 	}
 }

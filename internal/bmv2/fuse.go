@@ -48,8 +48,8 @@ func (p *cprog) facts() (uses, entries []int32) {
 		}
 	}
 	for _, tb := range p.tabs {
-		for _, k := range tb.keys {
-			uses[k.slot]++
+		for _, slot := range tb.keys {
+			uses[slot]++
 		}
 		entries[tb.keyCode.start]++
 	}
@@ -107,7 +107,7 @@ func (p *cprog) sameShape(s, t, L int) bool {
 		}
 		if x.op == opRegLoad || x.op == opRegStore {
 			rx, ry := &p.regSites[x.imm], &p.regSites[y.imm]
-			if x.a != y.a || rx.bits != ry.bits || rx.rf.size != ry.rf.size || y.imm != p.code[t].imm {
+			if x.a != y.a || rx.mask != ry.mask || rx.rf.size != ry.rf.size || y.imm != p.code[t].imm {
 				return false
 			}
 		} else if x.imm != y.imm {
@@ -144,7 +144,7 @@ func (p *cprog) fuseLanes(uses, entries []int32, s, L, k int) {
 			return
 		}
 	}
-	vs := vregSite{bits: p.regSites[code[s].imm].bits, mask: p.regSites[code[s].imm].mask}
+	vs := vregSite{mask: p.regSites[code[s].imm].mask}
 	for i := 0; i < k && ext == 0; i++ {
 		if rf := p.regSites[code[s+i*L].imm].rf; !slices.Contains(vs.rfs, rf) {
 			vs.rfs = append(vs.rfs, rf)

@@ -113,7 +113,7 @@ func TestHashKnownAnswers(t *testing.T) {
 
 // TestHashAlgosClosed: every algorithm of p4.HashAlgos but random has
 // an implementation, and a program declaring any other is refused by
-// New, not hashed as some other algorithm.
+// p4.Validate at New, not hashed as some other algorithm.
 func TestHashAlgosClosed(t *testing.T) {
 	for _, algo := range p4.HashAlgos {
 		if (hashFn(algo) == nil) != (algo == "random") {
@@ -123,7 +123,7 @@ func TestHashAlgosClosed(t *testing.T) {
 	pp := prog()
 	pp.Ingress.Hashes = append(pp.Ingress.Hashes, &p4.HashDecl{Name: "h8", Algo: "crc8", Bits: 8})
 	sw := New(pp)
-	const want = `compile: hash "h8" uses unknown algorithm "crc8"`
+	const want = `t: hash h8: unknown algorithm "crc8"`
 	if err := sw.CompileErr(); err == nil || err.Error() != want {
 		t.Errorf("CompileErr = %v, want %q", err, want)
 	}

@@ -6,11 +6,12 @@ package bmv2
 // opcode switch with jumps for if/else, so a packet costs one dispatch
 // per operation instead of one indirect call per AST node.
 //
-// The width rule — masked at store, trusted at load: every val in the
-// frame has v already reduced to its static width, so a load never
-// re-wraps. Every width is a compile-time constant (p4.Validate
-// decided it), and the opcodes carry the result width and mask as
-// immediates; no opcode reads a val's width at run time.
+// The width rule — masked at store, trusted at load: the frame is one
+// uint64 word per slot, every word already reduced to its slot's
+// static width, so a load never re-wraps. Every width is a
+// compile-time constant (p4.Validate decided it), and the opcodes
+// carry the result width and mask as immediates; the frame holds no
+// width.
 
 import "netcl/internal/p4"
 
@@ -18,11 +19,11 @@ type opcode uint8
 
 const (
 	// Moves and casts.
-	opMov  opcode = iota // dst = a, width included
-	opMovW               // dst = val{a & imm, bits}: store to a declared width, unsigned cast
-	opSext               // dst = val{sext(a from b bits) & imm, bits}: signed cast
+	opMov  opcode = iota // dst = a
+	opMovW               // dst = a & imm: store to a declared width, unsigned cast
+	opSext               // dst = sext(a from b bits) & imm: signed cast
 
-	// Width-static arithmetic: dst = val{(a op b) & imm, bits}.
+	// Width-static arithmetic: dst = (a op b) & imm.
 	opAdd
 	opSub
 	opAnd
@@ -129,8 +130,7 @@ type span struct{ start, end int32 }
 // and the saved index live in the frame) or a register.read/write.
 type regSite struct {
 	rf      *regfile
-	bits    int
-	mask    uint64
+	mask    uint64 // of the cell's width
 	m, o    int32
 	idxSlot int32 // holds the cell index between load and store; ^0 when out of range
 }
@@ -140,7 +140,6 @@ type regSite struct {
 // adjacent slots (o is -1 when nothing reads it).
 type vregSite struct {
 	rfs  []*regfile
-	bits int
 	mask uint64
 	m, o int32
 }
@@ -186,30 +185,30 @@ func (m *machine) exec(pc, end int32) error {
 		case opMov:
 			f[in.dst] = f[in.a]
 		case opMovW:
-			f[in.dst] = val{f[in.a].v & in.imm, int(in.bits)}
+			f[in.dst] = f[in.a] & in.imm
 		case opSext:
-			f[in.dst] = val{uint64(sext(f[in.a].v, uint(in.b))) & in.imm, int(in.bits)}
+			f[in.dst] = uint64(sext(f[in.a], uint(in.b))) & in.imm
 
 		case opAdd:
-			f[in.dst] = val{(f[in.a].v + f[in.b].v) & in.imm, int(in.bits)}
+			f[in.dst] = (f[in.a] + f[in.b]) & in.imm
 		case opSub:
-			f[in.dst] = val{(f[in.a].v - f[in.b].v) & in.imm, int(in.bits)}
+			f[in.dst] = (f[in.a] - f[in.b]) & in.imm
 		case opAnd:
-			f[in.dst] = val{f[in.a].v & f[in.b].v, int(in.bits)}
+			f[in.dst] = f[in.a] & f[in.b]
 		case opOr:
-			f[in.dst] = val{f[in.a].v | f[in.b].v, int(in.bits)}
+			f[in.dst] = f[in.a] | f[in.b]
 		case opXor:
-			f[in.dst] = val{f[in.a].v ^ f[in.b].v, int(in.bits)}
+			f[in.dst] = f[in.a] ^ f[in.b]
 		case opShl:
-			f[in.dst] = val{(f[in.a].v << f[in.b].v) & in.imm, int(in.bits)}
+			f[in.dst] = (f[in.a] << f[in.b]) & in.imm
 		case opShr:
-			f[in.dst] = val{f[in.a].v >> f[in.b].v, int(in.bits)}
+			f[in.dst] = f[in.a] >> f[in.b]
 		case opSar:
-			f[in.dst] = val{uint64(sext(f[in.a].v, uint(in.bits))>>min(f[in.b].v, 63)) & in.imm, int(in.bits)}
+			f[in.dst] = uint64(sext(f[in.a], uint(in.bits))>>min(f[in.b], 63)) & in.imm
 		case opMul:
-			f[in.dst] = val{(f[in.a].v * f[in.b].v) & in.imm, int(in.bits)}
+			f[in.dst] = (f[in.a] * f[in.b]) & in.imm
 		case opDiv, opMod:
-			a, b := f[in.a].v, f[in.b].v
+			a, b := f[in.a], f[in.b]
 			switch {
 			case b == 0:
 				a = 0
@@ -218,9 +217,9 @@ func (m *machine) exec(pc, end int32) error {
 			default:
 				a %= b
 			}
-			f[in.dst] = val{a, int(in.bits)}
+			f[in.dst] = a
 		case opSdiv, opSmod:
-			a, b := sext(f[in.a].v, uint(in.bits)), sext(f[in.b].v, uint(in.imm))
+			a, b := sext(f[in.a], uint(in.bits)), sext(f[in.b], uint(in.imm))
 			switch {
 			case b == 0:
 				a = 0
@@ -230,79 +229,79 @@ func (m *machine) exec(pc, end int32) error {
 				a %= b
 			}
 			w := max(int(in.bits), int(in.imm))
-			f[in.dst] = val{uint64(a) & maskOf(w), w}
+			f[in.dst] = uint64(a) & maskOf(w)
 		case opSatAdd:
-			au := f[in.a].v
-			sum := au + f[in.b].v
+			au := f[in.a]
+			sum := au + f[in.b]
 			if sum > in.imm || sum < au {
 				sum = in.imm
 			}
-			f[in.dst] = val{sum, int(in.bits)}
+			f[in.dst] = sum
 		case opSatSub:
-			au, bu := f[in.a].v, f[in.b].v
+			au, bu := f[in.a], f[in.b]
 			d := au - bu
 			if bu > au {
 				d = 0
 			}
-			f[in.dst] = val{d, int(in.bits)}
+			f[in.dst] = d
 		case opNot:
-			f[in.dst] = val{^f[in.a].v & in.imm, int(in.bits)}
+			f[in.dst] = ^f[in.a] & in.imm
 		case opNeg:
-			f[in.dst] = val{-f[in.a].v & in.imm, int(in.bits)}
+			f[in.dst] = -f[in.a] & in.imm
 
 		case opEq:
-			f[in.dst] = val{b2u(f[in.a].v == f[in.b].v), 1}
+			f[in.dst] = b2u(f[in.a] == f[in.b])
 		case opNe:
-			f[in.dst] = val{b2u(f[in.a].v != f[in.b].v), 1}
+			f[in.dst] = b2u(f[in.a] != f[in.b])
 		case opLt:
-			f[in.dst] = val{b2u(f[in.a].v < f[in.b].v), 1}
+			f[in.dst] = b2u(f[in.a] < f[in.b])
 		case opLe:
-			f[in.dst] = val{b2u(f[in.a].v <= f[in.b].v), 1}
+			f[in.dst] = b2u(f[in.a] <= f[in.b])
 		case opSlt:
-			f[in.dst] = val{b2u(sext(f[in.a].v, uint(in.bits)) < sext(f[in.b].v, uint(in.imm))), 1}
+			f[in.dst] = b2u(sext(f[in.a], uint(in.bits)) < sext(f[in.b], uint(in.imm)))
 		case opSle:
-			f[in.dst] = val{b2u(sext(f[in.a].v, uint(in.bits)) <= sext(f[in.b].v, uint(in.imm))), 1}
+			f[in.dst] = b2u(sext(f[in.a], uint(in.bits)) <= sext(f[in.b], uint(in.imm)))
 		case opLand:
-			f[in.dst] = val{b2u(f[in.a].v != 0 && f[in.b].v != 0), 1}
+			f[in.dst] = b2u(f[in.a] != 0 && f[in.b] != 0)
 		case opLor:
-			f[in.dst] = val{b2u(f[in.a].v != 0 || f[in.b].v != 0), 1}
+			f[in.dst] = b2u(f[in.a] != 0 || f[in.b] != 0)
 		case opLnot:
-			f[in.dst] = val{b2u(f[in.a].v == 0), 1}
+			f[in.dst] = b2u(f[in.a] == 0)
 		case opValid:
-			f[in.dst] = val{b2u(m.valid[in.imm]), 1}
+			f[in.dst] = b2u(m.valid[in.imm])
 
 		case opJmp:
 			pc = in.dst
 		case opJeq:
-			if f[in.a].v == f[in.b].v {
+			if f[in.a] == f[in.b] {
 				pc = in.dst
 			}
 		case opJne:
-			if f[in.a].v != f[in.b].v {
+			if f[in.a] != f[in.b] {
 				pc = in.dst
 			}
 		case opJlt:
-			if f[in.a].v < f[in.b].v {
+			if f[in.a] < f[in.b] {
 				pc = in.dst
 			}
 		case opJle:
-			if f[in.a].v <= f[in.b].v {
+			if f[in.a] <= f[in.b] {
 				pc = in.dst
 			}
 		case opJslt:
-			if sext(f[in.a].v, uint(in.bits)) < sext(f[in.b].v, uint(in.imm)) {
+			if sext(f[in.a], uint(in.bits)) < sext(f[in.b], uint(in.imm)) {
 				pc = in.dst
 			}
 		case opJsle:
-			if sext(f[in.a].v, uint(in.bits)) <= sext(f[in.b].v, uint(in.imm)) {
+			if sext(f[in.a], uint(in.bits)) <= sext(f[in.b], uint(in.imm)) {
 				pc = in.dst
 			}
 		case opJz:
-			if f[in.a].v == 0 {
+			if f[in.a] == 0 {
 				pc = in.dst
 			}
 		case opJnz:
-			if f[in.a].v != 0 {
+			if f[in.a] != 0 {
 				pc = in.dst
 			}
 		case opJvalid:
@@ -331,7 +330,7 @@ func (m *machine) exec(pc, end int32) error {
 			rs := &p.regSites[in.imm]
 			idx := uint64(0)
 			if in.a >= 0 {
-				idx = f[in.a].v
+				idx = f[in.a]
 			}
 			var mem uint64
 			if idx < uint64(rs.rf.size) {
@@ -339,39 +338,39 @@ func (m *machine) exec(pc, end int32) error {
 			} else {
 				idx = ^uint64(0)
 			}
-			f[rs.idxSlot].v = idx
-			f[rs.m] = val{mem, rs.bits}
-			f[rs.o] = val{0, rs.bits}
+			f[rs.idxSlot] = idx
+			f[rs.m] = mem
+			f[rs.o] = 0
 		case opRegStore:
 			rs := &p.regSites[in.imm]
-			if idx := f[rs.idxSlot].v; idx != ^uint64(0) {
-				rs.rf.store(int(idx), f[rs.m].v)
+			if idx := f[rs.idxSlot]; idx != ^uint64(0) {
+				rs.rf.store(int(idx), f[rs.m])
 			}
 		case opRegRead:
 			rs := &p.regSites[in.imm]
 			var v uint64
-			if idx := f[in.a].v; idx < uint64(rs.rf.size) {
+			if idx := f[in.a]; idx < uint64(rs.rf.size) {
 				v = rs.rf.load(int(idx))
 			}
-			f[in.dst] = val{v & rs.mask, rs.bits}
+			f[in.dst] = v & rs.mask
 		case opRegWrite:
 			rs := &p.regSites[in.imm]
-			if idx := f[in.a].v; idx < uint64(rs.rf.size) {
-				rs.rf.store(int(idx), f[in.b].v)
+			if idx := f[in.a]; idx < uint64(rs.rf.size) {
+				rs.rf.store(int(idx), f[in.b])
 			}
 		case opHash:
 			hs := &p.hashSites[in.a]
 			data := m.hashBuf[:0]
 			for _, a := range hs.args {
-				v := f[a.slot].v
+				v := f[a.slot]
 				for i := (a.bits+7)/8 - 1; i >= 0; i-- {
 					data = append(data, byte(v>>(8*uint(i))))
 				}
 			}
 			m.hashBuf = data
-			f[in.dst] = val{hs.fn(data) & in.imm, int(in.bits)}
+			f[in.dst] = hs.fn(data) & in.imm
 		case opRand:
-			f[in.dst] = val{m.sw.nextRand() >> 17 & in.imm, int(in.bits)}
+			f[in.dst] = m.sw.nextRand() >> 17 & in.imm
 
 		case opApply:
 			hit, err := p.tabs[in.imm].apply(m)
@@ -381,7 +380,7 @@ func (m *machine) exec(pc, end int32) error {
 				}
 				pc = in.dst
 			} else if in.c >= 0 {
-				f[in.c] = val{b2u(hit), int(in.bits)}
+				f[in.c] = b2u(hit)
 			}
 
 		case opLanes:
@@ -404,22 +403,22 @@ func (m *machine) exec(pc, end int32) error {
 func (m *machine) regLoadV(vs *vregSite, a int32) {
 	f, idx := m.frame, uint64(0)
 	if a >= 0 {
-		idx = f[a].v
+		idx = f[a]
 	}
 	cells, mb := m.cells[:len(vs.rfs)], f[vs.m:][:len(vs.rfs)]
-	mask, bits, in := vs.mask, vs.bits, idx < uint64(vs.rfs[0].size)
+	mask, in := vs.mask, idx < uint64(vs.rfs[0].size)
 	for l, rf := range vs.rfs {
-		cells[l], mb[l] = nil, val{0, bits}
+		cells[l], mb[l] = nil, 0
 		if in {
 			pg := rf.pages[idx>>regPageShift].Load()
 			if pg == nil {
 				pg = rf.page(int(idx))
 			}
 			cells[l] = &pg[idx&regPageMask]
-			mb[l].v = *cells[l] & mask
+			mb[l] = *cells[l] & mask
 		}
 		if vs.o >= 0 {
-			f[vs.o+int32(l)] = val{0, bits}
+			f[vs.o+int32(l)] = 0
 		}
 	}
 }
@@ -428,16 +427,16 @@ func (m *machine) regLoadV(vs *vregSite, a int32) {
 func (m *machine) regStoreV(vs *vregSite) {
 	if cells := m.cells[:len(vs.rfs)]; cells[0] != nil {
 		for l, v := range m.frame[vs.m:][:len(cells)] {
-			*cells[l] = v.v
+			*cells[l] = v
 		}
 	}
 }
 
 // laneLoop runs opLanes like its scalar opcode c, lane by lane, in a
 // function of its own so that the loops get registers of their own.
-func laneLoop(in *instr, f []val) {
+func laneLoop(in *instr, f []uint64) {
 	d, a, b := f[in.dst:][:in.lanes], f[in.a:], f[max(in.b, 0):]
-	imm, bits, sa, sb := in.imm, int(in.bits), int(in.sa), int(in.sb)
+	imm, sa, sb := in.imm, int(in.sa), int(in.sb)
 	switch opcode(in.c) {
 	case opMov:
 		for l := range d {
@@ -445,27 +444,27 @@ func laneLoop(in *instr, f []val) {
 		}
 	case opMovW:
 		for l := range d {
-			d[l] = val{a[l*sa].v & imm, bits}
+			d[l] = a[l*sa] & imm
 		}
 	case opAdd:
 		for l := range d {
-			d[l] = val{(a[l*sa].v + b[l*sb].v) & imm, bits}
+			d[l] = (a[l*sa] + b[l*sb]) & imm
 		}
 	case opSub:
 		for l := range d {
-			d[l] = val{(a[l*sa].v - b[l*sb].v) & imm, bits}
+			d[l] = (a[l*sa] - b[l*sb]) & imm
 		}
 	case opAnd:
 		for l := range d {
-			d[l] = val{a[l*sa].v & b[l*sb].v, bits}
+			d[l] = a[l*sa] & b[l*sb]
 		}
 	case opOr:
 		for l := range d {
-			d[l] = val{a[l*sa].v | b[l*sb].v, bits}
+			d[l] = a[l*sa] | b[l*sb]
 		}
 	case opXor:
 		for l := range d {
-			d[l] = val{a[l*sa].v ^ b[l*sb].v, bits}
+			d[l] = a[l*sa] ^ b[l*sb]
 		}
 	}
 }

@@ -22,29 +22,6 @@ import (
 	"netcl/internal/p4"
 )
 
-// val is a typed interpreter value.
-type val struct {
-	v    uint64
-	bits int
-}
-
-func (x val) mask() uint64 {
-	if x.bits >= 64 || x.bits <= 0 {
-		return ^uint64(0)
-	}
-	return (uint64(1) << uint(x.bits)) - 1
-}
-
-func (x val) wrapped() uint64 { return x.v & x.mask() }
-
-func (x val) signed() int64 {
-	u := x.wrapped()
-	if x.bits > 0 && x.bits < 64 && u>>(uint(x.bits)-1) != 0 {
-		return int64(u | ^x.mask())
-	}
-	return int64(u)
-}
-
 // Switch is an executable P4 switch instance with mutable runtime
 // state (registers, table entries, multicast groups).
 //
@@ -126,9 +103,8 @@ func New(prog *p4.Program) *Switch {
 		s.fields["meta."+f.Name] = f.Bits
 	}
 	// Prepare step: type-check the program, then compile it to its
-	// slot-indexed form. On refusal (a program Validate refuses,
-	// constructs needing dynamic scoping, malformed graphs) the switch
-	// keeps its control plane and processes no packets.
+	// slot-indexed form. A program Validate refuses keeps its control
+	// plane and processes no packets.
 	if s.widths, s.compileErr = prog.Validate(); s.compileErr == nil {
 		s.prog, s.compileErr = compileProgram(s)
 	}

@@ -3,7 +3,7 @@ package bmv2
 // machine.go is the execute half of the prepare/execute split: the
 // per-packet state of the compiled engine. All dynamic name lookup was
 // resolved to slot indices at compile time, so a packet's entire
-// lifetime touches one flat []val frame plus a few flat scratch
+// lifetime touches one flat frame of words plus a few flat scratch
 // slices, all pooled and reused across packets. A packet does only
 // the work its program needs: the parser loads the fields some
 // instruction reads or writes, and the deparser copies the input and
@@ -23,13 +23,13 @@ type machine struct {
 	sw      *Switch
 	prog    *cprog
 	gen     *generation // rule-set generation pinned for this packet
-	frame   []val
+	frame   []uint64
 	valid   []bool
 	emitted []bool
 	ordered []int     // extracted/validated header indices, in order
 	exts    []extract // every extraction, in order
 	emitOrd []int     // deparse scratch: headers to emit, deduplicated
-	keys    []val     // table-apply scratch
+	keys    []uint64  // table-apply scratch
 	hashBuf []byte
 	payload []byte
 	cells   []*uint64 // a fused run's register cells, from opRegLoadV to opRegStoreV
@@ -82,7 +82,7 @@ func (p *cprog) putMachine(m *machine) {
 // to the caller so bursts can batch them.
 func (p *cprog) run1(m *machine, data []byte, inPort int, res *Result) (bool, error) {
 	// Masked at store, like every other write of a declared name.
-	m.frame[p.inPortSlot] = val{uint64(inPort) & maskOf(p.inPortBits), p.inPortBits}
+	m.frame[p.inPortSlot] = uint64(inPort) & p.inPortMask
 	if err := m.parse(p, data); err != nil {
 		return false, err
 	}
@@ -100,10 +100,10 @@ func (p *cprog) run1(m *machine, data []byte, inPort int, res *Result) (bool, er
 	// empty with that capacity kept, so the next packet still reuses it.
 	scratch := res.Data
 	*res = Result{
-		Port:  int(m.frame[p.portSlot].v),
-		Mcast: int(m.frame[p.mcastSlot].v),
+		Port:  int(m.frame[p.portSlot]),
+		Mcast: int(m.frame[p.mcastSlot]),
 	}
-	if m.frame[p.dropSlot].v != 0 {
+	if m.frame[p.dropSlot] != 0 {
 		res.Dropped, res.Data = true, scratch[:0]
 		return true, nil
 	}
@@ -228,7 +228,7 @@ func (m *machine) parse(p *cprog, data []byte) error {
 				return err
 			}
 		}
-		key := f[st.keySlot].v
+		key := f[st.keySlot]
 		for i := range st.cases {
 			c := &st.cases[i]
 			if c.mask != 0 {
@@ -256,61 +256,61 @@ func (m *machine) parse(p *cprog, data []byte) error {
 // byte-aligned fields, always inside the length-checked header, as
 // fixed-width big-endian loads; unaligned ones bit by bit, reading past
 // the header into the remaining bytes like the reference.
-func loadFields(f []val, hdr []byte, plan []cfield) {
+func loadFields(f []uint64, hdr []byte, plan []cfield) {
 	for i := range plan {
 		x := &plan[i]
 		switch x.kind {
 		case f1:
 			for j := int32(0); j < x.run; j++ {
-				f[x.slot+j] = val{uint64(hdr[x.off+j]), 8}
+				f[x.slot+j] = uint64(hdr[x.off+j])
 			}
 		case f2:
 			for j := int32(0); j < x.run; j++ {
-				f[x.slot+j] = val{uint64(binary.BigEndian.Uint16(hdr[x.off+2*j:])), 16}
+				f[x.slot+j] = uint64(binary.BigEndian.Uint16(hdr[x.off+2*j:]))
 			}
 		case f4:
 			for j := int32(0); j < x.run; j++ {
-				f[x.slot+j] = val{uint64(binary.BigEndian.Uint32(hdr[x.off+4*j:])), 32}
+				f[x.slot+j] = uint64(binary.BigEndian.Uint32(hdr[x.off+4*j:]))
 			}
 		case f8:
 			for j := int32(0); j < x.run; j++ {
-				f[x.slot+j] = val{binary.BigEndian.Uint64(hdr[x.off+8*j:]), 64}
+				f[x.slot+j] = binary.BigEndian.Uint64(hdr[x.off+8*j:])
 			}
 		case fN:
 			var v uint64
 			for _, b := range hdr[x.off : x.off+x.nbytes] {
 				v = v<<8 | uint64(b)
 			}
-			f[x.slot] = val{v, int(x.bits)}
+			f[x.slot] = v
 		default:
-			f[x.slot] = val{extractBits(hdr, int(x.off), int(x.bits)), int(x.bits)}
+			f[x.slot] = extractBits(hdr, int(x.off), int(x.bits))
 		}
 	}
 }
 
 // storeFields runs an emit plan of byte-aligned fields into hdr.
-func storeFields(hdr []byte, plan []cfield, f []val) {
+func storeFields(hdr []byte, plan []cfield, f []uint64) {
 	for i := range plan {
 		x := &plan[i]
 		switch x.kind {
 		case f1:
 			for j := int32(0); j < x.run; j++ {
-				hdr[x.off+j] = byte(f[x.slot+j].v)
+				hdr[x.off+j] = byte(f[x.slot+j])
 			}
 		case f2:
 			for j := int32(0); j < x.run; j++ {
-				binary.BigEndian.PutUint16(hdr[x.off+2*j:], uint16(f[x.slot+j].v))
+				binary.BigEndian.PutUint16(hdr[x.off+2*j:], uint16(f[x.slot+j]))
 			}
 		case f4:
 			for j := int32(0); j < x.run; j++ {
-				binary.BigEndian.PutUint32(hdr[x.off+4*j:], uint32(f[x.slot+j].v))
+				binary.BigEndian.PutUint32(hdr[x.off+4*j:], uint32(f[x.slot+j]))
 			}
 		case f8:
 			for j := int32(0); j < x.run; j++ {
-				binary.BigEndian.PutUint64(hdr[x.off+8*j:], f[x.slot+j].v)
+				binary.BigEndian.PutUint64(hdr[x.off+8*j:], f[x.slot+j])
 			}
 		default:
-			v := f[x.slot].v
+			v := f[x.slot]
 			for i := x.nbytes - 1; i >= 0; i-- {
 				hdr[x.off+x.nbytes-1-i] = byte(v >> (8 * uint(i)))
 			}
@@ -400,7 +400,7 @@ func (m *machine) deparseInto(p *cprog, data, scratch []byte) []byte {
 		curBits, n := 0, 0
 		for i := range h.fields {
 			x := &h.fields[i]
-			v := f[x.slot].v
+			v := f[x.slot]
 			remaining := int(x.bits)
 			for remaining > 0 {
 				take := 8 - curBits

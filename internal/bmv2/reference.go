@@ -3,13 +3,15 @@ package bmv2
 // reference.go is the package's semantic oracle: the original
 // tree-walking interpreter, which resolves every name and table per
 // packet and is small enough to read as the definition of the P4
-// subset. Where a value carries no width of its own (an untyped
-// literal, a ternary, a call folded to zero) it takes the one
-// p4.Validate recorded. The differential tests and fuzzers construct
-// it explicitly from a *Switch and hold the compiled engine to its
-// output byte for byte. Nothing on Switch reaches it: a program the
-// compiler refuses is an error (Switch.CompileErr), never a reason to
-// run this instead.
+// subset. Its values carry their widths at run time (val); where a
+// value has no width of its own (an untyped literal, a ternary, a call
+// folded to zero) it takes the one p4.Validate recorded. Scope is
+// lexical: an action or register-action body sees its own frame and
+// the globals, and a table's keys and actions see the globals only.
+// The differential tests and fuzzers construct it explicitly from a
+// *Switch and hold the compiled engine to its output byte for byte.
+// Nothing on Switch reaches it: a program the compiler refuses is an
+// error (Switch.CompileErr), never a reason to run this instead.
 
 import (
 	"fmt"
@@ -29,6 +31,24 @@ type Reference struct{ s *Switch }
 // NewReference returns the oracle over sw.
 func NewReference(sw *Switch) *Reference { return &Reference{s: sw} }
 
+// val is a typed interpreter value.
+type val struct {
+	v    uint64
+	bits int
+}
+
+func (x val) mask() uint64 { return maskOf(x.bits) }
+
+func (x val) wrapped() uint64 { return x.v & x.mask() }
+
+func (x val) signed() int64 {
+	u := x.wrapped()
+	if x.bits > 0 && x.bits < 64 && u>>(uint(x.bits)-1) != 0 {
+		return int64(u | ^x.mask())
+	}
+	return int64(u)
+}
+
 // exec carries per-packet state.
 type exec struct {
 	s       *Switch
@@ -37,7 +57,7 @@ type exec struct {
 	ordered []string // extracted header order
 	payload []byte
 	exited  bool
-	frames  []map[string]val // action parameter frames
+	frame   map[string]val // the running body's parameters or m/o; nil outside one
 }
 
 // Process runs one packet through parser, ingress, (egress,) deparser
@@ -250,14 +270,12 @@ func (ex *exec) stmt(c *p4.Control, st p4.Stmt) error {
 }
 
 // assign writes a value, converted to the destination's declared
-// width, to the innermost action frame's name or else to the global.
+// width, to the current frame's name or else to the global.
 func (ex *exec) assign(fr *p4.FieldRef, v val) {
 	name := fr.String()
-	if len(ex.frames) > 0 {
-		if old, ok := ex.frames[len(ex.frames)-1][name]; ok {
-			ex.frames[len(ex.frames)-1][name] = val{v.wrapped(), old.bits}
-			return
-		}
+	if old, ok := ex.frame[name]; ok {
+		ex.frame[name] = val{v.wrapped(), old.bits}
+		return
 	}
 	ex.env[name] = val{v.wrapped(), ex.s.fields[name]}
 }
@@ -310,14 +328,19 @@ func (ex *exec) runAction(c *p4.Control, a *p4.ActionDecl, args []val) error {
 		}
 		frame[p.Name] = v
 	}
-	ex.frames = append(ex.frames, frame)
+	saved := ex.frame
+	ex.frame = frame
 	err := ex.stmts(c, a.Body)
-	ex.frames = ex.frames[:len(ex.frames)-1]
+	ex.frame = saved
 	return err
 }
 
-// applyTable matches and executes a table.
+// applyTable matches and executes a table. Its keys and actions run
+// outside the applying body's frame.
 func (ex *exec) applyTable(c *p4.Control, name string) (bool, error) {
+	saved := ex.frame
+	ex.frame = nil
+	defer func() { ex.frame = saved }()
 	t := c.TableByName(name)
 	var keys []val
 	for _, k := range t.Keys {
@@ -427,14 +450,14 @@ func (ex *exec) execRegAction(c *p4.Control, ra *p4.RegisterAction, idxArgs []p4
 	if idx >= 0 && idx < rf.size {
 		m = rf.load(idx)
 	}
-	frame := map[string]val{
+	saved := ex.frame
+	ex.frame = map[string]val{
 		"m": {m, reg.Bits},
 		"o": {0, reg.Bits},
 	}
-	ex.frames = append(ex.frames, frame)
 	err := ex.stmts(c, ra.Body)
-	out := ex.frames[len(ex.frames)-1]
-	ex.frames = ex.frames[:len(ex.frames)-1]
+	out := ex.frame
+	ex.frame = saved
 	if err != nil {
 		return val{}, err
 	}
@@ -452,11 +475,8 @@ func (ex *exec) eval(e p4.Expr) val {
 		return val{x.Val, ex.s.widths.Of(x)}
 	case *p4.FieldRef:
 		name := x.String()
-		// Innermost action frame first (params, m/o of reg actions).
-		for i := len(ex.frames) - 1; i >= 0; i-- {
-			if v, ok := ex.frames[i][name]; ok {
-				return v
-			}
+		if v, ok := ex.frame[name]; ok {
+			return v
 		}
 		if v, ok := ex.env[name]; ok {
 			return v
@@ -470,9 +490,9 @@ func (ex *exec) eval(e p4.Expr) val {
 	case *p4.Cast:
 		v := ex.eval(x.X)
 		if x.Signed && v.bits < x.Bits {
-			return val{uint64(v.signed()) & (val{bits: x.Bits}).mask(), x.Bits}
+			return val{uint64(v.signed()) & maskOf(x.Bits), x.Bits}
 		}
-		return val{v.wrapped() & (val{bits: x.Bits}).mask(), x.Bits}
+		return val{v.wrapped() & maskOf(x.Bits), x.Bits}
 	case *p4.TernaryExpr:
 		arm := x.B
 		if ex.eval(x.Cond).wrapped() != 0 {
@@ -508,7 +528,7 @@ func (ex *exec) evalCall(x *p4.CallExpr) (val, error) {
 		if h.Name == x.Recv && x.Method == "get" {
 			if h.Algo == "random" {
 				r := ex.s.nextRand()
-				return val{r >> 17 & (val{bits: h.Bits}).mask(), h.Bits}, nil
+				return val{r >> 17 & maskOf(h.Bits), h.Bits}, nil
 			}
 			var data []byte
 			for _, a := range x.Args {
@@ -521,7 +541,7 @@ func (ex *exec) evalCall(x *p4.CallExpr) (val, error) {
 			if fn == nil {
 				return val{}, fmt.Errorf("unknown hash algorithm %q", h.Algo)
 			}
-			return val{fn(data) & (val{bits: h.Bits}).mask(), h.Bits}, nil
+			return val{fn(data) & maskOf(h.Bits), h.Bits}, nil
 		}
 	}
 	if x.Method == "apply_hit" {

@@ -41,7 +41,7 @@ type regfile struct {
 func newRegfile(size, bits int, init []int64) *regfile {
 	rf := &regfile{size: size, bits: bits}
 	rf.pages = make([]atomic.Pointer[regPage], (size+regPageSize-1)/regPageSize)
-	m := val{bits: bits}.mask()
+	m := maskOf(bits)
 	for i, v := range init {
 		if i >= size {
 			break

@@ -102,29 +102,22 @@ type ctable struct {
 	t    *p4.Table
 	// Key plan: keyCode evaluates the key expressions that are more
 	// than a field or a cast of one (empty otherwise); keys then names
-	// the slot each key value sits in and its width.
+	// the slot each key value sits in, kbits its width.
 	keyCode span
-	keys    []tkey
+	keys    []int32
+	kbits   []int
 	kinds   []p4.MatchKind
 	exact   bool // snapshot shape: the hash trie, else entries + diagram
 	gslot   int  // index of this table's snapshot in a generation
 	acts    []cact
 
-	// kbits: the key widths (fdd.go); fb holds a non-exact table's
-	// entries and diagram across commits.
-	kbits []int
-	fb    *fddBuilder
+	// fb holds a non-exact table's entries and diagram across commits.
+	fb *fddBuilder
 	// builds counts the diagram nodes built — the cost model of a
 	// non-exact commit: one batch commits once, whatever its op count,
 	// and builds only the nodes whose rule set it changed (pinned by
 	// TestBatchRebuildAmortized and TestBatchNodesODelta).
 	builds uint64
-}
-
-// tkey is one table key operand.
-type tkey struct {
-	slot int32
-	bits int32
 }
 
 // table compiles the static shape of one table (key plan at
@@ -142,7 +135,7 @@ func (cc *compiler) table(ctl *cctl, t *p4.Table) (*ctable, error) {
 		return nil, err
 	}
 	for i, o := range keys {
-		tb.keys = append(tb.keys, tkey{slot: o.slot, bits: int32(o.bits)})
+		tb.keys = append(tb.keys, o.slot)
 		tb.kinds = append(tb.kinds, t.Keys[i].Match)
 		tb.kbits = append(tb.kbits, o.bits)
 	}
@@ -282,15 +275,15 @@ func (tb *ctable) apply(m *machine) (bool, error) {
 	var ri int32
 	if tb.exact {
 		var k pkey
-		for i, key := range tb.keys {
-			k.t[i] = m.frame[key.slot].v
+		for i, slot := range tb.keys {
+			k.t[i] = m.frame[slot]
 		}
 		k.h = phash(k.t)
 		ri = pget(sn.pm, &k, &sn.ar)
 	} else {
 		keys := m.keys[:0]
-		for _, k := range tb.keys {
-			keys = append(keys, val{m.frame[k.slot].v, int(k.bits)})
+		for _, slot := range tb.keys {
+			keys = append(keys, m.frame[slot])
 		}
 		m.keys = keys
 		if sn.dd != nil {
@@ -326,7 +319,7 @@ func (tb *ctable) apply(m *machine) (bool, error) {
 // semantically identical to the reference applyTable loop, including
 // "no match" (best < 0) kept apart from "matched with score 0". It
 // returns the winning record, or -1.
-func (tb *ctable) scan(sn *tsnap, keys []val) int32 {
+func (tb *ctable) scan(sn *tsnap, keys []uint64) int32 {
 	best := int32(-1)
 	bestScore := 0
 	for _, ri := range sn.ents {
@@ -338,7 +331,7 @@ func (tb *ctable) scan(sn *tsnap, keys []val) int32 {
 		score := 0
 		for ki := range keys {
 			kv := sn.ar.key(r, ki)
-			kval := keys[ki].v
+			kval := keys[ki]
 			switch tb.kinds[ki] {
 			case p4.MatchExact:
 				if kval != kv.Value {
@@ -350,7 +343,7 @@ func (tb *ctable) scan(sn *tsnap, keys []val) int32 {
 				}
 				score -= int(r.prio)
 			case p4.MatchLPM:
-				bits := keys[ki].bits
+				bits := tb.kbits[ki]
 				plen := kv.PrefixLen
 				if plen < 0 {
 					plen = 0

@@ -26,7 +26,8 @@ func (g *generator) ensureRegister(m *ir.MemRef) *p4.Register {
 }
 
 // flatIndex combines the leading NIdx index arguments into one linear
-// register index expression.
+// register index expression. A constant index's term, (bit<32>)c *
+// stride, folds (ir.Fold) to one literal.
 func (g *generator) flatIndex(i *ir.Instr) p4.Expr {
 	m := i.G
 	if i.NIdx == 0 {
@@ -39,7 +40,11 @@ func (g *generator) flatIndex(i *ir.Instr) p4.Expr {
 			stride *= d
 		}
 		term := p4.Expr(&p4.Cast{Bits: 32, X: g.valueExpr(i.Args[k])})
-		if stride != 1 {
+		if c, ok := i.Args[k].(*ir.Const); ok {
+			c = ir.Fold(&ir.Instr{Op: ir.OpZExt, Ty: ir.U32, Args: []ir.Value{c}})
+			c = ir.Fold(&ir.Instr{Op: ir.OpMul, Ty: ir.U32, Args: []ir.Value{c, ir.ConstOf(ir.U32, int64(stride))}})
+			term = &p4.IntLit{Val: c.Uint(), Bits: 32}
+		} else if stride != 1 {
 			term = &p4.Bin{Op: "*", X: term, Y: &p4.IntLit{Val: uint64(stride), Bits: 32}}
 		}
 		if out == nil {

@@ -582,16 +582,6 @@ type Module struct {
 	Funcs    []*Func
 }
 
-// MemByName finds a memory object.
-func (m *Module) MemByName(name string) *MemRef {
-	for _, g := range m.Mems {
-		if g.Name == name {
-			return g
-		}
-	}
-	return nil
-}
-
 // String prints the whole module (see print.go for details).
 func (m *Module) String() string {
 	var b strings.Builder

@@ -162,3 +162,13 @@ func TestInstrPredicates(t *testing.T) {
 		t.Error("terminators")
 	}
 }
+
+// MemByName finds a memory object.
+func (m *Module) MemByName(name string) *MemRef {
+	for _, g := range m.Mems {
+		if g.Name == name {
+			return g
+		}
+	}
+	return nil
+}

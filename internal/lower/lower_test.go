@@ -116,7 +116,7 @@ func TestLowerFig4(t *testing.T) {
 		t.Errorf("hashes: got %d, want 3", n)
 	}
 	// Memories present on this device.
-	if mod.MemByName("cms") == nil || mod.MemByName("cache") == nil {
+	if memByName(mod, "cms") == nil || memByName(mod, "cache") == nil {
 		t.Error("missing memories")
 	}
 	for _, f := range mod.Funcs {
@@ -137,7 +137,7 @@ _at(20) _kernel(1) void kb(uint32_t &x) { x = B; }
 	if len(mod.Funcs) != 1 || mod.Funcs[0].Name != "ka" {
 		t.Fatalf("device 10 should only get ka: %v", mod.Funcs)
 	}
-	if mod.MemByName("A") == nil || mod.MemByName("B") != nil {
+	if memByName(mod, "A") == nil || memByName(mod, "B") != nil {
 		t.Error("device 10 should have A only")
 	}
 }
@@ -330,7 +330,7 @@ _kernel(1) void k(unsigned key, unsigned &v, char &hit) {
 	if countOps(mod, ir.OpSelect) != 1 {
 		t.Error("miss-preserving select expected")
 	}
-	m := mod.MemByName("m")
+	m := memByName(mod, "m")
 	if m.LKind != ir.LookupExact || len(m.Init) != 4 {
 		t.Errorf("mem: %+v", m)
 	}
@@ -366,4 +366,14 @@ func TestLowerUnrollCondAtDeclaredType(t *testing.T) {
 			t.Errorf("%s: body lowered %d times, want %d", c.loop, n, c.want)
 		}
 	}
+}
+
+// memByName finds a memory object of mod.
+func memByName(mod *ir.Module, name string) *ir.MemRef {
+	for _, g := range mod.Mems {
+		if g.Name == name {
+			return g
+		}
+	}
+	return nil
 }

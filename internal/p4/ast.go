@@ -382,69 +382,43 @@ func Walk(body []Stmt, fn func(Stmt)) {
 
 // WalkExprs visits every expression in a statement body.
 func WalkExprs(body []Stmt, fn func(Expr)) {
-	var visitExpr func(e Expr)
-	visitExpr = func(e Expr) {
-		if e == nil {
-			return
-		}
-		fn(e)
-		switch x := e.(type) {
-		case *Bin:
-			visitExpr(x.X)
-			visitExpr(x.Y)
-		case *Un:
-			visitExpr(x.X)
-		case *Cast:
-			visitExpr(x.X)
-		case *CallExpr:
-			for _, a := range x.Args {
-				visitExpr(a)
-			}
-		case *TernaryExpr:
-			visitExpr(x.Cond)
-			visitExpr(x.A)
-			visitExpr(x.B)
-		}
-	}
 	Walk(body, func(s Stmt) {
 		switch st := s.(type) {
 		case *Assign:
-			visitExpr(st.LHS)
-			visitExpr(st.RHS)
+			walkExpr(st.LHS, fn)
+			walkExpr(st.RHS, fn)
 		case *If:
-			visitExpr(st.Cond)
+			walkExpr(st.Cond, fn)
 		case *CallStmt:
 			for _, a := range st.Args {
-				visitExpr(a)
+				walkExpr(a, fn)
 			}
 		}
 	})
 }
 
-// ExprRefs visits every FieldRef inside one expression (the expression
-// analog of WalkExprs); used by interpreter compilation to compute the
-// free names of table keys and action bodies.
-func ExprRefs(e Expr, fn func(*FieldRef)) {
-	switch x := e.(type) {
-	case nil:
+// walkExpr visits every expression inside e, parents before children.
+func walkExpr(e Expr, fn func(Expr)) {
+	if e == nil {
 		return
-	case *FieldRef:
-		fn(x)
+	}
+	fn(e)
+	switch x := e.(type) {
 	case *Bin:
-		ExprRefs(x.X, fn)
-		ExprRefs(x.Y, fn)
+		walkExpr(x.X, fn)
+		walkExpr(x.Y, fn)
 	case *Un:
-		ExprRefs(x.X, fn)
+		walkExpr(x.X, fn)
 	case *Cast:
-		ExprRefs(x.X, fn)
+		walkExpr(x.X, fn)
 	case *CallExpr:
 		for _, a := range x.Args {
-			ExprRefs(a, fn)
+			walkExpr(a, fn)
 		}
 	case *TernaryExpr:
-		ExprRefs(x.Cond, fn)
-		ExprRefs(x.A, fn)
-		ExprRefs(x.B, fn)
+		walkExpr(x.Cond, fn)
+		walkExpr(x.A, fn)
+		walkExpr(x.B, fn)
 	}
 }
 

@@ -7,6 +7,7 @@ package p4
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -54,6 +55,10 @@ type checker struct {
 	regs   map[string]*Register // every control's, as bmv2's register files
 	buf    []byte               // the name being looked up
 	err    *CheckError
+	cur    any   // the action, register action or table being checked; nil elsewhere
+	edges  []any // every node's callees, cur's from edges[from:]
+	from   int
+	calls  map[any][]any // the callees of every node checked (acyclic)
 }
 
 // frame is the scope of an action or register-action body, name to
@@ -80,7 +85,11 @@ func (ck *checker) bits(b int, construct ...string) int {
 // construct, a program without ingress, parser or start state; an
 // undeclared name, header, table, action, register, register action,
 // hash or extern method; a width outside 1..64; an operator outside
-// the closed set; a table naming an undeclared action. Operand and
+// the closed set; a table naming an undeclared action; a hash algorithm
+// outside HashAlgos; a header declared twice; a parser transition to an
+// undeclared state or an empty select target; recursion (acyclic).
+// Scope is lexical: a body sees its own parameters (or m and o) and
+// the globals, never its caller's. Operand and
 // result widths follow P4-16: an untyped literal takes the type of the
 // other operand, else of the place its value goes (an assignment's
 // destination, an action parameter, a register cell or index, a cast),
@@ -101,13 +110,14 @@ func (p *Program) Validate() (Widths, error) {
 	}
 	// The maps are sized up front: Validate runs on every program
 	// codegen emits, bmv2 instantiates and p4c fits.
-	nf, ne := len(p.Metadata), 0
+	nf, ne, nn := len(p.Metadata), 0, 0
 	for _, h := range p.Headers {
 		nf += len(h.Fields)
 	}
 	count := func(Expr) { ne++ }
 	for _, c := range p.Controls() {
 		nf += len(c.Locals)
+		nn += len(c.Actions) + len(c.RegActs) + len(c.Tables)
 		WalkExprs(c.Apply, count)
 		for _, a := range c.Actions {
 			WalkExprs(a.Body, count)
@@ -118,6 +128,8 @@ func (p *Program) Validate() (Widths, error) {
 	}
 	ck.global = make(map[string]int, nf)
 	ck.w = make(Widths, ne)
+	// calls holds only the nodes that call: every table, few others.
+	ck.calls, ck.edges = make(map[any][]any, nn/4), make([]any, 0, nn)
 	for _, c := range p.Controls() {
 		for _, l := range c.Locals {
 			ck.global[l.Name] = ck.bits(l.Bits, "local", l.Name)
@@ -128,9 +140,15 @@ func (p *Program) Validate() (Widths, error) {
 		}
 		for _, h := range c.Hashes {
 			ck.bits(h.Bits, "hash", h.Name)
+			if !slices.Contains(HashAlgos, h.Algo) {
+				ck.refuse("hash "+h.Name, "unknown algorithm %q", h.Algo)
+			}
 		}
 	}
-	for _, h := range p.Headers {
+	for i, h := range p.Headers {
+		if slices.IndexFunc(p.Headers, func(g *HeaderDecl) bool { return g.Name == h.Name }) != i {
+			ck.refuse("header "+h.Name, "declared twice")
+		}
 		for _, f := range h.Fields {
 			name := "hdr." + h.Name + "." + f.Name
 			ck.global[name] = ck.bits(f.Bits, "field", name)
@@ -146,17 +164,109 @@ func (p *Program) Validate() (Widths, error) {
 				ck.refuse("parser state "+st.Name, "extracts undeclared header %q", hn)
 			}
 		}
-		if st.Select != nil {
-			ck.expr(p.Ingress, nil, st.Select.Key, intBits)
+		if st.Select == nil {
+			ck.transition(st, st.Next, true)
+			continue
+		}
+		ck.expr(p.Ingress, nil, st.Select.Key, intBits)
+		ck.transition(st, st.Select.Default, false)
+		for _, sc := range st.Select.Cases {
+			ck.transition(st, sc.State, false)
 		}
 	}
 	for _, c := range p.Controls() {
 		ck.control(c)
 	}
+	ck.acyclic()
 	if ck.err != nil {
 		return nil, ck.err
 	}
 	return ck.w, nil
+}
+
+// transition refuses a target that names no state. An empty target is
+// accept for an unconditional transition, and names nothing in a
+// select.
+func (ck *checker) transition(st *ParserState, to string, unconditional bool) {
+	switch {
+	case to == "accept" || to == "reject" || ck.p.Parser.StateByName(to) != nil:
+	case to == "" && unconditional:
+	case to == "":
+		ck.refuse("parser state "+st.Name, "empty select target")
+	default:
+		ck.refuse("parser state "+st.Name, "transition to undeclared state %q", to)
+	}
+}
+
+// acyclic refuses recursion, which P4 does not have: a cycle in the
+// graph whose edges are an action call, a register action's execute
+// and a table's apply (a statement, or apply_hit in an expression) to
+// each action the table lists, its default included. A table's key
+// expressions run when it applies, so their calls are its edges too.
+// The type walk recorded the edges (ck.calls).
+func (ck *checker) acyclic() {
+	at := make(map[any]int, len(ck.calls)) // 1 + a node's index on the path; -1 once done
+	var path []any
+	var visit func(n any)
+	visit = func(n any) {
+		if len(ck.calls[n]) == 0 {
+			return // a leaf is on no cycle
+		}
+		if i := at[n]; i > 0 {
+			var cycle []string
+			for _, m := range append(path[i-1:len(path):len(path)], n) {
+				cycle = append(cycle, nodeName(m))
+			}
+			ck.refuse(cycle[0], "recursive: %s", strings.Join(cycle, " -> "))
+			return
+		} else if i < 0 {
+			return
+		}
+		path = append(path, n)
+		at[n] = len(path)
+		for _, m := range ck.calls[n] {
+			visit(m)
+		}
+		path = path[:len(path)-1]
+		at[n] = -1
+	}
+	for _, c := range ck.p.Controls() { // in declaration order, so the refusal is deterministic
+		for _, a := range c.Actions {
+			visit(a)
+		}
+		for _, ra := range c.RegActs {
+			visit(ra)
+		}
+		for _, t := range c.Tables {
+			visit(t)
+		}
+	}
+}
+
+// enter starts checking n, an action, register action or table (nil:
+// anything else), and stores the edges of the one checked before.
+func (ck *checker) enter(n any) {
+	if len(ck.edges) > ck.from {
+		ck.calls[ck.cur] = ck.edges[ck.from:len(ck.edges):len(ck.edges)]
+	}
+	ck.cur, ck.from = n, len(ck.edges)
+}
+
+// edge records that the node being checked may run n.
+func (ck *checker) edge(n any) {
+	if ck.cur != nil {
+		ck.edges = append(ck.edges, n)
+	}
+}
+
+func nodeName(n any) string {
+	switch x := n.(type) {
+	case *ActionDecl:
+		return "action " + x.Name
+	case *RegisterAction:
+		return "register action " + x.Name
+	}
+	return "table " + n.(*Table).Name
 }
 
 func (ck *checker) control(c *Control) {
@@ -165,6 +275,7 @@ func (ck *checker) control(c *Control) {
 		for _, prm := range a.Params {
 			f[prm.Name] = ck.bits(prm.Bits, "action", a.Name, "parameter", prm.Name)
 		}
+		ck.enter(a)
 		ck.body(c, f, a.Body)
 	}
 	for _, ra := range c.RegActs {
@@ -173,18 +284,26 @@ func (ck *checker) control(c *Control) {
 			ck.refuse("register action "+ra.Name, "undeclared register %q", ra.Register)
 			continue
 		}
+		ck.enter(ra)
 		ck.body(c, frame{"m": reg.Bits, "o": reg.Bits}, ra.Body)
 	}
 	for _, t := range c.Tables {
+		ck.enter(t)
 		for _, an := range t.Actions {
-			if an != "NoAction" && c.ActionByName(an) == nil {
+			if a := c.ActionByName(an); a != nil {
+				ck.edge(a)
+			} else if an != "NoAction" {
 				ck.refuse("table "+t.Name, "undeclared action %q", an)
 			}
+		}
+		if t.Default != nil && c.ActionByName(t.Default.Name) != nil {
+			ck.edge(c.ActionByName(t.Default.Name))
 		}
 		for _, k := range t.Keys {
 			ck.expr(c, nil, k.Expr, intBits)
 		}
 	}
+	ck.enter(nil)
 	ck.body(c, nil, c.Apply)
 }
 
@@ -198,7 +317,9 @@ func (ck *checker) body(c *Control, f frame, body []Stmt) {
 			ck.body(c, f, x.Then)
 			ck.body(c, f, x.Else)
 		case *ApplyTable:
-			if c.TableByName(x.Table) == nil {
+			if t := c.TableByName(x.Table); t != nil {
+				ck.edge(t)
+			} else {
 				ck.refuse("table "+x.Table, "undeclared")
 			}
 			if x.HitVar != "" {
@@ -224,6 +345,7 @@ func (ck *checker) callStmt(c *Control, f frame, x *CallStmt) {
 			ck.refuse("action "+x.Method, "undeclared")
 			return
 		}
+		ck.edge(a)
 		for i, arg := range x.Args {
 			want := intBits
 			if i < len(a.Params) {
@@ -251,7 +373,8 @@ func (ck *checker) callStmt(c *Control, f frame, x *CallStmt) {
 		ck.expr(c, f, x.Args[1], indexBits)
 		return
 	}
-	if c.RegActByName(x.Recv) != nil && x.Method == "execute" {
+	if ra := c.RegActByName(x.Recv); ra != nil && x.Method == "execute" {
+		ck.edge(ra)
 		ck.args(c, f, x.Args, indexBits)
 		return
 	}
@@ -373,8 +496,10 @@ func (ck *checker) call(c *Control, f frame, x *CallExpr) int {
 	ing := ck.p.Ingress
 	switch {
 	case x.Method == "execute" && ing.RegActByName(x.Recv) != nil:
+		ra := ing.RegActByName(x.Recv)
+		ck.edge(ra)
 		ck.args(c, f, x.Args, indexBits)
-		if r := ing.RegisterByName(ing.RegActByName(x.Recv).Register); r != nil {
+		if r := ing.RegisterByName(ra.Register); r != nil {
 			return r.Bits
 		}
 		return intBits // refused with the register action
@@ -384,6 +509,7 @@ func (ck *checker) call(c *Control, f frame, x *CallExpr) int {
 		}
 		return 1
 	case x.Method == "apply_hit" && ing.TableByName(x.Recv) != nil:
+		ck.edge(ing.TableByName(x.Recv))
 		return 1
 	case x.Method == "get":
 		for _, ctl := range ck.p.Controls() {

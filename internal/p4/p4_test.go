@@ -70,17 +70,6 @@ func small(target Target) *Program {
 	return prog
 }
 
-func TestValidate(t *testing.T) {
-	if _, err := small(TargetTNA).Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bad := small(TargetTNA)
-	bad.Ingress.Tables[0].Actions = append(bad.Ingress.Tables[0].Actions, "missing")
-	if _, err := bad.Validate(); err == nil {
-		t.Error("expected validation error for unknown action")
-	}
-}
-
 // TestValidateWidths: the widths Validate records for untyped literals
 // in each kind of context, and its typed refusals.
 func TestValidateWidths(t *testing.T) {

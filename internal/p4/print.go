@@ -324,7 +324,11 @@ func printTable(pr *printer, t *Table) {
 		pr.ind--
 		pr.w(CatMAT, "}")
 	}
-	pr.w(CatMAT, "actions = { ", strings.Join(t.Actions, "; "), "; }")
+	acts := "" // each action ends in "; ", so an empty list prints "{ }"
+	for _, a := range t.Actions {
+		acts += a + "; "
+	}
+	pr.w(CatMAT, "actions = { ", acts, "}")
 	if len(t.Entries) > 0 {
 		kw := "entries"
 		if t.Const {

@@ -95,11 +95,11 @@ func TestPipelineFig7TNA(t *testing.T) {
 		t.Errorf("partitions: got %d, want 2", st.MemPartitions)
 	}
 	for _, name := range []string{"Bitmap__0", "Bitmap__1", "Agg__0", "Agg__3", "Count"} {
-		if mod.MemByName(name) == nil {
+		if memByName(mod, name) == nil {
 			t.Errorf("missing partitioned memory %s", name)
 		}
 	}
-	if mod.MemByName("Bitmap") != nil || mod.MemByName("Agg") != nil {
+	if memByName(mod, "Bitmap") != nil || memByName(mod, "Agg") != nil {
 		t.Error("original arrays should be replaced by partitions")
 	}
 	// No φ-nodes may survive.
@@ -123,7 +123,7 @@ func TestPipelineFig7V1Model(t *testing.T) {
 	if st.MemPartitions != 0 {
 		t.Errorf("v1model should not partition, got %d", st.MemPartitions)
 	}
-	if mod.MemByName("Bitmap") == nil {
+	if memByName(mod, "Bitmap") == nil {
 		t.Error("Bitmap should be intact on v1model")
 	}
 	if countOps(mod, ir.OpPhi) != 0 {
@@ -281,7 +281,7 @@ _kernel(1) void k(uint32_t j, uint32_t &a, uint32_t &b) {
 `, 1, nil)
 	// Give M an initializer by hand (globals are zero-initialized in
 	// NetCL; this exercises the slicing logic directly).
-	mod.MemByName("M").Init = []int64{1, 2, 3, 4}
+	memByName(mod, "M").Init = []int64{1, 2, 3, 4}
 	for _, f := range mod.Funcs {
 		Mem2Reg(f)
 		Simplify(f)
@@ -289,7 +289,7 @@ _kernel(1) void k(uint32_t j, uint32_t &a, uint32_t &b) {
 	if n := PartitionMemory(mod); n != 1 {
 		t.Fatalf("splits: %d", n)
 	}
-	m0, m1 := mod.MemByName("M__0"), mod.MemByName("M__1")
+	m0, m1 := memByName(mod, "M__0"), memByName(mod, "M__1")
 	if m0 == nil || m1 == nil {
 		t.Fatal("partitions missing")
 	}
@@ -313,7 +313,7 @@ _kernel(1) void k(unsigned a, unsigned b, unsigned &x, unsigned &y) {
 	if n := DuplicateLookups(mod); n != 1 {
 		t.Fatalf("dups: %d", n)
 	}
-	if mod.MemByName("tbl__dup1") == nil {
+	if memByName(mod, "tbl__dup1") == nil {
 		t.Error("duplicate memory missing")
 	}
 	// The two lookups must now reference different objects.
@@ -558,4 +558,14 @@ func TestStrEnumsNonEmpty(t *testing.T) {
 	if strings.TrimSpace(ir.OpAtomicRMW.String()) == "" {
 		t.Error("op name missing")
 	}
+}
+
+// memByName finds a memory object of mod.
+func memByName(mod *ir.Module, name string) *ir.MemRef {
+	for _, g := range mod.Mems {
+		if g.Name == name {
+			return g
+		}
+	}
+	return nil
 }
