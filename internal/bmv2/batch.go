@@ -15,6 +15,7 @@ package bmv2
 // Direct client share one vocabulary and one wire encoding.
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -32,7 +33,8 @@ const (
 	// exact tuples). Errors on unknown tables.
 	OpInsert OpKind = iota
 	// OpModify atomically replaces the entries matching Entry's full
-	// key tuple with Entry. Errors when no entry matches.
+	// key tuple with Entry, in the place of the earliest of them (its
+	// position in Entries and in ties). Errors when no entry matches.
 	OpModify
 	// OpDelete removes every entry whose key values equal Keys exactly
 	// (same arity, all values equal). Unknown tables and missing tuples
@@ -177,7 +179,7 @@ type erec struct {
 	off   uint32
 	nkeys uint32
 	nargs uint32
-	seq   uint32 // insertion serial: the record's identity across compaction
+	seq   uint32 // serial: the record's identity across compaction, and its tie order
 	act   int32  // index into the store's action names, or actNone
 	plen  int32  // the keys' PrefixLen, or wideKeys
 }
@@ -188,7 +190,7 @@ const (
 	recDead  = -1 // entrySet.next of a deleted record
 )
 
-// arena is a table's records in insertion order and the words they
+// arena is a table's records in append order and the words they
 // name. The store appends to it, and truncates what a refused batch
 // appended; a published snapshot holds a prefix nothing writes again.
 type arena struct {
@@ -236,7 +238,8 @@ func (a *arena) tuple(i int32) (t [maxExactKeys]uint64) {
 // of the key values — that makes insert O(1) and delete O(candidates).
 // Deleted records leave the chains and keep their slot until
 // compaction after a successful commit, so a refused batch's undo can
-// relink them and truncate what it appended.
+// relink them and truncate what it appended. Store order is serial
+// order: a modify's record takes the serial of the earliest it replaces.
 type entrySet struct {
 	arena
 	next       []int32 // per record: its chain successor + 1 (0 ends it), or recDead
@@ -298,7 +301,7 @@ func keysPlen(keys []p4.KeyValue) int32 {
 	return plen
 }
 
-// add appends a copy of e, returning its record index.
+// add appends a copy of e under the next serial, returning its index.
 func (es *entrySet) add(e *p4.Entry) int32 {
 	r := erec{prio: int64(e.Priority), off: uint32(len(es.words)), nkeys: uint32(len(e.Keys)), seq: es.seq, act: actNone}
 	if e.Action != nil {
@@ -398,17 +401,27 @@ func (es *entrySet) unDelete(rm []int32) {
 	}
 }
 
+// sameKeys reports whether records i and j have the same keys and
+// priority: a modify between them leaves what the record matches alone.
+func (es *entrySet) sameKeys(i, j int32) bool {
+	a, b := &es.recs[i], &es.recs[j]
+	return a.prio == b.prio && a.plen == b.plen &&
+		slices.Equal(es.words[a.off+a.nargs:a.off+a.size()], es.words[b.off+b.nargs:b.off+b.size()])
+}
+
 // maybeCompact reclaims deleted records once they dominate the arena,
-// copying the live ones into a fresh one in order, and reports whether
-// it did: record indices then changed, serials did not. Amortized O(1)
-// per delete; called only after successful commits.
-func (es *entrySet) maybeCompact() bool {
+// copying the live ones into a fresh one in order. It returns nil, or
+// the map from each old record index to its new one (-1: reclaimed);
+// serials do not change. Amortized O(1) per delete; called only after
+// successful commits.
+func (es *entrySet) maybeCompact() []int32 {
 	if es.dead <= 16 || es.dead <= es.live {
-		return false
+		return nil
 	}
 	old, next, words := es.arena, es.next, 0
+	to := make([]int32, len(old.recs))
 	for i := range old.recs {
-		if next[i] != recDead {
+		if to[i] = -1; next[i] != recDead {
 			words += int(old.recs[i].size())
 		}
 	}
@@ -416,18 +429,21 @@ func (es *entrySet) maybeCompact() bool {
 	// compacts again before it needs more, so churn never regrows it.
 	n := 2*es.live + 16
 	es.arena = arena{make([]erec, 0, n), make([]uint64, 0, 2*words)}
-	es.next, es.heads, es.live, es.dead = make([]int32, 0, n), nil, 0, 0
+	// The writer's key index is rebuilt in place (next at or below i).
+	es.next, es.live, es.dead = next[:0], 0, 0
+	clear(es.heads)
 	for i, r := range old.recs {
 		if next[i] == recDead {
 			continue
 		}
 		es.words = append(es.words, old.words[r.off:r.off+r.size()]...)
 		r.off = uint32(len(es.words)) - r.size()
+		to[i] = int32(len(es.recs))
 		es.recs, es.next = append(es.recs, r), append(es.next, 0)
 		es.live++
-		es.link(int32(len(es.recs) - 1))
+		es.link(to[i])
 	}
-	return true
+	return to
 }
 
 // entry rebuilds record i as a fresh entry: the copy Entries and the
@@ -444,13 +460,18 @@ func (es *entrySet) entry(i int) *p4.Entry {
 	return e
 }
 
-// entries rebuilds the live entries in insertion order.
+// entries rebuilds the live entries in store order.
 func (es *entrySet) entries() []*p4.Entry {
-	out := make([]*p4.Entry, 0, es.live)
+	idx := make([]int, 0, es.live)
 	for i := range es.recs {
 		if es.next[i] != recDead {
-			out = append(out, es.entry(i))
+			idx = append(idx, i)
 		}
+	}
+	slices.SortFunc(idx, func(i, j int) int { return cmp.Compare(es.recs[i].seq, es.recs[j].seq) })
+	out := make([]*p4.Entry, len(idx))
+	for k, i := range idx {
+		out[k] = es.entry(i)
 	}
 	return out
 }
@@ -612,6 +633,8 @@ func (s *Switch) Write(b *WriteBatch) (*WriteResult, error) {
 				return fail(i, fmt.Errorf("modify in %q: %w %v", op.Table, ErrNoMatch, kvBuf))
 			}
 			idx := es.add(op.Entry)
+			// Records of one key sit in serial order: the first is the earliest.
+			es.recs[idx].seq = es.recs[slices.Min(rm)].seq
 			undo = append(undo, undoRec{es, idx, int32(start), int32(len(rmArena))})
 			res.Removed[i] = len(rm)
 			touch(op.Table)
@@ -668,23 +691,16 @@ func (s *Switch) Write(b *WriteBatch) (*WriteResult, error) {
 	}
 
 	// Commit: registers first (plain memory; Sharded quiesces around the
-	// whole call when packets are in flight), then reclaim dominant
-	// deleted records — which renumbers them, so every table over a
-	// compacted store builds afresh — then publish every touched table
-	// in one generation.
+	// whole call when packets are in flight), then the snapshots, then
+	// reclaim dominant deleted records — which renumbers them, so every
+	// snapshot over a compacted store is relabelled — then publish every
+	// touched table in one generation.
 	for _, rw := range regWrites {
 		rw.rf.store(rw.idx, rw.val)
 	}
-	for name := range touched {
-		if s.entries[name].maybeCompact() && stage != nil {
-			for _, tb := range s.prog.tablesByName[name] {
-				stage[tb.gslot].dirty = true
-			}
-		}
-	}
+	var snaps []*tsnap
 	if stage != nil {
-		cur := s.prog.gen.Load()
-		snaps := append([]*tsnap(nil), cur.snaps...)
+		snaps = slices.Clone(s.prog.gen.Load().snaps)
 		for gslot, st := range stage {
 			if st.dirty {
 				snaps[gslot] = s.prog.tabs[gslot].build()
@@ -692,6 +708,15 @@ func (s *Switch) Write(b *WriteBatch) (*WriteResult, error) {
 				snaps[gslot] = st.snap
 			}
 		}
+	}
+	for name := range touched {
+		if to := s.entries[name].maybeCompact(); to != nil && snaps != nil {
+			for _, tb := range s.prog.tablesByName[name] {
+				snaps[tb.gslot] = tb.relabel(snaps[tb.gslot], to)
+			}
+		}
+	}
+	if snaps != nil {
 		s.prog.gen.Store(&generation{snaps: snaps})
 	}
 	return res, nil

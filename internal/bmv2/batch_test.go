@@ -3,6 +3,7 @@ package bmv2
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -440,4 +441,93 @@ func TestWriteKeepsNoCallerMemory(t *testing.T) {
 		t.Fatalf("delete by the committed key removed %d", n)
 	}
 	probe("deleted", 0xFFFF_FFFF, 5)
+}
+
+// TestModifyKeepsPlace: a modify updates an entry where it stands. On
+// the compiled engine and the reference, a modified ternary rule keeps
+// winning the ties it won, whether its keys stayed (which builds no
+// diagram node) or changed, and Entries keeps it in its place; on an
+// exact table too. Both hold across a compaction, also one committed
+// in the modify's own batch.
+func TestModifyKeepsPlace(t *testing.T) {
+	sw := New(matcherProg(nil))
+	if sw.CompileErr() != nil {
+		t.Fatalf("not compiled: %v", sw.CompileErr())
+	}
+	ref := NewReference(sw)
+	tern := func(out, v, mask uint64, prio int) *p4.Entry {
+		return entry("set_out", out, prio, p4.KeyValue{Value: v, Mask: mask})
+	}
+	// a and b match every key at one priority: a, the earlier, wins.
+	a, b := tern(1, 1, 0, 0), tern(2, 2, 0, 0)
+	write := func(stage string, wb *WriteBatch) {
+		t.Helper()
+		if _, err := sw.Write(wb); err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+	}
+	check := func(stage string, tern, ex []uint64, k1Want ...uint32) {
+		t.Helper()
+		if snapFor(t, sw, "tern1").dd == nil {
+			t.Fatalf("%s: tern1 has no diagram", stage)
+		}
+		for k1, want := range k1Want {
+			pkt := matcherPkt(3, uint32(k1), 0)
+			for _, eng := range []interface {
+				Process([]byte, int) (*Result, error)
+			}{sw, ref} {
+				res, err := eng.Process(slices.Clone(pkt), 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := matcherOut(t, res); got != want {
+					t.Fatalf("%s: %T: tern1 key %d: out %d, want %d", stage, eng, k1, got, want)
+				}
+			}
+		}
+		for table, want := range map[string][]uint64{"tern1": tern, "ex2": ex} {
+			var got []uint64
+			for _, e := range sw.Entries(table) {
+				got = append(got, e.Action.Args[0])
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: Entries(%s) outs %v, want %v", stage, table, got, want)
+			}
+		}
+	}
+	write("insert", NewWriteBatch().Insert("tern1", a).Insert("tern1", b).
+		Insert("ex2", entry("set_out", 100, 0, kv(1), kv(2))).Insert("ex2", entry("set_out", 200, 0, kv(1), kv(3))))
+	check("inserted", []uint64{1, 2}, []uint64{100, 200}, 1, 1)
+
+	fb, builds := tableFor(t, sw, "tern1").fb, tableFor(t, sw, "tern1").builds
+	write("same keys", NewWriteBatch().Modify("tern1", tern(11, 1, 0, 0)).Modify("ex2", entry("set_out", 111, 0, kv(1), kv(2))))
+	check("modified, keys kept", []uint64{11, 2}, []uint64{111, 200}, 11, 11)
+	if n := fb.tb.builds - builds; n != 0 {
+		t.Fatalf("a modify that kept keys and priority built %d diagram nodes", n)
+	}
+
+	// Now a tests bit 0 of the key: b wins even keys, a still odd ones.
+	write("new mask", NewWriteBatch().Modify("tern1", tern(12, 1, 1, 0)))
+	check("modified, mask changed", []uint64{12, 2}, []uint64{111, 200}, 2, 12, 2, 12)
+
+	// Fillers that lose every tie, then their deletes with a modify of
+	// each table: the store compacts in the modify's commit.
+	fill := NewWriteBatch()
+	for i := 0; i < 40; i++ {
+		fill.Insert("tern1", tern(uint64(500+i), uint64(100+i), 0, 9))
+	}
+	write("fill", fill)
+	drain := NewWriteBatch().Modify("tern1", tern(13, 1, 1, 0)).Modify("ex2", entry("set_out", 113, 0, kv(1), kv(2)))
+	for i := 0; i < 40; i++ {
+		drain.Delete("tern1", uint64(100+i))
+	}
+	recs := len(sw.entries["tern1"].recs)
+	write("drain", drain)
+	if len(sw.entries["tern1"].recs) >= recs {
+		t.Fatalf("vacuous: tern1 did not compact (%d records, %d before)", len(sw.entries["tern1"].recs), recs)
+	}
+	check("compacted in the modify's commit", []uint64{13, 2}, []uint64{113, 200}, 2, 13, 2, 13)
+
+	write("after compaction", NewWriteBatch().Modify("tern1", tern(14, 1, 1, 0)).Modify("ex2", entry("set_out", 114, 0, kv(1), kv(2))))
+	check("modified after compaction", []uint64{14, 2}, []uint64{114, 200}, 2, 14, 2, 14)
 }

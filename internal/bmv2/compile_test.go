@@ -236,8 +236,9 @@ func TestRangeBounds(t *testing.T) {
 // own snapshot. Entries include wrong arity, duplicate tuples,
 // out-of-range prefix lengths, overlapping masks and ranges, and
 // extreme priorities. The ternary masks sit in the low byte of a
-// 32-bit key — 24 free bits above them — so tern1 is the table that
-// runs on the scan here.
+// 32-bit key, and one more rule, which no probe hits, tests the high
+// byte: its 8 bits are free inside the root's care for every other
+// rule, so tern1 is the table that runs on the scan here.
 func TestMatcherDifferentialFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xC0FFEE))
 	kv := func(v uint64) p4.KeyValue { return p4.KeyValue{Value: v, PrefixLen: -1} }
@@ -264,6 +265,7 @@ func TestMatcherDifferentialFuzz(t *testing.T) {
 				entry("set_out", uint64(3000+i), prio,
 					p4.KeyValue{Value: uint64(rng.Intn(64)), Mask: uint64(rng.Intn(256))}))
 		}
+		ents["tern1"] = append(ents["tern1"], entry("set_out", 3999, 0, p4.KeyValue{Value: 0xA5 << 24, Mask: 0xFF << 24}))
 		for i := 0; i < 12; i++ {
 			lo := uint64(rng.Intn(64))
 			ents["rng1"] = append(ents["rng1"],

@@ -4,7 +4,8 @@ package bmv2
 // engine (instr.go) to the operator table of ops.go: seeded random
 // programs — expression trees over every operator token, casts,
 // ternaries, calls, operands of every width class and scope, nested
-// action frames and a parameter shadowing a control local — run on
+// action frames, a parameter shadowing a control local and a table
+// applied inside an action, keyed on locals the action shadows — run on
 // the engine and on the reference interpreter over random packets and
 // must agree on output bytes, register contents and Result. The same
 // generator, asked for one class of ill-typed construct, draws the
@@ -45,11 +46,13 @@ type exprGen struct {
 	// reads are the names visible to an expression at the current
 	// point; writes the assignable ones. Scopes push and pop suffixes.
 	reads, writes []string
-	// applyLevel: tables may be applied (t runs act, so inside an
-	// action body an apply would recurse). calls are the actions a
-	// statement may call: act and act2 at apply level, act2 inside act.
-	applyLevel bool
-	calls      []string
+	// tables are the tables a statement may apply: t and t2 at apply
+	// level, t2 inside act and act2 (t runs act, so applying it there
+	// would recurse), none inside act3, which t2 runs. calls are the
+	// actions a statement may call: act and act2 at apply level, act2
+	// inside act.
+	tables []string
+	calls  []string
 	// inRegact bounds register-action nesting.
 	inRegact int
 }
@@ -143,8 +146,8 @@ func (g *exprGen) expr(depth int) p4.Expr {
 func (g *exprGen) call(depth int) p4.Expr {
 	switch g.rng.Intn(8) {
 	case 0:
-		if g.applyLevel {
-			return &p4.CallExpr{Recv: "t", Method: "apply_hit"}
+		if len(g.tables) > 0 {
+			return &p4.CallExpr{Recv: g.pick(g.tables), Method: "apply_hit"}
 		}
 	case 1:
 		if g.draw(illCall) {
@@ -226,12 +229,12 @@ func (g *exprGen) stmt(depth int) p4.Stmt {
 			args[i] = g.expr(2)
 		}
 		return &p4.CallStmt{Method: g.pick(g.calls), Args: args}
-	case k == 17 && g.applyLevel:
+	case k == 17 && len(g.tables) > 0:
 		hit := g.pick([]string{"", "hit_l", "dyn_hit"})
 		if hit == "dyn_hit" && !g.draw(illName) {
 			hit = "hit_l"
 		}
-		return &p4.ApplyTable{Table: "t", HitVar: hit}
+		return &p4.ApplyTable{Table: g.pick(g.tables), HitVar: hit}
 	case k == 18:
 		return &p4.SetValid{Header: "g", Valid: g.rng.Intn(3) > 0}
 	case k == 19 && g.rng.Intn(6) == 0:
@@ -242,7 +245,7 @@ func (g *exprGen) stmt(depth int) p4.Stmt {
 	return &p4.Assign{LHS: fr(g.pick(g.writes)), RHS: g.expr(2)}
 }
 
-// program builds a one-table, two-action program around random bodies.
+// program builds a two-table, three-action program around random bodies.
 func (g *exprGen) program() *p4.Program {
 	pp := &p4.Program{Name: "fz", Target: p4.TargetTNA}
 	h := &p4.HeaderDecl{Name: "h"}
@@ -301,10 +304,21 @@ func (g *exprGen) program() *p4.Program {
 	}
 	g.inRegact = 0
 
-	// Actions: act2 is a leaf whose parameter l8 shadows the local l8
-	// at another width; act, whose parameter l33 shadows the local l33,
-	// may call it. Each body runs over its own frame: act2 and the
-	// register actions it runs read the locals l33 and l8.
+	// Actions: act3 is a leaf that only t2 runs, its parameter l33
+	// shadowing the local l33. act2 is a leaf whose parameter l8 shadows
+	// the local l8 at another width; act, whose parameter l33 shadows the
+	// local l33, may call it. Both may apply t2, which keys on the
+	// locals l8 and l33. Each body and each table's keys run over their
+	// own frame: act2, t2 and the register actions they run read the
+	// locals l33 and l8.
+	g.writes = append([]string(nil), writable...)
+	scoped("l33", "q9")
+	act3 := &p4.ActionDecl{
+		Name:   "act3",
+		Params: []*p4.Field{{Name: "l33", Bits: 12}, {Name: "q9", Bits: 9}},
+		Body:   g.stmts(1+g.rng.Intn(3), 2),
+	}
+	g.tables = []string{"t2"}
 	g.writes = append([]string(nil), writable...)
 	scoped("l8", "q5")
 	act2 := &p4.ActionDecl{
@@ -319,7 +333,8 @@ func (g *exprGen) program() *p4.Program {
 		Name:   "act",
 		Params: []*p4.Field{{Name: "p8", Bits: 8}, {Name: "p16", Bits: 16}, {Name: "l33", Bits: 33}},
 		Body:   g.stmts(1+g.rng.Intn(4), 2),
-	}, act2}
+	}, act2, act3}
+	act3Call := func(a, b uint64) *p4.ActionCall { return &p4.ActionCall{Name: "act3", Args: []uint64{a, b}} }
 	ctl.Tables = []*p4.Table{{
 		Name:    "t",
 		Keys:    []*p4.TableKey{{Expr: p4.FR("hdr", "h", "i3"), Match: p4.MatchExact}},
@@ -330,11 +345,21 @@ func (g *exprGen) program() *p4.Program {
 			{Keys: []p4.KeyValue{{Value: 2}}, Action: &p4.ActionCall{Name: "NoAction"}},
 			{Keys: []p4.KeyValue{{Value: 5}}, Action: &p4.ActionCall{Name: "nope"}}, // unknown: a run-time error
 		},
+	}, {
+		Name:    "t2",
+		Keys:    []*p4.TableKey{{Expr: fr("l8"), Match: p4.MatchTernary}, {Expr: fr("l33"), Match: p4.MatchTernary}},
+		Actions: []string{"act3"},
+		Default: act3Call(0xABC, 0x155),
+		Entries: []*p4.Entry{
+			{Keys: []p4.KeyValue{{}, {Value: 1, Mask: 1}}, Action: act3Call(0x123, 7), Priority: 1},
+			{Keys: []p4.KeyValue{{Value: 2, Mask: 3}, {}}, Action: act3Call(0xFFF, 0x1FF), Priority: 2},
+			{Keys: []p4.KeyValue{{Value: 0x80, Mask: 0x80}, {Value: 0, Mask: 3}}, Action: act3Call(5, 0), Priority: 0},
+		},
 	}}
 
-	g.reads, g.writes, g.applyLevel, g.calls = base, writable, true, []string{"act", "act2"}
+	g.reads, g.writes, g.tables, g.calls = base, writable, []string{"t", "t2"}, []string{"act", "act2"}
 	ctl.Apply = g.stmts(4+g.rng.Intn(8), 3)
-	g.applyLevel, g.calls = false, nil
+	g.tables, g.calls = nil, nil
 	if g.rng.Intn(4) > 0 {
 		ctl.Apply = slices.Insert(ctl.Apply, g.rng.Intn(len(ctl.Apply)+1), g.specRun(h, ctl)...)
 	}

@@ -18,13 +18,14 @@ package bmv2
 //
 // Every key width is static (p4.Validate decides it; ctable.apply
 // stamps it on each key it matches, so the width a diagram was built
-// for is the width it is walked with). Eligibility is decided at build
-// time: every rule must expand to a bounded set of intervals per field
-// (ternary masks with many free high bits explode combinatorially). A
-// table whose rules do not gets no diagram and matches by ctable.scan.
-// Where a diagram exists its leaf is the answer, as in the NetKAT
-// compiler; the fuzzers in fdd_test.go hold it to scan and to the
-// reference interpreter.
+// for is the width it is walked with). A node splits only on the bits
+// its own rules test (fnode.care). Eligibility is decided at build
+// time: no node may expand a rule over more than fddMaxFreeBits free
+// bits, nor the diagram exceed the work budget. A table whose rules
+// break either gets no diagram and matches by ctable.scan. Where a
+// diagram exists its leaf is the answer, as in the NetKAT compiler;
+// the fuzzers in fdd_test.go hold it to scan and to the reference
+// interpreter.
 
 import (
 	"cmp"
@@ -39,8 +40,9 @@ const (
 	// diagram, summed over its nodes before adjacent ones merge; over
 	// it the table loses its diagram (scan fallback), never its entries.
 	fddMaxWork = 1 << 16
-	// fddMaxFreeBits bounds non-contiguous ternary masks: a rule may
-	// enumerate at most 2^fddMaxFreeBits intervals per field.
+	// fddMaxFreeBits bounds how a ternary rule's mask may differ from its
+	// node's care: a node expands a rule into at most 2^fddMaxFreeBits
+	// intervals.
 	fddMaxFreeBits = 6
 )
 
@@ -53,10 +55,12 @@ const fddMiss = int32(-1)
 // fnode is one decision level: starts[i] opens the half-open
 // elementary interval [starts[i], starts[i+1]) (the last runs to the
 // end of the field's domain), and next[i] is its child or leaf code.
-// starts[0] is always 0, so every key value lands in some interval.
+// The key is read under care, the bits the node's rules test. starts[0]
+// is always 0, so every key value lands in some interval.
 type fnode struct {
 	starts []uint64
 	next   []int32
+	care   uint64
 }
 
 // fdd is the compiled diagram of one table's rule set.
@@ -70,7 +74,7 @@ func (f *fdd) match(keys []uint64, ents []int32) int32 {
 	n := f.root
 	for lvl := 0; n >= 0; lvl++ {
 		nd := &f.nodes[n]
-		v := keys[lvl]
+		v := keys[lvl] & nd.care
 		// Branch-free halving to the last interval starting at or below v
 		// (starts[0] is 0): per step, lo += half when starts[lo+half] <= v,
 		// as arithmetic on the borrow of v - starts[lo+half] — the
@@ -92,21 +96,23 @@ func (f *fdd) match(keys []uint64, ents []int32) int32 {
 	return ents[-n-2]
 }
 
-// fddIval is one closed interval [lo, hi] of key values.
-type fddIval struct{ lo, hi uint64 }
+// fddLv is one rule at one level: the interval its key covers under
+// its own mask, from the value of handle open (fddLevel) to before that
+// of shut (-1: the domain's end), and the bits the key tests (mask: the
+// whole domain unless ternary) with their values (val).
+type fddLv struct {
+	open, shut int32
+	val, mask  uint64
+}
 
 // fddRule is one store record as the diagram sees it: the static
-// score the reference loop would assign it and, per level, the
-// endpoints of its interval expansion — h<<1 where an interval opens at
-// the value of handle h (fddLevel), h<<1|1 where one closes. ends is nil
-// for a record that can never match (wrong arity, a key outside its
-// domain); unrep marks a key no diagram can represent, which sends the
-// whole table to the scan while it lives. seq is the record's serial,
-// which names it across compaction.
+// score the reference loop would assign it and its key at each level.
+// lv is nil for a record that can never match (wrong arity, a key
+// outside its domain). seq is the record's serial, which names it
+// across compaction.
 type fddRule struct {
 	score int
-	ends  [][]int32
-	unrep bool
+	lv    []fddLv
 	seq   uint32
 }
 
@@ -145,6 +151,7 @@ type fddLevel struct {
 	fresh []int32          // handles not yet ranked
 	kept  int              // values the last reintern kept
 
+	xe    [][2]int32 // a node's endpoints under its care: rule position (^ closing), handle
 	ev    []fddEvent
 	head  []int32
 	marks []uint64
@@ -164,6 +171,16 @@ func (l *fddLevel) add(v uint64) int32 {
 		l.hv[v] = h
 	}
 	return h
+}
+
+// span interns the endpoints of [lo, hi] on a level of domain dmask:
+// the handle it opens at, and the one it closes at (-1 at the end).
+func (l *fddLevel) span(lo, hi, dmask uint64) (open, shut int32) {
+	open, shut = l.add(lo), -1
+	if hi < dmask {
+		shut = l.add(hi + 1)
+	}
+	return open, shut
 }
 
 // order merges the unranked handles, sorted, into the ranked order.
@@ -193,16 +210,20 @@ func (l *fddLevel) reintern(rules []fddRule, lv int) {
 	old, to := l.vals, l.rank // to: old handle -> new + 1
 	l.vals = make([]uint64, 0, len(old))
 	clear(to)
-	for _, r := range rules {
-		if r.ends == nil {
-			continue
+	keep := func(h int32) int32 {
+		if h < 0 {
+			return h
 		}
-		for i, e := range r.ends[lv] {
-			if to[e>>1] == 0 {
-				l.vals = append(l.vals, old[e>>1])
-				to[e>>1] = int32(len(l.vals))
-			}
-			r.ends[lv][i] = (to[e>>1]-1)<<1 | e&1
+		if to[h] == 0 {
+			l.vals = append(l.vals, old[h])
+			to[h] = int32(len(l.vals))
+		}
+		return to[h] - 1
+	}
+	for _, r := range rules {
+		if r.lv != nil {
+			x := &r.lv[lv]
+			x.open, x.shut = keep(x.open), keep(x.shut)
 		}
 	}
 	ord := l.ord[:0]
@@ -221,9 +242,11 @@ func (l *fddLevel) reintern(rules []fddRule, lv int) {
 // fddBuilder is a non-exact table's writer-side diagram state. It
 // lives across commits and changes only in commit, under Switch.mu,
 // after a batch has validated. Rule ids number the store's records in
-// insertion order (compact keeps that order), so the lower id wins a tie
+// store order (compact keeps that order), so the lower id wins a tie
 // exactly as the earlier record does; they follow records by serial,
-// so the store's compaction, which moves records, keeps them. The memo
+// so the store's compaction, which moves records, keeps them, and a
+// modify, whose record takes the serial of the one it replaces, keeps
+// its rule's id. The memo
 // maps (level, rule set) to a node of the arena: a commit changes the
 // live set and asks for the root again, and every subtree whose set
 // did not change is a memo hit, shared with the previous generation.
@@ -239,7 +262,9 @@ type fddBuilder struct {
 	rules []fddRule // by id
 	recs  []int32   // by id: the record's index, -1 once dead
 	live  []int32   // ids of the store's live records, ascending
-	unrep int       // live rules with an unrepresentable key
+	nrec  int       // the store's records at the last sync
+	seq   uint32    // the store's next serial at the last sync
+	fresh []int32   // sync's records under fresh serials
 
 	nodes []fnode
 	meta  []fddMeta        // per node
@@ -265,7 +290,7 @@ func newFDDBuilder(tb *ctable) *fddBuilder {
 // commit brings the diagram up to the table's entry store and returns
 // the snapshot's matcher state: the records by id — dead ones -1,
 // skipped by the scan — and their diagram, or nil when the rule set
-// rules one out (unrepresentable masks, work-budget overflow).
+// rules one out (masks too scattered, work-budget overflow).
 func (b *fddBuilder) commit() ([]int32, *fdd) {
 	b.sync()
 	dd := b.diagram()
@@ -284,7 +309,7 @@ func (b *fddBuilder) commit() ([]int32, *fdd) {
 func (b *fddBuilder) compact(dd *fdd) {
 	for lv := range b.lvl {
 		if l := &b.lvl[lv]; len(l.vals) > 2*l.kept {
-			l.reintern(b.rules, lv) // a dead rule's ends are nil
+			l.reintern(b.rules, lv) // a dead rule's lv is nil
 		}
 	}
 	ren := make([]int32, len(b.rules))
@@ -322,7 +347,7 @@ func (b *fddBuilder) compact(dd *fdd) {
 			h += fddMix(ren[id])
 		}
 		id := int32(len(nodes))
-		nodes = append(nodes, fnode{starts: b.nodes[n].starts, next: next})
+		nodes = append(nodes, fnode{starts: b.nodes[n].starts, next: next, care: b.nodes[n].care})
 		meta = append(meta, fddMeta{level: m.level, off: off, n: m.n, work: m.work})
 		b.memo[fddKey(m.level, h)] = id
 		to[n] = id + 1
@@ -332,73 +357,80 @@ func (b *fddBuilder) compact(dd *fdd) {
 	b.nodes, b.meta, b.sets = nodes, meta, sets
 }
 
-// sync makes live the store's live records. A batch only deletes and
-// appends, and compaction keeps order, so the records that stayed are
-// the old live list minus the dropped ones, in the same order, and the
-// rest follow: a merge by serial, in place, that also re-reads each
-// record's index.
+// sync makes live the store's live records. Since the last sync the
+// batch deleted records and appended some, past nrec: under fresh
+// serials, or a modify's under a live rule's serial, which keeps its id
+// and place, and its projection unless the keys or priority changed
+// (the old record is still in the arena to say). Fresh rules follow, in
+// serial order, so the live list stays in store order.
 func (b *fddBuilder) sync() {
 	es := b.tb.es
-	old, live, i := b.live, b.live[:0], 0
-	drop := func(id int32) {
-		if b.rules[id].unrep {
-			b.unrep--
-		}
-		b.rules[id], b.recs[id] = fddRule{}, -1
-	}
-	for ri := range es.recs {
+	fresh := b.fresh[:0]
+	for ri := int32(b.nrec); ri < int32(len(es.recs)); ri++ {
 		if es.next[ri] == recDead {
 			continue
 		}
 		seq := es.recs[ri].seq
-		for i < len(old) && b.rules[old[i]].seq != seq {
-			drop(old[i])
-			i++
-		}
-		if i < len(old) {
-			b.recs[old[i]] = int32(ri)
-			live = append(live, old[i])
-			i++
+		if seq >= b.seq {
+			fresh = append(fresh, ri)
 			continue
 		}
-		r := b.project(&es.arena, &es.recs[ri])
-		if r.seq = seq; r.unrep {
-			b.unrep++
+		i, _ := slices.BinarySearchFunc(b.live, seq, func(id int32, seq uint32) int {
+			return cmp.Compare(b.rules[id].seq, seq)
+		})
+		id := b.live[i]
+		if !es.sameKeys(b.recs[id], ri) {
+			b.reproject(id, ri)
 		}
+		b.recs[id] = ri
+	}
+	live := b.live[:0]
+	for _, id := range b.live {
+		if es.next[b.recs[id]] != recDead {
+			live = append(live, id)
+		} else {
+			b.rules[id], b.recs[id] = fddRule{}, -1
+		}
+	}
+	slices.SortFunc(fresh, func(i, j int32) int { return cmp.Compare(es.recs[i].seq, es.recs[j].seq) })
+	for _, ri := range fresh {
 		live = append(live, int32(len(b.rules)))
-		b.rules, b.recs = append(b.rules, r), append(b.recs, int32(ri))
+		b.rules, b.recs = append(b.rules, b.project(&es.arena, &es.recs[ri])), append(b.recs, ri)
 	}
-	for ; i < len(old); i++ {
-		drop(old[i])
-	}
-	b.live = live
+	b.live, b.fresh, b.nrec, b.seq = live, fresh, len(es.recs), es.seq
 	for lv := range b.lvl {
 		b.lvl[lv].order()
 	}
 }
 
-// project expands one record into its per-level interval endpoints; a
-// key that fails leaves the values named before it to the next compaction.
-func (b *fddBuilder) project(ar *arena, rec *erec) (r fddRule) {
-	tb := b.tb
+// reproject projects rule id again from record ri, a modify's that
+// changed its keys or priority. The memo forgets every node whose set
+// holds id: they answer for the old projection.
+func (b *fddBuilder) reproject(id, ri int32) {
+	b.rules[id] = b.project(&b.tb.es.arena, &b.tb.es.recs[ri])
+	for k, n := range b.memo {
+		if m := &b.meta[n]; slices.Contains(b.sets[m.off:m.off+m.n], id) {
+			delete(b.memo, k)
+		}
+	}
+}
+
+// project reads one record's key at each level; a key that can never
+// match leaves the values named before it to the next compaction.
+func (b *fddBuilder) project(ar *arena, rec *erec) fddRule {
+	tb, r := b.tb, fddRule{seq: rec.seq}
 	if rec.nkeys != uint32(len(tb.keys)) {
 		return r
 	}
-	r.ends = make([][]int32, len(tb.kbits))
-	for lv := range r.ends {
+	r.lv = make([]fddLv, len(tb.kbits))
+	for lv := range r.lv {
 		kv := ar.key(rec, lv)
-		ivs, ok := projIvals(tb.kinds[lv], &kv, tb.kbits[lv], int(rec.prio), &r.score)
-		if !ok || len(ivs) == 0 {
-			return fddRule{unrep: !ok} // unrepresentable, or can never match
+		lo, hi, mask := projIval(tb.kinds[lv], &kv, tb.kbits[lv], int(rec.prio), &r.score)
+		if hi = min(hi, b.dmask[lv]); lo > hi {
+			return fddRule{seq: rec.seq}
 		}
-		l, ends := &b.lvl[lv], make([]int32, 0, 2*len(ivs))
-		for _, v := range ivs {
-			ends = append(ends, l.add(v.lo)<<1)
-			if v.hi < b.dmask[lv] {
-				ends = append(ends, l.add(v.hi+1)<<1|1)
-			}
-		}
-		r.ends[lv] = ends
+		open, shut := b.lvl[lv].span(lo, hi, b.dmask[lv])
+		r.lv[lv] = fddLv{open, shut, lo, mask}
 	}
 	return r
 }
@@ -408,23 +440,20 @@ func (b *fddBuilder) project(ar *arena, rec *erec) (r fddRule) {
 // a table has a diagram depends on its rule set, never on its history.
 // Without one, the arena is dropped: the next commit starts cold.
 func (b *fddBuilder) diagram() *fdd {
-	b.reach = 0
-	if b.unrep == 0 {
-		var h uint64
-		b.alive = b.alive[:0]
-		for _, id := range b.live {
-			if b.rules[id].ends != nil {
-				b.alive = append(b.alive, id)
-				h += fddMix(id)
-			}
+	var h uint64
+	b.alive = b.alive[:0]
+	for _, id := range b.live {
+		if b.rules[id].lv != nil {
+			b.alive = append(b.alive, id)
+			h += fddMix(id)
 		}
-		b.work = 0
-		if root, ok := b.child(0, b.alive, h); ok {
-			b.mark = append(b.mark[:0], make([]bool, len(b.nodes))...)
-			var work int
-			if b.reach, work = b.reached(root); work <= fddMaxWork {
-				return &fdd{nodes: b.nodes[:len(b.nodes):len(b.nodes)], root: root}
-			}
+	}
+	b.work = 0
+	if root, ok := b.child(0, b.alive, h); ok {
+		b.mark = append(b.mark[:0], make([]bool, len(b.nodes))...)
+		var work int
+		if b.reach, work = b.reached(root); work <= fddMaxWork {
+			return &fdd{nodes: b.nodes[:len(b.nodes):len(b.nodes)], root: root}
 		}
 	}
 	b.nodes, b.meta, b.sets, b.reach = nil, nil, nil, 0
@@ -459,77 +488,40 @@ func fddMix(id int32) uint64 {
 	return z ^ z>>31
 }
 
-// projIvals projects one rule key onto its field domain as disjoint
-// intervals, folding the key's score contribution into *score exactly
-// like the reference loop (ternary/range subtract the priority, LPM
-// overwrites with the prefix length, exact is neutral). ok=false means
-// the key cannot be represented (too many intervals); an empty result
-// with ok=true means the key can never match.
-func projIvals(kind p4.MatchKind, kv *p4.KeyValue, kbits, prio int, score *int) ([]fddIval, bool) {
+// projIval projects one rule key onto its field domain: the interval
+// [lo, hi] it covers under its own mask (it can never match when lo
+// exceeds hi or the domain), and the bits it tests (mask: the whole
+// domain but for a ternary key). It folds the key's score contribution
+// into *score exactly like the reference loop (ternary/range subtract
+// the priority, LPM overwrites with the prefix length, exact and a kind
+// the loop does not know, which matches any key, are neutral).
+func projIval(kind p4.MatchKind, kv *p4.KeyValue, kbits, prio int, score *int) (lo, hi, mask uint64) {
 	dmask := maskOf(kbits)
+	lo, hi, mask = 0, dmask, dmask
 	switch kind {
 	case p4.MatchExact:
-		if kv.Value > dmask {
-			return nil, true
-		}
-		return []fddIval{{kv.Value, kv.Value}}, true
+		lo, hi = kv.Value, kv.Value
 	case p4.MatchLPM:
-		plen := kv.PrefixLen
-		if plen < 0 {
-			plen = 0
-		}
+		plen := max(kv.PrefixLen, 0)
 		if plen > kbits {
-			return nil, true // reference: plen wider than the key never matches
+			return 1, 0, mask // reference: plen wider than the key never matches
 		}
-		*score = plen
-		if plen == 0 {
-			return []fddIval{{0, dmask}}, true
+		if *score = plen; plen > 0 {
+			shift := uint(kbits - plen)
+			lo = kv.Value >> shift << shift
+			hi = lo | (uint64(1)<<shift - 1)
 		}
-		shift := uint(kbits - plen)
-		hb := kv.Value >> shift
-		if hb > dmask>>shift {
-			return nil, true // prefix lies outside the key domain
-		}
-		lo := hb << shift
-		return []fddIval{{lo, lo | (uint64(1)<<shift - 1)}}, true
 	case p4.MatchTernary:
+		// Under its own mask the key is one interval: the bits below the
+		// lowest tested one are free (all of them when none is tested).
 		*score -= prio
-		c := kv.Value & kv.Mask
-		if c&^dmask != 0 {
-			return nil, true // required bits outside the key domain
-		}
-		me := kv.Mask & dmask
-		if me == 0 {
-			return []fddIval{{0, dmask}}, true
-		}
-		low := bits.TrailingZeros64(me)
-		lowMask := uint64(1)<<uint(low) - 1
-		freeHigh := ^me & dmask &^ lowMask
-		if bits.OnesCount64(freeHigh) > fddMaxFreeBits {
-			return nil, false
-		}
-		ivs := make([]fddIval, 0, 1<<bits.OnesCount64(freeHigh))
-		s := uint64(0)
-		for {
-			base := c | s
-			ivs = append(ivs, fddIval{base, base | lowMask})
-			if s == freeHigh {
-				return ivs, true
-			}
-			s = (s - freeHigh) & freeHigh
-		}
+		lo, mask = kv.Value&kv.Mask, kv.Mask&dmask
+		hi = lo | (mask&-mask-1)&dmask
 	case p4.MatchRange:
 		*score -= prio
-		if kv.Value > dmask || kv.Hi < kv.Value {
-			return nil, true
-		}
-		hi := kv.Hi
-		if hi > dmask {
-			hi = dmask
-		}
-		return []fddIval{{kv.Value, hi}}, true
+		lo, hi = kv.Value, kv.Hi
 	}
-	return nil, false
+	return lo, hi, mask
 }
 
 // child returns the node for a rule set one level down — from the
@@ -555,23 +547,48 @@ func (b *fddBuilder) child(level int, set []int32, h uint64) (int32, bool) {
 // node builds the decision node of one level's rule set by a sweep over
 // its interval endpoints in value order: the rules active in each
 // elementary interval are that interval's child set, and adjacent
-// intervals with the same child merge.
+// intervals with the same child merge. The node reads the key under
+// care, the bits its rules test, and a rule that leaves some of them
+// free covers one interval per setting of those bits.
 func (b *fddBuilder) node(level int, alive []int32) (int32, bool) {
-	sc := &b.lvl[level]
+	sc, dmask, care := &b.lvl[level], b.dmask[level], uint64(0)
+	for _, id := range alive {
+		care |= b.rules[id].lv[level].mask
+	}
+	xe := sc.xe[:0]
+	ends := func(p int32, open, shut int32) {
+		if xe = append(xe, [2]int32{p, open}); shut >= 0 {
+			xe = append(xe, [2]int32{^p, shut})
+		}
+	}
+	for p, id := range alive {
+		x := &b.rules[id].lv[level]
+		low := x.mask&-x.mask - 1
+		switch free := care &^ x.mask &^ low; {
+		case free == 0:
+			ends(int32(p), x.open, x.shut)
+		case bits.OnesCount64(free) > fddMaxFreeBits:
+			return 0, false
+		default:
+			for s := uint64(0); ; s = (s - free) & free {
+				open, shut := sc.span(x.val|s, x.val|s|low, dmask)
+				if ends(int32(p), open, shut); s == free {
+					break
+				}
+			}
+		}
+	}
+	sc.xe = xe
+	sc.order() // the values a free bit named may be new
 	if n := len(sc.ord); len(sc.head) < n {
 		sc.head, sc.marks = make([]int32, n), make([]uint64, (n+63)/64)
 	}
 	ev, head, marks := sc.ev[:0], sc.head, sc.marks[:(len(sc.ord)+63)/64]
-	for p, id := range alive {
-		for _, e := range b.rules[id].ends[level] {
-			q, r := int32(p), sc.rank[e>>1]
-			if e&1 != 0 {
-				q = ^q
-			}
-			ev = append(ev, fddEvent{q, head[r]})
-			head[r] = int32(len(ev))
-			marks[r>>6] |= 1 << (r & 63)
-		}
+	for _, x := range xe {
+		r := sc.rank[x[1]]
+		ev = append(ev, fddEvent{x[0], head[r]})
+		head[r] = int32(len(ev))
+		marks[r>>6] |= 1 << (r & 63)
 	}
 	sc.ev = ev
 	// One run per endpoint value, in order, after an empty one at 0
@@ -625,7 +642,7 @@ func (b *fddBuilder) node(level int, alive []int32) (int32, bool) {
 	}
 	sc.cs, sc.cn = cs, cn
 	id := int32(len(b.nodes))
-	b.nodes = append(b.nodes, fnode{starts: slices.Clone(cs), next: slices.Clone(cn)})
+	b.nodes = append(b.nodes, fnode{starts: slices.Clone(cs), next: slices.Clone(cn), care: care})
 	b.meta = append(b.meta, fddMeta{level: level, off: len(b.sets), n: len(alive), work: len(runs)})
 	b.sets = append(b.sets, alive...)
 	b.tb.builds++

@@ -313,9 +313,11 @@ func TestFDDIneligibleFallsBack(t *testing.T) {
 		probe func(i int) uint32
 	}{
 		{"tern1", 3, []*p4.Entry{
-			// 0xAAAAAAAA: 16 free high bits above the lowest set bit.
+			// 0xAAAAAAAA and 0x55555555: each leaves the other's 16 bits
+			// free inside the root's care.
 			entry("set_out", 77, 0, p4.KeyValue{Value: 0x2AAA_AAAA, Mask: 0xAAAA_AAAA}),
 			entry("set_out", 88, 1, p4.KeyValue{Value: 0, Mask: 0}),
+			entry("set_out", 99, 2, p4.KeyValue{Value: 0x1555_5555, Mask: 0x5555_5555}),
 		}, func(i int) uint32 {
 			k1 := rng.Uint32()
 			if i%2 == 0 {

@@ -368,7 +368,7 @@ func TestFDDHistoryIndependent(t *testing.T) {
 // live rules and compact every few commits; after each commit the
 // engine must answer every probe as the reference interpreter does.
 // The diagram breaks ties by store order, the scan by id, so the
-// second half keeps a rule no diagram can hold and runs on the scan,
+// second half keeps two rules no diagram can hold and runs on the scan,
 // and the live ids must stay in store order throughout.
 func TestFDDTieOrderAcrossCompaction(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -382,8 +382,10 @@ func TestFDDTieOrderAcrossCompaction(t *testing.T) {
 	for c := 0; c < 40; c++ {
 		b := NewWriteBatch()
 		if c == 20 {
-			// An unrepresentable mask, of a priority that loses every tie.
-			b.Insert("tern1", entry("set_out", 1, 1, p4.KeyValue{Mask: 0x0000_FFFF}))
+			// Two masks no diagram can hold, each leaving the other's 8 bits
+			// free inside the root's care, of a priority that loses every tie.
+			b.Insert("tern1", entry("set_out", 1, 1, p4.KeyValue{Mask: 0x0000_00FF}))
+			b.Insert("tern1", entry("set_out", 1, 1, p4.KeyValue{Mask: 0x0000_FF00}))
 		}
 		for i := 0; i < 2; i++ {
 			// Mask 0 matches every key; mask 1<<31 half of them.

@@ -186,8 +186,8 @@ func (s *Switch) InsertEntry(table string, e *p4.Entry) error {
 	return err
 }
 
-// Entries returns a fresh copy of a table's current entries (live
-// entries in insertion order); the caller may keep or change it.
+// Entries returns a fresh copy of a table's live entries in insertion
+// order (a modified one in its entry's place), the caller's to change.
 func (s *Switch) Entries(table string) []*p4.Entry {
 	s.mu.Lock()
 	defer s.mu.Unlock()

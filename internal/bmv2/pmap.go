@@ -14,9 +14,11 @@ package bmv2
 // created under the active token is private to the mutation batch and
 // edited in place, while nodes from published snapshots — owned by an
 // older token or none — are copied first. A batch of k updates then
-// copies each touched node once, not once per update. A full build
-// (pbuild) lays the whole trie out from its sorted leaves in slabs.
-// Tokens are dropped when the root is published, freezing the nodes.
+// copies each touched node once, not once per update, and a copy shares
+// its child arrays until an edit copies the one it changes. A full
+// build (pbuild) lays the whole trie out from its sorted leaves in
+// slabs; premap copies one with its leaves renamed. Tokens are dropped
+// when the root is published, freezing the nodes.
 
 import (
 	"math/bits"
@@ -67,6 +69,8 @@ type pnode struct {
 	kids          []*pnode
 	recs          []int32
 	owner         *powner // mutation batch that may still edit this node
+	// ownKids, ownRecs: the owner made the array, so may edit it in place.
+	ownKids, ownRecs bool
 }
 
 // phash mixes a key tuple into the 64-bit trie hash. Zero-padded
@@ -101,22 +105,32 @@ func pget(n *pnode, k *pkey, ar *arena) int32 {
 	return -1
 }
 
-// own returns n when o owns it, else a copy that o owns.
+// own returns n when o owns it, else a copy that o owns, sharing n's
+// child arrays.
 func (n *pnode) own(o *powner) *pnode {
 	if o != nil && n.owner == o {
 		return n
 	}
-	return &pnode{nodes: n.nodes, leaves: n.leaves, kids: slices.Clone(n.kids), recs: slices.Clone(n.recs), owner: o}
+	return &pnode{nodes: n.nodes, leaves: n.leaves, kids: n.kids, recs: n.recs, owner: o}
+}
+
+// mine returns s for an in-place edit: s itself when *owned, else a
+// copy with room for grow more elements, which is then owned.
+func mine[T any](s []T, owned *bool, grow int) []T {
+	if !*owned {
+		s, *owned = append(make([]T, 0, len(s)+grow), s...), true
+	}
+	return s
 }
 
 // drop unbinds the chunk bit of n, which the caller owns.
 func (n *pnode) drop(bit uint64) {
 	if n.nodes&bit != 0 {
 		i := below(n.nodes, bit)
-		n.kids, n.nodes = slices.Delete(n.kids, i, i+1), n.nodes&^bit
+		n.kids, n.nodes = slices.Delete(mine(n.kids, &n.ownKids, 0), i, i+1), n.nodes&^bit
 	} else if n.leaves&bit != 0 {
 		i := below(n.leaves, bit)
-		n.recs, n.leaves = slices.Delete(n.recs, i, i+1), n.leaves&^bit
+		n.recs, n.leaves = slices.Delete(mine(n.recs, &n.ownRecs, 0), i, i+1), n.leaves&^bit
 	}
 }
 
@@ -124,22 +138,24 @@ func (n *pnode) drop(bit uint64) {
 func (n *pnode) put(bit uint64, c pchild) {
 	switch {
 	case c.n != nil && n.nodes&bit != 0:
+		n.kids = mine(n.kids, &n.ownKids, 0)
 		n.kids[below(n.nodes, bit)] = c.n
 	case c.n == nil && n.leaves&bit != 0:
+		n.recs = mine(n.recs, &n.ownRecs, 0)
 		n.recs[below(n.leaves, bit)] = c.rec
 	case c.n != nil:
 		n.drop(bit)
-		n.kids, n.nodes = slices.Insert(n.kids, below(n.nodes, bit), c.n), n.nodes|bit
+		n.kids, n.nodes = slices.Insert(mine(n.kids, &n.ownKids, 1), below(n.nodes, bit), c.n), n.nodes|bit
 	default:
 		n.drop(bit)
-		n.recs, n.leaves = slices.Insert(n.recs, below(n.leaves, bit), c.rec), n.leaves|bit
+		n.recs, n.leaves = slices.Insert(mine(n.recs, &n.ownRecs, 1), below(n.leaves, bit), c.rec), n.leaves|bit
 	}
 }
 
 // psplit pushes two leaves with distinct keys down until their paths
 // diverge, building the intermediate single-child nodes.
 func psplit(a pchild, ak *pkey, b pchild, bk *pkey, lvl uint, o *powner) *pnode {
-	n := &pnode{owner: o}
+	n := &pnode{owner: o, ownKids: true, ownRecs: true}
 	if ai, bi := ak.chunk(lvl), bk.chunk(lvl); ai == bi {
 		n.put(1<<ai, pchild{n: psplit(a, ak, b, bk, lvl+1, o)})
 	} else {
@@ -159,7 +175,7 @@ func pinsert(n *pnode, lvl uint, k *pkey, rec int32, replace bool, o *powner, ar
 	c := pchild{rec: rec}
 	switch {
 	case n == nil:
-		return &pnode{leaves: bit, recs: []int32{rec}, owner: o}, true
+		return &pnode{leaves: bit, recs: []int32{rec}, owner: o, ownRecs: true}, true
 	case n.nodes&bit != 0:
 		sub, changed := pinsert(n.kids[below(n.nodes, bit)], lvl+1, k, rec, replace, o, ar)
 		if !changed {
@@ -282,4 +298,19 @@ func pbuild(ls []pent, lvl uint, ar *arena, s *pslab) *pnode {
 		}
 	}
 	return n
+}
+
+// premap copies the trie under n into slab s with every leaf's record
+// renamed through to, a compaction's old → new index map. Nothing
+// under n is written, and the copy is laid out as pbuild lays one out.
+func premap(n *pnode, to []int32, s *pslab) *pnode {
+	c := s.node(len(n.kids), len(n.recs))
+	c.nodes, c.leaves = n.nodes, n.leaves
+	for _, k := range n.kids {
+		c.kids = append(c.kids, premap(k, to, s))
+	}
+	for _, r := range n.recs {
+		c.recs = append(c.recs, to[r])
+	}
+	return c
 }

@@ -113,10 +113,11 @@ type ctable struct {
 
 	// fb holds a non-exact table's entries and diagram across commits.
 	fb *fddBuilder
-	// builds counts the diagram nodes built — the cost model of a
-	// non-exact commit: one batch commits once, whatever its op count,
-	// and builds only the nodes whose rule set it changed (pinned by
-	// TestBatchRebuildAmortized and TestBatchNodesODelta).
+	// builds counts what commits built from scratch. Non-exact: the
+	// diagram nodes; one batch commits once, whatever its op count, and
+	// builds only the nodes whose rule set it changed (pinned by
+	// TestBatchRebuildAmortized and TestBatchNodesODelta). Exact: the
+	// full trie builds, which only New makes.
 	builds uint64
 }
 
@@ -204,11 +205,39 @@ func (tb *ctable) build() *tsnap {
 		if len(ls) > 0 {
 			sn.pm = pbuild(ls, 0, &es.arena, &pslab{})
 		}
+		tb.builds++
 	} else {
 		sn.ents, sn.dd = tb.fb.commit()
 	}
 	tb.compileDefault(sn)
 	return sn
+}
+
+// relabel returns the staged snapshot sn over the store's compacted
+// arena, to mapping each old record index to its new one: the trie is
+// copied with its leaves renamed, the diagram's records (and its
+// builder's) renamed; the diagram names rules, not records, and stays.
+// Nothing sn holds is written.
+func (tb *ctable) relabel(sn *tsnap, to []int32) *tsnap {
+	cp := *sn
+	cp.ar, cp.acts, cp.owner = tb.es.arena, tb.resolve(), nil
+	if tb.exact && sn.pm != nil {
+		cp.pm = premap(sn.pm, to, &pslab{})
+	} else if !tb.exact {
+		cp.ents = rename(slices.Clone(sn.ents), to)
+		tb.fb.recs, tb.fb.nrec = rename(tb.fb.recs, to), len(tb.es.recs)
+	}
+	return &cp
+}
+
+// rename maps record indices through to in place; -1 (dead) stays.
+func rename(recs, to []int32) []int32 {
+	for i, ri := range recs {
+		if ri >= 0 {
+			recs[i] = to[ri]
+		}
+	}
+	return recs
 }
 
 // deltaInsert returns the snapshot after binding record idx's tuple:

@@ -7,7 +7,7 @@ package bmv2
 // a refused batch that leaves part of itself applied — is invisible to
 // them. The model here shares nothing with that store: a per-table
 // slice of entries, applied op by op, matched by a priority sort with
-// insertion-order ties.
+// ties to the earlier entry (a modified entry keeps its place).
 
 import (
 	"errors"
@@ -38,8 +38,9 @@ func wfProg() *p4.Program {
 	return pp
 }
 
-// wfModel is the naive model: entries per table in insertion order,
-// the out value each table's default writes, and the register r0.
+// wfModel is the naive model: entries per table in insertion order (a
+// modified one in the place of the first it replaced), the out value
+// each table's default writes, and the register r0.
 type wfModel struct {
 	ents map[string][]*p4.Entry
 	def  map[string]uint64
@@ -75,8 +76,9 @@ func wfKnown(table string) bool {
 }
 
 // remove drops every entry whose key values equal vals (same arity),
-// returning how many went.
-func (m *wfModel) remove(table string, vals []uint64) int {
+// returning how many went. A non-nil with takes the place of the first
+// of them (a modify).
+func (m *wfModel) remove(table string, vals []uint64, with *p4.Entry) int {
 	kept := m.ents[table][:0:0]
 	n := 0
 	for _, e := range m.ents[table] {
@@ -85,7 +87,9 @@ func (m *wfModel) remove(table string, vals []uint64) int {
 			same = e.Keys[i].Value == vals[i]
 		}
 		if same {
-			n++
+			if n++; n == 1 && with != nil {
+				kept = append(kept, with)
+			}
 		} else {
 			kept = append(kept, e)
 		}
@@ -107,12 +111,11 @@ func (m *wfModel) apply(op *Op) (removed int, ok bool) {
 		if op.Entry == nil || !wfKnown(op.Table) {
 			return 0, false
 		}
-		if removed = m.remove(op.Table, entryKeyVals(op.Entry)); removed == 0 {
+		if removed = m.remove(op.Table, entryKeyVals(op.Entry), wfCopy(op.Entry)); removed == 0 {
 			return 0, false
 		}
-		m.ents[op.Table] = append(m.ents[op.Table], wfCopy(op.Entry))
 	case OpDelete:
-		removed = m.remove(op.Table, op.Keys)
+		removed = m.remove(op.Table, op.Keys, nil)
 	case OpRegisterWrite:
 		if op.Reg != "r0" || op.Idx < 0 || op.Idx >= len(m.regs) {
 			return 0, false

@@ -50,7 +50,9 @@ func NewWriteBatch() *WriteBatch { return bmv2.NewWriteBatch() }
 
 // Client is the control-plane surface used by the host runtime:
 // register reads plus transactional write batches. A failed Write
-// returns a *BatchError naming the op, and nothing took effect.
+// returns a *BatchError naming the op, and nothing took effect. Write
+// keeps nothing of the batch once it returns (bmv2.Switch.Write copies
+// what it keeps; the TCP server decodes into storage it reuses).
 type Client interface {
 	RegisterRead(name string, idx int) (uint64, error)
 	Write(b *WriteBatch) (*WriteResult, error)
@@ -121,6 +123,7 @@ func (s *Server) handle(conn net.Conn) {
 	r := bufio.NewReader(conn)
 	var d wireReader
 	var out []byte
+	var batch WriteBatch
 	for {
 		req, err := d.read(r, kindRRead, kindWrite)
 		bad := errors.Is(err, ErrMalformedFrame) || errors.Is(err, ErrUnsupportedVersion)
@@ -133,8 +136,9 @@ func (s *Server) handle(conn net.Conn) {
 		case req.kind == kindRRead:
 			resp.val, err = s.cl.RegisterRead(req.reg, req.idx)
 		default:
+			batch.Ops = req.ops
 			var res *WriteResult
-			if res, err = s.cl.Write(&WriteBatch{Ops: req.ops}); err == nil {
+			if res, err = s.cl.Write(&batch); err == nil {
 				resp.removed = res.Removed
 			}
 		}

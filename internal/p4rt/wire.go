@@ -165,19 +165,61 @@ const maxStrs = 32 // well above one program's table, register and action names
 // wireReader decodes the frames of one connection. It trusts nothing:
 // a frame over maxFrame is refused unread, every count is checked
 // before anything is allocated, and the first error is latched so the
-// per-op code stays straight-line. No decoded value aliases the frame.
+// per-op code stays straight-line. No decoded value aliases the frame;
+// a write's ops, entries, keys and arguments live in storage the next
+// read reuses (Client.Write keeps nothing of a batch).
 type wireReader struct {
+	hdr  [4]byte
 	buf  []byte // the connection's frame buffer
 	b    []byte // what is left of the frame being decoded
 	err  error
 	strs []string // interned: a control stream repeats a few names
+
+	m     msg // what read returns
+	ops   slab[Op]
+	boxes slab[entryBox]
+	keys  slab[p4.KeyValue]
+	words slab[uint64]
+}
+
+// entryBox is one decoded entry and its action, allocated together.
+type entryBox struct {
+	e p4.Entry
+	a p4.ActionCall
+}
+
+// slab hands out a frame's slices of T from a reused array, then just
+// what is asked (nil: always that); reset sizes it to what the last
+// frame took, so frames of one shape decode without allocating.
+type slab[T any] struct {
+	buf  []T
+	took int
+}
+
+func (s *slab[T]) reset() {
+	if s.took > cap(s.buf) || 4*s.took < cap(s.buf) {
+		s.buf = make([]T, 0, s.took)
+	}
+	s.buf, s.took = s.buf[:0], 0
+}
+
+func (s *slab[T]) take(n int) []T {
+	if s == nil {
+		return make([]T, n)
+	}
+	if s.took += n; len(s.buf)+n > cap(s.buf) {
+		return make([]T, n)
+	}
+	t := s.buf[len(s.buf) : len(s.buf)+n : len(s.buf)+n]
+	s.buf = s.buf[:len(s.buf)+n]
+	clear(t)
+	return t
 }
 
 // read reads one frame of a wanted kind; a clean end of stream is io.EOF.
 func (d *wireReader) read(r io.Reader, kinds ...byte) (*msg, error) {
-	var hdr [4]byte
-	_, err := io.ReadFull(r, hdr[:])
-	if n := binary.BigEndian.Uint32(hdr[:]); err == nil && (n < 2 || n > maxFrame) {
+	_, err := io.ReadFull(r, d.hdr[:])
+	if n := binary.BigEndian.Uint32(d.hdr[:]); err == nil && (n < 2 || n > maxFrame) {
 		return nil, fmt.Errorf("%w: frame length %d outside [2, %d]", ErrMalformedFrame, n, maxFrame)
 	} else if err == nil {
 		d.buf = slices.Grow(d.buf[:0], int(n))[:n]
@@ -193,19 +235,24 @@ func (d *wireReader) read(r io.Reader, kinds ...byte) (*msg, error) {
 	if d.buf[0] != wireVersion {
 		return nil, fmt.Errorf("%w %d (speak %d)", ErrUnsupportedVersion, d.buf[0], wireVersion)
 	}
-	m := &msg{kind: d.buf[1]}
-	if !slices.Contains(kinds, m.kind) {
-		return nil, fmt.Errorf("%w: unexpected kind %d", ErrMalformedFrame, m.kind)
+	if !slices.Contains(kinds, d.buf[1]) {
+		return nil, fmt.Errorf("%w: unexpected kind %d", ErrMalformedFrame, d.buf[1])
 	}
+	m := &d.m
+	*m = msg{kind: d.buf[1]}
 	d.b, d.err = d.buf[2:], nil
 	switch m.kind {
 	case kindRRead:
 		m.reg, m.idx = d.str(), int(d.varint())
 	case kindWrite:
-		m.ops = d.ops()
+		d.ops.reset()
+		d.boxes.reset()
+		d.keys.reset()
+		d.words.reset()
+		m.ops = d.readOps()
 	default:
 		m.code, m.index, m.detail, m.val = d.uvarint(), int(d.varint()), d.str(), d.uvarint()
-		m.removed = uvarints[int](d)
+		m.removed = uvarints[int](d, nil)
 		if m.code > codeOther {
 			d.failf("unknown error code %d", m.code)
 		}
@@ -260,8 +307,8 @@ func (d *wireReader) str() string {
 	return s
 }
 
-func (d *wireReader) ops() []Op {
-	out := make([]Op, d.count(3)) // an op takes at least a kind and two counts
+func (d *wireReader) readOps() []Op {
+	out := d.ops.take(d.count(3)) // an op takes at least a kind and two counts
 	for i := 0; i < len(out) && d.err == nil; i++ {
 		op := &out[i]
 		op.Kind = OpKind(d.uvarint())
@@ -269,11 +316,11 @@ func (d *wireReader) ops() []Op {
 		case OpInsert, OpModify:
 			op.Table, op.Entry = d.str(), d.entry()
 		case OpDelete:
-			op.Table, op.Keys = d.str(), uvarints[uint64](d)
+			op.Table, op.Keys = d.str(), uvarints(d, &d.words)
 		case OpRegisterWrite:
 			op.Reg, op.Idx, op.Val = d.str(), int(d.varint()), d.uvarint()
 		case OpSetDefault:
-			op.Table, op.Action, op.Args = d.str(), d.str(), uvarints[uint64](d)
+			op.Table, op.Action, op.Args = d.str(), d.str(), uvarints(d, &d.words)
 		default:
 			d.failf("op %d: unknown op kind %d", i, op.Kind)
 		}
@@ -281,11 +328,11 @@ func (d *wireReader) ops() []Op {
 	return out
 }
 
-// uvarints decodes a counted tuple.
-func uvarints[T int | uint64](d *wireReader) []T {
+// uvarints decodes a counted tuple into storage from s (nil when empty).
+func uvarints[T int | uint64](d *wireReader, s *slab[T]) []T {
 	var out []T
 	if n := d.count(1); n > 0 {
-		out = make([]T, n)
+		out = s.take(n)
 	}
 	for i := range out {
 		out[i] = T(d.uvarint())
@@ -297,13 +344,10 @@ func (d *wireReader) entry() *p4.Entry {
 	if d.uvarint() == 0 {
 		return nil
 	}
-	box := &struct { // one allocation for the entry and its action
-		e p4.Entry
-		a p4.ActionCall
-	}{}
+	box := &d.boxes.take(1)[0]
 	e := &box.e
 	if n := d.count(4); n > 0 { // a key is four varints
-		e.Keys = make([]p4.KeyValue, n)
+		e.Keys = d.keys.take(n)
 		for i := range e.Keys {
 			k := &e.Keys[i]
 			k.Value, k.Mask, k.Hi, k.PrefixLen = d.uvarint(), d.uvarint(), d.uvarint(), int(d.varint())
@@ -311,7 +355,7 @@ func (d *wireReader) entry() *p4.Entry {
 	}
 	e.Priority = int(d.varint())
 	if d.uvarint() != 0 {
-		box.a = p4.ActionCall{Name: d.str(), Args: uvarints[uint64](d)}
+		box.a = p4.ActionCall{Name: d.str(), Args: uvarints(d, &d.words)}
 		e.Action = &box.a
 	}
 	return e
