@@ -17,21 +17,24 @@ import (
 	"netcl/internal/passes"
 )
 
+// p4GoldenPrograms are the shipped device programs, compiled for each
+// target.
+var p4GoldenPrograms = []struct {
+	name   string
+	app    string
+	device uint16
+}{
+	{"agg", "AGG", 1},
+	{"cache", "CACHE", 1},
+	{"calc", "CALC", 1},
+	{"paxos_leader", "PAXOS", PaxosLeader},
+	{"paxos_acceptor", "PAXOS", PaxosAcceptor1},
+	{"paxos_learner", "PAXOS", PaxosLearner},
+}
+
 func TestP4Golden(t *testing.T) {
-	programs := []struct {
-		name   string
-		app    string
-		device uint16
-	}{
-		{"agg", "AGG", 1},
-		{"cache", "CACHE", 1},
-		{"calc", "CALC", 1},
-		{"paxos_leader", "PAXOS", PaxosLeader},
-		{"paxos_acceptor", "PAXOS", PaxosAcceptor1},
-		{"paxos_learner", "PAXOS", PaxosLearner},
-	}
 	for _, target := range []passes.Target{passes.TargetTNA, passes.TargetV1Model} {
-		for _, p := range programs {
+		for _, p := range p4GoldenPrograms {
 			name := p.name + "_" + string(target)
 			t.Run(name, func(t *testing.T) {
 				prog, _, _, err := CompileApp(ByName(p.app), target, p.device)

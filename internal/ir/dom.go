@@ -29,35 +29,40 @@ func RPO(f *Func) []*Block {
 	return out
 }
 
-// DomTree holds immediate dominators and related queries.
+// DomTree holds immediate dominators and related queries. Its tables
+// are indexed by Block.Index, so it answers for the blocks f had when
+// it was built.
 type DomTree struct {
-	f     *Func
-	idom  map[*Block]*Block
-	order map[*Block]int // RPO index
-	rpo   []*Block
-	// children of each block in the dominator tree
-	kids map[*Block][]*Block
+	f    *Func
+	idom []*Block // nil for an unreachable block
+	rpo  []*Block
+	// children of each block in the dominator tree, in RPO
+	kids [][]*Block
 }
 
 // BuildDomTree computes the dominator tree of f.
 func BuildDomTree(f *Func) *DomTree {
-	rpo := RPO(f)
-	order := make(map[*Block]int, len(rpo))
-	for i, b := range rpo {
-		order[b] = i
+	n := len(f.Blocks)
+	t := &DomTree{f: f, idom: make([]*Block, n), rpo: RPO(f), kids: make([][]*Block, n)}
+	if n == 0 {
+		return t
 	}
-	idom := map[*Block]*Block{}
+	order := make([]int, n)
+	for i, b := range t.rpo {
+		order[b.Index] = i
+	}
+	idom := t.idom
 	entry := f.Entry()
-	idom[entry] = entry
+	idom[entry.Index] = entry
 	preds := predMap(f)
 
 	intersect := func(a, b *Block) *Block {
 		for a != b {
-			for order[a] > order[b] {
-				a = idom[a]
+			for order[a.Index] > order[b.Index] {
+				a = idom[a.Index]
 			}
-			for order[b] > order[a] {
-				b = idom[b]
+			for order[b.Index] > order[a.Index] {
+				b = idom[b.Index]
 			}
 		}
 		return a
@@ -65,13 +70,13 @@ func BuildDomTree(f *Func) *DomTree {
 
 	for changed := true; changed; {
 		changed = false
-		for _, b := range rpo {
+		for _, b := range t.rpo {
 			if b == entry {
 				continue
 			}
 			var newIdom *Block
-			for _, p := range preds[b] {
-				if idom[p] == nil {
+			for _, p := range preds[b.Index] {
+				if idom[p.Index] == nil {
 					continue
 				}
 				if newIdom == nil {
@@ -80,33 +85,32 @@ func BuildDomTree(f *Func) *DomTree {
 					newIdom = intersect(p, newIdom)
 				}
 			}
-			if newIdom != nil && idom[b] != newIdom {
-				idom[b] = newIdom
+			if newIdom != nil && idom[b.Index] != newIdom {
+				idom[b.Index] = newIdom
 				changed = true
 			}
 		}
 	}
-	t := &DomTree{f: f, idom: idom, order: order, rpo: rpo, kids: map[*Block][]*Block{}}
-	for b, d := range idom {
-		if b != d {
-			t.kids[d] = append(t.kids[d], b)
-		}
+	for _, b := range t.rpo[1:] {
+		d := idom[b.Index]
+		t.kids[d.Index] = append(t.kids[d.Index], b)
 	}
 	return t
 }
 
-func predMap(f *Func) map[*Block][]*Block {
-	m := map[*Block][]*Block{}
+// predMap lists each block's predecessors by Block.Index.
+func predMap(f *Func) [][]*Block {
+	m := make([][]*Block, len(f.Blocks))
 	for _, b := range f.Blocks {
 		for _, s := range b.Succs() {
-			m[s] = append(m[s], b)
+			m[s.Index] = append(m[s.Index], b)
 		}
 	}
 	return m
 }
 
 // IDom returns the immediate dominator of b (entry returns itself).
-func (t *DomTree) IDom(b *Block) *Block { return t.idom[b] }
+func (t *DomTree) IDom(b *Block) *Block { return t.idom[b.Index] }
 
 // Dominates reports whether a dominates b (reflexive).
 func (t *DomTree) Dominates(a, b *Block) bool {
@@ -114,7 +118,7 @@ func (t *DomTree) Dominates(a, b *Block) bool {
 		if a == b {
 			return true
 		}
-		d := t.idom[b]
+		d := t.idom[b.Index]
 		if d == nil || d == b {
 			return false
 		}
@@ -123,7 +127,7 @@ func (t *DomTree) Dominates(a, b *Block) bool {
 }
 
 // Children returns the dominator-tree children of b.
-func (t *DomTree) Children(b *Block) []*Block { return t.kids[b] }
+func (t *DomTree) Children(b *Block) []*Block { return t.kids[b.Index] }
 
 // RPO returns the blocks in reverse postorder.
 func (t *DomTree) RPO() []*Block { return t.rpo }
@@ -133,24 +137,24 @@ func (t *DomTree) RPO() []*Block { return t.rpo }
 func (t *DomTree) NCA(a, b *Block) *Block {
 	depth := func(x *Block) int {
 		d := 0
-		for t.idom[x] != x {
-			x = t.idom[x]
+		for t.idom[x.Index] != x {
+			x = t.idom[x.Index]
 			d++
 		}
 		return d
 	}
 	da, db := depth(a), depth(b)
 	for da > db {
-		a = t.idom[a]
+		a = t.idom[a.Index]
 		da--
 	}
 	for db > da {
-		b = t.idom[b]
+		b = t.idom[b.Index]
 		db--
 	}
 	for a != b {
-		a = t.idom[a]
-		b = t.idom[b]
+		a = t.idom[a.Index]
+		b = t.idom[b.Index]
 	}
 	return a
 }
@@ -160,16 +164,16 @@ func (t *DomTree) Frontiers() map[*Block][]*Block {
 	df := map[*Block][]*Block{}
 	preds := predMap(t.f)
 	for _, b := range t.rpo {
-		if len(preds[b]) < 2 {
+		if len(preds[b.Index]) < 2 {
 			continue
 		}
-		for _, p := range preds[b] {
+		for _, p := range preds[b.Index] {
 			runner := p
-			for runner != t.idom[b] && runner != nil {
+			for runner != t.idom[b.Index] && runner != nil {
 				if !containsBlock(df[runner], b) {
 					df[runner] = append(df[runner], b)
 				}
-				next := t.idom[runner]
+				next := t.idom[runner.Index]
 				if next == runner {
 					break
 				}

@@ -533,33 +533,38 @@ func (f *Func) RemoveBlock(b *Block) {
 	}
 }
 
-// ReplaceAllUses substitutes new for old in every instruction argument
-// of the function.
-func (f *Func) ReplaceAllUses(old, new Value) {
+// IDBound is one past the largest instruction ID the function has
+// handed out: a slice of that length can be indexed by any ID.
+func (f *Func) IDBound() int { return f.nextID }
+
+// ReplaceUses substitutes, in one sweep over every instruction argument
+// of the function, each key of m by its replacement. Chains are
+// followed: a replacement that is itself a key is replaced in turn, so
+// a pass may collect all its replacements and sweep once.
+func (f *Func) ReplaceUses(m map[Value]Value) {
+	if len(m) == 0 {
+		return
+	}
 	for _, b := range f.Blocks {
 		for _, i := range b.Instrs {
-			for n, a := range i.Args {
-				if a == old {
-					i.Args[n] = new
-				}
-			}
+			i.ReplaceArgs(m)
 		}
 	}
 }
 
-// NumUses counts argument references to v.
-func (f *Func) NumUses(v Value) int {
-	n := 0
-	for _, b := range f.Blocks {
-		for _, i := range b.Instrs {
-			for _, a := range i.Args {
-				if a == v {
-					n++
-				}
+// ReplaceArgs substitutes m's replacements in i's arguments, as
+// ReplaceUses does for every instruction. A pass that defers its sweep
+// calls it on an instruction before reading its operands.
+func (i *Instr) ReplaceArgs(m map[Value]Value) {
+	for n := range i.Args {
+		for hops := 0; hops < len(m); hops++ { // a cyclic map cannot hang
+			r, ok := m[i.Args[n]]
+			if !ok {
+				break
 			}
+			i.Args[n] = r
 		}
 	}
-	return n
 }
 
 // Instrs iterates all instructions in block order.

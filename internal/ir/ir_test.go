@@ -128,19 +128,41 @@ func TestVerifyCatchesMissingTerminator(t *testing.T) {
 	}
 }
 
-func TestReplaceAllUsesAndNumUses(t *testing.T) {
+// numUses counts argument references to v.
+func (f *Func) numUses(v Value) int {
+	n := 0
+	f.Instrs(func(_ *Block, i *Instr) bool {
+		for _, a := range i.Args {
+			if a == v {
+				n++
+			}
+		}
+		return true
+	})
+	return n
+}
+
+func TestReplaceUsesAndNumUses(t *testing.T) {
 	f := NewFunc("k", 1)
 	blk := f.NewBlock("entry")
 	a := blk.Append(&Instr{Op: OpAdd, Ty: U32, Args: []Value{ConstOf(U32, 1), ConstOf(U32, 2)}})
 	b := blk.Append(&Instr{Op: OpMul, Ty: U32, Args: []Value{a, a}})
+	d := blk.Append(&Instr{Op: OpSub, Ty: U32, Args: []Value{b, a}})
 	blk.Append(&Instr{Op: OpRetAction, ActionKind: ActPass})
-	if f.NumUses(a) != 2 {
-		t.Fatalf("NumUses(a) = %d", f.NumUses(a))
+	if f.numUses(a) != 3 {
+		t.Fatalf("NumUses(a) = %d", f.numUses(a))
 	}
+	// A chain: a's replacement b is itself replaced by c.
 	c := ConstOf(U32, 3)
-	f.ReplaceAllUses(a, c)
-	if f.NumUses(a) != 0 || b.Args[0] != Value(c) {
-		t.Error("ReplaceAllUses failed")
+	f.ReplaceUses(map[Value]Value{a: b, b: c})
+	if f.numUses(a) != 0 || f.numUses(b) != 0 || b.Args[0] != Value(c) || d.Args[0] != Value(c) || d.Args[1] != Value(c) {
+		t.Errorf("ReplaceUses left %v and %v", b.Args, d.Args)
+	}
+	// A cyclic map is a caller's bug, but it must not hang the sweep.
+	e := blk.Append(&Instr{Op: OpAdd, Ty: U32, Args: []Value{a, b}})
+	f.ReplaceUses(map[Value]Value{a: b, b: a})
+	if e.Args[0] == nil || e.Args[1] == nil {
+		t.Error("cyclic ReplaceUses lost an operand")
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // panic on it, and a switch New accepts must process one fixed packet
 // without panicking. The seeds are the six handwritten baselines, the
 // twelve generated programs (every registry app and device, TNA and
-// v1model) and five small edge cases.
+// v1model) and eight small edge cases.
 func FuzzP4Parse(f *testing.F) {
 	for _, file := range []string{"agg.p4", "cache.p4", "pacc.p4", "plrn.p4", "pldr.p4", "calc.p4"} {
 		src, err := (&apps.App{BaselineFile: file}).Baseline()
@@ -47,6 +47,12 @@ func FuzzP4Parse(f *testing.F) {
 	f.Add("parser A(){}control A(){Hash<bit<16>>(HashAlgorithm_t.CRC8) h;apply{}}")
 	f.Add("parser P(){state start{transition accept;}}control C(){action a(){t.apply();}table t{actions={a;}default_action=a();}apply{t.apply();}}")
 	f.Add("parser P(){state start{transition accept;}}control C(){action a(){a();}apply{a();}}")
+	// Token edges: a sized literal wider than any width field narrower
+	// than int would hold, a nested ">>" template closer, and an error
+	// that quotes a token.
+	f.Add("header h_t{bit<8> f;}parser P(){state start{transition accept;}}control C(){apply{hdr.h.f=4294967297w1;}}")
+	f.Add("parser P(){state start{transition accept;}}control C(){Register<bit<32>>(4) r;apply{}}")
+	f.Add("parser P(){state start{transition accept;}}\ncontrol C(){\napply{x = = 1;}}")
 	pkt := make([]byte, 64)
 	for i := range pkt {
 		pkt[i] = byte(i)

@@ -2,16 +2,18 @@ package p4
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 )
 
-// tok is a P4 lexer token. Its text is a substring of the source.
+// tok is a P4 lexer token: its text is src[start:end]. It holds no
+// pointer, so a program's token slice is 16 bytes a token and nothing
+// for the collector to scan; an integer's value and width are decoded
+// from the source when the parser reads them (pparser.num).
 type tok struct {
-	kind tokKind
-	text string
-	val  uint64
-	bits int // for sized literals like 16w42
-	line int
+	kind       tokKind
+	start, end int32
+	line       int32
 }
 
 type tokKind uint8
@@ -28,8 +30,14 @@ const (
 // skipped; annotations (@pragma, @name) are skipped through their
 // argument list.
 func lexP4(src string) ([]tok, error) {
+	if len(src) > math.MaxInt32 {
+		return nil, fmt.Errorf("source of %d bytes exceeds %d", len(src), math.MaxInt32)
+	}
 	// Printed and handwritten P4 run 4–5 source bytes per token.
 	out := make([]tok, 0, len(src)/3+1)
+	emit := func(kind tokKind, start, end, line int) {
+		out = append(out, tok{kind, int32(start), int32(end), int32(line)})
+	}
 	line := 1
 	i := 0
 	n := len(src)
@@ -91,29 +99,29 @@ func lexP4(src string) ([]tok, error) {
 			for i < n && isP4IdentChar(src[i]) {
 				i++
 			}
-			out = append(out, tok{kind: tokIdent, text: src[start:i], line: line})
+			emit(tokIdent, start, i, line)
 		case c >= '0' && c <= '9':
-			t, ni, err := lexP4Number(src, i, line)
+			end, _, _, err := lexP4Number(src, i, line)
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, t)
-			i = ni
+			emit(tokInt, i, end, line)
+			i = end
 		case c == '"':
 			i++
 			start := i
 			for i < n && src[i] != '"' {
 				i++
 			}
-			out = append(out, tok{kind: tokString, text: src[start:i], line: line})
+			emit(tokString, start, i, line)
 			i++
 		default:
 			w := punctLen(src[i:])
-			out = append(out, tok{kind: tokPunct, text: src[i : i+w], line: line})
+			emit(tokPunct, i, i+w, line)
 			i += w
 		}
 	}
-	out = append(out, tok{kind: tokEOF, line: line})
+	emit(tokEOF, n, n, line)
 	return out, nil
 }
 
@@ -144,9 +152,10 @@ func isP4IdentStart(c byte) bool {
 
 func isP4IdentChar(c byte) bool { return isP4IdentStart(c) || (c >= '0' && c <= '9') }
 
-// lexP4Number handles decimal, hex, and width-prefixed (16w42, 8w0xFF)
-// literals.
-func lexP4Number(src string, i, line int) (tok, int, error) {
+// lexP4Number scans the decimal, hex, or width-prefixed (16w42,
+// 8w0xFF) literal at src[i:], returning its end, value and width (0 if
+// unsized).
+func lexP4Number(src string, i, line int) (int, uint64, int, error) {
 	n := len(src)
 	start := i
 	for i < n && (src[i] >= '0' && src[i] <= '9') {
@@ -156,7 +165,7 @@ func lexP4Number(src string, i, line int) (tok, int, error) {
 	if i < n && (src[i] == 'w' || src[i] == 's') {
 		bits, err := strconv.Atoi(src[start:i])
 		if err != nil {
-			return tok{}, i, fmt.Errorf("line %d: bad width %q", line, src[start:i])
+			return i, 0, 0, fmt.Errorf("line %d: bad width %q", line, src[start:i])
 		}
 		i++ // w
 		vstart := i
@@ -175,9 +184,9 @@ func lexP4Number(src string, i, line int) (tok, int, error) {
 		}
 		v, err := strconv.ParseUint(src[vstart:i], base, 64)
 		if err != nil {
-			return tok{}, i, fmt.Errorf("line %d: bad literal", line)
+			return i, 0, 0, fmt.Errorf("line %d: bad literal", line)
 		}
-		return tok{kind: tokInt, val: v, bits: bits, line: line}, i, nil
+		return i, v, bits, nil
 	}
 	// Hex?
 	if i-start == 1 && src[start] == '0' && i < n && (src[i] == 'x' || src[i] == 'X') {
@@ -188,15 +197,15 @@ func lexP4Number(src string, i, line int) (tok, int, error) {
 		}
 		v, err := strconv.ParseUint(src[vstart:i], 16, 64)
 		if err != nil {
-			return tok{}, i, fmt.Errorf("line %d: bad hex literal", line)
+			return i, 0, 0, fmt.Errorf("line %d: bad hex literal", line)
 		}
-		return tok{kind: tokInt, val: v, line: line}, i, nil
+		return i, v, 0, nil
 	}
 	v, err := strconv.ParseUint(src[start:i], 10, 64)
 	if err != nil {
-		return tok{}, i, fmt.Errorf("line %d: bad literal %q", line, src[start:i])
+		return i, 0, 0, fmt.Errorf("line %d: bad literal %q", line, src[start:i])
 	}
-	return tok{kind: tokInt, val: v, line: line}, i, nil
+	return i, v, 0, nil
 }
 
 func isHex(c byte) bool {

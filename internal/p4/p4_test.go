@@ -2,8 +2,10 @@ package p4
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // small builds a tiny but feature-complete program by hand.
@@ -267,6 +269,43 @@ func TestParseErrors(t *testing.T) {
 	for _, src := range cases {
 		if _, err := Parse("bad", src); err == nil {
 			t.Errorf("expected parse error for %q", src)
+		}
+	}
+	// Tokens are offsets into the source: a message quotes a token's
+	// text and line, a split ">>" closer leaves its second ">", and a
+	// sized literal keeps its whole width for Validate to refuse.
+	const prelude = "parser P() { state start { transition accept; } }\n"
+	exact := []struct{ src, want string }{
+		{prelude + "control C() {\n apply { x = = 1; }\n}", `bad: line 3: unexpected token "=" in expression`},
+		{"header h_t {\n bit<32>> f;\n}", `bad: line 2: expected identifier, found ">"`},
+		{"header h_t { bit<8> f; }\n" + prelude + "control C() {\n apply { hdr.h.f = 99999999999999999999w1; }\n}", `line 4: bad width "99999999999999999999"`},
+		{"header h_t { bit<8> f; }\n" + prelude + "control C() {\n apply { hdr.h.f = 4294967297w1; }\n}", `bad: literal: width 4294967297 outside 1..64`},
+	}
+	for _, c := range exact {
+		prog, err := Parse("bad", c.src)
+		if err == nil {
+			_, err = prog.Validate()
+		}
+		if err == nil || err.Error() != c.want {
+			t.Errorf("Parse(%q) = %v, want %q", c.src, err, c.want)
+		}
+	}
+	prog, err := Parse("ok", prelude+"control C() {\n Register<bit<32>>(4) r;\n apply {}\n}")
+	if err != nil || len(prog.Ingress.Registers) != 1 || prog.Ingress.Registers[0].Bits != 32 {
+		t.Errorf("nested bit<32>> closer: %v", err)
+	}
+}
+
+// TestTokIsPointerFree: a token is offsets into the source, so the
+// lexer's slice is small and the collector never scans it.
+func TestTokIsPointerFree(t *testing.T) {
+	if n := unsafe.Sizeof(tok{}); n > 24 {
+		t.Errorf("tok is %d bytes", n)
+	}
+	typ := reflect.TypeOf(tok{})
+	for i := range typ.NumField() {
+		if k := typ.Field(i).Type.Kind(); k != reflect.Uint8 && k != reflect.Int32 {
+			t.Errorf("tok.%s is a %s", typ.Field(i).Name, k)
 		}
 	}
 }

@@ -15,7 +15,7 @@ func Parse(name, src string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &pparser{toks: toks, typedefs: map[string]int{}}
+	p := &pparser{src: src, toks: toks, typedefs: map[string]int{}}
 	prog := &Program{Name: name, Target: TargetTNA}
 	if strings.Contains(src, "v1model.p4") || strings.Contains(src, "V1Switch") {
 		prog.Target = TargetV1Model
@@ -27,12 +27,29 @@ func Parse(name, src string) (*Program, error) {
 }
 
 type pparser struct {
+	src      string
 	toks     []tok
 	pos      int
 	typedefs map[string]int
 }
 
 func (p *pparser) tok() *tok { return &p.toks[p.pos] }
+
+// text is t's source text, and cur the current token's.
+func (p *pparser) text(t tok) string { return p.src[t.start:t.end] }
+func (p *pparser) cur() string       { return p.text(p.toks[p.pos]) }
+
+// num decodes an integer token's value and width (0 if unsized); the
+// lexer has checked its syntax.
+func (p *pparser) num(t tok) (v uint64, bits int) {
+	_, v, bits, _ = lexP4Number(p.src, int(t.start), int(t.line))
+	return
+}
+
+func (p *pparser) val(t tok) uint64 {
+	v, _ := p.num(t)
+	return v
+}
 func (p *pparser) next() tok {
 	t := p.toks[p.pos]
 	if p.pos < len(p.toks)-1 {
@@ -41,14 +58,14 @@ func (p *pparser) next() tok {
 	return t
 }
 
-func (p *pparser) isIdent(s string) bool { return p.tok().kind == tokIdent && p.tok().text == s }
-func (p *pparser) isPunct(s string) bool { return p.tok().kind == tokPunct && p.tok().text == s }
+func (p *pparser) isIdent(s string) bool { return p.tok().kind == tokIdent && p.cur() == s }
+func (p *pparser) isPunct(s string) bool { return p.tok().kind == tokPunct && p.cur() == s }
 
 func (p *pparser) accept(s string) bool {
 	// Nested template closers lex as ">>" (e.g. bit<32>>); split them
 	// when a single ">" is requested.
-	if s == ">" && p.tok().kind == tokPunct && p.tok().text == ">>" {
-		p.toks[p.pos].text = ">"
+	if s == ">" && p.tok().kind == tokPunct && p.cur() == ">>" {
+		p.toks[p.pos].start++
 		return true
 	}
 	if p.isPunct(s) || p.isIdent(s) {
@@ -62,14 +79,14 @@ func (p *pparser) expect(s string) error {
 	if p.accept(s) {
 		return nil
 	}
-	return fmt.Errorf("line %d: expected %q, found %q", p.tok().line, s, p.tok().text)
+	return fmt.Errorf("line %d: expected %q, found %q", p.tok().line, s, p.cur())
 }
 
 func (p *pparser) ident() (string, error) {
 	if p.tok().kind != tokIdent {
-		return "", fmt.Errorf("line %d: expected identifier, found %q", p.tok().line, p.tok().text)
+		return "", fmt.Errorf("line %d: expected identifier, found %q", p.tok().line, p.cur())
 	}
-	return p.next().text, nil
+	return p.text(p.next()), nil
 }
 
 // skipBalanced consumes a balanced (..) or {..} group, assuming the
@@ -112,7 +129,7 @@ func (p *pparser) bitType() (int, error) {
 		if p.tok().kind != tokInt {
 			return 0, fmt.Errorf("line %d: expected width", p.tok().line)
 		}
-		w := int(p.next().val)
+		w := int(p.val(p.next()))
 		if err := p.expect(">"); err != nil {
 			return 0, err
 		}
@@ -176,7 +193,7 @@ func (p *pparser) program(prog *Program) error {
 				return err
 			}
 		default:
-			return fmt.Errorf("line %d: unexpected top-level token %q", p.tok().line, p.tok().text)
+			return fmt.Errorf("line %d: unexpected top-level token %q", p.tok().line, p.cur())
 		}
 	}
 	if prog.Parser == nil {
@@ -349,13 +366,13 @@ func (p *pparser) parserDecl(prog *Program) error {
 						if p.tok().kind != tokInt {
 							return fmt.Errorf("line %d: expected select case value", p.tok().line)
 						}
-						v := p.next().val
+						v := p.val(p.next())
 						var mask uint64
 						if p.accept("&&&") {
 							if p.tok().kind != tokInt {
 								return fmt.Errorf("line %d: expected mask", p.tok().line)
 							}
-							mask = p.next().val
+							mask = p.val(p.next())
 						}
 						if err := p.expect(":"); err != nil {
 							return err
@@ -377,7 +394,7 @@ func (p *pparser) parserDecl(prog *Program) error {
 					p.accept(";")
 				}
 			default:
-				return fmt.Errorf("line %d: unexpected parser statement %q", p.tok().line, p.tok().text)
+				return fmt.Errorf("line %d: unexpected parser statement %q", p.tok().line, p.cur())
 			}
 		}
 		ps.States = append(ps.States, st)
@@ -451,7 +468,7 @@ func (p *pparser) controlDecl(prog *Program) error {
 			}
 			c.Apply = body
 		default:
-			return fmt.Errorf("line %d: unexpected control member %q", p.tok().line, p.tok().text)
+			return fmt.Errorf("line %d: unexpected control member %q", p.tok().line, p.cur())
 		}
 	}
 	if prog.Ingress == nil {
@@ -486,7 +503,7 @@ func (p *pparser) registerDecl(c *Control) error {
 	if p.tok().kind != tokInt {
 		return fmt.Errorf("line %d: expected register size", p.tok().line)
 	}
-	size := int(p.next().val)
+	size := int(p.val(p.next()))
 	// TNA allows an initial-value second argument.
 	if p.accept(",") {
 		p.next()
@@ -777,10 +794,10 @@ func (p *pparser) tableDecl(c *Control) error {
 			if p.tok().kind != tokInt {
 				return fmt.Errorf("line %d: expected size", p.tok().line)
 			}
-			t.Size = int(p.next().val)
+			t.Size = int(p.val(p.next()))
 			p.accept(";")
 		default:
-			return fmt.Errorf("line %d: unexpected table property %q", p.tok().line, p.tok().text)
+			return fmt.Errorf("line %d: unexpected table property %q", p.tok().line, p.cur())
 		}
 	}
 	c.Tables = append(c.Tables, t)
@@ -795,24 +812,23 @@ func (p *pparser) entry(ordinal int) (*Entry, error) {
 		if p.tok().kind != tokInt {
 			return kv, fmt.Errorf("line %d: expected entry key", p.tok().line)
 		}
-		t := p.next()
-		kv.Value = t.val
+		kv.Value = p.val(p.next())
 		switch {
 		case p.accept("&&&"):
 			if p.tok().kind != tokInt {
 				return kv, fmt.Errorf("line %d: expected mask", p.tok().line)
 			}
-			kv.Mask = p.next().val
+			kv.Mask = p.val(p.next())
 		case p.accept(".."):
 			if p.tok().kind != tokInt {
 				return kv, fmt.Errorf("line %d: expected range end", p.tok().line)
 			}
-			kv.Hi = p.next().val
+			kv.Hi = p.val(p.next())
 		case p.accept("/"):
 			if p.tok().kind != tokInt {
 				return kv, fmt.Errorf("line %d: expected prefix length", p.tok().line)
 			}
-			kv.PrefixLen = int(p.next().val)
+			kv.PrefixLen = int(p.val(p.next()))
 		}
 		return kv, nil
 	}
@@ -855,7 +871,7 @@ func (p *pparser) actionCall() (*ActionCall, error) {
 			if p.tok().kind != tokInt {
 				return nil, fmt.Errorf("line %d: action arguments in entries must be literals", p.tok().line)
 			}
-			ac.Args = append(ac.Args, p.next().val)
+			ac.Args = append(ac.Args, p.val(p.next()))
 			p.accept(",")
 		}
 	}

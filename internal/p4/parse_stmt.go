@@ -193,7 +193,7 @@ func (p *pparser) binExpr(minPrec int) (Expr, error) {
 		if p.tok().kind != tokPunct {
 			return lhs, nil
 		}
-		op := p.tok().text
+		op := p.cur()
 		prec, ok := p4Prec[op]
 		if !ok || prec < minPrec {
 			return lhs, nil
@@ -210,7 +210,7 @@ func (p *pparser) binExpr(minPrec int) (Expr, error) {
 
 func (p *pparser) unaryExpr() (Expr, error) {
 	if p.isPunct("~") || p.isPunct("!") || p.isPunct("-") {
-		op := p.next().text
+		op := p.text(p.next())
 		x, err := p.unaryExpr()
 		if err != nil {
 			return nil, err
@@ -225,7 +225,8 @@ func (p *pparser) primaryExpr() (Expr, error) {
 	switch {
 	case t.kind == tokInt:
 		p.next()
-		return &IntLit{Val: t.val, Bits: t.bits}, nil
+		v, bits := p.num(*t)
+		return &IntLit{Val: v, Bits: bits}, nil
 	case p.isPunct("("):
 		// Cast "(bit<N>)x" / "(int<N>)x" or parenthesized expression.
 		save := p.pos
@@ -307,7 +308,7 @@ func (p *pparser) primaryExpr() (Expr, error) {
 		}
 		return path, nil
 	}
-	return nil, fmt.Errorf("line %d: unexpected token %q in expression", t.line, t.text)
+	return nil, fmt.Errorf("line %d: unexpected token %q in expression", t.line, p.text(*t))
 }
 
 // fieldPath parses a dotted identifier path.
@@ -326,7 +327,7 @@ func (p *pparser) fieldPath() (*FieldRef, error) {
 			p.pos = save
 			break
 		}
-		fr.Parts = append(fr.Parts, p.next().text)
+		fr.Parts = append(fr.Parts, p.text(p.next()))
 		if p.isPunct("(") {
 			break
 		}

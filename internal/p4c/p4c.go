@@ -109,13 +109,13 @@ func Fit(prog *p4.Program, opts Options) *Report {
 	// (bf-p4c's table-placement retries behave similarly).
 	regFloor := map[string]int{}
 	tblFloor := map[string]int{}
+	ids := &fieldIDs{byPath: map[string]int32{}}
 	var f *fitter
 	for pass := 0; ; pass++ {
 		f = &fitter{
-			prog: prog, widths: widths, opts: opts,
-			lastWrite: map[string]int{}, regStage: map[string]int{},
-			tblStage: map[string]int{}, regFloor: regFloor, tblFloor: tblFloor,
-			finalPass: pass >= 6,
+			prog: prog, widths: widths, opts: opts, ids: ids,
+			regStage: map[string]int{}, tblStage: map[string]int{},
+			regFloor: regFloor, tblFloor: tblFloor, finalPass: pass >= 6,
 		}
 		f.stmts(prog.Ingress, prog.Ingress.Apply, 0)
 		if !f.conflict || pass >= 6 {
@@ -125,7 +125,7 @@ func Fit(prog *p4.Program, opts Options) *Report {
 	rep := &Report{Fits: true}
 	f.rep = rep
 
-	maxStage := f.stmts2Result()
+	maxStage := f.maxStageSeen
 	if f.failure != "" {
 		rep.Fits = false
 		rep.Reason = f.failure
@@ -221,16 +221,18 @@ type fitter struct {
 	opts   Options
 	rep    *Report
 
-	// lastWrite maps field path -> stage of last writer. Every change
-	// goes through write, which logs the old value in undo so that a
-	// branch can be rolled back.
-	lastWrite map[string]int
-	undo      []fieldUndo
+	// ids numbers the field paths, shared by every placement pass.
+	ids *fieldIDs
+	// lastWrite maps field id -> stage of last writer, -1 for none.
+	// Every change goes through write, which logs the old value in undo
+	// so that a branch can be rolled back.
+	lastWrite []int32
+	undo      []fieldStage
 	// thenWrites stacks, per enclosing if, the then-branch's final
 	// stage of each field it wrote; merged marks fields during a merge.
 	thenWrites []fieldStage
-	merged     map[string]int
-	mergeMark  int
+	merged     []int32
+	mergeMark  int32
 	// regStage pins each register to its single stage (Tofino memory
 	// is stage-local).
 	regStage map[string]int
@@ -249,9 +251,6 @@ type fitter struct {
 	failure string
 }
 
-// stmts2Result returns the maximum stage used by the accepted pass.
-func (f *fitter) stmts2Result() int { return f.maxStageSeen }
-
 func (f *fitter) fail(format string, args ...interface{}) {
 	if f.failure == "" {
 		f.failure = fmt.Sprintf(format, args...)
@@ -265,39 +264,70 @@ func (f *fitter) stageAt(i int) *StageUsage {
 	return &f.stages[i]
 }
 
-// readFloor is the earliest stage at which all given fields are
-// available (one past their last writer).
-func (f *fitter) readFloor(fields []string) int {
-	floor := 0
-	for _, fd := range fields {
-		if s, ok := f.lastWrite[fd]; ok && s+1 > floor {
-			floor = s + 1
+// fieldIDs numbers field paths densely for one Fit, across its
+// placement passes. A path is joined into a reused buffer, and only a
+// new one is copied out.
+type fieldIDs struct {
+	byPath map[string]int32
+	paths  []string
+	buf    []byte
+}
+
+func (n *fieldIDs) path(p string) int32 {
+	id, ok := n.byPath[p]
+	if !ok {
+		id = int32(len(n.paths))
+		n.byPath[p] = id
+		n.paths = append(n.paths, p)
+	}
+	return id
+}
+
+func (n *fieldIDs) ref(r *p4.FieldRef) int32 {
+	if len(r.Parts) == 1 {
+		return n.path(r.Parts[0])
+	}
+	n.buf = n.buf[:0]
+	for k, p := range r.Parts {
+		if k > 0 {
+			n.buf = append(n.buf, '.')
+		}
+		n.buf = append(n.buf, p...)
+	}
+	if id, ok := n.byPath[string(n.buf)]; ok {
+		return id
+	}
+	return n.path(string(n.buf))
+}
+
+// last is the stage of the field's last writer, -1 if none.
+func (f *fitter) last(id int32) int {
+	if int(id) < len(f.lastWrite) {
+		return int(f.lastWrite[id])
+	}
+	return -1
+}
+
+// readFloor raises floor to the earliest stage at which every field e
+// reads is available (one past its last writer).
+func (f *fitter) readFloor(e p4.Expr, floor int) int {
+	switch x := e.(type) {
+	case *p4.FieldRef:
+		return maxInt(floor, f.last(f.ids.ref(x))+1)
+	case *p4.Bin:
+		return f.readFloor(x.Y, f.readFloor(x.X, floor))
+	case *p4.Un:
+		return f.readFloor(x.X, floor)
+	case *p4.Cast:
+		return f.readFloor(x.X, floor)
+	case *p4.TernaryExpr:
+		return f.readFloor(x.B, f.readFloor(x.A, f.readFloor(x.Cond, floor)))
+	case *p4.CallExpr:
+		for _, a := range x.Args {
+			floor = f.readFloor(a, floor)
 		}
 	}
 	return floor
-}
-
-// exprFields collects field paths read by an expression.
-func exprFields(e p4.Expr, out *[]string) {
-	switch x := e.(type) {
-	case *p4.FieldRef:
-		*out = append(*out, x.String())
-	case *p4.Bin:
-		exprFields(x.X, out)
-		exprFields(x.Y, out)
-	case *p4.Un:
-		exprFields(x.X, out)
-	case *p4.Cast:
-		exprFields(x.X, out)
-	case *p4.TernaryExpr:
-		exprFields(x.Cond, out)
-		exprFields(x.A, out)
-		exprFields(x.B, out)
-	case *p4.CallExpr:
-		for _, a := range x.Args {
-			exprFields(a, out)
-		}
-	}
 }
 
 // stmts schedules a statement list with the given control floor and
@@ -324,10 +354,8 @@ func (f *fitter) stmt(c *p4.Control, st p4.Stmt, floor int) int {
 	case *p4.Assign:
 		return f.assign(c, x, floor)
 	case *p4.If:
-		var condReads []string
-		exprFields(x.Cond, &condReads)
 		// The condition itself occupies a VLIW decision in its stage.
-		condStage := maxInt(floor, f.readFloor(condReads))
+		condStage := f.readFloor(x.Cond, floor)
 		inner := condStage
 		// Branches share the incoming state: the then-branch's writes
 		// are rolled back before the else-branch runs.
@@ -352,33 +380,26 @@ func (f *fitter) stmt(c *p4.Control, st p4.Stmt, floor int) int {
 	return floor - 1
 }
 
-type fieldUndo struct {
-	field string
-	old   int
-	had   bool
-}
-
+// fieldStage is a field id and a stage; in the undo log, the stage the
+// field had before the write (-1 for none).
 type fieldStage struct {
-	field string
-	stage int
+	field int32
+	stage int32
 }
 
 // write records that field's last writer is in stage.
-func (f *fitter) write(field string, stage int) {
-	old, had := f.lastWrite[field]
-	f.undo = append(f.undo, fieldUndo{field, old, had})
-	f.lastWrite[field] = stage
+func (f *fitter) write(field int32, stage int) {
+	for int(field) >= len(f.lastWrite) {
+		f.lastWrite = append(f.lastWrite, -1)
+	}
+	f.undo = append(f.undo, fieldStage{field, f.lastWrite[field]})
+	f.lastWrite[field] = int32(stage)
 }
 
 // rollback undoes every write logged since mark.
 func (f *fitter) rollback(mark int) {
 	for n := len(f.undo) - 1; n >= mark; n-- {
-		u := f.undo[n]
-		if u.had {
-			f.lastWrite[u.field] = u.old
-		} else {
-			delete(f.lastWrite, u.field)
-		}
+		f.lastWrite[f.undo[n].field] = f.undo[n].stage
 	}
 	f.undo = f.undo[:mark]
 }
@@ -389,13 +410,15 @@ func (f *fitter) rollback(mark int) {
 // not know counting as stage 0; a field the then-branch did not write
 // has there its stage from before the if.
 func (f *fitter) merge(then []fieldStage, mark int) {
-	if f.merged == nil {
-		f.merged = map[string]int{}
+	for len(f.merged) < len(f.lastWrite) {
+		f.merged = append(f.merged, 0)
 	}
 	f.mergeMark++
 	for _, w := range then {
 		f.merged[w.field] = f.mergeMark
 	}
+	// An unwritten field compares as stage 0 and only a later stage
+	// replaces it, so a field absent on both sides stays absent.
 	end := len(f.undo)
 	for _, u := range f.undo[mark:end] {
 		if f.merged[u.field] == f.mergeMark {
@@ -404,13 +427,13 @@ func (f *fitter) merge(then []fieldStage, mark int) {
 		// The field's first write in the else-branch logged its stage
 		// from before the if.
 		f.merged[u.field] = f.mergeMark
-		if u.had && u.old > f.lastWrite[u.field] {
-			f.write(u.field, u.old)
+		if u.stage > max(f.lastWrite[u.field], 0) {
+			f.write(u.field, int(u.stage))
 		}
 	}
 	for _, w := range then {
-		if w.stage > f.lastWrite[w.field] {
-			f.write(w.field, w.stage)
+		if w.stage > max(f.lastWrite[w.field], 0) {
+			f.write(w.field, int(w.stage))
 		}
 	}
 }
@@ -425,9 +448,7 @@ func maxInt(a, b int) int {
 // assign places one assignment: a plain VLIW op, a SALU transaction
 // (RegisterAction.execute), or a hash computation.
 func (f *fitter) assign(c *p4.Control, a *p4.Assign, floor int) int {
-	var reads []string
-	exprFields(a.RHS, &reads)
-	stage := maxInt(floor, f.readFloor(reads))
+	stage := f.readFloor(a.RHS, floor)
 
 	if call, ok := a.RHS.(*p4.CallExpr); ok && call.Method == "execute" {
 		if ra := c.RegActByName(call.Recv); ra != nil {
@@ -440,8 +461,9 @@ func (f *fitter) assign(c *p4.Control, a *p4.Assign, floor int) int {
 	stage = f.vliwStage(stage)
 	st := f.stageAt(stage)
 	st.VLIWSlots++
-	st.Ops = append(st.Ops, a.LHS.String())
-	f.write(a.LHS.String(), stage)
+	id := f.ids.ref(a.LHS)
+	st.Ops = append(st.Ops, f.ids.paths[id])
+	f.write(id, stage)
 	return stage
 }
 
@@ -505,27 +527,25 @@ func (f *fitter) placeTable(c *p4.Control, name string, want int) int {
 	}
 	// Keys read fields; action bodies read their right-hand sides
 	// (assignment destinations are writes, not dependencies).
-	var reads []string
 	for _, k := range t.Keys {
-		exprFields(k.Expr, &reads)
+		want = f.readFloor(k.Expr, want)
 	}
 	for _, an := range t.Actions {
 		if a := c.ActionByName(an); a != nil {
 			p4.Walk(a.Body, func(s p4.Stmt) {
 				switch st := s.(type) {
 				case *p4.Assign:
-					exprFields(st.RHS, &reads)
+					want = f.readFloor(st.RHS, want)
 				case *p4.If:
-					exprFields(st.Cond, &reads)
+					want = f.readFloor(st.Cond, want)
 				case *p4.CallStmt:
 					for _, arg := range st.Args {
-						exprFields(arg, &reads)
+						want = f.readFloor(arg, want)
 					}
 				}
 			})
 		}
 	}
-	want = maxInt(want, f.readFloor(reads))
 	if fl, ok := f.tblFloor[name]; ok && fl > want {
 		want = fl
 	}
@@ -600,7 +620,7 @@ func (f *fitter) placeTable(c *p4.Control, name string, want int) int {
 		if a := c.ActionByName(an); a != nil {
 			p4.Walk(a.Body, func(s p4.Stmt) {
 				if as, ok := s.(*p4.Assign); ok {
-					f.write(as.LHS.String(), stage)
+					f.write(f.ids.ref(as.LHS), stage)
 				}
 			})
 		}
@@ -611,7 +631,7 @@ func (f *fitter) placeTable(c *p4.Control, name string, want int) int {
 func (f *fitter) applyTable(c *p4.Control, x *p4.ApplyTable, floor int) int {
 	stage := f.placeTable(c, x.Table, floor)
 	if x.HitVar != "" {
-		f.write(x.HitVar, stage)
+		f.write(f.ids.path(x.HitVar), stage)
 	}
 	return stage
 }
@@ -619,11 +639,10 @@ func (f *fitter) applyTable(c *p4.Control, x *p4.ApplyTable, floor int) int {
 func (f *fitter) callStmt(c *p4.Control, x *p4.CallStmt, floor int) int {
 	// v1model register primitives: treat like SALU transactions.
 	if reg := c.RegisterByName(x.Recv); reg != nil {
-		var reads []string
+		stage := floor
 		for _, a := range x.Args {
-			exprFields(a, &reads)
+			stage = f.readFloor(a, stage)
 		}
-		stage := maxInt(floor, f.readFloor(reads))
 		if fl, ok := f.regFloor[x.Recv]; ok && fl > stage {
 			stage = fl
 		}
@@ -656,18 +675,18 @@ func (f *fitter) callStmt(c *p4.Control, x *p4.CallStmt, floor int) int {
 		}
 		if x.Method == "read" {
 			if dst, ok := x.Args[0].(*p4.FieldRef); ok {
-				f.write(dst.String(), stage)
+				f.write(f.ids.ref(dst), stage)
 			}
 		}
 		f.stageAt(stage).VLIWSlots++
 		return stage
 	}
 	if ra := c.RegActByName(x.Recv); ra != nil && x.Method == "execute" {
-		var reads []string
+		stage := floor
 		for _, a := range x.Args {
-			exprFields(a, &reads)
+			stage = f.readFloor(a, stage)
 		}
-		stage := f.placeRegister(c, ra, maxInt(floor, f.readFloor(reads)))
+		stage = f.placeRegister(c, ra, stage)
 		f.stageAt(stage).VLIWSlots++
 		return stage
 	}

@@ -22,6 +22,8 @@ func Mem2Reg(f *ir.Func) {
 		return true
 	})
 	// An alloca is demoted if any use is not a simple load/store slot.
+	// The same walk lists each alloca's definition blocks in order.
+	defs := map[*ir.Instr][]*ir.Block{}
 	f.Instrs(func(b *ir.Block, i *ir.Instr) bool {
 		switch i.Op {
 		case ir.OpLoad, ir.OpStore:
@@ -37,6 +39,9 @@ func Mem2Reg(f *ir.Func) {
 			if i.Op == ir.OpStore {
 				if v, ok2 := i.Args[2].(*ir.Instr); ok2 && v.Op == ir.OpAlloca {
 					delete(promotable, v)
+				}
+				if d := defs[al]; len(d) == 0 || d[len(d)-1] != b {
+					defs[al] = append(d, b)
 				}
 			}
 		default:
@@ -60,15 +65,11 @@ func Mem2Reg(f *ir.Func) {
 	phiFor := map[*ir.Instr]*ir.Instr{} // phi -> alloca
 	phisIn := map[*ir.Block]map[*ir.Instr]*ir.Instr{}
 	for al := range promotable {
-		var work []*ir.Block
+		work := defs[al]
 		seen := map[*ir.Block]bool{}
-		f.Instrs(func(b *ir.Block, i *ir.Instr) bool {
-			if i.Op == ir.OpStore && i.Args[0] == al && !seen[b] {
-				seen[b] = true
-				work = append(work, b)
-			}
-			return true
-		})
+		for _, b := range work {
+			seen[b] = true
+		}
 		placed := map[*ir.Block]bool{}
 		for len(work) > 0 {
 			b := work[0]
@@ -94,8 +95,10 @@ func Mem2Reg(f *ir.Func) {
 		}
 	}
 
-	// Rename along the dominator tree.
+	// Rename along the dominator tree; a promoted load's uses are
+	// replaced in one sweep after it.
 	stacks := map[*ir.Instr][]ir.Value{}
+	repl := map[ir.Value]ir.Value{}
 	var rename func(b *ir.Block)
 	rename = func(b *ir.Block) {
 		var pushed []*ir.Instr
@@ -110,7 +113,7 @@ func Mem2Reg(f *ir.Func) {
 			case ir.OpLoad:
 				al, ok := i.Args[0].(*ir.Instr)
 				if ok && promotable[al] {
-					f.ReplaceAllUses(i, currentVal(stacks, al, i.Ty))
+					repl[i] = currentVal(stacks, al, i.Ty)
 					toRemove = append(toRemove, i)
 				}
 			case ir.OpStore:
@@ -140,6 +143,7 @@ func Mem2Reg(f *ir.Func) {
 		}
 	}
 	rename(f.Entry())
+	f.ReplaceUses(repl)
 
 	// Remove the allocas themselves.
 	for _, b := range f.Blocks {
@@ -175,8 +179,10 @@ func prependInstr(b *ir.Block, i *ir.Instr) {
 }
 
 // simplifyPhis removes φ-nodes whose incoming values are all identical
-// (or the φ itself), iterating to a fixpoint.
+// (or the φ itself), iterating to a fixpoint; the other uses are
+// replaced in one sweep at the end.
 func simplifyPhis(f *ir.Func) {
+	repl := map[ir.Value]ir.Value{}
 	for changed := true; changed; {
 		changed = false
 		for _, b := range f.Blocks {
@@ -184,6 +190,7 @@ func simplifyPhis(f *ir.Func) {
 				if i.Op != ir.OpPhi {
 					continue
 				}
+				i.ReplaceArgs(repl)
 				var uniq ir.Value
 				trivial := true
 				for _, a := range i.Args {
@@ -201,11 +208,12 @@ func simplifyPhis(f *ir.Func) {
 					if uniq == nil {
 						uniq = ir.ConstOf(i.Ty, 0)
 					}
-					f.ReplaceAllUses(i, uniq)
+					repl[i] = uniq
 					b.Remove(i)
 					changed = true
 				}
 			}
 		}
 	}
+	f.ReplaceUses(repl)
 }

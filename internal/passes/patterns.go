@@ -13,7 +13,7 @@ import (
 // and the masked 32-bit form built from two 16-bit halves. Returns the
 // number of replacements.
 func DetectByteSwaps(f *ir.Func) int {
-	n := 0
+	repl := map[ir.Value]ir.Value{}
 	for _, b := range f.Blocks {
 		for _, i := range append([]*ir.Instr(nil), b.Instrs...) {
 			if i.Op != ir.OpOr || i.Ty.Bits != 16 {
@@ -25,11 +25,11 @@ func DetectByteSwaps(f *ir.Func) int {
 			}
 			sw := &ir.Instr{Op: ir.OpByteSwap, Ty: i.Ty, Args: []ir.Value{x}}
 			replaceInPlace(b, i, sw)
-			f.ReplaceAllUses(i, sw)
-			n++
+			repl[i] = sw
 		}
 	}
-	return n
+	f.ReplaceUses(repl)
+	return len(repl)
 }
 
 // matchBswap16 matches or(shl(x,8), lshr(x,8)) in either order.
@@ -75,7 +75,7 @@ func replaceInPlace(b *ir.Block, old, new *ir.Instr) {
 // are widened by one power-of-two width first so the borrow lands in
 // the MSB. Returns the number of rewrites.
 func CmpToSubMSB(f *ir.Func) int {
-	n := 0
+	repl := map[ir.Value]ir.Value{}
 	for _, b := range f.Blocks {
 		for pos := 0; pos < len(b.Instrs); pos++ {
 			i := b.Instrs[pos]
@@ -135,10 +135,10 @@ func CmpToSubMSB(f *ir.Func) int {
 			for _, s := range seq {
 				b.Adopt(s)
 			}
-			f.ReplaceAllUses(i, cmp)
-			n++
+			repl[i] = cmp
 			pos += len(seq) - 1
 		}
 	}
-	return n
+	f.ReplaceUses(repl)
+	return len(repl)
 }

@@ -14,7 +14,7 @@ func PhiElim(f *ir.Func) int {
 	if entry == nil {
 		return 0
 	}
-	n := 0
+	repl := map[ir.Value]ir.Value{}
 	for _, b := range f.Blocks {
 		for _, phi := range append([]*ir.Instr(nil), b.Instrs...) {
 			if phi.Op != ir.OpPhi {
@@ -36,9 +36,9 @@ func PhiElim(f *ir.Func) int {
 			ld := &ir.Instr{Op: ir.OpLoad, Ty: phi.Ty, Args: []ir.Value{al, ir.ConstOf(ir.U32, 0)}, Name: name}
 			// The load takes the φ's slot.
 			replaceInPlace(b, phi, ld)
-			f.ReplaceAllUses(phi, ld)
-			n++
+			repl[phi] = ld
 		}
 	}
-	return n
+	f.ReplaceUses(repl)
+	return len(repl)
 }

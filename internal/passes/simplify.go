@@ -23,19 +23,21 @@ func Simplify(f *ir.Func) {
 	}
 }
 
-// foldAll folds constants and applies algebraic identities.
+// foldAll folds constants and applies algebraic identities, replacing
+// the uses in one sweep at the end.
 func foldAll(f *ir.Func) bool {
-	changed := false
+	repl := map[ir.Value]ir.Value{}
 	for _, b := range f.Blocks {
 		for _, i := range append([]*ir.Instr(nil), b.Instrs...) {
+			i.ReplaceArgs(repl)
 			if v := foldInstr(i); v != nil && v != ir.Value(i) {
-				f.ReplaceAllUses(i, v)
+				repl[i] = v
 				b.Remove(i)
-				changed = true
 			}
 		}
 	}
-	return changed
+	f.ReplaceUses(repl)
+	return len(repl) > 0
 }
 
 func constArg(i *ir.Instr, n int) (*ir.Const, bool) {
@@ -225,7 +227,9 @@ func simplifyCFG(f *ir.Func) bool {
 			changed = true
 		}
 	}
-	// Merge single-pred/single-succ pairs.
+	// Merge single-pred/single-succ pairs. Merging reads no operand,
+	// so trivial φ-nodes' uses are replaced after it.
+	repl := map[ir.Value]ir.Value{}
 	for {
 		merged := false
 		for _, b := range f.Blocks {
@@ -247,7 +251,7 @@ func simplifyCFG(f *ir.Func) bool {
 					if len(i.Args) > 0 {
 						v = i.Args[0]
 					}
-					f.ReplaceAllUses(i, v)
+					repl[i] = v
 					s.Remove(i)
 				}
 			}
@@ -270,6 +274,7 @@ func simplifyCFG(f *ir.Func) bool {
 			break
 		}
 	}
+	f.ReplaceUses(repl)
 	return changed
 }
 
@@ -323,16 +328,16 @@ func retargetPhiEntries(b *ir.Block, from, to *ir.Block) {
 // DCE removes instructions whose results are unused and that have no
 // side effects, plus empty φ-nodes. Returns whether anything changed.
 func DCE(f *ir.Func) bool {
-	used := map[ir.Value]bool{}
-	var mark func(v ir.Value)
-	mark = func(v ir.Value) {
-		if used[v] {
+	used := make([]bool, f.IDBound())
+	var mark func(i *ir.Instr)
+	mark = func(i *ir.Instr) {
+		if used[i.ID] {
 			return
 		}
-		used[v] = true
-		if i, ok := v.(*ir.Instr); ok {
-			for _, a := range i.Args {
-				mark(a)
+		used[i.ID] = true
+		for _, a := range i.Args {
+			if ai, ok := a.(*ir.Instr); ok {
+				mark(ai)
 			}
 		}
 	}
@@ -346,7 +351,7 @@ func DCE(f *ir.Func) bool {
 	for _, b := range f.Blocks {
 		var keep []*ir.Instr
 		for _, i := range b.Instrs {
-			if i.HasSideEffects() || used[i] {
+			if i.HasSideEffects() || used[i.ID] {
 				keep = append(keep, i)
 				continue
 			}
@@ -369,7 +374,7 @@ func DCE(f *ir.Func) bool {
 func CSE(f *ir.Func) bool {
 	dt := ir.BuildDomTree(f)
 	avail := map[cseKey]*ir.Instr{}
-	changed := false
+	repl := map[ir.Value]ir.Value{}
 	var walk func(b *ir.Block)
 	walk = func(b *ir.Block) {
 		var added []cseKey
@@ -377,11 +382,11 @@ func CSE(f *ir.Func) bool {
 			if !i.Pure() {
 				continue
 			}
+			i.ReplaceArgs(repl)
 			key := keyOf(i)
 			if prev, ok := avail[key]; ok {
-				f.ReplaceAllUses(i, prev)
+				repl[i] = prev
 				b.Remove(i)
-				changed = true
 				continue
 			}
 			avail[key] = i
@@ -397,7 +402,8 @@ func CSE(f *ir.Func) bool {
 	if f.Entry() != nil {
 		walk(f.Entry())
 	}
-	return changed
+	f.ReplaceUses(repl)
+	return len(repl) > 0
 }
 
 // cseKey identifies the value a pure instruction computes: two pure

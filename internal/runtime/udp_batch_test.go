@@ -113,8 +113,12 @@ func TestUDPOffloadOnAndOffAgree(t *testing.T) {
 			dev.sock.disable(errors.New("forced off by the test"))
 			host.sock.disable(errors.New("forced off by the test"))
 		}
+		// The retry budget is time, not count: a message's timeout
+		// doubles from 2 ms to a 50 ms cap, so 40 retries outlast a ~1.8 s
+		// scheduler stall (a fixed 2 ms gave up after ~80 ms under -race
+		// on a busy two-core box), while seeded loss costs a retry or two.
 		ch := host.NewChannel(ChannelConfig{Window: 16, Reliability: ReliabilityConfig{
-			Timeout: 2 * time.Millisecond, MaxRetries: 40, Backoff: 1,
+			Timeout: 2 * time.Millisecond, MaxRetries: 40, Backoff: 2, MaxTimeout: 50 * time.Millisecond,
 		}})
 		defer ch.Close()
 		rng := rand.New(rand.NewSource(42))
